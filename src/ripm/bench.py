@@ -29,7 +29,7 @@ import numpy as np
 
 from . import problems
 from .interior import IpmOptions, outer_solve
-from .qnops import DEFAULT_MEMORY, LBFGS, LSR1, SpectralDiag
+from .qnops import DEFAULT_MEMORY, SpectralDiag, make_operator
 from .r2 import R2Options, r2_solve
 from .report import ORACLE_FAILURE, SolverReport
 from .trust_region import TrustRegionOptions, tr_solve, trdh_solve
@@ -92,28 +92,25 @@ def _split_options(overrides: dict, *groups: set):
     outs = [dict() for _ in groups]
     extra = {}
     for key, val in overrides.items():
-        placed = False
         for out, grp in zip(outs, groups):
             if key in grp:
                 out[key] = val
-                placed = True
                 break
-        if not placed:
-            if key in known:
-                extra[key] = val
-            else:
+        else:
+            if key not in known:
                 raise ConfigError(f"unknown solver option {key!r}")
+            extra[key] = val
     return (*outs, extra)
 
 
 def _qn_factory(spec: dict, default_kind: str):
-    kind = str(spec.get("qn", default_kind)).lower()
+    kind = str(spec.get("qn", default_kind))
     memory = int(spec.get("memory", DEFAULT_MEMORY))
-    if kind == "lbfgs":
-        return lambda n: LBFGS(n, memory)
-    if kind == "lsr1":
-        return lambda n: LSR1(n, memory)
-    raise ConfigError(f"unknown quasi-Newton kind {kind!r}")
+    try:
+        make_operator(kind, 1, memory)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+    return lambda n: make_operator(kind, n, memory)
 
 
 def run_solver(name: str, instance, budget: int, overrides: dict | None = None,
@@ -130,15 +127,14 @@ def run_solver(name: str, instance, budget: int, overrides: dict | None = None,
         r2_kw, extra = _split_options(overrides, _R2_FIELDS)
         opts = R2Options(abs_tol=eps_a, rel_tol=eps_r, **r2_kw)
         report = r2_solve(oracle, h, bounds, x0, opts, solver_name=name)
-    elif name == "TRDH":
+    elif name in ("TRDH", "TR-R2"):
         tr_kw, extra = _split_options(overrides, _TR_FIELDS)
         opts = TrustRegionOptions(abs_tol=eps_a, rel_tol=eps_r, **tr_kw)
-        report = trdh_solve(oracle, h, bounds, x0, opts, solver_name=name)
-    elif name == "TR-R2":
-        tr_kw, extra = _split_options(overrides, _TR_FIELDS)
-        opts = TrustRegionOptions(abs_tol=eps_a, rel_tol=eps_r, **tr_kw)
-        qn = _qn_factory(extra, "lsr1")(x0.size)
-        report = tr_solve(oracle, h, bounds, qn, x0, opts, solver_name=name)
+        if name == "TRDH":
+            report = trdh_solve(oracle, h, bounds, x0, opts, solver_name=name)
+        else:
+            qn = _qn_factory(extra, "lsr1")(x0.size)
+            report = tr_solve(oracle, h, bounds, qn, x0, opts, solver_name=name)
     else:
         ipm_kw, tr_kw, extra = _split_options(overrides, _IPM_FIELDS, _TR_FIELDS)
         base = {"eps_a": eps_a, "eps_r": eps_r}

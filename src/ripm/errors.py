@@ -16,6 +16,3 @@ class OracleFailure(RuntimeError):
 class BudgetExhausted(RuntimeError):
     """The objective-evaluation budget for this solve has been spent."""
 
-
-class ObjectiveUnbounded(RuntimeError):
-    """The (barrier) objective fell below the configured floor."""

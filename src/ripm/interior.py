@@ -1,17 +1,19 @@
-"""Barrier interior-point solvers with proximal trust-region inner iterations.
+"""Barrier interior-point solver with proximal trust-region inner iterations.
 
 The outer loop drives the barrier parameter mu to zero; for each mu the inner
-loop approximately minimizes f + phi_mu + h over steps restricted to
+loop approximately minimizes f + phi_mu + h with the trust-region iteration
+of `trust_region.tr_iterate`.  `BarrierTerms` is the constraint object it
+passes: steps are restricted to
 
     Delta * B_inf  intersected with  the fraction-to-boundary box,
 
-using the quadratic model built from a quasi-Newton operator B plus the
-capped barrier curvature Theta = min(z / gap, kappa_bar) summed over bounded
-sides.  Dual estimates come from a linearized complementarity update
-projected into a safeguard interval, so they stay strictly positive.  Two
-stopping measures are supported: the primal one based on the barrier
-gradient (valid for any h) and the primal-dual one based on grad f - z
-(used when h is convex).
+and the quadratic model adds the barrier gradient and the capped barrier
+curvature Theta = min(z / gap, kappa_bar) summed over bounded sides to the
+quasi-Newton operator B.  Dual estimates come from `dual_update`, a
+linearized complementarity update projected into a safeguard interval, so
+they stay strictly positive.  Two stopping measures are supported: the
+primal one based on the barrier gradient (valid for any h) and the
+primal-dual one based on grad f - z (used when h is convex).
 """
 from __future__ import annotations
 
@@ -21,11 +23,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BoundaryPoint, BudgetExhausted
-from .oracles import QuadModelOracle
-from .r2 import R2Options, r2_solve
-from .regprox import L0, Box, fraction_to_boundary_box, intersect_boxes
-from .report import CONVERGED, MAX_ITER, UNBOUNDED, SolverReport
-from .trust_region import TrustRegionOptions, update_radius
+# r2_solve and intersect_boxes are bound here only for perfbench/tracer.py,
+# which wraps them in this module; the trust-region loop calls them from trust_region
+from .r2 import r2_solve  # noqa: F401
+from .regprox import L0, Box, fraction_to_boundary_box, intersect_boxes  # noqa: F401
+from .report import CONVERGED, MAX_ITER, UNBOUNDED, SolverReport, evaluate_start, make_report
+from .trust_region import InnerResult, TrustRegionOptions, tr_iterate
 
 MODE_CP = "cp"
 MODE_LAGRANGIAN = "lagrangian"
@@ -68,11 +71,10 @@ class DualEstimate:
         return cls(np.where(np.isfinite(bounds.lo), 1.0, 0.0),
                    np.where(np.isfinite(bounds.hi), 1.0, 0.0))
 
-    def copy(self) -> "DualEstimate":
-        return DualEstimate(self.zl.copy(), self.zu.copy())
 
-
-def _gaps(x: np.ndarray, bounds: Box):
+def _gaps(x, bounds: Box):
+    """Finite-side masks and gaps to the bounds; gaps are +inf on infinite sides."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
     ml = np.isfinite(bounds.lo)
     mu_ = np.isfinite(bounds.hi)
     gl = np.where(ml, x - bounds.lo, np.inf)
@@ -80,108 +82,67 @@ def _gaps(x: np.ndarray, bounds: Box):
     return ml, gl, mu_, gu
 
 
+def _interior(gl, gu) -> bool:
+    """Every gap to a finite bound is positive (infinite bounds have gap +inf)."""
+    return not (np.any(gl <= 0.0) or np.any(gu <= 0.0))
+
+
 def barrier_value(mu: float, x, bounds: Box) -> float:
     """-mu * sum log(gaps) over finite bounds; +inf encodes infeasibility."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     ml, gl, mu_, gu = _gaps(x, bounds)
-    if (ml.any() and np.any(gl[ml] <= 0.0)) or (mu_.any() and np.any(gu[mu_] <= 0.0)):
+    if not _interior(gl, gu):
         return np.inf
     val = 0.0
-    if ml.any():
-        val -= mu * float(np.sum(np.log(gl[ml])))
-    if mu_.any():
-        val -= mu * float(np.sum(np.log(gu[mu_])))
+    val -= mu * float(np.sum(np.log(gl[ml])))
+    val -= mu * float(np.sum(np.log(gu[mu_])))
     return val
 
 
 def barrier_grad(mu: float, x, bounds: Box) -> np.ndarray:
     """Gradient -mu/(x-lo) + mu/(hi-x), terms dropped at infinite bounds."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     ml, gl, mu_, gu = _gaps(x, bounds)
-    if (ml.any() and np.any(gl[ml] <= 0.0)) or (mu_.any() and np.any(gu[mu_] <= 0.0)):
+    if not _interior(gl, gu):
         raise BoundaryPoint("barrier gradient needs a strictly interior point")
     return np.where(ml, -mu / gl, 0.0) + np.where(mu_, mu / gu, 0.0)
 
 
 def _compl_residual(zl, zu, gl, gu, ml, mu_, mu: float) -> float:
     """Euclidean norm of gap*z - mu stacked over all finite bound sides."""
-    acc = 0.0
-    if ml.any():
-        acc += float(np.sum((gl[ml] * zl[ml] - mu) ** 2))
-    if mu_.any():
-        acc += float(np.sum((gu[mu_] * zu[mu_] - mu) ** 2))
+    acc = float(np.sum((gl[ml] * zl[ml] - mu) ** 2)) + float(np.sum((gu[mu_] * zu[mu_] - mu) ** 2))
     return float(np.sqrt(acc))
 
 
-def _first_order_step(g_eff, x, nu, delta, delta_frac, h, bounds):
-    """Proximal-gradient step for a linear model with gradient g_eff.
-
-    Minimizes g_eff.s + ||s||^2/(2 nu) + h(x+s) over the trust region
-    intersected with the fraction-to-boundary box and returns the step with
-    the resulting model decrease xi >= ||s||^2 / (2 nu).
-    """
-    n = x.size
-    sbox = intersect_boxes(Box.ball(n, delta),
-                           fraction_to_boundary_box(x, delta_frac, bounds))
-    s = h.prox_shifted(1.0 / nu, -nu * g_eff, x, sbox)
-    xi = max(h.value(x) - float(g_eff @ s) - h.value(x + s), 0.0)
-    return s, xi
-
-
-def cauchy_step(x, mu, nu, delta, delta_frac, smooth, h, bounds):
-    """First-order barrier step s1 and its decrease xi_cp (primal measure)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    g_eff = smooth.grad(x) + barrier_grad(mu, x, bounds)
-    return _first_order_step(g_eff, x, nu, delta, delta_frac, h, bounds)
-
-
-def xi_L(x, z: DualEstimate, mu, nu, delta, delta_frac, smooth, h, bounds):
-    """First-order Lagrangian step sL and its decrease (primal-dual measure).
-
-    Uses the gradient grad f - zl + zu; coincides with the primal measure
-    when z equals mu / gap on every bounded side.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    barrier_grad(mu, x, bounds)  # interiority check, same contract as cauchy_step
-    g_eff = smooth.grad(x) - z.zl + z.zu
-    return _first_order_step(g_eff, x, nu, delta, delta_frac, h, bounds)
-
-
-def _dual_update_arrays(zl, zu, gl_old, gu_old, gl_new, gu_new, s, mu, kzl, kzu):
-    """Linearized complementarity update projected into the safeguard interval.
-
-    Returns the new (zl, zu) and the worst projection violation (<= 0 means
-    both vectors lie inside their intervals).  Entries for infinite bounds
-    stay at zero because every interval bound vanishes there.
-    """
-    def one_side(z, g_old, g_new, s_signed):
-        zhat = mu / g_old - (z / g_old) * s_signed
-        lo = kzl * np.minimum(np.minimum(1.0, z), mu / g_new)
-        hi = np.maximum(np.maximum(kzu, z), np.maximum(kzu / mu, kzu * mu / g_new))
-        znew = np.clip(zhat, lo, hi)
-        viol = float(max(np.max(lo - znew, initial=-np.inf),
-                         np.max(znew - hi, initial=-np.inf)))
-        return znew, viol
-
-    zl_new, viol_l = one_side(zl, gl_old, gl_new, s)
-    zu_new, viol_u = one_side(zu, gu_old, gu_new, -s)
-    return zl_new, zu_new, max(viol_l, viol_u)
+def _max_gap_times_z(x, z: DualEstimate, bounds: Box) -> float:
+    """Largest complementarity product gap * z over the finite bound sides."""
+    ml, gl, mu_, gu = _gaps(x, bounds)
+    return float(max(np.max(gl[ml] * z.zl[ml], initial=0.0),
+                     np.max(gu[mu_] * z.zu[mu_], initial=0.0)))
 
 
 def dual_update(x_new, x_old, z_old: DualEstimate, s, mu, bounds: Box,
                 kappa_zul: float = 0.5, kappa_zuu: float = 1e10) -> DualEstimate:
-    """Public dual update: z_hat = mu/gap - (z/gap) s per side, then projection."""
-    x_new = np.atleast_1d(np.asarray(x_new, dtype=float))
-    x_old = np.atleast_1d(np.asarray(x_old, dtype=float))
+    """Linearized complementarity update projected into the safeguard interval.
+
+    Per side, z_hat = mu/gap - (z/gap) s (s enters with a minus sign on the
+    upper side) is clipped to [kappa_zul * min(1, z, mu/gap_new),
+    max(kappa_zuu, z, kappa_zuu/mu, kappa_zuu * mu/gap_new)].  Entries for
+    infinite bounds stay at zero because every interval bound vanishes there.
+    """
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    ml, gl_old, mu_, gu_old = _gaps(x_old, bounds)
+    _, gl_old, _, gu_old = _gaps(x_old, bounds)
     _, gl_new, _, gu_new = _gaps(x_new, bounds)
-    if (ml.any() and (np.any(gl_old[ml] <= 0) or np.any(gl_new[ml] <= 0))) or (
-            mu_.any() and (np.any(gu_old[mu_] <= 0) or np.any(gu_new[mu_] <= 0))):
+    if not (_interior(gl_old, gu_old) and _interior(gl_new, gu_new)):
         raise BoundaryPoint("dual update needs strictly interior points")
-    zl, zu, _ = _dual_update_arrays(z_old.zl, z_old.zu, gl_old, gu_old,
-                                    gl_new, gu_new, s, mu, kappa_zul, kappa_zuu)
-    return DualEstimate(zl, zu)
+
+    def one_side(z, g_old, g_new, s_signed):
+        zhat = mu / g_old - (z / g_old) * s_signed
+        lo = kappa_zul * np.minimum(np.minimum(1.0, z), mu / g_new)
+        hi = np.maximum(np.maximum(kappa_zuu, z),
+                        np.maximum(kappa_zuu / mu, kappa_zuu * mu / g_new))
+        return np.clip(zhat, lo, hi)
+
+    return DualEstimate(one_side(z_old.zl, gl_old, gl_new, s),
+                        one_side(z_old.zu, gu_old, gu_new, -s))
 
 
 def crossover(x, z: DualEstimate, mu_final: float, bounds: Box):
@@ -194,14 +155,12 @@ def crossover(x, z: DualEstimate, mu_final: float, bounds: Box):
     """
     if mu_final <= 0:
         raise ValueError("mu_final must be positive")
-    x = np.atleast_1d(np.asarray(x, dtype=float)).copy()
-    zl, zu = z.zl.copy(), z.zu.copy()
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    zl, zu = z.zl, z.zu
     rt = np.sqrt(mu_final)
     qt = mu_final**0.25
-    ml = np.isfinite(bounds.lo)
-    mu_ = np.isfinite(bounds.hi)
 
-    gl = np.where(ml, x - bounds.lo, np.inf)
+    ml, gl, mu_, _ = _gaps(x, bounds)
     joint = (gl < qt) & (zl < qt) & ml
     x = np.where(ml & ((gl < rt) | joint), bounds.lo, x)
     zl = np.where(ml & ((zl < rt) | joint), 0.0, zl)
@@ -211,8 +170,7 @@ def crossover(x, z: DualEstimate, mu_final: float, bounds: Box):
     x = np.where(mu_ & ((gu < rt) | joint), bounds.hi, x)
     zu = np.where(mu_ & ((zu < rt) | joint), 0.0, zu)
 
-    gl = np.where(ml, x - bounds.lo, np.inf)
-    gu = np.where(mu_, bounds.hi - x, np.inf)
+    _, gl, _, gu = _gaps(x, bounds)
     zl = np.where(ml & (gl > 0.0), 0.0, zl)
     zu = np.where(mu_ & (gu > 0.0), 0.0, zu)
     return x, DualEstimate(zl, zu)
@@ -226,15 +184,8 @@ def kkt_residuals(x, z: DualEstimate, smooth, h, bounds: Box):
     at x, computed in closed form per component.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    ml, gl, mu_, gu = _gaps(x, bounds)
-    eps_p = 0.0
-    if ml.any():
-        eps_p = max(eps_p, float(np.max(gl[ml] * z.zl[ml])))
-    if mu_.any():
-        eps_p = max(eps_p, float(np.max(gu[mu_] * z.zu[mu_])))
     v = -(smooth.grad(x) - z.zl + z.zu)
-    eps_d = _dist_to_subdifferential(v, x, h)
-    return eps_p, eps_d
+    return _max_gap_times_z(x, z, bounds), _dist_to_subdifferential(v, x, h)
 
 
 def _dist_to_subdifferential(v, x, h) -> float:
@@ -251,202 +202,74 @@ def _dist_to_subdifferential(v, x, h) -> float:
     return float(np.linalg.norm(v[x != 0.0]))
 
 
-@dataclass
-class _RunState:
-    n_prox: int = 0
-    trace: list = field(default_factory=list)
-    diag: list = field(default_factory=list)
+class BarrierTerms:
+    """Constraint object of a barrier subproblem for `trust_region.tr_iterate`.
 
+    Holds the barrier parameter and the dual estimate ``z``, which it
+    updates on every accepted step and, from exact perturbed
+    complementarity, on a zero model step.
+    """
 
-@dataclass
-class InnerResult:
-    x: np.ndarray
-    z: DualEstimate
-    fx: float
-    hx: float
-    gx: np.ndarray
-    delta: float
-    nu: float
-    crit: float
-    compl: float
-    measure0: float
-    status: str  # "tol" | "cap" | "unbounded" | "budget"
-    accepted: int
-    iters: int
+    records_exits = True
+
+    def __init__(self, bounds: Box, mu: float, z: DualEstimate, opts: IpmOptions, mode: str):
+        self.bounds, self.mu, self.z, self.opts, self.mode = bounds, mu, z, opts, mode
+        self.floor = opts.objective_floor
+
+    def at(self, x, gx):
+        g_phi = barrier_grad(self.mu, x, self.bounds)  # raises unless x is interior
+        ml, gl, mu_, gu = _gaps(x, self.bounds)
+        zl, zu, kappa = self.z.zl, self.z.zu, self.opts.kappa_bar
+        theta = (np.where(ml, np.minimum(zl / gl, kappa), 0.0)
+                 + np.where(mu_, np.minimum(zu / gu, kappa), 0.0))
+        box = fraction_to_boundary_box(x, self.opts.delta_frac, self.bounds)
+        g_meas = gx - zl + zu if self.mode == MODE_LAGRANGIAN else None
+        return gx + g_phi, theta, box, g_meas, _compl_residual(zl, zu, gl, gu, ml, mu_, self.mu)
+
+    def phi(self, x) -> float:
+        return barrier_value(self.mu, x, self.bounds)
+
+    def trial(self, x, s):
+        return x + s, s
+
+    def zero_step(self, x) -> bool:
+        # the model is stationary at x: refresh the duals (the update at s = 0)
+        # so that the dual tolerance can still be met; x and Delta stay put
+        self.accept(x, x, np.zeros(x.size))
+        return True
+
+    def accept(self, x, x_t, s) -> None:
+        self.z = dual_update(x_t, x, self.z, s, self.mu, self.bounds,
+                             self.opts.kappa_zul, self.opts.kappa_zuu)
 
 
 def inner_solve(smooth, h, bounds: Box, qn, x0, z0: DualEstimate, mu: float,
                 opts: IpmOptions | None = None, *, eps_d_abs: float | None = None,
                 eps_d_rel: float = 0.0, eps_p: float | None = None,
                 delta0: float | None = None, mode: str = MODE_CP,
-                run: _RunState | None = None, warm=None,
-                outer_index: int = 0) -> InnerResult:
+                trace: list | None = None, records: list | None = None,
+                warm=None) -> InnerResult:
     """Approximately minimize f + phi_mu + h from a strictly interior x0.
 
     Stops when the mode's criticality measure sqrt(xi/nu) falls below
     eps_d_abs + eps_d_rel * (measure at entry) and the perturbed
     complementarity residual falls below eps_p, or after ``inner_cap``
     iterations.  ``warm`` may carry (f, h, grad) at x0 to avoid re-evaluation
-    across stages.
+    across stages.  Accepted points extend ``trace`` and every iteration
+    extends ``records`` (see `trust_region.tr_iterate`).
     """
     opts = opts or IpmOptions()
-    o = opts.tr
-    run = run if run is not None else _RunState()
+    trace = [] if trace is None else trace
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    n = x.size
-    zl, zu = z0.zl.copy(), z0.zu.copy()
-    diagonal = opts.step == "diagonal"
-    eps_d_abs = mu**opts.eps_exponent if eps_d_abs is None else eps_d_abs
-    eps_p = mu**opts.eps_exponent if eps_p is None else eps_p
-    delta = min(delta0 if delta0 is not None else opts.delta0_factor * mu, o.delta_max)
-
-    if warm is not None:
-        fx, hx, gx = warm
-    else:
-        fx = smooth.value(x)
-        hx = h.value(x)
-        gx = smooth.grad(x)
-        run.trace.append((smooth.n_grad, fx + hx))
-    phi_x = barrier_value(mu, x, bounds)
-    if not np.isfinite(phi_x):
-        raise BoundaryPoint("inner solve requires a strictly interior start")
-
-    def measure(delta_now):
-        ml, gl, mu_, gu = _gaps(x, bounds)
-        theta = (np.where(ml, np.minimum(zl / gl, opts.kappa_bar), 0.0)
-                 + np.where(mu_, np.minimum(zu / gu, opts.kappa_bar), 0.0))
-        g_phi = np.where(ml, -mu / gl, 0.0) + np.where(mu_, mu / gu, 0.0)
-        lip = qn.norm_estimate() + float(theta.max())
-        nu = 1.0 / (lip + 1.0 / (o.alpha * delta_now))
-        rbox = intersect_boxes(Box.ball(n, delta_now),
-                               fraction_to_boundary_box(x, opts.delta_frac, bounds))
-        g_cp = gx + g_phi
-        s1 = h.prox_shifted(1.0 / nu, -nu * g_cp, x, rbox)
-        run.n_prox += 1
-        xi_cp = max(hx - float(g_cp @ s1) - h.value(x + s1), 0.0)
-        if mode == MODE_LAGRANGIAN:
-            g_l = gx - zl + zu
-            s_meas = h.prox_shifted(1.0 / nu, -nu * g_l, x, rbox)
-            run.n_prox += 1
-            xi_meas = max(hx - float(g_l @ s_meas) - h.value(x + s_meas), 0.0)
-        else:
-            s_meas, xi_meas = s1, xi_cp
-        crit = float(np.sqrt(xi_meas / nu))
-        compl = _compl_residual(zl, zu, gl, gu, ml, mu_, mu)
-        return {
-            "nu": nu, "theta": theta, "g_cp": g_cp, "rbox": rbox, "s1": s1,
-            "xi_cp": xi_cp, "s_meas": s_meas, "xi_meas": xi_meas,
-            "crit": crit, "compl": compl,
-            "gl": gl, "gu": gu, "ml": ml, "mu_": mu_,
-        }
-
-    measure0 = None
-    eps_d = None
-    status = "cap"
-    accepted = 0
-    m = None
-    j = 0
-    try:
-        for j in range(opts.inner_cap):
-            m = measure(delta)
-            if measure0 is None:
-                measure0 = m["crit"]
-                eps_d = eps_d_abs + eps_d_rel * measure0
-            rec = {
-                "k": outer_index, "j": j, "mu": mu, "nu": m["nu"],
-                "delta_before": delta, "delta_after": delta,
-                "xi_cp": m["xi_cp"], "xi_meas": m["xi_meas"],
-                "s1_norm2": float(np.linalg.norm(m["s1"])),
-                "s_meas_norm2": float(np.linalg.norm(m["s_meas"])),
-                "crit": m["crit"], "compl": m["compl"],
-                "fbar_before": fx + phi_x + hx,
-                "rho": np.nan, "accepted": False, "exit": None,
-                "s_inf": 0.0, "cap_inf": np.nan, "min_gap_after": np.nan,
-                "z_viol": np.nan, "fbar_after": np.nan,
-            }
-            if m["crit"] <= eps_d and m["compl"] <= eps_p:
-                status = "tol"
-                rec["exit"] = "tol"
-                run.diag.append(rec)
-                break
-            if fx + phi_x + hx < opts.objective_floor:
-                status = "unbounded"
-                rec["exit"] = "unbounded"
-                run.diag.append(rec)
-                break
-            s1_inf = float(np.max(np.abs(m["s1"])))
-            delta_eff = min(delta, o.beta * s1_inf)
-            ebox = intersect_boxes(Box.ball(n, delta_eff), m["rbox"])
-            if diagonal:
-                dvec = qn.diagonal() + m["theta"]
-                s = h.prox_shifted(dvec, -m["g_cp"] / dvec, x, ebox)
-                run.n_prox += 1
-            else:
-                model = QuadModelOracle(m["g_cp"], qn.apply, m["theta"])
-                sub = r2_solve(model, h.shifted(x), ebox, m["s1"],
-                               R2Options(max_iter=o.subsolver_max_iter, abs_tol=0.0,
-                                         rel_tol=o.subsolver_rel_tol))
-                s = sub.x
-                run.n_prox += sub.n_prox
-            if not np.any(s):
-                # model stationary at x: refresh the duals from exact perturbed
-                # complementarity (the update formula at s = 0) so the dual
-                # tolerance can still be met; x and Delta stay put
-                zl, zu, viol = _dual_update_arrays(
-                    zl, zu, m["gl"], m["gu"], m["gl"], m["gu"],
-                    np.zeros(n), mu, opts.kappa_zul, opts.kappa_zuu)
-                rec.update(z_viol=viol, rho=0.0)
-                run.diag.append(rec)
-                continue
-            curv_s = qn.apply(s) + m["theta"] * s
-            decrease = hx - float(m["g_cp"] @ s) - 0.5 * float(s @ curv_s) - h.value(x + s)
-            x_t = x + s
-            f_t = smooth.value(x_t)
-            h_t = h.value(x_t)
-            phi_t = barrier_value(mu, x_t, bounds)
-            fbar = fx + phi_x + hx
-            rho = (fbar - (f_t + phi_t + h_t)) / decrease if decrease > 0 else -np.inf
-            acc = bool(rho >= o.eta1)
-            if acc:
-                ml_t, gl_t, mu_t, gu_t = _gaps(x_t, bounds)
-                zl, zu, viol = _dual_update_arrays(
-                    zl, zu, m["gl"], m["gu"], gl_t, gu_t, s, mu,
-                    opts.kappa_zul, opts.kappa_zuu)
-                min_gap = np.inf
-                if ml_t.any():
-                    min_gap = min(min_gap, float(gl_t[ml_t].min()))
-                if mu_t.any():
-                    min_gap = min(min_gap, float(gu_t[mu_t].min()))
-                x, fx, hx, phi_x = x_t, f_t, h_t, phi_t
-                g_new = smooth.grad(x)
-                qn.update(s, g_new - gx)
-                gx = g_new
-                run.trace.append((smooth.n_grad, fx + hx))
-                accepted += 1
-                rec["min_gap_after"] = min_gap
-                rec["z_viol"] = viol
-                rec["fbar_after"] = fx + phi_x + hx
-            new_delta = max(update_radius(delta, rho, o), 1e-30)  # underflow guard
-            rec.update(rho=float(rho), accepted=acc, delta_after=new_delta,
-                       s_inf=float(np.max(np.abs(s))), cap_inf=delta_eff)
-            run.diag.append(rec)
-            delta = new_delta
-        else:
-            m = measure(delta)  # consistent exit measure on cap exhaustion
-            if measure0 is None:
-                measure0 = m["crit"]
-    except BudgetExhausted:
-        status = "budget"
-        if m is None:
-            m = {"nu": np.nan, "crit": np.inf, "compl": np.inf}
-        if measure0 is None:
-            measure0 = m["crit"]
-
-    return InnerResult(
-        x=x, z=DualEstimate(zl, zu), fx=fx, hx=hx, gx=gx, delta=delta,
-        nu=m["nu"], crit=m["crit"], compl=m["compl"], measure0=measure0,
-        status=status, accepted=accepted, iters=j + 1,
-    )
+    eps_k = mu**opts.eps_exponent
+    fx, hx, gx = warm if warm is not None else evaluate_start(smooth, h, x, trace)
+    delta = min(opts.delta0_factor * mu if delta0 is None else delta0, opts.tr.delta_max)
+    return tr_iterate(
+        smooth, h, BarrierTerms(bounds, mu, z0, opts, mode), qn, x, fx, hx, gx, delta, opts.tr,
+        diagonal=opts.step == "diagonal", max_iter=opts.inner_cap,
+        abs_tol=eps_k if eps_d_abs is None else eps_d_abs, rel_tol=eps_d_rel,
+        eps_p=eps_k if eps_p is None else eps_p, trace=trace,
+        records=[] if records is None else records)
 
 
 def outer_solve(smooth, h, bounds: Box, qn_factory, x0, opts: IpmOptions | None = None,
@@ -461,21 +284,20 @@ def outer_solve(smooth, h, bounds: Box, qn_factory, x0, opts: IpmOptions | None 
     opts = opts or IpmOptions()
     t0 = time.perf_counter()
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    n = x.size
-    ml, gl, mu_, gu = _gaps(x, bounds)
-    if (ml.any() and np.any(gl[ml] <= 0)) or (mu_.any() and np.any(gu[mu_] <= 0)):
+    if not np.isfinite(barrier_value(opts.mu_init, x, bounds)):
         raise BoundaryPoint("outer solve requires a strictly interior start")
 
     mode = opts.mode
-    if mode == "auto":
+    if mode == "auto" or h.kind == L0:
+        # the primal-dual measure assumes a convex h
         mode = MODE_CP if h.kind == L0 else MODE_LAGRANGIAN
-    if h.kind == L0:
-        mode = MODE_CP  # the primal-dual measure assumes a convex h
 
-    qn = qn_factory(n)
+    qn = qn_factory(x.size)
     if opts.step == "diagonal" and not hasattr(qn, "diagonal"):
         raise ValueError("diagonal step mode needs an operator with a diagonal() view")
-    run = _RunState()
+    trace: list = []
+    records: list = []
+    n_prox = 0
     z = DualEstimate.ones_for(bounds)
     status = MAX_ITER
     res = None
@@ -487,18 +309,12 @@ def outer_solve(smooth, h, bounds: Box, qn_factory, x0, opts: IpmOptions | None 
     stages = 0
 
     try:
-        fx = smooth.value(x)
-        hx = h.value(x)
-        gx = smooth.grad(x)
-        run.trace.append((smooth.n_grad, fx + hx))
+        fx, hx, gx = evaluate_start(smooth, h, x, trace)
         for k in range(opts.max_outer):
-            eps_k = mu**opts.eps_exponent
-            res = inner_solve(
-                smooth, h, bounds, qn, x, res.z if res else z, mu, opts,
-                eps_d_abs=eps_k, eps_d_rel=opts.eps_ri, eps_p=eps_k,
-                delta0=opts.delta0_factor * mu, mode=mode, run=run,
-                warm=(fx, hx, gx), outer_index=k)
-            x, fx, hx, gx = res.x, res.fx, res.hx, res.gx
+            res = inner_solve(smooth, h, bounds, qn, x, z, mu, opts, eps_d_rel=opts.eps_ri,
+                              mode=mode, trace=trace, records=records, warm=(fx, hx, gx))
+            x, z, fx, hx, gx = res.x, res.z, res.fx, res.hx, res.gx
+            n_prox += res.n_prox
             mu_last = mu
             stages = k + 1
             if eps_glob is None:
@@ -517,46 +333,18 @@ def outer_solve(smooth, h, bounds: Box, qn_factory, x0, opts: IpmOptions | None 
 
     if res is not None and res.status == "unbounded" and status != CONVERGED:
         status = UNBOUNDED
-    z = res.z if res is not None else z
 
     x_cross, z_cross = crossover(x, z, mu_last, bounds)
     cross_info = {"mu": mu_last, "applied": False}
-    if np.array_equal(x_cross, x):
-        z = z_cross
-        run.trace.append((smooth.n_grad, fx + hx))
-        cross_info["applied"] = True
-    else:
-        try:
-            f_c = smooth.value(x_cross)
-            h_c = h.value(x_cross)
-            x, z, fx, hx = x_cross, z_cross, f_c, h_c
-            run.trace.append((smooth.n_grad, fx + hx))
-            cross_info["applied"] = True
-        except BudgetExhausted:
-            pass  # keep the pre-crossover point so report and x stay consistent
-    if cross_info["applied"]:
-        mlx, glx, mux, gux = _gaps(x, bounds)
-        worst = 0.0
-        if mlx.any():
-            worst = max(worst, float(np.max(np.abs(glx[mlx] * z.zl[mlx]))))
-        if mux.any():
-            worst = max(worst, float(np.max(np.abs(gux[mux] * z.zu[mux]))))
-        cross_info["max_gap_times_z"] = worst
+    try:
+        if not np.array_equal(x_cross, x):
+            fx, hx = smooth.value(x_cross), h.value(x_cross)
+        x, z = x_cross, z_cross
+        trace.append((smooth.n_grad, fx + hx))
+        cross_info.update(applied=True, max_gap_times_z=_max_gap_times_z(x, z, bounds))
+    except BudgetExhausted:
+        pass  # keep the pre-crossover point so report and x stay consistent
 
-    return SolverReport(
-        solver=solver_name,
-        x=x,
-        f=fx,
-        h_over_lam=(hx / h.lam) if h.lam else 0.0,
-        criticality=res.crit if res is not None and np.isfinite(res.crit) else 0.0,
-        n_f=smooth.n_f,
-        n_grad=smooth.n_grad,
-        n_prox=run.n_prox,
-        wall_time_s=time.perf_counter() - t0,
-        termination=status,
-        trace=run.trace,
-        z=z,
-        diagnostics={"inner": run.diag, "crossover": cross_info,
-                     "mode": mode, "stages": stages if res is not None else 0},
-        lam=h.lam,
-    )
+    return make_report(solver_name, smooth, h, x, fx, hx, res.crit if res else np.inf, n_prox,
+                       t0, status, trace, {"inner": records, "crossover": cross_info,
+                                           "mode": mode, "stages": stages}, z=z)

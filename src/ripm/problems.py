@@ -247,11 +247,9 @@ def _fh_rhs_aug(V, W, SV, SW, x1, x2, x3, x4, x5):
     fV = (V - V * V * V / 3.0 - W + x1) / x2
     fW = x2 * (x3 * V - x4 * W + x5)
     dSV = ((1.0 - V * V) * SV - SW) / x2
-    dSV = dSV.copy()
     dSV[0] += 1.0 / x2
     dSV[1] += -fV / x2
     dSW = x2 * (x3 * SV - x4 * SW)
-    dSW = dSW.copy()
     dSW[1] += x3 * V - x4 * W + x5
     dSW[2] += x2 * V
     dSW[3] += -x2 * W

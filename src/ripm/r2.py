@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BudgetExhausted
 from .regprox import Box
-from .report import CONVERGED, MAX_ITER, SolverReport
+from .report import CONVERGED, MAX_ITER, SolverReport, evaluate_start, make_report
 
 
 @dataclass
@@ -58,10 +58,7 @@ def r2_solve(smooth, reg, box: Box, x0, opts: R2Options | None = None,
     fx, hx = np.inf, 0.0
 
     try:
-        fx = smooth.value(x)
-        hx = reg.value(x)
-        gx = smooth.grad(x)
-        trace.append((smooth.n_grad, fx + hx))
+        fx, hx, gx = evaluate_start(smooth, reg, x, trace)
         for _ in range(opts.max_iter):
             s = reg.prox_shifted(sigma, -gx / sigma, x, box.shifted(x))
             n_prox += 1
@@ -90,19 +87,5 @@ def r2_solve(smooth, reg, box: Box, x0, opts: R2Options | None = None,
     except BudgetExhausted:
         status = MAX_ITER
 
-    lam = getattr(reg, "lam", 0.0)
-    return SolverReport(
-        solver=solver_name,
-        x=x,
-        f=fx,
-        h_over_lam=(hx / lam) if lam else 0.0,
-        criticality=crit if np.isfinite(crit) else 0.0,
-        n_f=smooth.n_f,
-        n_grad=smooth.n_grad,
-        n_prox=n_prox,
-        wall_time_s=time.perf_counter() - t0,
-        termination=status,
-        trace=trace,
-        diagnostics={"iters": diag},
-        lam=lam,
-    )
+    return make_report(solver_name, smooth, reg, x, fx, hx, crit, n_prox, t0, status, trace,
+                       {"iters": diag})

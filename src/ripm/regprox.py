@@ -120,9 +120,6 @@ class Regularizer:
     def shifted(self, origin) -> "ShiftedRegularizer":
         return ShiftedRegularizer(self, np.asarray(origin, dtype=float))
 
-    def prox(self, d, q, box: Box) -> np.ndarray:
-        return prox_separable(self, d, q, box)
-
     def prox_shifted(self, d, q, x, box: Box) -> np.ndarray:
         return iprox_shifted(self, d, q, x, box)
 
@@ -133,10 +130,6 @@ class ShiftedRegularizer:
 
     base: Regularizer
     origin: np.ndarray
-
-    @property
-    def kind(self) -> str:
-        return self.base.kind
 
     @property
     def lam(self) -> float:
@@ -150,98 +143,25 @@ class ShiftedRegularizer:
         return self.base.prox_shifted(d, q, self.origin + x, box)
 
 
-def reg_value(h: Regularizer, x) -> float:
-    """h(x) for the given separable regularizer."""
-    return h.value(x)
-
-
-def shifted_value(h: Regularizer, x, s) -> float:
-    """h(x + s): the exact nonsmooth model around x evaluated at step s."""
-    return h.value(_vec(x) + _vec(s, _vec(x).size))
-
-
-def prox_separable(h: Regularizer, d, q, box: Box) -> np.ndarray:
-    """Componentwise argmin over box of d_i (s_i - q_i)^2 / 2 + h_i(s_i).
-
-    Requires d > 0.  For l1 the unconstrained soft-threshold point is clamped
-    into the box (exact: the objective is convex and unimodal per component).
-    For l0 the candidates are the clamped quadratic minimizer and s_i = 0 when
-    feasible; ties prefer the sparse candidate.
-    """
-    q = _vec(q)
-    n = q.size
-    d = _vec(d, n)
-    if np.any(d <= 0):
-        raise ValueError("prox_separable requires strictly positive d")
-    box = _box_of_dim(box, n)
-    if h.kind == ZERO or h.lam == 0.0:
-        return box.clamp(q)
-    lam = h.lam_per_component(n)
-    if h.kind == L1:
-        s = np.sign(q) * np.maximum(np.abs(q) - lam / d, 0.0)
-        return box.clamp(s)
-    # l0
-    c = box.clamp(q)
-    cost_c = 0.5 * d * (c - q) ** 2 + np.where(c != 0.0, lam, 0.0)
-    zero_ok = (box.lo <= 0.0) & (box.hi >= 0.0)
-    cost_0 = 0.5 * d * q**2
-    return np.where(zero_ok & (cost_0 <= cost_c), 0.0, c)
-
-
 def iprox_shifted(h: Regularizer, d, q, x, box: Box) -> np.ndarray:
     """Componentwise argmin over box of d_i (s_i - q_i)^2 / 2 + h_i(x_i + s_i).
 
-    This is the step kernel of every barrier and diagonal-Hessian solver: the
-    l1 objective splits at s_i = -x_i and reduces to a soft threshold in the
-    variable u = x + s; the l0 objective compares the clamped quadratic
-    minimizer against the sparsity candidate s_i = -x_i when feasible (ties
-    prefer the sparse candidate).
-
-    Nonpositive d_i are handled by candidate enumeration over the box
-    endpoints and the kink at s_i = -x_i, which requires those endpoints to be
-    finite.  The diagonal operators used here clamp their curvature positive,
-    so this branch is only reachable through future operator kinds.
+    This is the step kernel of every solver: the l1 objective splits at
+    s_i = -x_i and reduces to a soft threshold in the variable u = x + s; the
+    l0 objective compares the clamped quadratic minimizer against the
+    sparsity candidate s_i = -x_i when feasible (ties prefer the sparse
+    candidate).  At x = 0 this is the plain separable prox.  Requires d > 0.
     """
     q = _vec(q)
     n = q.size
     d = _vec(d, n)
     x = _vec(x, n)
     box = _box_of_dim(box, n)
-    pos = d > 0
-    if pos.all():
-        return _iprox_positive(h, d, q, x, box)
-    out = np.empty(n)
-    if pos.any():
-        sub_box = Box(box.lo[pos], box.hi[pos])
-        out[pos] = _iprox_positive(h, d[pos], q[pos], x[pos], sub_box)
-    rest = ~pos
-    if not np.all(np.isfinite(box.lo[rest]) & np.isfinite(box.hi[rest])):
-        raise ValueError("indefinite prox needs finite box endpoints")
-    lam = h.lam_per_component(n)
-    for i in np.flatnonzero(rest):
-        cands = [box.lo[i], box.hi[i], min(max(-x[i], box.lo[i]), box.hi[i])]
-        best, best_cost = None, np.inf
-        for s in cands:
-            cost = 0.5 * d[i] * (s - q[i]) ** 2 + _comp_value(h.kind, lam[i], x[i] + s)
-            # tie toward the candidate that zeroes x_i + s_i
-            if cost < best_cost or (cost == best_cost and x[i] + s == 0.0):
-                best, best_cost = s, cost
-        out[i] = best
-    return out
-
-
-def _comp_value(kind: str, lam_i: float, v: float) -> float:
-    if kind == L1:
-        return lam_i * abs(v)
-    if kind == L0:
-        return lam_i if v != 0.0 else 0.0
-    return 0.0
-
-
-def _iprox_positive(h: Regularizer, d, q, x, box: Box) -> np.ndarray:
+    if not np.all(d > 0):
+        raise ValueError("iprox_shifted requires strictly positive d")
     if h.kind == ZERO or h.lam == 0.0:
         return box.clamp(q)
-    lam = h.lam_per_component(q.size)
+    lam = h.lam_per_component(n)
     if h.kind == L1:
         u = x + q
         u = np.sign(u) * np.maximum(np.abs(u) - lam / d, 0.0)

@@ -1,6 +1,7 @@
 """Solve reports shared by every solver."""
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,3 +75,27 @@ class SolverReport:
             error=d.get("error"),
             lam=d.get("lam", 0.0),
         )
+
+
+def evaluate_start(smooth, h, x, trace: list):
+    """f(x), h(x) and grad f(x) at the start of a solve, logged as its first trace point."""
+    fx = smooth.value(x)
+    hx = h.value(x)
+    gx = smooth.grad(x)
+    trace.append((smooth.n_grad, fx + hx))
+    return fx, hx, gx
+
+
+def make_report(solver, smooth, h, x, fx, hx, crit, n_prox, t0, status, trace, diagnostics,
+                z=None) -> SolverReport:
+    """Report of a finished solve started at perf_counter() time ``t0``.
+
+    The criticality is reported as measured: inf when the solve stopped
+    before measuring it, NaN when the measure itself was not a number.
+    """
+    lam = getattr(h, "lam", 0.0)
+    return SolverReport(
+        solver=solver, x=x, f=fx, h_over_lam=(hx / lam) if lam else 0.0,
+        criticality=float(crit), n_f=smooth.n_f, n_grad=smooth.n_grad, n_prox=n_prox,
+        wall_time_s=time.perf_counter() - t0, termination=status, trace=trace, z=z,
+        diagnostics=diagnostics, lam=lam)

@@ -33,6 +33,17 @@ def test_budget_one_all_solvers():
         assert rep.trace  # trace never empty
 
 
+def test_budget_zero_reports_criticality_unmeasured():
+    # no evaluation is allowed, so no solver measures criticality; the report
+    # must not read as exactly critical
+    inst = bench.problems.build("bpdn", 0, m=12, n=24, n_spikes=3)
+    for name in ALL_SOLVERS:
+        rep = bench.run_solver(name, inst, 0)
+        assert rep.termination == MAX_ITER and rep.n_f == 0
+        assert not np.isfinite(rep.criticality), (name, rep.criticality)
+        assert emit_table([rep]).splitlines()[1].split()[3] == "-"
+
+
 def test_budget_respected():
     cfg = _tiny_config(budget=25)
     _, reports = run_config(cfg)

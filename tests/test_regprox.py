@@ -5,27 +5,36 @@ from hypothesis import strategies as st
 
 from ripm.errors import BoundaryPoint, EmptyBox
 from ripm.regprox import (Box, Regularizer, ShiftedRegularizer,
-                          fraction_to_boundary_box, intersect_boxes,
-                          iprox_shifted, prox_separable, reg_value, shifted_value)
+                          fraction_to_boundary_box, intersect_boxes, iprox_shifted)
 
 from helpers import comp_reg_value, grid_min_vec
 
 
+def _prox_at_zero(h, d, q, box):
+    """Separable prox argmin_s d (s - q)^2 / 2 + h(s) over box: iprox_shifted at x = 0."""
+    return iprox_shifted(h, d, q, np.zeros(np.atleast_1d(q).size), box)
+
+
 def test_reg_value_examples():
-    assert reg_value(Regularizer("l1", 2.0), [1.0, -3.0]) == 8.0
-    assert reg_value(Regularizer("l0", 10.0), [0.0, 0.5, 0.0]) == 10.0
-    assert reg_value(Regularizer("zero"), [5.0, -7.0]) == 0.0
+    assert Regularizer("l1", 2.0).value([1.0, -3.0]) == 8.0
+    assert Regularizer("l0", 10.0).value([0.0, 0.5, 0.0]) == 10.0
+    assert Regularizer("zero").value([5.0, -7.0]) == 0.0
 
 
 def test_reg_value_at_origin_is_zero():
     for kind in ("l1", "l0", "zero"):
-        assert reg_value(Regularizer(kind, 3.0), np.zeros(4)) == 0.0
+        assert Regularizer(kind, 3.0).value(np.zeros(4)) == 0.0
 
 
 def test_shifted_value_examples():
-    assert shifted_value(Regularizer("l1", 1.0), [1.0, 0.0], [-1.0, 2.0]) == 2.0
-    assert shifted_value(Regularizer("l0", 1.0), [1.0, 1.0], [-1.0, -1.0]) == 0.0
-    assert shifted_value(Regularizer("l1", 3.0), [0.0, 0.0], [0.1, -0.1]) == pytest.approx(0.6)
+    # h(x + s), as the solvers evaluate it at a step s from x
+    def at_step(h, x, s):
+        return h.value(np.asarray(x) + np.asarray(s))
+
+    assert at_step(Regularizer("l1", 1.0), [1.0, 0.0], [-1.0, 2.0]) == 2.0
+    assert at_step(Regularizer("l0", 1.0), [1.0, 1.0], [-1.0, -1.0]) == 0.0
+    assert at_step(Regularizer("l1", 3.0), [0.0, 0.0], [0.1, -0.1]) == pytest.approx(0.6)
+    assert Regularizer("l1", 1.0).shifted([1.0, 0.0]).value([-1.0, 2.0]) == 2.0
 
 
 def test_block_weights_value():
@@ -35,21 +44,24 @@ def test_block_weights_value():
 
 def test_prox_separable_examples():
     h1 = Regularizer("l1", 1.0)
-    assert prox_separable(h1, 1.0, 2.0, Box(-10, 10))[0] == pytest.approx(1.0)
-    assert prox_separable(h1, 1.0, 5.0, Box(-2, 2))[0] == pytest.approx(2.0)
+    assert _prox_at_zero(h1, 1.0, 2.0, Box(-10, 10))[0] == pytest.approx(1.0)
+    assert _prox_at_zero(h1, 1.0, 5.0, Box(-2, 2))[0] == pytest.approx(2.0)
     z = Regularizer("zero")
-    assert prox_separable(z, 5.0, 0.3, Box(-1, 1))[0] == pytest.approx(0.3)
+    assert _prox_at_zero(z, 5.0, 0.3, Box(-1, 1))[0] == pytest.approx(0.3)
 
 
 def test_prox_separable_requires_positive_d():
-    with pytest.raises(ValueError):
-        prox_separable(Regularizer("l1", 1.0), 0.0, 1.0, Box(-1, 1))
+    for d in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            _prox_at_zero(Regularizer("l1", 1.0), d, 1.0, Box(-1, 1))
+        with pytest.raises(ValueError):
+            iprox_shifted(Regularizer("l0", 1.0), [1.0, d], [0.0, 0.0], [0.4, 0.4], Box(-2, 2))
 
 
 def test_l0_tie_prefers_zero():
     # d=1, q=sqrt(2*lam): cost at q equals cost at 0 exactly for lam=2, q=2
     h = Regularizer("l0", 2.0)
-    out = prox_separable(h, 1.0, 2.0, Box(-10, 10))
+    out = _prox_at_zero(h, 1.0, 2.0, Box(-10, 10))
     assert out[0] == 0.0
 
 
@@ -111,7 +123,7 @@ def _prox_case_matches_grid(kind, lam, d, q, lo, hi, x=None):
     h = Regularizer(kind, lam)
     box = Box(lo, hi)
     if x is None:
-        s = prox_separable(h, d, q, box)[0]
+        s = _prox_at_zero(h, d, q, box)[0]
         obj = lambda t: 0.5 * d * (t - q) ** 2 + np.vectorize(
             lambda u: comp_reg_value(kind, lam, u))(t)
     else:
@@ -159,14 +171,14 @@ def test_iprox_shifted_matches_grid_oracle(kind, lam, d, q, x, a, width):
 @settings(max_examples=60, deadline=None)
 def test_prox_output_containment(kind, d, q):
     box = Box(np.array([-2.0, 0.0, -0.5]), np.array([2.0, 3.0, 0.5]))
-    s = prox_separable(Regularizer(kind, 1.0), d, np.array(q), box)
+    s = _prox_at_zero(Regularizer(kind, 1.0), d, np.array(q), box)
     assert box.contains(s)
 
 
 def test_zero_regularizer_is_clamp():
     box = Box(np.array([-1.0, 0.0]), np.array([1.0, 2.0]))
     q = np.array([5.0, -3.0])
-    s = prox_separable(Regularizer("zero"), 2.0, q, box)
+    s = _prox_at_zero(Regularizer("zero"), 2.0, q, box)
     assert np.array_equal(s, box.clamp(q))
 
 
@@ -175,24 +187,9 @@ def test_zero_regularizer_is_clamp():
 @settings(max_examples=60, deadline=None)
 def test_l1_scaling_invariance(c, q, lam, d):
     box = Box(-4.0, 4.0)
-    s1 = prox_separable(Regularizer("l1", lam), d, q, box)
-    s2 = prox_separable(Regularizer("l1", c * lam), c * d, q, box)
+    s1 = _prox_at_zero(Regularizer("l1", lam), d, q, box)
+    s2 = _prox_at_zero(Regularizer("l1", c * lam), c * d, q, box)
     assert s1[0] == pytest.approx(s2[0], abs=1e-12)
-
-
-def test_indefinite_iprox_matches_grid():
-    h = Regularizer("l1", 0.7)
-    for d in (-1.0, 0.0, -0.3):
-        for q in (-2.0, 0.5, 3.0):
-            s = iprox_shifted(h, d, q, 0.4, Box(-2.0, 2.0))[0]
-            obj = lambda t: 0.5 * d * (t - q) ** 2 + 0.7 * np.abs(0.4 + t)
-            _, best = grid_min_vec(obj, -2.0, 2.0)
-            assert obj(s) <= best + 1e-6
-
-
-def test_indefinite_iprox_needs_finite_box():
-    with pytest.raises(ValueError):
-        iprox_shifted(Regularizer("l1", 1.0), -1.0, 0.0, 0.0, Box(-np.inf, 1.0))
 
 
 def test_shifted_regularizer_composition():
@@ -209,6 +206,6 @@ def test_prox_with_block_weights():
     # unpenalized block behaves like the zero regularizer
     h = Regularizer("l1", 1.0, weights=np.array([0.0, 1.0]))
     box = Box(np.full(2, -10.0), np.full(2, 10.0))
-    s = prox_separable(h, 1.0, np.array([2.0, 2.0]), box)
+    s = _prox_at_zero(h, 1.0, np.array([2.0, 2.0]), box)
     assert s[0] == pytest.approx(2.0)
     assert s[1] == pytest.approx(1.0)

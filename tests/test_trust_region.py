@@ -5,7 +5,7 @@ from ripm.oracles import CallableOracle
 from ripm.qnops import LBFGS, LSR1
 from ripm.regprox import Box, Regularizer
 from ripm.report import CONVERGED
-from ripm.trust_region import TrustRegionOptions, tr_solve, trdh_solve
+from ripm.trust_region import TrustRegionOptions, tr_solve, trdh_solve, update_radius
 
 from helpers import grid_min_1d
 
@@ -93,17 +93,21 @@ def test_radius_schedule_conformance():
                             lambda x: np.sinh(x))
     rep = tr_solve(oracle, Regularizer("l1", 0.1), Box(-5.0, 5.0), LBFGS(1),
                    np.array([2.0]), o)
-    assert rep.diagnostics["iters"], "expected at least one stepped iteration"
-    for it in rep.diagnostics["iters"]:
+    iters = rep.diagnostics["iters"]
+    assert iters, "expected at least one stepped iteration"
+    assert any(it["rho"] >= o.eta2 for it in iters)
+    for it in iters:
         db, da, rho = it["delta_before"], it["delta_after"], it["rho"]
-        assert da <= o.delta_max + 1e-15
         if rho >= o.eta2:
-            assert o.gamma3 * db - 1e-12 <= da or da == o.delta_max
-            assert da <= o.gamma4 * db + 1e-12
+            assert da == min(o.gamma3 * db, o.delta_max)
         elif rho >= o.eta1:
-            assert o.gamma2 * db - 1e-12 <= da <= db + 1e-12
+            assert da == min(db, o.delta_max)
         else:
-            assert o.gamma1 * db - 1e-12 <= da <= o.gamma2 * db + 1e-12
+            assert da == max(o.gamma2 * db, 1e-30)
+    # the schedule itself, at its caps
+    assert update_radius(0.75 * o.delta_max, 1.0, o) == o.delta_max
+    assert update_radius(2 * o.delta_max, 0.5, o) == o.delta_max
+    assert update_radius(1e-30, -np.inf, o) == 1e-30
 
 
 def test_step_cap_and_criticality_lower_bound():
