@@ -9,38 +9,65 @@ Config is a single JSON file:
       "output_dir": "results/bpdn0"
     }
 
-CLI: ``run <config.json>``, ``table <results-dir>``, ``trace <results-dir>``.
-The RIPM_OUTPUT_DIR environment variable overrides the config output dir;
-a --output-dir flag overrides both.  Exit codes: 0 ok, 1 config error,
-2 when any solver failed hard.
+A solver's "options" replace the harness defaults of `solver_options`.
+SOLVER_OPTIONS lists the option names each solver reads; any other name, or
+a value the solver's options class rejects, is a config error.
+
+CLI: ``run <config.json> [--output-dir DIR]`` solves, writes reports.json,
+table.txt and one trace_<solver>.csv per solver to DIR (default: the
+config's output_dir) and prints the table; ``table <results-dir>`` prints
+the table of saved results.  Exit codes: 0 ok, 1 config error, 2 when any
+solver failed hard.
+
+Run with BLAS on one thread (``OPENBLAS_NUM_THREADS=1``): on qp at
+`problems.PAPER_SCALE`, a second OpenBLAS thread doubles the CPU time of
+RIPM-R2 and does not shorten its wall time.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import problems
 from .interior import IpmOptions, outer_solve
-from .qnops import DEFAULT_MEMORY, SpectralDiag, make_operator
+from .qnops import DEFAULT_MEMORY, make_operator
 from .r2 import R2Options, r2_solve
 from .report import ORACLE_FAILURE, SolverReport
 from .trust_region import TrustRegionOptions, tr_solve, trdh_solve
-
-SOLVER_NAMES = ("R2", "TRDH", "TR-R2", "RIPM-R2", "RIPMDH", "RIPM-R2-p", "RIPMDH-p")
-ENV_OUTPUT_DIR = "RIPM_OUTPUT_DIR"
 
 DEFAULT_EPS_A = 1e-4
 DEFAULT_EPS_R = 1e-4
 # tighter relative tolerance so the factorization runs resolve the tail
 PROBLEM_EPS_R = {"nnmf": 1e-6}
+
+
+def _fields(dc_type) -> frozenset:
+    return frozenset(f.name for f in dataclasses.fields(dc_type))
+
+
+_TR = _fields(TrustRegionOptions)
+_SUB = frozenset({"subsolver_max_iter", "subsolver_rel_tol"})
+_QN = frozenset({"qn", "memory"})
+# RIPM takes its radius, iteration cap and tolerances from IpmOptions
+_RIPM = ((_fields(IpmOptions) - {"tr", "step"})
+         | (_TR - {"delta_init", "max_iter", "abs_tol", "rel_tol"}) | _QN)
+SOLVER_OPTIONS = {
+    "R2": _fields(R2Options),
+    "TRDH": _TR - _SUB,
+    "TR-R2": _TR | _QN,
+    "RIPM-R2": _RIPM,
+    "RIPMDH": _RIPM - _SUB - _QN,
+    "RIPM-R2-p": _RIPM,
+    "RIPMDH-p": _RIPM - _SUB - _QN,
+}
+SOLVER_NAMES = tuple(SOLVER_OPTIONS)
 
 
 class ConfigError(ValueError):
@@ -78,78 +105,66 @@ class RunConfig:
                    output_dir=d.get("output_dir"))
 
 
-def _fields(dc_type) -> set:
-    return {f.name for f in dataclasses.fields(dc_type)}
-
-_TR_FIELDS = _fields(TrustRegionOptions)
-_R2_FIELDS = _fields(R2Options)
-_IPM_FIELDS = _fields(IpmOptions) - {"tr"}
+def _pick(options: dict, dc_type) -> dict:
+    names = _fields(dc_type)
+    return {k: v for k, v in options.items() if k in names}
 
 
-def _split_options(overrides: dict, *groups: set):
-    """Partition an override dict into per-dataclass kwargs; reject unknowns."""
-    known = {"qn", "memory"}
-    outs = [dict() for _ in groups]
-    extra = {}
-    for key, val in overrides.items():
-        for out, grp in zip(outs, groups):
-            if key in grp:
-                out[key] = val
-                break
-        else:
-            if key not in known:
-                raise ConfigError(f"unknown solver option {key!r}")
-            extra[key] = val
-    return (*outs, extra)
+def solver_options(name: str, problem: str, overrides: dict):
+    """Options object and operator factory n -> B of solver `name` on a `problem` family.
 
-
-def _qn_factory(spec: dict, default_kind: str):
-    kind = str(spec.get("qn", default_kind))
-    memory = int(spec.get("memory", DEFAULT_MEMORY))
+    ``overrides`` replace the harness defaults: the tolerances, mu_init and
+    eps_ri of the -p variants, and the operator (L-SR1, spectral for RIPMDH).
+    """
+    unknown = sorted(set(overrides) - SOLVER_OPTIONS[name])
+    if unknown:
+        raise ConfigError(f"{name} reads no option {', '.join(map(repr, unknown))}; "
+                          f"it reads {', '.join(sorted(SOLVER_OPTIONS[name]))}")
+    eps_a, eps_r = DEFAULT_EPS_A, PROBLEM_EPS_R.get(problem, DEFAULT_EPS_R)
+    o = {"qn": "lsr1", "memory": DEFAULT_MEMORY}
+    if name in ("R2", "TRDH", "TR-R2"):
+        o.update(abs_tol=eps_a, rel_tol=eps_r)
+    else:
+        o.update(eps_a=eps_a, eps_r=eps_r)
+        if name.startswith("RIPMDH"):
+            o.update(step="diagonal", qn="spectral")
+        if name.endswith("-p"):
+            o.update(mu_init=1e-3, eps_ri=1.0)
+    o.update(overrides)
     try:
-        make_operator(kind, 1, memory)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    return lambda n: make_operator(kind, n, memory)
+        make_operator(o["qn"], 1, o["memory"])
+        if name == "R2":
+            opts = R2Options(**_pick(o, R2Options))
+        elif name in ("TRDH", "TR-R2"):
+            opts = TrustRegionOptions(**_pick(o, TrustRegionOptions))
+        else:
+            opts = IpmOptions(tr=TrustRegionOptions(**_pick(o, TrustRegionOptions)),
+                              **_pick(o, IpmOptions))
+    except (AttributeError, TypeError, ValueError) as exc:  # AttributeError: a qn of 5
+        raise ConfigError(f"{name}: {exc}") from exc
+    return opts, lambda n: make_operator(o["qn"], n, o["memory"])
 
 
-def run_solver(name: str, instance, budget: int, overrides: dict | None = None,
-               eps_a: float = DEFAULT_EPS_A, eps_r: float | None = None) -> SolverReport:
-    """Run one named solver on a fresh counter view of the instance."""
-    overrides = dict(overrides or {})
-    if eps_r is None:
-        eps_r = PROBLEM_EPS_R.get(instance.name, DEFAULT_EPS_R)
+def run_solver(name: str, instance, budget: int, overrides: dict | None = None) -> SolverReport:
+    """Run one named solver on a fresh counter view of the instance.
+
+    ``overrides`` replace the harness defaults (see `solver_options`).
+    """
+    opts, make_qn = solver_options(name, instance.name, overrides or {})
     oracle = instance.smooth.fresh()
     oracle.budget = budget
     x0, h, bounds = instance.x0, instance.h, instance.bounds
 
     if name == "R2":
-        r2_kw, extra = _split_options(overrides, _R2_FIELDS)
-        opts = R2Options(abs_tol=eps_a, rel_tol=eps_r, **r2_kw)
         report = r2_solve(oracle, h, bounds, x0, opts, solver_name=name)
-    elif name in ("TRDH", "TR-R2"):
-        tr_kw, extra = _split_options(overrides, _TR_FIELDS)
-        opts = TrustRegionOptions(abs_tol=eps_a, rel_tol=eps_r, **tr_kw)
-        if name == "TRDH":
-            report = trdh_solve(oracle, h, bounds, x0, opts, solver_name=name)
-        else:
-            qn = _qn_factory(extra, "lsr1")(x0.size)
-            report = tr_solve(oracle, h, bounds, qn, x0, opts, solver_name=name)
+    elif name == "TRDH":
+        report = trdh_solve(oracle, h, bounds, x0, opts, solver_name=name)
+    elif name == "TR-R2":
+        report = tr_solve(oracle, h, bounds, make_qn(x0.size), x0, opts, solver_name=name)
     else:
-        ipm_kw, tr_kw, extra = _split_options(overrides, _IPM_FIELDS, _TR_FIELDS)
-        base = {"eps_a": eps_a, "eps_r": eps_r}
-        if name.endswith("-p"):
-            base.update(mu_init=1e-3, eps_ri=1.0)
-        base.update(ipm_kw)
-        step = "diagonal" if name.startswith("RIPMDH") else "r2"
-        opts = IpmOptions(step=step, tr=TrustRegionOptions(**tr_kw), **base)
-        if step == "diagonal":
-            factory = lambda n: SpectralDiag(n)
-        else:
-            factory = _qn_factory(extra, "lsr1")
-        report = outer_solve(oracle, h, bounds, factory, x0, opts, solver_name=name)
+        report = outer_solve(oracle, h, bounds, make_qn, x0, opts, solver_name=name)
 
-    if instance.x_star is not None and report.x.size == instance.x_star.size:
+    if instance.x_star is not None:
         report.dist_to_xstar = float(np.linalg.norm(report.x - instance.x_star))
     return report
 
@@ -158,6 +173,8 @@ def run_config(config: RunConfig | dict):
     """Build the instance once and run every configured solver on it."""
     if isinstance(config, dict):
         config = RunConfig.from_dict(config)
+    for spec in config.solvers:  # every option is checked before the first solve
+        solver_options(spec["name"], config.problem["name"], spec["options"])
     try:
         instance = problems.from_config(config.problem)
     except (TypeError, ValueError) as exc:
@@ -245,13 +262,6 @@ def save_results(config: RunConfig, instance, reports, out_dir) -> Path:
     return out
 
 
-def _load_results(results_dir):
-    path = Path(results_dir) / "reports.json"
-    payload = json.loads(path.read_text())
-    reports = [SolverReport.from_dict(d) for d in payload["reports"]]
-    return payload, reports
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="ripm-bench",
                                      description="solver benchmark harness")
@@ -259,36 +269,19 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute a config")
     p_run.add_argument("config", type=Path)
     p_run.add_argument("--output-dir", type=Path, default=None)
-    p_run.add_argument("--budget", type=int, default=None)
     p_tab = sub.add_parser("table", help="print the table for saved results")
     p_tab.add_argument("results_dir", type=Path)
-    p_tr = sub.add_parser("trace", help="rewrite trace CSVs for saved results")
-    p_tr.add_argument("results_dir", type=Path)
     args = parser.parse_args(argv)
 
     if args.command == "table":
-        payload, reports = _load_results(args.results_dir)
-        sys.stdout.write(emit_table(reports))
-        return 0
-    if args.command == "trace":
-        payload, reports = _load_results(args.results_dir)
-        best = payload["best_objective"]
-        for rep in reports:
-            emit_trace_csv(rep, best, Path(args.results_dir) / f"trace_{rep.solver}.csv")
+        payload = json.loads((args.results_dir / "reports.json").read_text())
+        sys.stdout.write(emit_table([SolverReport.from_dict(d) for d in payload["reports"]]))
         return 0
 
     try:
         raw = json.loads(Path(args.config).read_text())
         config = RunConfig.from_dict(raw)
-        if args.budget is not None:
-            if args.budget < 1:
-                raise ConfigError("budget must be >= 1")
-            config.budget = args.budget
-        out_dir = config.output_dir
-        if os.environ.get(ENV_OUTPUT_DIR):
-            out_dir = os.environ[ENV_OUTPUT_DIR]
-        if args.output_dir is not None:
-            out_dir = args.output_dir
+        out_dir = args.output_dir or config.output_dir
         if out_dir is None:
             out_dir = f"results/{raw.get('name', 'run')}-{int(time.time())}"
         instance, reports = run_config(config)

@@ -58,6 +58,12 @@ class IpmOptions:
     step: str = "r2"  # "r2" | "diagonal"
     tr: TrustRegionOptions = field(default_factory=TrustRegionOptions)
 
+    def __post_init__(self):
+        if self.mode not in ("auto", MODE_CP, MODE_LAGRANGIAN):
+            raise ValueError(f"mode must be auto, cp or lagrangian, not {self.mode!r}")
+        if self.step not in ("r2", "diagonal"):
+            raise ValueError(f"step must be r2 or diagonal, not {self.step!r}")
+
 
 @dataclass
 class DualEstimate:
@@ -74,7 +80,6 @@ class DualEstimate:
 
 def _gaps(x, bounds: Box):
     """Finite-side masks and gaps to the bounds; gaps are +inf on infinite sides."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     ml = np.isfinite(bounds.lo)
     mu_ = np.isfinite(bounds.hi)
     gl = np.where(ml, x - bounds.lo, np.inf)
@@ -128,7 +133,6 @@ def dual_update(x_new, x_old, z_old: DualEstimate, s, mu, bounds: Box,
     max(kappa_zuu, z, kappa_zuu/mu, kappa_zuu * mu/gap_new)].  Entries for
     infinite bounds stay at zero because every interval bound vanishes there.
     """
-    s = np.atleast_1d(np.asarray(s, dtype=float))
     _, gl_old, _, gu_old = _gaps(x_old, bounds)
     _, gl_new, _, gu_new = _gaps(x_new, bounds)
     if not (_interior(gl_old, gu_old) and _interior(gl_new, gu_new)):
@@ -155,7 +159,6 @@ def crossover(x, z: DualEstimate, mu_final: float, bounds: Box):
     """
     if mu_final <= 0:
         raise ValueError("mu_final must be positive")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     zl, zu = z.zl, z.zu
     rt = np.sqrt(mu_final)
     qt = mu_final**0.25
@@ -183,7 +186,6 @@ def kkt_residuals(x, z: DualEstimate, smooth, h, bounds: Box):
     Euclidean distance from -(grad f - zl + zu) to the subdifferential of h
     at x, computed in closed form per component.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     v = -(smooth.grad(x) - z.zl + z.zu)
     return _max_gap_times_z(x, z, bounds), _dist_to_subdifferential(v, x, h)
 
@@ -260,7 +262,7 @@ def inner_solve(smooth, h, bounds: Box, qn, x0, z0: DualEstimate, mu: float,
     """
     opts = opts or IpmOptions()
     trace = [] if trace is None else trace
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
+    x = np.array(x0, dtype=float)
     eps_k = mu**opts.eps_exponent
     fx, hx, gx = warm if warm is not None else evaluate_start(smooth, h, x, trace)
     delta = min(opts.delta0_factor * mu if delta0 is None else delta0, opts.tr.delta_max)
@@ -283,7 +285,7 @@ def outer_solve(smooth, h, bounds: Box, qn_factory, x0, opts: IpmOptions | None 
     """
     opts = opts or IpmOptions()
     t0 = time.perf_counter()
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
+    x = np.array(x0, dtype=float)
     if not np.isfinite(barrier_value(opts.mu_init, x, bounds)):
         raise BoundaryPoint("outer solve requires a strictly interior start")
 

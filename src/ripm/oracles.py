@@ -14,6 +14,7 @@ class SmoothOracle:
     Subclasses implement ``_value`` and ``_grad``.  Evaluation counters live
     on the oracle; a solve owns exactly one oracle, so counters are per-run.
     ``budget`` caps the number of objective evaluations (None = unlimited).
+    ``_value`` returns a float and ``_grad`` a float array of the size of x.
     """
 
     def __init__(self):
@@ -21,15 +22,15 @@ class SmoothOracle:
         self.n_grad = 0
         self.budget: int | None = None
 
-    def value(self, x) -> float:
+    def value(self, x: np.ndarray) -> float:
         if self.budget is not None and self.n_f >= self.budget:
             raise BudgetExhausted(f"objective budget {self.budget} spent")
         self.n_f += 1
-        return float(self._value(np.asarray(x, dtype=float)))
+        return self._value(x)
 
-    def grad(self, x) -> np.ndarray:
+    def grad(self, x: np.ndarray) -> np.ndarray:
         self.n_grad += 1
-        return np.asarray(self._grad(np.asarray(x, dtype=float)), dtype=float)
+        return self._grad(x)
 
     def fresh(self) -> "SmoothOracle":
         """Copy sharing problem data but with zeroed counters and no budget."""
@@ -55,10 +56,10 @@ class CallableOracle(SmoothOracle):
         self._g = g
 
     def _value(self, x):
-        return self._f(x)
+        return float(self._f(x))
 
     def _grad(self, x):
-        return np.atleast_1d(self._g(x))
+        return np.asarray(self._g(x), dtype=float)
 
 
 class QuadModelOracle(SmoothOracle):
@@ -71,9 +72,9 @@ class QuadModelOracle(SmoothOracle):
 
     def __init__(self, g, apply_curv, theta=None):
         super().__init__()
-        self.g = np.asarray(g, dtype=float)
+        self.g = g
         self.apply_curv = apply_curv
-        self.theta = None if theta is None else np.asarray(theta, dtype=float)
+        self.theta = theta
 
     def _curv(self, s):
         w = self.apply_curv(s)

@@ -35,10 +35,6 @@ class ProblemInstance:
     params: dict = field(default_factory=dict)
     x_star: np.ndarray | None = None
 
-    @property
-    def dim(self) -> int:
-        return self.x0.size
-
     def to_config(self) -> dict:
         """Reproducible description: seed and parameters, not data."""
         return {"name": self.name, "seed": self.seed, "params": dict(self.params)}

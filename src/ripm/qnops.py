@@ -42,8 +42,6 @@ def _power_norm(apply_fn, n: int, iters: int = 20) -> float:
 class _FactoredOp:
     """Shared machinery: B v = v + sum_j sign_j * u_j (u_j . v)."""
 
-    kind = "base"
-
     def __init__(self, n: int, memory: int = DEFAULT_MEMORY):
         self.n = int(n)
         self.memory = int(memory)
@@ -52,8 +50,7 @@ class _FactoredOp:
         self._factors: list[tuple[np.ndarray, float]] = []
         self._norm_cache: float | None = None
 
-    def apply(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
+    def apply(self, v: np.ndarray) -> np.ndarray:
         out = v.copy()
         for u, sign in self._factors:
             out += (sign * float(u @ v)) * u
@@ -67,9 +64,7 @@ class _FactoredOp:
                 self._norm_cache = max(_power_norm(self.apply, self.n), 1e-12)
         return self._norm_cache
 
-    def update(self, s, y) -> bool:
-        s = np.asarray(s, dtype=float)
-        y = np.asarray(y, dtype=float)
+    def update(self, s: np.ndarray, y: np.ndarray) -> bool:
         if not self._accept(s, y):
             self.n_skipped += 1
             return False
@@ -95,8 +90,6 @@ class LBFGS(_FactoredOp):
     definite.
     """
 
-    kind = "lbfgs"
-
     def _accept(self, s, y) -> bool:
         sy = float(s @ y)
         return sy > CURVATURE_SKIP * np.linalg.norm(s) * np.linalg.norm(y)
@@ -120,8 +113,6 @@ class LSR1(_FactoredOp):
     skipped to keep the product well defined; the operator may be indefinite.
     """
 
-    kind = "lsr1"
-
     def _accept(self, s, y) -> bool:
         r = y - self.apply(s)
         rs = float(r @ s)
@@ -140,19 +131,15 @@ class LSR1(_FactoredOp):
 class SpectralDiag:
     """Spectral-gradient diagonal sigma * I with sigma clamped to a safe range."""
 
-    kind = "spectral"
-
     def __init__(self, n: int, sigma0: float = 1.0):
         self.n = int(n)
         self.sigma = float(sigma0)
         self.n_skipped = 0
 
-    def apply(self, v) -> np.ndarray:
-        return self.sigma * np.asarray(v, dtype=float)
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        return self.sigma * v
 
-    def update(self, s, y) -> bool:
-        s = np.asarray(s, dtype=float)
-        y = np.asarray(y, dtype=float)
+    def update(self, s: np.ndarray, y: np.ndarray) -> bool:
         ss = float(s @ s)
         if ss == 0.0:
             self.n_skipped += 1

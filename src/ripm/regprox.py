@@ -22,16 +22,9 @@ ZERO = "zero"
 _KINDS = (L1, L0, ZERO)
 
 
-def _vec(v, n: int | None = None) -> np.ndarray:
-    a = np.atleast_1d(np.asarray(v, dtype=float))
-    if n is not None and a.size == 1 and n != 1:
-        a = np.full(n, a[0])
-    return a
-
-
 @dataclass
 class Box:
-    """Coordinate box {v : lo <= v <= hi}; entries may be infinite.
+    """Coordinate box {v : lo <= v <= hi} of float vectors; entries may be infinite.
 
     Construction raises :class:`EmptyBox` when lo_i > hi_i somewhere, which
     callers treat as an algorithmic bug (the sets intersected here are
@@ -42,16 +35,14 @@ class Box:
     hi: np.ndarray
 
     def __post_init__(self):
-        lo, hi = _vec(self.lo), _vec(self.hi)
-        n = max(lo.size, hi.size)
-        self.lo, self.hi = _vec(lo, n), _vec(hi, n)
+        self.lo = np.asarray(self.lo, dtype=float)
+        self.hi = np.asarray(self.hi, dtype=float)
+        if self.lo.ndim != 1 or self.lo.shape != self.hi.shape:
+            raise ValueError(f"box bounds must be vectors of one size, "
+                             f"not shapes {self.lo.shape} and {self.hi.shape}")
         if np.any(self.lo > self.hi):
             i = int(np.argmax(self.lo > self.hi))
             raise EmptyBox(f"empty box: lo={self.lo[i]} > hi={self.hi[i]} at component {i}")
-
-    @property
-    def dim(self) -> int:
-        return self.lo.size
 
     @classmethod
     def full(cls, n: int) -> "Box":
@@ -62,16 +53,11 @@ class Box:
         """l-inf ball of the given radius centered at the origin."""
         return cls(np.full(n, -radius), np.full(n, radius))
 
-    def clamp(self, v) -> np.ndarray:
-        return np.minimum(np.maximum(_vec(v, self.dim), self.lo), self.hi)
+    def clamp(self, v: np.ndarray) -> np.ndarray:
+        return np.minimum(np.maximum(v, self.lo), self.hi)
 
-    def contains(self, v, tol: float = 0.0) -> bool:
-        v = _vec(v, self.dim)
-        return bool(np.all(v >= self.lo - tol) and np.all(v <= self.hi + tol))
-
-    def shifted(self, x) -> "Box":
+    def shifted(self, x: np.ndarray) -> "Box":
         """Box for steps s such that x + s stays in this box."""
-        x = _vec(x, self.dim)
         return Box(self.lo - x, self.hi - x)
 
 
@@ -108,8 +94,7 @@ class Regularizer:
             return np.full(n, self.lam)
         return self.lam * self.weights
 
-    def value(self, x) -> float:
-        x = _vec(x)
+    def value(self, x: np.ndarray) -> float:
         if self.kind == ZERO or self.lam == 0.0:
             return 0.0
         lam = self.lam_per_component(x.size)
@@ -117,8 +102,8 @@ class Regularizer:
             return float(np.dot(lam, np.abs(x)))
         return float(np.sum(lam[x != 0.0]))
 
-    def shifted(self, origin) -> "ShiftedRegularizer":
-        return ShiftedRegularizer(self, np.asarray(origin, dtype=float))
+    def shifted(self, origin: np.ndarray) -> "ShiftedRegularizer":
+        return ShiftedRegularizer(self, origin)
 
     def prox_shifted(self, d, q, x, box: Box) -> np.ndarray:
         return iprox_shifted(self, d, q, x, box)
@@ -135,11 +120,10 @@ class ShiftedRegularizer:
     def lam(self) -> float:
         return self.base.lam
 
-    def value(self, v) -> float:
-        return self.base.value(self.origin + _vec(v, self.origin.size))
+    def value(self, v: np.ndarray) -> float:
+        return self.base.value(self.origin + v)
 
     def prox_shifted(self, d, q, x, box: Box) -> np.ndarray:
-        x = _vec(x, self.origin.size)
         return self.base.prox_shifted(d, q, self.origin + x, box)
 
 
@@ -150,18 +134,14 @@ def iprox_shifted(h: Regularizer, d, q, x, box: Box) -> np.ndarray:
     s_i = -x_i and reduces to a soft threshold in the variable u = x + s; the
     l0 objective compares the clamped quadratic minimizer against the
     sparsity candidate s_i = -x_i when feasible (ties prefer the sparse
-    candidate).  At x = 0 this is the plain separable prox.  Requires d > 0.
+    candidate).  At x = 0 this is the plain separable prox.  q, x and the box
+    are vectors of one size; d > 0 is a scalar or a vector of that size.
     """
-    q = _vec(q)
-    n = q.size
-    d = _vec(d, n)
-    x = _vec(x, n)
-    box = _box_of_dim(box, n)
     if not np.all(d > 0):
         raise ValueError("iprox_shifted requires strictly positive d")
     if h.kind == ZERO or h.lam == 0.0:
         return box.clamp(q)
-    lam = h.lam_per_component(n)
+    lam = h.lam_per_component(q.size)
     if h.kind == L1:
         u = x + q
         u = np.sign(u) * np.maximum(np.abs(u) - lam / d, 0.0)
@@ -183,13 +163,10 @@ def fraction_to_boundary_box(x, delta: float, bounds: Box) -> Box:
     infinite bound are unconstrained on that side, so for lo = 0, hi = +inf
     this is exactly {s : min_i (x + s)_i >= delta * min_i x_i}.
     """
-    x = _vec(x)
-    n = x.size
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    bounds = _box_of_dim(bounds, n)
-    lo = np.full(n, -np.inf)
-    hi = np.full(n, np.inf)
+    lo = np.full(x.size, -np.inf)
+    hi = np.full(x.size, np.inf)
     mask_l = np.isfinite(bounds.lo)
     if mask_l.any():
         gap_l = x[mask_l] - bounds.lo[mask_l]
@@ -203,11 +180,3 @@ def fraction_to_boundary_box(x, delta: float, bounds: Box) -> Box:
             raise BoundaryPoint("x is not strictly interior (upper side)")
         hi[mask_u] = gap_u - delta * gap_u.min()
     return Box(lo, hi)
-
-
-def _box_of_dim(box: Box, n: int) -> Box:
-    if box.dim == n:
-        return box
-    if box.dim == 1:
-        return Box(np.full(n, box.lo[0]), np.full(n, box.hi[0]))
-    raise ValueError(f"box dimension {box.dim} does not match {n}")

@@ -31,50 +31,22 @@ class SolverReport:
     error: str | None = None
     lam: float = 0.0
 
-    @property
-    def h_value(self) -> float:
-        return self.h_over_lam * self.lam if self.lam else 0.0
+    # the fields `to_dict` saves to reports.json, under their own names
+    SAVED = ("solver", "f", "h_over_lam", "criticality", "dist_to_xstar", "n_f", "n_grad",
+             "n_prox", "wall_time_s", "termination", "lam", "trace", "error")
 
     @property
     def objective(self) -> float:
         """f + h at the final point (h recovered from the h/lam column)."""
-        return self.f + self.h_value
+        return self.f + (self.h_over_lam * self.lam if self.lam else 0.0)
 
     def to_dict(self) -> dict:
-        return {
-            "solver": self.solver,
-            "final_f": self.f,
-            "final_h_over_lambda": self.h_over_lam,
-            "final_criticality": self.criticality,
-            "dist_to_xstar": self.dist_to_xstar,
-            "n_f": self.n_f,
-            "n_grad": self.n_grad,
-            "n_prox": self.n_prox,
-            "wall_time_s": self.wall_time_s,
-            "termination": self.termination,
-            "lam": self.lam,
-            "trace": [[int(g), float(v)] for g, v in self.trace],
-            "error": self.error,
-        }
+        return {name: getattr(self, name) for name in self.SAVED}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SolverReport":
-        return cls(
-            solver=d["solver"],
-            x=np.empty(0),
-            f=d["final_f"],
-            h_over_lam=d["final_h_over_lambda"],
-            criticality=d["final_criticality"],
-            n_f=d["n_f"],
-            n_grad=d["n_grad"],
-            n_prox=d["n_prox"],
-            wall_time_s=d["wall_time_s"],
-            termination=d["termination"],
-            trace=[(g, v) for g, v in d.get("trace", [])],
-            dist_to_xstar=d.get("dist_to_xstar"),
-            error=d.get("error"),
-            lam=d.get("lam", 0.0),
-        )
+        """Report of saved fields ``d``; x is empty, since it is not saved."""
+        return cls(x=np.empty(0), **{name: d[name] for name in cls.SAVED})
 
 
 def evaluate_start(smooth, h, x, trace: list):

@@ -247,9 +247,9 @@ def tr_solve(smooth, h, bounds: Box, qn, x0, opts: TrustRegionOptions | None = N
 
 
 def trdh_solve(smooth, h, bounds: Box, x0, opts: TrustRegionOptions | None = None,
-               solver_name: str = "TRDH", sigma0: float = 1.0) -> SolverReport:
+               solver_name: str = "TRDH") -> SolverReport:
     """Diagonal-Hessian trust region: closed-form steps from the spectral diagonal."""
-    qn = SpectralDiag(np.atleast_1d(np.asarray(x0)).size, sigma0)
+    qn = SpectralDiag(len(x0))
     return _tr_solve(smooth, h, bounds, qn, x0, opts or TrustRegionOptions(), True, solver_name)
 
 

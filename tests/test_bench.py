@@ -1,12 +1,13 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 import ripm.bench as bench
-from ripm.bench import (ConfigError, RunConfig, best_objective, emit_table,
-                        emit_trace_csv, main, run_config)
-from ripm.report import MAX_ITER, SolverReport
+from ripm.bench import (SOLVER_OPTIONS, ConfigError, RunConfig, best_objective, emit_table,
+                        emit_trace_csv, main, run_config, run_solver, solver_options)
+from ripm.report import MAX_ITER, ORACLE_FAILURE, SolverReport
 
 
 def _tiny_config(**kw):
@@ -137,18 +138,75 @@ def test_cli_run_table_trace(tmp_path):
     assert (out / "table.txt").exists()
     assert (out / "trace_R2.csv").exists()
     assert main(["table", str(out)]) == 0
-    assert main(["trace", str(out)]) == 0
 
 
-def test_cli_flag_overrides_env_and_config(tmp_path, monkeypatch):
+def test_cli_flag_overrides_config(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(_tiny_config(output_dir=str(tmp_path / "a"))))
-    monkeypatch.setenv(bench.ENV_OUTPUT_DIR, str(tmp_path / "b"))
-    assert main(["run", str(cfg_path)]) == 0
-    assert not (tmp_path / "a").exists()
-    assert (tmp_path / "b" / "reports.json").exists()
     assert main(["run", str(cfg_path), "--output-dir", str(tmp_path / "c")]) == 0
+    assert not (tmp_path / "a").exists()
     assert (tmp_path / "c" / "reports.json").exists()
+    assert main(["run", str(cfg_path)]) == 0
+    assert (tmp_path / "a" / "reports.json").exists()
+
+
+def test_report_round_trip():
+    # a real report whose criticality was never measured, and a hard failure
+    inst = bench.problems.build("bpdn", 0, m=10, n=24, n_spikes=3)
+    real = run_solver("TRDH", inst, 0)
+    assert real.criticality == np.inf
+    failed = SolverReport(solver="R2", x=inst.x0, f=np.nan, h_over_lam=np.nan,
+                          criticality=np.nan, n_f=0, n_grad=0, n_prox=0, wall_time_s=0.0,
+                          termination=ORACLE_FAILURE, trace=[(0, np.nan)],
+                          error="RuntimeError: synthetic", lam=inst.h.lam)
+    for rep in (real, failed):
+        back = SolverReport.from_dict(json.loads(json.dumps(rep.to_dict())))
+        for name in SolverReport.SAVED:
+            np.testing.assert_equal(getattr(back, name), getattr(rep, name), err_msg=name)
+        assert set(rep.to_dict()) == set(SolverReport.SAVED)
+
+
+@pytest.mark.parametrize("name,overrides", [
+    ("R2", {"abs_tol": 1e-6}), ("TR-R2", {"abs_tol": 1e-6}), ("RIPM-R2", {"eps_a": 1e-6})])
+def test_override_replaces_harness_default(name, overrides):
+    opts, _ = solver_options(name, "bpdn", overrides)
+    assert all(getattr(opts, k) == v for k, v in overrides.items())
+    cfg = _tiny_config(solvers=[{"name": name, "options": overrides}])
+    _, (rep,) = run_config(cfg)
+    assert rep.termination != ORACLE_FAILURE, rep.error
+
+
+@pytest.mark.parametrize("name,overrides", [
+    ("RIPM-R2", {"max_iter": 1}), ("R2", {"qn": "lbfgs"}), ("TRDH", {"qn": "lbfgs"}),
+    ("RIPMDH", {"qn": "lbfgs"}), ("RIPMDH", {"subsolver_max_iter": 1}),
+    ("RIPMDH", {"step": "r2"}), ("TR-R2", {"qn": "bogus"}), ("TR-R2", {"qn": 5}),
+    ("TRDH", {"eta1": 0.95, "eta2": 0.5})])
+def test_rejected_option_is_a_config_error(name, overrides):
+    with pytest.raises(ConfigError):
+        run_config(_tiny_config(solvers=[{"name": name, "options": overrides}]))
+
+
+def test_config_error_comes_before_the_first_solve(monkeypatch):
+    solved = []
+    monkeypatch.setattr(bench, "run_solver", lambda name, *args: solved.append(name))
+    cfg = _tiny_config(solvers=[{"name": "R2"}, {"name": "RIPMDH", "options": {"qn": "lbfgs"}}])
+    with pytest.raises(ConfigError):
+        run_config(cfg)
+    assert solved == []
+
+
+def test_every_listed_option_is_taken():
+    # each (solver, option) pair of the table, at its default value, runs
+    defaults = {"qn": "lbfgs", "memory": 3}
+    for cls in (bench.R2Options, bench.TrustRegionOptions, bench.IpmOptions):
+        defaults.update((f.name, f.default) for f in dataclasses.fields(cls)
+                        if f.default is not dataclasses.MISSING)
+    inst = bench.problems.build("bpdn", 0, m=10, n=24, n_spikes=3)
+    assert sum(len(names) for names in SOLVER_OPTIONS.values()) == 131
+    for name, names in SOLVER_OPTIONS.items():
+        for option in sorted(names):
+            rep = run_solver(name, inst, 3, {option: defaults[option]})
+            assert rep.n_f <= 4, (name, option)
 
 
 def test_cli_config_error_exit_code(tmp_path):
@@ -159,6 +217,10 @@ def test_cli_config_error_exit_code(tmp_path):
     good_shape.write_text(json.dumps({"problem": {"name": "bpdn"},
                                       "solvers": [{"name": "nope"}]}))
     assert main(["run", str(good_shape)]) == 1
+    bogus_mode = tmp_path / "bad3.json"
+    bogus_mode.write_text(json.dumps(_tiny_config(
+        solvers=[{"name": "RIPM-R2", "options": {"mode": "bogus"}}])))
+    assert main(["run", str(bogus_mode)]) == 1
 
 
 def test_solver_hard_failure_recorded(tmp_path, monkeypatch):

@@ -26,6 +26,16 @@ BPDN_40x96 = {
     "TR-R2": (16, 16, 92, "converged"),
     "RIPMDH": (251, 176, 757, "converged"),
 }
+# fh at 200 RK4 steps, budget 300: the only rows with the l0 prox and a
+# one-sided bound on a subset of the variables.  RIPM-R2-p and RIPMDH-p move
+# under the jitter and are left out.
+FH_200 = {
+    "R2": (300, 233, 300, "max_iter"),
+    "TRDH": (239, 151, 477, "converged"),
+    "TR-R2": (85, 44, 2334, "converged"),
+    "RIPM-R2": (146, 75, 2038, "converged"),
+    "RIPMDH": (300, 175, 603, "max_iter"),
+}
 
 
 def _counters(rep):
@@ -42,6 +52,13 @@ def bpdn_40x96():
     return problems.build("bpdn", 0, m=40, n=96, n_spikes=3)
 
 
+@pytest.fixture(scope="module")
+def fh_200():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(problems, "FH_RK4_STEPS", 200)
+        return problems.build("fh", 0)
+
+
 @pytest.mark.parametrize("solver", sorted(QP_400))
 def test_golden_counters_qp(qp_400, solver):
     assert _counters(bench.run_solver(solver, qp_400, 30)) == QP_400[solver]
@@ -50,3 +67,8 @@ def test_golden_counters_qp(qp_400, solver):
 @pytest.mark.parametrize("solver", sorted(BPDN_40x96))
 def test_golden_counters_bpdn(bpdn_40x96, solver):
     assert _counters(bench.run_solver(solver, bpdn_40x96, 1000)) == BPDN_40x96[solver]
+
+
+@pytest.mark.parametrize("solver", sorted(FH_200))
+def test_golden_counters_fh(fh_200, solver):
+    assert _counters(bench.run_solver(solver, fh_200, 300)) == FH_200[solver]

@@ -14,7 +14,18 @@ from ripm.trust_region import first_order_step
 
 from helpers import bisect_root, grid_min_1d
 
-POS = Box(0.0, np.inf)
+POS = Box(np.zeros(1), np.full(1, np.inf))
+
+
+def _box1(lo, hi):
+    return Box(np.array([lo], dtype=float), np.array([hi], dtype=float))
+
+
+def test_options_reject_unknown_mode_and_step():
+    with pytest.raises(ValueError):
+        IpmOptions(mode="bogus")
+    with pytest.raises(ValueError):
+        IpmOptions(step="bogus")
 
 
 def _oracle_quad(center):
@@ -38,22 +49,22 @@ def _oracle_zero():
 def test_barrier_value_examples():
     ones = np.ones(3)
     assert barrier_value(1.0, ones, Box(np.zeros(3), np.full(3, np.inf))) == 0.0
-    assert barrier_value(2.0, [1.0], Box(0.0, 2.0)) == 0.0
-    assert barrier_value(1.0, [0.0], POS) == np.inf
+    assert barrier_value(2.0, np.array([1.0]), _box1(0.0, 2.0)) == 0.0
+    assert barrier_value(1.0, np.array([0.0]), POS) == np.inf
 
 
 def test_barrier_value_two_sided():
-    v = barrier_value(1.5, [0.5], Box(0.0, 2.0))
+    v = barrier_value(1.5, np.array([0.5]), _box1(0.0, 2.0))
     assert v == pytest.approx(-1.5 * (np.log(0.5) + np.log(1.5)))
 
 
 def test_barrier_grad_examples():
-    assert barrier_grad(1.0, [1.0], POS)[0] == pytest.approx(-1.0)
-    assert barrier_grad(1.0, [1.0], Box(0.0, 2.0))[0] == pytest.approx(0.0)
-    g = barrier_grad(3.0, [0.5, 2.0], Box(np.zeros(2), np.full(2, np.inf)))
+    assert barrier_grad(1.0, np.array([1.0]), POS)[0] == pytest.approx(-1.0)
+    assert barrier_grad(1.0, np.array([1.0]), _box1(0.0, 2.0))[0] == pytest.approx(0.0)
+    g = barrier_grad(3.0, np.array([0.5, 2.0]), Box(np.zeros(2), np.full(2, np.inf)))
     assert np.allclose(g, [-6.0, -1.5])
     with pytest.raises(BoundaryPoint):
-        barrier_grad(1.0, [0.0], POS)
+        barrier_grad(1.0, np.array([0.0]), POS)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +181,7 @@ def test_dual_update_stays_in_safeguard_interval(z, g_old, s, mu, upper):
     g_new = g_old + (-s if upper else s)
     if g_new <= 0.0:
         return
-    bounds = Box(-np.inf, 0.0) if upper else Box(0.0, np.inf)
+    bounds = _box1(-np.inf, 0.0) if upper else POS
     x_old = np.array([-g_old if upper else g_old])
     zv = np.array([z])
     z_old = DualEstimate(np.zeros(1), zv) if upper else DualEstimate(zv, np.zeros(1))
@@ -181,7 +192,7 @@ def test_dual_update_stays_in_safeguard_interval(z, g_old, s, mu, upper):
 
 
 def test_dual_update_upper_side():
-    bounds = Box(-np.inf, 2.0)
+    bounds = _box1(-np.inf, 2.0)
     x_old, s = np.array([1.0]), np.array([0.5])
     z_old = DualEstimate(np.array([0.0]), np.array([0.3]))
     out = dual_update(x_old + s, x_old, z_old, s, 0.1, bounds)
@@ -223,27 +234,27 @@ def test_crossover_two_sided_and_cleanup():
 
 def test_kkt_residuals_exact_point():
     z = DualEstimate(np.array([1.0]), np.array([0.0]))
-    ep, ed = kkt_residuals([0.0], z, _oracle_linear(), Regularizer("zero"), POS)
+    ep, ed = kkt_residuals(np.array([0.0]), z, _oracle_linear(), Regularizer("zero"), POS)
     assert ep == 0.0 and ed == pytest.approx(0.0, abs=1e-15)
 
 
 def test_kkt_residuals_interior_stationary():
     z = DualEstimate(np.array([0.0]), np.array([0.0]))
-    ep, ed = kkt_residuals([1.0], z, _oracle_quad(1.0), Regularizer("zero"), POS)
+    ep, ed = kkt_residuals(np.array([1.0]), z, _oracle_quad(1.0), Regularizer("zero"), POS)
     assert ep == 0.0 and ed == pytest.approx(0.0, abs=1e-15)
 
 
 def test_kkt_residuals_l1_interval_distance():
     # at x = 0 the l1 subdifferential is [-lam, lam]; distance from -1 is 0.5
     z = DualEstimate(np.array([0.0]), np.array([0.0]))
-    ep, ed = kkt_residuals([0.0], z, _oracle_linear(), Regularizer("l1", 0.5), POS)
+    ep, ed = kkt_residuals(np.array([0.0]), z, _oracle_linear(), Regularizer("l1", 0.5), POS)
     assert ed == pytest.approx(0.5)
 
 
 def test_kkt_residuals_l0():
     z = DualEstimate(np.array([0.0, 0.0]), np.zeros(2))
     smooth = CallableOracle(lambda x: float(x[0] + 2 * x[1]), lambda x: np.array([1.0, 2.0]))
-    ep, ed = kkt_residuals([0.0, 1.0], z, smooth, Regularizer("l0", 3.0),
+    ep, ed = kkt_residuals(np.array([0.0, 1.0]), z, smooth, Regularizer("l0", 3.0),
                            Box(np.zeros(2), np.full(2, np.inf)))
     assert ed == pytest.approx(2.0)  # only the nonzero component contributes
 

@@ -67,7 +67,7 @@ def test_qp_gradient_fd():
     inst = gen_qp(n=30, p=0.2, seed=2)
     rng = np.random.default_rng(0)
     for _ in range(5):
-        x = inst.x0 + 0.1 * rng.standard_normal(inst.dim)
+        x = inst.x0 + 0.1 * rng.standard_normal(inst.x0.size)
         g = inst.smooth.grad(x)
         g_fd = central_diff_grad(inst.smooth._value, x)
         assert np.linalg.norm(g - g_fd) <= 1e-5 * max(1.0, np.linalg.norm(g))
@@ -88,7 +88,7 @@ def test_nnmf_gradient_fd():
     inst = gen_nnmf(m=6, n=5, k=2, seed=4)
     rng = np.random.default_rng(2)
     for _ in range(5):
-        x = rng.uniform(0.2, 1.0, size=inst.dim)
+        x = rng.uniform(0.2, 1.0, size=inst.x0.size)
         g = inst.smooth.grad(x)
         g_fd = central_diff_grad(inst.smooth._value, x)
         assert np.linalg.norm(g - g_fd) <= 1e-5 * max(1.0, np.linalg.norm(g))
@@ -97,7 +97,7 @@ def test_nnmf_gradient_fd():
 def test_nnmf_penalizes_h_block_only():
     inst = gen_nnmf(m=4, n=3, k=2, seed=0)
     mk = 4 * 2
-    x = np.ones(inst.dim)
+    x = np.ones(inst.x0.size)
     assert inst.h.value(x) == pytest.approx(0.1 * 3 * 2)
     x[:mk] = 100.0  # W block is unpenalized
     assert inst.h.value(x) == pytest.approx(0.1 * 3 * 2)

@@ -30,7 +30,7 @@ def test_spectral_update_examples():
     op1 = SpectralDiag(1)
     op1.update(np.array([1.0]), np.array([-1.0]))
     assert op1.sigma == SIGMA_MIN  # negative curvature clamps to the floor
-    assert np.allclose(op.apply([1.0, -2.0]), [2.0, -4.0])
+    assert np.allclose(op.apply(np.array([1.0, -2.0])), [2.0, -4.0])
     assert op.norm_estimate() == pytest.approx(2.0)
 
 

@@ -33,7 +33,8 @@ def test_soft_threshold_fixed_point():
 
 
 def test_active_bound():
-    rep = r2_solve(_quad([-1.0]), Regularizer("zero"), Box(0.0, np.inf), np.array([1.0]),
+    rep = r2_solve(_quad([-1.0]), Regularizer("zero"), Box(np.zeros(1), np.full(1, np.inf)),
+                   np.array([1.0]),
                    R2Options(abs_tol=1e-10, rel_tol=0.0))
     assert rep.x[0] == pytest.approx(0.0, abs=1e-12)
     assert rep.termination == CONVERGED
@@ -47,7 +48,7 @@ def test_iterates_stay_in_box_and_descend():
     oracle = _quad(c)
     rep = r2_solve(oracle, Regularizer("l1", 0.1), bounds, np.zeros(n),
                    R2Options(abs_tol=1e-8, rel_tol=0.0))
-    assert bounds.contains(rep.x)
+    assert np.all(bounds.lo <= rep.x) and np.all(rep.x <= bounds.hi)
     vals = [v for _, v in rep.trace]
     assert all(b < a + 1e-12 * max(1, abs(a)) for a, b in zip(vals, vals[1:]))
 

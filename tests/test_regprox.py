@@ -10,15 +10,19 @@ from ripm.regprox import (Box, Regularizer, ShiftedRegularizer,
 from helpers import comp_reg_value, grid_min_vec
 
 
+def _box1(lo, hi):
+    return Box(np.array([lo], dtype=float), np.array([hi], dtype=float))
+
+
 def _prox_at_zero(h, d, q, box):
     """Separable prox argmin_s d (s - q)^2 / 2 + h(s) over box: iprox_shifted at x = 0."""
-    return iprox_shifted(h, d, q, np.zeros(np.atleast_1d(q).size), box)
+    return iprox_shifted(h, d, q, np.zeros(q.size), box)
 
 
 def test_reg_value_examples():
-    assert Regularizer("l1", 2.0).value([1.0, -3.0]) == 8.0
-    assert Regularizer("l0", 10.0).value([0.0, 0.5, 0.0]) == 10.0
-    assert Regularizer("zero").value([5.0, -7.0]) == 0.0
+    assert Regularizer("l1", 2.0).value(np.array([1.0, -3.0])) == 8.0
+    assert Regularizer("l0", 10.0).value(np.array([0.0, 0.5, 0.0])) == 10.0
+    assert Regularizer("zero").value(np.array([5.0, -7.0])) == 0.0
 
 
 def test_reg_value_at_origin_is_zero():
@@ -29,80 +33,88 @@ def test_reg_value_at_origin_is_zero():
 def test_shifted_value_examples():
     # h(x + s), as the solvers evaluate it at a step s from x
     def at_step(h, x, s):
-        return h.value(np.asarray(x) + np.asarray(s))
+        return h.value(np.array(x) + np.array(s))
 
     assert at_step(Regularizer("l1", 1.0), [1.0, 0.0], [-1.0, 2.0]) == 2.0
     assert at_step(Regularizer("l0", 1.0), [1.0, 1.0], [-1.0, -1.0]) == 0.0
     assert at_step(Regularizer("l1", 3.0), [0.0, 0.0], [0.1, -0.1]) == pytest.approx(0.6)
-    assert Regularizer("l1", 1.0).shifted([1.0, 0.0]).value([-1.0, 2.0]) == 2.0
+    shifted = Regularizer("l1", 1.0).shifted(np.array([1.0, 0.0]))
+    assert shifted.value(np.array([-1.0, 2.0])) == 2.0
 
 
 def test_block_weights_value():
     h = Regularizer("l1", 0.5, weights=np.array([0.0, 1.0, 1.0]))
-    assert h.value([9.0, 2.0, -2.0]) == pytest.approx(2.0)
+    assert h.value(np.array([9.0, 2.0, -2.0])) == pytest.approx(2.0)
 
 
 def test_prox_separable_examples():
     h1 = Regularizer("l1", 1.0)
-    assert _prox_at_zero(h1, 1.0, 2.0, Box(-10, 10))[0] == pytest.approx(1.0)
-    assert _prox_at_zero(h1, 1.0, 5.0, Box(-2, 2))[0] == pytest.approx(2.0)
+    assert _prox_at_zero(h1, 1.0, np.array([2.0]), _box1(-10, 10))[0] == pytest.approx(1.0)
+    assert _prox_at_zero(h1, 1.0, np.array([5.0]), _box1(-2, 2))[0] == pytest.approx(2.0)
     z = Regularizer("zero")
-    assert _prox_at_zero(z, 5.0, 0.3, Box(-1, 1))[0] == pytest.approx(0.3)
+    assert _prox_at_zero(z, 5.0, np.array([0.3]), _box1(-1, 1))[0] == pytest.approx(0.3)
 
 
 def test_prox_separable_requires_positive_d():
     for d in (0.0, -1.0):
         with pytest.raises(ValueError):
-            _prox_at_zero(Regularizer("l1", 1.0), d, 1.0, Box(-1, 1))
+            _prox_at_zero(Regularizer("l1", 1.0), d, np.array([1.0]), _box1(-1, 1))
         with pytest.raises(ValueError):
-            iprox_shifted(Regularizer("l0", 1.0), [1.0, d], [0.0, 0.0], [0.4, 0.4], Box(-2, 2))
+            iprox_shifted(Regularizer("l0", 1.0), np.array([1.0, d]), np.zeros(2),
+                          np.full(2, 0.4), Box(np.full(2, -2.0), np.full(2, 2.0)))
 
 
 def test_l0_tie_prefers_zero():
     # d=1, q=sqrt(2*lam): cost at q equals cost at 0 exactly for lam=2, q=2
     h = Regularizer("l0", 2.0)
-    out = _prox_at_zero(h, 1.0, 2.0, Box(-10, 10))
+    out = _prox_at_zero(h, 1.0, np.array([2.0]), _box1(-10, 10))
     assert out[0] == 0.0
 
 
 def test_iprox_shifted_l0_tie_prefers_sparse():
     # x=1: stepping to s=-1 zeroes the coordinate at quadratic cost equal to lam
     h = Regularizer("l0", 0.5)
-    out = iprox_shifted(h, 1.0, 0.0, 1.0, Box(-10, 10))
+    out = iprox_shifted(h, 1.0, np.array([0.0]), np.array([1.0]), _box1(-10, 10))
     assert 1.0 + out[0] == 0.0
 
 
+def test_box_needs_vectors_of_one_size():
+    for lo, hi in ((0.0, 1.0), (np.zeros(2), np.ones(3)), (np.zeros((2, 2)), np.ones((2, 2)))):
+        with pytest.raises(ValueError):
+            Box(lo, hi)
+
+
 def test_intersect_boxes_examples():
-    b = intersect_boxes(Box(-1, 1), Box(0, 2))
+    b = intersect_boxes(_box1(-1, 1), _box1(0, 2))
     assert b.lo[0] == 0.0 and b.hi[0] == 1.0
-    b = intersect_boxes(Box(-np.inf, np.inf), Box(-3, 3))
+    b = intersect_boxes(_box1(-np.inf, np.inf), _box1(-3, 3))
     assert b.lo[0] == -3.0 and b.hi[0] == 3.0
     with pytest.raises(EmptyBox):
-        intersect_boxes(Box(0, 1), Box(2, 3))
+        intersect_boxes(_box1(0, 1), _box1(2, 3))
 
 
 def test_fraction_to_boundary_one_sided():
     bounds = Box(np.zeros(2), np.full(2, np.inf))
-    b = fraction_to_boundary_box([1.0, 2.0], 0.5, bounds)
+    b = fraction_to_boundary_box(np.array([1.0, 2.0]), 0.5, bounds)
     assert np.allclose(b.lo, [-0.5, -1.5])
     assert np.all(np.isinf(b.hi))
 
 
 def test_fraction_to_boundary_small_delta_recovers_bound():
     bounds = Box(np.zeros(1), np.full(1, np.inf))
-    b = fraction_to_boundary_box([1.0], 1e-12, bounds)
+    b = fraction_to_boundary_box(np.array([1.0]), 1e-12, bounds)
     assert b.lo[0] == pytest.approx(-1.0, abs=1e-11)
 
 
 def test_fraction_to_boundary_two_sided():
-    b = fraction_to_boundary_box([1.0], 0.5, Box(0.0, 2.0))
+    b = fraction_to_boundary_box(np.array([1.0]), 0.5, _box1(0.0, 2.0))
     assert b.lo[0] == pytest.approx(-0.5)
     assert b.hi[0] == pytest.approx(0.5)
 
 
 def test_fraction_to_boundary_requires_interior():
     with pytest.raises(BoundaryPoint):
-        fraction_to_boundary_box([0.0], 0.5, Box(0.0, 2.0))
+        fraction_to_boundary_box(np.array([0.0]), 0.5, _box1(0.0, 2.0))
 
 
 @given(st.floats(-5, 5), st.floats(0.01, 0.99))
@@ -121,13 +133,13 @@ def test_fraction_to_boundary_membership(shift, delta):
 
 def _prox_case_matches_grid(kind, lam, d, q, lo, hi, x=None):
     h = Regularizer(kind, lam)
-    box = Box(lo, hi)
+    box = _box1(lo, hi)
     if x is None:
-        s = _prox_at_zero(h, d, q, box)[0]
+        s = _prox_at_zero(h, d, np.array([q]), box)[0]
         obj = lambda t: 0.5 * d * (t - q) ** 2 + np.vectorize(
             lambda u: comp_reg_value(kind, lam, u))(t)
     else:
-        s = iprox_shifted(h, d, q, x, box)[0]
+        s = iprox_shifted(h, d, np.array([q]), np.array([x]), box)[0]
         obj = lambda t: 0.5 * d * (t - q) ** 2 + np.vectorize(
             lambda u: comp_reg_value(kind, lam, x + u))(t)
     _, best = grid_min_vec(obj, lo, hi)
@@ -172,7 +184,7 @@ def test_iprox_shifted_matches_grid_oracle(kind, lam, d, q, x, a, width):
 def test_prox_output_containment(kind, d, q):
     box = Box(np.array([-2.0, 0.0, -0.5]), np.array([2.0, 3.0, 0.5]))
     s = _prox_at_zero(Regularizer(kind, 1.0), d, np.array(q), box)
-    assert box.contains(s)
+    assert np.all(box.lo <= s) and np.all(s <= box.hi)
 
 
 def test_zero_regularizer_is_clamp():
@@ -186,16 +198,16 @@ def test_zero_regularizer_is_clamp():
        d=st.floats(0.1, 5.0))
 @settings(max_examples=60, deadline=None)
 def test_l1_scaling_invariance(c, q, lam, d):
-    box = Box(-4.0, 4.0)
-    s1 = _prox_at_zero(Regularizer("l1", lam), d, q, box)
-    s2 = _prox_at_zero(Regularizer("l1", c * lam), c * d, q, box)
+    box = _box1(-4.0, 4.0)
+    s1 = _prox_at_zero(Regularizer("l1", lam), d, np.array([q]), box)
+    s2 = _prox_at_zero(Regularizer("l1", c * lam), c * d, np.array([q]), box)
     assert s1[0] == pytest.approx(s2[0], abs=1e-12)
 
 
 def test_shifted_regularizer_composition():
     h = Regularizer("l1", 2.0)
     sh = ShiftedRegularizer(h, np.array([1.0, -1.0]))
-    assert sh.value([0.5, 0.5]) == pytest.approx(2.0 * (1.5 + 0.5))
+    assert sh.value(np.array([0.5, 0.5])) == pytest.approx(2.0 * (1.5 + 0.5))
     box = Box(np.full(2, -5.0), np.full(2, 5.0))
     s_direct = iprox_shifted(h, 1.0, np.array([0.3, -0.7]), np.array([1.2, -0.8]), box)
     s_composed = sh.prox_shifted(1.0, np.array([0.3, -0.7]), np.array([0.2, 0.2]), box)

@@ -91,8 +91,8 @@ def test_radius_schedule_conformance():
     o = TrustRegionOptions(abs_tol=1e-6, rel_tol=0.0)
     oracle = CallableOracle(lambda x: float(np.sum(np.cosh(x))),
                             lambda x: np.sinh(x))
-    rep = tr_solve(oracle, Regularizer("l1", 0.1), Box(-5.0, 5.0), LBFGS(1),
-                   np.array([2.0]), o)
+    rep = tr_solve(oracle, Regularizer("l1", 0.1), Box(np.full(1, -5.0), np.full(1, 5.0)),
+                   LBFGS(1), np.array([2.0]), o)
     iters = rep.diagnostics["iters"]
     assert iters, "expected at least one stepped iteration"
     assert any(it["rho"] >= o.eta2 for it in iters)
@@ -114,8 +114,8 @@ def test_step_cap_and_criticality_lower_bound():
     oracle = CallableOracle(lambda x: float(np.sum(np.cosh(x))),
                             lambda x: np.sinh(x))
     o = TrustRegionOptions(abs_tol=1e-6, rel_tol=0.0)
-    rep = tr_solve(oracle, Regularizer("l1", 0.1), Box(-5.0, 5.0), LBFGS(1),
-                   np.array([2.0]), o)
+    rep = tr_solve(oracle, Regularizer("l1", 0.1), Box(np.full(1, -5.0), np.full(1, 5.0)),
+                   LBFGS(1), np.array([2.0]), o)
     for it in rep.diagnostics["iters"]:
         assert it["s_inf"] <= it["cap_inf"] + 1e-12
         assert it["cap_inf"] <= min(it["delta_before"], o.beta * it["s1_norm2"]) + 1e-12
@@ -126,7 +126,8 @@ def test_unsuccessful_iterations_do_not_move_x():
     # oscillatory objective: the quadratic model overshoots and gets rejected
     oracle = CallableOracle(lambda x: 0.5 * float(x @ x) + 2.0 * float(np.sum(np.sin(5 * x))),
                             lambda x: x + 10.0 * np.cos(5 * x))
-    rep = trdh_solve(oracle, Regularizer("zero"), Box(-6.0, 6.0), np.array([2.0]),
+    rep = trdh_solve(oracle, Regularizer("zero"), Box(np.full(1, -6.0), np.full(1, 6.0)),
+                     np.array([2.0]),
                      TrustRegionOptions(abs_tol=1e-6, rel_tol=0.0))
     iters = rep.diagnostics["iters"]
     assert any(not it["accepted"] for it in iters)
