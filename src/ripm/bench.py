@@ -10,8 +10,17 @@ Config is a single JSON file:
     }
 
 A solver's "options" replace the harness defaults of `solver_options`.
-SOLVER_OPTIONS lists the option names each solver reads; any other name, or
-a value the solver's options class rejects, is a config error.
+SOLVER_OPTIONS lists the 15 option names the solvers read, the settings
+that the harness itself sets to a second value; any other name is a config
+error:
+
+- R2, TRDH, TR-R2: rel_tol;
+- RIPM-R2, RIPM-R2-p, RIPMDH, RIPMDH-p: mu_init, eps_r, eps_ri.
+
+The step follows the operator: TRDH, RIPMDH and RIPMDH-p run the spectral
+diagonal with closed-form steps, TR-R2, RIPM-R2 and RIPM-R2-p run LSR1 and
+solve the model with R2.  The measure of the RIPM solvers follows h: the
+primal one for l0, the Lagrangian one for a convex h.
 
 CLI: ``run <config.json> [--output-dir DIR]`` solves, writes reports.json,
 table.txt and one trace_<solver>.csv per solver to DIR (default: the
@@ -26,7 +35,6 @@ RIPM-R2 and does not shorten its wall time.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -37,35 +45,22 @@ import numpy as np
 
 from . import problems
 from .interior import IpmOptions, outer_solve
-from .qnops import DEFAULT_MEMORY, make_operator
+from .qnops import LSR1, SpectralDiag
 from .r2 import R2Options, r2_solve
 from .report import ORACLE_FAILURE, SolverReport
 from .trust_region import TrustRegionOptions, tr_solve, trdh_solve
 
-DEFAULT_EPS_A = 1e-4
-DEFAULT_EPS_R = 1e-4
 # tighter relative tolerance so the factorization runs resolve the tail
 PROBLEM_EPS_R = {"nnmf": 1e-6}
-
-
-def _fields(dc_type) -> frozenset:
-    return frozenset(f.name for f in dataclasses.fields(dc_type))
-
-
-_TR = _fields(TrustRegionOptions)
-_SUB = frozenset({"subsolver_max_iter", "subsolver_rel_tol"})
-_QN = frozenset({"qn", "memory"})
-# RIPM takes its radius, iteration cap and tolerances from IpmOptions
-_RIPM = ((_fields(IpmOptions) - {"tr", "step"})
-         | (_TR - {"delta_init", "max_iter", "abs_tol", "rel_tol"}) | _QN)
+_IPM = ("mu_init", "eps_r", "eps_ri")
 SOLVER_OPTIONS = {
-    "R2": _fields(R2Options),
-    "TRDH": _TR - _SUB,
-    "TR-R2": _TR | _QN,
-    "RIPM-R2": _RIPM,
-    "RIPMDH": _RIPM - _SUB - _QN,
-    "RIPM-R2-p": _RIPM,
-    "RIPMDH-p": _RIPM - _SUB - _QN,
+    "R2": ("rel_tol",),
+    "TRDH": ("rel_tol",),
+    "TR-R2": ("rel_tol",),
+    "RIPM-R2": _IPM,
+    "RIPMDH": _IPM,
+    "RIPM-R2-p": _IPM,
+    "RIPMDH-p": _IPM,
 }
 SOLVER_NAMES = tuple(SOLVER_OPTIONS)
 
@@ -85,64 +80,42 @@ class RunConfig:
     def from_dict(cls, d: dict) -> "RunConfig":
         try:
             problem = dict(d["problem"])
-            solvers = list(d["solvers"])
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"config needs 'problem' and 'solvers': {exc}")
-        budget = int(d.get("budget", 10_000))
+            budget = int(d.get("budget", 10_000))
+            solvers = [dict(name=e) if isinstance(e, str) else dict(e) for e in d["solvers"]]
+            norm = [{"name": e.get("name"), "options": dict(e.get("options", {}))}
+                    for e in solvers]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed config: {type(exc).__name__}: {exc}") from exc
         if budget < 1:
             raise ConfigError("budget must be >= 1")
         if "name" not in problem:
             raise ConfigError("problem needs a 'name'")
-        norm = []
-        for entry in solvers:
-            if isinstance(entry, str):
-                entry = {"name": entry}
-            if entry.get("name") not in SOLVER_NAMES:
-                raise ConfigError(f"unknown solver {entry.get('name')!r}; "
-                                  f"choose from {SOLVER_NAMES}")
-            norm.append({"name": entry["name"], "options": dict(entry.get("options", {}))})
+        for entry in norm:
+            if entry["name"] not in SOLVER_NAMES:
+                raise ConfigError(f"unknown solver {entry['name']!r}; choose from {SOLVER_NAMES}")
         return cls(problem=problem, solvers=norm, budget=budget,
                    output_dir=d.get("output_dir"))
-
-
-def _pick(options: dict, dc_type) -> dict:
-    names = _fields(dc_type)
-    return {k: v for k, v in options.items() if k in names}
 
 
 def solver_options(name: str, problem: str, overrides: dict):
     """Options object and operator factory n -> B of solver `name` on a `problem` family.
 
-    ``overrides`` replace the harness defaults: the tolerances, mu_init and
-    eps_ri of the -p variants, and the operator (L-SR1, spectral for RIPMDH).
+    ``overrides`` replace the harness defaults: the relative tolerance of
+    PROBLEM_EPS_R and mu_init and eps_ri of the -p variants.
     """
-    unknown = sorted(set(overrides) - SOLVER_OPTIONS[name])
+    unknown = sorted(k for k in overrides if k not in SOLVER_OPTIONS[name])
     if unknown:
         raise ConfigError(f"{name} reads no option {', '.join(map(repr, unknown))}; "
                           f"it reads {', '.join(sorted(SOLVER_OPTIONS[name]))}")
-    eps_a, eps_r = DEFAULT_EPS_A, PROBLEM_EPS_R.get(problem, DEFAULT_EPS_R)
-    o = {"qn": "lsr1", "memory": DEFAULT_MEMORY}
-    if name in ("R2", "TRDH", "TR-R2"):
-        o.update(abs_tol=eps_a, rel_tol=eps_r)
-    else:
-        o.update(eps_a=eps_a, eps_r=eps_r)
-        if name.startswith("RIPMDH"):
-            o.update(step="diagonal", qn="spectral")
-        if name.endswith("-p"):
-            o.update(mu_init=1e-3, eps_ri=1.0)
+    barrier = name.startswith("RIPM")
+    o = {}
+    if problem in PROBLEM_EPS_R:
+        o["eps_r" if barrier else "rel_tol"] = PROBLEM_EPS_R[problem]
+    if name.endswith("-p"):
+        o.update(mu_init=1e-3, eps_ri=1.0)
     o.update(overrides)
-    try:
-        make_operator(o["qn"], 1, o["memory"])
-        if name == "R2":
-            opts = R2Options(**_pick(o, R2Options))
-        elif name in ("TRDH", "TR-R2"):
-            opts = TrustRegionOptions(**_pick(o, TrustRegionOptions))
-        else:
-            opts = IpmOptions(tr=TrustRegionOptions(**_pick(o, TrustRegionOptions)),
-                              **_pick(o, IpmOptions))
-    except (AttributeError, TypeError, ValueError) as exc:  # AttributeError: a qn of 5
-        raise ConfigError(f"{name}: {exc}") from exc
-    return opts, lambda n: make_operator(o["qn"], n, o["memory"])
+    cls = IpmOptions if barrier else R2Options if name == "R2" else TrustRegionOptions
+    return cls(**o), SpectralDiag if "DH" in name else LSR1
 
 
 def run_solver(name: str, instance, budget: int, overrides: dict | None = None) -> SolverReport:
@@ -274,8 +247,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "table":
-        payload = json.loads((args.results_dir / "reports.json").read_text())
-        sys.stdout.write(emit_table([SolverReport.from_dict(d) for d in payload["reports"]]))
+        try:
+            payload = json.loads((args.results_dir / "reports.json").read_text())
+            reports = [SolverReport.from_dict(d) for d in payload["reports"]]
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            print(f"cannot read results: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 1
+        sys.stdout.write(emit_table(reports))
         return 0
 
     try:

@@ -11,14 +11,25 @@ and the quadratic model adds the barrier gradient and the capped barrier
 curvature Theta = min(z / gap, kappa_bar) summed over bounded sides to the
 quasi-Newton operator B.  Dual estimates come from `dual_update`, a
 linearized complementarity update projected into a safeguard interval, so
-they stay strictly positive.  Two stopping measures are supported: the
-primal one based on the barrier gradient (valid for any h) and the
-primal-dual one based on grad f - z (used when h is convex).
+they stay strictly positive.  The measure follows h: the primal one, based
+on the barrier gradient, for the nonconvex l0 penalty, and the Lagrangian
+one, based on grad f - zl + zu, for a convex h.
+
+The loop constants, with their symbols in the method's description:
+MU_FACTOR multiplies mu_k after each stage (mu_{k+1} = 0.1 mu_k) and stage k
+stops at eps_k = mu_k ** EPS_EXPONENT; DELTA0_FACTOR gives its first radius
+Delta_{k,0} = 1000 mu_k; DELTA_FRAC is the fraction-to-boundary parameter tau;
+KAPPA_BAR caps Theta; KAPPA_ZUL and KAPPA_ZUU (kappa_zl, kappa_zu) bound the
+dual safeguard interval; INNER_CAP and MAX_OUTER cap the inner iterations of a
+stage and the stages; a stage whose f + phi + h drops below OBJECTIVE_FLOOR
+ends as unbounded; EPS_A (epsilon_a) is the absolute part of the global
+tolerance of `outer_solve`.  The trust-region constants are those of
+`trust_region`.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,41 +39,32 @@ from .errors import BoundaryPoint, BudgetExhausted
 from .r2 import r2_solve  # noqa: F401
 from .regprox import L0, Box, fraction_to_boundary_box, intersect_boxes  # noqa: F401
 from .report import CONVERGED, MAX_ITER, UNBOUNDED, SolverReport, evaluate_start, make_report
-from .trust_region import InnerResult, TrustRegionOptions, tr_iterate
+from .trust_region import DELTA_MAX, InnerResult, tr_iterate
 
 MODE_CP = "cp"
 MODE_LAGRANGIAN = "lagrangian"
+MU_FACTOR = 0.1
+EPS_EXPONENT = 1.01
+# fraction of the smallest bound gap every step must keep.  Small values let
+# iterates crash into the boundary faster than the linearized dual update can
+# track, which blows up the capped barrier curvature and stalls the whole
+# solve; 0.5 keeps the duals locked to the gaps.
+DELTA_FRAC = 0.5
+DELTA0_FACTOR = 1000.0
+KAPPA_BAR = 1e6
+KAPPA_ZUL = 0.5
+KAPPA_ZUU = 1e10
+INNER_CAP = 200
+MAX_OUTER = 30
+OBJECTIVE_FLOOR = -1e30
+EPS_A = 1e-4
 
 
 @dataclass
 class IpmOptions:
     mu_init: float = 1.0
-    mu_factor: float = 0.1
-    eps_exponent: float = 1.01  # stage tolerance eps_k = mu_k ** exponent
-    eps_a: float = 1e-4
     eps_r: float = 1e-4
     eps_ri: float = 0.1  # relative factor in the inner dual tolerance
-    # fraction of the smallest bound gap every step must keep.  Small values
-    # let iterates crash into the boundary faster than the linearized dual
-    # update can track, which blows up the capped barrier curvature and
-    # stalls the whole solve; 0.5 keeps the duals locked to the gaps.
-    delta_frac: float = 0.5
-    delta0_factor: float = 1000.0  # stage k starts from Delta = delta0_factor * mu_k
-    kappa_bar: float = 1e6
-    kappa_zul: float = 0.5
-    kappa_zuu: float = 1e10
-    inner_cap: int = 200
-    max_outer: int = 30
-    objective_floor: float = -1e30
-    mode: str = "auto"  # "auto" | "cp" | "lagrangian"
-    step: str = "r2"  # "r2" | "diagonal"
-    tr: TrustRegionOptions = field(default_factory=TrustRegionOptions)
-
-    def __post_init__(self):
-        if self.mode not in ("auto", MODE_CP, MODE_LAGRANGIAN):
-            raise ValueError(f"mode must be auto, cp or lagrangian, not {self.mode!r}")
-        if self.step not in ("r2", "diagonal"):
-            raise ValueError(f"step must be r2 or diagonal, not {self.step!r}")
 
 
 @dataclass
@@ -124,13 +126,12 @@ def _max_gap_times_z(x, z: DualEstimate, bounds: Box) -> float:
                      np.max(gu[mu_] * z.zu[mu_], initial=0.0)))
 
 
-def dual_update(x_new, x_old, z_old: DualEstimate, s, mu, bounds: Box,
-                kappa_zul: float = 0.5, kappa_zuu: float = 1e10) -> DualEstimate:
+def dual_update(x_new, x_old, z_old: DualEstimate, s, mu, bounds: Box) -> DualEstimate:
     """Linearized complementarity update projected into the safeguard interval.
 
     Per side, z_hat = mu/gap - (z/gap) s (s enters with a minus sign on the
-    upper side) is clipped to [kappa_zul * min(1, z, mu/gap_new),
-    max(kappa_zuu, z, kappa_zuu/mu, kappa_zuu * mu/gap_new)].  Entries for
+    upper side) is clipped to [KAPPA_ZUL * min(1, z, mu/gap_new),
+    max(KAPPA_ZUU, z, KAPPA_ZUU/mu, KAPPA_ZUU * mu/gap_new)].  Entries for
     infinite bounds stay at zero because every interval bound vanishes there.
     """
     _, gl_old, _, gu_old = _gaps(x_old, bounds)
@@ -140,9 +141,9 @@ def dual_update(x_new, x_old, z_old: DualEstimate, s, mu, bounds: Box,
 
     def one_side(z, g_old, g_new, s_signed):
         zhat = mu / g_old - (z / g_old) * s_signed
-        lo = kappa_zul * np.minimum(np.minimum(1.0, z), mu / g_new)
-        hi = np.maximum(np.maximum(kappa_zuu, z),
-                        np.maximum(kappa_zuu / mu, kappa_zuu * mu / g_new))
+        lo = KAPPA_ZUL * np.minimum(np.minimum(1.0, z), mu / g_new)
+        hi = np.maximum(np.maximum(KAPPA_ZUU, z),
+                        np.maximum(KAPPA_ZUU / mu, KAPPA_ZUU * mu / g_new))
         return np.clip(zhat, lo, hi)
 
     return DualEstimate(one_side(z_old.zl, gl_old, gl_new, s),
@@ -214,17 +215,17 @@ class BarrierTerms:
 
     records_exits = True
 
-    def __init__(self, bounds: Box, mu: float, z: DualEstimate, opts: IpmOptions, mode: str):
-        self.bounds, self.mu, self.z, self.opts, self.mode = bounds, mu, z, opts, mode
-        self.floor = opts.objective_floor
+    def __init__(self, bounds: Box, mu: float, z: DualEstimate, mode: str):
+        self.bounds, self.mu, self.z, self.mode = bounds, mu, z, mode
+        self.floor = OBJECTIVE_FLOOR
 
     def at(self, x, gx):
         g_phi = barrier_grad(self.mu, x, self.bounds)  # raises unless x is interior
         ml, gl, mu_, gu = _gaps(x, self.bounds)
-        zl, zu, kappa = self.z.zl, self.z.zu, self.opts.kappa_bar
-        theta = (np.where(ml, np.minimum(zl / gl, kappa), 0.0)
-                 + np.where(mu_, np.minimum(zu / gu, kappa), 0.0))
-        box = fraction_to_boundary_box(x, self.opts.delta_frac, self.bounds)
+        zl, zu = self.z.zl, self.z.zu
+        theta = (np.where(ml, np.minimum(zl / gl, KAPPA_BAR), 0.0)
+                 + np.where(mu_, np.minimum(zu / gu, KAPPA_BAR), 0.0))
+        box = fraction_to_boundary_box(x, DELTA_FRAC, self.bounds)
         g_meas = gx - zl + zu if self.mode == MODE_LAGRANGIAN else None
         return gx + g_phi, theta, box, g_meas, _compl_residual(zl, zu, gl, gu, ml, mu_, self.mu)
 
@@ -241,35 +242,32 @@ class BarrierTerms:
         return True
 
     def accept(self, x, x_t, s) -> None:
-        self.z = dual_update(x_t, x, self.z, s, self.mu, self.bounds,
-                             self.opts.kappa_zul, self.opts.kappa_zuu)
+        self.z = dual_update(x_t, x, self.z, s, self.mu, self.bounds)
 
 
-def inner_solve(smooth, h, bounds: Box, qn, x0, z0: DualEstimate, mu: float,
-                opts: IpmOptions | None = None, *, eps_d_abs: float | None = None,
-                eps_d_rel: float = 0.0, eps_p: float | None = None,
-                delta0: float | None = None, mode: str = MODE_CP,
+def inner_solve(smooth, h, bounds: Box, qn, x0, z0: DualEstimate, mu: float, *,
+                eps_d_abs: float | None = None, eps_d_rel: float = 0.0,
+                eps_p: float | None = None, delta0: float | None = None, mode: str = MODE_CP,
                 trace: list | None = None, records: list | None = None,
                 warm=None) -> InnerResult:
     """Approximately minimize f + phi_mu + h from a strictly interior x0.
 
     Stops when the mode's criticality measure sqrt(xi/nu) falls below
     eps_d_abs + eps_d_rel * (measure at entry) and the perturbed
-    complementarity residual falls below eps_p, or after ``inner_cap``
-    iterations.  ``warm`` may carry (f, h, grad) at x0 to avoid re-evaluation
-    across stages.  Accepted points extend ``trace`` and every iteration
+    complementarity residual falls below eps_p (both eps_k = mu**EPS_EXPONENT
+    by default), or after INNER_CAP iterations.  ``mode`` picks the measure,
+    MODE_CP or MODE_LAGRANGIAN.  ``warm`` may carry (f, h, grad) at x0 to
+    avoid re-evaluation across stages.  Accepted points extend ``trace`` and every iteration
     extends ``records`` (see `trust_region.tr_iterate`).
     """
-    opts = opts or IpmOptions()
     trace = [] if trace is None else trace
     x = np.array(x0, dtype=float)
-    eps_k = mu**opts.eps_exponent
+    eps_k = mu**EPS_EXPONENT
     fx, hx, gx = warm if warm is not None else evaluate_start(smooth, h, x, trace)
-    delta = min(opts.delta0_factor * mu if delta0 is None else delta0, opts.tr.delta_max)
+    delta = min(DELTA0_FACTOR * mu if delta0 is None else delta0, DELTA_MAX)
     return tr_iterate(
-        smooth, h, BarrierTerms(bounds, mu, z0, opts, mode), qn, x, fx, hx, gx, delta, opts.tr,
-        diagonal=opts.step == "diagonal", max_iter=opts.inner_cap,
-        abs_tol=eps_k if eps_d_abs is None else eps_d_abs, rel_tol=eps_d_rel,
+        smooth, h, BarrierTerms(bounds, mu, z0, mode), qn, x, fx, hx, gx, delta,
+        max_iter=INNER_CAP, abs_tol=eps_k if eps_d_abs is None else eps_d_abs, rel_tol=eps_d_rel,
         eps_p=eps_k if eps_p is None else eps_p, trace=trace,
         records=[] if records is None else records)
 
@@ -280,8 +278,9 @@ def outer_solve(smooth, h, bounds: Box, qn_factory, x0, opts: IpmOptions | None 
 
     Convergence is declared when mu, the complementarity residual, and the
     criticality measure at the inner exit all fall below
-    eps_a + eps_r * (measure at the very first inner iteration).  The mode is
-    forced to the primal measure when h is the (nonconvex) l0 penalty.
+    EPS_A + eps_r * (measure at the very first inner iteration).  The measure
+    is the primal one when h is the (nonconvex) l0 penalty and the Lagrangian
+    one otherwise; the step follows the operators of ``qn_factory``.
     """
     opts = opts or IpmOptions()
     t0 = time.perf_counter()
@@ -289,14 +288,9 @@ def outer_solve(smooth, h, bounds: Box, qn_factory, x0, opts: IpmOptions | None 
     if not np.isfinite(barrier_value(opts.mu_init, x, bounds)):
         raise BoundaryPoint("outer solve requires a strictly interior start")
 
-    mode = opts.mode
-    if mode == "auto" or h.kind == L0:
-        # the primal-dual measure assumes a convex h
-        mode = MODE_CP if h.kind == L0 else MODE_LAGRANGIAN
-
+    # the Lagrangian measure assumes a convex h
+    mode = MODE_CP if h.kind == L0 else MODE_LAGRANGIAN
     qn = qn_factory(x.size)
-    if opts.step == "diagonal" and not hasattr(qn, "diagonal"):
-        raise ValueError("diagonal step mode needs an operator with a diagonal() view")
     trace: list = []
     records: list = []
     n_prox = 0
@@ -312,15 +306,15 @@ def outer_solve(smooth, h, bounds: Box, qn_factory, x0, opts: IpmOptions | None 
 
     try:
         fx, hx, gx = evaluate_start(smooth, h, x, trace)
-        for k in range(opts.max_outer):
-            res = inner_solve(smooth, h, bounds, qn, x, z, mu, opts, eps_d_rel=opts.eps_ri,
+        for k in range(MAX_OUTER):
+            res = inner_solve(smooth, h, bounds, qn, x, z, mu, eps_d_rel=opts.eps_ri,
                               mode=mode, trace=trace, records=records, warm=(fx, hx, gx))
             x, z, fx, hx, gx = res.x, res.z, res.fx, res.hx, res.gx
             n_prox += res.n_prox
             mu_last = mu
             stages = k + 1
             if eps_glob is None:
-                eps_glob = opts.eps_a + opts.eps_r * res.measure0
+                eps_glob = EPS_A + opts.eps_r * res.measure0
             if res.status == "budget":
                 break
             # declare convergence only off a genuine tolerance exit: measures
@@ -329,7 +323,7 @@ def outer_solve(smooth, h, bounds: Box, qn_factory, x0, opts: IpmOptions | None 
                     and res.compl < eps_glob and res.crit < eps_glob):
                 status = CONVERGED
                 break
-            mu *= opts.mu_factor
+            mu *= MU_FACTOR
     except BudgetExhausted:
         pass
 

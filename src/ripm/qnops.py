@@ -26,8 +26,6 @@ def _power_norm(apply_fn, n: int, iters: int = 20) -> float:
     for _ in range(2):  # two starts guard against an unlucky initial vector
         v = rng.standard_normal(n)
         nv = np.linalg.norm(v)
-        if nv == 0.0:
-            continue
         v /= nv
         for _ in range(iters):
             w = apply_fn(v)
@@ -46,7 +44,6 @@ class _FactoredOp:
         self.n = int(n)
         self.memory = int(memory)
         self.pairs: deque = deque()
-        self.n_skipped = 0
         self._factors: list[tuple[np.ndarray, float]] = []
         self._norm_cache: float | None = None
 
@@ -66,7 +63,6 @@ class _FactoredOp:
 
     def update(self, s: np.ndarray, y: np.ndarray) -> bool:
         if not self._accept(s, y):
-            self.n_skipped += 1
             return False
         self.pairs.append((s.copy(), y.copy()))
         if len(self.pairs) > self.memory:
@@ -131,10 +127,9 @@ class LSR1(_FactoredOp):
 class SpectralDiag:
     """Spectral-gradient diagonal sigma * I with sigma clamped to a safe range."""
 
-    def __init__(self, n: int, sigma0: float = 1.0):
+    def __init__(self, n: int):
         self.n = int(n)
-        self.sigma = float(sigma0)
-        self.n_skipped = 0
+        self.sigma = 1.0
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.sigma * v
@@ -142,7 +137,6 @@ class SpectralDiag:
     def update(self, s: np.ndarray, y: np.ndarray) -> bool:
         ss = float(s @ s)
         if ss == 0.0:
-            self.n_skipped += 1
             return False
         self.sigma = float(np.clip((s @ y) / ss, SIGMA_MIN, SIGMA_MAX))
         return True
@@ -153,13 +147,3 @@ class SpectralDiag:
     def diagonal(self) -> np.ndarray:
         return np.full(self.n, self.sigma)
 
-
-def make_operator(kind: str, n: int, memory: int = DEFAULT_MEMORY):
-    kind = kind.lower()
-    if kind == "lbfgs":
-        return LBFGS(n, memory)
-    if kind == "lsr1":
-        return LSR1(n, memory)
-    if kind == "spectral":
-        return SpectralDiag(n)
-    raise ValueError(f"unknown quasi-Newton kind {kind!r}")

@@ -11,6 +11,11 @@ accepts it by a ratio test against the first-order model decrease
 
 and adapts sigma.  The criticality measure is sqrt(sigma * xi), the
 sqrt(xi / nu) form with nu = 1 / sigma.
+
+The loop constants are those of R2 in Aravkin, Baraldi & Orban (2022):
+SIGMA_INIT is sigma_0 and SIGMA_MIN is sigma_min; a step is successful when
+rho >= ETA1 (eta_1) and very successful when rho >= ETA2 (eta_2); a very
+successful step multiplies sigma by GAMMA_DEC, a failed one by GAMMA_INC (gamma).
 """
 from __future__ import annotations
 
@@ -23,15 +28,16 @@ from .errors import BudgetExhausted
 from .regprox import Box
 from .report import CONVERGED, MAX_ITER, SolverReport, evaluate_start, make_report
 
+SIGMA_INIT = 1.0
+SIGMA_MIN = 1e-8
+ETA1 = 0.25
+ETA2 = 0.75
+GAMMA_DEC = 0.5
+GAMMA_INC = 3.0
+
 
 @dataclass
 class R2Options:
-    sigma_init: float = 1.0
-    sigma_min: float = 1e-8
-    eta1: float = 0.25
-    eta2: float = 0.75
-    gamma_dec: float = 0.5
-    gamma_inc: float = 3.0
     max_iter: int = 10_000
     abs_tol: float = 1e-4
     rel_tol: float = 1e-4
@@ -48,7 +54,7 @@ def r2_solve(smooth, reg, box: Box, x0, opts: R2Options | None = None,
     opts = opts or R2Options()
     t0 = time.perf_counter()
     x = box.clamp(np.asarray(x0, dtype=float))
-    sigma = opts.sigma_init
+    sigma = SIGMA_INIT
     n_prox = 0
     crit = np.inf
     tol = None
@@ -75,15 +81,15 @@ def r2_solve(smooth, reg, box: Box, x0, opts: R2Options | None = None,
             h_trial = reg.value(x_trial)
             rho = ((fx + hx) - (f_trial + h_trial)) / xi
             diag.append({"sigma": sigma, "rho": rho, "xi": xi,
-                         "s_norm2": float(np.linalg.norm(s)), "accepted": bool(rho >= opts.eta1)})
-            if rho >= opts.eta1:
+                         "s_norm2": float(np.linalg.norm(s)), "accepted": bool(rho >= ETA1)})
+            if rho >= ETA1:
                 x, fx, hx = x_trial, f_trial, h_trial
                 gx = smooth.grad(x)
                 trace.append((smooth.n_grad, fx + hx))
-                if rho >= opts.eta2:
-                    sigma = max(opts.sigma_min, opts.gamma_dec * sigma)
+                if rho >= ETA2:
+                    sigma = max(SIGMA_MIN, GAMMA_DEC * sigma)
             else:
-                sigma = opts.gamma_inc * sigma
+                sigma = GAMMA_INC * sigma
     except BudgetExhausted:
         status = MAX_ITER
 

@@ -3,16 +3,26 @@
 `tr_iterate` is the one trust-region loop of the package.  Each iteration
 computes a proximal-gradient (Cauchy) step s1 whose model decrease xi defines
 the criticality measure sqrt(xi / nu), then a model step capped at
-min(Delta, beta * ||s1||_inf): the R2 solve of the quadratic model, or the
-closed-form separable minimizer with a diagonal operator.  A ratio test
-accepts or rejects the trial point, the radius follows `update_radius`, and
-the quasi-Newton operator is updated on acceptance.
+min(Delta, beta * ||s1||_inf).  The step follows the operator: one with a
+``diagonal()`` view gets the closed-form separable minimizer, any other the
+R2 solve of the quadratic model.  A ratio test accepts or rejects the trial
+point, the radius follows `update_radius`, and the quasi-Newton operator is
+updated on acceptance.
 
 The bounds enter through a constraint object.  TR and TRDH fold the box
 indicator into the nonsmooth term and pass `ShiftedBounds`, so every step
 lives in Delta*B_inf intersected with the bounds shifted to x.  The barrier
 subproblems of RIPM pass `interior.BarrierTerms`, which restricts steps to
 the fraction-to-boundary box and adds the barrier gradient and curvature.
+
+The loop constants are those of TR in Aravkin, Baraldi & Orban (2022) and of
+TRDH in Leconte & Orban (2023): DELTA_INIT is Delta_0 and DELTA_MAX caps the
+radius; rho >= ETA1 (eta_1) accepts a step and rho >= ETA2 (eta_2) grows the
+radius by GAMMA3 (gamma_3), a rejection shrinks it by GAMMA2 (gamma_2); ALPHA
+(alpha) and BETA (beta) scale nu and the step cap; ITER_CAP caps the
+iterations of TR and TRDH, which stop once the measure falls below ABS_TOL
+(epsilon_a) plus rel_tol times its value at x0; SUBSOLVER_MAX_ITER and
+SUBSOLVER_REL_TOL stop the R2 subsolve.
 """
 from __future__ import annotations
 
@@ -28,41 +38,35 @@ from .r2 import R2Options, r2_solve
 from .regprox import Box, intersect_boxes
 from .report import CONVERGED, MAX_ITER, SolverReport, evaluate_start, make_report
 
+DELTA_INIT = 1.0
+DELTA_MAX = 1e12
+ETA1 = 1e-3
+ETA2 = 0.9
+GAMMA2 = 0.5
+GAMMA3 = 2.0
+ALPHA = 1.0
+BETA = 10.0
+ABS_TOL = 1e-4
+ITER_CAP = 10_000
+SUBSOLVER_MAX_ITER = 200
+SUBSOLVER_REL_TOL = 0.1
+
 
 @dataclass
 class TrustRegionOptions:
-    delta_init: float = 1.0
-    delta_max: float = 1e12
-    eta1: float = 1e-3
-    eta2: float = 0.9
-    gamma2: float = 0.5
-    gamma3: float = 2.0
-    alpha: float = 1.0
-    beta: float = 10.0
-    max_iter: int = 10_000
-    abs_tol: float = 1e-4
     rel_tol: float = 1e-4
-    subsolver_max_iter: int = 200
-    subsolver_rel_tol: float = 0.1
-
-    def __post_init__(self):
-        ok = 0 < self.eta1 <= self.eta2 < 1
-        ok &= 0 < self.gamma2 < 1 < self.gamma3
-        ok &= self.delta_init <= self.delta_max
-        if not ok:
-            raise ValueError("trust-region constants violate their ordering constraints")
 
 
-def update_radius(delta: float, rho: float, o: TrustRegionOptions) -> float:
+def update_radius(delta: float, rho: float) -> float:
     """Radius schedule: grow on very successful steps, shrink on failures.
 
     Shrinking stops at 1e-30 so that repeated failures cannot underflow.
     """
-    if rho >= o.eta2:
-        return min(o.gamma3 * delta, o.delta_max)
-    if rho >= o.eta1:
-        return min(delta, o.delta_max)
-    return max(o.gamma2 * delta, 1e-30)
+    if rho >= ETA2:
+        return min(GAMMA3 * delta, DELTA_MAX)
+    if rho >= ETA1:
+        return min(delta, DELTA_MAX)
+    return max(GAMMA2 * delta, 1e-30)
 
 
 def first_order_step(h, x, hx: float, g, nu: float, box: Box):
@@ -126,9 +130,8 @@ class InnerResult:
     n_prox: int
 
 
-def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float,
-               opts: TrustRegionOptions, *, diagonal: bool, max_iter: int,
-               abs_tol: float, rel_tol: float, eps_p: float = 0.0,
+def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *,
+               max_iter: int, abs_tol: float, rel_tol: float, eps_p: float = 0.0,
                trace: list, records: list) -> InnerResult:
     """Minimize f + phi + h from x, where f(x), h(x) and grad f(x) are given.
 
@@ -159,8 +162,7 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float,
     """
     n = x.size
     phi = cons.phi(x)
-    sub_opts = R2Options(max_iter=opts.subsolver_max_iter, abs_tol=0.0,
-                         rel_tol=opts.subsolver_rel_tol)
+    sub_opts = R2Options(max_iter=SUBSOLVER_MAX_ITER, abs_tol=0.0, rel_tol=SUBSOLVER_REL_TOL)
     n_prox = accepted = 0
     crit, compl, crit0 = np.inf, np.inf, None
     status = "cap"
@@ -170,7 +172,7 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float,
             lip = qn.norm_estimate()
             if theta is not None:
                 lip += float(theta.max())
-            nu = 1.0 / (lip + 1.0 / (opts.alpha * delta))
+            nu = 1.0 / (lip + 1.0 / (ALPHA * delta))
             tr_box = intersect_boxes(Box.ball(n, delta), box)
             s1, xi = first_order_step(h, x, hx, g, nu, tr_box)
             s_m, xi_m = s1, xi
@@ -197,9 +199,9 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float,
                     rec["exit"] = status
                     records.append(rec)
                 break
-            cap = min(delta, opts.beta * float(np.max(np.abs(s1))))
+            cap = min(delta, BETA * float(np.max(np.abs(s1))))
             cap_box = intersect_boxes(Box.ball(n, cap), box)
-            if diagonal:
+            if hasattr(qn, "diagonal"):
                 d = qn.diagonal() if theta is None else qn.diagonal() + theta
                 s = h.prox_shifted(d, -g / d, x, cap_box)
                 n_prox += 1
@@ -219,8 +221,8 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float,
             h_t = h.value(x_t)
             phi_t = cons.phi(x_t)
             rho = (obj - (f_t + phi_t + h_t)) / decrease if decrease > 0 else -np.inf
-            new_delta = update_radius(delta, rho, opts)
-            rec.update(rho=float(rho), accepted=bool(rho >= opts.eta1), delta_after=new_delta,
+            new_delta = update_radius(delta, rho)
+            rec.update(rho=float(rho), accepted=bool(rho >= ETA1), delta_after=new_delta,
                        s_inf=float(np.max(np.abs(s))), cap_inf=cap)
             if rec["accepted"]:
                 cons.accept(x, x_t, s)
@@ -242,18 +244,8 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float,
 
 def tr_solve(smooth, h, bounds: Box, qn, x0, opts: TrustRegionOptions | None = None,
              solver_name: str = "TR-R2") -> SolverReport:
-    """Quasi-Newton proximal trust region with R2 as subproblem solver."""
-    return _tr_solve(smooth, h, bounds, qn, x0, opts or TrustRegionOptions(), False, solver_name)
-
-
-def trdh_solve(smooth, h, bounds: Box, x0, opts: TrustRegionOptions | None = None,
-               solver_name: str = "TRDH") -> SolverReport:
-    """Diagonal-Hessian trust region: closed-form steps from the spectral diagonal."""
-    qn = SpectralDiag(len(x0))
-    return _tr_solve(smooth, h, bounds, qn, x0, opts or TrustRegionOptions(), True, solver_name)
-
-
-def _tr_solve(smooth, h, bounds, qn, x0, opts, diagonal, solver_name):
+    """Quasi-Newton proximal trust region; the step follows ``qn`` (see `tr_iterate`)."""
+    opts = opts or TrustRegionOptions()
     t0 = time.perf_counter()
     x = bounds.clamp(np.asarray(x0, dtype=float))
     fx, hx, crit, n_prox, status = np.inf, 0.0, np.inf, 0, MAX_ITER
@@ -261,13 +253,18 @@ def _tr_solve(smooth, h, bounds, qn, x0, opts, diagonal, solver_name):
     records: list = []
     try:
         fx, hx, gx = evaluate_start(smooth, h, x, trace)
-        res = tr_iterate(smooth, h, ShiftedBounds(bounds), qn, x, fx, hx, gx,
-                         opts.delta_init, opts, diagonal=diagonal, max_iter=opts.max_iter,
-                         abs_tol=opts.abs_tol, rel_tol=opts.rel_tol, trace=trace,
-                         records=records)
+        res = tr_iterate(smooth, h, ShiftedBounds(bounds), qn, x, fx, hx, gx, DELTA_INIT,
+                         max_iter=ITER_CAP, abs_tol=ABS_TOL, rel_tol=opts.rel_tol,
+                         trace=trace, records=records)
         x, fx, hx, crit, n_prox = res.x, res.fx, res.hx, res.crit, res.n_prox
         status = CONVERGED if res.status == "tol" else MAX_ITER
     except BudgetExhausted:
         pass
     return make_report(solver_name, smooth, h, x, fx, hx, crit, n_prox, t0, status, trace,
                        {"iters": records})
+
+
+def trdh_solve(smooth, h, bounds: Box, x0, opts: TrustRegionOptions | None = None,
+               solver_name: str = "TRDH") -> SolverReport:
+    """Diagonal-Hessian trust region: `tr_solve` with the spectral diagonal operator."""
+    return tr_solve(smooth, h, bounds, SpectralDiag(len(x0)), x0, opts, solver_name)

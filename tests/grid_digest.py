@@ -1,0 +1,52 @@
+"""Print the counters of a fixed grid of solves and one digest of them all.
+
+Run from the root of a source checkout:
+
+    python3 tests/grid_digest.py
+
+Each solve prints one line, the repr of (family, seed, solver, budget, n_f,
+n_grad, n_prox, f, h/lambda, termination, criticality, sum of x); the last
+line is the sha256 of all of them.  Two checkouts that print the same digest
+behave the same, bit for bit, on the grid:
+
+- bpdn, seeds 0-5, every solver, budget 1000;
+- qp and nnmf at their default sizes, every solver, budget 200;
+- fh at its default size, R2, TRDH, TR-R2, RIPM-R2 and RIPMDH, budget 300;
+- qp at `problems.PAPER_SCALE`, every solver, budget 30.
+
+BLAS runs on one thread, so that no sum depends on the thread count.  The
+whole grid takes a few minutes.
+"""
+import hashlib
+import os
+import sys
+from pathlib import Path
+
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from ripm import bench, problems  # noqa: E402
+
+ALL = bench.SOLVER_NAMES
+GRID = ([("bpdn", seed, {}, ALL, 1000) for seed in range(6)]
+        + [("qp", 0, {}, ALL, 200), ("nnmf", 0, {}, ALL, 200),
+           ("fh", 0, {}, ("R2", "TRDH", "TR-R2", "RIPM-R2", "RIPMDH"), 300),
+           ("qp", 0, problems.PAPER_SCALE["qp"], ALL, 30)])
+
+
+def main() -> None:
+    digest = hashlib.sha256()
+    for family, seed, params, solvers, budget in GRID:
+        instance = problems.build(family, seed, **params)
+        for name in solvers:
+            rep = bench.run_solver(name, instance, budget)
+            line = repr((family, seed, name, budget, rep.n_f, rep.n_grad, rep.n_prox, rep.f,
+                         rep.h_over_lam, rep.termination, rep.criticality, float(rep.x.sum())))
+            print(line, flush=True)
+            digest.update(line.encode() + b"\n")
+    print(digest.hexdigest())
+
+
+if __name__ == "__main__":
+    main()

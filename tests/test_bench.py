@@ -167,7 +167,7 @@ def test_report_round_trip():
 
 
 @pytest.mark.parametrize("name,overrides", [
-    ("R2", {"abs_tol": 1e-6}), ("TR-R2", {"abs_tol": 1e-6}), ("RIPM-R2", {"eps_a": 1e-6})])
+    ("R2", {"rel_tol": 1e-6}), ("TR-R2", {"rel_tol": 1e-6}), ("RIPM-R2", {"eps_r": 1e-6})])
 def test_override_replaces_harness_default(name, overrides):
     opts, _ = solver_options(name, "bpdn", overrides)
     assert all(getattr(opts, k) == v for k, v in overrides.items())
@@ -180,7 +180,15 @@ def test_override_replaces_harness_default(name, overrides):
     ("RIPM-R2", {"max_iter": 1}), ("R2", {"qn": "lbfgs"}), ("TRDH", {"qn": "lbfgs"}),
     ("RIPMDH", {"qn": "lbfgs"}), ("RIPMDH", {"subsolver_max_iter": 1}),
     ("RIPMDH", {"step": "r2"}), ("TR-R2", {"qn": "bogus"}), ("TR-R2", {"qn": 5}),
-    ("TRDH", {"eta1": 0.95, "eta2": 0.5})])
+    ("TRDH", {"eta1": 0.95, "eta2": 0.5}),
+    # settings that are constants of the method, and an operator that would
+    # turn an R2-step solver into a DH one
+    ("TRDH", {"eta1": 0.5}), ("RIPM-R2", {"kappa_bar": 1e6}), ("RIPM-R2", {"mode": "cp"}),
+    ("RIPM-R2", {"memory": 5}), ("TR-R2", {"subsolver_max_iter": 200}),
+    ("TR-R2", {"qn": "spectral"}), ("R2", {"sigma_init": 1.0}),
+    # tolerances and an operator that no caller sets to a second value
+    ("R2", {"abs_tol": 1e-6}), ("TR-R2", {"abs_tol": 1e-6}), ("RIPM-R2", {"eps_a": 1e-6}),
+    ("TR-R2", {"qn": "lbfgs"}), ("RIPM-R2", {"qn": "lsr1"})])
 def test_rejected_option_is_a_config_error(name, overrides):
     with pytest.raises(ConfigError):
         run_config(_tiny_config(solvers=[{"name": name, "options": overrides}]))
@@ -197,12 +205,12 @@ def test_config_error_comes_before_the_first_solve(monkeypatch):
 
 def test_every_listed_option_is_taken():
     # each (solver, option) pair of the table, at its default value, runs
-    defaults = {"qn": "lbfgs", "memory": 3}
+    defaults = {}
     for cls in (bench.R2Options, bench.TrustRegionOptions, bench.IpmOptions):
         defaults.update((f.name, f.default) for f in dataclasses.fields(cls)
                         if f.default is not dataclasses.MISSING)
     inst = bench.problems.build("bpdn", 0, m=10, n=24, n_spikes=3)
-    assert sum(len(names) for names in SOLVER_OPTIONS.values()) == 131
+    assert sum(len(names) for names in SOLVER_OPTIONS.values()) == 15
     for name, names in SOLVER_OPTIONS.items():
         for option in sorted(names):
             rep = run_solver(name, inst, 3, {option: defaults[option]})
@@ -221,6 +229,36 @@ def test_cli_config_error_exit_code(tmp_path):
     bogus_mode.write_text(json.dumps(_tiny_config(
         solvers=[{"name": "RIPM-R2", "options": {"mode": "bogus"}}])))
     assert main(["run", str(bogus_mode)]) == 1
+
+
+def _write_reports_with_old_keys(path):
+    path.mkdir()
+    old = {"solver": "R2", "final_f": 1.0, "final_h_over_lambda": 0.0,
+           "final_criticality": 0.0, "n_f": 1, "n_grad": 1, "n_prox": 1}
+    (path / "reports.json").write_text(json.dumps({"reports": [old]}))
+
+
+@pytest.mark.parametrize("case", ["table_missing", "table_old_keys", "budget", "solver_entry",
+                                  "options_list", "problem_string"])
+def test_cli_malformed_input_exits_1(tmp_path, capsys, case):
+    results = tmp_path / "results"
+    if case == "table_missing":
+        argv = ["table", str(results)]
+    elif case == "table_old_keys":
+        _write_reports_with_old_keys(results)
+        argv = ["table", str(results)]
+    else:
+        cfg = {
+            "budget": _tiny_config(budget="abc"),
+            "solver_entry": _tiny_config(solvers=[5]),
+            "options_list": _tiny_config(solvers=[{"name": "R2", "options": [1]}]),
+            "problem_string": _tiny_config(problem="bpdn"),
+        }[case]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        argv = ["run", str(cfg_path)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err
 
 
 def test_solver_hard_failure_recorded(tmp_path, monkeypatch):

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ripm import interior
 from ripm.errors import BoundaryPoint
-from ripm.interior import (DualEstimate, IpmOptions, barrier_grad, barrier_value,
-                           crossover, dual_update, inner_solve, kkt_residuals, outer_solve)
+from ripm.interior import (DualEstimate, barrier_grad, barrier_value, crossover, dual_update,
+                           inner_solve, kkt_residuals, outer_solve)
 from ripm.oracles import CallableOracle
 from ripm.qnops import LBFGS, SpectralDiag
 from ripm.regprox import Box, Regularizer, fraction_to_boundary_box, intersect_boxes
@@ -19,13 +20,6 @@ POS = Box(np.zeros(1), np.full(1, np.inf))
 
 def _box1(lo, hi):
     return Box(np.array([lo], dtype=float), np.array([hi], dtype=float))
-
-
-def test_options_reject_unknown_mode_and_step():
-    with pytest.raises(ValueError):
-        IpmOptions(mode="bogus")
-    with pytest.raises(ValueError):
-        IpmOptions(step="bogus")
 
 
 def _oracle_quad(center):
@@ -160,12 +154,12 @@ def test_dual_update_ones_fixed_point():
 
 def test_dual_update_clamps_to_safeguard_interval():
     # large step drives the linearized update negative; projection keeps z > 0
-    mu, kzl = 1e-3, 0.5
+    mu, kzl = 1e-3, interior.KAPPA_ZUL
     x_old = np.array([1.0])
     s = np.array([0.9])
     x_new = x_old + s
     z_old = DualEstimate(np.array([1.0]), np.array([0.0]))
-    out = dual_update(x_new, x_old, z_old, s, mu, POS, kappa_zul=kzl)
+    out = dual_update(x_new, x_old, z_old, s, mu, POS)
     zhat = mu / 1.0 - 1.0 * 0.9
     assert zhat < 0
     expected_lo = kzl * min(1.0, 1.0, mu / x_new[0])
@@ -177,7 +171,7 @@ def test_dual_update_clamps_to_safeguard_interval():
        mu=st.floats(1e-12, 10.0), upper=st.booleans())
 @settings(max_examples=100, deadline=None)
 def test_dual_update_stays_in_safeguard_interval(z, g_old, s, mu, upper):
-    kzl, kzu = 0.5, 1e10
+    kzl, kzu = interior.KAPPA_ZUL, interior.KAPPA_ZUU
     g_new = g_old + (-s if upper else s)
     if g_new <= 0.0:
         return
@@ -185,7 +179,7 @@ def test_dual_update_stays_in_safeguard_interval(z, g_old, s, mu, upper):
     x_old = np.array([-g_old if upper else g_old])
     zv = np.array([z])
     z_old = DualEstimate(np.zeros(1), zv) if upper else DualEstimate(zv, np.zeros(1))
-    out = dual_update(x_old + s, x_old, z_old, np.array([s]), mu, bounds, kzl, kzu)
+    out = dual_update(x_old + s, x_old, z_old, np.array([s]), mu, bounds)
     got = (out.zu if upper else out.zl)[0]
     assert kzl * min(1.0, z, mu / g_new) <= got <= max(kzu, z, kzu / mu, kzu * mu / g_new)
     assert (out.zl if upper else out.zu)[0] == 0.0  # the infinite side keeps z = 0
@@ -268,10 +262,9 @@ def test_kkt_residuals_l0():
 def test_inner_solve_quadratic_barrier_path(step, mu):
     # stationarity of 0.5 (x-2)^2 - mu log x:  x - 2 - mu / x = 0
     root = bisect_root(lambda t: t - 2.0 - mu / t, 1e-9, 10.0)
-    opts = IpmOptions(step=step)
     qn = SpectralDiag(1) if step == "diagonal" else LBFGS(1)
     res = inner_solve(_oracle_quad(2.0), Regularizer("zero"), POS, qn,
-                      np.array([1.0]), DualEstimate.ones_for(POS), mu, opts,
+                      np.array([1.0]), DualEstimate.ones_for(POS), mu,
                       eps_d_abs=1e-9, eps_d_rel=0.0, eps_p=1e-9, delta0=100.0)
     assert res.status == "tol"
     assert res.x[0] == pytest.approx(root, abs=1e-6)
@@ -282,9 +275,8 @@ def test_inner_solve_quadratic_barrier_path(step, mu):
 def test_inner_solve_l1_barrier_stationary_point(mode):
     # f = 0, h = lam |x|, x > 0: stationarity lam - mu / x = 0 -> x = mu / lam
     mu, lam = 0.5, 1.0
-    opts = IpmOptions(step="diagonal")
     res = inner_solve(_oracle_zero(), Regularizer("l1", lam), POS, SpectralDiag(1),
-                      np.array([2.0]), DualEstimate.ones_for(POS), mu, opts,
+                      np.array([2.0]), DualEstimate.ones_for(POS), mu,
                       eps_d_abs=1e-9, eps_d_rel=0.0, eps_p=1e-9, delta0=100.0,
                       mode=mode)
     assert res.status == "tol"
@@ -297,7 +289,7 @@ def test_inner_solve_immediate_exit():
     x0 = np.array([root])
     z0 = DualEstimate(mu / x0, np.zeros(1))
     res = inner_solve(_oracle_quad(2.0), Regularizer("zero"), POS, SpectralDiag(1),
-                      x0, z0, mu, IpmOptions(step="diagonal"),
+                      x0, z0, mu,
                       eps_d_abs=1e-6, eps_d_rel=0.0, eps_p=1e-6, delta0=10.0)
     assert res.status == "tol"
     assert res.accepted == 0
@@ -307,21 +299,17 @@ def test_inner_solve_immediate_exit():
 def test_inner_solve_requires_interior_start():
     with pytest.raises(BoundaryPoint):
         inner_solve(_oracle_quad(2.0), Regularizer("zero"), POS, SpectralDiag(1),
-                    np.array([0.0]), DualEstimate.ones_for(POS), 1.0,
-                    IpmOptions(step="diagonal"))
+                    np.array([0.0]), DualEstimate.ones_for(POS), 1.0)
 
 
 # ---------------------------------------------------------------------------
 # outer solve: mu -> 0 limits, crossover, invariants
 
 
-def _outer(smooth, h, bounds, x0, step="diagonal", **kw):
-    opts = IpmOptions(step=step, **kw)
-    if step == "diagonal":
-        factory = lambda n: SpectralDiag(n)
-    else:
-        factory = lambda n: LBFGS(n)
-    return outer_solve(smooth, h, bounds, factory, x0, opts)
+def _outer(smooth, h, bounds, x0, step="diagonal"):
+    # the step follows the operator: the spectral diagonal takes closed-form steps
+    factory = SpectralDiag if step == "diagonal" else LBFGS
+    return outer_solve(smooth, h, bounds, factory, x0)
 
 
 @pytest.mark.parametrize("step", ["diagonal", "r2"])
@@ -360,23 +348,22 @@ def test_outer_invariants_from_diagnostics():
 
 
 def test_outer_mode_forced_to_cp_for_l0():
-    rep = _outer(_oracle_quad(2.0), Regularizer("l0", 0.1), POS, np.array([1.0]),
-                 mode="lagrangian")
+    rep = _outer(_oracle_quad(2.0), Regularizer("l0", 0.1), POS, np.array([1.0]))
     assert rep.diagnostics["mode"] == "cp"
 
 
 def test_outer_budget_one():
     smooth = _oracle_quad(2.0)
     smooth.budget = 1
-    rep = outer_solve(smooth, Regularizer("zero"), POS, lambda n: SpectralDiag(n),
-                      np.array([1.0]), IpmOptions(step="diagonal"))
+    rep = outer_solve(smooth, Regularizer("zero"), POS, SpectralDiag, np.array([1.0]))
     assert rep.termination == "max_iter"
     assert rep.n_f <= 2
 
 
-def test_outer_detects_unbounded():
+def test_outer_detects_unbounded(monkeypatch):
     # f = -x on x >= 0 is unbounded below; every barrier stage floors out
+    monkeypatch.setattr(interior, "OBJECTIVE_FLOOR", -1e6)
+    monkeypatch.setattr(interior, "MAX_OUTER", 3)
     smooth = CallableOracle(lambda x: -float(np.sum(x)), lambda x: -np.ones_like(x))
-    rep = _outer(smooth, Regularizer("zero"), POS, np.array([1.0]),
-                 objective_floor=-1e6, max_outer=3)
+    rep = _outer(smooth, Regularizer("zero"), POS, np.array([1.0]))
     assert rep.termination == "unbounded"
