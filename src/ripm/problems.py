@@ -8,6 +8,8 @@ and nonnegative basis-pursuit denoising.  Instances are reproducible from
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -164,9 +166,11 @@ class FhOracle(SmoothOracle):
 
         V' = (V - V^3/3 - W + x1) / x2,   W' = x2 (x3 V - x4 W + x5)
 
-    Fixed-step RK4 on [0, T]; gradients integrate the forward sensitivity
-    system jointly with the state on the same grid, so they are the exact
-    derivatives of the discretized objective.
+    Fixed-step RK4 on [0, T].  The gradient is the discrete adjoint of the
+    same RK4 steps (Hager 2000), so it is the exact derivative of the
+    discretized objective.  The oracle keeps the stage points of its last
+    forward pass, keyed on a copy of x: a gradient right after the value at
+    the same x runs only the backward sweep.
     """
 
     def __init__(self, n_samples: int, v_data=None, w_data=None):
@@ -177,96 +181,135 @@ class FhOracle(SmoothOracle):
         self.dt = FH_T_FINAL / self.n_steps
         self.v_data = v_data
         self.w_data = w_data
+        self._last: _Trajectory | None = None
 
-    # -- plain state integration -------------------------------------------
-    def simulate(self, params):
-        x1, x2, x3, x4, x5 = (float(v) for v in params)
-        V, W = FH_STATE0
+    def fresh(self) -> "FhOracle":
+        other = super().fresh()
+        other._last = None
+        return other
+
+    def _forward(self, x):
+        """RK4 pass at x; four stage points per step, states sampled every stride.
+
+        Raises _OdeBlowup once |V| or |W| reaches FH_BLOWUP; nothing is kept then.
+        """
+        last = self._last
+        if last is not None and np.array_equal(last.x, x):
+            return last
+        x1, x2, x3, x4, x5 = (float(v) for v in x)
         dt = self.dt
-        vs = np.empty(self.n_samples + 1)
-        ws = np.empty(self.n_samples + 1)
-        vs[0], ws[0] = V, W
-        isamp = 1
-        for step in range(self.n_steps):
-            V, W = _rk4_state(V, W, x1, x2, x3, x4, x5, dt)
+        h = 0.5 * dt
+        d6 = dt / 6.0
+        V, W = FH_STATE0
+        sv, sw = [], []
+        for _ in range(self.n_steps):
+            k1v = (V - V * V * V / 3.0 - W + x1) / x2
+            k1w = x2 * (x3 * V - x4 * W + x5)
+            V2 = V + h * k1v
+            W2 = W + h * k1w
+            k2v = (V2 - V2 * V2 * V2 / 3.0 - W2 + x1) / x2
+            k2w = x2 * (x3 * V2 - x4 * W2 + x5)
+            V3 = V + h * k2v
+            W3 = W + h * k2w
+            k3v = (V3 - V3 * V3 * V3 / 3.0 - W3 + x1) / x2
+            k3w = x2 * (x3 * V3 - x4 * W3 + x5)
+            V4 = V + dt * k3v
+            W4 = W + dt * k3w
+            k4v = (V4 - V4 * V4 * V4 / 3.0 - W4 + x1) / x2
+            k4w = x2 * (x3 * V4 - x4 * W4 + x5)
+            sv += (V, V2, V3, V4)
+            sw += (W, W2, W3, W4)
+            V = V + d6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+            W = W + d6 * (k1w + 2 * k2w + 2 * k3w + k4w)
             if not (abs(V) < FH_BLOWUP and abs(W) < FH_BLOWUP):
                 raise _OdeBlowup
-            if (step + 1) % self.stride == 0:
-                vs[isamp], ws[isamp] = V, W
-                isamp += 1
-        return vs, ws
+        every = 4 * self.stride  # a sample is the first stage of every stride-th step
+        vs = np.array(sv[::every] + [V])
+        ws = np.array(sw[::every] + [W])
+        self._last = _Trajectory(np.array(x, dtype=float), sv, sw, vs, ws)
+        return self._last
+
+    def simulate(self, params):
+        """States sampled at the n_samples + 1 data times."""
+        traj = self._forward(params)
+        return traj.vs.copy(), traj.ws.copy()
 
     def _value(self, x):
         try:
-            vs, ws = self.simulate(x)
+            traj = self._forward(x)
         except _OdeBlowup:
             return np.inf
-        return 0.5 * (float(np.sum((vs - self.v_data) ** 2))
-                      + float(np.sum((ws - self.w_data) ** 2)))
+        return 0.5 * (float(np.sum((traj.vs - self.v_data) ** 2))
+                      + float(np.sum((traj.ws - self.w_data) ** 2)))
 
     def _grad(self, x):
+        try:
+            traj = self._forward(x)
+        except _OdeBlowup:
+            raise OracleFailure("state blow-up during the forward pass") from None
         x1, x2, x3, x4, x5 = (float(v) for v in x)
-        V, W = FH_STATE0
-        SV = np.zeros(5)
-        SW = np.zeros(5)
-        g = np.zeros(5)
         dt = self.dt
-        isamp = 1
-        for step in range(self.n_steps):
-            V, W, SV, SW = _rk4_aug(V, W, SV, SW, x1, x2, x3, x4, x5, dt)
-            if not (abs(V) < FH_BLOWUP and abs(W) < FH_BLOWUP):
-                raise OracleFailure("state blow-up during sensitivity integration")
-            if (step + 1) % self.stride == 0:
-                g += (V - self.v_data[isamp]) * SV + (W - self.w_data[isamp]) * SW
-                isamp += 1
-        return g
+        h = 0.5 * dt
+        d6 = dt / 6.0
+        d3 = dt / 3.0
+        r = 1.0 / x2
+        c3 = x2 * x3
+        c4 = x2 * x4
+        V = np.array(traj.stage_v)
+        W = np.array(traj.stage_w)
+        # transposed stage Jacobian [[a, c3], [-r, -c4]] with a = dfV/dV
+        a = ((1.0 - V * V) * r)[::-1].tolist()
+        rv = (traj.vs - self.v_data).tolist()
+        rw = (traj.ws - self.w_data).tolist()
+        quads = zip(*[iter(a)] * 4)  # (a4, a3, a2, a1) of each step, last step first
+        bv, bw = [], []  # stage weights dJ/dk, stored last stage first
+        lv = lw = 0.0  # adjoint dJ/d(V, W) of the current state
+        for isamp in range(self.n_samples, 0, -1):
+            lv += rv[isamp]
+            lw += rw[isamp]
+            for a4, a3, a2, a1 in islice(quads, self.stride):
+                b4v = d6 * lv
+                b4w = d6 * lw
+                e3v = d3 * lv
+                e3w = d3 * lw
+                y4v = a4 * b4v + c3 * b4w
+                y4w = -r * b4v - c4 * b4w
+                b3v = e3v + dt * y4v
+                b3w = e3w + dt * y4w
+                y3v = a3 * b3v + c3 * b3w
+                y3w = -r * b3v - c4 * b3w
+                b2v = e3v + h * y3v
+                b2w = e3w + h * y3w
+                y2v = a2 * b2v + c3 * b2w
+                y2w = -r * b2v - c4 * b2w
+                b1v = b4v + h * y2v
+                b1w = b4w + h * y2w
+                lv += y4v + y3v + y2v + a1 * b1v + c3 * b1w
+                lw += y4w + y3w + y2w - r * b1v - c4 * b1w
+                bv += (b4v, b3v, b2v, b1v)
+                bw += (b4w, b3w, b2w, b1w)
+        bv = np.array(bv[::-1])
+        bw = np.array(bw[::-1])
+        # parameter Jacobian of the right-hand side at each stage point
+        fv = (V - V * V * V / 3.0 - W + x1) * r
+        q = x3 * V - x4 * W + x5
+        return np.array([float(bv.sum()) * r,
+                         float(bw @ q) - float(bv @ fv) * r,
+                         x2 * float(bw @ V),
+                         -x2 * float(bw @ W),
+                         x2 * float(bw.sum())])
+
+
+class _Trajectory(NamedTuple):
+    x: np.ndarray  # copy of the parameters the pass ran at
+    stage_v: list  # V at the four stage points of every step
+    stage_w: list
+    vs: np.ndarray  # states at the n_samples + 1 data times
+    ws: np.ndarray
 
 
 class _OdeBlowup(Exception):
     pass
-
-
-def _fh_rhs(V, W, x1, x2, x3, x4, x5):
-    return (V - V * V * V / 3.0 - W + x1) / x2, x2 * (x3 * V - x4 * W + x5)
-
-
-def _rk4_state(V, W, x1, x2, x3, x4, x5, dt):
-    k1v, k1w = _fh_rhs(V, W, x1, x2, x3, x4, x5)
-    k2v, k2w = _fh_rhs(V + 0.5 * dt * k1v, W + 0.5 * dt * k1w, x1, x2, x3, x4, x5)
-    k3v, k3w = _fh_rhs(V + 0.5 * dt * k2v, W + 0.5 * dt * k2w, x1, x2, x3, x4, x5)
-    k4v, k4w = _fh_rhs(V + dt * k3v, W + dt * k3w, x1, x2, x3, x4, x5)
-    return (V + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v),
-            W + dt / 6.0 * (k1w + 2 * k2w + 2 * k3w + k4w))
-
-
-def _fh_rhs_aug(V, W, SV, SW, x1, x2, x3, x4, x5):
-    fV = (V - V * V * V / 3.0 - W + x1) / x2
-    fW = x2 * (x3 * V - x4 * W + x5)
-    dSV = ((1.0 - V * V) * SV - SW) / x2
-    dSV[0] += 1.0 / x2
-    dSV[1] += -fV / x2
-    dSW = x2 * (x3 * SV - x4 * SW)
-    dSW[1] += x3 * V - x4 * W + x5
-    dSW[2] += x2 * V
-    dSW[3] += -x2 * W
-    dSW[4] += x2
-    return fV, fW, dSV, dSW
-
-
-def _rk4_aug(V, W, SV, SW, x1, x2, x3, x4, x5, dt):
-    a = (x1, x2, x3, x4, x5)
-    k1 = _fh_rhs_aug(V, W, SV, SW, *a)
-    k2 = _fh_rhs_aug(V + 0.5 * dt * k1[0], W + 0.5 * dt * k1[1],
-                     SV + 0.5 * dt * k1[2], SW + 0.5 * dt * k1[3], *a)
-    k3 = _fh_rhs_aug(V + 0.5 * dt * k2[0], W + 0.5 * dt * k2[1],
-                     SV + 0.5 * dt * k2[2], SW + 0.5 * dt * k2[3], *a)
-    k4 = _fh_rhs_aug(V + dt * k3[0], W + dt * k3[1],
-                     SV + dt * k3[2], SW + dt * k3[3], *a)
-    V = V + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-    W = W + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    SV = SV + dt / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-    SW = SW + dt / 6.0 * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
-    return V, W, SV, SW
 
 
 def gen_fh(n_samples: int = 100, lam: float = 10.0, seed: int = 0,

@@ -76,3 +76,57 @@ def dense_sr1(pairs, n):
             continue
         B = B + np.outer(r, r) / rs
     return B
+
+
+def fh_sensitivity_grad(oracle, x):
+    """Gradient of an fh misfit by forward sensitivities on the oracle's RK4 grid.
+
+    The 10-dimensional system (V, W, dV/dx, dW/dx) is stepped by the same
+    fixed-step RK4 as the state, so the result is the exact derivative of
+    the discretized objective, computed independently of the adjoint.
+    """
+    from ripm.problems import FH_BLOWUP, FH_STATE0
+
+    a = tuple(float(v) for v in x)
+    V, W = FH_STATE0
+    SV = np.zeros(5)
+    SW = np.zeros(5)
+    g = np.zeros(5)
+    dt = oracle.dt
+    isamp = 1
+    for step in range(oracle.n_steps):
+        V, W, SV, SW = _rk4_aug(V, W, SV, SW, a, dt)
+        assert abs(V) < FH_BLOWUP and abs(W) < FH_BLOWUP, "state blow-up"
+        if (step + 1) % oracle.stride == 0:
+            g += (V - oracle.v_data[isamp]) * SV + (W - oracle.w_data[isamp]) * SW
+            isamp += 1
+    return g
+
+
+def _fh_rhs_aug(V, W, SV, SW, x1, x2, x3, x4, x5):
+    fV = (V - V * V * V / 3.0 - W + x1) / x2
+    fW = x2 * (x3 * V - x4 * W + x5)
+    dSV = ((1.0 - V * V) * SV - SW) / x2
+    dSV[0] += 1.0 / x2
+    dSV[1] += -fV / x2
+    dSW = x2 * (x3 * SV - x4 * SW)
+    dSW[1] += x3 * V - x4 * W + x5
+    dSW[2] += x2 * V
+    dSW[3] += -x2 * W
+    dSW[4] += x2
+    return fV, fW, dSV, dSW
+
+
+def _rk4_aug(V, W, SV, SW, a, dt):
+    k1 = _fh_rhs_aug(V, W, SV, SW, *a)
+    k2 = _fh_rhs_aug(V + 0.5 * dt * k1[0], W + 0.5 * dt * k1[1],
+                     SV + 0.5 * dt * k1[2], SW + 0.5 * dt * k1[3], *a)
+    k3 = _fh_rhs_aug(V + 0.5 * dt * k2[0], W + 0.5 * dt * k2[1],
+                     SV + 0.5 * dt * k2[2], SW + 0.5 * dt * k2[3], *a)
+    k4 = _fh_rhs_aug(V + dt * k3[0], W + dt * k3[1],
+                     SV + dt * k3[2], SW + dt * k3[3], *a)
+    V = V + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+    W = W + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+    SV = SV + dt / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+    SW = SW + dt / 6.0 * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
+    return V, W, SV, SW

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from ripm import problems
+from ripm.errors import BudgetExhausted, OracleFailure
 from ripm.problems import (FH_TRUE_PARAMS, PAPER_SCALE, build, from_config,
                            gen_bpdn, gen_fh, gen_nnmf, gen_qp)
 
-from helpers import central_diff_grad
+from helpers import central_diff_grad, fh_sensitivity_grad
 
 
 def _min_gap(inst, x):
@@ -147,6 +149,91 @@ def test_fh_blowup_returns_inf():
     inst = gen_fh(n_samples=20)
     bad = np.array([0.0, 1e-9, 1e6, -1e6, 1e6])
     assert inst.smooth.value(bad) == np.inf
+
+
+def test_fh_grad_at_blowup_raises():
+    inst = gen_fh(n_samples=20)
+    bad = np.array([0.0, 1e-9, 1e6, -1e6, 1e6])
+    with pytest.raises(OracleFailure):
+        inst.smooth.grad(bad)
+    assert inst.smooth.value(bad) == np.inf
+    with pytest.raises(OracleFailure):
+        inst.smooth.grad(bad)  # after the value, too: a blow-up keeps no trajectory
+
+
+FH_POINTS = [np.array([0.5, 1.0, 0.5, 0.5, 0.5]),
+             np.array([0.1, 0.7, 0.9, 0.2, -0.1]),
+             np.array([-0.2, 1.3, 1.1, 0.4, 0.25])]
+
+
+@pytest.mark.parametrize("n_samples, stride", [(100, 20), (20, 100), (7, 286), (2000, 1)])
+def test_fh_adjoint_matches_sensitivities(n_samples, stride):
+    inst = gen_fh(n_samples=n_samples)
+    assert inst.smooth.stride == stride
+    assert inst.smooth.n_steps == stride * n_samples
+    for x in FH_POINTS:
+        g_ref = fh_sensitivity_grad(inst.smooth, x)
+        g = inst.smooth.grad(x)
+        assert np.max(np.abs(g - g_ref)) <= 1e-10 * np.max(np.abs(g_ref))
+
+
+def test_fh_adjoint_matches_sensitivities_at_200_steps(monkeypatch):
+    monkeypatch.setattr(problems, "FH_RK4_STEPS", 200)
+    inst = gen_fh()
+    assert (inst.smooth.n_steps, inst.smooth.stride) == (200, 2)
+    for x in FH_POINTS:
+        inst.smooth.value(x)  # the gradient runs on the kept trajectory
+        g_ref = fh_sensitivity_grad(inst.smooth, x)
+        g = inst.smooth.grad(x)
+        assert np.max(np.abs(g - g_ref)) <= 1e-10 * np.max(np.abs(g_ref))
+
+
+@pytest.fixture(scope="module")
+def fh20():
+    return gen_fh(n_samples=20).smooth
+
+
+def test_fh_grad_after_value_elsewhere(fh20):
+    oracle = fh20.fresh()
+    x, y = FH_POINTS[1], FH_POINTS[2]
+    oracle.value(y)
+    assert np.array_equal(oracle.grad(x), fh20.fresh().grad(x))
+    assert not np.array_equal(oracle.grad(x), fh20.fresh().grad(y))
+
+
+def test_fh_grad_after_x_changed_in_place(fh20):
+    oracle = fh20.fresh()
+    x = FH_POINTS[1].copy()
+    oracle.value(x)
+    x[2] += 1e-3
+    assert np.array_equal(oracle.grad(x), fh20.fresh().grad(x))
+
+
+def test_fh_fresh_copy_keeps_no_trajectory(fh20):
+    oracle = fh20.fresh()
+    oracle.value(FH_POINTS[1])
+    assert oracle._last is not None
+    assert oracle.fresh()._last is None
+
+
+def test_fh_grad_counts_no_value(fh20):
+    oracle = fh20.fresh()
+    x, y = FH_POINTS[1], FH_POINTS[2]
+    oracle.value(x)
+    oracle.grad(x)
+    oracle.grad(y)
+    assert (oracle.n_f, oracle.n_grad) == (1, 2)
+
+
+def test_fh_refused_value_keeps_no_trajectory(fh20):
+    oracle = fh20.fresh()
+    x, y = FH_POINTS[1], FH_POINTS[2]
+    oracle.value(y)
+    oracle.budget = 1
+    with pytest.raises(BudgetExhausted):
+        oracle.value(x)
+    assert np.array_equal(oracle._last.x, y)
+    assert np.array_equal(oracle.grad(x), fh20.fresh().grad(x))
 
 
 def test_bpdn_structure():
