@@ -68,6 +68,12 @@ class QuadModelOracle(SmoothOracle):
     ``apply_curv`` maps s to B s; ``theta`` is an optional extra diagonal.
     Counters on this oracle are model evaluations and are never merged into
     the true objective counters.
+
+    A value keeps its point, by reference, with the product B s + theta s, and
+    a gradient at that same array object reuses the product.  The reuse is
+    keyed on the array object, not on its contents: a gradient at any other
+    array, even an equal one, forms the product afresh, and the valued array
+    must not be modified before its gradient is taken.
     """
 
     def __init__(self, g, apply_curv, theta=None):
@@ -75,6 +81,7 @@ class QuadModelOracle(SmoothOracle):
         self.g = g
         self.apply_curv = apply_curv
         self.theta = theta
+        self._last = (None, None)  # the last valued point and its product
 
     def _curv(self, s):
         w = self.apply_curv(s)
@@ -83,7 +90,10 @@ class QuadModelOracle(SmoothOracle):
         return w
 
     def _value(self, s):
-        return float(self.g @ s + 0.5 * (s @ self._curv(s)))
+        w = self._curv(s)
+        self._last = (s, w)
+        return float(self.g @ s + 0.5 * (s @ w))
 
     def _grad(self, s):
-        return self.g + self._curv(s)
+        last, w = self._last
+        return self.g + (w if s is last else self._curv(s))

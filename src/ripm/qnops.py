@@ -2,10 +2,19 @@
 
 Each operator keeps a symmetric approximation B of the Hessian with three
 capabilities: a matrix-vector product, an update from a (step, gradient
-difference) pair, and an estimate of the operator 2-norm.  All operators
-start from the identity.  Products are formed from the cached rank-one
-factors of the direct update recursions replayed over the stored pairs, so a
-pair eviction rebuilds the factors from scratch.
+difference) pair, and the operator 2-norm.  All operators start from the
+identity.
+
+LBFGS and LSR1 hold B = I + W^T diag(signs) W, where the k rows of W are
+rank-one factors, so one product is two matrix products with W.  The
+factors come from the direct update recursions replayed over the stored
+pairs: every accepted pair replays them all from the identity, with the
+skip rules of the recursions, into a preallocated (2 memory) x n row buffer.
+B equals the identity on the orthogonal complement of range(W^T) and maps
+that range into itself, so `norm_estimate` is exact: Rayleigh-Ritz on an
+orthonormal basis Q of range(W^T) gives the eigenvalues of B there as those
+of the small matrix Q^T B Q, and B has the eigenvalue 1 besides whenever Q
+spans less than the whole space.  That takes one product per column of Q.
 """
 from __future__ import annotations
 
@@ -19,46 +28,36 @@ SIGMA_MAX = 1e12
 DEFAULT_MEMORY = 5
 
 
-def _power_norm(apply_fn, n: int, iters: int = 20) -> float:
-    """Power-iteration estimate of the spectral norm of a symmetric operator."""
-    rng = np.random.default_rng(12345)
-    best = 0.0
-    for _ in range(2):  # two starts guard against an unlucky initial vector
-        v = rng.standard_normal(n)
-        nv = np.linalg.norm(v)
-        v /= nv
-        for _ in range(iters):
-            w = apply_fn(v)
-            nw = float(np.linalg.norm(w))
-            best = max(best, nw)
-            if nw == 0.0:
-                break
-            v = w / nw
-    return best
-
-
 class _FactoredOp:
-    """Shared machinery: B v = v + sum_j sign_j * u_j (u_j . v)."""
+    """Shared machinery: B v = v + W^T (signs * (W v)) with W the first k buffer rows."""
 
     def __init__(self, n: int, memory: int = DEFAULT_MEMORY):
         self.n = int(n)
         self.memory = int(memory)
         self.pairs: deque = deque()
-        self._factors: list[tuple[np.ndarray, float]] = []
+        self._rows = np.empty((2 * self.memory, self.n))
+        self._signs = np.empty(2 * self.memory)
+        self._k = 0
         self._norm_cache: float | None = None
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        out = v.copy()
-        for u, sign in self._factors:
-            out += (sign * float(u @ v)) * u
-        return out
+        W = self._rows[:self._k]
+        return v + ((W @ v) * self._signs[:self._k]) @ W
 
     def norm_estimate(self) -> float:
+        """||B||_2, exact up to rounding (see the module docstring); cached until an update."""
         if self._norm_cache is None:
-            if not self._factors:
+            if self._k == 0:
                 self._norm_cache = 1.0
             else:
-                self._norm_cache = max(_power_norm(self.apply, self.n), 1e-12)
+                Q = np.linalg.qr(self._rows[:self._k].T)[0]
+                BQ = np.column_stack([self.apply(q) for q in Q.T])
+                H = Q.T @ BQ
+                eig = np.linalg.eigvalsh(0.5 * (H + H.T))
+                norm = float(np.max(np.abs(eig)))
+                if Q.shape[1] < self.n:
+                    norm = max(norm, 1.0)
+                self._norm_cache = max(norm, 1e-12)
         return self._norm_cache
 
     def update(self, s: np.ndarray, y: np.ndarray) -> bool:
@@ -67,9 +66,16 @@ class _FactoredOp:
         self.pairs.append((s.copy(), y.copy()))
         if len(self.pairs) > self.memory:
             self.pairs.popleft()
+        self._k = 0
         self._rebuild()
         self._norm_cache = None
         return True
+
+    def _push(self, v: np.ndarray, scale: float, sign: float) -> None:
+        """Append the factor v / scale with its sign as the next row of W."""
+        np.divide(v, scale, out=self._rows[self._k])
+        self._signs[self._k] = sign
+        self._k += 1
 
     def _accept(self, s, y) -> bool:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -83,7 +89,7 @@ class LBFGS(_FactoredOp):
 
     Update: B <- B - (B s)(B s)^T / (s.B s) + y y^T / (y.s), accepted only
     when y.s exceeds the curvature threshold, which keeps B positive
-    definite.
+    definite.  Each pair adds two rows to W.
     """
 
     def _accept(self, s, y) -> bool:
@@ -91,15 +97,14 @@ class LBFGS(_FactoredOp):
         return sy > CURVATURE_SKIP * np.linalg.norm(s) * np.linalg.norm(y)
 
     def _rebuild(self):
-        self._factors = []
         for s, y in self.pairs:
             bs = self.apply(s)
             sbs = float(s @ bs)
             sy = float(s @ y)
             if sbs <= 0.0 or sy <= 0.0:
                 continue
-            self._factors.append((bs / np.sqrt(sbs), -1.0))
-            self._factors.append((y / np.sqrt(sy), 1.0))
+            self._push(bs, np.sqrt(sbs), -1.0)
+            self._push(y, np.sqrt(sy), 1.0)
 
 
 class LSR1(_FactoredOp):
@@ -107,6 +112,7 @@ class LSR1(_FactoredOp):
 
     Updates whose denominator is too small relative to ||r|| ||s|| are
     skipped to keep the product well defined; the operator may be indefinite.
+    Each pair adds at most one row to W.
     """
 
     def _accept(self, s, y) -> bool:
@@ -115,13 +121,12 @@ class LSR1(_FactoredOp):
         return abs(rs) > CURVATURE_SKIP * np.linalg.norm(r) * np.linalg.norm(s)
 
     def _rebuild(self):
-        self._factors = []
         for s, y in self.pairs:
             r = y - self.apply(s)
             rs = float(r @ s)
             if abs(rs) <= CURVATURE_SKIP * np.linalg.norm(r) * np.linalg.norm(s) or rs == 0.0:
                 continue
-            self._factors.append((r / np.sqrt(abs(rs)), 1.0 if rs > 0 else -1.0))
+            self._push(r, np.sqrt(abs(rs)), 1.0 if rs > 0 else -1.0)
 
 
 class SpectralDiag:

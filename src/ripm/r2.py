@@ -65,8 +65,9 @@ def r2_solve(smooth, reg, box: Box, x0, opts: R2Options | None = None,
 
     try:
         fx, hx, gx = evaluate_start(smooth, reg, x, trace)
+        step_box = box.shifted(x)  # the steps from x; rewritten in place as x moves
         for _ in range(opts.max_iter):
-            s = reg.prox_shifted(sigma, -gx / sigma, x, box.shifted(x))
+            s = reg.prox_shifted(sigma, -gx / sigma, x, step_box)
             n_prox += 1
             xi = hx - float(gx @ s) - reg.value(x + s)
             xi = max(xi, 0.0)
@@ -84,6 +85,8 @@ def r2_solve(smooth, reg, box: Box, x0, opts: R2Options | None = None,
                          "s_norm2": float(np.linalg.norm(s)), "accepted": bool(rho >= ETA1)})
             if rho >= ETA1:
                 x, fx, hx = x_trial, f_trial, h_trial
+                np.subtract(box.lo, x, out=step_box.lo)
+                np.subtract(box.hi, x, out=step_box.hi)
                 gx = smooth.grad(x)
                 trace.append((smooth.n_grad, fx + hx))
                 if rho >= ETA2:

@@ -88,11 +88,18 @@ class Regularizer:
             self.weights = np.asarray(self.weights, dtype=float)
             if np.any(self.weights < 0):
                 raise ValueError("weights must be nonnegative")
+        self._lam_full = ((None, None), None)  # ((n, lam), read-only np.full(n, lam))
 
     def lam_per_component(self, n: int) -> np.ndarray:
-        if self.weights is None:
-            return np.full(n, self.lam)
-        return self.lam * self.weights
+        """Per-component weights lam * w_i; without weights, a cached read-only array."""
+        if self.weights is not None:
+            return self.lam * self.weights
+        key, full = self._lam_full
+        if key != (n, self.lam):
+            full = np.full(n, self.lam)
+            full.flags.writeable = False
+            self._lam_full = ((n, self.lam), full)
+        return full
 
     def value(self, x: np.ndarray) -> float:
         if self.kind == ZERO or self.lam == 0.0:

@@ -183,3 +183,62 @@ def test_norm_estimate_example_values():
     op.update(np.ones(3), np.full(3, 7.0))
     assert op.norm_estimate() == pytest.approx(7.0)
     assert LBFGS(3).norm_estimate() == pytest.approx(1.0)
+
+
+def _exact_norm_case(op, pairs, dense):
+    for s, y in pairs:
+        op.update(s, y)
+    B = dense(list(op.pairs), op.n)
+    assert op.norm_estimate() == pytest.approx(np.linalg.norm(B, 2), rel=1e-10)
+    return B
+
+
+@pytest.mark.parametrize("kind", ["lbfgs", "lsr1"])
+def test_norm_estimate_is_exact(kind):
+    rng = np.random.default_rng(8)
+    n = 6
+    dense = dense_bfgs if kind == "lbfgs" else dense_sr1
+    for _ in range(5):
+        pairs = [(rng.standard_normal(n), 3.0 * rng.standard_normal(n)) for _ in range(4)]
+        _exact_norm_case(OPERATORS[kind](n), pairs, dense)
+
+
+def test_norm_estimate_exact_with_more_rows_than_dimensions():
+    rng = np.random.default_rng(9)
+    n = 3
+    A = _spd_matrix(rng, n)
+    op = LBFGS(n, memory=5)
+    _exact_norm_case(op, [(s, A @ s) for s in rng.standard_normal((5, n))], dense_bfgs)
+    assert op._k == 10  # ten rows of W in three dimensions
+
+
+def test_norm_estimate_exact_with_rank_deficient_factors():
+    rng = np.random.default_rng(10)
+    n = 6
+    A = _spd_matrix(rng, n)
+    s, t = rng.standard_normal((2, n))
+    op = LBFGS(n, memory=5)
+    # the repeated pair adds rows B s = y and y again, so W has dependent rows
+    _exact_norm_case(op, [(s, A @ s), (t, A @ t), (s, A @ s)], dense_bfgs)
+    assert np.linalg.matrix_rank(op._rows[:op._k]) < op._k
+
+
+def test_norm_estimate_exact_when_the_largest_eigenvalue_is_negative():
+    rng = np.random.default_rng(11)
+    n = 6
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    A = Q @ np.diag([-9.0, 3.0, 2.0, 1.0, 0.5, -1.0]) @ Q.T
+    B = _exact_norm_case(LSR1(n, memory=10), [(s, A @ s) for s in rng.standard_normal((4, n))],
+                         dense_sr1)
+    eig = np.linalg.eigvalsh(B)
+    assert -eig[0] > max(eig[-1], 1.0)
+
+
+def test_norm_estimate_exact_when_the_identity_part_dominates():
+    # B is 0.1 I on the span of the two rows of W and the identity elsewhere
+    rng = np.random.default_rng(12)
+    n = 6
+    op = LSR1(n, memory=5)
+    _exact_norm_case(op, [(s, 0.1 * s) for s in rng.standard_normal((2, n))], dense_sr1)
+    assert op._k == 2
+    assert op.norm_estimate() == pytest.approx(1.0, rel=1e-12)

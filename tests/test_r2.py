@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ripm.oracles import CallableOracle
+from ripm.oracles import CallableOracle, QuadModelOracle
 from ripm.r2 import R2Options, r2_solve
 from ripm.regprox import Box, Regularizer
 from ripm.report import CONVERGED, MAX_ITER
@@ -89,3 +89,66 @@ def test_relative_tolerance_scaling():
                    R2Options(abs_tol=0.0, rel_tol=1e-3))
     assert rep.termination == CONVERGED
     assert abs(rep.x[0] - 2.0) < 1e-2
+
+
+def _counted_product(M):
+    calls = []
+
+    def apply(s):
+        calls.append(s)
+        return M @ s
+    return apply, calls
+
+
+def _model_data():
+    rng = np.random.default_rng(12)
+    n = 5
+    M = rng.standard_normal((n, n))
+    return rng.standard_normal(n), M + M.T, rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("theta", [None, np.array([0.5, 1.0, 2.0, 0.25, 3.0])])
+def test_model_value_then_grad_makes_one_product(theta):
+    g, M, s = _model_data()
+    apply, calls = _counted_product(M)
+    model = QuadModelOracle(g, apply, theta)
+    val = model.value(s)
+    grad = model.grad(s)
+    assert len(calls) == 1
+    assert val == QuadModelOracle(g, lambda v: M @ v, theta).value(s)
+    assert np.array_equal(grad, QuadModelOracle(g, lambda v: M @ v, theta).grad(s))
+    # the reused product includes theta * s
+    bs = M @ s if theta is None else M @ s + theta * s
+    assert np.array_equal(grad, g + bs)
+
+
+def test_model_grad_at_an_equal_but_distinct_array_recomputes():
+    g, M, s = _model_data()
+    apply, calls = _counted_product(M)
+    model = QuadModelOracle(g, apply)
+    model.value(s)
+    grad = model.grad(s.copy())
+    assert len(calls) == 2
+    assert np.array_equal(grad, QuadModelOracle(g, lambda v: M @ v).grad(s))
+
+
+def test_r2_builds_one_step_box_and_leaves_the_callers_box(monkeypatch):
+    shifted = Box.shifted
+    calls = []
+
+    def counted(self, x):
+        calls.append(x)
+        return shifted(self, x)
+    monkeypatch.setattr(Box, "shifted", counted)
+    n = 6
+    c = np.random.default_rng(13).standard_normal(n)
+    d = np.linspace(0.2, 5.0, n)
+    oracle = CallableOracle(lambda x: 0.5 * float(d @ (x - c) ** 2), lambda x: d * (x - c))
+    bounds = Box(np.full(n, -0.5), np.full(n, 0.5))
+    lo, hi = bounds.lo.copy(), bounds.hi.copy()
+    for k in (1, 2):
+        rep = r2_solve(oracle, Regularizer("l1", 0.1), bounds, np.zeros(n),
+                       R2Options(abs_tol=1e-8, rel_tol=0.0))
+        assert sum(r["accepted"] for r in rep.diagnostics["iters"]) > 3
+        assert len(calls) == k
+        assert np.array_equal(bounds.lo, lo) and np.array_equal(bounds.hi, hi)

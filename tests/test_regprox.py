@@ -221,3 +221,13 @@ def test_prox_with_block_weights():
     s = _prox_at_zero(h, 1.0, np.array([2.0, 2.0]), box)
     assert s[0] == pytest.approx(2.0)
     assert s[1] == pytest.approx(1.0)
+
+
+def test_lam_per_component_follows_n_and_lam():
+    h = Regularizer("l1", 0.5)
+    lam = h.lam_per_component(3)
+    assert np.array_equal(lam, np.full(3, 0.5)) and not lam.flags.writeable
+    assert h.lam_per_component(3) is lam
+    assert np.array_equal(h.lam_per_component(4), np.full(4, 0.5))
+    h.lam = 2.0
+    assert np.array_equal(h.lam_per_component(4), np.full(4, 2.0))
