@@ -3,8 +3,8 @@ optimization, projected-direction baselines, benchmark problems, and a CLI
 harness."""
 
 from .errors import BoundaryPoint, BudgetExhausted, EmptyBox, OracleFailure
-from .interior import (BarrierTerms, DualEstimate, IpmOptions, barrier_grad, barrier_value,
-                       crossover, dual_update, inner_solve, kkt_residuals, outer_solve)
+from .interior import (BarrierTerms, DualEstimate, IpmOptions, barrier_value, crossover,
+                       dual_update, inner_solve, outer_solve)
 from .oracles import CallableOracle, QuadModelOracle, SmoothOracle
 from .qnops import LBFGS, LSR1, SpectralDiag
 from .r2 import R2Options, r2_solve
@@ -16,8 +16,8 @@ from .trust_region import (ShiftedBounds, TrustRegionOptions, first_order_step, 
 
 __all__ = [
     "BoundaryPoint", "BudgetExhausted", "EmptyBox", "OracleFailure", "BarrierTerms",
-    "DualEstimate", "IpmOptions", "barrier_grad", "barrier_value", "crossover",
-    "dual_update", "inner_solve", "kkt_residuals", "outer_solve", "CallableOracle",
+    "DualEstimate", "IpmOptions", "barrier_value", "crossover", "dual_update",
+    "inner_solve", "outer_solve", "CallableOracle",
     "QuadModelOracle", "SmoothOracle", "LBFGS", "LSR1", "SpectralDiag",
     "R2Options", "r2_solve", "Box", "Regularizer", "ShiftedRegularizer",
     "fraction_to_boundary_box", "intersect_boxes", "iprox_shifted", "SolverReport",

@@ -25,8 +25,8 @@ primal one for l0, the Lagrangian one for a convex h.
 CLI: ``run <config.json> [--output-dir DIR]`` solves, writes reports.json,
 table.txt and one trace_<solver>.csv per solver to DIR (default: the
 config's output_dir) and prints the table; ``table <results-dir>`` prints
-the table of saved results.  Exit codes: 0 ok, 1 config error, 2 when any
-solver failed hard.
+the table of saved results.  Exit codes: 0 ok, 1 config error or an output
+directory that cannot be written, 2 when any solver failed hard.
 
 Run with BLAS on one thread (``OPENBLAS_NUM_THREADS=1``): on qp at
 `problems.PAPER_SCALE`, a second OpenBLAS thread doubles the CPU time of
@@ -101,12 +101,19 @@ def solver_options(name: str, problem: str, overrides: dict):
     """Options object and operator factory n -> B of solver `name` on a `problem` family.
 
     ``overrides`` replace the harness defaults: the relative tolerance of
-    PROBLEM_EPS_R and mu_init and eps_ri of the -p variants.
+    PROBLEM_EPS_R and mu_init and eps_ri of the -p variants.  Each is a finite
+    int or float, above 0 for mu_init and at least 0 for the tolerances.
     """
     unknown = sorted(k for k in overrides if k not in SOLVER_OPTIONS[name])
     if unknown:
         raise ConfigError(f"{name} reads no option {', '.join(map(repr, unknown))}; "
                           f"it reads {', '.join(sorted(SOLVER_OPTIONS[name]))}")
+    for key, value in overrides.items():
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (number and abs(value) <= sys.float_info.max  # False for inf and NaN
+                and (value > 0 if key == "mu_init" else value >= 0)):
+            raise ConfigError(f"{name} option {key!r} must be a finite number "
+                              f"{'> 0' if key == 'mu_init' else '>= 0'}, not {value!r}")
     barrier = name.startswith("RIPM")
     o = {}
     if problem in PROBLEM_EPS_R:
@@ -262,11 +269,16 @@ def main(argv=None) -> int:
         out_dir = args.output_dir or config.output_dir
         if out_dir is None:
             out_dir = f"results/{raw.get('name', 'run')}-{int(time.time())}"
+        Path(out_dir).mkdir(parents=True, exist_ok=True)  # a bad directory fails before a solve
         instance, reports = run_config(config)
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    save_results(config, instance, reports, out_dir)
+    try:
+        save_results(config, instance, reports, out_dir)
+    except OSError as exc:
+        print(f"cannot save results: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     sys.stdout.write(emit_table(reports))
     return 2 if any(r.termination == ORACLE_FAILURE for r in reports) else 0
 

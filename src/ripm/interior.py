@@ -21,8 +21,7 @@ stops at eps_k = mu_k ** EPS_EXPONENT; DELTA0_FACTOR gives its first radius
 Delta_{k,0} = 1000 mu_k; DELTA_FRAC is the fraction-to-boundary parameter tau;
 KAPPA_BAR caps Theta; KAPPA_ZUL and KAPPA_ZUU (kappa_zl, kappa_zu) bound the
 dual safeguard interval; INNER_CAP and MAX_OUTER cap the inner iterations of a
-stage and the stages; a stage whose f + phi + h drops below OBJECTIVE_FLOOR
-ends as unbounded; EPS_A (epsilon_a) is the absolute part of the global
+stage and the stages; EPS_A (epsilon_a) is the absolute part of the global
 tolerance of `outer_solve`.  The trust-region constants are those of
 `trust_region`.
 """
@@ -38,7 +37,7 @@ from .errors import BoundaryPoint, BudgetExhausted
 # which wraps them in this module; the trust-region loop calls them from trust_region
 from .r2 import r2_solve  # noqa: F401
 from .regprox import L0, Box, fraction_to_boundary_box, intersect_boxes  # noqa: F401
-from .report import CONVERGED, MAX_ITER, UNBOUNDED, SolverReport, evaluate_start, make_report
+from .report import CONVERGED, MAX_ITER, SolverReport, evaluate_start, make_report
 from .trust_region import DELTA_MAX, InnerResult, tr_iterate
 
 MODE_CP = "cp"
@@ -56,7 +55,6 @@ KAPPA_ZUL = 0.5
 KAPPA_ZUU = 1e10
 INNER_CAP = 200
 MAX_OUTER = 30
-OBJECTIVE_FLOOR = -1e30
 EPS_A = 1e-4
 
 
@@ -105,25 +103,10 @@ def barrier_value(mu: float, x, bounds: Box) -> float:
     return val
 
 
-def barrier_grad(mu: float, x, bounds: Box) -> np.ndarray:
-    """Gradient -mu/(x-lo) + mu/(hi-x), terms dropped at infinite bounds."""
-    ml, gl, mu_, gu = _gaps(x, bounds)
-    if not _interior(gl, gu):
-        raise BoundaryPoint("barrier gradient needs a strictly interior point")
-    return np.where(ml, -mu / gl, 0.0) + np.where(mu_, mu / gu, 0.0)
-
-
 def _compl_residual(zl, zu, gl, gu, ml, mu_, mu: float) -> float:
     """Euclidean norm of gap*z - mu stacked over all finite bound sides."""
     acc = float(np.sum((gl[ml] * zl[ml] - mu) ** 2)) + float(np.sum((gu[mu_] * zu[mu_] - mu) ** 2))
     return float(np.sqrt(acc))
-
-
-def _max_gap_times_z(x, z: DualEstimate, bounds: Box) -> float:
-    """Largest complementarity product gap * z over the finite bound sides."""
-    ml, gl, mu_, gu = _gaps(x, bounds)
-    return float(max(np.max(gl[ml] * z.zl[ml], initial=0.0),
-                     np.max(gu[mu_] * z.zu[mu_], initial=0.0)))
 
 
 def dual_update(x_new, x_old, z_old: DualEstimate, s, mu, bounds: Box) -> DualEstimate:
@@ -180,31 +163,6 @@ def crossover(x, z: DualEstimate, mu_final: float, bounds: Box):
     return x, DualEstimate(zl, zu)
 
 
-def kkt_residuals(x, z: DualEstimate, smooth, h, bounds: Box):
-    """Diagnostic (eps_p, eps_d): complementarity products and dual distance.
-
-    eps_p is the largest gap * z product over bounded sides; eps_d is the
-    Euclidean distance from -(grad f - zl + zu) to the subdifferential of h
-    at x, computed in closed form per component.
-    """
-    v = -(smooth.grad(x) - z.zl + z.zu)
-    return _max_gap_times_z(x, z, bounds), _dist_to_subdifferential(v, x, h)
-
-
-def _dist_to_subdifferential(v, x, h) -> float:
-    if h.kind == "zero" or h.lam == 0.0:
-        return float(np.linalg.norm(v))
-    lam = h.lam_per_component(x.size)
-    if h.kind == "l1":
-        at_zero = x == 0.0
-        d = np.where(at_zero,
-                     np.maximum(np.abs(v) - lam, 0.0),
-                     v - lam * np.sign(x))
-        return float(np.linalg.norm(d))
-    # l0: subdifferential is {w : w_i = 0 if x_i != 0}, free elsewhere
-    return float(np.linalg.norm(v[x != 0.0]))
-
-
 class BarrierTerms:
     """Constraint object of a barrier subproblem for `trust_region.tr_iterate`.
 
@@ -217,11 +175,13 @@ class BarrierTerms:
 
     def __init__(self, bounds: Box, mu: float, z: DualEstimate, mode: str):
         self.bounds, self.mu, self.z, self.mode = bounds, mu, z, mode
-        self.floor = OBJECTIVE_FLOOR
 
     def at(self, x, gx):
-        g_phi = barrier_grad(self.mu, x, self.bounds)  # raises unless x is interior
         ml, gl, mu_, gu = _gaps(x, self.bounds)
+        if not _interior(gl, gu):
+            raise BoundaryPoint("barrier gradient needs a strictly interior point")
+        # the barrier gradient -mu/(x-lo) + mu/(hi-x), terms dropped at infinite bounds
+        g_phi = np.where(ml, -self.mu / gl, 0.0) + np.where(mu_, self.mu / gu, 0.0)
         zl, zu = self.z.zl, self.z.zu
         theta = (np.where(ml, np.minimum(zl / gl, KAPPA_BAR), 0.0)
                  + np.where(mu_, np.minimum(zu / gu, KAPPA_BAR), 0.0))
@@ -245,31 +205,28 @@ class BarrierTerms:
         self.z = dual_update(x_t, x, self.z, s, self.mu, self.bounds)
 
 
-def inner_solve(smooth, h, bounds: Box, qn, x0, z0: DualEstimate, mu: float, *,
-                eps_d_abs: float | None = None, eps_d_rel: float = 0.0,
-                eps_p: float | None = None, delta0: float | None = None, mode: str = MODE_CP,
-                trace: list | None = None, records: list | None = None,
-                warm=None) -> InnerResult:
-    """Approximately minimize f + phi_mu + h from a strictly interior x0.
+def measure_mode(h) -> str:
+    """The primal measure for the nonconvex l0 penalty; the Lagrangian one needs a convex h."""
+    return MODE_CP if h.kind == L0 else MODE_LAGRANGIAN
 
-    Stops when the mode's criticality measure sqrt(xi/nu) falls below
-    eps_d_abs + eps_d_rel * (measure at entry) and the perturbed
-    complementarity residual falls below eps_p (both eps_k = mu**EPS_EXPONENT
-    by default), or after INNER_CAP iterations.  ``mode`` picks the measure,
-    MODE_CP or MODE_LAGRANGIAN.  ``warm`` may carry (f, h, grad) at x0 to
-    avoid re-evaluation across stages.  Accepted points extend ``trace`` and every iteration
-    extends ``records`` (see `trust_region.tr_iterate`).
+
+def inner_solve(smooth, h, bounds: Box, qn, x, fx: float, hx: float, gx, z: DualEstimate,
+                mu: float, eps_d_rel: float, trace: list, records: list) -> InnerResult:
+    """Approximately minimize f + phi_mu + h from a strictly interior x.
+
+    f(x), h(x), grad f(x) and the dual estimate z at x are given.  The stage
+    starts at radius min(DELTA0_FACTOR * mu, DELTA_MAX) and ends with "tol"
+    once the measure of `measure_mode` falls below eps_k + eps_d_rel *
+    (measure at entry) and the complementarity residual below eps_k =
+    mu**EPS_EXPONENT, with "budget" when the evaluation budget runs out, or
+    with "cap" after INNER_CAP iterations.  Accepted points extend ``trace``
+    and every iteration extends ``records`` (see `trust_region.tr_iterate`).
     """
-    trace = [] if trace is None else trace
-    x = np.array(x0, dtype=float)
     eps_k = mu**EPS_EXPONENT
-    fx, hx, gx = warm if warm is not None else evaluate_start(smooth, h, x, trace)
-    delta = min(DELTA0_FACTOR * mu if delta0 is None else delta0, DELTA_MAX)
     return tr_iterate(
-        smooth, h, BarrierTerms(bounds, mu, z0, mode), qn, x, fx, hx, gx, delta,
-        max_iter=INNER_CAP, abs_tol=eps_k if eps_d_abs is None else eps_d_abs, rel_tol=eps_d_rel,
-        eps_p=eps_k if eps_p is None else eps_p, trace=trace,
-        records=[] if records is None else records)
+        smooth, h, BarrierTerms(bounds, mu, z, measure_mode(h)), qn, x, fx, hx, gx,
+        min(DELTA0_FACTOR * mu, DELTA_MAX), max_iter=INNER_CAP, abs_tol=eps_k,
+        rel_tol=eps_d_rel, eps_p=eps_k, trace=trace, records=records)
 
 
 def outer_solve(smooth, h, bounds: Box, qn_factory, x0, opts: IpmOptions | None = None,
@@ -288,27 +245,19 @@ def outer_solve(smooth, h, bounds: Box, qn_factory, x0, opts: IpmOptions | None 
     if not np.isfinite(barrier_value(opts.mu_init, x, bounds)):
         raise BoundaryPoint("outer solve requires a strictly interior start")
 
-    # the Lagrangian measure assumes a convex h
-    mode = MODE_CP if h.kind == L0 else MODE_LAGRANGIAN
     qn = qn_factory(x.size)
     trace: list = []
     records: list = []
-    n_prox = 0
     z = DualEstimate.ones_for(bounds)
-    status = MAX_ITER
-    res = None
-    mu = opts.mu_init
-    mu_last = mu
-    eps_glob = None
-    fx = np.inf
-    hx = 0.0
-    stages = 0
+    status, res, eps_glob, n_prox, stages = MAX_ITER, None, None, 0, 0
+    mu = mu_last = opts.mu_init
+    fx, hx = np.inf, 0.0
 
     try:
         fx, hx, gx = evaluate_start(smooth, h, x, trace)
         for k in range(MAX_OUTER):
-            res = inner_solve(smooth, h, bounds, qn, x, z, mu, eps_d_rel=opts.eps_ri,
-                              mode=mode, trace=trace, records=records, warm=(fx, hx, gx))
+            res = inner_solve(smooth, h, bounds, qn, x, fx, hx, gx, z, mu, opts.eps_ri,
+                              trace, records)
             x, z, fx, hx, gx = res.x, res.z, res.fx, res.hx, res.gx
             n_prox += res.n_prox
             mu_last = mu
@@ -327,9 +276,6 @@ def outer_solve(smooth, h, bounds: Box, qn_factory, x0, opts: IpmOptions | None 
     except BudgetExhausted:
         pass
 
-    if res is not None and res.status == "unbounded" and status != CONVERGED:
-        status = UNBOUNDED
-
     x_cross, z_cross = crossover(x, z, mu_last, bounds)
     cross_info = {"mu": mu_last, "applied": False}
     try:
@@ -337,10 +283,10 @@ def outer_solve(smooth, h, bounds: Box, qn_factory, x0, opts: IpmOptions | None 
             fx, hx = smooth.value(x_cross), h.value(x_cross)
         x, z = x_cross, z_cross
         trace.append((smooth.n_grad, fx + hx))
-        cross_info.update(applied=True, max_gap_times_z=_max_gap_times_z(x, z, bounds))
+        cross_info["applied"] = True
     except BudgetExhausted:
         pass  # keep the pre-crossover point so report and x stay consistent
 
     return make_report(solver_name, smooth, h, x, fx, hx, res.crit if res else np.inf, n_prox,
                        t0, status, trace, {"inner": records, "crossover": cross_info,
-                                           "mode": mode, "stages": stages}, z=z)
+                                           "mode": measure_mode(h), "stages": stages}, z=z)

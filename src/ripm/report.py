@@ -8,7 +8,6 @@ import numpy as np
 
 CONVERGED = "converged"
 MAX_ITER = "max_iter"
-UNBOUNDED = "unbounded"
 ORACLE_FAILURE = "oracle_failure"
 
 

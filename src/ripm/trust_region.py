@@ -85,7 +85,6 @@ class ShiftedBounds:
 
     mu = 0.0
     z = None
-    floor = -np.inf
     records_exits = False
 
     def __init__(self, bounds: Box):
@@ -115,7 +114,7 @@ class ShiftedBounds:
 
 @dataclass
 class InnerResult:
-    """Outcome of `tr_iterate`; status is "tol", "cap", "unbounded" or "budget"."""
+    """Outcome of `tr_iterate`; status is "tol", "cap" or "budget"."""
 
     x: np.ndarray
     z: object
@@ -126,7 +125,6 @@ class InnerResult:
     compl: float
     measure0: float
     status: str
-    accepted: int
     n_prox: int
 
 
@@ -136,11 +134,10 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
     """Minimize f + phi + h from x, where f(x), h(x) and grad f(x) are given.
 
     ``cons`` supplies the constraint terms through the methods of
-    `ShiftedBounds` and the attributes mu, z (returned), floor and
-    records_exits.  The loop stops with "tol" once the measure falls below
-    abs_tol + rel_tol * (measure at entry) and the complementarity residual
-    below eps_p, with "unbounded" when f + phi + h drops below ``cons.floor``,
-    with "budget" when the evaluation budget runs out, and with "cap" after
+    `ShiftedBounds` and the attributes mu, z (returned) and records_exits.
+    The loop stops with "tol" once the measure falls below abs_tol + rel_tol *
+    (measure at entry) and the complementarity residual below eps_p, with
+    "budget" when the evaluation budget runs out, and with "cap" after
     ``max_iter`` steps, measuring once more at the final point.  Accepted
     points append (n_grad, f + h) to ``trace``.
 
@@ -157,13 +154,13 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
     - crit: sqrt(xi_meas / nu); compl: complementarity residual (0 without barrier);
     - obj_before, obj_after: f + phi + h at x and at an accepted trial (else NaN);
     - rho: ratio of actual to model decrease (NaN if no trial, 0 on a zero step);
-    - accepted; exit: "tol", "unbounded" or None;
+    - accepted; exit: "tol" or None;
     - s_inf: ||s||_inf of the model step; cap_inf: its cap min(Delta, beta ||s1||_inf).
     """
     n = x.size
     phi = cons.phi(x)
     sub_opts = R2Options(max_iter=SUBSOLVER_MAX_ITER, abs_tol=0.0, rel_tol=SUBSOLVER_REL_TOL)
-    n_prox = accepted = 0
+    n_prox = 0
     crit, compl, crit0 = np.inf, np.inf, None
     status = "cap"
     try:
@@ -192,9 +189,6 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
                    "exit": None, "s_inf": 0.0, "cap_inf": np.nan}
             if crit <= abs_tol + rel_tol * crit0 and compl <= eps_p:
                 status = "tol"
-            elif obj < cons.floor:
-                status = "unbounded"
-            if status != "cap":
                 if cons.records_exits:
                     rec["exit"] = status
                     records.append(rec)
@@ -231,7 +225,6 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
                 qn.update(step, g_new - gx)
                 gx = g_new
                 trace.append((smooth.n_grad, fx + hx))
-                accepted += 1
                 rec["obj_after"] = fx + phi + hx
             records.append(rec)
             delta = new_delta
@@ -239,7 +232,7 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
         status = "budget"
 
     return InnerResult(x=x, z=cons.z, fx=fx, hx=hx, gx=gx, crit=crit, compl=compl,
-                       measure0=crit0, status=status, accepted=accepted, n_prox=n_prox)
+                       measure0=crit0, status=status, n_prox=n_prox)
 
 
 def tr_solve(smooth, h, bounds: Box, qn, x0, opts: TrustRegionOptions | None = None,

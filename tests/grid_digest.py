@@ -6,7 +6,8 @@ Run from the root of a source checkout:
 
 Each solve prints one line, the repr of (family, seed, solver, budget, n_f,
 n_grad, n_prox, f, h/lambda, termination, criticality, sum of x); the last
-line is the sha256 of all of them.  Two checkouts that print the same digest
+line is the sha256 of all of them, followed by whether it matches EXPECTED;
+on a mismatch the script exits 1.  Two checkouts that print the same digest
 behave the same, bit for bit, on the grid:
 
 - bpdn, seeds 0-5, every solver, budget 1000;
@@ -28,6 +29,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from ripm import bench, problems  # noqa: E402
 
+# the digest of the grid at the last change that moved a counter or a final value
+EXPECTED = "17d04ba3c07134b2bd2d51007360cbc34268000f8502fd57cfd4f1782c881c1a"
 ALL = bench.SOLVER_NAMES
 GRID = ([("bpdn", seed, {}, ALL, 1000) for seed in range(6)]
         + [("qp", 0, {}, ALL, 200), ("nnmf", 0, {}, ALL, 200),
@@ -35,7 +38,7 @@ GRID = ([("bpdn", seed, {}, ALL, 1000) for seed in range(6)]
            ("qp", 0, problems.PAPER_SCALE["qp"], ALL, 30)])
 
 
-def main() -> None:
+def main() -> int:
     digest = hashlib.sha256()
     for family, seed, params, solvers, budget in GRID:
         instance = problems.build(family, seed, **params)
@@ -45,8 +48,14 @@ def main() -> None:
                          rep.h_over_lam, rep.termination, rep.criticality, float(rep.x.sum())))
             print(line, flush=True)
             digest.update(line.encode() + b"\n")
-    print(digest.hexdigest())
+    got = digest.hexdigest()
+    print(got)
+    if got != EXPECTED:
+        print(f"digest mismatch: got {got}, expected {EXPECTED}")
+        return 1
+    print("digest matches EXPECTED")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -188,7 +188,10 @@ def test_override_replaces_harness_default(name, overrides):
     ("TR-R2", {"qn": "spectral"}), ("R2", {"sigma_init": 1.0}),
     # tolerances and an operator that no caller sets to a second value
     ("R2", {"abs_tol": 1e-6}), ("TR-R2", {"abs_tol": 1e-6}), ("RIPM-R2", {"eps_a": 1e-6}),
-    ("TR-R2", {"qn": "lbfgs"}), ("RIPM-R2", {"qn": "lsr1"})])
+    ("TR-R2", {"qn": "lbfgs"}), ("RIPM-R2", {"qn": "lsr1"}),
+    # values outside an option's range, of the wrong type, or not finite
+    ("RIPM-R2", {"mu_init": -1.0}), ("RIPM-R2", {"mu_init": 0.0}), ("RIPM-R2", {"mu_init": "1"}),
+    ("R2", {"rel_tol": -1.0}), ("TR-R2", {"rel_tol": None}), ("RIPMDH", {"eps_ri": float("nan")})])
 def test_rejected_option_is_a_config_error(name, overrides):
     with pytest.raises(ConfigError):
         run_config(_tiny_config(solvers=[{"name": name, "options": overrides}]))
@@ -239,10 +242,29 @@ def _write_reports_with_old_keys(path):
 
 
 @pytest.mark.parametrize("case", ["table_missing", "table_old_keys", "budget", "solver_entry",
-                                  "options_list", "problem_string"])
-def test_cli_malformed_input_exits_1(tmp_path, capsys, case):
+                                  "options_list", "problem_string", "output_dir_is_a_file",
+                                  "output_dir_under_a_file", "reports_json_is_a_directory"])
+def test_cli_malformed_input_exits_1(tmp_path, capsys, monkeypatch, case):
     results = tmp_path / "results"
-    if case == "table_missing":
+    solved = []
+    real = bench.run_solver
+
+    def counted(name, *args):
+        solved.append(name)
+        return real(name, *args)
+
+    monkeypatch.setattr(bench, "run_solver", counted)
+    if case in ("output_dir_is_a_file", "output_dir_under_a_file",
+                "reports_json_is_a_directory"):
+        (tmp_path / "file").write_text("")
+        out = {"output_dir_is_a_file": tmp_path / "file",
+               "output_dir_under_a_file": tmp_path / "file" / "sub",
+               "reports_json_is_a_directory": results}[case]
+        (results / "reports.json").mkdir(parents=True)  # save_results cannot write it
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_tiny_config(solvers=[{"name": "R2"}])))
+        argv = ["run", str(cfg_path), "--output-dir", str(out)]
+    elif case == "table_missing":
         argv = ["table", str(results)]
     elif case == "table_old_keys":
         _write_reports_with_old_keys(results)
@@ -259,6 +281,8 @@ def test_cli_malformed_input_exits_1(tmp_path, capsys, case):
         argv = ["run", str(cfg_path)]
     assert main(argv) == 1
     assert capsys.readouterr().err
+    # a bad output directory is found before the first solve
+    assert solved == (["R2"] if case == "reports_json_is_a_directory" else [])
 
 
 def test_solver_hard_failure_recorded(tmp_path, monkeypatch):

@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 
 from ripm import interior
 from ripm.errors import BoundaryPoint
-from ripm.interior import (DualEstimate, barrier_grad, barrier_value, crossover, dual_update,
-                           inner_solve, kkt_residuals, outer_solve)
+from ripm.interior import (BarrierTerms, DualEstimate, barrier_value, crossover, dual_update,
+                           inner_solve, outer_solve)
 from ripm.oracles import CallableOracle
 from ripm.qnops import LBFGS, SpectralDiag
-from ripm.regprox import Box, Regularizer, fraction_to_boundary_box, intersect_boxes
-from ripm.report import CONVERGED
-from ripm.trust_region import first_order_step
+from ripm.regprox import Box, Regularizer, intersect_boxes
+from ripm.report import CONVERGED, evaluate_start
+from ripm.trust_region import DELTA_MAX, first_order_step, tr_iterate
 
 from helpers import bisect_root, grid_min_1d
 
@@ -52,46 +52,51 @@ def test_barrier_value_two_sided():
     assert v == pytest.approx(-1.5 * (np.log(0.5) + np.log(1.5)))
 
 
+def _barrier_grad(mu, x, bounds):
+    """The barrier gradient: the model gradient of `BarrierTerms.at` where grad f = 0."""
+    terms = BarrierTerms(bounds, mu, DualEstimate.ones_for(bounds), "cp")
+    return terms.at(x, np.zeros(x.size))[0]
+
+
 def test_barrier_grad_examples():
-    assert barrier_grad(1.0, np.array([1.0]), POS)[0] == pytest.approx(-1.0)
-    assert barrier_grad(1.0, np.array([1.0]), _box1(0.0, 2.0))[0] == pytest.approx(0.0)
-    g = barrier_grad(3.0, np.array([0.5, 2.0]), Box(np.zeros(2), np.full(2, np.inf)))
+    assert _barrier_grad(1.0, np.array([1.0]), POS)[0] == pytest.approx(-1.0)
+    assert _barrier_grad(1.0, np.array([1.0]), _box1(0.0, 2.0))[0] == pytest.approx(0.0)
+    g = _barrier_grad(3.0, np.array([0.5, 2.0]), Box(np.zeros(2), np.full(2, np.inf)))
     assert np.allclose(g, [-6.0, -1.5])
     with pytest.raises(BoundaryPoint):
-        barrier_grad(1.0, np.array([0.0]), POS)
+        _barrier_grad(1.0, np.array([0.0]), POS)
 
 
 # ---------------------------------------------------------------------------
 # first-order steps and measures
 
 
-def _barrier_step(x, mu, nu, delta, delta_frac, smooth, h, bounds, z=None):
+def _barrier_step(x, mu, nu, delta, smooth, h, bounds, z=None):
     """First-order step of the barrier model as the inner loop takes it.
 
-    Without ``z`` this is the Cauchy step s1 of the primal measure, with
-    gradient grad f + grad phi; with ``z`` it is the step of the Lagrangian
-    measure, with gradient grad f - zl + zu.
+    The gradients and the fraction-to-boundary box (at DELTA_FRAC) come from
+    `BarrierTerms.at`.  Without ``z`` this is the Cauchy step s1 of the
+    primal measure, with gradient grad f + grad phi; with ``z`` it is the
+    step of the Lagrangian measure, with gradient grad f - zl + zu.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    g_phi = barrier_grad(mu, x, bounds)  # also checks that x is interior
-    g = smooth.grad(x) + g_phi if z is None else smooth.grad(x) - z.zl + z.zu
-    box = intersect_boxes(Box.ball(x.size, delta),
-                          fraction_to_boundary_box(x, delta_frac, bounds))
-    return first_order_step(h, x, h.value(x), g, nu, box)
+    z_at = DualEstimate.ones_for(bounds) if z is None else z
+    terms = BarrierTerms(bounds, mu, z_at, "cp" if z is None else "lagrangian")
+    g, _, box, g_meas, _ = terms.at(x, smooth.grad(x))
+    return first_order_step(h, x, h.value(x), g if z is None else g_meas, nu,
+                            intersect_boxes(Box.ball(x.size, delta), box))
 
 
 def test_cauchy_step_zero_at_barrier_stationary_point():
     # f = x^2/2: barrier stationarity x - mu/x = 0 holds at x = 1 for mu = 1
-    s1, xi = _barrier_step([1.0], 1.0, 0.1, 10.0, 0.01, _oracle_quad(0.0),
-                           Regularizer("zero"), POS)
+    s1, xi = _barrier_step([1.0], 1.0, 0.1, 10.0, _oracle_quad(0.0), Regularizer("zero"), POS)
     assert s1[0] == pytest.approx(0.0, abs=1e-15)
     assert xi == pytest.approx(0.0, abs=1e-15)
 
 
 def test_cauchy_step_moves_away_from_bound():
     nu = 1e-3
-    s1, xi = _barrier_step([1.0], 1.0, nu, 10.0, 0.01, _oracle_zero(),
-                           Regularizer("zero"), POS)
+    s1, xi = _barrier_step([1.0], 1.0, nu, 10.0, _oracle_zero(), Regularizer("zero"), POS)
     assert s1[0] == pytest.approx(nu, rel=1e-12)  # step nu * mu / x > 0
     assert xi == pytest.approx(nu, rel=1e-12)
 
@@ -99,10 +104,9 @@ def test_cauchy_step_moves_away_from_bound():
 def test_cauchy_step_grid_oracle():
     # model: g_eff s + s^2/(2 nu) over the step box, g_eff = (x-2) - mu/x
     x, mu, nu, delta = 0.8, 0.7, 0.2, 0.5
-    s1, xi = _barrier_step([x], mu, nu, delta, 0.05, _oracle_quad(2.0),
-                           Regularizer("zero"), POS)
+    s1, xi = _barrier_step([x], mu, nu, delta, _oracle_quad(2.0), Regularizer("zero"), POS)
     g_eff = (x - 2.0) - mu / x
-    lo = max(-delta, 0.05 * x - x)
+    lo = max(-delta, interior.DELTA_FRAC * x - x)
     sg, _ = grid_min_1d(lambda t: g_eff * t + t * t / (2 * nu), lo, delta, 1e-5)
     assert s1[0] == pytest.approx(sg, abs=1e-4)
     assert xi >= 0.5 / nu * s1[0] ** 2 - 1e-12
@@ -116,8 +120,8 @@ def test_xi_l_coincides_when_z_matches_barrier():
     z = DualEstimate(mu / x, np.zeros(4))
     smooth = _oracle_quad(1.5)
     h = Regularizer("l1", 0.2)
-    s_cp, xi_cp = _barrier_step(x, mu, 0.1, 1.0, 0.05, smooth, h, bounds)
-    s_l, xi_l_val = _barrier_step(x, mu, 0.1, 1.0, 0.05, smooth, h, bounds, z)
+    s_cp, xi_cp = _barrier_step(x, mu, 0.1, 1.0, smooth, h, bounds)
+    s_l, xi_l_val = _barrier_step(x, mu, 0.1, 1.0, smooth, h, bounds, z)
     assert np.allclose(s_cp, s_l, atol=1e-12)
     assert xi_cp == pytest.approx(xi_l_val, abs=1e-12)
 
@@ -125,8 +129,7 @@ def test_xi_l_coincides_when_z_matches_barrier():
 def test_xi_l_zero_at_kkt_point():
     # f = x, z = 1: Lagrangian gradient vanishes, so sL = 0 and xi = 0
     z = DualEstimate(np.array([1.0]), np.array([0.0]))
-    sL, xi = _barrier_step([1.0], 0.5, 1.0, 10.0, 0.01, _oracle_linear(), Regularizer("zero"),
-                            POS, z)
+    sL, xi = _barrier_step([1.0], 0.5, 1.0, 10.0, _oracle_linear(), Regularizer("zero"), POS, z)
     assert sL[0] == pytest.approx(0.0, abs=1e-15)
     assert xi == pytest.approx(0.0, abs=1e-15)
 
@@ -223,38 +226,17 @@ def test_crossover_two_sided_and_cleanup():
 
 
 # ---------------------------------------------------------------------------
-# KKT residual diagnostics
-
-
-def test_kkt_residuals_exact_point():
-    z = DualEstimate(np.array([1.0]), np.array([0.0]))
-    ep, ed = kkt_residuals(np.array([0.0]), z, _oracle_linear(), Regularizer("zero"), POS)
-    assert ep == 0.0 and ed == pytest.approx(0.0, abs=1e-15)
-
-
-def test_kkt_residuals_interior_stationary():
-    z = DualEstimate(np.array([0.0]), np.array([0.0]))
-    ep, ed = kkt_residuals(np.array([1.0]), z, _oracle_quad(1.0), Regularizer("zero"), POS)
-    assert ep == 0.0 and ed == pytest.approx(0.0, abs=1e-15)
-
-
-def test_kkt_residuals_l1_interval_distance():
-    # at x = 0 the l1 subdifferential is [-lam, lam]; distance from -1 is 0.5
-    z = DualEstimate(np.array([0.0]), np.array([0.0]))
-    ep, ed = kkt_residuals(np.array([0.0]), z, _oracle_linear(), Regularizer("l1", 0.5), POS)
-    assert ed == pytest.approx(0.5)
-
-
-def test_kkt_residuals_l0():
-    z = DualEstimate(np.array([0.0, 0.0]), np.zeros(2))
-    smooth = CallableOracle(lambda x: float(x[0] + 2 * x[1]), lambda x: np.array([1.0, 2.0]))
-    ep, ed = kkt_residuals(np.array([0.0, 1.0]), z, smooth, Regularizer("l0", 3.0),
-                           Box(np.zeros(2), np.full(2, np.inf)))
-    assert ed == pytest.approx(2.0)  # only the nonzero component contributes
-
-
-# ---------------------------------------------------------------------------
 # inner solve against analytic barrier stationary points
+
+
+def _stage(smooth, h, x0, z0, mu, qn, mode="cp", delta=100.0, tol=1e-9, records=None):
+    """One barrier stage through the solver's loop, to ``tol`` on both residuals."""
+    x0 = np.asarray(x0, dtype=float)
+    trace = []
+    fx, hx, gx = evaluate_start(smooth, h, x0, trace)
+    return tr_iterate(smooth, h, BarrierTerms(POS, mu, z0, mode), qn, x0, fx, hx, gx, delta,
+                      max_iter=interior.INNER_CAP, abs_tol=tol, rel_tol=0.0, eps_p=tol,
+                      trace=trace, records=[] if records is None else records)
 
 
 @pytest.mark.parametrize("step", ["diagonal", "r2"])
@@ -263,9 +245,8 @@ def test_inner_solve_quadratic_barrier_path(step, mu):
     # stationarity of 0.5 (x-2)^2 - mu log x:  x - 2 - mu / x = 0
     root = bisect_root(lambda t: t - 2.0 - mu / t, 1e-9, 10.0)
     qn = SpectralDiag(1) if step == "diagonal" else LBFGS(1)
-    res = inner_solve(_oracle_quad(2.0), Regularizer("zero"), POS, qn,
-                      np.array([1.0]), DualEstimate.ones_for(POS), mu,
-                      eps_d_abs=1e-9, eps_d_rel=0.0, eps_p=1e-9, delta0=100.0)
+    res = _stage(_oracle_quad(2.0), Regularizer("zero"), [1.0], DualEstimate.ones_for(POS), mu,
+                 qn)
     assert res.status == "tol"
     assert res.x[0] == pytest.approx(root, abs=1e-6)
     assert abs(res.x[0] * res.z.zl[0] - mu) <= 1e-9
@@ -275,10 +256,8 @@ def test_inner_solve_quadratic_barrier_path(step, mu):
 def test_inner_solve_l1_barrier_stationary_point(mode):
     # f = 0, h = lam |x|, x > 0: stationarity lam - mu / x = 0 -> x = mu / lam
     mu, lam = 0.5, 1.0
-    res = inner_solve(_oracle_zero(), Regularizer("l1", lam), POS, SpectralDiag(1),
-                      np.array([2.0]), DualEstimate.ones_for(POS), mu,
-                      eps_d_abs=1e-9, eps_d_rel=0.0, eps_p=1e-9, delta0=100.0,
-                      mode=mode)
+    res = _stage(_oracle_zero(), Regularizer("l1", lam), [2.0], DualEstimate.ones_for(POS), mu,
+                 SpectralDiag(1), mode)
     assert res.status == "tol"
     assert res.x[0] == pytest.approx(mu / lam, abs=1e-6)
 
@@ -288,18 +267,39 @@ def test_inner_solve_immediate_exit():
     root = bisect_root(lambda t: t - 2.0 - mu / t, 1e-9, 10.0)
     x0 = np.array([root])
     z0 = DualEstimate(mu / x0, np.zeros(1))
-    res = inner_solve(_oracle_quad(2.0), Regularizer("zero"), POS, SpectralDiag(1),
-                      x0, z0, mu,
-                      eps_d_abs=1e-6, eps_d_rel=0.0, eps_p=1e-6, delta0=10.0)
+    records = []
+    res = _stage(_oracle_quad(2.0), Regularizer("zero"), x0, z0, mu, SpectralDiag(1),
+                 delta=10.0, tol=1e-6, records=records)
     assert res.status == "tol"
-    assert res.accepted == 0
+    assert [(r["exit"], r["accepted"]) for r in records] == [("tol", False)]
     assert res.x[0] == x0[0]
 
 
 def test_inner_solve_requires_interior_start():
+    smooth, h, x = _oracle_quad(2.0), Regularizer("zero"), np.array([0.0])
+    fx, hx, gx = evaluate_start(smooth, h, x, [])
     with pytest.raises(BoundaryPoint):
-        inner_solve(_oracle_quad(2.0), Regularizer("zero"), POS, SpectralDiag(1),
-                    np.array([0.0]), DualEstimate.ones_for(POS), 1.0)
+        inner_solve(smooth, h, POS, SpectralDiag(1), x, fx, hx, gx, DualEstimate.ones_for(POS),
+                    1.0, 0.0, [], [])
+
+
+@pytest.mark.parametrize("kind", ["l0", "l1"])
+def test_inner_solve_radius_tolerance_and_measure(kind):
+    # the stage's first radius, its tolerance exit, and the measure that h selects
+    mu, eps_rel = 0.1, 0.1
+    bounds = Box(np.zeros(3), np.full(3, np.inf))
+    smooth, h, x = _oracle_quad(2.0), Regularizer(kind, 0.3), np.array([1.0, 0.5, 3.0])
+    trace, records = [], []
+    fx, hx, gx = evaluate_start(smooth, h, x, trace)
+    res = inner_solve(smooth, h, bounds, SpectralDiag(3), x, fx, hx, gx,
+                      DualEstimate.ones_for(bounds), mu, eps_rel, trace, records)
+    assert records[0]["delta_before"] == min(interior.DELTA0_FACTOR * mu, DELTA_MAX)
+    assert res.status == "tol" and records[-1]["exit"] == "tol"
+    eps_k = mu**interior.EPS_EXPONENT
+    assert records[-1]["crit"] <= eps_k + eps_rel * res.measure0
+    assert records[-1]["compl"] <= eps_k
+    same = [r["xi_meas"] == r["xi"] for r in records]
+    assert all(same) if kind == "l0" else not all(same)
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +343,8 @@ def test_outer_invariants_from_diagnostics():
             assert it["obj_after"] <= it["obj_before"] + 1e-12 * abs(it["obj_before"])
         if it["exit"] == "tol":
             assert it["compl"] <= it["mu"] ** 1.01 + 1e-15
-    cross = rep.diagnostics["crossover"]
-    assert cross["applied"] and cross["max_gap_times_z"] == 0.0
+    assert rep.diagnostics["crossover"]["applied"]
+    assert np.all((rep.x - POS.lo) * rep.z.zl == 0.0)
 
 
 def test_outer_mode_forced_to_cp_for_l0():
@@ -358,12 +358,3 @@ def test_outer_budget_one():
     rep = outer_solve(smooth, Regularizer("zero"), POS, SpectralDiag, np.array([1.0]))
     assert rep.termination == "max_iter"
     assert rep.n_f <= 2
-
-
-def test_outer_detects_unbounded(monkeypatch):
-    # f = -x on x >= 0 is unbounded below; every barrier stage floors out
-    monkeypatch.setattr(interior, "OBJECTIVE_FLOOR", -1e6)
-    monkeypatch.setattr(interior, "MAX_OUTER", 3)
-    smooth = CallableOracle(lambda x: -float(np.sum(x)), lambda x: -np.ones_like(x))
-    rep = _outer(smooth, Regularizer("zero"), POS, np.array([1.0]))
-    assert rep.termination == "unbounded"
