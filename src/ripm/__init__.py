@@ -8,8 +8,7 @@ from .interior import (BarrierTerms, DualEstimate, IpmOptions, barrier_value, cr
 from .oracles import CallableOracle, QuadModelOracle, SmoothOracle
 from .qnops import LBFGS, LSR1, SpectralDiag
 from .r2 import R2Options, r2_solve
-from .regprox import (Box, Regularizer, ShiftedRegularizer, fraction_to_boundary_box,
-                      intersect_boxes, iprox_shifted)
+from .regprox import Box, Regularizer, fraction_to_boundary_box, intersect_boxes, iprox_shifted
 from .report import SolverReport
 from .trust_region import (ShiftedBounds, TrustRegionOptions, first_order_step, tr_iterate,
                            tr_solve, trdh_solve)
@@ -19,7 +18,7 @@ __all__ = [
     "DualEstimate", "IpmOptions", "barrier_value", "crossover", "dual_update",
     "inner_solve", "outer_solve", "CallableOracle",
     "QuadModelOracle", "SmoothOracle", "LBFGS", "LSR1", "SpectralDiag",
-    "R2Options", "r2_solve", "Box", "Regularizer", "ShiftedRegularizer",
+    "R2Options", "r2_solve", "Box", "Regularizer",
     "fraction_to_boundary_box", "intersect_boxes", "iprox_shifted", "SolverReport",
     "ShiftedBounds", "TrustRegionOptions", "first_order_step", "tr_iterate", "tr_solve",
     "trdh_solve",

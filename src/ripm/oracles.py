@@ -63,10 +63,12 @@ class CallableOracle(SmoothOracle):
 
 
 class QuadModelOracle(SmoothOracle):
-    """Quadratic model g.s + s.(B s + theta * s)/2 used by subproblem solves.
+    """Quadratic model m(x) = g.s + s.(B s + theta * s)/2 of the step s = x - origin.
 
-    ``apply_curv`` maps s to B s; ``theta`` is an optional extra diagonal.
-    Counters on this oracle are model evaluations and are never merged into
+    ``qn`` is an LBFGS or LSR1 operator, B = I + W^T diag(signs) W, and
+    ``theta`` an optional extra diagonal.  The model takes points, not
+    steps, so that the R2 subsolve works in the frame of the nonsmooth term;
+    counters on this oracle are model evaluations and are never merged into
     the true objective counters.
 
     A value keeps its point, by reference, with the product B s + theta s, and
@@ -74,26 +76,56 @@ class QuadModelOracle(SmoothOracle):
     keyed on the array object, not on its contents: a gradient at any other
     array, even an equal one, forms the product afresh, and the valued array
     must not be modified before its gradient is taken.
+
+    Along a step t the model changes by grad m . t + `curvature`(t) / 2, which
+    takes the k-row product W t; `grad_after` then forms grad m(x + t) =
+    grad m(x) + (B + theta) t from the same W t and (1 + theta) t.  The
+    operator must not be updated while the model is in use.
     """
 
-    def __init__(self, g, apply_curv, theta=None):
+    def __init__(self, g, qn, theta, origin):
         super().__init__()
         self.g = g
-        self.apply_curv = apply_curv
+        self.qn = qn
         self.theta = theta
+        self.origin = origin
+        self.W, self.signs = qn.factors()
+        self._diag = None if theta is None else 1.0 + theta
         self._last = (None, None)  # the last valued point and its product
+        self._step = (None, None, None)  # the last step t of `curvature`, W t and (1 + theta) t
 
     def _curv(self, s):
-        w = self.apply_curv(s)
+        w = self.qn.apply(s)
         if self.theta is not None:
             w = w + self.theta * s
         return w
 
-    def _value(self, s):
+    def _value(self, x):
+        s = x - self.origin
         w = self._curv(s)
-        self._last = (s, w)
+        self._last = (x, w)
         return float(self.g @ s + 0.5 * (s @ w))
 
-    def _grad(self, s):
+    def _grad(self, x):
         last, w = self._last
-        return self.g + (w if s is last else self._curv(s))
+        return self.g + (w if x is last else self._curv(x - self.origin))
+
+    def curvature(self, t) -> float:
+        """t.(B + theta) t = t.(1 + theta) t + sum signs (W t)^2; counts one model value."""
+        self.n_f += 1
+        wt = self.W @ t
+        dt = t if self.theta is None else self._diag * t
+        self._step = (t, wt, dt)
+        return float(t @ dt) + float((wt * self.signs) @ wt)
+
+    def grad_after(self, gm, t) -> np.ndarray:
+        """grad m(x + t) from gm = grad m(x); reuses W t when t is the last `curvature` step."""
+        self.n_grad += 1
+        last, wt, dt = self._step
+        if t is not last:
+            wt = self.W @ t
+            dt = t if self.theta is None else self._diag * t
+        out = (wt * self.signs) @ self.W
+        out += dt
+        out += gm
+        return out

@@ -15,6 +15,8 @@ that range into itself, so `norm_estimate` is exact: Rayleigh-Ritz on an
 orthonormal basis Q of range(W^T) gives the eigenvalues of B there as those
 of the small matrix Q^T B Q, and B has the eigenvalue 1 besides whenever Q
 spans less than the whole space.  That takes one product per column of Q.
+`factors` hands out W and the signs, from which a quadratic model takes
+t.B t = t.t + sum signs (W t)^2 with one k-row product.
 """
 from __future__ import annotations
 
@@ -43,6 +45,10 @@ class _FactoredOp:
     def apply(self, v: np.ndarray) -> np.ndarray:
         W = self._rows[:self._k]
         return v + ((W @ v) * self._signs[:self._k]) @ W
+
+    def factors(self):
+        """W and signs of B = I + W^T diag(signs) W; views that the next update rewrites."""
+        return self._rows[:self._k], self._signs[:self._k]
 
     def norm_estimate(self) -> float:
         """||B||_2, exact up to rounding (see the module docstring); cached until an update."""

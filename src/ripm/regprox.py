@@ -109,29 +109,8 @@ class Regularizer:
             return float(np.dot(lam, np.abs(x)))
         return float(np.sum(lam[x != 0.0]))
 
-    def shifted(self, origin: np.ndarray) -> "ShiftedRegularizer":
-        return ShiftedRegularizer(self, origin)
-
     def prox_shifted(self, d, q, x, box: Box) -> np.ndarray:
         return iprox_shifted(self, d, q, x, box)
-
-
-@dataclass
-class ShiftedRegularizer:
-    """View of a regularizer evaluated at origin + v; composes with itself."""
-
-    base: Regularizer
-    origin: np.ndarray
-
-    @property
-    def lam(self) -> float:
-        return self.base.lam
-
-    def value(self, v: np.ndarray) -> float:
-        return self.base.value(self.origin + v)
-
-    def prox_shifted(self, d, q, x, box: Box) -> np.ndarray:
-        return self.base.prox_shifted(d, q, self.origin + x, box)
 
 
 def iprox_shifted(h: Regularizer, d, q, x, box: Box) -> np.ndarray:
@@ -141,20 +120,27 @@ def iprox_shifted(h: Regularizer, d, q, x, box: Box) -> np.ndarray:
     s_i = -x_i and reduces to a soft threshold in the variable u = x + s; the
     l0 objective compares the clamped quadratic minimizer against the
     sparsity candidate s_i = -x_i when feasible (ties prefer the sparse
-    candidate).  At x = 0 this is the plain separable prox.  q, x and the box
-    are vectors of one size; d > 0 is a scalar or a vector of that size.
+    candidate).  q and the box are vectors of one size; x is a vector of that
+    size or the scalar 0.0, which gives the plain separable prox of h over
+    the box; d > 0 is a scalar or a vector of that size.
     """
     if not np.all(d > 0):
         raise ValueError("iprox_shifted requires strictly positive d")
     if h.kind == ZERO or h.lam == 0.0:
         return box.clamp(q)
-    lam = h.lam_per_component(q.size)
     if h.kind == L1:
-        u = x + q
-        u = np.sign(u) * np.maximum(np.abs(u) - lam / d, 0.0)
-        u = np.minimum(np.maximum(u, x + box.lo), x + box.hi)
-        return u - x
+        # the threshold u - clip(u, -c, c) equals sign(u) max(|u| - c, 0) bit
+        # for bit, up to the sign of a zero
+        c = (h.lam if h.weights is None else h.lam * h.weights) / d
+        u = np.add(x, q)
+        u -= np.clip(u, -c, c)
+        if np.ndim(x) == 0 and x == 0.0:
+            return np.clip(u, box.lo, box.hi, out=u)
+        np.clip(u, x + box.lo, x + box.hi, out=u)
+        u -= x
+        return u
     # l0
+    lam = h.lam_per_component(q.size)
     c = box.clamp(q)
     cost_c = 0.5 * d * (c - q) ** 2 + np.where(x + c != 0.0, lam, 0.0)
     z_ok = (box.lo <= -x) & (-x <= box.hi)

@@ -5,9 +5,13 @@ computes a proximal-gradient (Cauchy) step s1 whose model decrease xi defines
 the criticality measure sqrt(xi / nu), then a model step capped at
 min(Delta, beta * ||s1||_inf).  The step follows the operator: one with a
 ``diagonal()`` view gets the closed-form separable minimizer, any other the
-R2 solve of the quadratic model.  A ratio test accepts or rejects the trial
-point, the radius follows `update_radius`, and the quasi-Newton operator is
-updated on acceptance.
+R2 solve of the quadratic model.  That subsolve works with the points x + s
+rather than the steps s: the box x + (capped step box) is formed once per
+subsolve, each of its prox calls is the plain prox of h over that box, and
+each trial changes the model by a closed form in the operator's factors
+(see `r2` and `oracles.QuadModelOracle`).  A ratio test accepts or rejects
+the trial point, the radius follows `update_radius`, and the quasi-Newton
+operator is updated on acceptance.
 
 The bounds enter through a constraint object.  TR and TRDH fold the box
 indicator into the nonsmooth term and pass `ShiftedBounds`, so every step
@@ -200,9 +204,9 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
                 s = h.prox_shifted(d, -g / d, x, cap_box)
                 n_prox += 1
             else:
-                sub = r2_solve(QuadModelOracle(g, qn.apply, theta), h.shifted(x), cap_box,
-                               s1, sub_opts)
-                s = sub.x
+                sub = r2_solve(QuadModelOracle(g, qn, theta, x), h,
+                               Box(x + cap_box.lo, x + cap_box.hi), x + s1, sub_opts)
+                s = sub.x - x
                 n_prox += sub.n_prox
             if not np.any(s) and cons.zero_step(x):
                 rec["rho"] = 0.0

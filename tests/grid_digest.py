@@ -30,7 +30,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from ripm import bench, problems  # noqa: E402
 
 # the digest of the grid at the last change that moved a counter or a final value
-EXPECTED = "17d04ba3c07134b2bd2d51007360cbc34268000f8502fd57cfd4f1782c881c1a"
+EXPECTED = "3591682e7bcc458fd9cadc07bad2b36a2f562127be3f371ad70a86fcba6fcfa4"
 ALL = bench.SOLVER_NAMES
 GRID = ([("bpdn", seed, {}, ALL, 1000) for seed in range(6)]
         + [("qp", 0, {}, ALL, 200), ("nnmf", 0, {}, ALL, 200),

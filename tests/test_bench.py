@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import ripm.bench as bench
+from ripm import problems, regprox
 from ripm.bench import (SOLVER_OPTIONS, ConfigError, RunConfig, best_objective, emit_table,
                         emit_trace_csv, main, run_config, run_solver, solver_options)
 from ripm.report import MAX_ITER, ORACLE_FAILURE, SolverReport
@@ -32,6 +33,29 @@ def test_budget_one_all_solvers():
         assert rep.termination == MAX_ITER
         assert rep.n_f <= 2
         assert rep.trace  # trace never empty
+
+
+@pytest.mark.parametrize("family, params, budget", [
+    ("bpdn", {"m": 40, "n": 96, "n_spikes": 3}, 1000),
+    ("fh", {}, 100),
+])
+def test_every_prox_is_counted(monkeypatch, family, params, budget):
+    # every call of the prox kernel, made through regprox.iprox_shifted, is one of n_prox
+    monkeypatch.setattr(problems, "FH_RK4_STEPS", 200)
+    inst = problems.build(family, 0, **params)
+    assert inst.h.kind == ("l1" if family == "bpdn" else "l0")
+    calls = []
+    kernel = regprox.iprox_shifted
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+    monkeypatch.setattr(regprox, "iprox_shifted", counted)
+    for name in ALL_SOLVERS:
+        calls.clear()
+        rep = run_solver(name, inst, budget)
+        assert rep.n_prox > 0
+        assert len(calls) == rep.n_prox, name
 
 
 def test_budget_zero_reports_criticality_unmeasured():

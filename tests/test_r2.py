@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from ripm.oracles import CallableOracle, QuadModelOracle
+from ripm.qnops import LBFGS, LSR1
 from ripm.r2 import R2Options, r2_solve
 from ripm.regprox import Box, Regularizer
 from ripm.report import CONVERGED, MAX_ITER
 
-from helpers import grid_min_1d
+from helpers import dense_bfgs, dense_sr1, grid_min_1d
 
 
 def _quad(center):
@@ -91,48 +92,121 @@ def test_relative_tolerance_scaling():
     assert abs(rep.x[0] - 2.0) < 1e-2
 
 
-def _counted_product(M):
-    calls = []
-
-    def apply(s):
-        calls.append(s)
-        return M @ s
-    return apply, calls
+THETA = np.array([0.5, 1.0, 2.0, 0.25, 3.0])
 
 
-def _model_data():
+def _model_data(kind="lsr1", theta=None, n=5):
+    """g, an operator with three stored pairs, its dense B, theta and an origin."""
     rng = np.random.default_rng(12)
-    n = 5
-    M = rng.standard_normal((n, n))
-    return rng.standard_normal(n), M + M.T, rng.standard_normal(n)
+    qn = {"lsr1": LSR1, "lbfgs": LBFGS}[kind](n, memory=3)
+    A = rng.standard_normal((n, n))
+    A = A @ A.T + np.eye(n)
+    for _ in range(3):
+        s = rng.standard_normal(n)
+        assert qn.update(s, A @ s + 0.1 * rng.standard_normal(n))
+    dense = {"lsr1": dense_sr1, "lbfgs": dense_bfgs}[kind](list(qn.pairs), n)
+    return rng.standard_normal(n), qn, dense, theta, rng.standard_normal(n)
 
 
-@pytest.mark.parametrize("theta", [None, np.array([0.5, 1.0, 2.0, 0.25, 3.0])])
-def test_model_value_then_grad_makes_one_product(theta):
-    g, M, s = _model_data()
-    apply, calls = _counted_product(M)
-    model = QuadModelOracle(g, apply, theta)
-    val = model.value(s)
-    grad = model.grad(s)
+def _counted_applies(monkeypatch, qn):
+    calls = []
+    apply = qn.apply
+
+    def counted(v):
+        calls.append(v)
+        return apply(v)
+    monkeypatch.setattr(qn, "apply", counted)
+    return calls
+
+
+@pytest.mark.parametrize("theta", [None, THETA])
+def test_model_value_then_grad_makes_one_product(monkeypatch, theta):
+    g, qn, B, th, origin = _model_data(theta=theta)
+    x = origin + np.random.default_rng(3).standard_normal(g.size)
+    calls = _counted_applies(monkeypatch, qn)
+    model = QuadModelOracle(g, qn, th, origin)
+    val = model.value(x)
+    grad = model.grad(x)
     assert len(calls) == 1
-    assert val == QuadModelOracle(g, lambda v: M @ v, theta).value(s)
-    assert np.array_equal(grad, QuadModelOracle(g, lambda v: M @ v, theta).grad(s))
-    # the reused product includes theta * s
-    bs = M @ s if theta is None else M @ s + theta * s
-    assert np.array_equal(grad, g + bs)
+    assert val == QuadModelOracle(g, qn, th, origin).value(x)
+    assert np.array_equal(grad, QuadModelOracle(g, qn, th, origin).grad(x))
+    # the model is taken at the step x - origin, and the product includes theta * s
+    s = x - origin
+    H = B if th is None else B + np.diag(th)
+    assert val == pytest.approx(g @ s + 0.5 * s @ H @ s, rel=1e-12)
+    assert np.allclose(grad, g + H @ s, rtol=1e-12, atol=1e-12)
 
 
-def test_model_grad_at_an_equal_but_distinct_array_recomputes():
-    g, M, s = _model_data()
-    apply, calls = _counted_product(M)
-    model = QuadModelOracle(g, apply)
-    model.value(s)
-    grad = model.grad(s.copy())
+def test_model_grad_at_an_equal_but_distinct_array_recomputes(monkeypatch):
+    g, qn, _, _, origin = _model_data()
+    calls = _counted_applies(monkeypatch, qn)
+    model = QuadModelOracle(g, qn, None, origin)
+    x = origin + 1.0
+    model.value(x)
+    grad = model.grad(x.copy())
     assert len(calls) == 2
-    assert np.array_equal(grad, QuadModelOracle(g, lambda v: M @ v).grad(s))
+    assert np.array_equal(grad, QuadModelOracle(g, qn, None, origin).grad(x))
 
 
-def test_r2_builds_one_step_box_and_leaves_the_callers_box(monkeypatch):
+@pytest.mark.parametrize("kind", ["lsr1", "lbfgs"])
+@pytest.mark.parametrize("theta", [None, THETA])
+def test_model_step_in_closed_form_matches_the_dense_model(kind, theta):
+    g, qn, B, th, origin = _model_data(kind, theta)
+    H = B if th is None else B + np.diag(th)
+
+    def m(s):
+        return g @ s + 0.5 * s @ H @ s
+    rng = np.random.default_rng(4)
+    model = QuadModelOracle(g, qn, th, origin)
+    for _ in range(5):
+        s, t = rng.standard_normal(g.size), rng.standard_normal(g.size)
+        gm = g + H @ s
+        change = float(gm @ t) + 0.5 * model.curvature(t)
+        assert change == pytest.approx(m(s + t) - m(s), rel=1e-12)
+        want = g + H @ (s + t)
+        assert np.allclose(model.grad_after(gm, t), want, rtol=0, atol=1e-12 * np.abs(want).max())
+        # a step other than the last curvature's forms its own W t
+        t2 = 2.0 * t
+        assert np.allclose(model.grad_after(gm, t2), gm + H @ t2, rtol=0,
+                           atol=1e-12 * np.abs(gm + H @ t2).max())
+    assert (model.n_f, model.n_grad) == (5, 10)
+
+
+def test_r2_on_a_model_follows_the_closed_form(monkeypatch):
+    # the subsolve's trials take no operator product; a dense check of its answer
+    g, qn, B, th, origin = _model_data("lsr1", THETA)
+    H = B + np.diag(th)
+    calls = _counted_applies(monkeypatch, qn)
+    box = Box(origin - 0.7, origin + 0.7)
+    h = Regularizer("l1", 0.3)
+    rep = r2_solve(QuadModelOracle(g, qn, th, origin), h, box, origin.copy(),
+                   R2Options(max_iter=500, abs_tol=1e-10, rel_tol=0.0))
+    assert rep.termination == CONVERGED
+    assert len(calls) == 1  # the value and gradient at the start share one product
+    assert rep.n_f == len(rep.diagnostics["iters"]) + 1
+    s = rep.x - origin
+    assert rep.f == pytest.approx(g @ s + 0.5 * s @ H @ s, rel=1e-10)
+    assert np.all(box.lo <= rep.x) and np.all(rep.x <= box.hi)
+    # first-order optimality of the step: s is a fixed point of the projected prox step
+    step = 1.0 / (np.abs(H).sum(axis=1).max())
+    q = rep.x - step * (g + H @ s)
+    fixed = np.clip(np.sign(q) * np.maximum(np.abs(q) - step * h.lam, 0.0), box.lo, box.hi)
+    assert np.allclose(fixed, rep.x, atol=1e-6)
+    # the same solve with the dense model as a plain oracle, whose trials evaluate m; its
+    # ratio loses digits to cancellation once xi nears the rounding of m, so compare above that
+    dense = CallableOracle(lambda x: g @ (x - origin) + 0.5 * (x - origin) @ H @ (x - origin),
+                           lambda x: g + H @ (x - origin))
+    ref = r2_solve(dense, h, box, origin.copy(),
+                   R2Options(max_iter=500, abs_tol=1e-10, rel_tol=0.0))
+    pairs = list(zip(rep.diagnostics["iters"], ref.diagnostics["iters"]))
+    pairs = pairs[:next(i for i, (_, b) in enumerate(pairs) if b["xi"] < 1e-8)]
+    assert len(pairs) > 20
+    for got, want in pairs:
+        assert got["accepted"] == want["accepted"]
+        assert got["rho"] == pytest.approx(want["rho"], rel=1e-6)
+
+
+def test_r2_shifts_no_box_and_leaves_the_callers_box(monkeypatch):
     shifted = Box.shifted
     calls = []
 
@@ -146,9 +220,9 @@ def test_r2_builds_one_step_box_and_leaves_the_callers_box(monkeypatch):
     oracle = CallableOracle(lambda x: 0.5 * float(d @ (x - c) ** 2), lambda x: d * (x - c))
     bounds = Box(np.full(n, -0.5), np.full(n, 0.5))
     lo, hi = bounds.lo.copy(), bounds.hi.copy()
-    for k in (1, 2):
+    for _ in range(2):
         rep = r2_solve(oracle, Regularizer("l1", 0.1), bounds, np.zeros(n),
                        R2Options(abs_tol=1e-8, rel_tol=0.0))
         assert sum(r["accepted"] for r in rep.diagnostics["iters"]) > 3
-        assert len(calls) == k
+        assert calls == []
         assert np.array_equal(bounds.lo, lo) and np.array_equal(bounds.hi, hi)

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ripm.errors import BoundaryPoint, EmptyBox
-from ripm.regprox import (Box, Regularizer, ShiftedRegularizer,
-                          fraction_to_boundary_box, intersect_boxes, iprox_shifted)
+from ripm.regprox import Box, Regularizer, fraction_to_boundary_box, intersect_boxes, iprox_shifted
 
 from helpers import comp_reg_value, grid_min_vec
 
@@ -38,8 +37,6 @@ def test_shifted_value_examples():
     assert at_step(Regularizer("l1", 1.0), [1.0, 0.0], [-1.0, 2.0]) == 2.0
     assert at_step(Regularizer("l0", 1.0), [1.0, 1.0], [-1.0, -1.0]) == 0.0
     assert at_step(Regularizer("l1", 3.0), [0.0, 0.0], [0.1, -0.1]) == pytest.approx(0.6)
-    shifted = Regularizer("l1", 1.0).shifted(np.array([1.0, 0.0]))
-    assert shifted.value(np.array([-1.0, 2.0])) == 2.0
 
 
 def test_block_weights_value():
@@ -204,14 +201,54 @@ def test_l1_scaling_invariance(c, q, lam, d):
     assert s1[0] == pytest.approx(s2[0], abs=1e-12)
 
 
-def test_shifted_regularizer_composition():
-    h = Regularizer("l1", 2.0)
-    sh = ShiftedRegularizer(h, np.array([1.0, -1.0]))
-    assert sh.value(np.array([0.5, 0.5])) == pytest.approx(2.0 * (1.5 + 0.5))
-    box = Box(np.full(2, -5.0), np.full(2, 5.0))
-    s_direct = iprox_shifted(h, 1.0, np.array([0.3, -0.7]), np.array([1.2, -0.8]), box)
-    s_composed = sh.prox_shifted(1.0, np.array([0.3, -0.7]), np.array([0.2, 0.2]), box)
-    assert np.allclose(s_direct, s_composed)
+def _old_l1_prox(h, d, q, x, box):
+    """The l1 kernel as sign(u) max(|u| - lam/d, 0), clamped to x + box, minus x."""
+    lam = h.lam * (1.0 if h.weights is None else h.weights)
+    u = x + q
+    u = np.sign(u) * np.maximum(np.abs(u) - lam / d, 0.0)
+    return np.minimum(np.maximum(u, x + box.lo), x + box.hi) - x
+
+
+def _bits(v):
+    # adding 0.0 turns -0.0 into 0.0 and leaves every other value as it is
+    return (np.asarray(v, dtype=float) + 0.0).view(np.int64)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("vector_d", [False, True])
+@pytest.mark.parametrize("origin", ["vector", "scalar zero"])
+def test_l1_kernel_equals_the_sign_formula_bit_for_bit(weighted, vector_d, origin):
+    rng = np.random.default_rng(21)
+    n = 400
+    for _ in range(5):
+        weights = rng.uniform(0.0, 2.0, n) if weighted else None
+        if weighted:
+            weights[::7] = 0.0
+        h = Regularizer("l1", float(rng.uniform(0.1, 2.0)), weights=weights)
+        d = rng.uniform(0.1, 10.0, n) if vector_d else float(rng.uniform(0.1, 10.0))
+        q = 3.0 * rng.standard_normal(n)
+        q[::5] = 0.0
+        x = 2.0 * rng.standard_normal(n) if origin == "vector" else 0.0
+        lo = -np.abs(rng.standard_normal(n))
+        hi = np.abs(rng.standard_normal(n))
+        lo[::3] = -np.inf
+        hi[::4] = np.inf
+        box = Box(lo, hi)
+        got = iprox_shifted(h, d, q, x, box)
+        want = _old_l1_prox(h, d, q, np.zeros(n) if origin == "scalar zero" else x, box)
+        assert np.array_equal(_bits(got), _bits(want))
+        assert not np.shares_memory(got, q)
+
+
+@pytest.mark.parametrize("kind", ["l1", "l0", "zero"])
+def test_prox_at_the_scalar_zero_is_the_plain_prox(kind):
+    rng = np.random.default_rng(22)
+    n = 50
+    h = Regularizer(kind, 0.7)
+    d, q = rng.uniform(0.5, 2.0, n), 2.0 * rng.standard_normal(n)
+    box = Box(np.full(n, -1.5), np.full(n, np.inf))
+    got = iprox_shifted(h, d, q, 0.0, box)
+    assert np.array_equal(_bits(got), _bits(_prox_at_zero(h, d, q, box)))
 
 
 def test_prox_with_block_weights():
