@@ -3,9 +3,10 @@
 The outer loop drives the barrier parameter mu to zero; for each mu the inner
 loop approximately minimizes f + phi_mu + h with the trust-region iteration
 of `trust_region.tr_iterate`.  `BarrierTerms` is the constraint object it
-passes: steps are restricted to
+passes: trial points are restricted to the box of points
 
-    Delta * B_inf  intersected with  the fraction-to-boundary box,
+    [x - Delta, x + Delta]  intersected with  the fraction-to-boundary box
+    [lo + tau min gap_l, hi - tau min gap_u],
 
 and the quadratic model adds the barrier gradient and the capped barrier
 curvature Theta = min(z / gap, kappa_bar) summed over bounded sides to the
@@ -34,7 +35,9 @@ import numpy as np
 
 from .errors import BoundaryPoint, BudgetExhausted
 # r2_solve and intersect_boxes are bound here only for perfbench/tracer.py,
-# which wraps them in this module; the trust-region loop calls them from trust_region
+# which wraps them in this module and in trust_region; the trust-region loop
+# calls both from trust_region.  regprox.Box.shifted, which no solver calls,
+# is bound only for the tracer too
 from .r2 import r2_solve  # noqa: F401
 from .regprox import L0, Box, fraction_to_boundary_box, intersect_boxes  # noqa: F401
 from .report import CONVERGED, MAX_ITER, SolverReport, evaluate_start, make_report
@@ -191,9 +194,6 @@ class BarrierTerms:
 
     def phi(self, x) -> float:
         return barrier_value(self.mu, x, self.bounds)
-
-    def trial(self, x, s):
-        return x + s, s
 
     def zero_step(self, x) -> bool:
         # the model is stationary at x: refresh the duals (the update at s = 0)

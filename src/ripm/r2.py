@@ -1,25 +1,26 @@
-"""Quadratic-regularization proximal method (R2).
+"""Quadratic-regularization proximal method (R2), and the first-order step of every solver.
 
-Used standalone as a baseline and as the subproblem solver inside the
-trust-region and barrier methods.  Each iteration takes one proximal step
-in the frame of the nonsmooth term: the trial point is
+`first_order_step` is the one proximal-gradient step and criticality
+measure of the package; R2, the trust-region loop and the barrier stages
+all call it.  Every box it sees is a box of points, so the trial point is
 
     u = argmin_{u in box}  sigma (u - q)^2 / 2 + h(u),   q = x - grad/sigma,
 
-the plain prox of h over the fixed box, so that u is already feasible and
-no step box follows x.  The step t = u - x is accepted by a ratio test
-against the first-order model decrease
+the plain prox of h over the box, already feasible.  The step t = u - x
+has the first-order model decrease
 
     xi = h(x) - grad.t - h(u)  >=  sigma ||t||^2 / 2,
 
-and sigma adapts.  The criticality measure is sqrt(sigma * xi), the
-sqrt(xi / nu) form with nu = 1 / sigma.
+and the criticality measure is sqrt(sigma * xi), the sqrt(xi / nu) form
+with nu = 1 / sigma.
 
-The trial follows the oracle.  A true objective is evaluated at u.  The
-quadratic model of a trust-region step (`oracles.QuadModelOracle`) changes
-by grad.t + c / 2 with c = t.(B + Theta)t in closed form from the
-operator's factors, so rho = (xi - c / 2) / xi, and the model gradient is
-updated by (B + Theta) t only when the trial is accepted.
+R2 iterates on points over one fixed box: it accepts u by a ratio test
+against xi and adapts sigma.  The trial follows the oracle.  A true
+objective is evaluated at u.  The quadratic model of a trust-region step
+(`oracles.QuadModelOracle`) changes by grad.t + c / 2 with c = t.(B + Theta)t
+in closed form from the operator's factors, so rho = (xi - c / 2) / xi, and
+the model gradient is updated by (B + Theta) t only when the trial is
+accepted.
 
 The loop constants are those of R2 in Aravkin, Baraldi & Orban (2022):
 SIGMA_INIT is sigma_0 and SIGMA_MIN is sigma_min; a step is successful when
@@ -52,6 +53,22 @@ class R2Options:
     rel_tol: float = 1e-4
 
 
+def first_order_step(h, x, hx: float, g, sigma: float, box: Box):
+    """Proximal-gradient step from x for the model g.t + sigma ||t||^2 / 2 + h(x + t).
+
+    ``box`` is a box of points and ``hx`` is h(x).  Returns the trial point u
+    in ``box``, the step t = u - x, h(u), g.t and the model decrease
+    xi = h(x) - g.t - h(u), clipped at zero.
+    """
+    q = np.divide(g, -sigma)
+    q += x
+    u = h.prox_shifted(sigma, q, box)
+    t = u - x
+    gt = float(g @ t)
+    hu = h.value(u)
+    return u, t, hu, gt, max(hx - gt - hu, 0.0)
+
+
 def r2_solve(smooth, reg, box: Box, x0, opts: R2Options | None = None,
              solver_name: str = "R2") -> SolverReport:
     """Minimize smooth(x) + reg(x) subject to x in box, starting from x0.
@@ -76,14 +93,8 @@ def r2_solve(smooth, reg, box: Box, x0, opts: R2Options | None = None,
     try:
         fx, hx, gx = evaluate_start(smooth, reg, x, trace)
         for _ in range(opts.max_iter):
-            q = np.divide(gx, -sigma)
-            q += x
-            u = reg.prox_shifted(sigma, q, 0.0, box)
+            u, t, h_trial, gt, xi = first_order_step(reg, x, hx, gx, sigma, box)
             n_prox += 1
-            t = u - x
-            gt = float(gx @ t)
-            h_trial = reg.value(u)
-            xi = max(hx - gt - h_trial, 0.0)
             crit = float(np.sqrt(sigma * xi))
             if tol is None:
                 tol = opts.abs_tol + opts.rel_tol * crit

@@ -1,12 +1,14 @@
 """Separable regularizers, coordinate boxes, and scaled proximal maps.
 
-Every feasible set the solvers touch (l-inf trust regions, shifted bound
-boxes, fraction-to-boundary sets) is a coordinate box, so each proximal
-subproblem splits into independent one-dimensional problems
+Every feasible set the solvers touch (l-inf trust regions around the
+current point, the bounds, fraction-to-boundary sets) is a coordinate box
+of points, so each proximal subproblem splits into independent
+one-dimensional problems
 
-    min_{lo_i <= s_i <= hi_i}  d_i (s_i - q_i)^2 / 2 + h_i(s_i or x_i + s_i)
+    min_{lo_i <= u_i <= hi_i}  d_i (u_i - q_i)^2 / 2 + h_i(u_i)
 
-with closed-form solutions for the supported regularizers.
+with closed-form solutions for the supported regularizers.  Its solution
+is the trial point itself; a step is the difference of two points.
 """
 from __future__ import annotations
 
@@ -49,15 +51,19 @@ class Box:
         return cls(np.full(n, -np.inf), np.full(n, np.inf))
 
     @classmethod
-    def ball(cls, n: int, radius: float) -> "Box":
-        """l-inf ball of the given radius centered at the origin."""
-        return cls(np.full(n, -radius), np.full(n, radius))
+    def ball(cls, center: np.ndarray, radius: float) -> "Box":
+        """l-inf ball of the given radius around the point ``center``."""
+        return cls(center - radius, center + radius)
 
     def clamp(self, v: np.ndarray) -> np.ndarray:
         return np.minimum(np.maximum(v, self.lo), self.hi)
 
     def shifted(self, x: np.ndarray) -> "Box":
-        """Box for steps s such that x + s stays in this box."""
+        """Box for steps s such that x + s stays in this box.
+
+        No solver takes a box of steps; the name stays bound because
+        perfbench/tracer.py wraps it.
+        """
         return Box(self.lo - x, self.hi - x)
 
 
@@ -109,67 +115,53 @@ class Regularizer:
             return float(np.dot(lam, np.abs(x)))
         return float(np.sum(lam[x != 0.0]))
 
-    def prox_shifted(self, d, q, x, box: Box) -> np.ndarray:
-        return iprox_shifted(self, d, q, x, box)
+    def prox_shifted(self, d, q, box: Box) -> np.ndarray:
+        return iprox_shifted(self, d, q, box)
 
 
-def iprox_shifted(h: Regularizer, d, q, x, box: Box) -> np.ndarray:
-    """Componentwise argmin over box of d_i (s_i - q_i)^2 / 2 + h_i(x_i + s_i).
+def iprox_shifted(h: Regularizer, d, q, box: Box) -> np.ndarray:
+    """Componentwise argmin over box of d_i (u_i - q_i)^2 / 2 + h_i(u_i).
 
-    This is the step kernel of every solver: the l1 objective splits at
-    s_i = -x_i and reduces to a soft threshold in the variable u = x + s; the
-    l0 objective compares the clamped quadratic minimizer against the
-    sparsity candidate s_i = -x_i when feasible (ties prefer the sparse
-    candidate).  q and the box are vectors of one size; x is a vector of that
-    size or the scalar 0.0, which gives the plain separable prox of h over
-    the box; d > 0 is a scalar or a vector of that size.
+    This is the prox kernel of every solver: the l1 objective reduces to a
+    soft threshold of q clamped to the box; the l0 objective compares the
+    clamped quadratic minimizer against the sparse candidate u_i = 0 when the
+    box holds it (ties prefer the sparse candidate).  q and the box are
+    vectors of one size; d > 0 is a scalar or a vector of that size.
     """
     if not np.all(d > 0):
         raise ValueError("iprox_shifted requires strictly positive d")
     if h.kind == ZERO or h.lam == 0.0:
         return box.clamp(q)
     if h.kind == L1:
-        # the threshold u - clip(u, -c, c) equals sign(u) max(|u| - c, 0) bit
+        # the threshold q - clip(q, -c, c) equals sign(q) max(|q| - c, 0) bit
         # for bit, up to the sign of a zero
         c = (h.lam if h.weights is None else h.lam * h.weights) / d
-        u = np.add(x, q)
-        u -= np.clip(u, -c, c)
-        if np.ndim(x) == 0 and x == 0.0:
-            return np.clip(u, box.lo, box.hi, out=u)
-        np.clip(u, x + box.lo, x + box.hi, out=u)
-        u -= x
-        return u
+        u = q - np.clip(q, -c, c)
+        return np.clip(u, box.lo, box.hi, out=u)
     # l0
     lam = h.lam_per_component(q.size)
     c = box.clamp(q)
-    cost_c = 0.5 * d * (c - q) ** 2 + np.where(x + c != 0.0, lam, 0.0)
-    z_ok = (box.lo <= -x) & (-x <= box.hi)
-    cost_z = 0.5 * d * (x + q) ** 2
-    return np.where(z_ok & (cost_z <= cost_c), -x, c)
+    cost_c = 0.5 * d * (c - q) ** 2 + np.where(c != 0.0, lam, 0.0)
+    z_ok = (box.lo <= 0.0) & (0.0 <= box.hi)
+    cost_z = 0.5 * d * q ** 2
+    return np.where(z_ok & (cost_z <= cost_c), 0.0, c)
 
 
 def fraction_to_boundary_box(x, delta: float, bounds: Box) -> Box:
-    """Step box keeping a delta fraction of the smallest gap on each side.
+    """Box of points keeping a delta fraction of the smallest gap on each side.
 
-    Lower side: x_i + s_i - lo_i >= delta * min_j (x_j - lo_j), minimum over
-    finite lower bounds; the upper side mirrors it.  Components with an
-    infinite bound are unconstrained on that side, so for lo = 0, hi = +inf
-    this is exactly {s : min_i (x + s)_i >= delta * min_i x_i}.
+    Lower side: u_i - lo_i >= delta * min_j (x_j - lo_j), minimum over
+    finite lower bounds, so the box starts at lo + delta * min gap_l; the
+    upper side mirrors it and ends at hi - delta * min gap_u.  Components with
+    an infinite bound are unconstrained on that side, so for lo = 0, hi = +inf
+    this is exactly {u : min_i u_i >= delta * min_i x_i}.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    lo = np.full(x.size, -np.inf)
-    hi = np.full(x.size, np.inf)
-    mask_l = np.isfinite(bounds.lo)
-    if mask_l.any():
-        gap_l = x[mask_l] - bounds.lo[mask_l]
-        if np.any(gap_l <= 0):
-            raise BoundaryPoint("x is not strictly interior (lower side)")
-        lo[mask_l] = delta * gap_l.min() - gap_l
-    mask_u = np.isfinite(bounds.hi)
-    if mask_u.any():
-        gap_u = bounds.hi[mask_u] - x[mask_u]
-        if np.any(gap_u <= 0):
-            raise BoundaryPoint("x is not strictly interior (upper side)")
-        hi[mask_u] = gap_u - delta * gap_u.min()
+    gap_l, gap_u = x - bounds.lo, bounds.hi - x  # +inf on infinite sides
+    if np.any(gap_l <= 0) or np.any(gap_u <= 0):
+        raise BoundaryPoint("x is not strictly interior")
+    m_l, m_u = gap_l.min(), gap_u.min()
+    lo = bounds.lo + delta * m_l if np.isfinite(m_l) else bounds.lo
+    hi = bounds.hi - delta * m_u if np.isfinite(m_u) else bounds.hi
     return Box(lo, hi)

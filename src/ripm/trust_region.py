@@ -1,23 +1,25 @@
 """The proximal quasi-Newton trust-region iteration, and the TR and TRDH solvers.
 
-`tr_iterate` is the one trust-region loop of the package.  Each iteration
-computes a proximal-gradient (Cauchy) step s1 whose model decrease xi defines
-the criticality measure sqrt(xi / nu), then a model step capped at
-min(Delta, beta * ||s1||_inf).  The step follows the operator: one with a
+`tr_iterate` is the one trust-region loop of the package.  It works on
+points: every box it forms is a box of points around x, and every prox or
+subsolve output is the trial point itself.  Each iteration takes the
+first-order step of `r2.first_order_step` over the box of radius Delta around
+x; its Cauchy point u1 and model decrease xi define the criticality measure
+sqrt(sigma * xi).  The model step is then capped at min(Delta, beta *
+||u1 - x||_inf), and its trial point follows the operator: one with a
 ``diagonal()`` view gets the closed-form separable minimizer, any other the
-R2 solve of the quadratic model.  That subsolve works with the points x + s
-rather than the steps s: the box x + (capped step box) is formed once per
-subsolve, each of its prox calls is the plain prox of h over that box, and
-each trial changes the model by a closed form in the operator's factors
-(see `r2` and `oracles.QuadModelOracle`).  A ratio test accepts or rejects
-the trial point, the radius follows `update_radius`, and the quasi-Newton
-operator is updated on acceptance.
+R2 solve of the quadratic model over the cap box, started at u1, whose
+trials change the model by a closed form in the operator's factors (see `r2`
+and `oracles.QuadModelOracle`).  A ratio test accepts or rejects the trial
+point, the radius follows `update_radius`, and the quasi-Newton operator is
+updated on acceptance.
 
-The bounds enter through a constraint object.  TR and TRDH fold the box
-indicator into the nonsmooth term and pass `ShiftedBounds`, so every step
-lives in Delta*B_inf intersected with the bounds shifted to x.  The barrier
-subproblems of RIPM pass `interior.BarrierTerms`, which restricts steps to
-the fraction-to-boundary box and adds the barrier gradient and curvature.
+The bounds enter through a constraint object, which supplies the box of
+points every trial stays in.  TR and TRDH fold the box indicator into the
+nonsmooth term and pass `ShiftedBounds`, whose box is the bounds
+themselves.  The barrier subproblems of RIPM pass `interior.BarrierTerms`,
+whose box is the fraction-to-boundary box, and which adds the barrier
+gradient and curvature.
 
 The loop constants are those of TR in Aravkin, Baraldi & Orban (2022) and of
 TRDH in Leconte & Orban (2023): DELTA_INIT is Delta_0 and DELTA_MAX caps the
@@ -38,7 +40,7 @@ import numpy as np
 from .errors import BudgetExhausted
 from .oracles import QuadModelOracle
 from .qnops import SpectralDiag
-from .r2 import R2Options, r2_solve
+from .r2 import R2Options, first_order_step, r2_solve
 from .regprox import Box, intersect_boxes
 from .report import CONVERGED, MAX_ITER, SolverReport, evaluate_start, make_report
 
@@ -73,19 +75,8 @@ def update_radius(delta: float, rho: float) -> float:
     return max(GAMMA2 * delta, 1e-30)
 
 
-def first_order_step(h, x, hx: float, g, nu: float, box: Box):
-    """Proximal-gradient step for the linear model g.s + ||s||^2 / (2 nu) + h(x + s).
-
-    Minimizes over steps s in ``box``; ``hx`` is h(x).  Returns s and its
-    model decrease xi = h(x) - g.s - h(x + s) >= ||s||^2 / (2 nu), clipped at
-    zero.  sqrt(xi / nu) is the criticality measure of every solver here.
-    """
-    s = h.prox_shifted(1.0 / nu, -nu * g, x, box)
-    return s, max(hx - float(g @ s) - h.value(x + s), 0.0)
-
-
 class ShiftedBounds:
-    """Constraint object of TR and TRDH: no barrier, steps stay in the bounds."""
+    """Constraint object of TR and TRDH: no barrier, trial points stay in the bounds."""
 
     mu = 0.0
     z = None
@@ -95,18 +86,13 @@ class ShiftedBounds:
         self.bounds = bounds
 
     def at(self, x, gx):
-        """Model gradient, extra curvature, step box, measure gradient and
+        """Model gradient, extra curvature, box of points, measure gradient and
         complementarity residual at x (None: no extra curvature, measure
         with the model gradient)."""
-        return gx, None, self.bounds.shifted(x), None, 0.0
+        return gx, None, self.bounds, None, 0.0
 
     def phi(self, x) -> float:
         return 0.0
-
-    def trial(self, x, s):
-        """The trial point and the step that the quasi-Newton update sees."""
-        x_t = self.bounds.clamp(x + s)
-        return x_t, x_t - x
 
     def zero_step(self, x) -> bool:
         """Handle a zero model step; True skips the trial evaluation."""
@@ -150,18 +136,18 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
     Its keys:
 
     - j: iteration index; mu: barrier parameter (0 without barrier);
-    - nu: step length of the measure, 1 / (||B|| + max theta + 1/(alpha Delta));
+    - nu: step length of the measure, 1 / sigma with
+      sigma = ||B|| + max theta + 1/(alpha Delta);
     - delta_before, delta_after: the radius before and after the iteration;
-    - xi, s1_norm2: decrease and Euclidean norm of the Cauchy step s1;
+    - xi, s1_norm2: decrease and Euclidean norm of the Cauchy step s1 = u1 - x;
     - xi_meas, s_meas_norm2: the same for the step that defines the measure
       (s1 itself, or the Lagrangian step grad f - zl + zu);
-    - crit: sqrt(xi_meas / nu); compl: complementarity residual (0 without barrier);
+    - crit: sqrt(sigma * xi_meas); compl: complementarity residual (0 without barrier);
     - obj_before, obj_after: f + phi + h at x and at an accepted trial (else NaN);
     - rho: ratio of actual to model decrease (NaN if no trial, 0 on a zero step);
     - accepted; exit: "tol" or None;
     - s_inf: ||s||_inf of the model step; cap_inf: its cap min(Delta, beta ||s1||_inf).
     """
-    n = x.size
     phi = cons.phi(x)
     sub_opts = R2Options(max_iter=SUBSOLVER_MAX_ITER, abs_tol=0.0, rel_tol=SUBSOLVER_REL_TOL)
     n_prox = 0
@@ -173,24 +159,24 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
             lip = qn.norm_estimate()
             if theta is not None:
                 lip += float(theta.max())
-            nu = 1.0 / (lip + 1.0 / (ALPHA * delta))
-            tr_box = intersect_boxes(Box.ball(n, delta), box)
-            s1, xi = first_order_step(h, x, hx, g, nu, tr_box)
+            sigma = lip + 1.0 / (ALPHA * delta)
+            tr_box = intersect_boxes(Box.ball(x, delta), box)
+            u1, s1, _, _, xi = first_order_step(h, x, hx, g, sigma, tr_box)
             s_m, xi_m = s1, xi
             if g_meas is not None:
-                s_m, xi_m = first_order_step(h, x, hx, g_meas, nu, tr_box)
+                _, s_m, _, _, xi_m = first_order_step(h, x, hx, g_meas, sigma, tr_box)
             n_prox += 1 if g_meas is None else 2
-            crit = float(np.sqrt(xi_m / nu))
+            crit = float(np.sqrt(sigma * xi_m))
             if crit0 is None:
                 crit0 = crit
             if j == max_iter:
                 break
             obj = fx + phi + hx
-            rec = {"j": j, "mu": cons.mu, "nu": nu, "delta_before": delta, "delta_after": delta,
-                   "xi": xi, "s1_norm2": float(np.linalg.norm(s1)), "xi_meas": xi_m,
-                   "s_meas_norm2": float(np.linalg.norm(s_m)), "crit": crit, "compl": compl,
-                   "obj_before": obj, "obj_after": np.nan, "rho": np.nan, "accepted": False,
-                   "exit": None, "s_inf": 0.0, "cap_inf": np.nan}
+            rec = {"j": j, "mu": cons.mu, "nu": 1.0 / sigma, "delta_before": delta,
+                   "delta_after": delta, "xi": xi, "s1_norm2": float(np.linalg.norm(s1)),
+                   "xi_meas": xi_m, "s_meas_norm2": float(np.linalg.norm(s_m)), "crit": crit,
+                   "compl": compl, "obj_before": obj, "obj_after": np.nan, "rho": np.nan,
+                   "accepted": False, "exit": None, "s_inf": 0.0, "cap_inf": np.nan}
             if crit <= abs_tol + rel_tol * crit0 and compl <= eps_p:
                 status = "tol"
                 if cons.records_exits:
@@ -198,25 +184,24 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
                     records.append(rec)
                 break
             cap = min(delta, BETA * float(np.max(np.abs(s1))))
-            cap_box = intersect_boxes(Box.ball(n, cap), box)
+            cap_box = intersect_boxes(Box.ball(x, cap), box)
             if hasattr(qn, "diagonal"):
                 d = qn.diagonal() if theta is None else qn.diagonal() + theta
-                s = h.prox_shifted(d, -g / d, x, cap_box)
+                x_t = h.prox_shifted(d, x - g / d, cap_box)
                 n_prox += 1
             else:
-                sub = r2_solve(QuadModelOracle(g, qn, theta, x), h,
-                               Box(x + cap_box.lo, x + cap_box.hi), x + s1, sub_opts)
-                s = sub.x - x
+                sub = r2_solve(QuadModelOracle(g, qn, theta, x), h, cap_box, u1, sub_opts)
+                x_t = sub.x
                 n_prox += sub.n_prox
+            s = x_t - x
             if not np.any(s) and cons.zero_step(x):
                 rec["rho"] = 0.0
                 records.append(rec)
                 continue
             bs = qn.apply(s) if theta is None else qn.apply(s) + theta * s
-            decrease = hx - float(g @ s) - 0.5 * float(s @ bs) - h.value(x + s)
-            x_t, step = cons.trial(x, s)
-            f_t = smooth.value(x_t)
             h_t = h.value(x_t)
+            decrease = hx - float(g @ s) - 0.5 * float(s @ bs) - h_t
+            f_t = smooth.value(x_t)
             phi_t = cons.phi(x_t)
             rho = (obj - (f_t + phi_t + h_t)) / decrease if decrease > 0 else -np.inf
             new_delta = update_radius(delta, rho)
@@ -226,7 +211,7 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
                 cons.accept(x, x_t, s)
                 x, fx, hx, phi = x_t, f_t, h_t, phi_t
                 g_new = smooth.grad(x)
-                qn.update(step, g_new - gx)
+                qn.update(s, g_new - gx)
                 gx = g_new
                 trace.append((smooth.n_grad, fx + hx))
                 rec["obj_after"] = fx + phi + hx

@@ -9,9 +9,10 @@ from ripm.interior import (BarrierTerms, DualEstimate, barrier_value, crossover,
                            inner_solve, outer_solve)
 from ripm.oracles import CallableOracle
 from ripm.qnops import LBFGS, SpectralDiag
+from ripm.r2 import first_order_step
 from ripm.regprox import Box, Regularizer, intersect_boxes
 from ripm.report import CONVERGED, evaluate_start
-from ripm.trust_region import DELTA_MAX, first_order_step, tr_iterate
+from ripm.trust_region import DELTA_MAX, tr_iterate
 
 from helpers import bisect_root, grid_min_1d
 
@@ -74,17 +75,19 @@ def test_barrier_grad_examples():
 def _barrier_step(x, mu, nu, delta, smooth, h, bounds, z=None):
     """First-order step of the barrier model as the inner loop takes it.
 
-    The gradients and the fraction-to-boundary box (at DELTA_FRAC) come from
-    `BarrierTerms.at`.  Without ``z`` this is the Cauchy step s1 of the
-    primal measure, with gradient grad f + grad phi; with ``z`` it is the
-    step of the Lagrangian measure, with gradient grad f - zl + zu.
+    The gradients and the fraction-to-boundary box of points (at DELTA_FRAC)
+    come from `BarrierTerms.at`.  Without ``z`` this is the Cauchy step s1
+    of the primal measure, with gradient grad f + grad phi; with ``z`` it is
+    the step of the Lagrangian measure, with gradient grad f - zl + zu.
+    Returns the step u - x and its model decrease.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     z_at = DualEstimate.ones_for(bounds) if z is None else z
     terms = BarrierTerms(bounds, mu, z_at, "cp" if z is None else "lagrangian")
     g, _, box, g_meas, _ = terms.at(x, smooth.grad(x))
-    return first_order_step(h, x, h.value(x), g if z is None else g_meas, nu,
-                            intersect_boxes(Box.ball(x.size, delta), box))
+    _, s, _, _, xi = first_order_step(h, x, h.value(x), g if z is None else g_meas, 1.0 / nu,
+                                      intersect_boxes(Box.ball(x, delta), box))
+    return s, xi
 
 
 def test_cauchy_step_zero_at_barrier_stationary_point():

@@ -13,11 +13,6 @@ def _box1(lo, hi):
     return Box(np.array([lo], dtype=float), np.array([hi], dtype=float))
 
 
-def _prox_at_zero(h, d, q, box):
-    """Separable prox argmin_s d (s - q)^2 / 2 + h(s) over box: iprox_shifted at x = 0."""
-    return iprox_shifted(h, d, q, np.zeros(q.size), box)
-
-
 def test_reg_value_examples():
     assert Regularizer("l1", 2.0).value(np.array([1.0, -3.0])) == 8.0
     assert Regularizer("l0", 10.0).value(np.array([0.0, 0.5, 0.0])) == 10.0
@@ -30,7 +25,7 @@ def test_reg_value_at_origin_is_zero():
 
 
 def test_shifted_value_examples():
-    # h(x + s), as the solvers evaluate it at a step s from x
+    # h at the point x + s that a step s from x reaches
     def at_step(h, x, s):
         return h.value(np.array(x) + np.array(s))
 
@@ -46,33 +41,33 @@ def test_block_weights_value():
 
 def test_prox_separable_examples():
     h1 = Regularizer("l1", 1.0)
-    assert _prox_at_zero(h1, 1.0, np.array([2.0]), _box1(-10, 10))[0] == pytest.approx(1.0)
-    assert _prox_at_zero(h1, 1.0, np.array([5.0]), _box1(-2, 2))[0] == pytest.approx(2.0)
+    assert iprox_shifted(h1, 1.0, np.array([2.0]), _box1(-10, 10))[0] == pytest.approx(1.0)
+    assert iprox_shifted(h1, 1.0, np.array([5.0]), _box1(-2, 2))[0] == pytest.approx(2.0)
     z = Regularizer("zero")
-    assert _prox_at_zero(z, 5.0, np.array([0.3]), _box1(-1, 1))[0] == pytest.approx(0.3)
+    assert iprox_shifted(z, 5.0, np.array([0.3]), _box1(-1, 1))[0] == pytest.approx(0.3)
 
 
 def test_prox_separable_requires_positive_d():
     for d in (0.0, -1.0):
         with pytest.raises(ValueError):
-            _prox_at_zero(Regularizer("l1", 1.0), d, np.array([1.0]), _box1(-1, 1))
+            iprox_shifted(Regularizer("l1", 1.0), d, np.array([1.0]), _box1(-1, 1))
         with pytest.raises(ValueError):
-            iprox_shifted(Regularizer("l0", 1.0), np.array([1.0, d]), np.zeros(2),
-                          np.full(2, 0.4), Box(np.full(2, -2.0), np.full(2, 2.0)))
+            iprox_shifted(Regularizer("l0", 1.0), np.array([1.0, d]), np.full(2, 0.4),
+                          Box(np.full(2, -2.0), np.full(2, 2.0)))
 
 
 def test_l0_tie_prefers_zero():
     # d=1, q=sqrt(2*lam): cost at q equals cost at 0 exactly for lam=2, q=2
     h = Regularizer("l0", 2.0)
-    out = _prox_at_zero(h, 1.0, np.array([2.0]), _box1(-10, 10))
+    out = iprox_shifted(h, 1.0, np.array([2.0]), _box1(-10, 10))
     assert out[0] == 0.0
 
 
 def test_iprox_shifted_l0_tie_prefers_sparse():
-    # x=1: stepping to s=-1 zeroes the coordinate at quadratic cost equal to lam
+    # q=1: the sparse point u=0 costs d q^2 / 2 = lam, the same as u=q
     h = Regularizer("l0", 0.5)
-    out = iprox_shifted(h, 1.0, np.array([0.0]), np.array([1.0]), _box1(-10, 10))
-    assert 1.0 + out[0] == 0.0
+    out = iprox_shifted(h, 1.0, np.array([1.0]), _box1(-10, 10))
+    assert out[0] == 0.0
 
 
 def test_box_needs_vectors_of_one_size():
@@ -93,20 +88,20 @@ def test_intersect_boxes_examples():
 def test_fraction_to_boundary_one_sided():
     bounds = Box(np.zeros(2), np.full(2, np.inf))
     b = fraction_to_boundary_box(np.array([1.0, 2.0]), 0.5, bounds)
-    assert np.allclose(b.lo, [-0.5, -1.5])
+    assert np.allclose(b.lo, [0.5, 0.5])
     assert np.all(np.isinf(b.hi))
 
 
 def test_fraction_to_boundary_small_delta_recovers_bound():
     bounds = Box(np.zeros(1), np.full(1, np.inf))
     b = fraction_to_boundary_box(np.array([1.0]), 1e-12, bounds)
-    assert b.lo[0] == pytest.approx(-1.0, abs=1e-11)
+    assert b.lo[0] == pytest.approx(0.0, abs=1e-11)
 
 
 def test_fraction_to_boundary_two_sided():
     b = fraction_to_boundary_box(np.array([1.0]), 0.5, _box1(0.0, 2.0))
-    assert b.lo[0] == pytest.approx(-0.5)
-    assert b.hi[0] == pytest.approx(0.5)
+    assert b.lo[0] == pytest.approx(0.5)
+    assert b.hi[0] == pytest.approx(1.5)
 
 
 def test_fraction_to_boundary_requires_interior():
@@ -117,28 +112,24 @@ def test_fraction_to_boundary_requires_interior():
 @given(st.floats(-5, 5), st.floats(0.01, 0.99))
 @settings(max_examples=50, deadline=None)
 def test_fraction_to_boundary_membership(shift, delta):
-    # any step in the returned box keeps min(x+s) >= delta * min(x) (one-sided)
+    # any point in the returned box keeps min(u) >= delta * min(x) (one-sided)
     x = np.array([1.0, 2.5, 0.7]) + 3.0 + shift / 10.0
     bounds = Box(np.zeros(3), np.full(3, np.inf))
     b = fraction_to_boundary_box(x, delta, bounds)
     rng = np.random.default_rng(0)
     for _ in range(20):
         t = rng.uniform(0, 1, size=3)
-        s = b.lo + t * (np.minimum(b.hi, b.lo + 10.0) - b.lo)
-        assert np.min(x + s) >= delta * np.min(x) - 1e-12
+        u = b.lo + t * (np.minimum(b.hi, b.lo + 10.0) - b.lo)
+        assert np.min(u) >= delta * np.min(x) - 1e-12
 
 
-def _prox_case_matches_grid(kind, lam, d, q, lo, hi, x=None):
+def _prox_case_matches_grid(kind, lam, d, q, lo, hi, x=0.0):
+    # the step problem min_{lo <= t <= hi} d (t - q)^2 / 2 + h(x + t), solved in
+    # points: the prox at x + q over [x + lo, x + hi], minus x
     h = Regularizer(kind, lam)
-    box = _box1(lo, hi)
-    if x is None:
-        s = _prox_at_zero(h, d, np.array([q]), box)[0]
-        obj = lambda t: 0.5 * d * (t - q) ** 2 + np.vectorize(
-            lambda u: comp_reg_value(kind, lam, u))(t)
-    else:
-        s = iprox_shifted(h, d, np.array([q]), np.array([x]), box)[0]
-        obj = lambda t: 0.5 * d * (t - q) ** 2 + np.vectorize(
-            lambda u: comp_reg_value(kind, lam, x + u))(t)
+    s = iprox_shifted(h, d, np.array([x + q]), _box1(x + lo, x + hi))[0] - x
+    obj = lambda t: 0.5 * d * (t - q) ** 2 + np.vectorize(
+        lambda u: comp_reg_value(kind, lam, x + u))(t)
     _, best = grid_min_vec(obj, lo, hi)
     got = obj(np.array([s]))[0]
     assert lo - 1e-12 <= s <= hi + 1e-12
@@ -180,14 +171,14 @@ def test_iprox_shifted_matches_grid_oracle(kind, lam, d, q, x, a, width):
 @settings(max_examples=60, deadline=None)
 def test_prox_output_containment(kind, d, q):
     box = Box(np.array([-2.0, 0.0, -0.5]), np.array([2.0, 3.0, 0.5]))
-    s = _prox_at_zero(Regularizer(kind, 1.0), d, np.array(q), box)
+    s = iprox_shifted(Regularizer(kind, 1.0), d, np.array(q), box)
     assert np.all(box.lo <= s) and np.all(s <= box.hi)
 
 
 def test_zero_regularizer_is_clamp():
     box = Box(np.array([-1.0, 0.0]), np.array([1.0, 2.0]))
     q = np.array([5.0, -3.0])
-    s = _prox_at_zero(Regularizer("zero"), 2.0, q, box)
+    s = iprox_shifted(Regularizer("zero"), 2.0, q, box)
     assert np.array_equal(s, box.clamp(q))
 
 
@@ -196,17 +187,16 @@ def test_zero_regularizer_is_clamp():
 @settings(max_examples=60, deadline=None)
 def test_l1_scaling_invariance(c, q, lam, d):
     box = _box1(-4.0, 4.0)
-    s1 = _prox_at_zero(Regularizer("l1", lam), d, np.array([q]), box)
-    s2 = _prox_at_zero(Regularizer("l1", c * lam), c * d, np.array([q]), box)
+    s1 = iprox_shifted(Regularizer("l1", lam), d, np.array([q]), box)
+    s2 = iprox_shifted(Regularizer("l1", c * lam), c * d, np.array([q]), box)
     assert s1[0] == pytest.approx(s2[0], abs=1e-12)
 
 
-def _old_l1_prox(h, d, q, x, box):
-    """The l1 kernel as sign(u) max(|u| - lam/d, 0), clamped to x + box, minus x."""
+def _old_l1_prox(h, d, q, box):
+    """The l1 kernel as sign(q) max(|q| - lam/d, 0), clamped to the box."""
     lam = h.lam * (1.0 if h.weights is None else h.weights)
-    u = x + q
-    u = np.sign(u) * np.maximum(np.abs(u) - lam / d, 0.0)
-    return np.minimum(np.maximum(u, x + box.lo), x + box.hi) - x
+    u = np.sign(q) * np.maximum(np.abs(q) - lam / d, 0.0)
+    return np.minimum(np.maximum(u, box.lo), box.hi)
 
 
 def _bits(v):
@@ -226,36 +216,27 @@ def test_l1_kernel_equals_the_sign_formula_bit_for_bit(weighted, vector_d, origi
             weights[::7] = 0.0
         h = Regularizer("l1", float(rng.uniform(0.1, 2.0)), weights=weights)
         d = rng.uniform(0.1, 10.0, n) if vector_d else float(rng.uniform(0.1, 10.0))
+        # q and the box lie around the origin x: a random vector, or the scalar zero
+        x = 2.0 * rng.standard_normal(n) if origin == "vector" else 0.0
         q = 3.0 * rng.standard_normal(n)
         q[::5] = 0.0
-        x = 2.0 * rng.standard_normal(n) if origin == "vector" else 0.0
-        lo = -np.abs(rng.standard_normal(n))
-        hi = np.abs(rng.standard_normal(n))
+        q += x
+        lo = x - np.abs(rng.standard_normal(n))
+        hi = x + np.abs(rng.standard_normal(n))
         lo[::3] = -np.inf
         hi[::4] = np.inf
         box = Box(lo, hi)
-        got = iprox_shifted(h, d, q, x, box)
-        want = _old_l1_prox(h, d, q, np.zeros(n) if origin == "scalar zero" else x, box)
+        got = iprox_shifted(h, d, q, box)
+        want = _old_l1_prox(h, d, q, box)
         assert np.array_equal(_bits(got), _bits(want))
         assert not np.shares_memory(got, q)
-
-
-@pytest.mark.parametrize("kind", ["l1", "l0", "zero"])
-def test_prox_at_the_scalar_zero_is_the_plain_prox(kind):
-    rng = np.random.default_rng(22)
-    n = 50
-    h = Regularizer(kind, 0.7)
-    d, q = rng.uniform(0.5, 2.0, n), 2.0 * rng.standard_normal(n)
-    box = Box(np.full(n, -1.5), np.full(n, np.inf))
-    got = iprox_shifted(h, d, q, 0.0, box)
-    assert np.array_equal(_bits(got), _bits(_prox_at_zero(h, d, q, box)))
 
 
 def test_prox_with_block_weights():
     # unpenalized block behaves like the zero regularizer
     h = Regularizer("l1", 1.0, weights=np.array([0.0, 1.0]))
     box = Box(np.full(2, -10.0), np.full(2, 10.0))
-    s = _prox_at_zero(h, 1.0, np.array([2.0, 2.0]), box)
+    s = iprox_shifted(h, 1.0, np.array([2.0, 2.0]), box)
     assert s[0] == pytest.approx(2.0)
     assert s[1] == pytest.approx(1.0)
 

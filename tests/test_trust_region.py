@@ -150,3 +150,24 @@ def test_diagonal_operator_takes_the_trdh_step(monkeypatch):
     assert (rep.n_f, rep.n_grad, rep.n_prox, rep.termination) == BPDN_40x96["TRDH"]
     with pytest.raises(AssertionError, match="R2 subsolve"):
         tr_solve(inst.smooth.fresh(), inst.h, inst.bounds, LSR1(96), inst.x0)
+
+
+def test_trdh_evaluates_h_once_at_each_point(monkeypatch):
+    # h is evaluated at x0, at the Cauchy point of every iteration (the last one
+    # measures and stops) and once at every trial point, which is the prox output
+    value = Regularizer.value
+    calls = []
+
+    def counted(self, x):
+        calls.append(1)
+        return value(self, x)
+    monkeypatch.setattr(Regularizer, "value", counted)
+    inst = problems.build("bpdn", 0, m=40, n=96, n_spikes=3)
+    oracle = inst.smooth.fresh()
+    oracle.budget = 1000
+    rep = trdh_solve(oracle, inst.h, inst.bounds, inst.x0)
+    assert rep.termination == CONVERGED
+    iters = rep.diagnostics["iters"]
+    trials = sum(not np.isnan(it["rho"]) for it in iters)
+    assert trials == len(iters) == rep.n_f - 1
+    assert len(calls) == 1 + (len(iters) + 1) + trials
