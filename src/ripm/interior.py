@@ -218,9 +218,10 @@ def inner_solve(smooth, h, bounds: Box, qn, x, fx: float, hx: float, gx, z: Dual
     starts at radius min(DELTA0_FACTOR * mu, DELTA_MAX) and ends with "tol"
     once the measure of `measure_mode` falls below eps_k + eps_d_rel *
     (measure at entry) and the complementarity residual below eps_k =
-    mu**EPS_EXPONENT, with "budget" when the evaluation budget runs out, or
-    with "cap" after INNER_CAP iterations.  Accepted points extend ``trace``
-    and every iteration extends ``records`` (see `trust_region.tr_iterate`).
+    mu**EPS_EXPONENT, with "budget" when the evaluation budget runs out,
+    with "cap" after INNER_CAP iterations, or with "stalled" once the radius
+    collapses to the rounding of x.  Accepted points extend ``trace`` and
+    every iteration extends ``records`` (see `trust_region.tr_iterate`).
     """
     eps_k = mu**EPS_EXPONENT
     return tr_iterate(
@@ -266,8 +267,9 @@ def outer_solve(smooth, h, bounds: Box, qn_factory, x0, opts: IpmOptions | None 
                 eps_glob = EPS_A + opts.eps_r * res.measure0
             if res.status == "budget":
                 break
-            # declare convergence only off a genuine tolerance exit: measures
-            # reported from cap exits at collapsed radii are cancellation noise
+            # declare convergence only off a genuine tolerance exit: a cap exit
+            # may report a measure that cancellation drove to 0, and a stalled
+            # stage measured nothing at its collapsed radius
             if (res.status == "tol" and mu < eps_glob
                     and res.compl < eps_glob and res.crit < eps_glob):
                 status = CONVERGED

@@ -12,7 +12,10 @@ R2 solve of the quadratic model over the cap box, started at u1, whose
 trials change the model by a closed form in the operator's factors (see `r2`
 and `oracles.QuadModelOracle`).  A ratio test accepts or rejects the trial
 point, the radius follows `update_radius`, and the quasi-Newton operator is
-updated on acceptance.
+updated on acceptance.  Once Delta falls below eps (1 + ||x||_inf), with eps
+the machine epsilon, the box around x rounds to x in its largest components:
+neither a trial point nor the measure can resolve a step there, so the loop
+stops as stalled before it measures.
 
 The bounds enter through a constraint object, which supplies the box of
 points every trial stays in.  TR and TRDH fold the box indicator into the
@@ -104,7 +107,7 @@ class ShiftedBounds:
 
 @dataclass
 class InnerResult:
-    """Outcome of `tr_iterate`; status is "tol", "cap" or "budget"."""
+    """Outcome of `tr_iterate`; status is "tol", "cap", "budget" or "stalled"."""
 
     x: np.ndarray
     z: object
@@ -127,12 +130,15 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
     `ShiftedBounds` and the attributes mu, z (returned) and records_exits.
     The loop stops with "tol" once the measure falls below abs_tol + rel_tol *
     (measure at entry) and the complementarity residual below eps_p, with
-    "budget" when the evaluation budget runs out, and with "cap" after
-    ``max_iter`` steps, measuring once more at the final point.  Accepted
+    "budget" when the evaluation budget runs out, with "cap" after
+    ``max_iter`` steps, measuring once more at the final point, and with
+    "stalled" once Delta < eps (1 + ||x||_inf), before measuring at that
+    radius: crit is then the last measure taken (inf if none).  Accepted
     points append (n_grad, f + h) to ``trace``.
 
     Every iteration that tries a step appends one record to ``records``; an
-    iteration that stops the loop appends one only if ``cons.records_exits``.
+    iteration that stops the loop on the tolerance appends one only if
+    ``cons.records_exits``, and a stall appends none.
     Its keys:
 
     - j: iteration index; mu: barrier parameter (0 without barrier);
@@ -151,10 +157,13 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
     phi = cons.phi(x)
     sub_opts = R2Options(max_iter=SUBSOLVER_MAX_ITER, abs_tol=0.0, rel_tol=SUBSOLVER_REL_TOL)
     n_prox = 0
-    crit, compl, crit0 = np.inf, np.inf, None
+    crit, compl, crit0 = np.inf, np.inf, np.inf
     status = "cap"
     try:
         for j in range(max_iter + 1):
+            if delta < np.finfo(float).eps * (1.0 + float(np.max(np.abs(x)))):
+                status = "stalled"
+                break
             g, theta, box, g_meas, compl = cons.at(x, gx)
             lip = qn.norm_estimate()
             if theta is not None:
@@ -167,7 +176,7 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
                 _, s_m, _, _, xi_m = first_order_step(h, x, hx, g_meas, sigma, tr_box)
             n_prox += 1 if g_meas is None else 2
             crit = float(np.sqrt(sigma * xi_m))
-            if crit0 is None:
+            if j == 0:
                 crit0 = crit
             if j == max_iter:
                 break

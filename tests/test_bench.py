@@ -40,22 +40,30 @@ def test_budget_one_all_solvers():
     ("fh", {}, 100),
 ])
 def test_every_prox_is_counted(monkeypatch, family, params, budget):
-    # every call of the prox kernel, made through regprox.iprox_shifted, is one of n_prox
+    # every call of the prox kernel, made through regprox.iprox_shifted, is one
+    # of n_prox; every box a solver takes is a box of points, so no solve shifts
+    # one to x, and the instance's bounds come out as they went in
     monkeypatch.setattr(problems, "FH_RK4_STEPS", 200)
     inst = problems.build(family, 0, **params)
     assert inst.h.kind == ("l1" if family == "bpdn" else "l0")
+    lo, hi = inst.bounds.lo.copy(), inst.bounds.hi.copy()
     calls = []
     kernel = regprox.iprox_shifted
 
     def counted(*args):
         calls.append(1)
         return kernel(*args)
+
+    def no_shift(self, x):
+        raise AssertionError("Box.shifted")
     monkeypatch.setattr(regprox, "iprox_shifted", counted)
+    monkeypatch.setattr(regprox.Box, "shifted", no_shift)
     for name in ALL_SOLVERS:
         calls.clear()
         rep = run_solver(name, inst, budget)
         assert rep.n_prox > 0
         assert len(calls) == rep.n_prox, name
+        assert np.array_equal(inst.bounds.lo, lo) and np.array_equal(inst.bounds.hi, hi)
 
 
 def test_budget_zero_reports_criticality_unmeasured():

@@ -243,6 +243,21 @@ def _stage(smooth, h, x0, z0, mu, qn, mode="cp", delta=100.0, tol=1e-9, records=
 
 
 @pytest.mark.parametrize("step", ["diagonal", "r2"])
+def test_a_collapsed_radius_stalls_the_stage(step):
+    # at Delta = 1e-30 the ball around x = 1 rounds to the point itself, so the
+    # Cauchy step, the model step and the measure would all read 0 at a point
+    # where f' = -1; the stage stalls before measuring instead of refreshing
+    # the duals on the zero step and exiting on the tolerance
+    smooth = _oracle_quad(2.0)
+    qn = SpectralDiag(1) if step == "diagonal" else LBFGS(1)
+    records = []
+    res = _stage(smooth, Regularizer("zero"), [1.0], DualEstimate.ones_for(POS), 1e-3, qn,
+                 delta=1e-30, records=records)
+    assert res.status == "stalled" and res.crit == np.inf
+    assert res.n_prox == 0 and records == [] and smooth.n_f == 1
+
+
+@pytest.mark.parametrize("step", ["diagonal", "r2"])
 @pytest.mark.parametrize("mu", [1.0, 0.1, 0.01])
 def test_inner_solve_quadratic_barrier_path(step, mu):
     # stationarity of 0.5 (x-2)^2 - mu log x:  x - 2 - mu / x = 0

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from ripm import bench, problems
 from ripm.oracles import CallableOracle, QuadModelOracle
 from ripm.qnops import LBFGS, LSR1
 from ripm.r2 import R2Options, r2_solve
@@ -208,11 +207,11 @@ def test_r2_on_a_model_follows_the_closed_form(monkeypatch):
 
 
 def test_r2_shifts_no_box_and_leaves_the_callers_box(monkeypatch):
-    # every box a solver takes is a box of points: no solve shifts one to x
+    # R2 takes its box of points as it is: it shifts none to x (every solver
+    # is checked the same way in tests/test_bench.py::test_every_prox_is_counted)
     def no_shift(self, x):
         raise AssertionError("Box.shifted")
     monkeypatch.setattr(Box, "shifted", no_shift)
-    monkeypatch.setattr(problems, "FH_RK4_STEPS", 200)
     n = 6
     c = np.random.default_rng(13).standard_normal(n)
     d = np.linspace(0.2, 5.0, n)
@@ -224,11 +223,3 @@ def test_r2_shifts_no_box_and_leaves_the_callers_box(monkeypatch):
                        R2Options(abs_tol=1e-8, rel_tol=0.0))
         assert sum(r["accepted"] for r in rep.diagnostics["iters"]) > 3
         assert np.array_equal(bounds.lo, lo) and np.array_equal(bounds.hi, hi)
-    for family, params, budget in (("bpdn", {"m": 40, "n": 96, "n_spikes": 3}, 1000),
-                                   ("fh", {}, 100)):
-        inst = problems.build(family, 0, **params)
-        lo, hi = inst.bounds.lo.copy(), inst.bounds.hi.copy()
-        for name in bench.SOLVER_NAMES:
-            rep = bench.run_solver(name, inst, budget)
-            assert rep.n_prox > 0, name
-            assert np.array_equal(inst.bounds.lo, lo) and np.array_equal(inst.bounds.hi, hi)

@@ -6,7 +6,7 @@ from ripm import trust_region as tr
 from ripm.oracles import CallableOracle
 from ripm.qnops import LBFGS, LSR1, SpectralDiag
 from ripm.regprox import Box, Regularizer
-from ripm.report import CONVERGED
+from ripm.report import CONVERGED, evaluate_start
 from ripm.trust_region import TrustRegionOptions, tr_solve, trdh_solve, update_radius
 
 from helpers import grid_min_1d
@@ -171,3 +171,20 @@ def test_trdh_evaluates_h_once_at_each_point(monkeypatch):
     trials = sum(not np.isnan(it["rho"]) for it in iters)
     assert trials == len(iters) == rep.n_f - 1
     assert len(calls) == 1 + (len(iters) + 1) + trials
+
+
+def test_a_collapsed_radius_stops_the_loop_as_stalled():
+    # the fh regime: l0 with h(x) = 30 and x of order 1.  At Delta = 1e-30 the
+    # step box rounds to x, so no step or measure is resolved there; the loop
+    # stops before it measures and reports no measure, not a 0 one
+    n = 3
+    smooth = _quad_shift(np.full(n, 2.0))
+    h = Regularizer("l0", 10.0)
+    x = np.ones(n)
+    trace = []
+    fx, hx, gx = evaluate_start(smooth, h, x, trace)
+    res = tr.tr_iterate(smooth, h, tr.ShiftedBounds(Box(np.full(n, -5.0), np.full(n, 5.0))),
+                        SpectralDiag(n), x, fx, hx, gx, 1e-30, max_iter=10, abs_tol=1e-8,
+                        rel_tol=0.0, trace=trace, records=[])
+    assert res.status == "stalled" and res.crit == np.inf and res.n_prox == 0
+    assert np.array_equal(res.x, x) and smooth.n_f == 1
