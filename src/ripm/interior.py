@@ -28,6 +28,7 @@ tolerance of `outer_solve`.  The trust-region constants are those of
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -36,8 +37,8 @@ import numpy as np
 from .errors import BoundaryPoint, BudgetExhausted
 # r2_solve and intersect_boxes are bound here only for perfbench/tracer.py,
 # which wraps them in this module and in trust_region; the trust-region loop
-# calls both from trust_region.  regprox.Box.shifted, which no solver calls,
-# is bound only for the tracer too
+# calls r2_solve from trust_region.  No solver calls intersect_boxes,
+# regprox.Box.ball or regprox.Box.shifted, which stay bound for the tracer too
 from .r2 import r2_solve  # noqa: F401
 from .regprox import L0, Box, fraction_to_boundary_box, intersect_boxes  # noqa: F401
 from .report import CONVERGED, MAX_ITER, SolverReport, evaluate_start, make_report
@@ -81,35 +82,40 @@ class DualEstimate:
                    np.where(np.isfinite(bounds.hi), 1.0, 0.0))
 
 
-def _gaps(x, bounds: Box):
-    """Finite-side masks and gaps to the bounds; gaps are +inf on infinite sides."""
-    ml = np.isfinite(bounds.lo)
-    mu_ = np.isfinite(bounds.hi)
+def _finite_sides(bounds: Box):
+    """Masks of the finite lower and upper bounds."""
+    return np.isfinite(bounds.lo), np.isfinite(bounds.hi)
+
+
+def _gaps(x, bounds: Box, ml, mu_):
+    """Gaps to the bounds, +inf on the infinite sides that the masks ml and mu_
+    leave out, and whether every gap is positive (x strictly interior)."""
     gl = np.where(ml, x - bounds.lo, np.inf)
     gu = np.where(mu_, bounds.hi - x, np.inf)
-    return ml, gl, mu_, gu
+    return gl, gu, not ((gl <= 0.0).any() or (gu <= 0.0).any())
 
 
-def _interior(gl, gu) -> bool:
-    """Every gap to a finite bound is positive (infinite bounds have gap +inf)."""
-    return not (np.any(gl <= 0.0) or np.any(gu <= 0.0))
+def _barrier(mu: float, gaps, ml, mu_) -> float:
+    """The barrier formula of `barrier_value`, from the gaps of `_gaps`."""
+    gl, gu, interior = gaps
+    if not interior:
+        return np.inf
+    val = 0.0
+    val -= mu * float(np.log(gl[ml]).sum())
+    val -= mu * float(np.log(gu[mu_]).sum())
+    return val
 
 
 def barrier_value(mu: float, x, bounds: Box) -> float:
     """-mu * sum log(gaps) over finite bounds; +inf encodes infeasibility."""
-    ml, gl, mu_, gu = _gaps(x, bounds)
-    if not _interior(gl, gu):
-        return np.inf
-    val = 0.0
-    val -= mu * float(np.sum(np.log(gl[ml])))
-    val -= mu * float(np.sum(np.log(gu[mu_])))
-    return val
+    ml, mu_ = _finite_sides(bounds)
+    return _barrier(mu, _gaps(x, bounds, ml, mu_), ml, mu_)
 
 
 def _compl_residual(zl, zu, gl, gu, ml, mu_, mu: float) -> float:
     """Euclidean norm of gap*z - mu stacked over all finite bound sides."""
-    acc = float(np.sum((gl[ml] * zl[ml] - mu) ** 2)) + float(np.sum((gu[mu_] * zu[mu_] - mu) ** 2))
-    return float(np.sqrt(acc))
+    acc = float(((gl[ml] * zl[ml] - mu) ** 2).sum()) + float(((gu[mu_] * zu[mu_] - mu) ** 2).sum())
+    return math.sqrt(acc)
 
 
 def dual_update(x_new, x_old, z_old: DualEstimate, s, mu, bounds: Box) -> DualEstimate:
@@ -120,9 +126,16 @@ def dual_update(x_new, x_old, z_old: DualEstimate, s, mu, bounds: Box) -> DualEs
     max(KAPPA_ZUU, z, KAPPA_ZUU/mu, KAPPA_ZUU * mu/gap_new)].  Entries for
     infinite bounds stay at zero because every interval bound vanishes there.
     """
-    _, gl_old, _, gu_old = _gaps(x_old, bounds)
-    _, gl_new, _, gu_new = _gaps(x_new, bounds)
-    if not (_interior(gl_old, gu_old) and _interior(gl_new, gu_new)):
+    ml, mu_ = _finite_sides(bounds)
+    return _dual_update(_gaps(x_old, bounds, ml, mu_), _gaps(x_new, bounds, ml, mu_),
+                        z_old, s, mu)
+
+
+def _dual_update(gaps_old, gaps_new, z_old: DualEstimate, s, mu) -> DualEstimate:
+    """`dual_update` from the gaps of `_gaps` at the old and the new point."""
+    gl_old, gu_old, interior_old = gaps_old
+    gl_new, gu_new, interior_new = gaps_new
+    if not (interior_old and interior_new):
         raise BoundaryPoint("dual update needs strictly interior points")
 
     def one_side(z, g_old, g_new, s_signed):
@@ -130,7 +143,8 @@ def dual_update(x_new, x_old, z_old: DualEstimate, s, mu, bounds: Box) -> DualEs
         lo = KAPPA_ZUL * np.minimum(np.minimum(1.0, z), mu / g_new)
         hi = np.maximum(np.maximum(KAPPA_ZUU, z),
                         np.maximum(KAPPA_ZUU / mu, KAPPA_ZUU * mu / g_new))
-        return np.clip(zhat, lo, hi)
+        np.maximum(zhat, lo, out=zhat)
+        return np.minimum(zhat, hi, out=zhat)
 
     return DualEstimate(one_side(z_old.zl, gl_old, gl_new, s),
                         one_side(z_old.zu, gu_old, gu_new, -s))
@@ -150,7 +164,8 @@ def crossover(x, z: DualEstimate, mu_final: float, bounds: Box):
     rt = np.sqrt(mu_final)
     qt = mu_final**0.25
 
-    ml, gl, mu_, _ = _gaps(x, bounds)
+    ml, mu_ = _finite_sides(bounds)
+    gl = _gaps(x, bounds, ml, mu_)[0]
     joint = (gl < qt) & (zl < qt) & ml
     x = np.where(ml & ((gl < rt) | joint), bounds.lo, x)
     zl = np.where(ml & ((zl < rt) | joint), 0.0, zl)
@@ -160,7 +175,7 @@ def crossover(x, z: DualEstimate, mu_final: float, bounds: Box):
     x = np.where(mu_ & ((gu < rt) | joint), bounds.hi, x)
     zu = np.where(mu_ & ((zu < rt) | joint), 0.0, zu)
 
-    _, gl, _, gu = _gaps(x, bounds)
+    gl, gu, _ = _gaps(x, bounds, ml, mu_)
     zl = np.where(ml & (gl > 0.0), 0.0, zl)
     zu = np.where(mu_ & (gu > 0.0), 0.0, zu)
     return x, DualEstimate(zl, zu)
@@ -172,16 +187,35 @@ class BarrierTerms:
     Holds the barrier parameter and the dual estimate ``z``, which it
     updates on every accepted step and, from exact perturbed
     complementarity, on a zero model step.
+
+    The loop asks for the gaps of one point several times: at x (`at`, and
+    `phi` at the start), at the trial point (`phi`) and at both on
+    acceptance.  They are computed once per point and kept for the current
+    point and the last other point, keyed on the array object, which the
+    loop never modifies.
     """
 
     records_exits = True
 
     def __init__(self, bounds: Box, mu: float, z: DualEstimate, mode: str):
         self.bounds, self.mu, self.z, self.mode = bounds, mu, z, mode
+        self._masks = _finite_sides(bounds)
+        self._current = self._other = (None, None)  # (point, its gaps)
+
+    def _gaps_at(self, x):
+        for point, gaps in (self._current, self._other):
+            if point is x:
+                return gaps
+        gaps = _gaps(x, self.bounds, *self._masks)
+        self._other = (x, gaps)
+        return gaps
 
     def at(self, x, gx):
-        ml, gl, mu_, gu = _gaps(x, self.bounds)
-        if not _interior(gl, gu):
+        gaps = self._gaps_at(x)
+        self._current = (x, gaps)
+        gl, gu, interior = gaps
+        ml, mu_ = self._masks
+        if not interior:
             raise BoundaryPoint("barrier gradient needs a strictly interior point")
         # the barrier gradient -mu/(x-lo) + mu/(hi-x), terms dropped at infinite bounds
         g_phi = np.where(ml, -self.mu / gl, 0.0) + np.where(mu_, self.mu / gu, 0.0)
@@ -193,7 +227,7 @@ class BarrierTerms:
         return gx + g_phi, theta, box, g_meas, _compl_residual(zl, zu, gl, gu, ml, mu_, self.mu)
 
     def phi(self, x) -> float:
-        return barrier_value(self.mu, x, self.bounds)
+        return _barrier(self.mu, self._gaps_at(x), *self._masks)
 
     def zero_step(self, x) -> bool:
         # the model is stationary at x: refresh the duals (the update at s = 0)
@@ -202,7 +236,7 @@ class BarrierTerms:
         return True
 
     def accept(self, x, x_t, s) -> None:
-        self.z = dual_update(x_t, x, self.z, s, self.mu, self.bounds)
+        self.z = _dual_update(self._gaps_at(x), self._gaps_at(x_t), self.z, s, self.mu)
 
 
 def measure_mode(h) -> str:
@@ -236,9 +270,11 @@ def outer_solve(smooth, h, bounds: Box, qn_factory, x0, opts: IpmOptions | None 
 
     Convergence is declared when mu, the complementarity residual, and the
     criticality measure at the inner exit all fall below
-    EPS_A + eps_r * (measure at the very first inner iteration).  The measure
-    is the primal one when h is the (nonconvex) l0 penalty and the Lagrangian
-    one otherwise; the step follows the operators of ``qn_factory``.
+    EPS_A + eps_r * (measure at the very first inner iteration).  A stage
+    that stalls at entry ends the loop with MAX_ITER, and the crossover uses
+    its mu.  The measure is the primal one when h is the (nonconvex) l0
+    penalty and the Lagrangian one otherwise; the step follows the operators
+    of ``qn_factory``.
     """
     opts = opts or IpmOptions()
     t0 = time.perf_counter()
@@ -265,7 +301,10 @@ def outer_solve(smooth, h, bounds: Box, qn_factory, x0, opts: IpmOptions | None 
             stages = k + 1
             if eps_glob is None:
                 eps_glob = EPS_A + opts.eps_r * res.measure0
-            if res.status == "budget":
+            # a stage that stalls at entry (no prox: it never measured) leaves x
+            # and z as they were, and every later stage starts at a smaller
+            # radius, so it would stall as well
+            if res.status == "budget" or (res.status == "stalled" and res.n_prox == 0):
                 break
             # declare convergence only off a genuine tolerance exit: a cap exit
             # may report a measure that cancellation drove to 0, and a stalled

@@ -20,6 +20,7 @@ t.B t = t.t + sum signs (W t)^2 with one k-row product.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 
 import numpy as np
@@ -100,7 +101,7 @@ class LBFGS(_FactoredOp):
 
     def _accept(self, s, y) -> bool:
         sy = float(s @ y)
-        return sy > CURVATURE_SKIP * np.linalg.norm(s) * np.linalg.norm(y)
+        return sy > CURVATURE_SKIP * math.sqrt(s @ s) * math.sqrt(y @ y)
 
     def _rebuild(self):
         for s, y in self.pairs:
@@ -109,8 +110,8 @@ class LBFGS(_FactoredOp):
             sy = float(s @ y)
             if sbs <= 0.0 or sy <= 0.0:
                 continue
-            self._push(bs, np.sqrt(sbs), -1.0)
-            self._push(y, np.sqrt(sy), 1.0)
+            self._push(bs, math.sqrt(sbs), -1.0)
+            self._push(y, math.sqrt(sy), 1.0)
 
 
 class LSR1(_FactoredOp):
@@ -124,15 +125,15 @@ class LSR1(_FactoredOp):
     def _accept(self, s, y) -> bool:
         r = y - self.apply(s)
         rs = float(r @ s)
-        return abs(rs) > CURVATURE_SKIP * np.linalg.norm(r) * np.linalg.norm(s)
+        return abs(rs) > CURVATURE_SKIP * math.sqrt(r @ r) * math.sqrt(s @ s)
 
     def _rebuild(self):
         for s, y in self.pairs:
             r = y - self.apply(s)
             rs = float(r @ s)
-            if abs(rs) <= CURVATURE_SKIP * np.linalg.norm(r) * np.linalg.norm(s) or rs == 0.0:
+            if abs(rs) <= CURVATURE_SKIP * math.sqrt(r @ r) * math.sqrt(s @ s) or rs == 0.0:
                 continue
-            self._push(r, np.sqrt(abs(rs)), 1.0 if rs > 0 else -1.0)
+            self._push(r, math.sqrt(abs(rs)), 1.0 if rs > 0 else -1.0)
 
 
 class SpectralDiag:
@@ -149,7 +150,7 @@ class SpectralDiag:
         ss = float(s @ s)
         if ss == 0.0:
             return False
-        self.sigma = float(np.clip((s @ y) / ss, SIGMA_MIN, SIGMA_MAX))
+        self.sigma = min(max(float(s @ y) / ss, SIGMA_MIN), SIGMA_MAX)
         return True
 
     def norm_estimate(self) -> float:

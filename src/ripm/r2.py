@@ -29,6 +29,7 @@ successful step multiplies sigma by GAMMA_DEC, a failed one by GAMMA_INC (gamma)
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -95,7 +96,7 @@ def r2_solve(smooth, reg, box: Box, x0, opts: R2Options | None = None,
         for _ in range(opts.max_iter):
             u, t, h_trial, gt, xi = first_order_step(reg, x, hx, gx, sigma, box)
             n_prox += 1
-            crit = float(np.sqrt(sigma * xi))
+            crit = math.sqrt(sigma * xi)
             if tol is None:
                 tol = opts.abs_tol + opts.rel_tol * crit
             if crit <= tol:
@@ -109,7 +110,7 @@ def r2_solve(smooth, reg, box: Box, x0, opts: R2Options | None = None,
                 f_trial = smooth.value(u)
                 rho = ((fx + hx) - (f_trial + h_trial)) / xi
             diag.append({"sigma": sigma, "rho": rho, "xi": xi,
-                         "s_norm2": float(np.linalg.norm(t)), "accepted": bool(rho >= ETA1)})
+                         "s_norm2": math.sqrt(t @ t), "accepted": bool(rho >= ETA1)})
             if rho >= ETA1:
                 gx = smooth.grad_after(gx, t) if model else smooth.grad(u)
                 x, fx, hx = u, f_trial, h_trial

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from ripm import interior
 from ripm.errors import BoundaryPoint
-from ripm.interior import (BarrierTerms, DualEstimate, barrier_value, crossover, dual_update,
-                           inner_solve, outer_solve)
+from ripm.interior import (BarrierTerms, DualEstimate, IpmOptions, barrier_value, crossover,
+                           dual_update, inner_solve, outer_solve)
 from ripm.oracles import CallableOracle
 from ripm.qnops import LBFGS, SpectralDiag
 from ripm.r2 import first_order_step
@@ -200,6 +200,108 @@ def test_dual_update_upper_side():
     assert out.zu[0] == pytest.approx(zhat)
 
 
+def _raw_bits(v):
+    return np.asarray(v, dtype=float).view(np.int64)
+
+
+def _mixed_bounds(rng, n):
+    """Bounds with every mix of sides: both finite, one finite (either), none."""
+    lo = rng.uniform(-2.0, 0.0, n)
+    hi = lo + rng.uniform(0.5, 3.0, n)
+    lo[::3] = -np.inf
+    hi[::4] = np.inf
+    return Box(lo, hi)
+
+
+def _interior_point(bounds):
+    lo, hi = bounds.lo, bounds.hi
+    fl, fu = np.isfinite(lo), np.isfinite(hi)
+    x = np.full(lo.size, 0.7)
+    x[fl] = lo[fl] + 0.3
+    x[fu & ~fl] = hi[fu & ~fl] - 0.3
+    x[fl & fu] = 0.5 * (lo[fl & fu] + hi[fl & fu])
+    return x
+
+
+def _clip_dual_update(x_new, x_old, z, s, mu, bounds):
+    """`dual_update` with the projection in its `np.clip` form, from scratch."""
+    kzl, kzu = interior.KAPPA_ZUL, interior.KAPPA_ZUU
+
+    def side(zv, g_old, g_new, s_signed):
+        zhat = mu / g_old - (zv / g_old) * s_signed
+        lo = kzl * np.minimum(np.minimum(1.0, zv), mu / g_new)
+        hi = np.maximum(np.maximum(kzu, zv), np.maximum(kzu / mu, kzu * mu / g_new))
+        return np.clip(zhat, lo, hi)
+
+    fl, fu = np.isfinite(bounds.lo), np.isfinite(bounds.hi)
+    gl_old = np.where(fl, x_old - bounds.lo, np.inf)
+    gl_new = np.where(fl, x_new - bounds.lo, np.inf)
+    gu_old = np.where(fu, bounds.hi - x_old, np.inf)
+    gu_new = np.where(fu, bounds.hi - x_new, np.inf)
+    return side(z.zl, gl_old, gl_new, s), side(z.zu, gu_old, gu_new, -s)
+
+
+@pytest.mark.parametrize("mu", [1e-8, 1e-3, 1.0])
+def test_dual_update_projection_equals_the_clip_form_bit_for_bit(mu):
+    rng = np.random.default_rng(8)
+    n = 300
+    bounds = _mixed_bounds(rng, n)
+    x_old = _interior_point(bounds)
+    gl, gu = x_old - bounds.lo, bounds.hi - x_old
+    ones = DualEstimate.ones_for(bounds)
+    clipped = 0
+    for _ in range(5):
+        # steps up to 0.9 of the gap on either side keep the new point interior
+        s = np.minimum(rng.uniform(-0.9, 0.9, n) * np.minimum(np.minimum(gl, gu), 1.0), 5.0)
+        z = DualEstimate(ones.zl * 10.0 ** rng.uniform(-6, 6, n),
+                         ones.zu * 10.0 ** rng.uniform(-6, 6, n))
+        got = dual_update(x_old + s, x_old, z, s, mu, bounds)
+        want_l, want_u = _clip_dual_update(x_old + s, x_old, z, s, mu, bounds)
+        assert np.array_equal(_raw_bits(got.zl), _raw_bits(want_l))
+        assert np.array_equal(_raw_bits(got.zu), _raw_bits(want_u))
+        zhat = mu / gl - (z.zl / gl) * s
+        clipped += int(np.count_nonzero(np.isfinite(bounds.lo) & (got.zl != zhat)))
+    assert clipped > 0  # the projection is active somewhere
+
+
+def test_barrier_terms_reuse_gaps_bit_for_bit():
+    # the calls a barrier stage makes over accepted, rejected, infeasible and
+    # zero steps: at, phi and accept reuse the gaps of each point, and must give
+    # what a fresh BarrierTerms, barrier_value and dual_update give from scratch
+    rng = np.random.default_rng(13)
+    n, mu = 60, 1e-2
+    bounds = _mixed_bounds(rng, n)
+    x = _interior_point(bounds)
+    gx = rng.standard_normal(n)
+    ones = DualEstimate.ones_for(bounds)
+    z0 = DualEstimate(ones.zl * rng.uniform(0.1, 2.0, n), ones.zu * rng.uniform(0.1, 2.0, n))
+    terms = BarrierTerms(bounds, mu, z0, "lagrangian")
+    assert _raw_bits(terms.phi(x)) == _raw_bits(barrier_value(mu, x, bounds))
+    for move in ["reject", "accept", "reject", "outside", "zero", "accept", "accept", "reject"]:
+        got = terms.at(x, gx)
+        want = BarrierTerms(bounds, mu, terms.z, "lagrangian").at(x, gx)
+        for a, b in [(got[0], want[0]), (got[1], want[1]), (got[2].lo, want[2].lo),
+                     (got[2].hi, want[2].hi), (got[3], want[3]), (got[4], want[4])]:
+            assert np.array_equal(_raw_bits(a), _raw_bits(b))
+        if move == "zero":
+            z_want = dual_update(x, x, terms.z, np.zeros(n), mu, bounds)
+            assert terms.zero_step(x)
+        else:
+            x_t = got[2].clamp(x + 0.5 * rng.standard_normal(n))
+            if move == "outside":
+                i = int(np.argmax(np.isfinite(bounds.lo)))
+                x_t[i] = bounds.lo[i] - 1.0
+            assert _raw_bits(terms.phi(x_t)) == _raw_bits(barrier_value(mu, x_t, bounds))
+            if move != "accept":
+                continue
+            s = x_t - x
+            z_want = dual_update(x_t, x, terms.z, s, mu, bounds)
+            terms.accept(x, x_t, s)
+            x = x_t
+        assert np.array_equal(_raw_bits(terms.z.zl), _raw_bits(z_want.zl))
+        assert np.array_equal(_raw_bits(terms.z.zu), _raw_bits(z_want.zu))
+
+
 def test_crossover_rules():
     mu = 1e-8
     bounds = Box(np.zeros(3), np.full(3, np.inf))
@@ -368,6 +470,20 @@ def test_outer_invariants_from_diagnostics():
 def test_outer_mode_forced_to_cp_for_l0():
     rep = _outer(_oracle_quad(2.0), Regularizer("l0", 0.1), POS, np.array([1.0]))
     assert rep.diagnostics["mode"] == "cp"
+
+
+@pytest.mark.parametrize("step", ["diagonal", "r2"])
+def test_outer_stops_after_a_stage_that_stalls_at_entry(step):
+    # Delta_0 = 1000 mu = 1e-17 is below eps (1 + ||x||_inf) at x = 1, so the
+    # first stage stalls before it measures; x and z do not move and every
+    # later stage would start at a smaller radius, so the solve stops there
+    mu = 1e-20
+    rep = outer_solve(_oracle_quad(2.0), Regularizer("zero"), POS,
+                      SpectralDiag if step == "diagonal" else LBFGS, np.array([1.0]),
+                      IpmOptions(mu_init=mu))
+    assert rep.termination == "max_iter" and rep.diagnostics["stages"] == 1
+    assert rep.diagnostics["crossover"]["mu"] == mu
+    assert rep.n_f == 1 and rep.n_prox == 0 and rep.diagnostics["inner"] == []
 
 
 def test_outer_budget_one():

@@ -199,9 +199,20 @@ def _old_l1_prox(h, d, q, box):
     return np.minimum(np.maximum(u, box.lo), box.hi)
 
 
+def _clip_l1_prox(h, d, q, box):
+    """The l1 kernel in its `np.clip` form: q - clip(q, -c, c), clipped to the box."""
+    c = (h.lam if h.weights is None else h.lam * h.weights) / d
+    u = q - np.clip(q, -c, c)
+    return np.clip(u, box.lo, box.hi, out=u)
+
+
 def _bits(v):
     # adding 0.0 turns -0.0 into 0.0 and leaves every other value as it is
     return (np.asarray(v, dtype=float) + 0.0).view(np.int64)
+
+
+def _raw_bits(v):
+    return np.asarray(v, dtype=float).view(np.int64)
 
 
 @pytest.mark.parametrize("weighted", [False, True])
@@ -221,6 +232,7 @@ def test_l1_kernel_equals_the_sign_formula_bit_for_bit(weighted, vector_d, origi
         q = 3.0 * rng.standard_normal(n)
         q[::5] = 0.0
         q += x
+        q[1::10] = -0.0
         lo = x - np.abs(rng.standard_normal(n))
         hi = x + np.abs(rng.standard_normal(n))
         lo[::3] = -np.inf
@@ -230,6 +242,8 @@ def test_l1_kernel_equals_the_sign_formula_bit_for_bit(weighted, vector_d, origi
         want = _old_l1_prox(h, d, q, box)
         assert np.array_equal(_bits(got), _bits(want))
         assert not np.shares_memory(got, q)
+        # against the clip form the kernel replaced, signed zeros included
+        assert np.array_equal(_raw_bits(got), _raw_bits(_clip_l1_prox(h, d, q, box)))
 
 
 def test_prox_with_block_weights():

@@ -3,6 +3,7 @@ import pytest
 
 from ripm import problems
 from ripm import trust_region as tr
+from ripm.interior import BarrierTerms, DualEstimate
 from ripm.oracles import CallableOracle
 from ripm.qnops import LBFGS, LSR1, SpectralDiag
 from ripm.regprox import Box, Regularizer
@@ -188,3 +189,45 @@ def test_a_collapsed_radius_stops_the_loop_as_stalled():
                         rel_tol=0.0, trace=trace, records=[])
     assert res.status == "stalled" and res.crit == np.inf and res.n_prox == 0
     assert np.array_equal(res.x, x) and smooth.n_f == 1
+
+
+@pytest.mark.parametrize("step", ["diagonal", "r2"])
+@pytest.mark.parametrize("constraint, most", [("bounds", 2), ("barrier", 3)])
+def test_boxes_built_per_iteration(monkeypatch, step, constraint, most):
+    # each iteration builds its step box and its cap box in one pass each, and
+    # a barrier stage adds the fraction-to-boundary box
+    built = []
+    post_init = Box.__post_init__
+
+    def counting(self):
+        built.append(1)
+        post_init(self)
+
+    n = 6
+    bounds = Box(np.array([0.0, -np.inf, 0.0, -1.0, -np.inf, 0.0]),
+                 np.array([np.inf, 3.0, 4.0, np.inf, np.inf, 2.5]))
+    if constraint == "bounds":
+        cons = tr.ShiftedBounds(bounds)
+    else:
+        cons = BarrierTerms(bounds, 1e-2, DualEstimate.ones_for(bounds), "lagrangian")
+    marks = []
+    at = cons.at
+
+    def marked_at(x, gx):
+        marks.append(len(built))
+        return at(x, gx)
+
+    cons.at = marked_at
+    # a coupled, badly scaled quadratic: no operator solves it in a few steps
+    M = np.random.default_rng(3).standard_normal((n, n)) * np.logspace(0, 2, n)
+    A, c = M.T @ M, np.array([3.0, 5.0, -1.0, 0.5, 2.0, 1.0])
+    smooth = CallableOracle(lambda v: 0.5 * float((v - c) @ A @ (v - c)), lambda v: A @ (v - c))
+    h = Regularizer("l1", 0.1)
+    x = np.ones(n)
+    trace = []
+    fx, hx, gx = evaluate_start(smooth, h, x, trace)
+    monkeypatch.setattr(Box, "__post_init__", counting)
+    tr.tr_iterate(smooth, h, cons, SpectralDiag(n) if step == "diagonal" else LBFGS(n), x, fx,
+                  hx, gx, 1.0, max_iter=6, abs_tol=0.0, rel_tol=0.0, trace=trace, records=[])
+    per_iteration = np.diff(marks)
+    assert per_iteration.size >= 3 and per_iteration.max() <= most
