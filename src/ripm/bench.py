@@ -149,16 +149,22 @@ def run_solver(name: str, instance, budget: int, overrides: dict | None = None) 
     return report
 
 
-def run_config(config: RunConfig | dict):
-    """Build the instance once and run every configured solver on it."""
+def run_config(config: RunConfig | dict, out_dir=None):
+    """Build the instance once and run every configured solver on it.
+
+    ``out_dir``, if given, is made once the whole config, the solvers'
+    options and the problem, has been checked, and before the first solve.
+    """
     if isinstance(config, dict):
         config = RunConfig.from_dict(config)
-    for spec in config.solvers:  # every option is checked before the first solve
+    for spec in config.solvers:
         solver_options(spec["name"], config.problem["name"], spec["options"])
     try:
         instance = problems.from_config(config.problem)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad problem config: {exc}")
+    if out_dir is not None:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
     reports = []
     for spec in config.solvers:
         try:
@@ -269,8 +275,7 @@ def main(argv=None) -> int:
         out_dir = args.output_dir or config.output_dir
         if out_dir is None:
             out_dir = f"results/{raw.get('name', 'run')}-{int(time.time())}"
-        Path(out_dir).mkdir(parents=True, exist_ok=True)  # a bad directory fails before a solve
-        instance, reports = run_config(config)
+        instance, reports = run_config(config, out_dir)
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

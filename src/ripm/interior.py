@@ -16,6 +16,12 @@ they stay strictly positive.  The measure follows h: the primal one, based
 on the barrier gradient, for the nonconvex l0 penalty, and the Lagrangian
 one, based on grad f - zl + zu, for a convex h.
 
+Each barrier quantity is one formula over the two sides of the bounds.  A
+side is the mask m of its finite components, its bound b and a sign, +1 on
+the lower and -1 on the upper side: its gaps are sign * (x[m] - b[m]), its
+barrier gradient is -sign mu / gap, and its multiplier is written on m only,
+so it stays zero where the bound is infinite.
+
 The loop constants, with their symbols in the method's description:
 MU_FACTOR multiplies mu_k after each stage (mu_{k+1} = 0.1 mu_k) and stage k
 stops at eps_k = mu_k ** EPS_EXPONENT; DELTA0_FACTOR gives its first radius
@@ -37,8 +43,8 @@ import numpy as np
 from .errors import BoundaryPoint, BudgetExhausted
 # r2_solve and intersect_boxes are bound here only for perfbench/tracer.py,
 # which wraps them in this module and in trust_region; the trust-region loop
-# calls r2_solve from trust_region.  No solver calls intersect_boxes,
-# regprox.Box.ball or regprox.Box.shifted, which stay bound for the tracer too
+# calls r2_solve from trust_region.  No solver calls intersect_boxes or
+# regprox.Box.shifted, which stay bound for the tracer too
 from .r2 import r2_solve  # noqa: F401
 from .regprox import L0, Box, fraction_to_boundary_box, intersect_boxes  # noqa: F401
 from .report import CONVERGED, MAX_ITER, SolverReport, evaluate_start, make_report
@@ -78,107 +84,96 @@ class DualEstimate:
 
     @classmethod
     def ones_for(cls, bounds: Box) -> "DualEstimate":
-        return cls(np.where(np.isfinite(bounds.lo), 1.0, 0.0),
-                   np.where(np.isfinite(bounds.hi), 1.0, 0.0))
+        return cls(*(m.astype(float) for m, _, _ in _sides(bounds)))
 
 
-def _finite_sides(bounds: Box):
-    """Masks of the finite lower and upper bounds."""
-    return np.isfinite(bounds.lo), np.isfinite(bounds.hi)
+def _sides(bounds: Box):
+    """The lower and the upper side as (mask of the finite components, bound, sign)."""
+    return (np.isfinite(bounds.lo), bounds.lo, 1.0), (np.isfinite(bounds.hi), bounds.hi, -1.0)
 
 
-def _gaps(x, bounds: Box, ml, mu_):
-    """Gaps to the bounds, +inf on the infinite sides that the masks ml and mu_
-    leave out, and whether every gap is positive (x strictly interior)."""
-    gl = np.where(ml, x - bounds.lo, np.inf)
-    gu = np.where(mu_, bounds.hi - x, np.inf)
-    return gl, gu, not ((gl <= 0.0).any() or (gu <= 0.0).any())
+def _gap(x, side):
+    """sign * (x - bound) on the finite components of one side."""
+    m, bound, sign = side
+    return sign * (x[m] - bound[m])
 
 
-def _barrier(mu: float, gaps, ml, mu_) -> float:
+def _gaps(x, sides):
+    """The gaps of x on both sides, and whether every gap is positive (x strictly interior)."""
+    gaps = tuple(_gap(x, side) for side in sides)
+    return gaps, not any((g <= 0.0).any() for g in gaps)
+
+
+def _barrier(mu: float, gaps) -> float:
     """The barrier formula of `barrier_value`, from the gaps of `_gaps`."""
-    gl, gu, interior = gaps
+    gaps, interior = gaps
     if not interior:
         return np.inf
     val = 0.0
-    val -= mu * float(np.log(gl[ml]).sum())
-    val -= mu * float(np.log(gu[mu_]).sum())
+    for g in gaps:
+        val -= mu * float(np.log(g).sum())
     return val
 
 
 def barrier_value(mu: float, x, bounds: Box) -> float:
     """-mu * sum log(gaps) over finite bounds; +inf encodes infeasibility."""
-    ml, mu_ = _finite_sides(bounds)
-    return _barrier(mu, _gaps(x, bounds, ml, mu_), ml, mu_)
-
-
-def _compl_residual(zl, zu, gl, gu, ml, mu_, mu: float) -> float:
-    """Euclidean norm of gap*z - mu stacked over all finite bound sides."""
-    acc = float(((gl[ml] * zl[ml] - mu) ** 2).sum()) + float(((gu[mu_] * zu[mu_] - mu) ** 2).sum())
-    return math.sqrt(acc)
+    return _barrier(mu, _gaps(x, _sides(bounds)))
 
 
 def dual_update(x_new, x_old, z_old: DualEstimate, s, mu, bounds: Box) -> DualEstimate:
     """Linearized complementarity update projected into the safeguard interval.
 
-    Per side, z_hat = mu/gap - (z/gap) s (s enters with a minus sign on the
-    upper side) is clipped to [KAPPA_ZUL * min(1, z, mu/gap_new),
-    max(KAPPA_ZUU, z, KAPPA_ZUU/mu, KAPPA_ZUU * mu/gap_new)].  Entries for
-    infinite bounds stay at zero because every interval bound vanishes there.
+    Per side, z_hat = mu/gap - (z/gap) sign s is clipped to [KAPPA_ZUL *
+    min(1, z, mu/gap_new), max(KAPPA_ZUU, z, KAPPA_ZUU/mu, KAPPA_ZUU *
+    mu/gap_new)] on the finite components; the others get z = 0.
     """
-    ml, mu_ = _finite_sides(bounds)
-    return _dual_update(_gaps(x_old, bounds, ml, mu_), _gaps(x_new, bounds, ml, mu_),
-                        z_old, s, mu)
+    sides = _sides(bounds)
+    return _dual_update(sides, _gaps(x_old, sides), _gaps(x_new, sides), z_old, s, mu)
 
 
-def _dual_update(gaps_old, gaps_new, z_old: DualEstimate, s, mu) -> DualEstimate:
+def _dual_update(sides, gaps_old, gaps_new, z_old: DualEstimate, s, mu) -> DualEstimate:
     """`dual_update` from the gaps of `_gaps` at the old and the new point."""
-    gl_old, gu_old, interior_old = gaps_old
-    gl_new, gu_new, interior_new = gaps_new
-    if not (interior_old and interior_new):
+    if not (gaps_old[1] and gaps_new[1]):
         raise BoundaryPoint("dual update needs strictly interior points")
-
-    def one_side(z, g_old, g_new, s_signed):
-        zhat = mu / g_old - (z / g_old) * s_signed
-        lo = KAPPA_ZUL * np.minimum(np.minimum(1.0, z), mu / g_new)
-        hi = np.maximum(np.maximum(KAPPA_ZUU, z),
+    z_new = []
+    for (m, _, sign), z, g_old, g_new in zip(sides, (z_old.zl, z_old.zu), gaps_old[0],
+                                             gaps_new[0]):
+        zm = z[m]
+        zhat = mu / g_old - (zm / g_old) * (sign * s[m])
+        lo = KAPPA_ZUL * np.minimum(np.minimum(1.0, zm), mu / g_new)
+        hi = np.maximum(np.maximum(KAPPA_ZUU, zm),
                         np.maximum(KAPPA_ZUU / mu, KAPPA_ZUU * mu / g_new))
         np.maximum(zhat, lo, out=zhat)
-        return np.minimum(zhat, hi, out=zhat)
-
-    return DualEstimate(one_side(z_old.zl, gl_old, gl_new, s),
-                        one_side(z_old.zu, gu_old, gu_new, -s))
+        z_side = np.zeros(z.size)
+        z_side[m] = np.minimum(zhat, hi, out=zhat)
+        z_new.append(z_side)
+    return DualEstimate(*z_new)
 
 
 def crossover(x, z: DualEstimate, mu_final: float, bounds: Box):
     """Snap near-boundary primal components and near-zero multipliers.
 
-    Gap < sqrt(mu) snaps x onto the bound; z < sqrt(mu) zeroes the
-    multiplier; when both gap and z are below mu**(1/4) both are zeroed.  A
-    final sweep zeroes any multiplier whose side still has a positive gap, so
-    gap * z == 0 holds exactly on every side afterwards.
+    Side by side, lower first: gap < sqrt(mu) snaps x onto the bound; z <
+    sqrt(mu) zeroes the multiplier; when both gap and z are below mu**(1/4)
+    both are zeroed.  A final sweep zeroes any multiplier whose side still
+    has a positive gap, so gap * z == 0 holds exactly on every side
+    afterwards.  Returns new arrays; x and z are left as they are.
     """
     if mu_final <= 0:
         raise ValueError("mu_final must be positive")
-    zl, zu = z.zl, z.zu
     rt = np.sqrt(mu_final)
     qt = mu_final**0.25
-
-    ml, mu_ = _finite_sides(bounds)
-    gl = _gaps(x, bounds, ml, mu_)[0]
-    joint = (gl < qt) & (zl < qt) & ml
-    x = np.where(ml & ((gl < rt) | joint), bounds.lo, x)
-    zl = np.where(ml & ((zl < rt) | joint), 0.0, zl)
-
-    gu = np.where(mu_, bounds.hi - x, np.inf)
-    joint = (gu < qt) & (zu < qt) & mu_
-    x = np.where(mu_ & ((gu < rt) | joint), bounds.hi, x)
-    zu = np.where(mu_ & ((zu < rt) | joint), 0.0, zu)
-
-    gl, gu, _ = _gaps(x, bounds, ml, mu_)
-    zl = np.where(ml & (gl > 0.0), 0.0, zl)
-    zu = np.where(mu_ & (gu > 0.0), 0.0, zu)
-    return x, DualEstimate(zl, zu)
+    sides = _sides(bounds)
+    x, zs = np.array(x, dtype=float), (z.zl.copy(), z.zu.copy())
+    for side, z_side in zip(sides, zs):
+        m, bound, _ = side
+        gap, zm = _gap(x, side), z_side[m]
+        joint = (gap < qt) & (zm < qt)
+        x[m] = np.where((gap < rt) | joint, bound[m], x[m])
+        z_side[m] = np.where((zm < rt) | joint, 0.0, zm)
+    for side, z_side in zip(sides, zs):
+        z_side[side[0]] = np.where(_gap(x, side) > 0.0, 0.0, z_side[side[0]])
+    return x, DualEstimate(*zs)
 
 
 class BarrierTerms:
@@ -199,35 +194,36 @@ class BarrierTerms:
 
     def __init__(self, bounds: Box, mu: float, z: DualEstimate, mode: str):
         self.bounds, self.mu, self.z, self.mode = bounds, mu, z, mode
-        self._masks = _finite_sides(bounds)
+        self._sides = _sides(bounds)
         self._current = self._other = (None, None)  # (point, its gaps)
 
     def _gaps_at(self, x):
         for point, gaps in (self._current, self._other):
             if point is x:
                 return gaps
-        gaps = _gaps(x, self.bounds, *self._masks)
+        gaps = _gaps(x, self._sides)
         self._other = (x, gaps)
         return gaps
 
     def at(self, x, gx):
         gaps = self._gaps_at(x)
         self._current = (x, gaps)
-        gl, gu, interior = gaps
-        ml, mu_ = self._masks
-        if not interior:
+        if not gaps[1]:
             raise BoundaryPoint("barrier gradient needs a strictly interior point")
-        # the barrier gradient -mu/(x-lo) + mu/(hi-x), terms dropped at infinite bounds
-        g_phi = np.where(ml, -self.mu / gl, 0.0) + np.where(mu_, self.mu / gu, 0.0)
-        zl, zu = self.z.zl, self.z.zu
-        theta = (np.where(ml, np.minimum(zl / gl, KAPPA_BAR), 0.0)
-                 + np.where(mu_, np.minimum(zu / gu, KAPPA_BAR), 0.0))
+        # per side: the barrier gradient -sign mu/gap, the capped curvature
+        # min(z/gap, KAPPA_BAR) and the complementarity residual gap*z - mu
+        g_phi, theta, compl = np.zeros(x.size), np.zeros(x.size), 0.0
+        for (m, _, sign), z, gap in zip(self._sides, (self.z.zl, self.z.zu), gaps[0]):
+            zm = z[m]
+            g_phi[m] -= sign * self.mu / gap
+            theta[m] += np.minimum(zm / gap, KAPPA_BAR)
+            compl += float(((gap * zm - self.mu) ** 2).sum())
         box = fraction_to_boundary_box(x, DELTA_FRAC, self.bounds)
-        g_meas = gx - zl + zu if self.mode == MODE_LAGRANGIAN else None
-        return gx + g_phi, theta, box, g_meas, _compl_residual(zl, zu, gl, gu, ml, mu_, self.mu)
+        g_meas = gx - self.z.zl + self.z.zu if self.mode == MODE_LAGRANGIAN else None
+        return gx + g_phi, theta, box, g_meas, math.sqrt(compl)
 
     def phi(self, x) -> float:
-        return _barrier(self.mu, self._gaps_at(x), *self._masks)
+        return _barrier(self.mu, self._gaps_at(x))
 
     def zero_step(self, x) -> bool:
         # the model is stationary at x: refresh the duals (the update at s = 0)
@@ -236,7 +232,8 @@ class BarrierTerms:
         return True
 
     def accept(self, x, x_t, s) -> None:
-        self.z = _dual_update(self._gaps_at(x), self._gaps_at(x_t), self.z, s, self.mu)
+        self.z = _dual_update(self._sides, self._gaps_at(x), self._gaps_at(x_t), self.z, s,
+                              self.mu)
 
 
 def measure_mode(h) -> str:

@@ -9,7 +9,7 @@ LBFGS and LSR1 hold B = I + W^T diag(signs) W, where the k rows of W are
 rank-one factors, so one product is two matrix products with W.  The
 factors come from the direct update recursions replayed over the stored
 pairs: every accepted pair replays them all from the identity, with the
-skip rules of the recursions, into a preallocated (2 memory) x n row buffer.
+skip rules of the recursions, into a preallocated (2 MEMORY) x n row buffer.
 B equals the identity on the orthogonal complement of range(W^T) and maps
 that range into itself, so `norm_estimate` is exact: Rayleigh-Ritz on an
 orthonormal basis Q of range(W^T) gives the eigenvalues of B there as those
@@ -28,15 +28,15 @@ import numpy as np
 CURVATURE_SKIP = 1e-8  # relative threshold below which an update is dropped
 SIGMA_MIN = 1e-6
 SIGMA_MAX = 1e12
-DEFAULT_MEMORY = 5
+MEMORY = 5  # pairs an operator keeps; read when it is built
 
 
 class _FactoredOp:
     """Shared machinery: B v = v + W^T (signs * (W v)) with W the first k buffer rows."""
 
-    def __init__(self, n: int, memory: int = DEFAULT_MEMORY):
+    def __init__(self, n: int):
         self.n = int(n)
-        self.memory = int(memory)
+        self.memory = MEMORY
         self.pairs: deque = deque()
         self._rows = np.empty((2 * self.memory, self.n))
         self._signs = np.empty(2 * self.memory)

@@ -61,15 +61,15 @@ class Box:
     def full(cls, n: int) -> "Box":
         return cls(np.full(n, -np.inf), np.full(n, np.inf))
 
-    @classmethod
-    def ball(cls, center: np.ndarray, radius: float) -> "Box":
-        """l-inf ball of the given radius around the point ``center``.
+    def ball(self, x: np.ndarray, r: float) -> "Box":
+        """The l-inf ball of radius r around the point x within this box.
 
-        No solver calls it (the trust-region loop builds each ball within its
-        box in one pass); the name stays bound because perfbench/tracer.py
-        wraps it.
+        Built in one pass as max(x - r, lo), min(x + r, hi), with one
+        emptiness check; the trust-region loop forms both of its boxes so.
         """
-        return cls(center - radius, center + radius)
+        lo = x - r
+        hi = x + r
+        return Box(np.maximum(lo, self.lo, out=lo), np.minimum(hi, self.hi, out=hi))
 
     def clamp(self, v: np.ndarray) -> np.ndarray:
         return np.minimum(np.maximum(v, self.lo), self.hi)

@@ -23,9 +23,8 @@ once per iteration.  One round of the six bpdn solves at n = 512 made 261k
 function-form `np.any`/`np.all`, 228k `np.clip` and 157k `np.linalg.norm`
 calls, whose Python wrappers cost more than their arithmetic at that size.
 Norms are ``math.sqrt(v @ v)``, which is what `np.linalg.norm` computes for
-a vector.  Each box of the loop, the ball of radius r around x within the
-constraint box, is built in one pass as max(x - r, lo), min(x + r, hi),
-with one emptiness check.
+a vector.  Each box of the loop is the ball of radius r around x within the
+constraint box, `Box.ball`, built in one pass.
 
 The bounds enter through a constraint object, which supplies the box of
 points every trial stays in.  TR and TRDH fold the box indicator into the
@@ -88,13 +87,6 @@ def update_radius(delta: float, rho: float) -> float:
     if rho >= ETA1:
         return min(delta, DELTA_MAX)
     return max(GAMMA2 * delta, 1e-30)
-
-
-def _ball_within(x, r: float, box: Box) -> Box:
-    """The l-inf ball of radius r around the point x intersected with ``box``."""
-    lo = x - r
-    hi = x + r
-    return Box(np.maximum(lo, box.lo, out=lo), np.minimum(hi, box.hi, out=hi))
 
 
 class ShiftedBounds:
@@ -188,7 +180,7 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
             if theta is not None:
                 lip += float(theta.max())
             sigma = lip + 1.0 / (ALPHA * delta)
-            tr_box = _ball_within(x, delta, box)
+            tr_box = box.ball(x, delta)
             u1, s1, _, _, xi = first_order_step(h, x, hx, g, sigma, tr_box)
             s_m, xi_m = s1, xi
             if g_meas is not None:
@@ -212,7 +204,7 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
                     records.append(rec)
                 break
             cap = min(delta, BETA * float(np.abs(s1).max()))
-            cap_box = _ball_within(x, cap, box)
+            cap_box = box.ball(x, cap)
             if hasattr(qn, "diagonal"):
                 d = qn.diagonal() if theta is None else qn.diagonal() + theta
                 x_t = h.prox_shifted(d, x - g / d, cap_box)

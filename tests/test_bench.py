@@ -252,7 +252,10 @@ def test_every_listed_option_is_taken():
             assert rep.n_f <= 4, (name, option)
 
 
-def test_cli_config_error_exit_code(tmp_path):
+def test_cli_config_error_exit_code(tmp_path, monkeypatch):
+    # without --output-dir a run would save under results/ in the working
+    # directory; a rejected config must not make it
+    monkeypatch.chdir(tmp_path)
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["run", str(bad)]) == 1
@@ -264,6 +267,7 @@ def test_cli_config_error_exit_code(tmp_path):
     bogus_mode.write_text(json.dumps(_tiny_config(
         solvers=[{"name": "RIPM-R2", "options": {"mode": "bogus"}}])))
     assert main(["run", str(bogus_mode)]) == 1
+    assert not (tmp_path / "results").exists()
 
 
 def _write_reports_with_old_keys(path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from ripm.interior import (BarrierTerms, DualEstimate, IpmOptions, barrier_value
 from ripm.oracles import CallableOracle
 from ripm.qnops import LBFGS, SpectralDiag
 from ripm.r2 import first_order_step
-from ripm.regprox import Box, Regularizer, intersect_boxes
+from ripm.regprox import Box, Regularizer
 from ripm.report import CONVERGED, evaluate_start
 from ripm.trust_region import DELTA_MAX, tr_iterate
 
@@ -86,7 +88,7 @@ def _barrier_step(x, mu, nu, delta, smooth, h, bounds, z=None):
     terms = BarrierTerms(bounds, mu, z_at, "cp" if z is None else "lagrangian")
     g, _, box, g_meas, _ = terms.at(x, smooth.grad(x))
     _, s, _, _, xi = first_order_step(h, x, h.value(x), g if z is None else g_meas, 1.0 / nu,
-                                      intersect_boxes(Box.ball(x, delta), box))
+                                      box.ball(x, delta))
     return s, xi
 
 
@@ -262,6 +264,81 @@ def test_dual_update_projection_equals_the_clip_form_bit_for_bit(mu):
         zhat = mu / gl - (z.zl / gl) * s
         clipped += int(np.count_nonzero(np.isfinite(bounds.lo) & (got.zl != zhat)))
     assert clipped > 0  # the projection is active somewhere
+
+
+def _where_barrier_terms(x, z, mu, bounds):
+    """The barrier gradient, Theta and the complementarity residual of
+    `BarrierTerms.at` in their full-length `np.where` forms, from scratch:
+    +inf gaps on the infinite sides, masked out of every term."""
+    fl, fu = np.isfinite(bounds.lo), np.isfinite(bounds.hi)
+    gl = np.where(fl, x - bounds.lo, np.inf)
+    gu = np.where(fu, bounds.hi - x, np.inf)
+    g_phi = np.where(fl, -mu / gl, 0.0) + np.where(fu, mu / gu, 0.0)
+    theta = (np.where(fl, np.minimum(z.zl / gl, interior.KAPPA_BAR), 0.0)
+             + np.where(fu, np.minimum(z.zu / gu, interior.KAPPA_BAR), 0.0))
+    compl = math.sqrt(float(((gl[fl] * z.zl[fl] - mu) ** 2).sum())
+                      + float(((gu[fu] * z.zu[fu] - mu) ** 2).sum()))
+    return g_phi, theta, compl
+
+
+def _where_crossover(x, z, mu, bounds):
+    """`crossover` in its full-length `np.where` form, from scratch."""
+    rt, qt = np.sqrt(mu), mu**0.25
+    fl, fu = np.isfinite(bounds.lo), np.isfinite(bounds.hi)
+    zl, zu = z.zl, z.zu
+    gl = np.where(fl, x - bounds.lo, np.inf)
+    joint = (gl < qt) & (zl < qt) & fl
+    x = np.where(fl & ((gl < rt) | joint), bounds.lo, x)
+    zl = np.where(fl & ((zl < rt) | joint), 0.0, zl)
+    gu = np.where(fu, bounds.hi - x, np.inf)
+    joint = (gu < qt) & (zu < qt) & fu
+    x = np.where(fu & ((gu < rt) | joint), bounds.hi, x)
+    zu = np.where(fu & ((zu < rt) | joint), 0.0, zu)
+    zl = np.where(fl & (x - bounds.lo > 0.0), 0.0, zl)
+    zu = np.where(fu & (bounds.hi - x > 0.0), 0.0, zu)
+    return x, zl, zu
+
+
+def _near_the_bounds(rng, bounds):
+    """A strictly interior point whose gap to one finite side, picked at
+    random where both are finite, runs from 1e-9 to 1e-1, and duals from
+    1e-9 to 10 on the finite sides."""
+    lo, hi = bounds.lo, bounds.hi
+    n = lo.size
+    gap = 10.0 ** rng.uniform(-9, -1, n)  # below half of the narrowest two-sided box
+    upper = np.isfinite(hi) & (~np.isfinite(lo) | (rng.random(n) < 0.5))
+    x = np.where(upper, hi - gap, lo + gap)
+    x = np.where(np.isfinite(lo) | np.isfinite(hi), x, rng.standard_normal(n))
+    ones = DualEstimate.ones_for(bounds)
+    return x, DualEstimate(ones.zl * 10.0 ** rng.uniform(-9, 1, n),
+                           ones.zu * 10.0 ** rng.uniform(-9, 1, n))
+
+
+@pytest.mark.parametrize("mu", [1e-12, 1e-8, 1e-4])
+def test_barrier_terms_and_crossover_equal_the_where_forms_bit_for_bit(mu):
+    rng = np.random.default_rng(21)
+    n = 400
+    bounds = _mixed_bounds(rng, n)
+    x, z = _near_the_bounds(rng, bounds)
+    gx = rng.standard_normal(n)
+    g, theta, _, _, compl = BarrierTerms(bounds, mu, z, "cp").at(x, gx)
+    g_phi, theta_want, compl_want = _where_barrier_terms(x, z, mu, bounds)
+    assert np.array_equal(_raw_bits(g), _raw_bits(gx + g_phi))
+    assert np.array_equal(_raw_bits(theta), _raw_bits(theta_want))
+    assert _raw_bits(compl) == _raw_bits(compl_want)
+
+    before = [v.copy() for v in (x, z.zl, z.zu)]
+    xc, zc = crossover(x, z, mu, bounds)
+    want = _where_crossover(x, z, mu, bounds)
+    for got_v, want_v, old, new in zip((xc, zc.zl, zc.zu), want, before, (x, z.zl, z.zu)):
+        assert np.array_equal(_raw_bits(got_v), _raw_bits(want_v))
+        assert np.array_equal(_raw_bits(new), _raw_bits(old))  # the arguments stay as they were
+    # every rule acts somewhere and leaves something alone
+    snapped = xc != x
+    assert snapped.any() and not snapped[np.isfinite(bounds.lo) | np.isfinite(bounds.hi)].all()
+    for z_old, z_new in ((z.zl, zc.zl), (z.zu, zc.zu)):
+        zeroed = (z_new == 0.0) & (z_old > 0.0)
+        assert zeroed.any() and (z_new > 0.0).any() and (zeroed & snapped).any()
 
 
 def test_barrier_terms_reuse_gaps_bit_for_bit():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ripm import qnops
 from ripm.qnops import LBFGS, LSR1, SIGMA_MAX, SIGMA_MIN, SpectralDiag
 
 from helpers import dense_bfgs, dense_sr1
@@ -48,19 +49,21 @@ def test_fresh_operators_are_identity():
         assert op.norm_estimate() == pytest.approx(1.0)
 
 
-def test_one_pair_bfgs_identity():
-    op = LBFGS(1, memory=1)
+def test_one_pair_bfgs_identity(monkeypatch):
+    monkeypatch.setattr(qnops, "MEMORY", 1)
+    op = LBFGS(1)
     assert op.update(np.array([1.0]), np.array([1.0]))
     for v in (1.0, -3.0, 0.25):
         assert op.apply(np.array([v]))[0] == pytest.approx(v)
 
 
-def test_lbfgs_matches_dense_recursion():
+def test_lbfgs_matches_dense_recursion(monkeypatch):
     rng = np.random.default_rng(0)
     n = 6
     A = _spd_matrix(rng, n)
     pairs = [(s, A @ s) for s in rng.standard_normal((4, n))]
-    op = LBFGS(n, memory=10)
+    monkeypatch.setattr(qnops, "MEMORY", 10)
+    op = LBFGS(n)
     for s, y in pairs:
         op.update(s, y)
     B = dense_bfgs(pairs, n)
@@ -68,13 +71,14 @@ def test_lbfgs_matches_dense_recursion():
         assert np.allclose(op.apply(v), B @ v, rtol=1e-10, atol=1e-10)
 
 
-def test_lsr1_matches_dense_recursion():
+def test_lsr1_matches_dense_recursion(monkeypatch):
     rng = np.random.default_rng(1)
     n = 6
     M = rng.standard_normal((n, n))
     A = 0.5 * (M + M.T)  # indefinite target
     pairs = [(s, A @ s) for s in rng.standard_normal((4, n))]
-    op = LSR1(n, memory=10)
+    monkeypatch.setattr(qnops, "MEMORY", 10)
+    op = LSR1(n)
     for s, y in pairs:
         op.update(s, y)
     B = dense_sr1(pairs, n)
@@ -82,12 +86,13 @@ def test_lsr1_matches_dense_recursion():
         assert np.allclose(op.apply(v), B @ v, rtol=1e-10, atol=1e-10)
 
 
-def test_memory_eviction_matches_dense_on_tail():
+def test_memory_eviction_matches_dense_on_tail(monkeypatch):
     rng = np.random.default_rng(2)
     n = 5
     A = _spd_matrix(rng, n)
     all_pairs = [(s, A @ s) for s in rng.standard_normal((7, n))]
-    op = LBFGS(n, memory=3)
+    monkeypatch.setattr(qnops, "MEMORY", 3)
+    op = LBFGS(n)
     for s, y in all_pairs:
         op.update(s, y)
     B = dense_bfgs(all_pairs[-3:], n)
@@ -113,7 +118,7 @@ def test_symmetry(kind):
 def test_lbfgs_positive_definite_after_updates():
     rng = np.random.default_rng(4)
     n = 7
-    op = LBFGS(n, memory=5)
+    op = LBFGS(n)
     for _ in range(10):
         op.update(rng.standard_normal(n), rng.standard_normal(n))
     for _ in range(100):
@@ -128,14 +133,15 @@ def test_curvature_skip():
     assert np.allclose(op.apply(v), v)  # still the identity
 
 
-def test_bfgs_quadratic_exactness_on_conjugate_pairs():
+def test_bfgs_quadratic_exactness_on_conjugate_pairs(monkeypatch):
     # hereditary secant equations hold along conjugate directions, so a full
     # memory run reproduces the quadratic's Hessian action on every stored pair
     rng = np.random.default_rng(5)
     n = 5
     A = _spd_matrix(rng, n)
     dirs = _conjugate_dirs(A, rng)
-    op = LBFGS(n, memory=n)
+    monkeypatch.setattr(qnops, "MEMORY", n)
+    op = LBFGS(n)
     for s in dirs:
         assert op.update(s, A @ s)
     for s in dirs:
@@ -143,12 +149,13 @@ def test_bfgs_quadratic_exactness_on_conjugate_pairs():
         assert err <= 1e-6
 
 
-def test_sr1_quadratic_exactness_on_arbitrary_pairs():
+def test_sr1_quadratic_exactness_on_arbitrary_pairs(monkeypatch):
     rng = np.random.default_rng(6)
     n = 5
     A = _spd_matrix(rng, n)
     pairs = [rng.standard_normal(n) for _ in range(n)]
-    op = LSR1(n, memory=n)
+    monkeypatch.setattr(qnops, "MEMORY", n)
+    op = LSR1(n)
     for s in pairs:
         op.update(s, A @ s)
     for s in pairs:
@@ -207,7 +214,7 @@ def test_norm_estimate_exact_with_more_rows_than_dimensions():
     rng = np.random.default_rng(9)
     n = 3
     A = _spd_matrix(rng, n)
-    op = LBFGS(n, memory=5)
+    op = LBFGS(n)
     _exact_norm_case(op, [(s, A @ s) for s in rng.standard_normal((5, n))], dense_bfgs)
     assert op._k == 10  # ten rows of W in three dimensions
 
@@ -217,18 +224,19 @@ def test_norm_estimate_exact_with_rank_deficient_factors():
     n = 6
     A = _spd_matrix(rng, n)
     s, t = rng.standard_normal((2, n))
-    op = LBFGS(n, memory=5)
+    op = LBFGS(n)
     # the repeated pair adds rows B s = y and y again, so W has dependent rows
     _exact_norm_case(op, [(s, A @ s), (t, A @ t), (s, A @ s)], dense_bfgs)
     assert np.linalg.matrix_rank(op._rows[:op._k]) < op._k
 
 
-def test_norm_estimate_exact_when_the_largest_eigenvalue_is_negative():
+def test_norm_estimate_exact_when_the_largest_eigenvalue_is_negative(monkeypatch):
     rng = np.random.default_rng(11)
     n = 6
     Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
     A = Q @ np.diag([-9.0, 3.0, 2.0, 1.0, 0.5, -1.0]) @ Q.T
-    B = _exact_norm_case(LSR1(n, memory=10), [(s, A @ s) for s in rng.standard_normal((4, n))],
+    monkeypatch.setattr(qnops, "MEMORY", 10)
+    B = _exact_norm_case(LSR1(n), [(s, A @ s) for s in rng.standard_normal((4, n))],
                          dense_sr1)
     eig = np.linalg.eigvalsh(B)
     assert -eig[0] > max(eig[-1], 1.0)
@@ -238,7 +246,7 @@ def test_norm_estimate_exact_when_the_identity_part_dominates():
     # B is 0.1 I on the span of the two rows of W and the identity elsewhere
     rng = np.random.default_rng(12)
     n = 6
-    op = LSR1(n, memory=5)
+    op = LSR1(n)
     _exact_norm_case(op, [(s, 0.1 * s) for s in rng.standard_normal((2, n))], dense_sr1)
     assert op._k == 2
     assert op.norm_estimate() == pytest.approx(1.0, rel=1e-12)

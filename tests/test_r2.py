@@ -98,7 +98,7 @@ THETA = np.array([0.5, 1.0, 2.0, 0.25, 3.0])
 def _model_data(kind="lsr1", theta=None, n=5):
     """g, an operator with three stored pairs, its dense B, theta and an origin."""
     rng = np.random.default_rng(12)
-    qn = {"lsr1": LSR1, "lbfgs": LBFGS}[kind](n, memory=3)
+    qn = {"lsr1": LSR1, "lbfgs": LBFGS}[kind](n)
     A = rng.standard_normal((n, n))
     A = A @ A.T + np.eye(n)
     for _ in range(3):

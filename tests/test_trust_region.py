@@ -194,14 +194,19 @@ def test_a_collapsed_radius_stops_the_loop_as_stalled():
 @pytest.mark.parametrize("step", ["diagonal", "r2"])
 @pytest.mark.parametrize("constraint, most", [("bounds", 2), ("barrier", 3)])
 def test_boxes_built_per_iteration(monkeypatch, step, constraint, most):
-    # each iteration builds its step box and its cap box in one pass each, and
-    # a barrier stage adds the fraction-to-boundary box
-    built = []
-    post_init = Box.__post_init__
+    # each iteration builds its step box and its cap box in one pass each, as
+    # balls within the constraint box, and a barrier stage adds the
+    # fraction-to-boundary box
+    built, balls = [], []
+    post_init, ball = Box.__post_init__, Box.ball
 
     def counting(self):
         built.append(1)
         post_init(self)
+
+    def counting_ball(self, x, r):
+        balls.append(1)
+        return ball(self, x, r)
 
     n = 6
     bounds = Box(np.array([0.0, -np.inf, 0.0, -1.0, -np.inf, 0.0]),
@@ -214,7 +219,7 @@ def test_boxes_built_per_iteration(monkeypatch, step, constraint, most):
     at = cons.at
 
     def marked_at(x, gx):
-        marks.append(len(built))
+        marks.append((len(built), len(balls)))
         return at(x, gx)
 
     cons.at = marked_at
@@ -227,7 +232,9 @@ def test_boxes_built_per_iteration(monkeypatch, step, constraint, most):
     trace = []
     fx, hx, gx = evaluate_start(smooth, h, x, trace)
     monkeypatch.setattr(Box, "__post_init__", counting)
+    monkeypatch.setattr(Box, "ball", counting_ball)
     tr.tr_iterate(smooth, h, cons, SpectralDiag(n) if step == "diagonal" else LBFGS(n), x, fx,
                   hx, gx, 1.0, max_iter=6, abs_tol=0.0, rel_tol=0.0, trace=trace, records=[])
-    per_iteration = np.diff(marks)
-    assert per_iteration.size >= 3 and per_iteration.max() <= most
+    per_iteration = np.diff(marks, axis=0)
+    assert len(per_iteration) >= 3 and per_iteration[:, 0].max() <= most
+    assert (per_iteration[:, 1] == 2).all()
