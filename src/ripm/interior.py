@@ -16,11 +16,17 @@ they stay strictly positive.  The measure follows h: the primal one, based
 on the barrier gradient, for the nonconvex l0 penalty, and the Lagrangian
 one, based on grad f - zl + zu, for a convex h.
 
-Each barrier quantity is one formula over the two sides of the bounds.  A
-side is the mask m of its finite components, its bound b and a sign, +1 on
-the lower and -1 on the upper side: its gaps are sign * (x[m] - b[m]), its
-barrier gradient is -sign mu / gap, and its multiplier is written on m only,
-so it stays zero where the bound is infinite.
+Each barrier quantity is one formula over the sides of the bounds.  A side
+is an index i of its finite components, its bound b[i], a sign, +1 on the
+lower and -1 on the upper side, and its multiplier, zl or zu: its gaps are
+sign * (x[i] - b[i]) and its barrier gradient is -sign mu / gap.  A side
+takes one of three layouts.  When every component is finite, as on both
+sides of qp and the lower side of bpdn and nnmf, i is slice(None), so x[i],
+b[i] and z[i] are views and the side's terms are full-length vectors with no
+gather or scatter.  When only some are finite, i is the boolean mask of
+those.  A side with no finite component, as the upper side of bpdn, is left
+out, so it costs nothing.  A multiplier is written on i only, so it stays
+zero where the bound is infinite.
 
 The loop constants, with their symbols in the method's description:
 MU_FACTOR multiplies mu_k after each stage (mu_{k+1} = 0.1 mu_k) and stage k
@@ -84,22 +90,50 @@ class DualEstimate:
 
     @classmethod
     def ones_for(cls, bounds: Box) -> "DualEstimate":
-        return cls(*(m.astype(float) for m, _, _ in _sides(bounds)))
+        z = [np.zeros(bounds.lo.size), np.zeros(bounds.hi.size)]
+        for i, _, _, which in _sides(bounds):
+            z[which][i] = 1.0
+        return cls(*z)
 
 
 def _sides(bounds: Box):
-    """The lower and the upper side as (mask of the finite components, bound, sign)."""
-    return (np.isfinite(bounds.lo), bounds.lo, 1.0), (np.isfinite(bounds.hi), bounds.hi, -1.0)
+    """The sides with a finite component, as (index i, bound[i], sign, multiplier).
+
+    i is slice(None) when every component of the side is finite and the mask
+    of the finite components otherwise; the multiplier is 0 for zl, 1 for zu.
+    """
+    sides = []
+    for which, (bound, sign) in enumerate(((bounds.lo, 1.0), (bounds.hi, -1.0))):
+        finite = np.isfinite(bound)
+        if finite.all():
+            sides.append((slice(None), bound, sign, which))
+        elif finite.any():
+            sides.append((finite, bound[finite], sign, which))
+    return tuple(sides)
 
 
 def _gap(x, side):
     """sign * (x - bound) on the finite components of one side."""
-    m, bound, sign = side
-    return sign * (x[m] - bound[m])
+    i, bound, sign, _ = side
+    return sign * (x[i] - bound)
+
+
+def _full(values, i, n: int, total=None):
+    """total (zero when None) plus a side's values on its components, at length n.
+
+    On a side that is finite everywhere, the values themselves are the sum
+    with zero, so nothing is copied.
+    """
+    if total is None:
+        if isinstance(i, slice):
+            return values
+        total = np.zeros(n)
+    total[i] += values
+    return total
 
 
 def _gaps(x, sides):
-    """The gaps of x on both sides, and whether every gap is positive (x strictly interior)."""
+    """The gaps of x on each side, and whether every gap is positive (x strictly interior)."""
     gaps = tuple(_gap(x, side) for side in sides)
     return gaps, not any((g <= 0.0).any() for g in gaps)
 
@@ -135,19 +169,17 @@ def _dual_update(sides, gaps_old, gaps_new, z_old: DualEstimate, s, mu) -> DualE
     """`dual_update` from the gaps of `_gaps` at the old and the new point."""
     if not (gaps_old[1] and gaps_new[1]):
         raise BoundaryPoint("dual update needs strictly interior points")
-    z_new = []
-    for (m, _, sign), z, g_old, g_new in zip(sides, (z_old.zl, z_old.zu), gaps_old[0],
-                                             gaps_new[0]):
-        zm = z[m]
-        zhat = mu / g_old - (zm / g_old) * (sign * s[m])
+    n = s.size
+    z_new = [None, None]
+    for (i, _, sign, which), g_old, g_new in zip(sides, gaps_old[0], gaps_new[0]):
+        zm = (z_old.zl, z_old.zu)[which][i]
+        zhat = mu / g_old - (zm / g_old) * (sign * s[i])
         lo = KAPPA_ZUL * np.minimum(np.minimum(1.0, zm), mu / g_new)
         hi = np.maximum(np.maximum(KAPPA_ZUU, zm),
                         np.maximum(KAPPA_ZUU / mu, KAPPA_ZUU * mu / g_new))
         np.maximum(zhat, lo, out=zhat)
-        z_side = np.zeros(z.size)
-        z_side[m] = np.minimum(zhat, hi, out=zhat)
-        z_new.append(z_side)
-    return DualEstimate(*z_new)
+        z_new[which] = _full(np.minimum(zhat, hi, out=zhat), i, n)
+    return DualEstimate(*(np.zeros(n) if z is None else z for z in z_new))
 
 
 def crossover(x, z: DualEstimate, mu_final: float, bounds: Box):
@@ -165,14 +197,15 @@ def crossover(x, z: DualEstimate, mu_final: float, bounds: Box):
     qt = mu_final**0.25
     sides = _sides(bounds)
     x, zs = np.array(x, dtype=float), (z.zl.copy(), z.zu.copy())
-    for side, z_side in zip(sides, zs):
-        m, bound, _ = side
-        gap, zm = _gap(x, side), z_side[m]
+    for side in sides:
+        i, bound, _, which = side
+        gap, zm = _gap(x, side), zs[which][i]
         joint = (gap < qt) & (zm < qt)
-        x[m] = np.where((gap < rt) | joint, bound[m], x[m])
-        z_side[m] = np.where((zm < rt) | joint, 0.0, zm)
-    for side, z_side in zip(sides, zs):
-        z_side[side[0]] = np.where(_gap(x, side) > 0.0, 0.0, z_side[side[0]])
+        x[i] = np.where((gap < rt) | joint, bound, x[i])
+        zs[which][i] = np.where((zm < rt) | joint, 0.0, zm)
+    for side in sides:
+        i, _, _, which = side
+        zs[which][i] = np.where(_gap(x, side) > 0.0, 0.0, zs[which][i])
     return x, DualEstimate(*zs)
 
 
@@ -183,11 +216,16 @@ class BarrierTerms:
     updates on every accepted step and, from exact perturbed
     complementarity, on a zero model step.
 
-    The loop asks for the gaps of one point several times: at x (`at`, and
+    The sides are built once, in the layouts of the module docstring.  The
+    loop asks for the gaps of one point several times: at x (`at`, and
     `phi` at the start), at the trial point (`phi`) and at both on
     acceptance.  They are computed once per point and kept for the current
     point and the last other point, keyed on the array object, which the
-    loop never modifies.
+    loop never modifies.  `at` keeps its last result, keyed on the x, gx
+    and z objects: after a rejected step it returns the same model gradient,
+    Theta, fraction-to-boundary box, measure gradient and residual without
+    computing them again.  An accepted or a zero step makes a new z (and an
+    accepted one a new x and gx), so the next `at` recomputes.
     """
 
     records_exits = True
@@ -196,6 +234,7 @@ class BarrierTerms:
         self.bounds, self.mu, self.z, self.mode = bounds, mu, z, mode
         self._sides = _sides(bounds)
         self._current = self._other = (None, None)  # (point, its gaps)
+        self._at = ((None, None, None), None)  # ((x, gx, z), the result of `at`)
 
     def _gaps_at(self, x):
         for point, gaps in (self._current, self._other):
@@ -206,21 +245,30 @@ class BarrierTerms:
         return gaps
 
     def at(self, x, gx):
+        key, last = self._at
+        if key[0] is x and key[1] is gx and key[2] is self.z:
+            return last
         gaps = self._gaps_at(x)
         self._current = (x, gaps)
         if not gaps[1]:
             raise BoundaryPoint("barrier gradient needs a strictly interior point")
         # per side: the barrier gradient -sign mu/gap, the capped curvature
         # min(z/gap, KAPPA_BAR) and the complementarity residual gap*z - mu
-        g_phi, theta, compl = np.zeros(x.size), np.zeros(x.size), 0.0
-        for (m, _, sign), z, gap in zip(self._sides, (self.z.zl, self.z.zu), gaps[0]):
-            zm = z[m]
-            g_phi[m] -= sign * self.mu / gap
-            theta[m] += np.minimum(zm / gap, KAPPA_BAR)
-            compl += float(((gap * zm - self.mu) ** 2).sum())
+        n, mu = x.size, self.mu
+        g_phi = theta = None
+        compl = 0.0
+        for (i, _, sign, which), gap in zip(self._sides, gaps[0]):
+            zm = (self.z.zl, self.z.zu)[which][i]
+            g_phi = _full((-sign * mu) / gap, i, n, g_phi)
+            theta = _full(np.minimum(zm / gap, KAPPA_BAR), i, n, theta)
+            compl += float(((gap * zm - mu) ** 2).sum())
+        if g_phi is None:  # no finite bound
+            g_phi = theta = np.zeros(n)
         box = fraction_to_boundary_box(x, DELTA_FRAC, self.bounds)
         g_meas = gx - self.z.zl + self.z.zu if self.mode == MODE_LAGRANGIAN else None
-        return gx + g_phi, theta, box, g_meas, math.sqrt(compl)
+        last = (gx + g_phi, theta, box, g_meas, math.sqrt(compl))
+        self._at = ((x, gx, self.z), last)
+        return last
 
     def phi(self, x) -> float:
         return _barrier(self.mu, self._gaps_at(x))

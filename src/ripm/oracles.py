@@ -1,4 +1,16 @@
-"""Smooth-oracle protocol: counted f / grad-f evaluations with a budget."""
+"""Smooth-oracle protocol: counted f / grad-f evaluations with a budget.
+
+A solver takes the gradient at the point it has just valued, so an oracle
+whose value and gradient share work (a product with the data, a residual,
+an ODE trajectory) forms that work once per point.  The contract, in
+`SmoothOracle._shared`: the work of the last point is kept with a copy of
+that point, and a value or a gradient at an equal point (`np.array_equal`)
+reuses it.  The key is the contents of x, not the array: an equal point in
+another array reuses the work, and an array modified in place since does
+not.  A value refused by the budget computes nothing and leaves the kept
+point as it was, and `fresh` keeps nothing.  The work is the same function
+of x whether or not it was kept, so every result is the same bit for bit.
+"""
 from __future__ import annotations
 
 import copy
@@ -15,12 +27,16 @@ class SmoothOracle:
     on the oracle; a solve owns exactly one oracle, so counters are per-run.
     ``budget`` caps the number of objective evaluations (None = unlimited).
     ``_value`` returns a float and ``_grad`` a float array of the size of x.
+    A subclass whose value and gradient share work implements ``_work(x)``
+    and reads it through ``_shared(x)`` (see the module docstring); the kept
+    work is read only, never modified or returned.
     """
 
     def __init__(self):
         self.n_f = 0
         self.n_grad = 0
         self.budget: int | None = None
+        self._cache = None  # (copy of the last point, its `_work`)
 
     def value(self, x: np.ndarray) -> float:
         if self.budget is not None and self.n_f >= self.budget:
@@ -33,12 +49,22 @@ class SmoothOracle:
         return self._grad(x)
 
     def fresh(self) -> "SmoothOracle":
-        """Copy sharing problem data but with zeroed counters and no budget."""
+        """Copy sharing problem data but with zeroed counters, no budget and no kept work."""
         other = copy.copy(self)
         other.n_f = 0
         other.n_grad = 0
         other.budget = None
+        other._cache = None
         return other
+
+    def _shared(self, x):
+        """``_work(x)``, kept for the last point and reused at an equal one."""
+        cache = self._cache
+        if cache is not None and np.array_equal(cache[0], x):
+            return cache[1]
+        work = self._work(x)
+        self._cache = (np.array(x, dtype=float), work)
+        return work
 
     def _value(self, x):  # pragma: no cover - abstract
         raise NotImplementedError
@@ -71,11 +97,8 @@ class QuadModelOracle(SmoothOracle):
     counters on this oracle are model evaluations and are never merged into
     the true objective counters.
 
-    A value keeps its point, by reference, with the product B s + theta s, and
-    a gradient at that same array object reuses the product.  The reuse is
-    keyed on the array object, not on its contents: a gradient at any other
-    array, even an equal one, forms the product afresh, and the valued array
-    must not be modified before its gradient is taken.
+    The work value and gradient share is the step s and the product
+    B s + theta s.
 
     Along a step t the model changes by grad m . t + `curvature`(t) / 2, which
     takes the k-row product W t; `grad_after` then forms grad m(x + t) =
@@ -91,24 +114,21 @@ class QuadModelOracle(SmoothOracle):
         self.origin = origin
         self.W, self.signs = qn.factors()
         self._diag = None if theta is None else 1.0 + theta
-        self._last = (None, None)  # the last valued point and its product
         self._step = (None, None, None)  # the last step t of `curvature`, W t and (1 + theta) t
 
-    def _curv(self, s):
+    def _work(self, x):
+        s = x - self.origin
         w = self.qn.apply(s)
         if self.theta is not None:
             w = w + self.theta * s
-        return w
+        return s, w
 
     def _value(self, x):
-        s = x - self.origin
-        w = self._curv(s)
-        self._last = (x, w)
+        s, w = self._shared(x)
         return float(self.g @ s + 0.5 * (s @ w))
 
     def _grad(self, x):
-        last, w = self._last
-        return self.g + (w if x is last else self._curv(x - self.origin))
+        return self.g + self._shared(x)[1]
 
     def curvature(self, t) -> float:
         """t.(B + theta) t = t.(1 + theta) t + sum signs (W t)^2; counts one model value."""

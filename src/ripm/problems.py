@@ -64,11 +64,15 @@ class QuadraticOracle(SmoothOracle):
         self.H = H.tocsr()
         self.c = np.asarray(c, dtype=float)
 
+    def _work(self, x):
+        """The product H x."""
+        return self.H @ x
+
     def _value(self, x):
-        return float(self.c @ x + 0.5 * (x @ (self.H @ x)))
+        return float(self.c @ x + 0.5 * (x @ self._shared(x)))
 
     def _grad(self, x):
-        return self.c + self.H @ x
+        return self.c + self._shared(x)
 
 
 def gen_qp(n: int = 1000, p: float = 1e-2, lam: float = 0.1, seed: int = 0) -> ProblemInstance:
@@ -113,13 +117,17 @@ class NnmfOracle(SmoothOracle):
         mk = self.m * self.k
         return x[:mk].reshape(self.m, self.k), x[mk:].reshape(self.k, self.n)
 
-    def _value(self, x):
+    def _work(self, x):
+        """The residual W H - A."""
         W, H = self._split(x)
-        return 0.5 * float(np.linalg.norm(self.A - W @ H) ** 2)
+        return W @ H - self.A
+
+    def _value(self, x):
+        return 0.5 * float(np.linalg.norm(self._shared(x)) ** 2)
 
     def _grad(self, x):
+        R = self._shared(x)
         W, H = self._split(x)
-        R = W @ H - self.A
         return np.concatenate([(R @ H.T).ravel(), (W.T @ R).ravel()])
 
 
@@ -168,9 +176,9 @@ class FhOracle(SmoothOracle):
 
     Fixed-step RK4 on [0, T].  The gradient is the discrete adjoint of the
     same RK4 steps (Hager 2000), so it is the exact derivative of the
-    discretized objective.  The oracle keeps the stage points of its last
-    forward pass, keyed on a copy of x: a gradient right after the value at
-    the same x runs only the backward sweep.
+    discretized objective.  The work value and gradient share is the
+    forward pass, so a gradient right after the value at the same x runs
+    only the backward sweep.
     """
 
     def __init__(self, n_samples: int, v_data=None, w_data=None):
@@ -181,21 +189,12 @@ class FhOracle(SmoothOracle):
         self.dt = FH_T_FINAL / self.n_steps
         self.v_data = v_data
         self.w_data = w_data
-        self._last: _Trajectory | None = None
 
-    def fresh(self) -> "FhOracle":
-        other = super().fresh()
-        other._last = None
-        return other
-
-    def _forward(self, x):
+    def _work(self, x):
         """RK4 pass at x; four stage points per step, states sampled every stride.
 
         Raises _OdeBlowup once |V| or |W| reaches FH_BLOWUP; nothing is kept then.
         """
-        last = self._last
-        if last is not None and np.array_equal(last.x, x):
-            return last
         x1, x2, x3, x4, x5 = (float(v) for v in x)
         dt = self.dt
         h = 0.5 * dt
@@ -226,17 +225,16 @@ class FhOracle(SmoothOracle):
         every = 4 * self.stride  # a sample is the first stage of every stride-th step
         vs = np.array(sv[::every] + [V])
         ws = np.array(sw[::every] + [W])
-        self._last = _Trajectory(np.array(x, dtype=float), sv, sw, vs, ws)
-        return self._last
+        return _Trajectory(sv, sw, vs, ws)
 
     def simulate(self, params):
         """States sampled at the n_samples + 1 data times."""
-        traj = self._forward(params)
+        traj = self._shared(params)
         return traj.vs.copy(), traj.ws.copy()
 
     def _value(self, x):
         try:
-            traj = self._forward(x)
+            traj = self._shared(x)
         except _OdeBlowup:
             return np.inf
         return 0.5 * (float(np.sum((traj.vs - self.v_data) ** 2))
@@ -244,7 +242,7 @@ class FhOracle(SmoothOracle):
 
     def _grad(self, x):
         try:
-            traj = self._forward(x)
+            traj = self._shared(x)
         except _OdeBlowup:
             raise OracleFailure("state blow-up during the forward pass") from None
         x1, x2, x3, x4, x5 = (float(v) for v in x)
@@ -301,7 +299,6 @@ class FhOracle(SmoothOracle):
 
 
 class _Trajectory(NamedTuple):
-    x: np.ndarray  # copy of the parameters the pass ran at
     stage_v: list  # V at the four stage points of every step
     stage_w: list
     vs: np.ndarray  # states at the n_samples + 1 data times
@@ -355,12 +352,16 @@ class BpdnOracle(SmoothOracle):
         self.A = np.asarray(A, dtype=float)
         self.b = np.asarray(b, dtype=float)
 
+    def _work(self, x):
+        """The residual A x - b."""
+        return self.A @ x - self.b
+
     def _value(self, x):
-        r = self.A @ x - self.b
+        r = self._shared(x)
         return 0.5 * float(r @ r)
 
     def _grad(self, x):
-        return self.A.T @ (self.A @ x - self.b)
+        return self.A.T @ self._shared(x)
 
 
 def gen_bpdn(m: int = 200, n: int = 512, n_spikes: int = 5, seed: int = 0,

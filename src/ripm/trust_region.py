@@ -13,9 +13,9 @@ trials change the model by a closed form in the operator's factors (see `r2`
 and `oracles.QuadModelOracle`).  A ratio test accepts or rejects the trial
 point, the radius follows `update_radius`, and the quasi-Newton operator is
 updated on acceptance.  Once Delta falls below eps (1 + ||x||_inf), with eps
-the machine epsilon, the box around x rounds to x in its largest components:
-neither a trial point nor the measure can resolve a step there, so the loop
-stops as stalled before it measures.
+the machine epsilon EPS_MACH, the box around x rounds to x in its largest
+components: neither a trial point nor the measure can resolve a step there,
+so the loop stops as stalled before it measures.
 
 The loop keeps the hot-path rule of `regprox`: no `np.clip`, no
 function-form `np.any`/`np.all` and no `np.linalg.norm` in code that runs
@@ -70,6 +70,7 @@ ABS_TOL = 1e-4
 ITER_CAP = 10_000
 SUBSOLVER_MAX_ITER = 200
 SUBSOLVER_REL_TOL = 0.1
+EPS_MACH = np.finfo(float).eps
 
 
 @dataclass
@@ -172,7 +173,7 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
     status = "cap"
     try:
         for j in range(max_iter + 1):
-            if delta < np.finfo(float).eps * (1.0 + float(np.abs(x).max())):
+            if delta < EPS_MACH * (1.0 + float(np.abs(x).max())):
                 status = "stalled"
                 break
             g, theta, box, g_meas, compl = cons.at(x, gx)

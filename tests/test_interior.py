@@ -215,6 +215,16 @@ def _mixed_bounds(rng, n):
     return Box(lo, hi)
 
 
+def _layouts(rng, n):
+    """Bounds in the three side layouts of `interior`: every mix of sides, the
+    upper side absent everywhere (lo = 0, hi = +inf, as in bpdn) and both sides
+    finite everywhere (as in qp)."""
+    lo = rng.uniform(-2.0, 0.0, n)
+    return {"mixed": _mixed_bounds(rng, n),
+            "lower only": Box(np.zeros(n), np.full(n, np.inf)),
+            "both finite": Box(lo, lo + rng.uniform(0.5, 3.0, n))}
+
+
 def _interior_point(bounds):
     lo, hi = bounds.lo, bounds.hi
     fl, fu = np.isfinite(lo), np.isfinite(hi)
@@ -318,65 +328,86 @@ def _near_the_bounds(rng, bounds):
 def test_barrier_terms_and_crossover_equal_the_where_forms_bit_for_bit(mu):
     rng = np.random.default_rng(21)
     n = 400
-    bounds = _mixed_bounds(rng, n)
-    x, z = _near_the_bounds(rng, bounds)
-    gx = rng.standard_normal(n)
-    g, theta, _, _, compl = BarrierTerms(bounds, mu, z, "cp").at(x, gx)
-    g_phi, theta_want, compl_want = _where_barrier_terms(x, z, mu, bounds)
-    assert np.array_equal(_raw_bits(g), _raw_bits(gx + g_phi))
-    assert np.array_equal(_raw_bits(theta), _raw_bits(theta_want))
-    assert _raw_bits(compl) == _raw_bits(compl_want)
+    for layout, bounds in _layouts(rng, n).items():
+        x, z = _near_the_bounds(rng, bounds)
+        gx = rng.standard_normal(n)
+        g, theta, _, _, compl = BarrierTerms(bounds, mu, z, "cp").at(x, gx)
+        g_phi, theta_want, compl_want = _where_barrier_terms(x, z, mu, bounds)
+        assert np.array_equal(_raw_bits(g), _raw_bits(gx + g_phi)), layout
+        assert np.array_equal(_raw_bits(theta), _raw_bits(theta_want)), layout
+        assert _raw_bits(compl) == _raw_bits(compl_want), layout
 
-    before = [v.copy() for v in (x, z.zl, z.zu)]
-    xc, zc = crossover(x, z, mu, bounds)
-    want = _where_crossover(x, z, mu, bounds)
-    for got_v, want_v, old, new in zip((xc, zc.zl, zc.zu), want, before, (x, z.zl, z.zu)):
-        assert np.array_equal(_raw_bits(got_v), _raw_bits(want_v))
-        assert np.array_equal(_raw_bits(new), _raw_bits(old))  # the arguments stay as they were
-    # every rule acts somewhere and leaves something alone
-    snapped = xc != x
-    assert snapped.any() and not snapped[np.isfinite(bounds.lo) | np.isfinite(bounds.hi)].all()
-    for z_old, z_new in ((z.zl, zc.zl), (z.zu, zc.zu)):
-        zeroed = (z_new == 0.0) & (z_old > 0.0)
-        assert zeroed.any() and (z_new > 0.0).any() and (zeroed & snapped).any()
+        before = [v.copy() for v in (x, z.zl, z.zu)]
+        xc, zc = crossover(x, z, mu, bounds)
+        want = _where_crossover(x, z, mu, bounds)
+        for got_v, want_v, old, new in zip((xc, zc.zl, zc.zu), want, before, (x, z.zl, z.zu)):
+            assert np.array_equal(_raw_bits(got_v), _raw_bits(want_v)), layout
+            # the arguments stay as they were
+            assert np.array_equal(_raw_bits(new), _raw_bits(old)), layout
+        # every rule acts somewhere and leaves something alone, on each side that exists
+        fl, fu = np.isfinite(bounds.lo), np.isfinite(bounds.hi)
+        snapped = xc != x
+        assert snapped.any() and not snapped[fl | fu].all(), layout
+        for z_old, z_new, finite in ((z.zl, zc.zl, fl), (z.zu, zc.zu, fu)):
+            zeroed = (z_new == 0.0) & (z_old > 0.0)
+            assert (z_new[~finite] == 0.0).all(), layout
+            if finite.any():
+                assert zeroed.any() and (z_new > 0.0).any() and (zeroed & snapped).any(), layout
+
+
+def _assert_same_terms(got, want, layout):
+    for a, b in [(got[0], want[0]), (got[1], want[1]), (got[2].lo, want[2].lo),
+                 (got[2].hi, want[2].hi), (got[3], want[3]), (got[4], want[4])]:
+        assert np.array_equal(_raw_bits(a), _raw_bits(b)), layout
 
 
 def test_barrier_terms_reuse_gaps_bit_for_bit():
     # the calls a barrier stage makes over accepted, rejected, infeasible and
-    # zero steps: at, phi and accept reuse the gaps of each point, and must give
-    # what a fresh BarrierTerms, barrier_value and dual_update give from scratch
+    # zero steps: at, phi and accept reuse the gaps of each point, at reuses its
+    # terms after a rejected step, and all must give what a fresh BarrierTerms,
+    # barrier_value and dual_update give from scratch
     rng = np.random.default_rng(13)
     n, mu = 60, 1e-2
-    bounds = _mixed_bounds(rng, n)
-    x = _interior_point(bounds)
-    gx = rng.standard_normal(n)
-    ones = DualEstimate.ones_for(bounds)
-    z0 = DualEstimate(ones.zl * rng.uniform(0.1, 2.0, n), ones.zu * rng.uniform(0.1, 2.0, n))
-    terms = BarrierTerms(bounds, mu, z0, "lagrangian")
-    assert _raw_bits(terms.phi(x)) == _raw_bits(barrier_value(mu, x, bounds))
-    for move in ["reject", "accept", "reject", "outside", "zero", "accept", "accept", "reject"]:
-        got = terms.at(x, gx)
-        want = BarrierTerms(bounds, mu, terms.z, "lagrangian").at(x, gx)
-        for a, b in [(got[0], want[0]), (got[1], want[1]), (got[2].lo, want[2].lo),
-                     (got[2].hi, want[2].hi), (got[3], want[3]), (got[4], want[4])]:
-            assert np.array_equal(_raw_bits(a), _raw_bits(b))
-        if move == "zero":
-            z_want = dual_update(x, x, terms.z, np.zeros(n), mu, bounds)
-            assert terms.zero_step(x)
-        else:
-            x_t = got[2].clamp(x + 0.5 * rng.standard_normal(n))
-            if move == "outside":
-                i = int(np.argmax(np.isfinite(bounds.lo)))
-                x_t[i] = bounds.lo[i] - 1.0
-            assert _raw_bits(terms.phi(x_t)) == _raw_bits(barrier_value(mu, x_t, bounds))
-            if move != "accept":
-                continue
-            s = x_t - x
-            z_want = dual_update(x_t, x, terms.z, s, mu, bounds)
-            terms.accept(x, x_t, s)
-            x = x_t
-        assert np.array_equal(_raw_bits(terms.z.zl), _raw_bits(z_want.zl))
-        assert np.array_equal(_raw_bits(terms.z.zu), _raw_bits(z_want.zu))
+    for layout, bounds in _layouts(rng, n).items():
+        x = _interior_point(bounds)
+        gx = rng.standard_normal(n)
+        ones = DualEstimate.ones_for(bounds)
+        z0 = DualEstimate(ones.zl * rng.uniform(0.1, 2.0, n),
+                          ones.zu * rng.uniform(0.1, 2.0, n))
+        terms = BarrierTerms(bounds, mu, z0, "lagrangian")
+        assert _raw_bits(terms.phi(x)) == _raw_bits(barrier_value(mu, x, bounds)), layout
+        # a new gradient array at the same x and z gives its own model gradient
+        gx2 = rng.standard_normal(n)
+        terms.at(x, gx)
+        _assert_same_terms(terms.at(x, gx2),
+                           BarrierTerms(bounds, mu, terms.z, "lagrangian").at(x, gx2), layout)
+        got, last = None, None
+        for move in ["reject", "accept", "reject", "outside", "zero", "accept", "accept",
+                     "reject", "reject"]:
+            kept = got
+            got = terms.at(x, gx)
+            assert (got is kept) == (last in ("reject", "outside")), layout
+            _assert_same_terms(got, BarrierTerms(bounds, mu, terms.z, "lagrangian").at(x, gx),
+                               layout)
+            last = move
+            if move == "zero":
+                z_want = dual_update(x, x, terms.z, np.zeros(n), mu, bounds)
+                assert terms.zero_step(x)
+            else:
+                x_t = got[2].clamp(x + 0.5 * rng.standard_normal(n))
+                if move == "outside":
+                    i = int(np.argmax(np.isfinite(bounds.lo)))
+                    x_t[i] = bounds.lo[i] - 1.0
+                assert (_raw_bits(terms.phi(x_t))
+                        == _raw_bits(barrier_value(mu, x_t, bounds))), layout
+                if move != "accept":
+                    continue
+                s = x_t - x
+                z_want = dual_update(x_t, x, terms.z, s, mu, bounds)
+                terms.accept(x, x_t, s)
+                x = x_t
+            assert np.array_equal(_raw_bits(terms.z.zl), _raw_bits(z_want.zl)), layout
+            assert np.array_equal(_raw_bits(terms.z.zu), _raw_bits(z_want.zu)), layout
 
 
 def test_crossover_rules():

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -193,27 +195,87 @@ def fh20():
     return gen_fh(n_samples=20).smooth
 
 
-def test_fh_grad_after_value_elsewhere(fh20):
-    oracle = fh20.fresh()
-    x, y = FH_POINTS[1], FH_POINTS[2]
+# the oracles that keep the work their value and gradient share (see `oracles`)
+CACHED = ["qp", "bpdn", "nnmf", "fh"]
+SMALL = {"qp": {"n": 40, "p": 0.1}, "bpdn": {"m": 10, "n": 24, "n_spikes": 3},
+         "nnmf": {"m": 8, "n": 6, "k": 2}, "fh": {"n_samples": 20}}
+
+
+@functools.cache
+def _small_oracle(name):
+    """The oracle of a small instance and two points to take it at."""
+    if name == "fh":
+        return gen_fh(**SMALL[name]).smooth, FH_POINTS[1], FH_POINTS[2]
+    inst = build(name, 0, **SMALL[name])
+    rng = np.random.default_rng(5)
+    x, y = (inst.x0 + 0.1 * rng.standard_normal(inst.x0.size) for _ in range(2))
+    return inst.smooth, x, y
+
+
+@pytest.mark.parametrize("name", CACHED)
+def test_grad_after_value_elsewhere(name):
+    base, x, y = _small_oracle(name)
+    oracle = base.fresh()
     oracle.value(y)
-    assert np.array_equal(oracle.grad(x), fh20.fresh().grad(x))
-    assert not np.array_equal(oracle.grad(x), fh20.fresh().grad(y))
+    assert np.array_equal(oracle.grad(x), base.fresh().grad(x))
+    assert not np.array_equal(oracle.grad(x), base.fresh().grad(y))
 
 
-def test_fh_grad_after_x_changed_in_place(fh20):
-    oracle = fh20.fresh()
-    x = FH_POINTS[1].copy()
+@pytest.mark.parametrize("name", CACHED)
+def test_grad_after_x_changed_in_place(name):
+    base, x, _ = _small_oracle(name)
+    oracle = base.fresh()
+    x = x.copy()
     oracle.value(x)
+    g_before = base.fresh().grad(x)
     x[2] += 1e-3
-    assert np.array_equal(oracle.grad(x), fh20.fresh().grad(x))
+    g = oracle.grad(x)
+    assert np.array_equal(g, base.fresh().grad(x)) and not np.array_equal(g, g_before)
 
 
-def test_fh_fresh_copy_keeps_no_trajectory(fh20):
-    oracle = fh20.fresh()
-    oracle.value(FH_POINTS[1])
-    assert oracle._last is not None
-    assert oracle.fresh()._last is None
+@pytest.mark.parametrize("name", CACHED)
+def test_fresh_copy_keeps_no_work(name):
+    base, x, _ = _small_oracle(name)
+    oracle = base.fresh()
+    oracle.value(x)
+    assert oracle._cache is not None
+    assert oracle.fresh()._cache is None
+
+
+class _CountedMatmul:
+    """A matrix whose products M @ v are counted; its transpose is not."""
+
+    def __init__(self, M, calls):
+        self.M, self.calls = M, calls
+
+    def __matmul__(self, v):
+        self.calls.append(1)
+        return self.M @ v
+
+    @property
+    def T(self):
+        return self.M.T
+
+
+@pytest.mark.parametrize("name", ["qp", "bpdn", "nnmf"])
+def test_value_then_grad_forms_the_shared_product_once(monkeypatch, name):
+    # the product value and gradient share: H @ x (qp), A @ x (bpdn), W @ H (nnmf)
+    base, x, _ = _small_oracle(name)
+    oracle = base.fresh()
+    calls = []
+    if name == "nnmf":
+        split = oracle._split
+
+        def counted_split(v):
+            W, H = split(v)
+            return _CountedMatmul(W, calls), H
+        monkeypatch.setattr(oracle, "_split", counted_split)
+    else:
+        attr = "H" if name == "qp" else "A"
+        monkeypatch.setattr(oracle, attr, _CountedMatmul(getattr(oracle, attr), calls))
+    f, g = oracle.value(x), oracle.grad(x.copy())
+    assert len(calls) == 1
+    assert f == base.fresh().value(x) and np.array_equal(g, base.fresh().grad(x))
 
 
 def test_fh_grad_counts_no_value(fh20):
@@ -225,15 +287,16 @@ def test_fh_grad_counts_no_value(fh20):
     assert (oracle.n_f, oracle.n_grad) == (1, 2)
 
 
-def test_fh_refused_value_keeps_no_trajectory(fh20):
-    oracle = fh20.fresh()
-    x, y = FH_POINTS[1], FH_POINTS[2]
+@pytest.mark.parametrize("name", CACHED)
+def test_refused_value_keeps_the_earlier_point(name):
+    base, x, y = _small_oracle(name)
+    oracle = base.fresh()
     oracle.value(y)
     oracle.budget = 1
     with pytest.raises(BudgetExhausted):
         oracle.value(x)
-    assert np.array_equal(oracle._last.x, y)
-    assert np.array_equal(oracle.grad(x), fh20.fresh().grad(x))
+    assert np.array_equal(oracle._cache[0], y)
+    assert np.array_equal(oracle.grad(x), base.fresh().grad(x))
 
 
 def test_bpdn_structure():

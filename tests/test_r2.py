@@ -137,14 +137,21 @@ def test_model_value_then_grad_makes_one_product(monkeypatch, theta):
     assert np.allclose(grad, g + H @ s, rtol=1e-12, atol=1e-12)
 
 
-def test_model_grad_at_an_equal_but_distinct_array_recomputes(monkeypatch):
+def test_model_grad_reuses_the_product_at_an_equal_point(monkeypatch):
+    # the kept product is keyed on the point's contents: an equal array reuses
+    # it, the valued array changed in place does not
     g, qn, _, _, origin = _model_data()
     calls = _counted_applies(monkeypatch, qn)
     model = QuadModelOracle(g, qn, None, origin)
     x = origin + 1.0
     model.value(x)
     grad = model.grad(x.copy())
-    assert len(calls) == 2
+    assert len(calls) == 1
+    assert np.array_equal(grad, QuadModelOracle(g, qn, None, origin).grad(x))
+    x[0] += 1.0
+    before = len(calls)
+    grad = model.grad(x)
+    assert len(calls) == before + 1
     assert np.array_equal(grad, QuadModelOracle(g, qn, None, origin).grad(x))
 
 

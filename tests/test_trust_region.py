@@ -196,7 +196,7 @@ def test_a_collapsed_radius_stops_the_loop_as_stalled():
 def test_boxes_built_per_iteration(monkeypatch, step, constraint, most):
     # each iteration builds its step box and its cap box in one pass each, as
     # balls within the constraint box, and a barrier stage adds the
-    # fraction-to-boundary box
+    # fraction-to-boundary box, except after a rejected step, which keeps it
     built, balls = [], []
     post_init, ball = Box.__post_init__, Box.ball
 
@@ -229,12 +229,17 @@ def test_boxes_built_per_iteration(monkeypatch, step, constraint, most):
     smooth = CallableOracle(lambda v: 0.5 * float((v - c) @ A @ (v - c)), lambda v: A @ (v - c))
     h = Regularizer("l1", 0.1)
     x = np.ones(n)
-    trace = []
+    trace, records = [], []
     fx, hx, gx = evaluate_start(smooth, h, x, trace)
     monkeypatch.setattr(Box, "__post_init__", counting)
     monkeypatch.setattr(Box, "ball", counting_ball)
     tr.tr_iterate(smooth, h, cons, SpectralDiag(n) if step == "diagonal" else LBFGS(n), x, fx,
-                  hx, gx, 1.0, max_iter=6, abs_tol=0.0, rel_tol=0.0, trace=trace, records=[])
+                  hx, gx, 1.0, max_iter=6, abs_tol=0.0, rel_tol=0.0, trace=trace,
+                  records=records)
     per_iteration = np.diff(marks, axis=0)
     assert len(per_iteration) >= 3 and per_iteration[:, 0].max() <= most
     assert (per_iteration[:, 1] == 2).all()
+    if constraint == "barrier":
+        after_rejected = [j + 1 for j, r in enumerate(records[:len(per_iteration) - 1])
+                          if not r["accepted"] and r["s_inf"] > 0]
+        assert after_rejected and (per_iteration[after_rejected, 0] == 2).all()
