@@ -53,7 +53,8 @@ from .errors import BoundaryPoint, BudgetExhausted
 # regprox.Box.shifted, which stay bound for the tracer too
 from .r2 import r2_solve  # noqa: F401
 from .regprox import L0, Box, fraction_to_boundary_box, intersect_boxes  # noqa: F401
-from .report import CONVERGED, MAX_ITER, SolverReport, evaluate_start, make_report
+from .report import (BUDGET, CONVERGED, MAX_ITER, STALLED, SolverReport, evaluate_start,
+                     make_report)
 from .trust_region import DELTA_MAX, InnerResult, tr_iterate
 
 MODE_CP = "cp"
@@ -171,12 +172,21 @@ def _dual_update(sides, gaps_old, gaps_new, z_old: DualEstimate, s, mu) -> DualE
         raise BoundaryPoint("dual update needs strictly interior points")
     n = s.size
     z_new = [None, None]
+    # min and max are exact, so the scalar bounds are merged first and the
+    # vector terms formed in place, with the bits of the `dual_update` formula
+    hi_scalar = max(KAPPA_ZUU, KAPPA_ZUU / mu)
     for (i, _, sign, which), g_old, g_new in zip(sides, gaps_old[0], gaps_new[0]):
         zm = (z_old.zl, z_old.zu)[which][i]
-        zhat = mu / g_old - (zm / g_old) * (sign * s[i])
-        lo = KAPPA_ZUL * np.minimum(np.minimum(1.0, zm), mu / g_new)
-        hi = np.maximum(np.maximum(KAPPA_ZUU, zm),
-                        np.maximum(KAPPA_ZUU / mu, KAPPA_ZUU * mu / g_new))
+        zhat = np.divide(zm, g_old)
+        zhat *= sign * s[i]
+        np.subtract(mu / g_old, zhat, out=zhat)
+        lo = np.divide(mu, g_new)
+        np.minimum(lo, zm, out=lo)
+        np.minimum(lo, 1.0, out=lo)
+        lo *= KAPPA_ZUL
+        hi = np.divide(KAPPA_ZUU * mu, g_new)
+        np.maximum(hi, zm, out=hi)
+        np.maximum(hi, hi_scalar, out=hi)
         np.maximum(zhat, lo, out=zhat)
         z_new[which] = _full(np.minimum(zhat, hi, out=zhat), i, n)
     return DualEstimate(*(np.zeros(n) if z is None else z for z in z_new))
@@ -257,14 +267,16 @@ class BarrierTerms:
         n, mu = x.size, self.mu
         g_phi = theta = None
         compl = 0.0
+        min_gaps = [np.inf, np.inf]
         for (i, _, sign, which), gap in zip(self._sides, gaps[0]):
             zm = (self.z.zl, self.z.zu)[which][i]
             g_phi = _full((-sign * mu) / gap, i, n, g_phi)
             theta = _full(np.minimum(zm / gap, KAPPA_BAR), i, n, theta)
             compl += float(((gap * zm - mu) ** 2).sum())
+            min_gaps[which] = float(gap.min())
         if g_phi is None:  # no finite bound
             g_phi = theta = np.zeros(n)
-        box = fraction_to_boundary_box(x, DELTA_FRAC, self.bounds)
+        box = fraction_to_boundary_box(min_gaps, DELTA_FRAC, self.bounds)
         g_meas = gx - self.z.zl + self.z.zu if self.mode == MODE_LAGRANGIAN else None
         last = (gx + g_phi, theta, box, g_meas, math.sqrt(compl))
         self._at = ((x, gx, self.z), last)
@@ -297,7 +309,7 @@ def inner_solve(smooth, h, bounds: Box, qn, x, fx: float, hx: float, gx, z: Dual
     starts at radius min(DELTA0_FACTOR * mu, DELTA_MAX) and ends with "tol"
     once the measure of `measure_mode` falls below eps_k + eps_d_rel *
     (measure at entry) and the complementarity residual below eps_k =
-    mu**EPS_EXPONENT, with "budget" when the evaluation budget runs out,
+    mu**EPS_EXPONENT, with "budget" once the budget allows no evaluation,
     with "cap" after INNER_CAP iterations, or with "stalled" once the radius
     collapses to the rounding of x.  Accepted points extend ``trace`` and
     every iteration extends ``records`` (see `trust_region.tr_iterate`).
@@ -315,11 +327,23 @@ def outer_solve(smooth, h, bounds: Box, qn_factory, x0, opts: IpmOptions | None 
 
     Convergence is declared when mu, the complementarity residual, and the
     criticality measure at the inner exit all fall below
-    EPS_A + eps_r * (measure at the very first inner iteration).  A stage
-    that stalls at entry ends the loop with MAX_ITER, and the crossover uses
-    its mu.  The measure is the primal one when h is the (nonconvex) l0
-    penalty and the Lagrangian one otherwise; the step follows the operators
-    of ``qn_factory``.
+    EPS_A + eps_r * (measure at the very first inner iteration).  The
+    measure is the primal one when h is the (nonconvex) l0 penalty and the
+    Lagrangian one otherwise; the step follows the operators of
+    ``qn_factory``.
+
+    The stages run with one evaluation of the budget kept back for the
+    crossover point, so a stage ends "budget" (see `trust_region.tr_iterate`)
+    with that evaluation still left.  The crossover point is returned, with
+    its z, only if f + h there is not above f + h at the interior point;
+    otherwise the interior point and its z are returned and
+    ``diagnostics["crossover"]["applied"]`` is false, as it is when the
+    budget refuses the crossover point.
+
+    The status says which limit stopped the loop: BUDGET when a stage ran
+    out of evaluations (or the start was refused), STALLED after a stage
+    that stalled at entry, whose mu the crossover then uses, and MAX_ITER
+    after MAX_OUTER stages.
     """
     opts = opts or IpmOptions()
     t0 = time.perf_counter()
@@ -337,41 +361,48 @@ def outer_solve(smooth, h, bounds: Box, qn_factory, x0, opts: IpmOptions | None 
 
     try:
         fx, hx, gx = evaluate_start(smooth, h, x, trace)
-        for k in range(MAX_OUTER):
-            res = inner_solve(smooth, h, bounds, qn, x, fx, hx, gx, z, mu, opts.eps_ri,
-                              trace, records)
-            x, z, fx, hx, gx = res.x, res.z, res.fx, res.hx, res.gx
-            n_prox += res.n_prox
-            mu_last = mu
-            stages = k + 1
-            if eps_glob is None:
-                eps_glob = EPS_A + opts.eps_r * res.measure0
-            # a stage that stalls at entry (no prox: it never measured) leaves x
-            # and z as they were, and every later stage starts at a smaller
-            # radius, so it would stall as well
-            if res.status == "budget" or (res.status == "stalled" and res.n_prox == 0):
-                break
-            # declare convergence only off a genuine tolerance exit: a cap exit
-            # may report a measure that cancellation drove to 0, and a stalled
-            # stage measured nothing at its collapsed radius
-            if (res.status == "tol" and mu < eps_glob
-                    and res.compl < eps_glob and res.crit < eps_glob):
-                status = CONVERGED
-                break
-            mu *= MU_FACTOR
-    except BudgetExhausted:
-        pass
+        with smooth.held_back(1):
+            for k in range(MAX_OUTER):
+                res = inner_solve(smooth, h, bounds, qn, x, fx, hx, gx, z, mu, opts.eps_ri,
+                                  trace, records)
+                x, z, fx, hx, gx = res.x, res.z, res.fx, res.hx, res.gx
+                n_prox += res.n_prox
+                mu_last = mu
+                stages = k + 1
+                if eps_glob is None:
+                    eps_glob = EPS_A + opts.eps_r * res.measure0
+                if res.status == "budget":
+                    status = BUDGET
+                    break
+                # a stage that stalls at entry (no prox: it never measured) leaves
+                # x and z as they were, and every later stage starts at a smaller
+                # radius, so it would stall as well
+                if res.status == "stalled" and res.n_prox == 0:
+                    status = STALLED
+                    break
+                # declare convergence only off a genuine tolerance exit: a cap exit
+                # may report a measure that cancellation drove to 0, and a stalled
+                # stage measured nothing at its collapsed radius
+                if (res.status == "tol" and mu < eps_glob
+                        and res.compl < eps_glob and res.crit < eps_glob):
+                    status = CONVERGED
+                    break
+                mu *= MU_FACTOR
+    except BudgetExhausted:  # the start point itself was refused
+        status = BUDGET
 
     x_cross, z_cross = crossover(x, z, mu_last, bounds)
     cross_info = {"mu": mu_last, "applied": False}
     try:
+        f_cross, h_cross = fx, hx
         if not np.array_equal(x_cross, x):
-            fx, hx = smooth.value(x_cross), h.value(x_cross)
-        x, z = x_cross, z_cross
-        trace.append((smooth.n_grad, fx + hx))
-        cross_info["applied"] = True
+            f_cross, h_cross = smooth.value(x_cross), h.value(x_cross)
+        if f_cross + h_cross <= fx + hx:
+            x, z, fx, hx = x_cross, z_cross, f_cross, h_cross
+            trace.append((smooth.n_grad, fx + hx))
+            cross_info["applied"] = True
     except BudgetExhausted:
-        pass  # keep the pre-crossover point so report and x stay consistent
+        pass  # keep the interior point, so that report and x stay consistent
 
     return make_report(solver_name, smooth, h, x, fx, hx, res.crit if res else np.inf, n_prox,
                        t0, status, trace, {"inner": records, "crossover": cross_info,

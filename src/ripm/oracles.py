@@ -10,10 +10,17 @@ another array reuses the work, and an array modified in place since does
 not.  A value refused by the budget computes nothing and leaves the kept
 point as it was, and `fresh` keeps nothing.  The work is the same function
 of x whether or not it was kept, so every result is the same bit for bit.
+
+A solver asks `evals_left` before it builds a point it would evaluate, so
+that it builds none the budget would refuse; the refusal itself,
+`BudgetExhausted`, stays as the safety net.  `held_back` keeps evaluations
+of the budget back while a block runs, for a point to be valued after it.
 """
 from __future__ import annotations
 
+import contextlib
 import copy
+import math
 
 import numpy as np
 
@@ -47,6 +54,22 @@ class SmoothOracle:
     def grad(self, x: np.ndarray) -> np.ndarray:
         self.n_grad += 1
         return self._grad(x)
+
+    def evals_left(self) -> float:
+        """Objective evaluations the budget still allows (inf without a budget)."""
+        return math.inf if self.budget is None else max(self.budget - self.n_f, 0)
+
+    @contextlib.contextmanager
+    def held_back(self, k: int):
+        """Keep k evaluations of the budget back while the block runs."""
+        if self.budget is None:
+            yield
+            return
+        self.budget -= k
+        try:
+            yield
+        finally:
+            self.budget += k
 
     def fresh(self) -> "SmoothOracle":
         """Copy sharing problem data but with zeroed counters, no budget and no kept work."""

@@ -16,7 +16,9 @@ with nu = 1 / sigma.
 
 R2 iterates on points over one fixed box: it accepts u by a ratio test
 against xi and adapts sigma.  The trial follows the oracle.  A true
-objective is evaluated at u.  The quadratic model of a trust-region step
+objective is evaluated at u; once its budget allows no evaluation, R2 stops
+after it measures, with status BUDGET, instead of asking for a value the
+budget would refuse.  The quadratic model of a trust-region step
 (`oracles.QuadModelOracle`) changes by grad.t + c / 2 with c = t.(B + Theta)t
 in closed form from the operator's factors, so rho = (xi - c / 2) / xi, and
 the model gradient is updated by (B + Theta) t only when the trial is
@@ -37,7 +39,7 @@ import numpy as np
 
 from .errors import BudgetExhausted
 from .regprox import Box
-from .report import CONVERGED, MAX_ITER, SolverReport, evaluate_start, make_report
+from .report import BUDGET, CONVERGED, MAX_ITER, SolverReport, evaluate_start, make_report
 
 SIGMA_INIT = 1.0
 SIGMA_MIN = 1e-8
@@ -76,7 +78,10 @@ def r2_solve(smooth, reg, box: Box, x0, opts: R2Options | None = None,
 
     ``reg`` needs ``value`` and ``prox_shifted``.  ``smooth`` is a
     `SmoothOracle`; one with a ``curvature`` method is a quadratic model and
-    gets the closed-form ratio (see the module docstring).
+    gets the closed-form ratio (see the module docstring).  The status is
+    CONVERGED at the tolerance, BUDGET once the budget allows no value at the
+    next trial (or refused the start), and MAX_ITER after ``opts.max_iter``
+    iterations; a model has no budget, so a subsolve ends on one of the others.
     """
     opts = opts or R2Options()
     t0 = time.perf_counter()
@@ -106,6 +111,9 @@ def r2_solve(smooth, reg, box: Box, x0, opts: R2Options | None = None,
                 c = smooth.curvature(t)
                 f_trial = fx + gt + 0.5 * c
                 rho = (xi - 0.5 * c) / xi
+            elif smooth.evals_left() == 0:
+                status = BUDGET
+                break
             else:
                 f_trial = smooth.value(u)
                 rho = ((fx + hx) - (f_trial + h_trial)) / xi
@@ -119,8 +127,8 @@ def r2_solve(smooth, reg, box: Box, x0, opts: R2Options | None = None,
                     sigma = max(SIGMA_MIN, GAMMA_DEC * sigma)
             else:
                 sigma = GAMMA_INC * sigma
-    except BudgetExhausted:
-        status = MAX_ITER
+    except BudgetExhausted:  # the start point itself was refused
+        status = BUDGET
 
     return make_report(solver_name, smooth, reg, x, fx, hx, crit, n_prox, t0, status, trace,
                        {"iters": diag})

@@ -166,21 +166,22 @@ def iprox_shifted(h: Regularizer, d, q, box: Box) -> np.ndarray:
     return np.where(z_ok & (cost_z <= cost_c), 0.0, c)
 
 
-def fraction_to_boundary_box(x, delta: float, bounds: Box) -> Box:
+def fraction_to_boundary_box(min_gaps, delta: float, bounds: Box) -> Box:
     """Box of points keeping a delta fraction of the smallest gap on each side.
 
-    Lower side: u_i - lo_i >= delta * min_j (x_j - lo_j), minimum over
-    finite lower bounds, so the box starts at lo + delta * min gap_l; the
-    upper side mirrors it and ends at hi - delta * min gap_u.  Components with
-    an infinite bound are unconstrained on that side, so for lo = 0, hi = +inf
-    this is exactly {u : min_i u_i >= delta * min_i x_i}.
+    ``min_gaps`` holds the smallest gap of a point x on the lower side,
+    min_j (x_j - lo_j) over finite lower bounds, and on the upper side,
+    min_j (hi_j - x_j); a side with no finite bound has +inf.  The box
+    starts at lo + delta * min gap_l and ends at hi - delta * min gap_u.
+    Components with an infinite bound are unconstrained on that side, so for
+    lo = 0, hi = +inf this is exactly {u : min_i u_i >= delta * min_i x_i}.
+    The barrier stages pass the gaps they already hold for x.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    gap_l, gap_u = x - bounds.lo, bounds.hi - x  # +inf on infinite sides
-    if (gap_l <= 0).any() or (gap_u <= 0).any():
+    m_l, m_u = min_gaps
+    if not (m_l > 0.0 and m_u > 0.0):
         raise BoundaryPoint("x is not strictly interior")
-    m_l, m_u = gap_l.min(), gap_u.min()
-    lo = bounds.lo + delta * m_l if np.isfinite(m_l) else bounds.lo
-    hi = bounds.hi - delta * m_u if np.isfinite(m_u) else bounds.hi
+    lo = bounds.lo + delta * m_l if m_l < np.inf else bounds.lo
+    hi = bounds.hi - delta * m_u if m_u < np.inf else bounds.hi
     return Box(lo, hi)

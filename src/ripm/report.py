@@ -1,4 +1,10 @@
-"""Solve reports shared by every solver."""
+"""Solve reports shared by every solver.
+
+A report's termination says which limit stopped the run: CONVERGED (the
+tolerance), BUDGET (the objective-evaluation budget), MAX_ITER (the
+iteration cap, or the stage cap of the barrier loop), STALLED (the trust
+radius collapsed to the rounding of x) or ORACLE_FAILURE.
+"""
 from __future__ import annotations
 
 import time
@@ -7,7 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 CONVERGED = "converged"
-MAX_ITER = "max_iter"
+BUDGET = "budget"
+MAX_ITER = "iter_cap"
+STALLED = "stalled"
 ORACLE_FAILURE = "oracle_failure"
 
 

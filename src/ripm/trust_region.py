@@ -15,7 +15,10 @@ point, the radius follows `update_radius`, and the quasi-Newton operator is
 updated on acceptance.  Once Delta falls below eps (1 + ||x||_inf), with eps
 the machine epsilon EPS_MACH, the box around x rounds to x in its largest
 components: neither a trial point nor the measure can resolve a step there,
-so the loop stops as stalled before it measures.
+so the loop stops as stalled before it measures.  Once the objective's
+budget allows no evaluation, the loop measures at x and tests the
+tolerance, then stops before it builds a trial point whose value the
+budget would refuse: for a subsolve step that is a whole R2 solve.
 
 The loop keeps the hot-path rule of `regprox`: no `np.clip`, no
 function-form `np.any`/`np.all` and no `np.linalg.norm` in code that runs
@@ -56,7 +59,8 @@ from .qnops import SpectralDiag
 from .r2 import R2Options, first_order_step, r2_solve
 # intersect_boxes is bound here only for perfbench/tracer.py, which wraps it
 from .regprox import Box, intersect_boxes  # noqa: F401
-from .report import CONVERGED, MAX_ITER, SolverReport, evaluate_start, make_report
+from .report import (BUDGET, CONVERGED, MAX_ITER, STALLED, SolverReport, evaluate_start,
+                     make_report)
 
 DELTA_INIT = 1.0
 DELTA_MAX = 1e12
@@ -142,15 +146,17 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
     `ShiftedBounds` and the attributes mu, z (returned) and records_exits.
     The loop stops with "tol" once the measure falls below abs_tol + rel_tol *
     (measure at entry) and the complementarity residual below eps_p, with
-    "budget" when the evaluation budget runs out, with "cap" after
-    ``max_iter`` steps, measuring once more at the final point, and with
-    "stalled" once Delta < eps (1 + ||x||_inf), before measuring at that
-    radius: crit is then the last measure taken (inf if none).  Accepted
-    points append (n_grad, f + h) to ``trace``.
+    "cap" after ``max_iter`` steps, measuring once more at the final point,
+    and with "stalled" once Delta < eps (1 + ||x||_inf), before measuring at
+    that radius: crit is then the last measure taken (inf if none).  It
+    stops with "budget" when ``smooth.evals_left()`` is 0 after it has
+    measured at x and tested the tolerance, before it builds the cap box and
+    the trial point, whose value the budget would refuse; crit and compl are
+    then those of x.  Accepted points append (n_grad, f + h) to ``trace``.
 
     Every iteration that tries a step appends one record to ``records``; an
     iteration that stops the loop on the tolerance appends one only if
-    ``cons.records_exits``, and a stall appends none.
+    ``cons.records_exits``, and a stall or a budget exit appends none.
     Its keys:
 
     - j: iteration index; mu: barrier parameter (0 without barrier);
@@ -171,78 +177,82 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
     n_prox = 0
     crit, compl, crit0 = np.inf, np.inf, np.inf
     status = "cap"
-    try:
-        for j in range(max_iter + 1):
-            if delta < EPS_MACH * (1.0 + float(np.abs(x).max())):
-                status = "stalled"
-                break
-            g, theta, box, g_meas, compl = cons.at(x, gx)
-            lip = qn.norm_estimate()
-            if theta is not None:
-                lip += float(theta.max())
-            sigma = lip + 1.0 / (ALPHA * delta)
-            tr_box = box.ball(x, delta)
-            u1, s1, _, _, xi = first_order_step(h, x, hx, g, sigma, tr_box)
-            s_m, xi_m = s1, xi
-            if g_meas is not None:
-                _, s_m, _, _, xi_m = first_order_step(h, x, hx, g_meas, sigma, tr_box)
-            n_prox += 1 if g_meas is None else 2
-            crit = math.sqrt(sigma * xi_m)
-            if j == 0:
-                crit0 = crit
-            if j == max_iter:
-                break
-            obj = fx + phi + hx
-            rec = {"j": j, "mu": cons.mu, "nu": 1.0 / sigma, "delta_before": delta,
-                   "delta_after": delta, "xi": xi, "s1_norm2": math.sqrt(s1 @ s1),
-                   "xi_meas": xi_m, "s_meas_norm2": math.sqrt(s_m @ s_m), "crit": crit,
-                   "compl": compl, "obj_before": obj, "obj_after": np.nan, "rho": np.nan,
-                   "accepted": False, "exit": None, "s_inf": 0.0, "cap_inf": np.nan}
-            if crit <= abs_tol + rel_tol * crit0 and compl <= eps_p:
-                status = "tol"
-                if cons.records_exits:
-                    rec["exit"] = status
-                    records.append(rec)
-                break
-            cap = min(delta, BETA * float(np.abs(s1).max()))
-            cap_box = box.ball(x, cap)
-            if hasattr(qn, "diagonal"):
-                d = qn.diagonal() if theta is None else qn.diagonal() + theta
-                x_t = h.prox_shifted(d, x - g / d, cap_box)
-                n_prox += 1
-            else:
-                sub = r2_solve(QuadModelOracle(g, qn, theta, x), h, cap_box, u1, sub_opts)
-                x_t = sub.x
-                n_prox += sub.n_prox
-            s = x_t - x
-            if not s.any() and cons.zero_step(x):
-                rec["rho"] = 0.0
+    for j in range(max_iter + 1):
+        if delta < EPS_MACH * (1.0 + float(np.abs(x).max())):
+            status = "stalled"
+            break
+        g, theta, box, g_meas, compl = cons.at(x, gx)
+        lip = qn.norm_estimate()
+        if theta is not None:
+            lip += float(theta.max())
+        sigma = lip + 1.0 / (ALPHA * delta)
+        tr_box = box.ball(x, delta)
+        u1, s1, _, _, xi = first_order_step(h, x, hx, g, sigma, tr_box)
+        s_m, xi_m = s1, xi
+        if g_meas is not None:
+            _, s_m, _, _, xi_m = first_order_step(h, x, hx, g_meas, sigma, tr_box)
+        n_prox += 1 if g_meas is None else 2
+        crit = math.sqrt(sigma * xi_m)
+        if j == 0:
+            crit0 = crit
+        if j == max_iter:
+            break
+        obj = fx + phi + hx
+        rec = {"j": j, "mu": cons.mu, "nu": 1.0 / sigma, "delta_before": delta,
+               "delta_after": delta, "xi": xi, "s1_norm2": math.sqrt(s1 @ s1),
+               "xi_meas": xi_m, "s_meas_norm2": math.sqrt(s_m @ s_m), "crit": crit,
+               "compl": compl, "obj_before": obj, "obj_after": np.nan, "rho": np.nan,
+               "accepted": False, "exit": None, "s_inf": 0.0, "cap_inf": np.nan}
+        if crit <= abs_tol + rel_tol * crit0 and compl <= eps_p:
+            status = "tol"
+            if cons.records_exits:
+                rec["exit"] = status
                 records.append(rec)
-                continue
-            bs = qn.apply(s) if theta is None else qn.apply(s) + theta * s
-            h_t = h.value(x_t)
-            decrease = hx - float(g @ s) - 0.5 * float(s @ bs) - h_t
-            f_t = smooth.value(x_t)
-            phi_t = cons.phi(x_t)
-            rho = (obj - (f_t + phi_t + h_t)) / decrease if decrease > 0 else -np.inf
-            new_delta = update_radius(delta, rho)
-            rec.update(rho=float(rho), accepted=bool(rho >= ETA1), delta_after=new_delta,
-                       s_inf=float(np.abs(s).max()), cap_inf=cap)
-            if rec["accepted"]:
-                cons.accept(x, x_t, s)
-                x, fx, hx, phi = x_t, f_t, h_t, phi_t
-                g_new = smooth.grad(x)
-                qn.update(s, g_new - gx)
-                gx = g_new
-                trace.append((smooth.n_grad, fx + hx))
-                rec["obj_after"] = fx + phi + hx
+            break
+        if smooth.evals_left() == 0:
+            status = "budget"
+            break
+        cap = min(delta, BETA * float(np.abs(s1).max()))
+        cap_box = box.ball(x, cap)
+        if hasattr(qn, "diagonal"):
+            d = qn.diagonal() if theta is None else qn.diagonal() + theta
+            x_t = h.prox_shifted(d, x - g / d, cap_box)
+            n_prox += 1
+        else:
+            sub = r2_solve(QuadModelOracle(g, qn, theta, x), h, cap_box, u1, sub_opts)
+            x_t = sub.x
+            n_prox += sub.n_prox
+        s = x_t - x
+        if not s.any() and cons.zero_step(x):
+            rec["rho"] = 0.0
             records.append(rec)
-            delta = new_delta
-    except BudgetExhausted:
-        status = "budget"
+            continue
+        bs = qn.apply(s) if theta is None else qn.apply(s) + theta * s
+        h_t = h.value(x_t)
+        decrease = hx - float(g @ s) - 0.5 * float(s @ bs) - h_t
+        f_t = smooth.value(x_t)
+        phi_t = cons.phi(x_t)
+        rho = (obj - (f_t + phi_t + h_t)) / decrease if decrease > 0 else -np.inf
+        new_delta = update_radius(delta, rho)
+        rec.update(rho=float(rho), accepted=bool(rho >= ETA1), delta_after=new_delta,
+                   s_inf=float(np.abs(s).max()), cap_inf=cap)
+        if rec["accepted"]:
+            cons.accept(x, x_t, s)
+            x, fx, hx, phi = x_t, f_t, h_t, phi_t
+            g_new = smooth.grad(x)
+            qn.update(s, g_new - gx)
+            gx = g_new
+            trace.append((smooth.n_grad, fx + hx))
+            rec["obj_after"] = fx + phi + hx
+        records.append(rec)
+        delta = new_delta
 
     return InnerResult(x=x, z=cons.z, fx=fx, hx=hx, gx=gx, crit=crit, compl=compl,
                        measure0=crit0, status=status, n_prox=n_prox)
+
+
+# the report status of each `tr_iterate` exit
+_STATUS = {"tol": CONVERGED, "budget": BUDGET, "cap": MAX_ITER, "stalled": STALLED}
 
 
 def tr_solve(smooth, h, bounds: Box, qn, x0, opts: TrustRegionOptions | None = None,
@@ -251,7 +261,7 @@ def tr_solve(smooth, h, bounds: Box, qn, x0, opts: TrustRegionOptions | None = N
     opts = opts or TrustRegionOptions()
     t0 = time.perf_counter()
     x = bounds.clamp(np.asarray(x0, dtype=float))
-    fx, hx, crit, n_prox, status = np.inf, 0.0, np.inf, 0, MAX_ITER
+    fx, hx, crit, n_prox = np.inf, 0.0, np.inf, 0
     trace: list = []
     records: list = []
     try:
@@ -260,9 +270,9 @@ def tr_solve(smooth, h, bounds: Box, qn, x0, opts: TrustRegionOptions | None = N
                          max_iter=ITER_CAP, abs_tol=ABS_TOL, rel_tol=opts.rel_tol,
                          trace=trace, records=records)
         x, fx, hx, crit, n_prox = res.x, res.fx, res.hx, res.crit, res.n_prox
-        status = CONVERGED if res.status == "tol" else MAX_ITER
-    except BudgetExhausted:
-        pass
+        status = _STATUS[res.status]
+    except BudgetExhausted:  # the start point itself was refused
+        status = BUDGET
     return make_report(solver_name, smooth, h, x, fx, hx, crit, n_prox, t0, status, trace,
                        {"iters": records})
 

@@ -3,11 +3,14 @@
 Run from the root of a source checkout:
 
     python3 tests/grid_digest.py
+    python3 tests/grid_digest.py --against saved.txt
 
 Each solve prints one line, the repr of (family, seed, solver, budget, n_f,
 n_grad, n_prox, f, h/lambda, termination, criticality, sum of x); the last
 line is the sha256 of all of them, followed by whether it matches EXPECTED;
-on a mismatch the script exits 1.  Two checkouts that print the same digest
+on a mismatch the script exits 1.  With --against and the saved output of
+an earlier run, it also prints each row that moved, as old → new, before the
+digest.  Two checkouts that print the same digest
 behave the same, bit for bit, on the grid:
 
 - bpdn, seeds 0-5, every solver, budget 1000;
@@ -18,6 +21,7 @@ behave the same, bit for bit, on the grid:
 BLAS runs on one thread, so that no sum depends on the thread count.  The
 whole grid takes a few minutes.
 """
+import argparse
 import hashlib
 import os
 import sys
@@ -30,7 +34,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from ripm import bench, problems  # noqa: E402
 
 # the digest of the grid at the last change that moved a counter or a final value
-EXPECTED = "578e8fc32ab219a3f9d86581fe5e38f536746cbbd4f1d37389149732a7bff7c3"
+EXPECTED = "01dc4a8d123841a5410a2a8d35d1d4f4e3d3b2108bd1c4fb17ad747e293e4719"
 ALL = bench.SOLVER_NAMES
 GRID = ([("bpdn", seed, {}, ALL, 1000) for seed in range(6)]
         + [("qp", 0, {}, ALL, 200), ("nnmf", 0, {}, ALL, 200),
@@ -38,7 +42,21 @@ GRID = ([("bpdn", seed, {}, ALL, 1000) for seed in range(6)]
            ("qp", 0, problems.PAPER_SCALE["qp"], ALL, 30)])
 
 
-def main() -> int:
+def _key(line: str) -> str:
+    """The (family, seed, solver, budget) prefix that names a row."""
+    return ", ".join(line.split(", ", 4)[:4])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--against", type=Path, default=None,
+                        help="saved output of an earlier run, to list the rows that moved")
+    args = parser.parse_args(argv)
+    old = None
+    if args.against is not None:
+        old = {_key(line): line for line in args.against.read_text().splitlines()
+               if line.startswith("(")}
+    lines = []
     digest = hashlib.sha256()
     for family, seed, params, solvers, budget in GRID:
         instance = problems.build(family, seed, **params)
@@ -47,7 +65,14 @@ def main() -> int:
             line = repr((family, seed, name, budget, rep.n_f, rep.n_grad, rep.n_prox, rep.f,
                          rep.h_over_lam, rep.termination, rep.criticality, float(rep.x.sum())))
             print(line, flush=True)
+            lines.append(line)
             digest.update(line.encode() + b"\n")
+    if old is not None:
+        moved = [(old.get(_key(line), "(no saved row)"), line) for line in lines
+                 if old.get(_key(line)) != line]
+        print(f"{len(moved)} of {len(lines)} rows moved against {args.against}")
+        for before, after in moved:
+            print(f"{before}\n  → {after}")
     got = digest.hexdigest()
     print(got)
     if got != EXPECTED:

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 import ripm.bench as bench
-from ripm import problems, regprox
+from ripm import interior, oracles, problems, regprox
 from ripm.bench import (SOLVER_OPTIONS, ConfigError, RunConfig, best_objective, emit_table,
                         emit_trace_csv, main, run_config, run_solver, solver_options)
-from ripm.report import MAX_ITER, ORACLE_FAILURE, SolverReport
+from ripm.report import BUDGET, ORACLE_FAILURE, SolverReport
 
 
 def _tiny_config(**kw):
@@ -30,7 +30,7 @@ def test_budget_one_all_solvers():
     _, reports = run_config(cfg)
     assert [r.solver for r in reports] == ALL_SOLVERS
     for rep in reports:
-        assert rep.termination == MAX_ITER
+        assert rep.termination == BUDGET
         assert rep.n_f <= 2
         assert rep.trace  # trace never empty
 
@@ -66,13 +66,85 @@ def test_every_prox_is_counted(monkeypatch, family, params, budget):
         assert np.array_equal(inst.bounds.lo, lo) and np.array_equal(inst.bounds.hi, hi)
 
 
+def _logged_solve(monkeypatch, name, inst, budget):
+    """run_solver, logging each prox call ("p") and each counted value ("f", x) in order."""
+    events = []
+    kernel = regprox.iprox_shifted
+    value = oracles.SmoothOracle.value
+
+    def counted(*args):
+        events.append(("p", None))
+        return kernel(*args)
+
+    def logged(self, x):
+        out = value(self, x)  # a refused value raises and is not logged
+        if self.budget is not None:  # a model subsolve has no budget
+            events.append(("f", np.array(x)))
+        return out
+    monkeypatch.setattr(regprox, "iprox_shifted", counted)
+    monkeypatch.setattr(oracles.SmoothOracle, "value", logged)
+    rep = run_solver(name, inst, budget)
+    values = [i for i, (kind, _) in enumerate(events) if kind == "f"]
+    assert len(values) == rep.n_f
+    return rep, events, values
+
+
+def _prox_calls(events, start, stop=None):
+    return sum(kind == "p" for kind, _ in events[start:stop])
+
+
+@pytest.mark.parametrize("name", ["TR-R2", "TRDH"])
+def test_a_budget_exit_builds_no_trial(monkeypatch, name):
+    # once the budget is spent, the loop measures once more at x and stops:
+    # no R2 subsolve and no closed-form step for a trial it could not value
+    inst = problems.build("qp", 0, n=400, p=0.01)
+    rep, events, values = _logged_solve(monkeypatch, name, inst, 8)
+    assert rep.termination == BUDGET and rep.n_f == 8
+    assert _prox_calls(events, values[-1]) == 1
+
+
+def test_a_budget_ended_ripm_solve_values_its_crossover_point(monkeypatch):
+    # the stages keep one evaluation back: after their last one, the final
+    # Lagrangian measure takes two prox calls, and the kept evaluation values
+    # the crossover point, on the bounds, which lowers F here and is returned
+    inst = problems.build("qp", 0, n=400, p=0.01)
+    rep, events, values = _logged_solve(monkeypatch, "RIPM-R2", inst, 10)
+    assert rep.termination == BUDGET and rep.n_f == 10
+    assert rep.diagnostics["mode"] == interior.MODE_LAGRANGIAN
+    assert _prox_calls(events, values[-2], values[-1]) == 2
+    assert _prox_calls(events, values[-1]) == 0
+    x_cross = events[values[-1]][1]
+    assert interior.barrier_value(1.0, x_cross, inst.bounds) == np.inf
+    assert rep.diagnostics["crossover"]["applied"]
+    assert np.array_equal(rep.x, x_cross)
+    # F at the interior point is the trace entry before the crossover's
+    assert rep.trace[-1][1] == rep.objective <= rep.trace[-2][1]
+
+
+def test_a_crossover_point_that_raises_f_is_not_returned(monkeypatch):
+    # nnmf RIPM-R2 at budget 200: F is 943.5 at the crossover point and 42.3
+    # at the interior point, which is returned with its own f, h and z
+    inst = problems.build("nnmf", 0)
+    rep, events, values = _logged_solve(monkeypatch, "RIPM-R2", inst, 200)
+    assert rep.termination == BUDGET and rep.n_f == 200
+    assert not rep.diagnostics["crossover"]["applied"]
+    x_cross = events[values[-1]][1]
+    assert interior.barrier_value(1.0, x_cross, inst.bounds) == np.inf
+    assert np.isfinite(interior.barrier_value(1.0, rep.x, inst.bounds))
+    fresh = inst.smooth.fresh()
+    assert rep.f == fresh.value(rep.x)
+    assert rep.h_over_lam == inst.h.value(rep.x) / inst.h.lam
+    assert fresh.value(x_cross) + inst.h.value(x_cross) > rep.objective
+    assert rep.z.zl.min() > 0.0  # the stage's z, not the crossover's zeroed one
+
+
 def test_budget_zero_reports_criticality_unmeasured():
     # no evaluation is allowed, so no solver measures criticality; the report
     # must not read as exactly critical
     inst = bench.problems.build("bpdn", 0, m=12, n=24, n_spikes=3)
     for name in ALL_SOLVERS:
         rep = bench.run_solver(name, inst, 0)
-        assert rep.termination == MAX_ITER and rep.n_f == 0
+        assert rep.termination == BUDGET and rep.n_f == 0
         assert not np.isfinite(rep.criticality), (name, rep.criticality)
         assert emit_table([rep]).splitlines()[1].split()[3] == "-"
 

@@ -12,11 +12,11 @@ from ripm import bench, problems
 QP_400 = {
     "R2": (20, 16, 20, "converged"),
     "TRDH": (24, 14, 47, "converged"),
-    "TR-R2": (30, 23, 236, "max_iter"),
-    "RIPM-R2": (30, 12, 1832, "max_iter"),
-    "RIPMDH": (30, 30, 92, "max_iter"),
-    "RIPM-R2-p": (30, 23, 2388, "max_iter"),
-    "RIPMDH-p": (30, 30, 92, "max_iter"),
+    "TR-R2": (30, 23, 234, "budget"),
+    "RIPM-R2": (30, 12, 1568, "budget"),
+    "RIPMDH": (30, 29, 88, "budget"),
+    "RIPM-R2-p": (30, 22, 1986, "budget"),
+    "RIPMDH-p": (30, 29, 88, "budget"),
 }
 # RIPM-R2, RIPM-R2-p and RIPMDH-p are left out: on bpdn they are not
 # rounding-stable (RIPM-R2-p at seed 0 moves from n_f 906 to 614 under the jitter)
@@ -30,11 +30,11 @@ BPDN_40x96 = {
 # one-sided bound on a subset of the variables.  RIPM-R2-p and RIPMDH-p move
 # under the jitter and are left out.
 FH_200 = {
-    "R2": (300, 233, 300, "max_iter"),
+    "R2": (300, 233, 300, "budget"),
     "TRDH": (239, 151, 477, "converged"),
     "TR-R2": (85, 44, 2334, "converged"),
     "RIPM-R2": (146, 75, 2038, "converged"),
-    "RIPMDH": (300, 175, 603, "max_iter"),
+    "RIPMDH": (300, 174, 600, "budget"),
 }
 
 

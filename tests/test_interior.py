@@ -13,7 +13,7 @@ from ripm.oracles import CallableOracle
 from ripm.qnops import LBFGS, SpectralDiag
 from ripm.r2 import first_order_step
 from ripm.regprox import Box, Regularizer
-from ripm.report import CONVERGED, evaluate_start
+from ripm.report import BUDGET, CONVERGED, MAX_ITER, STALLED, evaluate_start
 from ripm.trust_region import DELTA_MAX, tr_iterate
 
 from helpers import bisect_root, grid_min_1d
@@ -589,7 +589,7 @@ def test_outer_stops_after_a_stage_that_stalls_at_entry(step):
     rep = outer_solve(_oracle_quad(2.0), Regularizer("zero"), POS,
                       SpectralDiag if step == "diagonal" else LBFGS, np.array([1.0]),
                       IpmOptions(mu_init=mu))
-    assert rep.termination == "max_iter" and rep.diagnostics["stages"] == 1
+    assert rep.termination == STALLED and rep.diagnostics["stages"] == 1
     assert rep.diagnostics["crossover"]["mu"] == mu
     assert rep.n_f == 1 and rep.n_prox == 0 and rep.diagnostics["inner"] == []
 
@@ -598,5 +598,13 @@ def test_outer_budget_one():
     smooth = _oracle_quad(2.0)
     smooth.budget = 1
     rep = outer_solve(smooth, Regularizer("zero"), POS, SpectralDiag, np.array([1.0]))
-    assert rep.termination == "max_iter"
+    assert rep.termination == BUDGET
     assert rep.n_f <= 2
+
+
+def test_outer_ends_on_the_stage_cap_as_iter_cap(monkeypatch):
+    # MAX_OUTER stages that neither converge nor stall nor spend the budget
+    monkeypatch.setattr(interior, "MAX_OUTER", 2)
+    rep = _outer(_oracle_quad(2.0), Regularizer("zero"), POS, np.array([1.0]))
+    assert rep.termination == MAX_ITER == "iter_cap"
+    assert rep.diagnostics["stages"] == 2

@@ -337,3 +337,29 @@ def test_fresh_oracle_counters():
     assert o2.n_f == 0 and inst.smooth.n_f == 1
     o2.value(inst.x0)
     assert o2.n_f == 1 and inst.smooth.n_f == 1
+
+
+def test_evals_left_and_held_back_evaluations():
+    # the oracle says how many values the budget allows; one held back is
+    # refused inside the block and given back after it, and a value past the
+    # budget still raises
+    oracle = build("qp", 0, n=20, p=0.2).smooth.fresh()
+    x = np.full(20, 0.5)
+    assert oracle.evals_left() == np.inf
+    with oracle.held_back(1):
+        assert oracle.evals_left() == np.inf
+    oracle.budget = 3
+    oracle.value(x)
+    assert oracle.evals_left() == 2
+    with oracle.held_back(1):
+        assert oracle.evals_left() == 1
+        oracle.value(x)
+        assert oracle.evals_left() == 0
+        with pytest.raises(BudgetExhausted):
+            oracle.value(x)
+    assert oracle.budget == 3 and oracle.evals_left() == 1
+    oracle.value(x)
+    assert oracle.evals_left() == 0
+    with pytest.raises(BudgetExhausted):
+        oracle.value(x)
+    assert oracle.n_f == 3

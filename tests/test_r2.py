@@ -5,7 +5,7 @@ from ripm.oracles import CallableOracle, QuadModelOracle
 from ripm.qnops import LBFGS, LSR1
 from ripm.r2 import R2Options, r2_solve
 from ripm.regprox import Box, Regularizer
-from ripm.report import CONVERGED, MAX_ITER
+from ripm.report import BUDGET, CONVERGED, MAX_ITER
 
 from helpers import dense_bfgs, dense_sr1, grid_min_1d
 
@@ -76,12 +76,22 @@ def test_max_iter_is_soft():
 
 
 def test_budget_enforced():
+    # R2 stops after it measures once the budget is spent: it asks for no
+    # value the budget would refuse
     oracle = _quartic()
     oracle.budget = 3
+    asked = []
+    value = oracle.value
+
+    def counted(x):
+        asked.append(1)
+        return value(x)
+    oracle.value = counted
     rep = r2_solve(oracle, Regularizer("zero"), Box.full(1), np.array([3.0]),
                    R2Options(abs_tol=1e-12, rel_tol=0.0))
-    assert rep.termination == MAX_ITER
-    assert rep.n_f <= 3
+    assert rep.termination == BUDGET
+    assert rep.n_f == len(asked) == 3
+    assert rep.n_prox == len(rep.diagnostics["iters"]) + 1  # the final measure
 
 
 def test_relative_tolerance_scaling():

@@ -87,26 +87,26 @@ def test_intersect_boxes_examples():
 
 def test_fraction_to_boundary_one_sided():
     bounds = Box(np.zeros(2), np.full(2, np.inf))
-    b = fraction_to_boundary_box(np.array([1.0, 2.0]), 0.5, bounds)
+    b = fraction_to_boundary_box((1.0, np.inf), 0.5, bounds)  # x = (1, 2)
     assert np.allclose(b.lo, [0.5, 0.5])
     assert np.all(np.isinf(b.hi))
 
 
 def test_fraction_to_boundary_small_delta_recovers_bound():
     bounds = Box(np.zeros(1), np.full(1, np.inf))
-    b = fraction_to_boundary_box(np.array([1.0]), 1e-12, bounds)
+    b = fraction_to_boundary_box((1.0, np.inf), 1e-12, bounds)
     assert b.lo[0] == pytest.approx(0.0, abs=1e-11)
 
 
 def test_fraction_to_boundary_two_sided():
-    b = fraction_to_boundary_box(np.array([1.0]), 0.5, _box1(0.0, 2.0))
+    b = fraction_to_boundary_box((1.0, 1.0), 0.5, _box1(0.0, 2.0))  # x = 1
     assert b.lo[0] == pytest.approx(0.5)
     assert b.hi[0] == pytest.approx(1.5)
 
 
 def test_fraction_to_boundary_requires_interior():
     with pytest.raises(BoundaryPoint):
-        fraction_to_boundary_box(np.array([0.0]), 0.5, _box1(0.0, 2.0))
+        fraction_to_boundary_box((0.0, 2.0), 0.5, _box1(0.0, 2.0))  # x = 0
 
 
 @given(st.floats(-5, 5), st.floats(0.01, 0.99))
@@ -115,7 +115,7 @@ def test_fraction_to_boundary_membership(shift, delta):
     # any point in the returned box keeps min(u) >= delta * min(x) (one-sided)
     x = np.array([1.0, 2.5, 0.7]) + 3.0 + shift / 10.0
     bounds = Box(np.zeros(3), np.full(3, np.inf))
-    b = fraction_to_boundary_box(x, delta, bounds)
+    b = fraction_to_boundary_box((float(np.min(x)), np.inf), delta, bounds)
     rng = np.random.default_rng(0)
     for _ in range(20):
         t = rng.uniform(0, 1, size=3)
