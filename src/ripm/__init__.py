@@ -4,8 +4,8 @@ harness."""
 
 from .errors import BoundaryPoint, BudgetExhausted, EmptyBox, OracleFailure
 from .interior import (BarrierTerms, DualEstimate, IpmOptions, barrier_value, crossover,
-                       dual_update, inner_solve, outer_solve)
-from .oracles import CallableOracle, QuadModelOracle, SmoothOracle
+                       inner_solve, outer_solve)
+from .oracles import QuadModelOracle, SmoothOracle
 from .qnops import LBFGS, LSR1, SpectralDiag
 from .r2 import R2Options, first_order_step, r2_solve
 from .regprox import Box, Regularizer, fraction_to_boundary_box, intersect_boxes, iprox_shifted
@@ -14,8 +14,7 @@ from .trust_region import ShiftedBounds, TrustRegionOptions, tr_iterate, tr_solv
 
 __all__ = [
     "BoundaryPoint", "BudgetExhausted", "EmptyBox", "OracleFailure", "BarrierTerms",
-    "DualEstimate", "IpmOptions", "barrier_value", "crossover", "dual_update",
-    "inner_solve", "outer_solve", "CallableOracle",
+    "DualEstimate", "IpmOptions", "barrier_value", "crossover", "inner_solve", "outer_solve",
     "QuadModelOracle", "SmoothOracle", "LBFGS", "LSR1", "SpectralDiag",
     "R2Options", "r2_solve", "Box", "Regularizer",
     "fraction_to_boundary_box", "intersect_boxes", "iprox_shifted", "SolverReport",

@@ -10,7 +10,7 @@ passes: trial points are restricted to the box of points
 
 and the quadratic model adds the barrier gradient and the capped barrier
 curvature Theta = min(z / gap, kappa_bar) summed over bounded sides to the
-quasi-Newton operator B.  Dual estimates come from `dual_update`, a
+quasi-Newton operator B.  Dual estimates come from `BarrierTerms.accept`, a
 linearized complementarity update projected into a safeguard interval, so
 they stay strictly positive.  The measure follows h: the primal one, based
 on the barrier gradient, for the nonconvex l0 penalty, and the Lagrangian
@@ -155,25 +155,20 @@ def barrier_value(mu: float, x, bounds: Box) -> float:
     return _barrier(mu, _gaps(x, _sides(bounds)))
 
 
-def dual_update(x_new, x_old, z_old: DualEstimate, s, mu, bounds: Box) -> DualEstimate:
+def _dual_update(sides, gaps_old, gaps_new, z_old: DualEstimate, s, mu) -> DualEstimate:
     """Linearized complementarity update projected into the safeguard interval.
 
-    Per side, z_hat = mu/gap - (z/gap) sign s is clipped to [KAPPA_ZUL *
-    min(1, z, mu/gap_new), max(KAPPA_ZUU, z, KAPPA_ZUU/mu, KAPPA_ZUU *
-    mu/gap_new)] on the finite components; the others get z = 0.
+    From the gaps of `_gaps` at the old and the new point: per side, z_hat =
+    mu/gap - (z/gap) sign s is clipped to [KAPPA_ZUL * min(1, z, mu/gap_new),
+    max(KAPPA_ZUU, z, KAPPA_ZUU/mu, KAPPA_ZUU * mu/gap_new)] on the finite
+    components; the others get z = 0.
     """
-    sides = _sides(bounds)
-    return _dual_update(sides, _gaps(x_old, sides), _gaps(x_new, sides), z_old, s, mu)
-
-
-def _dual_update(sides, gaps_old, gaps_new, z_old: DualEstimate, s, mu) -> DualEstimate:
-    """`dual_update` from the gaps of `_gaps` at the old and the new point."""
     if not (gaps_old[1] and gaps_new[1]):
         raise BoundaryPoint("dual update needs strictly interior points")
     n = s.size
     z_new = [None, None]
     # min and max are exact, so the scalar bounds are merged first and the
-    # vector terms formed in place, with the bits of the `dual_update` formula
+    # vector terms formed in place, with the bits of the formula above
     hi_scalar = max(KAPPA_ZUU, KAPPA_ZUU / mu)
     for (i, _, sign, which), g_old, g_new in zip(sides, gaps_old[0], gaps_new[0]):
         zm = (z_old.zl, z_old.zu)[which][i]
@@ -292,6 +287,7 @@ class BarrierTerms:
         return True
 
     def accept(self, x, x_t, s) -> None:
+        """Update z on the step s from x to x_t (`_dual_update`)."""
         self.z = _dual_update(self._sides, self._gaps_at(x), self._gaps_at(x_t), self.z, s,
                               self.mu)
 

@@ -96,21 +96,6 @@ class SmoothOracle:
         raise NotImplementedError
 
 
-class CallableOracle(SmoothOracle):
-    """Wraps plain callables; handy for small analytic test problems."""
-
-    def __init__(self, f, g):
-        super().__init__()
-        self._f = f
-        self._g = g
-
-    def _value(self, x):
-        return float(self._f(x))
-
-    def _grad(self, x):
-        return np.asarray(self._g(x), dtype=float)
-
-
 class QuadModelOracle(SmoothOracle):
     """Quadratic model m(x) = g.s + s.(B s + theta * s)/2 of the step s = x - origin.
 

@@ -3,18 +3,28 @@
 Each operator keeps a symmetric approximation B of the Hessian with three
 capabilities: a matrix-vector product, an update from a (step, gradient
 difference) pair, and the operator 2-norm.  All operators start from the
-identity.
+identity.  ``update(s, y, bs=None)`` takes bs = B s under the operator as it
+stands, before the update, from a caller that has formed it (the trust-region
+loop has, for its model decrease), and forms it otherwise.
 
 LBFGS and LSR1 hold B = I + W^T diag(signs) W, where the k rows of W are
 rank-one factors, so one product is two matrix products with W.  The
-factors come from the direct update recursions replayed over the stored
-pairs: every accepted pair replays them all from the identity, with the
-skip rules of the recursions, into a preallocated (2 MEMORY) x n row buffer.
+factors are those of the direct update recursions replayed over the stored
+pairs from the identity, with the skip rules of the recursions, in a
+preallocated (2 MEMORY) x n row buffer.  A pair that evicts none appends its
+rows to those of the pairs before it, since a replay of those pairs would
+rebuild the same rows.  Only an eviction, which changes where the recursion
+starts, replays every kept pair (`_rebuild`).
+
 B equals the identity on the orthogonal complement of range(W^T) and maps
 that range into itself, so `norm_estimate` is exact: Rayleigh-Ritz on an
 orthonormal basis Q of range(W^T) gives the eigenvalues of B there as those
 of the small matrix Q^T B Q, and B has the eigenvalue 1 besides whenever Q
 spans less than the whole space.  That takes one product per column of Q.
+Q comes from LAPACK's dgeqrf and dorgqr, the routines behind `np.linalg.qr`,
+called without its wrapper, which costs more than the factorization itself
+on k <= 10 columns; Q^T B Q is formed from a C-ordered copy of Q, whose
+layout keeps the bits of the `np.linalg.qr` form (see `norm_estimate`).
 `factors` hands out W and the signs, from which a quadratic model takes
 t.B t = t.t + sum signs (W t)^2 with one k-row product.
 """
@@ -24,6 +34,7 @@ import math
 from collections import deque
 
 import numpy as np
+from scipy.linalg import lapack
 
 CURVATURE_SKIP = 1e-8  # relative threshold below which an update is dropped
 SIGMA_MIN = 1e-6
@@ -52,31 +63,54 @@ class _FactoredOp:
         return self._rows[:self._k], self._signs[:self._k]
 
     def norm_estimate(self) -> float:
-        """||B||_2, exact up to rounding (see the module docstring); cached until an update."""
+        """||B||_2, exact up to rounding (see the module docstring); cached until an update.
+
+        Q is the Householder QR basis of W^T, in Fortran order; with more
+        rows than dimensions (k > n), dorgqr forms its first n columns.  The
+        products B q run on Q's contiguous columns and are stacked as rows.
+        H = Q^T (B Q) is formed from a C-ordered copy of Q, the layout
+        `np.linalg.qr` returns: the matrix product rounds differently when
+        its left factor is the Fortran-ordered Q, not when its right factor
+        changes layout.  dsyevd without vectors, on the lower triangle, is
+        what `eigvalsh` calls.
+        """
         if self._norm_cache is None:
             if self._k == 0:
                 self._norm_cache = 1.0
             else:
-                Q = np.linalg.qr(self._rows[:self._k].T)[0]
-                BQ = np.column_stack([self.apply(q) for q in Q.T])
-                H = Q.T @ BQ
-                eig = np.linalg.eigvalsh(0.5 * (H + H.T))
-                norm = float(np.max(np.abs(eig)))
+                qr, tau = lapack.dgeqrf(self._rows[:self._k].T)[:2]
+                Q = lapack.dorgqr(qr[:, :tau.size], tau)[0]
+                BQt = np.array([self.apply(q) for q in Q.T])  # row j is B q_j
+                H = np.ascontiguousarray(Q).T @ BQt.T
+                eig = lapack.dsyevd(0.5 * (H + H.T), compute_v=0, lower=1)[0]
+                norm = max(-eig[0], eig[-1])  # the largest modulus of the ascending eig
                 if Q.shape[1] < self.n:
                     norm = max(norm, 1.0)
-                self._norm_cache = max(norm, 1e-12)
+                self._norm_cache = max(float(norm), 1e-12)
         return self._norm_cache
 
-    def update(self, s: np.ndarray, y: np.ndarray) -> bool:
-        if not self._accept(s, y):
+    def update(self, s: np.ndarray, y: np.ndarray, bs: np.ndarray | None = None) -> bool:
+        """Take the pair (s, y) unless the skip rule drops it; True if taken.
+
+        ``bs`` is B s before the update, or None (see the module docstring)."""
+        if bs is None:
+            bs = self.apply(s)
+        if not self._accept(s, y, bs):
             return False
         self.pairs.append((s.copy(), y.copy()))
         if len(self.pairs) > self.memory:
             self.pairs.popleft()
-        self._k = 0
-        self._rebuild()
+            self._rebuild()
+        else:
+            self._add(s, y, bs)
         self._norm_cache = None
         return True
+
+    def _rebuild(self) -> None:
+        """Replay the update recursion over the kept pairs from the identity."""
+        self._k = 0
+        for s, y in self.pairs:
+            self._add(s, y, self.apply(s))
 
     def _push(self, v: np.ndarray, scale: float, sign: float) -> None:
         """Append the factor v / scale with its sign as the next row of W."""
@@ -84,10 +118,12 @@ class _FactoredOp:
         self._signs[self._k] = sign
         self._k += 1
 
-    def _accept(self, s, y) -> bool:  # pragma: no cover - abstract
+    def _accept(self, s, y, bs) -> bool:  # pragma: no cover - abstract
+        """The skip rule of `update` for the pair (s, y), with bs = B s."""
         raise NotImplementedError
 
-    def _rebuild(self):  # pragma: no cover - abstract
+    def _add(self, s, y, bs) -> None:  # pragma: no cover - abstract
+        """Push the rows of the pair (s, y), with bs = B s, unless the recursion skips it."""
         raise NotImplementedError
 
 
@@ -99,19 +135,17 @@ class LBFGS(_FactoredOp):
     definite.  Each pair adds two rows to W.
     """
 
-    def _accept(self, s, y) -> bool:
+    def _accept(self, s, y, bs) -> bool:
         sy = float(s @ y)
         return sy > CURVATURE_SKIP * math.sqrt(s @ s) * math.sqrt(y @ y)
 
-    def _rebuild(self):
-        for s, y in self.pairs:
-            bs = self.apply(s)
-            sbs = float(s @ bs)
-            sy = float(s @ y)
-            if sbs <= 0.0 or sy <= 0.0:
-                continue
-            self._push(bs, math.sqrt(sbs), -1.0)
-            self._push(y, math.sqrt(sy), 1.0)
+    def _add(self, s, y, bs) -> None:
+        sbs = float(s @ bs)
+        sy = float(s @ y)
+        if sbs <= 0.0 or sy <= 0.0:
+            return
+        self._push(bs, math.sqrt(sbs), -1.0)
+        self._push(y, math.sqrt(sy), 1.0)
 
 
 class LSR1(_FactoredOp):
@@ -122,18 +156,17 @@ class LSR1(_FactoredOp):
     Each pair adds at most one row to W.
     """
 
-    def _accept(self, s, y) -> bool:
-        r = y - self.apply(s)
+    def _accept(self, s, y, bs) -> bool:
+        r = y - bs
         rs = float(r @ s)
         return abs(rs) > CURVATURE_SKIP * math.sqrt(r @ r) * math.sqrt(s @ s)
 
-    def _rebuild(self):
-        for s, y in self.pairs:
-            r = y - self.apply(s)
-            rs = float(r @ s)
-            if abs(rs) <= CURVATURE_SKIP * math.sqrt(r @ r) * math.sqrt(s @ s) or rs == 0.0:
-                continue
-            self._push(r, math.sqrt(abs(rs)), 1.0 if rs > 0 else -1.0)
+    def _add(self, s, y, bs) -> None:
+        r = y - bs
+        rs = float(r @ s)
+        if abs(rs) <= CURVATURE_SKIP * math.sqrt(r @ r) * math.sqrt(s @ s) or rs == 0.0:
+            return
+        self._push(r, math.sqrt(abs(rs)), 1.0 if rs > 0 else -1.0)
 
 
 class SpectralDiag:
@@ -146,7 +179,8 @@ class SpectralDiag:
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.sigma * v
 
-    def update(self, s: np.ndarray, y: np.ndarray) -> bool:
+    def update(self, s: np.ndarray, y: np.ndarray, bs: np.ndarray | None = None) -> bool:
+        """sigma = s.y / s.s, clamped; the update needs no B s, so ``bs`` is unused."""
         ss = float(s @ s)
         if ss == 0.0:
             return False
@@ -158,4 +192,3 @@ class SpectralDiag:
 
     def diagonal(self) -> np.ndarray:
         return np.full(self.n, self.sigma)
-

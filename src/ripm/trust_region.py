@@ -227,7 +227,8 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
             rec["rho"] = 0.0
             records.append(rec)
             continue
-        bs = qn.apply(s) if theta is None else qn.apply(s) + theta * s
+        bqs = qn.apply(s)  # B s, which the operator's update takes on acceptance
+        bs = bqs if theta is None else bqs + theta * s
         h_t = h.value(x_t)
         decrease = hx - float(g @ s) - 0.5 * float(s @ bs) - h_t
         f_t = smooth.value(x_t)
@@ -240,7 +241,7 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
             cons.accept(x, x_t, s)
             x, fx, hx, phi = x_t, f_t, h_t, phi_t
             g_new = smooth.grad(x)
-            qn.update(s, g_new - gx)
+            qn.update(s, g_new - gx, bs=bqs)
             gx = g_new
             trace.append((smooth.n_grad, fx + hx))
             rec["obj_after"] = fx + phi + hx

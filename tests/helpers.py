@@ -1,5 +1,23 @@
-"""Shared test oracles: brute-force minimizers independent of the library code."""
+"""Shared test oracles: brute-force minimizers and dense recursions independent of the
+library code, and `CallableOracle`, a smooth oracle over plain callables."""
 import numpy as np
+
+from ripm.oracles import SmoothOracle
+
+
+class CallableOracle(SmoothOracle):
+    """Wraps plain callables; handy for small analytic test problems."""
+
+    def __init__(self, f, g):
+        super().__init__()
+        self._f = f
+        self._g = g
+
+    def _value(self, x):
+        return float(self._f(x))
+
+    def _grad(self, x):
+        return np.asarray(self._g(x), dtype=float)
 
 
 def _grid(lo, hi, step):

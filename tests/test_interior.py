@@ -8,15 +8,14 @@ from hypothesis import strategies as st
 from ripm import interior
 from ripm.errors import BoundaryPoint
 from ripm.interior import (BarrierTerms, DualEstimate, IpmOptions, barrier_value, crossover,
-                           dual_update, inner_solve, outer_solve)
-from ripm.oracles import CallableOracle
+                           inner_solve, outer_solve)
 from ripm.qnops import LBFGS, SpectralDiag
 from ripm.r2 import first_order_step
 from ripm.regprox import Box, Regularizer
 from ripm.report import BUDGET, CONVERGED, MAX_ITER, STALLED, evaluate_start
 from ripm.trust_region import DELTA_MAX, tr_iterate
 
-from helpers import bisect_root, grid_min_1d
+from helpers import CallableOracle, bisect_root, grid_min_1d
 
 POS = Box(np.zeros(1), np.full(1, np.inf))
 
@@ -143,12 +142,19 @@ def test_xi_l_zero_at_kkt_point():
 # dual update and crossover
 
 
+def _accepted_z(x_new, x_old, z_old, s, mu, bounds):
+    """The dual estimate that `BarrierTerms.accept` makes on the step s from x_old to x_new."""
+    terms = BarrierTerms(bounds, mu, z_old, "lagrangian")
+    terms.accept(x_old, x_new, s)
+    return terms.z
+
+
 def test_dual_update_fixed_point():
     x = np.array([1.3, 0.4])
     mu = 0.25
     bounds = Box(np.zeros(2), np.full(2, np.inf))
     z = DualEstimate(mu / x, np.zeros(2))
-    out = dual_update(x, x, z, np.zeros(2), mu, bounds)
+    out = _accepted_z(x, x, z, np.zeros(2), mu, bounds)
     assert np.allclose(out.zl, z.zl)
 
 
@@ -156,7 +162,7 @@ def test_dual_update_ones_fixed_point():
     x = np.ones(3)
     bounds = Box(np.zeros(3), np.full(3, np.inf))
     z = DualEstimate(np.ones(3), np.zeros(3))
-    out = dual_update(x, x, z, np.zeros(3), 1.0, bounds)
+    out = _accepted_z(x, x, z, np.zeros(3), 1.0, bounds)
     assert np.allclose(out.zl, 1.0)
 
 
@@ -167,7 +173,7 @@ def test_dual_update_clamps_to_safeguard_interval():
     s = np.array([0.9])
     x_new = x_old + s
     z_old = DualEstimate(np.array([1.0]), np.array([0.0]))
-    out = dual_update(x_new, x_old, z_old, s, mu, POS)
+    out = _accepted_z(x_new, x_old, z_old, s, mu, POS)
     zhat = mu / 1.0 - 1.0 * 0.9
     assert zhat < 0
     expected_lo = kzl * min(1.0, 1.0, mu / x_new[0])
@@ -187,7 +193,7 @@ def test_dual_update_stays_in_safeguard_interval(z, g_old, s, mu, upper):
     x_old = np.array([-g_old if upper else g_old])
     zv = np.array([z])
     z_old = DualEstimate(np.zeros(1), zv) if upper else DualEstimate(zv, np.zeros(1))
-    out = dual_update(x_old + s, x_old, z_old, np.array([s]), mu, bounds)
+    out = _accepted_z(x_old + s, x_old, z_old, np.array([s]), mu, bounds)
     got = (out.zu if upper else out.zl)[0]
     assert kzl * min(1.0, z, mu / g_new) <= got <= max(kzu, z, kzu / mu, kzu * mu / g_new)
     assert (out.zl if upper else out.zu)[0] == 0.0  # the infinite side keeps z = 0
@@ -197,7 +203,7 @@ def test_dual_update_upper_side():
     bounds = _box1(-np.inf, 2.0)
     x_old, s = np.array([1.0]), np.array([0.5])
     z_old = DualEstimate(np.array([0.0]), np.array([0.3]))
-    out = dual_update(x_old + s, x_old, z_old, s, 0.1, bounds)
+    out = _accepted_z(x_old + s, x_old, z_old, s, 0.1, bounds)
     zhat = 0.1 / 1.0 + (0.3 / 1.0) * 0.5  # upper gap shrinks along +s
     assert out.zu[0] == pytest.approx(zhat)
 
@@ -236,7 +242,7 @@ def _interior_point(bounds):
 
 
 def _clip_dual_update(x_new, x_old, z, s, mu, bounds):
-    """`dual_update` with the projection in its `np.clip` form, from scratch."""
+    """The dual update with the projection in its `np.clip` form, from scratch."""
     kzl, kzu = interior.KAPPA_ZUL, interior.KAPPA_ZUU
 
     def side(zv, g_old, g_new, s_signed):
@@ -267,7 +273,7 @@ def test_dual_update_projection_equals_the_clip_form_bit_for_bit(mu):
         s = np.minimum(rng.uniform(-0.9, 0.9, n) * np.minimum(np.minimum(gl, gu), 1.0), 5.0)
         z = DualEstimate(ones.zl * 10.0 ** rng.uniform(-6, 6, n),
                          ones.zu * 10.0 ** rng.uniform(-6, 6, n))
-        got = dual_update(x_old + s, x_old, z, s, mu, bounds)
+        got = _accepted_z(x_old + s, x_old, z, s, mu, bounds)
         want_l, want_u = _clip_dual_update(x_old + s, x_old, z, s, mu, bounds)
         assert np.array_equal(_raw_bits(got.zl), _raw_bits(want_l))
         assert np.array_equal(_raw_bits(got.zu), _raw_bits(want_u))
@@ -365,7 +371,7 @@ def test_barrier_terms_reuse_gaps_bit_for_bit():
     # the calls a barrier stage makes over accepted, rejected, infeasible and
     # zero steps: at, phi and accept reuse the gaps of each point, at reuses its
     # terms after a rejected step, and all must give what a fresh BarrierTerms,
-    # barrier_value and dual_update give from scratch
+    # barrier_value and a fresh BarrierTerms.accept give from scratch
     rng = np.random.default_rng(13)
     n, mu = 60, 1e-2
     for layout, bounds in _layouts(rng, n).items():
@@ -391,7 +397,7 @@ def test_barrier_terms_reuse_gaps_bit_for_bit():
                                layout)
             last = move
             if move == "zero":
-                z_want = dual_update(x, x, terms.z, np.zeros(n), mu, bounds)
+                z_want = _accepted_z(x, x, terms.z, np.zeros(n), mu, bounds)
                 assert terms.zero_step(x)
             else:
                 x_t = got[2].clamp(x + 0.5 * rng.standard_normal(n))
@@ -403,7 +409,7 @@ def test_barrier_terms_reuse_gaps_bit_for_bit():
                 if move != "accept":
                     continue
                 s = x_t - x
-                z_want = dual_update(x_t, x, terms.z, s, mu, bounds)
+                z_want = _accepted_z(x_t, x, terms.z, s, mu, bounds)
                 terms.accept(x, x_t, s)
                 x = x_t
             assert np.array_equal(_raw_bits(terms.z.zl), _raw_bits(z_want.zl)), layout

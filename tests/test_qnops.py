@@ -250,3 +250,95 @@ def test_norm_estimate_exact_when_the_identity_part_dominates():
     _exact_norm_case(op, [(s, 0.1 * s) for s in rng.standard_normal((2, n))], dense_sr1)
     assert op._k == 2
     assert op.norm_estimate() == pytest.approx(1.0, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the operator without repeated work gives the bits of the full replay
+
+
+def _same_operator(a, b):
+    assert a._k == b._k
+    assert np.array_equal(a._rows[:a._k], b._rows[:b._k])
+    assert np.array_equal(a._signs[:a._k], b._signs[:b._k])
+
+
+def _replayed(op):
+    """A fresh operator of the same kind holding op's pairs, built by `_rebuild`."""
+    fresh = type(op)(op.n)
+    fresh.pairs.extend(op.pairs)
+    fresh._rebuild()
+    return fresh
+
+
+def _pairs(kind, op, rng, count):
+    """Random pairs for op, made as op goes; its skip rule drops every fourth."""
+    n = op.n
+    A = _spd_matrix(rng, n)
+    for j in range(count):
+        s = rng.standard_normal(n)
+        if j % 4 < 3:
+            y = A @ s if kind == "lbfgs" else 3.0 * rng.standard_normal(n)
+        elif kind == "lbfgs":
+            y = -s  # negative curvature
+        else:  # r = y - B s orthogonal to s
+            t = rng.standard_normal(n)
+            y = op.apply(s) + (t - (t @ s) / (s @ s) * s)
+        yield s, y
+
+
+@pytest.mark.parametrize("kind", ["lbfgs", "lsr1"])
+def test_rows_equal_a_fresh_rebuild_after_every_update(kind):
+    rng = np.random.default_rng(13)
+    op = OPERATORS[kind](7)
+    taken = dropped = evictions = 0
+    for s, y in _pairs(kind, op, rng, 16):
+        full = len(op.pairs) == op.memory
+        ok = op.update(s, y)
+        taken += ok
+        dropped += not ok
+        evictions += ok and full
+        _same_operator(op, _replayed(op))
+    assert taken == 12 and dropped == 4 and evictions == 7
+
+
+@pytest.mark.parametrize("kind", ["lbfgs", "lsr1", "spectral"])
+def test_update_with_the_product_leaves_the_same_operator(kind):
+    rng = np.random.default_rng(14)
+    make = {"spectral": SpectralDiag, **OPERATORS}[kind]
+    given, formed = make(6), make(6)
+    for s, y in _pairs("lsr1" if kind == "spectral" else kind, formed, rng, 14):
+        assert given.update(s, y, bs=given.apply(s)) == formed.update(s, y)
+        if kind == "spectral":
+            assert given.sigma == formed.sigma
+        else:
+            _same_operator(given, formed)
+        assert given.norm_estimate() == formed.norm_estimate()
+
+
+def _qr_rayleigh_ritz_norm(op):
+    """||B|| by Rayleigh-Ritz on the `np.linalg.qr` basis of W^T, with `eigvalsh`."""
+    W = op._rows[:op._k]
+    Q = np.linalg.qr(W.T)[0]
+    BQ = np.column_stack([op.apply(q) for q in Q.T])
+    H = Q.T @ BQ
+    norm = float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (H + H.T)))))
+    if Q.shape[1] < op.n:
+        norm = max(norm, 1.0)
+    return max(norm, 1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 512])
+def test_norm_estimate_equals_the_numpy_qr_form_bit_for_bit(n):
+    # L-SR1 takes k = 1..5 rows (k > n where n < 5, with rank-deficient W),
+    # L-BFGS up to ten; the repeated pair makes dependent rows at every n
+    rng = np.random.default_rng(15)
+    ks = set()
+    for kind in ("lsr1", "lbfgs"):
+        op = OPERATORS[kind](n)
+        pairs = [(rng.standard_normal(n), 3.0 * rng.standard_normal(n)) for _ in range(6)]
+        pairs.insert(3, pairs[0])
+        for s, y in pairs:
+            if op.update(s, y):
+                ks.add(op._k)
+                assert op.norm_estimate() == _qr_rayleigh_ritz_norm(op), (kind, op._k)
+    assert {1, 2, 3, 4, 5} <= ks if n >= 5 else max(ks) > n

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from ripm.oracles import CallableOracle, QuadModelOracle
+from ripm.oracles import QuadModelOracle
 from ripm.qnops import LBFGS, LSR1
 from ripm.r2 import R2Options, r2_solve
 from ripm.regprox import Box, Regularizer
 from ripm.report import BUDGET, CONVERGED, MAX_ITER
 
-from helpers import dense_bfgs, dense_sr1, grid_min_1d
+from helpers import CallableOracle, dense_bfgs, dense_sr1, grid_min_1d
 
 
 def _quad(center):

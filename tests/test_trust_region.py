@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
-from ripm import problems
+from ripm import bench, problems
 from ripm import trust_region as tr
 from ripm.interior import BarrierTerms, DualEstimate
-from ripm.oracles import CallableOracle
 from ripm.qnops import LBFGS, LSR1, SpectralDiag
 from ripm.regprox import Box, Regularizer
 from ripm.report import CONVERGED, evaluate_start
 from ripm.trust_region import TrustRegionOptions, tr_solve, trdh_solve, update_radius
 
-from helpers import grid_min_1d
+from helpers import CallableOracle, grid_min_1d
 from test_golden import BPDN_40x96
 
 
@@ -151,6 +150,32 @@ def test_diagonal_operator_takes_the_trdh_step(monkeypatch):
     assert (rep.n_f, rep.n_grad, rep.n_prox, rep.termination) == BPDN_40x96["TRDH"]
     with pytest.raises(AssertionError, match="R2 subsolve"):
         tr_solve(inst.smooth.fresh(), inst.h, inst.bounds, LSR1(96), inst.x0)
+
+
+@pytest.mark.parametrize("solver", ["TR-R2", "RIPM-R2"])
+def test_the_loop_hands_its_product_to_the_update(monkeypatch, solver):
+    # every update gets the loop's B s, without the barrier's Theta s, bit for
+    # bit the product it would form, and forms no product unless it evicts
+    checked = []
+
+    class Checked(LSR1):
+        def update(self, s, y, bs=None):
+            assert np.array_equal(bs, self.apply(s))
+            apply, applies = self.apply, []
+            self.apply = lambda v: applies.append(v) or apply(v)
+            full = len(self.pairs) == self.memory
+            try:
+                ok = super().update(s, y, bs)
+            finally:
+                del self.apply
+            assert len(applies) == (self.memory if ok and full else 0)
+            checked.append(ok)
+            return ok
+
+    monkeypatch.setattr(bench, "LSR1", Checked)
+    inst = problems.build("bpdn", 0, m=40, n=96, n_spikes=3)
+    bench.run_solver(solver, inst, 1000)
+    assert sum(checked) > 5
 
 
 def test_trdh_evaluates_h_once_at_each_point(monkeypatch):
