@@ -10,7 +10,9 @@ passes: trial points are restricted to the box of points
 
 and the quadratic model adds the barrier gradient and the capped barrier
 curvature Theta = min(z / gap, kappa_bar) summed over bounded sides to the
-quasi-Newton operator B.  Dual estimates come from `BarrierTerms.accept`, a
+quasi-Newton operator B.  `BarrierTerms.at` forms these terms of a point
+each time it is asked, and keeps none: the loop holds them until its point
+or the duals change.  Dual estimates come from `BarrierTerms.accept`, a
 linearized complementarity update projected into a safeguard interval, so
 they stay strictly positive.  The measure follows h: the primal one, based
 on the barrier gradient, for the nonconvex l0 penalty, and the Lagrangian
@@ -226,11 +228,8 @@ class BarrierTerms:
     `phi` at the start), at the trial point (`phi`) and at both on
     acceptance.  They are computed once per point and kept for the current
     point and the last other point, keyed on the array object, which the
-    loop never modifies.  `at` keeps its last result, keyed on the x, gx
-    and z objects: after a rejected step it returns the same model gradient,
-    Theta, fraction-to-boundary box, measure gradient and residual without
-    computing them again.  An accepted or a zero step makes a new z (and an
-    accepted one a new x and gx), so the next `at` recomputes.
+    loop never modifies.  `at` computes its terms on every call; the loop
+    asks for them once per point and dual estimate (see `trust_region`).
     """
 
     records_exits = True
@@ -239,7 +238,6 @@ class BarrierTerms:
         self.bounds, self.mu, self.z, self.mode = bounds, mu, z, mode
         self._sides = _sides(bounds)
         self._current = self._other = (None, None)  # (point, its gaps)
-        self._at = ((None, None, None), None)  # ((x, gx, z), the result of `at`)
 
     def _gaps_at(self, x):
         for point, gaps in (self._current, self._other):
@@ -250,9 +248,6 @@ class BarrierTerms:
         return gaps
 
     def at(self, x, gx):
-        key, last = self._at
-        if key[0] is x and key[1] is gx and key[2] is self.z:
-            return last
         gaps = self._gaps_at(x)
         self._current = (x, gaps)
         if not gaps[1]:
@@ -273,9 +268,7 @@ class BarrierTerms:
             g_phi = theta = np.zeros(n)
         box = fraction_to_boundary_box(min_gaps, DELTA_FRAC, self.bounds)
         g_meas = gx - self.z.zl + self.z.zu if self.mode == MODE_LAGRANGIAN else None
-        last = (gx + g_phi, theta, box, g_meas, math.sqrt(compl))
-        self._at = ((x, gx, self.z), last)
-        return last
+        return gx + g_phi, theta, box, g_meas, math.sqrt(compl)
 
     def phi(self, x) -> float:
         return _barrier(self.mu, self._gaps_at(x))

@@ -11,6 +11,11 @@ not.  A value refused by the budget computes nothing and leaves the kept
 point as it was, and `fresh` keeps nothing.  The work is the same function
 of x whether or not it was kept, so every result is the same bit for bit.
 
+A quadratic model (`QuadModelOracle`) also moves along a step t in closed
+form.  `curvature(t)` returns the curvature of t with the products it
+formed, and `grad_after` takes those products, not t: the model keeps no
+step of its own, and the caller holds the products of the step it accepts.
+
 A solver asks `evals_left` before it builds a point it would evaluate, so
 that it builds none the budget would refuse; the refusal itself,
 `BudgetExhausted`, stays as the safety net.  `held_back` keeps evaluations
@@ -108,10 +113,12 @@ class QuadModelOracle(SmoothOracle):
     The work value and gradient share is the step s and the product
     B s + theta s.
 
-    Along a step t the model changes by grad m . t + `curvature`(t) / 2, which
-    takes the k-row product W t; `grad_after` then forms grad m(x + t) =
-    grad m(x) + (B + theta) t from the same W t and (1 + theta) t.  The
-    operator must not be updated while the model is in use.
+    Along a step t the model changes by grad m . t + c / 2, where `curvature`
+    returns c = t.(B + theta) t together with the products it took,
+    signs * (W t) and (1 + theta) t; `grad_after` forms grad m(x + t) =
+    grad m(x) + (B + theta) t from those products, so a caller hands it the
+    products of the step it accepts.  The operator must not be updated while
+    the model is in use.
     """
 
     def __init__(self, g, qn, theta, origin):
@@ -122,7 +129,6 @@ class QuadModelOracle(SmoothOracle):
         self.origin = origin
         self.W, self.signs = qn.factors()
         self._diag = None if theta is None else 1.0 + theta
-        self._step = (None, None, None)  # the last step t of `curvature`, W t and (1 + theta) t
 
     def _work(self, x):
         s = x - self.origin
@@ -138,22 +144,19 @@ class QuadModelOracle(SmoothOracle):
     def _grad(self, x):
         return self.g + self._shared(x)[1]
 
-    def curvature(self, t) -> float:
-        """t.(B + theta) t = t.(1 + theta) t + sum signs (W t)^2; counts one model value."""
+    def curvature(self, t):
+        """t.(B + theta) t and its products (signs * (W t), (1 + theta) t); one model value."""
         self.n_f += 1
         wt = self.W @ t
+        swt = wt * self.signs
         dt = t if self.theta is None else self._diag * t
-        self._step = (t, wt, dt)
-        return float(t @ dt) + float((wt * self.signs) @ wt)
+        return float(t @ dt) + float(swt @ wt), (swt, dt)
 
-    def grad_after(self, gm, t) -> np.ndarray:
-        """grad m(x + t) from gm = grad m(x); reuses W t when t is the last `curvature` step."""
+    def grad_after(self, gm, products) -> np.ndarray:
+        """grad m(x + t) from gm = grad m(x) and the `curvature` products of t."""
         self.n_grad += 1
-        last, wt, dt = self._step
-        if t is not last:
-            wt = self.W @ t
-            dt = t if self.theta is None else self._diag * t
-        out = (wt * self.signs) @ self.W
+        swt, dt = products
+        out = swt @ self.W
         out += dt
         out += gm
         return out

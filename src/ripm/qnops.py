@@ -10,11 +10,12 @@ loop has, for its model decrease), and forms it otherwise.
 LBFGS and LSR1 hold B = I + W^T diag(signs) W, where the k rows of W are
 rank-one factors, so one product is two matrix products with W.  The
 factors are those of the direct update recursions replayed over the stored
-pairs from the identity, with the skip rules of the recursions, in a
-preallocated (2 MEMORY) x n row buffer.  A pair that evicts none appends its
-rows to those of the pairs before it, since a replay of those pairs would
-rebuild the same rows.  Only an eviction, which changes where the recursion
-starts, replays every kept pair (`_rebuild`).
+pairs from the identity, in a preallocated (2 MEMORY) x n row buffer.
+`_pair_rows(s, y, bs)` states an operator's recursion once: the rows a pair
+adds given bs = B s, or None under its skip rule.  A pair that evicts none
+appends its rows, since a replay of the pairs before it would rebuild the
+same rows; only an eviction, which changes where the recursion starts,
+replays every kept pair (`_rebuild`).
 
 B equals the identity on the orthogonal complement of range(W^T) and maps
 that range into itself, so `norm_estimate` is exact: Rayleigh-Ritz on an
@@ -95,14 +96,15 @@ class _FactoredOp:
         ``bs`` is B s before the update, or None (see the module docstring)."""
         if bs is None:
             bs = self.apply(s)
-        if not self._accept(s, y, bs):
+        rows = self._pair_rows(s, y, bs)
+        if rows is None:
             return False
         self.pairs.append((s.copy(), y.copy()))
         if len(self.pairs) > self.memory:
             self.pairs.popleft()
             self._rebuild()
         else:
-            self._add(s, y, bs)
+            self._push(rows)
         self._norm_cache = None
         return True
 
@@ -110,42 +112,38 @@ class _FactoredOp:
         """Replay the update recursion over the kept pairs from the identity."""
         self._k = 0
         for s, y in self.pairs:
-            self._add(s, y, self.apply(s))
+            rows = self._pair_rows(s, y, self.apply(s))
+            if rows is not None:
+                self._push(rows)
 
-    def _push(self, v: np.ndarray, scale: float, sign: float) -> None:
-        """Append the factor v / scale with its sign as the next row of W."""
-        np.divide(v, scale, out=self._rows[self._k])
-        self._signs[self._k] = sign
-        self._k += 1
+    def _push(self, rows) -> None:
+        """Append each factor v / scale of ``rows`` with its sign as the next row of W."""
+        for v, scale, sign in rows:
+            np.divide(v, scale, out=self._rows[self._k])
+            self._signs[self._k] = sign
+            self._k += 1
 
-    def _accept(self, s, y, bs) -> bool:  # pragma: no cover - abstract
-        """The skip rule of `update` for the pair (s, y), with bs = B s."""
-        raise NotImplementedError
-
-    def _add(self, s, y, bs) -> None:  # pragma: no cover - abstract
-        """Push the rows of the pair (s, y), with bs = B s, unless the recursion skips it."""
+    def _pair_rows(self, s, y, bs):  # pragma: no cover - abstract
+        """The rows (v, scale, sign) the pair (s, y) adds, with bs = B s; None if skipped."""
         raise NotImplementedError
 
 
 class LBFGS(_FactoredOp):
     """Direct (Hessian-side) BFGS with limited memory.
 
-    Update: B <- B - (B s)(B s)^T / (s.B s) + y y^T / (y.s), accepted only
+    Update: B <- B - (B s)(B s)^T / (s.B s) + y y^T / (y.s), taken only
     when y.s exceeds the curvature threshold, which keeps B positive
-    definite.  Each pair adds two rows to W.
+    definite, and s.B s is positive.  Each pair adds two rows to W.
     """
 
-    def _accept(self, s, y, bs) -> bool:
+    def _pair_rows(self, s, y, bs):
         sy = float(s @ y)
-        return sy > CURVATURE_SKIP * math.sqrt(s @ s) * math.sqrt(y @ y)
-
-    def _add(self, s, y, bs) -> None:
+        if not sy > CURVATURE_SKIP * math.sqrt(s @ s) * math.sqrt(y @ y):
+            return None
         sbs = float(s @ bs)
-        sy = float(s @ y)
-        if sbs <= 0.0 or sy <= 0.0:
-            return
-        self._push(bs, math.sqrt(sbs), -1.0)
-        self._push(y, math.sqrt(sy), 1.0)
+        if sbs <= 0.0:
+            return None
+        return (bs, math.sqrt(sbs), -1.0), (y, math.sqrt(sy), 1.0)
 
 
 class LSR1(_FactoredOp):
@@ -153,20 +151,15 @@ class LSR1(_FactoredOp):
 
     Updates whose denominator is too small relative to ||r|| ||s|| are
     skipped to keep the product well defined; the operator may be indefinite.
-    Each pair adds at most one row to W.
+    Each pair adds one row to W.
     """
 
-    def _accept(self, s, y, bs) -> bool:
+    def _pair_rows(self, s, y, bs):
         r = y - bs
         rs = float(r @ s)
-        return abs(rs) > CURVATURE_SKIP * math.sqrt(r @ r) * math.sqrt(s @ s)
-
-    def _add(self, s, y, bs) -> None:
-        r = y - bs
-        rs = float(r @ s)
-        if abs(rs) <= CURVATURE_SKIP * math.sqrt(r @ r) * math.sqrt(s @ s) or rs == 0.0:
-            return
-        self._push(r, math.sqrt(abs(rs)), 1.0 if rs > 0 else -1.0)
+        if not abs(rs) > CURVATURE_SKIP * math.sqrt(r @ r) * math.sqrt(s @ s):
+            return None
+        return ((r, math.sqrt(abs(rs)), 1.0 if rs > 0 else -1.0),)
 
 
 class SpectralDiag:
@@ -190,5 +183,5 @@ class SpectralDiag:
     def norm_estimate(self) -> float:
         return self.sigma
 
-    def diagonal(self) -> np.ndarray:
-        return np.full(self.n, self.sigma)
+    def diagonal(self) -> float:
+        return self.sigma  # every component of the diagonal

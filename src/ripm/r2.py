@@ -21,8 +21,8 @@ after it measures, with status BUDGET, instead of asking for a value the
 budget would refuse.  The quadratic model of a trust-region step
 (`oracles.QuadModelOracle`) changes by grad.t + c / 2 with c = t.(B + Theta)t
 in closed form from the operator's factors, so rho = (xi - c / 2) / xi, and
-the model gradient is updated by (B + Theta) t only when the trial is
-accepted.
+the model gradient is updated by (B + Theta) t, from the products that gave
+c, only when the trial is accepted.
 
 The loop constants are those of R2 in Aravkin, Baraldi & Orban (2022):
 SIGMA_INIT is sigma_0 and SIGMA_MIN is sigma_min; a step is successful when
@@ -108,7 +108,7 @@ def r2_solve(smooth, reg, box: Box, x0, opts: R2Options | None = None,
                 status = CONVERGED
                 break
             if model:
-                c = smooth.curvature(t)
+                c, products = smooth.curvature(t)
                 f_trial = fx + gt + 0.5 * c
                 rho = (xi - 0.5 * c) / xi
             elif smooth.evals_left() == 0:
@@ -120,7 +120,7 @@ def r2_solve(smooth, reg, box: Box, x0, opts: R2Options | None = None,
             diag.append({"sigma": sigma, "rho": rho, "xi": xi,
                          "s_norm2": math.sqrt(t @ t), "accepted": bool(rho >= ETA1)})
             if rho >= ETA1:
-                gx = smooth.grad_after(gx, t) if model else smooth.grad(u)
+                gx = smooth.grad_after(gx, products) if model else smooth.grad(u)
                 x, fx, hx = u, f_trial, h_trial
                 trace.append((smooth.n_grad, fx + hx))
                 if rho >= ETA2:

@@ -10,6 +10,9 @@ one-dimensional problems
 with closed-form solutions for the supported regularizers.  Its solution
 is the trial point itself; a step is the difference of two points.
 
+A regularizer is of one of two kinds, l1 or l0, with a finite lam >= 0;
+lam = 0 means h = 0, whose prox is the clamp into the box.
+
 Hot-path rule: code that runs once per iteration or per prox calls ufuncs
 and ndarray methods directly.  It uses no `np.clip`, no function-form
 `np.any`/`np.all` and no `np.linalg.norm`, which go through numpy's Python
@@ -23,6 +26,7 @@ solvers' inputs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +35,7 @@ from .errors import BoundaryPoint, EmptyBox
 
 L1 = "l1"
 L0 = "l0"
-ZERO = "zero"
-_KINDS = (L1, L0, ZERO)
+_KINDS = (L1, L0)
 
 
 @dataclass
@@ -56,10 +59,6 @@ class Box:
         if (self.lo > self.hi).any():
             i = int(np.argmax(self.lo > self.hi))
             raise EmptyBox(f"empty box: lo={self.lo[i]} > hi={self.hi[i]} at component {i}")
-
-    @classmethod
-    def full(cls, n: int) -> "Box":
-        return cls(np.full(n, -np.inf), np.full(n, np.inf))
 
     def ball(self, x: np.ndarray, r: float) -> "Box":
         """The l-inf ball of radius r around the point x within this box.
@@ -90,11 +89,12 @@ def intersect_boxes(a: Box, b: Box) -> Box:
 
 @dataclass
 class Regularizer:
-    """Separable term lam * sum_i w_i * r(x_i) with r one of |.|, 1[. != 0], 0.
+    """Separable term lam * sum_i w_i * r(x_i) with r one of |.| (l1) and 1[. != 0] (l0).
 
     ``weights`` (optional, defaults to all ones) lets a single instance apply
     the penalty to a block of variables only, as needed by matrix
-    factorization objectives that regularize one factor.
+    factorization objectives that regularize one factor.  lam and the
+    weights are finite and nonnegative; lam = 0 means h = 0.
     """
 
     kind: str
@@ -104,12 +104,12 @@ class Regularizer:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown regularizer kind {self.kind!r}")
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lam must be finite and nonnegative, not {self.lam}")
         if self.weights is not None:
             self.weights = np.asarray(self.weights, dtype=float)
-            if (self.weights < 0).any():
-                raise ValueError("weights must be nonnegative")
+            if not (np.isfinite(self.weights).all() and (self.weights >= 0).all()):
+                raise ValueError("weights must be finite and nonnegative")
         self._lam_full = ((None, None), None)  # ((n, lam), read-only np.full(n, lam))
 
     def lam_per_component(self, n: int) -> np.ndarray:
@@ -124,7 +124,7 @@ class Regularizer:
         return full
 
     def value(self, x: np.ndarray) -> float:
-        if self.kind == ZERO or self.lam == 0.0:
+        if self.lam == 0.0:
             return 0.0
         lam = self.lam_per_component(x.size)
         if self.kind == L1:
@@ -146,7 +146,7 @@ def iprox_shifted(h: Regularizer, d, q, box: Box) -> np.ndarray:
     """
     if not ((d > 0).all() if isinstance(d, np.ndarray) else d > 0):
         raise ValueError("iprox_shifted requires strictly positive d")
-    if h.kind == ZERO or h.lam == 0.0:
+    if h.lam == 0.0:
         return box.clamp(q)
     if h.kind == L1:
         # the threshold q - min(max(q, -c), c) equals sign(q) max(|q| - c, 0)

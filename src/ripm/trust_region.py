@@ -34,7 +34,10 @@ points every trial stays in.  TR and TRDH fold the box indicator into the
 nonsmooth term and pass `ShiftedBounds`, whose box is the bounds
 themselves.  The barrier subproblems of RIPM pass `interior.BarrierTerms`,
 whose box is the fraction-to-boundary box, and which adds the barrier
-gradient and curvature.
+gradient and curvature.  The loop holds the terms of its point: it asks
+`at` at entry, after an accepted step and after a zero step (which may move
+the duals), and keeps them, with the stall threshold and max Theta, through
+rejected steps.
 
 The loop constants are those of TR in Aravkin, Baraldi & Orban (2022) and of
 TRDH in Leconte & Orban (2023): DELTA_INIT is Delta_0 and DELTA_MAX caps the
@@ -177,15 +180,17 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
     n_prox = 0
     crit, compl, crit0 = np.inf, np.inf, np.inf
     status = "cap"
+    terms = None  # cons.at(x, gx), asked again once x or z changes
     for j in range(max_iter + 1):
-        if delta < EPS_MACH * (1.0 + float(np.abs(x).max())):
+        if terms is None:
+            terms = cons.at(x, gx)
+            stall = EPS_MACH * (1.0 + float(np.abs(x).max()))
+            theta_max = 0.0 if terms[1] is None else float(terms[1].max())
+        if delta < stall:
             status = "stalled"
             break
-        g, theta, box, g_meas, compl = cons.at(x, gx)
-        lip = qn.norm_estimate()
-        if theta is not None:
-            lip += float(theta.max())
-        sigma = lip + 1.0 / (ALPHA * delta)
+        g, theta, box, g_meas, compl = terms
+        sigma = qn.norm_estimate() + theta_max + 1.0 / (ALPHA * delta)
         tr_box = box.ball(x, delta)
         u1, s1, _, _, xi = first_order_step(h, x, hx, g, sigma, tr_box)
         s_m, xi_m = s1, xi
@@ -226,6 +231,7 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
         if not s.any() and cons.zero_step(x):
             rec["rho"] = 0.0
             records.append(rec)
+            terms = None
             continue
         bqs = qn.apply(s)  # B s, which the operator's update takes on acceptance
         bs = bqs if theta is None else bqs + theta * s
@@ -245,6 +251,7 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
             gx = g_new
             trace.append((smooth.n_grad, fx + hx))
             rec["obj_after"] = fx + phi + hx
+            terms = None
         records.append(rec)
         delta = new_delta
 

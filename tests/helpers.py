@@ -44,9 +44,7 @@ def grid_min_vec(obj, lo, hi, step=1e-3):
 def comp_reg_value(kind, lam, v):
     if kind == "l1":
         return lam * abs(v)
-    if kind == "l0":
-        return lam if v != 0.0 else 0.0
-    return 0.0
+    return lam if v != 0.0 else 0.0
 
 
 def bisect_root(fun, lo, hi, iters=200):

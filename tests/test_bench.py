@@ -324,7 +324,7 @@ def test_every_listed_option_is_taken():
             assert rep.n_f <= 4, (name, option)
 
 
-def test_cli_config_error_exit_code(tmp_path, monkeypatch):
+def test_cli_config_error_exit_code(tmp_path, monkeypatch, capsys):
     # without --output-dir a run would save under results/ in the working
     # directory; a rejected config must not make it
     monkeypatch.chdir(tmp_path)
@@ -339,6 +339,13 @@ def test_cli_config_error_exit_code(tmp_path, monkeypatch):
     bogus_mode.write_text(json.dumps(_tiny_config(
         solvers=[{"name": "RIPM-R2", "options": {"mode": "bogus"}}])))
     assert main(["run", str(bogus_mode)]) == 1
+    # json reads NaN, and a lam that is not finite is a config error
+    nan_lam = tmp_path / "bad4.json"
+    nan_lam.write_text('{"problem": {"name": "qp", "params": {"n": 20, "p": 0.2, "lam": NaN}}, '
+                       '"solvers": ["R2", "RIPM-R2"], "budget": 20}')
+    capsys.readouterr()
+    assert main(["run", str(nan_lam)]) == 1
+    assert "lam must be finite" in capsys.readouterr().err
     assert not (tmp_path / "results").exists()
 
 

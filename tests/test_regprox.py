@@ -16,11 +16,11 @@ def _box1(lo, hi):
 def test_reg_value_examples():
     assert Regularizer("l1", 2.0).value(np.array([1.0, -3.0])) == 8.0
     assert Regularizer("l0", 10.0).value(np.array([0.0, 0.5, 0.0])) == 10.0
-    assert Regularizer("zero").value(np.array([5.0, -7.0])) == 0.0
+    assert Regularizer("l1").value(np.array([5.0, -7.0])) == 0.0
 
 
 def test_reg_value_at_origin_is_zero():
-    for kind in ("l1", "l0", "zero"):
+    for kind in ("l1", "l0"):
         assert Regularizer(kind, 3.0).value(np.zeros(4)) == 0.0
 
 
@@ -39,11 +39,20 @@ def test_block_weights_value():
     assert h.value(np.array([9.0, 2.0, -2.0])) == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("lam, weights", [
+    (-1.0, None), (np.nan, None), (np.inf, None),
+    (1.0, [1.0, -1.0]), (1.0, [1.0, np.nan]), (1.0, [np.inf, 1.0]), (1.0, [1.0, -np.inf])])
+def test_regularizer_takes_finite_nonnegative_weights_only(lam, weights):
+    for kind in ("l1", "l0"):
+        with pytest.raises(ValueError):
+            Regularizer(kind, lam, weights)
+
+
 def test_prox_separable_examples():
     h1 = Regularizer("l1", 1.0)
     assert iprox_shifted(h1, 1.0, np.array([2.0]), _box1(-10, 10))[0] == pytest.approx(1.0)
     assert iprox_shifted(h1, 1.0, np.array([5.0]), _box1(-2, 2))[0] == pytest.approx(2.0)
-    z = Regularizer("zero")
+    z = Regularizer("l1")
     assert iprox_shifted(z, 5.0, np.array([0.3]), _box1(-1, 1))[0] == pytest.approx(0.3)
 
 
@@ -137,7 +146,7 @@ def _prox_case_matches_grid(kind, lam, d, q, lo, hi, x=0.0):
 
 
 @given(
-    kind=st.sampled_from(["l1", "l0", "zero"]),
+    kind=st.sampled_from(["l1", "l0"]),
     lam=st.floats(0.0, 5.0),
     d=st.floats(0.05, 10.0),
     q=st.floats(-8.0, 8.0),
@@ -164,7 +173,7 @@ def test_iprox_shifted_matches_grid_oracle(kind, lam, d, q, x, a, width):
 
 
 @given(
-    kind=st.sampled_from(["l1", "l0", "zero"]),
+    kind=st.sampled_from(["l1", "l0"]),
     d=st.floats(0.05, 10.0),
     q=st.lists(st.floats(-8, 8), min_size=3, max_size=3),
 )
@@ -178,8 +187,8 @@ def test_prox_output_containment(kind, d, q):
 def test_zero_regularizer_is_clamp():
     box = Box(np.array([-1.0, 0.0]), np.array([1.0, 2.0]))
     q = np.array([5.0, -3.0])
-    s = iprox_shifted(Regularizer("zero"), 2.0, q, box)
-    assert np.array_equal(s, box.clamp(q))
+    for kind in ("l1", "l0"):  # lam = 0 means h = 0
+        assert np.array_equal(iprox_shifted(Regularizer(kind), 2.0, q, box), box.clamp(q))
 
 
 @given(c=st.floats(0.01, 100.0), q=st.floats(-5, 5), lam=st.floats(0.01, 3.0),

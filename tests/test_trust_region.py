@@ -12,6 +12,8 @@ from ripm.trust_region import TrustRegionOptions, tr_solve, trdh_solve, update_r
 from helpers import CallableOracle, grid_min_1d
 from test_golden import BPDN_40x96
 
+FREE = Box(np.full(1, -np.inf), np.full(1, np.inf))  # every point of the line
+
 
 def _quad_shift(center):
     c = np.asarray(center, dtype=float)
@@ -27,7 +29,7 @@ def tight(monkeypatch):
 def test_tr_interior_minimum(tight):
     n = 4
     bounds = Box(np.zeros(n), np.full(n, np.inf))
-    rep = tr_solve(_quad_shift(np.ones(n)), Regularizer("zero"), bounds,
+    rep = tr_solve(_quad_shift(np.ones(n)), Regularizer("l1"), bounds,
                    LBFGS(n), 0.5 * np.ones(n), tight)
     assert rep.termination == CONVERGED
     assert np.allclose(rep.x, 1.0, atol=1e-6)
@@ -36,13 +38,13 @@ def test_tr_interior_minimum(tight):
 def test_tr_active_bounds(tight):
     n = 3
     bounds = Box(np.zeros(n), np.full(n, np.inf))
-    rep = tr_solve(_quad_shift(-np.ones(n)), Regularizer("zero"), bounds,
+    rep = tr_solve(_quad_shift(-np.ones(n)), Regularizer("l1"), bounds,
                    LBFGS(n), np.ones(n), tight)
     assert np.allclose(rep.x, 0.0, atol=1e-9)
 
 
 def test_tr_l1_unbounded_domain(tight):
-    rep = tr_solve(_quad_shift([2.0]), Regularizer("l1", 1.0), Box.full(1),
+    rep = tr_solve(_quad_shift([2.0]), Regularizer("l1", 1.0), FREE,
                    LSR1(1), np.array([0.0]), tight)
     xg, _ = grid_min_1d(lambda t: 0.5 * (t - 2.0) ** 2 + abs(t), -4, 4)
     assert rep.x[0] == pytest.approx(1.0, abs=1e-6)
@@ -52,14 +54,14 @@ def test_tr_l1_unbounded_domain(tight):
 def test_trdh_interior_minimum(tight):
     n = 4
     bounds = Box(np.zeros(n), np.full(n, np.inf))
-    rep = trdh_solve(_quad_shift(np.ones(n)), Regularizer("zero"), bounds,
+    rep = trdh_solve(_quad_shift(np.ones(n)), Regularizer("l1"), bounds,
                      0.5 * np.ones(n), tight)
     assert rep.termination == CONVERGED
     assert np.allclose(rep.x, 1.0, atol=1e-6)
 
 
 def test_trdh_l1_matches_grid(tight):
-    rep = trdh_solve(_quad_shift([2.0]), Regularizer("l1", 1.0), Box.full(1),
+    rep = trdh_solve(_quad_shift([2.0]), Regularizer("l1", 1.0), FREE,
                      np.array([0.0]), tight)
     assert rep.x[0] == pytest.approx(1.0, abs=1e-6)
 
@@ -69,14 +71,15 @@ def test_trdh_separable_quadratic_soft_threshold_step(tight):
     # soft threshold of the scaled gradient step, clamped into the step box
     n = 3
     c = np.array([2.0, -1.5, 0.5])
-    rep = trdh_solve(_quad_shift(c), Regularizer("l1", 0.3), Box.full(n),
+    rep = trdh_solve(_quad_shift(c), Regularizer("l1", 0.3),
+                     Box(np.full(n, -np.inf), np.full(n, np.inf)),
                      np.zeros(n), tight)
     xg = np.sign(c) * np.maximum(np.abs(c) - 0.3, 0.0)
     assert np.allclose(rep.x, xg, atol=1e-6)
 
 
 def test_trdh_two_prox_per_iteration(tight):
-    rep = trdh_solve(_quad_shift([3.0]), Regularizer("l1", 0.5), Box.full(1),
+    rep = trdh_solve(_quad_shift([3.0]), Regularizer("l1", 0.5), FREE,
                      np.array([0.1]), tight)
     stepped = len(rep.diagnostics["iters"])
     if rep.termination == CONVERGED:
@@ -127,7 +130,7 @@ def test_unsuccessful_iterations_do_not_move_x(monkeypatch):
     # oscillatory objective: the quadratic model overshoots and gets rejected
     oracle = CallableOracle(lambda x: 0.5 * float(x @ x) + 2.0 * float(np.sum(np.sin(5 * x))),
                             lambda x: x + 10.0 * np.cos(5 * x))
-    rep = trdh_solve(oracle, Regularizer("zero"), Box(np.full(1, -6.0), np.full(1, 6.0)),
+    rep = trdh_solve(oracle, Regularizer("l1"), Box(np.full(1, -6.0), np.full(1, 6.0)),
                      np.array([2.0]), TrustRegionOptions(rel_tol=0.0))
     iters = rep.diagnostics["iters"]
     assert any(not it["accepted"] for it in iters)
@@ -221,7 +224,8 @@ def test_a_collapsed_radius_stops_the_loop_as_stalled():
 def test_boxes_built_per_iteration(monkeypatch, step, constraint, most):
     # each iteration builds its step box and its cap box in one pass each, as
     # balls within the constraint box, and a barrier stage adds the
-    # fraction-to-boundary box, except after a rejected step, which keeps it
+    # fraction-to-boundary box, except after a rejected step, which keeps it.
+    # An iteration starts with its step box, the first ball it builds
     built, balls = [], []
     post_init, ball = Box.__post_init__, Box.ball
 
@@ -230,6 +234,8 @@ def test_boxes_built_per_iteration(monkeypatch, step, constraint, most):
         post_init(self)
 
     def counting_ball(self, x, r):
+        if len(balls) % 2 == 0:
+            marks.append(len(built))
         balls.append(1)
         return ball(self, x, r)
 
@@ -241,13 +247,6 @@ def test_boxes_built_per_iteration(monkeypatch, step, constraint, most):
     else:
         cons = BarrierTerms(bounds, 1e-2, DualEstimate.ones_for(bounds), "lagrangian")
     marks = []
-    at = cons.at
-
-    def marked_at(x, gx):
-        marks.append((len(built), len(balls)))
-        return at(x, gx)
-
-    cons.at = marked_at
     # a coupled, badly scaled quadratic: no operator solves it in a few steps
     M = np.random.default_rng(3).standard_normal((n, n)) * np.logspace(0, 2, n)
     A, c = M.T @ M, np.array([3.0, 5.0, -1.0, 0.5, 2.0, 1.0])
@@ -258,13 +257,44 @@ def test_boxes_built_per_iteration(monkeypatch, step, constraint, most):
     fx, hx, gx = evaluate_start(smooth, h, x, trace)
     monkeypatch.setattr(Box, "__post_init__", counting)
     monkeypatch.setattr(Box, "ball", counting_ball)
-    tr.tr_iterate(smooth, h, cons, SpectralDiag(n) if step == "diagonal" else LBFGS(n), x, fx,
-                  hx, gx, 1.0, max_iter=6, abs_tol=0.0, rel_tol=0.0, trace=trace,
-                  records=records)
-    per_iteration = np.diff(marks, axis=0)
-    assert len(per_iteration) >= 3 and per_iteration[:, 0].max() <= most
-    assert (per_iteration[:, 1] == 2).all()
+    res = tr.tr_iterate(smooth, h, cons, SpectralDiag(n) if step == "diagonal" else LBFGS(n),
+                        x, fx, hx, gx, 1.0, max_iter=6, abs_tol=0.0, rel_tol=0.0, trace=trace,
+                        records=records)
+    # every iteration that tries a step builds two balls, and the last one,
+    # which measures and stops, builds its step box
+    assert res.status == "cap" and len(balls) == 2 * len(records) + 1
+    per_iteration = np.diff(marks)
+    assert len(per_iteration) >= 3 and per_iteration.max() <= most
     if constraint == "barrier":
-        after_rejected = [j + 1 for j, r in enumerate(records[:len(per_iteration) - 1])
-                          if not r["accepted"] and r["s_inf"] > 0]
-        assert after_rejected and (per_iteration[after_rejected, 0] == 2).all()
+        after_rejected = [j for j, r in enumerate(records) if not r["accepted"] and r["s_inf"] > 0]
+        assert after_rejected and (per_iteration[after_rejected] == 2).all()
+
+
+@pytest.mark.parametrize("step", ["diagonal", "r2"])
+def test_the_loop_asks_for_the_barrier_terms_once_per_point(step):
+    # f = (x - 2)^2 / 2 and h = |x| / 2 on x > 0, solved to 1e-10: the stage
+    # rejects steps near its end, and a zero step refreshes the duals.  The
+    # loop asks for the terms at entry, after each accepted step and after
+    # each zero step, and never twice at one x and z
+    bounds = Box(np.zeros(1), np.full(1, np.inf))
+    cons = BarrierTerms(bounds, 1.0, DualEstimate.ones_for(bounds), "lagrangian")
+    asked = []
+    at = cons.at
+
+    def counted_at(x, gx):
+        asked.append((x, cons.z))
+        return at(x, gx)
+
+    cons.at = counted_at
+    smooth, h, x = _quad_shift([2.0]), Regularizer("l1", 0.5), np.array([3.0])
+    trace, records = [], []
+    fx, hx, gx = evaluate_start(smooth, h, x, trace)
+    res = tr.tr_iterate(smooth, h, cons, SpectralDiag(1) if step == "diagonal" else LBFGS(1),
+                        x, fx, hx, gx, 100.0, max_iter=200, abs_tol=1e-10, rel_tol=0.0,
+                        eps_p=1e-10, trace=trace, records=records)
+    accepted = sum(r["accepted"] for r in records)
+    rejected = sum(not r["accepted"] and r["s_inf"] > 0 for r in records)
+    zero = sum(r["exit"] is None and r["s_inf"] == 0 for r in records)
+    assert res.status == "tol" and rejected > 10 and zero >= 1
+    assert len(asked) == 1 + accepted + zero
+    assert all(a[0] is not b[0] or a[1] is not b[1] for a, b in zip(asked, asked[1:]))
