@@ -80,21 +80,25 @@ class RunConfig:
     def from_dict(cls, d: dict) -> "RunConfig":
         try:
             problem = dict(d["problem"])
-            budget = int(d.get("budget", 10_000))
             solvers = [dict(name=e) if isinstance(e, str) else dict(e) for e in d["solvers"]]
             norm = [{"name": e.get("name"), "options": dict(e.get("options", {}))}
                     for e in solvers]
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed config: {type(exc).__name__}: {exc}") from exc
-        if budget < 1:
-            raise ConfigError("budget must be >= 1")
+        budget = d.get("budget", 10_000)
+        # json reads true as a bool, which is an int, and Infinity and NaN as floats
+        whole = isinstance(budget, int) or isinstance(budget, float) and budget.is_integer()
+        if isinstance(budget, bool) or not whole or budget < 1:
+            raise ConfigError(f"budget must be a whole number >= 1, not {budget!r}")
+        output_dir = d.get("output_dir")
+        if not (output_dir is None or isinstance(output_dir, str)):
+            raise ConfigError(f"output_dir must be a string, not {output_dir!r}")
         if "name" not in problem:
             raise ConfigError("problem needs a 'name'")
         for entry in norm:
             if entry["name"] not in SOLVER_NAMES:
                 raise ConfigError(f"unknown solver {entry['name']!r}; choose from {SOLVER_NAMES}")
-        return cls(problem=problem, solvers=norm, budget=budget,
-                   output_dir=d.get("output_dir"))
+        return cls(problem=problem, solvers=norm, budget=int(budget), output_dir=output_dir)
 
 
 def solver_options(name: str, problem: str, overrides: dict):

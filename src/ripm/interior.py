@@ -10,13 +10,14 @@ passes: trial points are restricted to the box of points
 
 and the quadratic model adds the barrier gradient and the capped barrier
 curvature Theta = min(z / gap, kappa_bar) summed over bounded sides to the
-quasi-Newton operator B.  `BarrierTerms.at` forms these terms of a point
-each time it is asked, and keeps none: the loop holds them until its point
-or the duals change.  Dual estimates come from `BarrierTerms.accept`, a
-linearized complementarity update projected into a safeguard interval, so
-they stay strictly positive.  The measure follows h: the primal one, based
-on the barrier gradient, for the nonconvex l0 penalty, and the Lagrangian
-one, based on grad f - zl + zu, for a convex h.
+quasi-Newton operator B.  `outer_solve` builds one `BarrierTerms` per
+solve, sets its mu for each stage and reads the duals from it; the loop
+carries none, and hands back the gaps of each point that `phi` formed.
+Dual estimates come from `BarrierTerms.accept`, a linearized complementarity
+update projected into a safeguard interval, so they stay strictly positive.
+The measure follows h: the primal one, based on the barrier gradient, for
+the nonconvex l0 penalty, and the Lagrangian one, based on grad f - zl + zu,
+for a convex h.
 
 Each barrier quantity is one formula over the sides of the bounds.  A side
 is an index i of its finite components, its bound b[i], a sign, +1 on the
@@ -217,19 +218,12 @@ def crossover(x, z: DualEstimate, mu_final: float, bounds: Box):
 
 
 class BarrierTerms:
-    """Constraint object of a barrier subproblem for `trust_region.tr_iterate`.
+    """Constraint object of the barrier subproblems for `trust_region.tr_iterate`.
 
-    Holds the barrier parameter and the dual estimate ``z``, which it
-    updates on every accepted step and, from exact perturbed
-    complementarity, on a zero model step.
-
-    The sides are built once, in the layouts of the module docstring.  The
-    loop asks for the gaps of one point several times: at x (`at`, and
-    `phi` at the start), at the trial point (`phi`) and at both on
-    acceptance.  They are computed once per point and kept for the current
-    point and the last other point, keyed on the array object, which the
-    loop never modifies.  `at` computes its terms on every call; the loop
-    asks for them once per point and dual estimate (see `trust_region`).
+    Holds the barrier parameter ``mu``, which `outer_solve` sets for each
+    stage, and the dual estimate ``z``, which it updates on every accepted
+    step and, from exact perturbed complementarity, on a zero model step.
+    The sides are built once, in the layouts of the module docstring.
     """
 
     records_exits = True
@@ -237,19 +231,13 @@ class BarrierTerms:
     def __init__(self, bounds: Box, mu: float, z: DualEstimate, mode: str):
         self.bounds, self.mu, self.z, self.mode = bounds, mu, z, mode
         self._sides = _sides(bounds)
-        self._current = self._other = (None, None)  # (point, its gaps)
 
-    def _gaps_at(self, x):
-        for point, gaps in (self._current, self._other):
-            if point is x:
-                return gaps
+    def phi(self, x):
+        """The barrier value at x (+inf outside the bounds) and the gaps of x."""
         gaps = _gaps(x, self._sides)
-        self._other = (x, gaps)
-        return gaps
+        return _barrier(self.mu, gaps), gaps
 
-    def at(self, x, gx):
-        gaps = self._gaps_at(x)
-        self._current = (x, gaps)
+    def at(self, x, gx, gaps):
         if not gaps[1]:
             raise BoundaryPoint("barrier gradient needs a strictly interior point")
         # per side: the barrier gradient -sign mu/gap, the capped curvature
@@ -270,19 +258,15 @@ class BarrierTerms:
         g_meas = gx - self.z.zl + self.z.zu if self.mode == MODE_LAGRANGIAN else None
         return gx + g_phi, theta, box, g_meas, math.sqrt(compl)
 
-    def phi(self, x) -> float:
-        return _barrier(self.mu, self._gaps_at(x))
-
-    def zero_step(self, x) -> bool:
+    def zero_step(self, x, gaps) -> bool:
         # the model is stationary at x: refresh the duals (the update at s = 0)
         # so that the dual tolerance can still be met; x and Delta stay put
-        self.accept(x, x, np.zeros(x.size))
+        self.accept(gaps, gaps, np.zeros(x.size))
         return True
 
-    def accept(self, x, x_t, s) -> None:
-        """Update z on the step s from x to x_t (`_dual_update`)."""
-        self.z = _dual_update(self._sides, self._gaps_at(x), self._gaps_at(x_t), self.z, s,
-                              self.mu)
+    def accept(self, gaps, gaps_t, s) -> None:
+        """Update z on the step s from the point of ``gaps`` to that of ``gaps_t``."""
+        self.z = _dual_update(self._sides, gaps, gaps_t, self.z, s, self.mu)
 
 
 def measure_mode(h) -> str:
@@ -290,24 +274,25 @@ def measure_mode(h) -> str:
     return MODE_CP if h.kind == L0 else MODE_LAGRANGIAN
 
 
-def inner_solve(smooth, h, bounds: Box, qn, x, fx: float, hx: float, gx, z: DualEstimate,
-                mu: float, eps_d_rel: float, trace: list, records: list) -> InnerResult:
+def inner_solve(smooth, h, barrier: BarrierTerms, qn, x, fx: float, hx: float, gx,
+                eps_d_rel: float, trace: list, records: list) -> InnerResult:
     """Approximately minimize f + phi_mu + h from a strictly interior x.
 
-    f(x), h(x), grad f(x) and the dual estimate z at x are given.  The stage
-    starts at radius min(DELTA0_FACTOR * mu, DELTA_MAX) and ends with "tol"
-    once the measure of `measure_mode` falls below eps_k + eps_d_rel *
+    f(x), h(x) and grad f(x) are given; ``barrier`` holds mu and the dual
+    estimate at x, which it updates in place.  The stage starts at radius
+    min(DELTA0_FACTOR * mu, DELTA_MAX) and ends with "tol" once the measure
+    of the barrier's mode (`measure_mode`) falls below eps_k + eps_d_rel *
     (measure at entry) and the complementarity residual below eps_k =
     mu**EPS_EXPONENT, with "budget" once the budget allows no evaluation,
     with "cap" after INNER_CAP iterations, or with "stalled" once the radius
     collapses to the rounding of x.  Accepted points extend ``trace`` and
     every iteration extends ``records`` (see `trust_region.tr_iterate`).
     """
+    mu = barrier.mu
     eps_k = mu**EPS_EXPONENT
-    return tr_iterate(
-        smooth, h, BarrierTerms(bounds, mu, z, measure_mode(h)), qn, x, fx, hx, gx,
-        min(DELTA0_FACTOR * mu, DELTA_MAX), max_iter=INNER_CAP, abs_tol=eps_k,
-        rel_tol=eps_d_rel, eps_p=eps_k, trace=trace, records=records)
+    return tr_iterate(smooth, h, barrier, qn, x, fx, hx, gx, min(DELTA0_FACTOR * mu, DELTA_MAX),
+                      max_iter=INNER_CAP, abs_tol=eps_k, rel_tol=eps_d_rel, eps_p=eps_k,
+                      trace=trace, records=records)
 
 
 def outer_solve(smooth, h, bounds: Box, qn_factory, x0, opts: IpmOptions | None = None,
@@ -343,18 +328,19 @@ def outer_solve(smooth, h, bounds: Box, qn_factory, x0, opts: IpmOptions | None 
     qn = qn_factory(x.size)
     trace: list = []
     records: list = []
-    z = DualEstimate.ones_for(bounds)
-    status, res, eps_glob, n_prox, stages = MAX_ITER, None, None, 0, 0
     mu = mu_last = opts.mu_init
+    barrier = BarrierTerms(bounds, mu, DualEstimate.ones_for(bounds), measure_mode(h))
+    status, res, eps_glob, n_prox, stages = MAX_ITER, None, None, 0, 0
     fx, hx = np.inf, 0.0
 
     try:
         fx, hx, gx = evaluate_start(smooth, h, x, trace)
         with smooth.held_back(1):
             for k in range(MAX_OUTER):
-                res = inner_solve(smooth, h, bounds, qn, x, fx, hx, gx, z, mu, opts.eps_ri,
-                                  trace, records)
-                x, z, fx, hx, gx = res.x, res.z, res.fx, res.hx, res.gx
+                barrier.mu = mu
+                res = inner_solve(smooth, h, barrier, qn, x, fx, hx, gx, opts.eps_ri, trace,
+                                  records)
+                x, fx, hx, gx = res.x, res.fx, res.hx, res.gx
                 n_prox += res.n_prox
                 mu_last = mu
                 stages = k + 1
@@ -380,6 +366,7 @@ def outer_solve(smooth, h, bounds: Box, qn_factory, x0, opts: IpmOptions | None 
     except BudgetExhausted:  # the start point itself was refused
         status = BUDGET
 
+    z = barrier.z
     x_cross, z_cross = crossover(x, z, mu_last, bounds)
     cross_info = {"mu": mu_last, "applied": False}
     try:

@@ -1,8 +1,10 @@
 """Quadratic-regularization proximal method (R2), and the first-order step of every solver.
 
 `first_order_step` is the one proximal-gradient step and criticality
-measure of the package; R2, the trust-region loop and the barrier stages
-all call it.  Every box it sees is a box of points, so the trial point is
+measure of the package, and the only caller of the prox kernel
+`regprox.iprox_shifted`: R2, the trust-region loop, its diagonal trial and
+the barrier stages all call it.  Every box it sees is a box of points, so
+the trial point is
 
     u = argmin_{u in box}  sigma (u - q)^2 / 2 + h(u),   q = x - grad/sigma,
 
@@ -12,7 +14,8 @@ has the first-order model decrease
     xi = h(x) - grad.t - h(u)  >=  sigma ||t||^2 / 2,
 
 and the criticality measure is sqrt(sigma * xi), the sqrt(xi / nu) form
-with nu = 1 / sigma.
+with nu = 1 / sigma.  For the separable model of a diagonal operator, sigma
+is a positive vector, and sigma ||t||^2 becomes sum_i sigma_i t_i^2.
 
 R2 iterates on points over one fixed box: it accepts u by a ratio test
 against xi and adapts sigma.  The trial follows the oracle.  A true
@@ -37,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import regprox
 from .errors import BudgetExhausted
 from .regprox import Box
 from .report import BUDGET, CONVERGED, MAX_ITER, SolverReport, evaluate_start, make_report
@@ -56,16 +60,17 @@ class R2Options:
     rel_tol: float = 1e-4
 
 
-def first_order_step(h, x, hx: float, g, sigma: float, box: Box):
-    """Proximal-gradient step from x for the model g.t + sigma ||t||^2 / 2 + h(x + t).
+def first_order_step(h, x, hx: float, g, sigma, box: Box):
+    """Proximal-gradient step from x for the model g.t + sum sigma t^2 / 2 + h(x + t).
 
-    ``box`` is a box of points and ``hx`` is h(x).  Returns the trial point u
-    in ``box``, the step t = u - x, h(u), g.t and the model decrease
-    xi = h(x) - g.t - h(u), clipped at zero.
+    ``sigma`` is a positive scalar or vector, ``box`` is a box of points and
+    ``hx`` is h(x).  Returns the trial point u in ``box``, the step t = u - x,
+    h(u), g.t and the model decrease xi = h(x) - g.t - h(u), clipped at zero.
+    `regprox.iprox_shifted` is looked up at each call, so a wrapper put there sees it.
     """
     q = np.divide(g, -sigma)
     q += x
-    u = h.prox_shifted(sigma, q, box)
+    u = regprox.iprox_shifted(h, sigma, q, box)
     t = u - x
     gt = float(g @ t)
     hu = h.value(u)
@@ -76,12 +81,12 @@ def r2_solve(smooth, reg, box: Box, x0, opts: R2Options | None = None,
              solver_name: str = "R2") -> SolverReport:
     """Minimize smooth(x) + reg(x) subject to x in box, starting from x0.
 
-    ``reg`` needs ``value`` and ``prox_shifted``.  ``smooth`` is a
-    `SmoothOracle`; one with a ``curvature`` method is a quadratic model and
-    gets the closed-form ratio (see the module docstring).  The status is
-    CONVERGED at the tolerance, BUDGET once the budget allows no value at the
-    next trial (or refused the start), and MAX_ITER after ``opts.max_iter``
-    iterations; a model has no budget, so a subsolve ends on one of the others.
+    ``reg`` is a `regprox.Regularizer`.  ``smooth`` is a `SmoothOracle`; one
+    with a ``curvature`` method is a quadratic model and gets the closed-form
+    ratio (see the module docstring).  The status is CONVERGED at the
+    tolerance, BUDGET once the budget allows no value at the next trial (or
+    refused the start), and MAX_ITER after ``opts.max_iter`` iterations; a
+    model has no budget, so a subsolve ends on one of the others.
     """
     opts = opts or R2Options()
     t0 = time.perf_counter()
@@ -117,8 +122,7 @@ def r2_solve(smooth, reg, box: Box, x0, opts: R2Options | None = None,
             else:
                 f_trial = smooth.value(u)
                 rho = ((fx + hx) - (f_trial + h_trial)) / xi
-            diag.append({"sigma": sigma, "rho": rho, "xi": xi,
-                         "s_norm2": math.sqrt(t @ t), "accepted": bool(rho >= ETA1)})
+            diag.append({"sigma": sigma, "rho": rho, "xi": xi, "accepted": bool(rho >= ETA1)})
             if rho >= ETA1:
                 gx = smooth.grad_after(gx, products) if model else smooth.grad(u)
                 x, fx, hx = u, f_trial, h_trial

@@ -131,18 +131,16 @@ class Regularizer:
             return float(np.dot(lam, np.abs(x)))
         return float(lam[x != 0.0].sum())
 
-    def prox_shifted(self, d, q, box: Box) -> np.ndarray:
-        return iprox_shifted(self, d, q, box)
-
 
 def iprox_shifted(h: Regularizer, d, q, box: Box) -> np.ndarray:
     """Componentwise argmin over box of d_i (u_i - q_i)^2 / 2 + h_i(u_i).
 
-    This is the prox kernel of every solver: the l1 objective reduces to a
-    soft threshold of q clamped to the box; the l0 objective compares the
-    clamped quadratic minimizer against the sparse candidate u_i = 0 when the
-    box holds it (ties prefer the sparse candidate).  q and the box are
-    vectors of one size; d > 0 is a scalar or a vector of that size.
+    This is the prox kernel of every solver, which reaches it only through
+    `r2.first_order_step`: the l1 objective reduces to a soft threshold of q
+    clamped to the box; the l0 objective compares the clamped quadratic
+    minimizer against the sparse candidate u_i = 0 when the box holds it
+    (ties prefer the sparse candidate).  q and the box are vectors of one
+    size; d > 0 is a scalar or a vector of that size.
     """
     if not ((d > 0).all() if isinstance(d, np.ndarray) else d > 0):
         raise ValueError("iprox_shifted requires strictly positive d")

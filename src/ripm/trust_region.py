@@ -6,11 +6,14 @@ subsolve output is the trial point itself.  Each iteration takes the
 first-order step of `r2.first_order_step` over the box of radius Delta around
 x; its Cauchy point u1 and model decrease xi define the criticality measure
 sqrt(sigma * xi).  The model step is then capped at min(Delta, beta *
-||u1 - x||_inf), and its trial point follows the operator: one with a
-``diagonal()`` view gets the closed-form separable minimizer, any other the
-R2 solve of the quadratic model over the cap box, started at u1, whose
-trials change the model by a closed form in the operator's factors (see `r2`
-and `oracles.QuadModelOracle`).  A ratio test accepts or rejects the trial
+||u1 - x||_inf), and its trial point follows the operator.  One with a
+``diagonal()`` view D has a separable model, whose minimizer over the cap
+box is the first-order step with sigma = D, or D + Theta in a barrier
+stage: `first_order_step` again, so one function forms every
+prox-gradient trial.  Any other operator gets the R2 solve of the quadratic
+model over the cap box, started at u1, whose trials change the model by a
+closed form in the operator's factors (see `r2` and
+`oracles.QuadModelOracle`).  A ratio test accepts or rejects the trial
 point, the radius follows `update_radius`, and the quasi-Newton operator is
 updated on acceptance.  Once Delta falls below eps (1 + ||x||_inf), with eps
 the machine epsilon EPS_MACH, the box around x rounds to x in its largest
@@ -34,10 +37,12 @@ points every trial stays in.  TR and TRDH fold the box indicator into the
 nonsmooth term and pass `ShiftedBounds`, whose box is the bounds
 themselves.  The barrier subproblems of RIPM pass `interior.BarrierTerms`,
 whose box is the fraction-to-boundary box, and which adds the barrier
-gradient and curvature.  The loop holds the terms of its point: it asks
-`at` at entry, after an accepted step and after a zero step (which may move
-the duals), and keeps them, with the stall threshold and max Theta, through
-rejected steps.
+gradient and curvature and owns the duals.  Both have the methods of
+`ShiftedBounds`; `phi` returns the gaps of a point with its term, and the
+loop hands them back to `at`, `accept` and `zero_step`.  The loop holds the
+terms of its point: it asks `at` at entry, after an accepted step and after
+a zero step (which may move the duals), and keeps them, with the stall
+threshold and max Theta, through rejected steps.
 
 The loop constants are those of TR in Aravkin, Baraldi & Orban (2022) and of
 TRDH in Leconte & Orban (2023): DELTA_INIT is Delta_0 and DELTA_MAX caps the
@@ -101,26 +106,26 @@ class ShiftedBounds:
     """Constraint object of TR and TRDH: no barrier, trial points stay in the bounds."""
 
     mu = 0.0
-    z = None
     records_exits = False
 
     def __init__(self, bounds: Box):
         self.bounds = bounds
 
-    def at(self, x, gx):
+    def phi(self, x):
+        """The constraint term at x and the gaps of x (none here)."""
+        return 0.0, None
+
+    def at(self, x, gx, gaps):
         """Model gradient, extra curvature, box of points, measure gradient and
         complementarity residual at x (None: no extra curvature, measure
         with the model gradient)."""
         return gx, None, self.bounds, None, 0.0
 
-    def phi(self, x) -> float:
-        return 0.0
-
-    def zero_step(self, x) -> bool:
+    def zero_step(self, x, gaps) -> bool:
         """Handle a zero model step; True skips the trial evaluation."""
         return False
 
-    def accept(self, x, x_t, s) -> None:
+    def accept(self, gaps, gaps_t, s) -> None:
         pass
 
 
@@ -129,7 +134,6 @@ class InnerResult:
     """Outcome of `tr_iterate`; status is "tol", "cap", "budget" or "stalled"."""
 
     x: np.ndarray
-    z: object
     fx: float
     hx: float
     gx: np.ndarray
@@ -146,7 +150,7 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
     """Minimize f + phi + h from x, where f(x), h(x) and grad f(x) are given.
 
     ``cons`` supplies the constraint terms through the methods of
-    `ShiftedBounds` and the attributes mu, z (returned) and records_exits.
+    `ShiftedBounds` and the attributes mu and records_exits.
     The loop stops with "tol" once the measure falls below abs_tol + rel_tol *
     (measure at entry) and the complementarity residual below eps_p, with
     "cap" after ``max_iter`` steps, measuring once more at the final point,
@@ -175,15 +179,15 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
     - accepted; exit: "tol" or None;
     - s_inf: ||s||_inf of the model step; cap_inf: its cap min(Delta, beta ||s1||_inf).
     """
-    phi = cons.phi(x)
+    phi, gaps = cons.phi(x)
     sub_opts = R2Options(max_iter=SUBSOLVER_MAX_ITER, abs_tol=0.0, rel_tol=SUBSOLVER_REL_TOL)
     n_prox = 0
     crit, compl, crit0 = np.inf, np.inf, np.inf
     status = "cap"
-    terms = None  # cons.at(x, gx), asked again once x or z changes
+    terms = None  # cons.at(x, gx, gaps), asked again once x or the duals change
     for j in range(max_iter + 1):
         if terms is None:
-            terms = cons.at(x, gx)
+            terms = cons.at(x, gx, gaps)
             stall = EPS_MACH * (1.0 + float(np.abs(x).max()))
             theta_max = 0.0 if terms[1] is None else float(terms[1].max())
         if delta < stall:
@@ -221,31 +225,32 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
         cap_box = box.ball(x, cap)
         if hasattr(qn, "diagonal"):
             d = qn.diagonal() if theta is None else qn.diagonal() + theta
-            x_t = h.prox_shifted(d, x - g / d, cap_box)
+            x_t, s, h_t, gs, _ = first_order_step(h, x, hx, g, d, cap_box)
             n_prox += 1
         else:
             sub = r2_solve(QuadModelOracle(g, qn, theta, x), h, cap_box, u1, sub_opts)
             x_t = sub.x
             n_prox += sub.n_prox
-        s = x_t - x
-        if not s.any() and cons.zero_step(x):
+            s = x_t - x
+            h_t = h.value(x_t)
+            gs = float(g @ s)
+        if not s.any() and cons.zero_step(x, gaps):
             rec["rho"] = 0.0
             records.append(rec)
             terms = None
             continue
         bqs = qn.apply(s)  # B s, which the operator's update takes on acceptance
         bs = bqs if theta is None else bqs + theta * s
-        h_t = h.value(x_t)
-        decrease = hx - float(g @ s) - 0.5 * float(s @ bs) - h_t
+        decrease = hx - gs - 0.5 * float(s @ bs) - h_t
         f_t = smooth.value(x_t)
-        phi_t = cons.phi(x_t)
+        phi_t, gaps_t = cons.phi(x_t)
         rho = (obj - (f_t + phi_t + h_t)) / decrease if decrease > 0 else -np.inf
         new_delta = update_radius(delta, rho)
         rec.update(rho=float(rho), accepted=bool(rho >= ETA1), delta_after=new_delta,
                    s_inf=float(np.abs(s).max()), cap_inf=cap)
         if rec["accepted"]:
-            cons.accept(x, x_t, s)
-            x, fx, hx, phi = x_t, f_t, h_t, phi_t
+            cons.accept(gaps, gaps_t, s)
+            x, fx, hx, phi, gaps = x_t, f_t, h_t, phi_t, gaps_t
             g_new = smooth.grad(x)
             qn.update(s, g_new - gx, bs=bqs)
             gx = g_new
@@ -255,7 +260,7 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
         records.append(rec)
         delta = new_delta
 
-    return InnerResult(x=x, z=cons.z, fx=fx, hx=hx, gx=gx, crit=crit, compl=compl,
+    return InnerResult(x=x, fx=fx, hx=hx, gx=gx, crit=crit, compl=compl,
                        measure0=crit0, status=status, n_prox=n_prox)
 
 

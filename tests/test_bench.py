@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import ripm.bench as bench
-from ripm import interior, oracles, problems, regprox
+from ripm import interior, oracles, problems, r2, regprox, trust_region
 from ripm.bench import (SOLVER_OPTIONS, ConfigError, RunConfig, best_objective, emit_table,
                         emit_trace_csv, main, run_config, run_solver, solver_options)
 from ripm.report import BUDGET, ORACLE_FAILURE, SolverReport
@@ -41,28 +41,42 @@ def test_budget_one_all_solvers():
 ])
 def test_every_prox_is_counted(monkeypatch, family, params, budget):
     # every call of the prox kernel, made through regprox.iprox_shifted, is one
-    # of n_prox; every box a solver takes is a box of points, so no solve shifts
-    # one to x, and the instance's bounds come out as they went in
+    # of n_prox and is made inside r2.first_order_step, the one prox-gradient
+    # step, wherever a solver binds it; every box a solver takes is a box of
+    # points, so no solve shifts one to x, and the instance's bounds come out
+    # as they went in
     monkeypatch.setattr(problems, "FH_RK4_STEPS", 200)
     inst = problems.build(family, 0, **params)
     assert inst.h.kind == ("l1" if family == "bpdn" else "l0")
     lo, hi = inst.bounds.lo.copy(), inst.bounds.hi.copy()
-    calls = []
+    calls = []  # per prox call: whether a first-order step made it
     kernel = regprox.iprox_shifted
+    step = r2.first_order_step
+    stepping = [0]
 
     def counted(*args):
-        calls.append(1)
+        calls.append(stepping[0] > 0)
         return kernel(*args)
+
+    def in_step(*args):
+        stepping[0] += 1
+        try:
+            return step(*args)
+        finally:
+            stepping[0] -= 1
 
     def no_shift(self, x):
         raise AssertionError("Box.shifted")
     monkeypatch.setattr(regprox, "iprox_shifted", counted)
+    monkeypatch.setattr(r2, "first_order_step", in_step)
+    monkeypatch.setattr(trust_region, "first_order_step", in_step)
     monkeypatch.setattr(regprox.Box, "shifted", no_shift)
     for name in ALL_SOLVERS:
         calls.clear()
         rep = run_solver(name, inst, budget)
         assert rep.n_prox > 0
         assert len(calls) == rep.n_prox, name
+        assert all(calls), name
         assert np.array_equal(inst.bounds.lo, lo) and np.array_equal(inst.bounds.hi, hi)
 
 
@@ -356,10 +370,13 @@ def _write_reports_with_old_keys(path):
     (path / "reports.json").write_text(json.dumps({"reports": [old]}))
 
 
-@pytest.mark.parametrize("case", ["table_missing", "table_old_keys", "budget", "solver_entry",
-                                  "options_list", "problem_string", "output_dir_is_a_file",
-                                  "output_dir_under_a_file", "reports_json_is_a_directory"])
+@pytest.mark.parametrize("case", ["table_missing", "table_old_keys", "budget", "budget_true",
+                                  "budget_fraction", "budget_infinite", "output_dir_number",
+                                  "solver_entry", "options_list", "problem_string",
+                                  "output_dir_is_a_file", "output_dir_under_a_file",
+                                  "reports_json_is_a_directory"])
 def test_cli_malformed_input_exits_1(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)  # where a run without an output directory writes results/
     results = tmp_path / "results"
     solved = []
     real = bench.run_solver
@@ -387,6 +404,10 @@ def test_cli_malformed_input_exits_1(tmp_path, capsys, monkeypatch, case):
     else:
         cfg = {
             "budget": _tiny_config(budget="abc"),
+            "budget_true": _tiny_config(budget=True),
+            "budget_fraction": _tiny_config(budget=20.7),
+            "budget_infinite": _tiny_config(budget=float("inf")),  # json writes Infinity
+            "output_dir_number": _tiny_config(output_dir=5),
             "solver_entry": _tiny_config(solvers=[5]),
             "options_list": _tiny_config(solvers=[{"name": "R2", "options": [1]}]),
             "problem_string": _tiny_config(problem="bpdn"),
@@ -398,6 +419,8 @@ def test_cli_malformed_input_exits_1(tmp_path, capsys, monkeypatch, case):
     assert capsys.readouterr().err
     # a bad output directory is found before the first solve
     assert solved == (["R2"] if case == "reports_json_is_a_directory" else [])
+    if argv[0] == "run" and "--output-dir" not in argv:  # nor makes the default one
+        assert not results.exists()
 
 
 def test_solver_hard_failure_recorded(tmp_path, monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ripm import interior
 from ripm.errors import BoundaryPoint
 from ripm.interior import (BarrierTerms, DualEstimate, IpmOptions, barrier_value, crossover,
-                           inner_solve, outer_solve)
+                           inner_solve, measure_mode, outer_solve)
 from ripm.qnops import LBFGS, SpectralDiag
 from ripm.r2 import first_order_step
 from ripm.regprox import Box, Regularizer
@@ -57,7 +57,7 @@ def test_barrier_value_two_sided():
 def _barrier_grad(mu, x, bounds):
     """The barrier gradient: the model gradient of `BarrierTerms.at` where grad f = 0."""
     terms = BarrierTerms(bounds, mu, DualEstimate.ones_for(bounds), "cp")
-    return terms.at(x, np.zeros(x.size))[0]
+    return terms.at(x, np.zeros(x.size), terms.phi(x)[1])[0]
 
 
 def test_barrier_grad_examples():
@@ -85,7 +85,7 @@ def _barrier_step(x, mu, nu, delta, smooth, h, bounds, z=None):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     z_at = DualEstimate.ones_for(bounds) if z is None else z
     terms = BarrierTerms(bounds, mu, z_at, "cp" if z is None else "lagrangian")
-    g, _, box, g_meas, _ = terms.at(x, smooth.grad(x))
+    g, _, box, g_meas, _ = terms.at(x, smooth.grad(x), terms.phi(x)[1])
     _, s, _, _, xi = first_order_step(h, x, h.value(x), g if z is None else g_meas, 1.0 / nu,
                                       box.ball(x, delta))
     return s, xi
@@ -145,7 +145,7 @@ def test_xi_l_zero_at_kkt_point():
 def _accepted_z(x_new, x_old, z_old, s, mu, bounds):
     """The dual estimate that `BarrierTerms.accept` makes on the step s from x_old to x_new."""
     terms = BarrierTerms(bounds, mu, z_old, "lagrangian")
-    terms.accept(x_old, x_new, s)
+    terms.accept(terms.phi(x_old)[1], terms.phi(x_new)[1], s)
     return terms.z
 
 
@@ -337,7 +337,8 @@ def test_barrier_terms_and_crossover_equal_the_where_forms_bit_for_bit(mu):
     for layout, bounds in _layouts(rng, n).items():
         x, z = _near_the_bounds(rng, bounds)
         gx = rng.standard_normal(n)
-        g, theta, _, _, compl = BarrierTerms(bounds, mu, z, "cp").at(x, gx)
+        terms = BarrierTerms(bounds, mu, z, "cp")
+        g, theta, _, _, compl = terms.at(x, gx, terms.phi(x)[1])
         g_phi, theta_want, compl_want = _where_barrier_terms(x, z, mu, bounds)
         assert np.array_equal(_raw_bits(g), _raw_bits(gx + g_phi)), layout
         assert np.array_equal(_raw_bits(theta), _raw_bits(theta_want)), layout
@@ -367,11 +368,29 @@ def _assert_same_terms(got, want, layout):
         assert np.array_equal(_raw_bits(a), _raw_bits(b)), layout
 
 
+def _fresh_terms(bounds, mu, z, x, gx):
+    """`BarrierTerms.at` of a fresh object, from the gaps its own `phi` forms."""
+    terms = BarrierTerms(bounds, mu, z, "lagrangian")
+    return terms.at(x, gx, terms.phi(x)[1])
+
+
+def _assert_gaps_of(gaps, x, bounds, layout):
+    """``gaps`` are x - lo and hi - x on the finite components of each side
+    that has one, lower first, and say whether all of them are positive."""
+    sides = ((x - bounds.lo, bounds.lo), (bounds.hi - x, bounds.hi))
+    want = [g[np.isfinite(b)] for g, b in sides if np.isfinite(b).any()]
+    assert len(gaps[0]) == len(want), layout
+    for got, w in zip(gaps[0], want):
+        assert np.array_equal(_raw_bits(got), _raw_bits(w)), layout
+    assert gaps[1] == all((w > 0.0).all() for w in want), layout
+
+
 def test_barrier_terms_reuse_gaps_bit_for_bit():
     # the calls a barrier stage makes over accepted, rejected, infeasible and
-    # zero steps: at, phi and accept reuse the gaps of each point, and all must
-    # give what a fresh BarrierTerms, barrier_value and a fresh
-    # BarrierTerms.accept give from scratch
+    # zero steps: phi forms the gaps of each point once, the loop hands them
+    # back to at, accept and zero_step, and all must give what a fresh
+    # BarrierTerms, barrier_value and a fresh BarrierTerms.accept give from
+    # scratch, while the gaps held for x stay those of x
     rng = np.random.default_rng(13)
     n, mu = 60, 1e-2
     for layout, bounds in _layouts(rng, n).items():
@@ -381,33 +400,37 @@ def test_barrier_terms_reuse_gaps_bit_for_bit():
         z0 = DualEstimate(ones.zl * rng.uniform(0.1, 2.0, n),
                           ones.zu * rng.uniform(0.1, 2.0, n))
         terms = BarrierTerms(bounds, mu, z0, "lagrangian")
-        assert _raw_bits(terms.phi(x)) == _raw_bits(barrier_value(mu, x, bounds)), layout
+        phi, gaps = terms.phi(x)
+        assert _raw_bits(phi) == _raw_bits(barrier_value(mu, x, bounds)), layout
+        _assert_gaps_of(gaps, x, bounds, layout)
         # a new gradient array at the same x and z gives its own model gradient
         gx2 = rng.standard_normal(n)
-        terms.at(x, gx)
-        _assert_same_terms(terms.at(x, gx2),
-                           BarrierTerms(bounds, mu, terms.z, "lagrangian").at(x, gx2), layout)
+        terms.at(x, gx, gaps)
+        _assert_same_terms(terms.at(x, gx2, gaps), _fresh_terms(bounds, mu, terms.z, x, gx2),
+                           layout)
         for move in ["reject", "accept", "reject", "outside", "zero", "accept", "accept",
                      "reject", "reject"]:
-            got = terms.at(x, gx)
-            _assert_same_terms(got, BarrierTerms(bounds, mu, terms.z, "lagrangian").at(x, gx),
-                               layout)
+            got = terms.at(x, gx, gaps)
+            _assert_same_terms(got, _fresh_terms(bounds, mu, terms.z, x, gx), layout)
             if move == "zero":
                 z_want = _accepted_z(x, x, terms.z, np.zeros(n), mu, bounds)
-                assert terms.zero_step(x)
+                assert terms.zero_step(x, gaps)
             else:
                 x_t = got[2].clamp(x + 0.5 * rng.standard_normal(n))
                 if move == "outside":
                     i = int(np.argmax(np.isfinite(bounds.lo)))
                     x_t[i] = bounds.lo[i] - 1.0
-                assert (_raw_bits(terms.phi(x_t))
-                        == _raw_bits(barrier_value(mu, x_t, bounds))), layout
+                phi_t, gaps_t = terms.phi(x_t)
+                assert _raw_bits(phi_t) == _raw_bits(barrier_value(mu, x_t, bounds)), layout
+                _assert_gaps_of(gaps_t, x_t, bounds, layout)
+                assert gaps_t[1] == (move != "outside"), layout
                 if move != "accept":
                     continue
                 s = x_t - x
                 z_want = _accepted_z(x_t, x, terms.z, s, mu, bounds)
-                terms.accept(x, x_t, s)
-                x = x_t
+                terms.accept(gaps, gaps_t, s)
+                x, gaps = x_t, gaps_t
+            _assert_gaps_of(gaps, x, bounds, layout)
             assert np.array_equal(_raw_bits(terms.z.zl), _raw_bits(z_want.zl)), layout
             assert np.array_equal(_raw_bits(terms.z.zu), _raw_bits(z_want.zu)), layout
 
@@ -445,13 +468,17 @@ def test_crossover_two_sided_and_cleanup():
 
 
 def _stage(smooth, h, x0, z0, mu, qn, mode="cp", delta=100.0, tol=1e-9, records=None):
-    """One barrier stage through the solver's loop, to ``tol`` on both residuals."""
+    """One barrier stage through the solver's loop, to ``tol`` on both residuals.
+
+    Returns the loop's result and the barrier, which holds the duals."""
     x0 = np.asarray(x0, dtype=float)
     trace = []
     fx, hx, gx = evaluate_start(smooth, h, x0, trace)
-    return tr_iterate(smooth, h, BarrierTerms(POS, mu, z0, mode), qn, x0, fx, hx, gx, delta,
-                      max_iter=interior.INNER_CAP, abs_tol=tol, rel_tol=0.0, eps_p=tol,
-                      trace=trace, records=[] if records is None else records)
+    barrier = BarrierTerms(POS, mu, z0, mode)
+    res = tr_iterate(smooth, h, barrier, qn, x0, fx, hx, gx, delta,
+                     max_iter=interior.INNER_CAP, abs_tol=tol, rel_tol=0.0, eps_p=tol,
+                     trace=trace, records=[] if records is None else records)
+    return res, barrier
 
 
 @pytest.mark.parametrize("step", ["diagonal", "r2"])
@@ -463,8 +490,8 @@ def test_a_collapsed_radius_stalls_the_stage(step):
     smooth = _oracle_quad(2.0)
     qn = SpectralDiag(1) if step == "diagonal" else LBFGS(1)
     records = []
-    res = _stage(smooth, Regularizer("l1"), [1.0], DualEstimate.ones_for(POS), 1e-3, qn,
-                 delta=1e-30, records=records)
+    res, _ = _stage(smooth, Regularizer("l1"), [1.0], DualEstimate.ones_for(POS), 1e-3, qn,
+                    delta=1e-30, records=records)
     assert res.status == "stalled" and res.crit == np.inf
     assert res.n_prox == 0 and records == [] and smooth.n_f == 1
 
@@ -475,19 +502,19 @@ def test_inner_solve_quadratic_barrier_path(step, mu):
     # stationarity of 0.5 (x-2)^2 - mu log x:  x - 2 - mu / x = 0
     root = bisect_root(lambda t: t - 2.0 - mu / t, 1e-9, 10.0)
     qn = SpectralDiag(1) if step == "diagonal" else LBFGS(1)
-    res = _stage(_oracle_quad(2.0), Regularizer("l1"), [1.0], DualEstimate.ones_for(POS), mu,
-                 qn)
+    res, barrier = _stage(_oracle_quad(2.0), Regularizer("l1"), [1.0],
+                          DualEstimate.ones_for(POS), mu, qn)
     assert res.status == "tol"
     assert res.x[0] == pytest.approx(root, abs=1e-6)
-    assert abs(res.x[0] * res.z.zl[0] - mu) <= 1e-9
+    assert abs(res.x[0] * barrier.z.zl[0] - mu) <= 1e-9
 
 
 @pytest.mark.parametrize("mode", ["cp", "lagrangian"])
 def test_inner_solve_l1_barrier_stationary_point(mode):
     # f = 0, h = lam |x|, x > 0: stationarity lam - mu / x = 0 -> x = mu / lam
     mu, lam = 0.5, 1.0
-    res = _stage(_oracle_zero(), Regularizer("l1", lam), [2.0], DualEstimate.ones_for(POS), mu,
-                 SpectralDiag(1), mode)
+    res, _ = _stage(_oracle_zero(), Regularizer("l1", lam), [2.0], DualEstimate.ones_for(POS),
+                    mu, SpectralDiag(1), mode)
     assert res.status == "tol"
     assert res.x[0] == pytest.approx(mu / lam, abs=1e-6)
 
@@ -498,8 +525,8 @@ def test_inner_solve_immediate_exit():
     x0 = np.array([root])
     z0 = DualEstimate(mu / x0, np.zeros(1))
     records = []
-    res = _stage(_oracle_quad(2.0), Regularizer("l1"), x0, z0, mu, SpectralDiag(1),
-                 delta=10.0, tol=1e-6, records=records)
+    res, _ = _stage(_oracle_quad(2.0), Regularizer("l1"), x0, z0, mu, SpectralDiag(1),
+                    delta=10.0, tol=1e-6, records=records)
     assert res.status == "tol"
     assert [(r["exit"], r["accepted"]) for r in records] == [("tol", False)]
     assert res.x[0] == x0[0]
@@ -509,8 +536,8 @@ def test_inner_solve_requires_interior_start():
     smooth, h, x = _oracle_quad(2.0), Regularizer("l1"), np.array([0.0])
     fx, hx, gx = evaluate_start(smooth, h, x, [])
     with pytest.raises(BoundaryPoint):
-        inner_solve(smooth, h, POS, SpectralDiag(1), x, fx, hx, gx, DualEstimate.ones_for(POS),
-                    1.0, 0.0, [], [])
+        barrier = BarrierTerms(POS, 1.0, DualEstimate.ones_for(POS), measure_mode(h))
+        inner_solve(smooth, h, barrier, SpectralDiag(1), x, fx, hx, gx, 0.0, [], [])
 
 
 @pytest.mark.parametrize("kind", ["l0", "l1"])
@@ -521,8 +548,9 @@ def test_inner_solve_radius_tolerance_and_measure(kind):
     smooth, h, x = _oracle_quad(2.0), Regularizer(kind, 0.3), np.array([1.0, 0.5, 3.0])
     trace, records = [], []
     fx, hx, gx = evaluate_start(smooth, h, x, trace)
-    res = inner_solve(smooth, h, bounds, SpectralDiag(3), x, fx, hx, gx,
-                      DualEstimate.ones_for(bounds), mu, eps_rel, trace, records)
+    barrier = BarrierTerms(bounds, mu, DualEstimate.ones_for(bounds), measure_mode(h))
+    res = inner_solve(smooth, h, barrier, SpectralDiag(3), x, fx, hx, gx, eps_rel, trace,
+                      records)
     assert records[0]["delta_before"] == min(interior.DELTA0_FACTOR * mu, DELTA_MAX)
     assert res.status == "tol" and records[-1]["exit"] == "tol"
     eps_k = mu**interior.EPS_EXPONENT

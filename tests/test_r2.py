@@ -3,8 +3,8 @@ import pytest
 
 from ripm.oracles import QuadModelOracle
 from ripm.qnops import LBFGS, LSR1
-from ripm.r2 import R2Options, r2_solve
-from ripm.regprox import Box, Regularizer
+from ripm.r2 import R2Options, first_order_step, r2_solve
+from ripm.regprox import Box, Regularizer, iprox_shifted
 from ripm.report import BUDGET, CONVERGED, MAX_ITER
 
 from helpers import CallableOracle, dense_bfgs, dense_sr1, grid_min_1d
@@ -240,3 +240,31 @@ def test_r2_shifts_no_box_and_leaves_the_callers_box(monkeypatch):
                        R2Options(abs_tol=1e-8, rel_tol=0.0))
         assert sum(r["accepted"] for r in rep.diagnostics["iters"]) > 3
         assert np.array_equal(bounds.lo, lo) and np.array_equal(bounds.hi, hi)
+
+
+@pytest.mark.parametrize("kind", ["l1", "l0"])
+@pytest.mark.parametrize("diagonal", ["scalar", "vector"])
+def test_first_order_step_is_the_inline_diagonal_trial_bit_for_bit(kind, diagonal):
+    # the closed-form diagonal trial iprox_shifted(h, d, x - g / d, box) is
+    # the first-order step with sigma = d: g / (-d) + x rounds as x - g / d,
+    # so the point, the step, h at the point and g.t come out with the same
+    # bits, for a scalar and for a vector d
+    rng = np.random.default_rng(5)
+    n = 300
+    h = Regularizer(kind, 0.7)
+    bounds = Box(np.where(rng.random(n) < 0.3, -np.inf, -2.0),
+                 np.where(rng.random(n) < 0.3, np.inf, 2.0))
+    for _ in range(5):
+        x = bounds.clamp(rng.standard_normal(n))
+        x[rng.random(n) < 0.2] = 0.0
+        g = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 2, n)
+        d = 10.0 ** rng.uniform(-2, 3) if diagonal == "scalar" else 10.0 ** rng.uniform(-2, 3, n)
+        box = bounds.ball(x, rng.uniform(0.1, 2.0))
+        u, t, hu, gt, xi = first_order_step(h, x, h.value(x), g, d, box)
+        u_want = iprox_shifted(h, d, x - g / d, box)
+        t_want = u_want - x
+        assert np.array_equal(u.view(np.int64), u_want.view(np.int64))
+        assert np.array_equal(t.view(np.int64), t_want.view(np.int64))
+        assert hu == h.value(u_want) and gt == float(g @ t_want) and xi >= 0.0
+        # a real step, held by the box somewhere
+        assert (u != x).any() and ((u == box.lo) | (u == box.hi)).any()

@@ -281,9 +281,9 @@ def test_the_loop_asks_for_the_barrier_terms_once_per_point(step):
     asked = []
     at = cons.at
 
-    def counted_at(x, gx):
+    def counted_at(x, gx, gaps):
         asked.append((x, cons.z))
-        return at(x, gx)
+        return at(x, gx, gaps)
 
     cons.at = counted_at
     smooth, h, x = _quad_shift([2.0]), Regularizer("l1", 0.5), np.array([3.0])
