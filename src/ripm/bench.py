@@ -10,9 +10,9 @@ Config is a single JSON file:
     }
 
 A solver's "options" replace the harness defaults of `solver_options`.
-SOLVER_OPTIONS lists the 15 option names the solvers read, the settings
-that the harness itself sets to a second value; any other name is a config
-error:
+SOLVER_OPTIONS lists the 15 option names the solvers read, keyword
+arguments of their solve functions that the harness itself sets to a second
+value; any other name is a config error:
 
 - R2, TRDH, TR-R2: rel_tol;
 - RIPM-R2, RIPM-R2-p, RIPMDH, RIPMDH-p: mu_init, eps_r, eps_ri.
@@ -44,11 +44,11 @@ from pathlib import Path
 import numpy as np
 
 from . import problems
-from .interior import IpmOptions, outer_solve
+from .interior import outer_solve
 from .qnops import LSR1, SpectralDiag
-from .r2 import R2Options, r2_solve
+from .r2 import r2_solve
 from .report import ORACLE_FAILURE, SolverReport
-from .trust_region import TrustRegionOptions, tr_solve, trdh_solve
+from .trust_region import tr_solve, trdh_solve
 
 # tighter relative tolerance so the factorization runs resolve the tail
 PROBLEM_EPS_R = {"nnmf": 1e-6}
@@ -95,6 +95,8 @@ class RunConfig:
             raise ConfigError(f"output_dir must be a string, not {output_dir!r}")
         if "name" not in problem:
             raise ConfigError("problem needs a 'name'")
+        if not norm:
+            raise ConfigError("solvers must name at least one solver")
         for entry in norm:
             if entry["name"] not in SOLVER_NAMES:
                 raise ConfigError(f"unknown solver {entry['name']!r}; choose from {SOLVER_NAMES}")
@@ -102,11 +104,14 @@ class RunConfig:
 
 
 def solver_options(name: str, problem: str, overrides: dict):
-    """Options object and operator factory n -> B of solver `name` on a `problem` family.
+    """Keyword settings and operator factory n -> B of solver `name` on a `problem` family.
 
-    ``overrides`` replace the harness defaults: the relative tolerance of
-    PROBLEM_EPS_R and mu_init and eps_ri of the -p variants.  Each is a finite
-    int or float, above 0 for mu_init and at least 0 for the tolerances.
+    The settings are the harness defaults, the relative tolerance of
+    PROBLEM_EPS_R and mu_init and eps_ri of the -p variants, with
+    ``overrides`` in their place; `run_solver` passes them to the solve as
+    keyword arguments, and the solve's own defaults hold for the rest.  Each
+    override is a finite int or float, above 0 for mu_init and at least 0
+    for the tolerances.
     """
     unknown = sorted(k for k in overrides if k not in SOLVER_OPTIONS[name])
     if unknown:
@@ -125,8 +130,7 @@ def solver_options(name: str, problem: str, overrides: dict):
     if name.endswith("-p"):
         o.update(mu_init=1e-3, eps_ri=1.0)
     o.update(overrides)
-    cls = IpmOptions if barrier else R2Options if name == "R2" else TrustRegionOptions
-    return cls(**o), SpectralDiag if "DH" in name else LSR1
+    return o, SpectralDiag if "DH" in name else LSR1
 
 
 def run_solver(name: str, instance, budget: int, overrides: dict | None = None) -> SolverReport:
@@ -140,13 +144,13 @@ def run_solver(name: str, instance, budget: int, overrides: dict | None = None) 
     x0, h, bounds = instance.x0, instance.h, instance.bounds
 
     if name == "R2":
-        report = r2_solve(oracle, h, bounds, x0, opts, solver_name=name)
+        report = r2_solve(oracle, h, bounds, x0, **opts)
     elif name == "TRDH":
-        report = trdh_solve(oracle, h, bounds, x0, opts, solver_name=name)
+        report = trdh_solve(oracle, h, bounds, x0, **opts)
     elif name == "TR-R2":
-        report = tr_solve(oracle, h, bounds, make_qn(x0.size), x0, opts, solver_name=name)
+        report = tr_solve(oracle, h, bounds, make_qn(x0.size), x0, **opts, solver_name=name)
     else:
-        report = outer_solve(oracle, h, bounds, make_qn, x0, opts, solver_name=name)
+        report = outer_solve(oracle, h, bounds, make_qn, x0, **opts, solver_name=name)
 
     if instance.x_star is not None:
         report.dist_to_xstar = float(np.linalg.norm(report.x - instance.x_star))

@@ -79,13 +79,6 @@ EPS_A = 1e-4
 
 
 @dataclass
-class IpmOptions:
-    mu_init: float = 1.0
-    eps_r: float = 1e-4
-    eps_ri: float = 0.1  # relative factor in the inner dual tolerance
-
-
-@dataclass
 class DualEstimate:
     """Bound multipliers, one vector per side; zero where the bound is infinite."""
 
@@ -295,13 +288,17 @@ def inner_solve(smooth, h, barrier: BarrierTerms, qn, x, fx: float, hx: float, g
                       trace=trace, records=records)
 
 
-def outer_solve(smooth, h, bounds: Box, qn_factory, x0, opts: IpmOptions | None = None,
-                solver_name: str = "RIPM-R2") -> SolverReport:
+def outer_solve(smooth, h, bounds: Box, qn_factory, x0, *, mu_init: float = 1.0,
+                eps_r: float = 1e-4, eps_ri: float = 0.1, solver_name: str) -> SolverReport:
     """Barrier outer loop: shrink mu, solve inner subproblems, cross over.
 
+    The first stage runs at mu = mu_init (mu_0), and every stage stops its
+    measure at eps_k + eps_ri * (measure at the stage's entry): eps_ri is
+    the relative factor in the inner dual tolerance (see `inner_solve`).
     Convergence is declared when mu, the complementarity residual, and the
     criticality measure at the inner exit all fall below
-    EPS_A + eps_r * (measure at the very first inner iteration).  The
+    EPS_A + eps_r * (measure at the very first inner iteration), so eps_r
+    (epsilon_r) is the relative part of the global tolerance.  The
     measure is the primal one when h is the (nonconvex) l0 penalty and the
     Lagrangian one otherwise; the step follows the operators of
     ``qn_factory``.
@@ -319,16 +316,15 @@ def outer_solve(smooth, h, bounds: Box, qn_factory, x0, opts: IpmOptions | None 
     that stalled at entry, whose mu the crossover then uses, and MAX_ITER
     after MAX_OUTER stages.
     """
-    opts = opts or IpmOptions()
     t0 = time.perf_counter()
     x = np.array(x0, dtype=float)
-    if not np.isfinite(barrier_value(opts.mu_init, x, bounds)):
+    if not np.isfinite(barrier_value(mu_init, x, bounds)):
         raise BoundaryPoint("outer solve requires a strictly interior start")
 
     qn = qn_factory(x.size)
     trace: list = []
     records: list = []
-    mu = mu_last = opts.mu_init
+    mu = mu_last = mu_init
     barrier = BarrierTerms(bounds, mu, DualEstimate.ones_for(bounds), measure_mode(h))
     status, res, eps_glob, n_prox, stages = MAX_ITER, None, None, 0, 0
     fx, hx = np.inf, 0.0
@@ -338,14 +334,13 @@ def outer_solve(smooth, h, bounds: Box, qn_factory, x0, opts: IpmOptions | None 
         with smooth.held_back(1):
             for k in range(MAX_OUTER):
                 barrier.mu = mu
-                res = inner_solve(smooth, h, barrier, qn, x, fx, hx, gx, opts.eps_ri, trace,
-                                  records)
+                res = inner_solve(smooth, h, barrier, qn, x, fx, hx, gx, eps_ri, trace, records)
                 x, fx, hx, gx = res.x, res.fx, res.hx, res.gx
                 n_prox += res.n_prox
                 mu_last = mu
                 stages = k + 1
                 if eps_glob is None:
-                    eps_glob = EPS_A + opts.eps_r * res.measure0
+                    eps_glob = EPS_A + eps_r * res.measure0
                 if res.status == "budget":
                     status = BUDGET
                     break

@@ -81,6 +81,8 @@ def gen_qp(n: int = 1000, p: float = 1e-2, lam: float = 0.1, seed: int = 0) -> P
     Bounds are l = -e - t_l and u = e + t_u with t uniform on (0, 1); the l1
     weight defaults to 0.1 and the start is the box midpoint.
     """
+    if n < 1:
+        raise ValueError(f"need n >= 1, not n = {n}")
     rng = np.random.default_rng(seed)
     A = sp.random(n, n, density=p, format="csr", random_state=rng,
                   data_rvs=rng.standard_normal)
@@ -138,6 +140,8 @@ def gen_nnmf(m: int = 100, n: int = 50, k: int = 5, lam: float = 0.1,
     The l1 penalty applies to the H block only (the W block is unpenalized);
     all variables are bounded below by zero.
     """
+    if k < 1:
+        raise ValueError(f"need k >= 1, not k = {k}")
     if not k < min(m, n):
         raise ValueError("need k < min(m, n)")
     rng = np.random.default_rng(seed)
@@ -310,13 +314,13 @@ class _OdeBlowup(Exception):
 
 
 def gen_fh(n_samples: int = 100, lam: float = 10.0, seed: int = 0,
-           noise_std: float = 0.1, x0=None) -> ProblemInstance:
+           noise_std: float = 0.1) -> ProblemInstance:
     """Five-parameter ODE fit with an l0 penalty and the single bound x2 >= 0.5.
 
     Data are sampled from the model at the reference parameters (0, 0.2, 1,
     0, 0) plus N(0, noise_std^2) observation noise; the bound excludes the
     data-generating x2, so the fitted optimum sits on the boundary.  The
-    default start is 0.5 everywhere except x2 = 1 (strictly interior).
+    start is 0.5 everywhere except x2 = 1 (strictly interior).
     """
     if n_samples < 2:
         raise ValueError("need at least two samples")
@@ -329,13 +333,12 @@ def gen_fh(n_samples: int = 100, lam: float = 10.0, seed: int = 0,
     oracle.v_data, oracle.w_data = vs, ws
     lo = np.array([-np.inf, 0.5, -np.inf, -np.inf, -np.inf])
     hi = np.full(5, np.inf)
-    start = np.array([0.5, 1.0, 0.5, 0.5, 0.5]) if x0 is None else np.asarray(x0, dtype=float)
     return ProblemInstance(
         name="fh",
         smooth=oracle,
         h=Regularizer("l0", lam),
         bounds=Box(lo, hi),
-        x0=start,
+        x0=np.array([0.5, 1.0, 0.5, 0.5, 0.5]),
         seed=seed,
         params={"n_samples": n_samples, "lam": lam,
                 **({"noise_std": noise_std} if noise_std != 0.1 else {})},
@@ -372,6 +375,8 @@ def gen_bpdn(m: int = 200, n: int = 512, n_spikes: int = 5, seed: int = 0,
     pass ``noise_std=0.1`` for the variance reading.  lam is fixed to
     ||A^T b||_inf / 10 and the variables are bounded below by zero.
     """
+    if m < 1:
+        raise ValueError(f"need m >= 1, not m = {m}")
     if not m < n:
         raise ValueError("need m < n")
     rng = np.random.default_rng(seed)

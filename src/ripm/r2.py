@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,13 +50,6 @@ ETA1 = 0.25
 ETA2 = 0.75
 GAMMA_DEC = 0.5
 GAMMA_INC = 3.0
-
-
-@dataclass
-class R2Options:
-    max_iter: int = 10_000
-    abs_tol: float = 1e-4
-    rel_tol: float = 1e-4
 
 
 def first_order_step(h, x, hx: float, g, sigma, box: Box):
@@ -77,18 +69,18 @@ def first_order_step(h, x, hx: float, g, sigma, box: Box):
     return u, t, hu, gt, max(hx - gt - hu, 0.0)
 
 
-def r2_solve(smooth, reg, box: Box, x0, opts: R2Options | None = None,
-             solver_name: str = "R2") -> SolverReport:
+def r2_solve(smooth, reg, box: Box, x0, *, max_iter: int = 10_000, abs_tol: float = 1e-4,
+             rel_tol: float = 1e-4) -> SolverReport:
     """Minimize smooth(x) + reg(x) subject to x in box, starting from x0.
 
     ``reg`` is a `regprox.Regularizer`.  ``smooth`` is a `SmoothOracle`; one
     with a ``curvature`` method is a quadratic model and gets the closed-form
     ratio (see the module docstring).  The status is CONVERGED at the
-    tolerance, BUDGET once the budget allows no value at the next trial (or
-    refused the start), and MAX_ITER after ``opts.max_iter`` iterations; a
-    model has no budget, so a subsolve ends on one of the others.
+    tolerance abs_tol + rel_tol * (measure at x0), BUDGET once the budget
+    allows no value at the next trial (or refused the start), and MAX_ITER
+    after ``max_iter`` iterations; a model has no budget, so a subsolve ends
+    on one of the others.
     """
-    opts = opts or R2Options()
     t0 = time.perf_counter()
     x = box.clamp(np.asarray(x0, dtype=float))
     model = hasattr(smooth, "curvature")
@@ -103,12 +95,12 @@ def r2_solve(smooth, reg, box: Box, x0, opts: R2Options | None = None,
 
     try:
         fx, hx, gx = evaluate_start(smooth, reg, x, trace)
-        for _ in range(opts.max_iter):
+        for _ in range(max_iter):
             u, t, h_trial, gt, xi = first_order_step(reg, x, hx, gx, sigma, box)
             n_prox += 1
             crit = math.sqrt(sigma * xi)
             if tol is None:
-                tol = opts.abs_tol + opts.rel_tol * crit
+                tol = abs_tol + rel_tol * crit
             if crit <= tol:
                 status = CONVERGED
                 break
@@ -134,5 +126,5 @@ def r2_solve(smooth, reg, box: Box, x0, opts: R2Options | None = None,
     except BudgetExhausted:  # the start point itself was refused
         status = BUDGET
 
-    return make_report(solver_name, smooth, reg, x, fx, hx, crit, n_prox, t0, status, trace,
+    return make_report("R2", smooth, reg, x, fx, hx, crit, n_prox, t0, status, trace,
                        {"iters": diag})

@@ -11,7 +11,8 @@ with closed-form solutions for the supported regularizers.  Its solution
 is the trial point itself; a step is the difference of two points.
 
 A regularizer is of one of two kinds, l1 or l0, with a finite lam >= 0;
-lam = 0 means h = 0, whose prox is the clamp into the box.
+lam = 0 means h = 0, for which the formulas of both kinds give the value 0
+and the clamp into the box as the prox.
 
 Hot-path rule: code that runs once per iteration or per prox calls ufuncs
 and ndarray methods directly.  It uses no `np.clip`, no function-form
@@ -124,8 +125,6 @@ class Regularizer:
         return full
 
     def value(self, x: np.ndarray) -> float:
-        if self.lam == 0.0:
-            return 0.0
         lam = self.lam_per_component(x.size)
         if self.kind == L1:
             return float(np.dot(lam, np.abs(x)))
@@ -144,8 +143,6 @@ def iprox_shifted(h: Regularizer, d, q, box: Box) -> np.ndarray:
     """
     if not ((d > 0).all() if isinstance(d, np.ndarray) else d > 0):
         raise ValueError("iprox_shifted requires strictly positive d")
-    if h.lam == 0.0:
-        return box.clamp(q)
     if h.kind == L1:
         # the threshold q - min(max(q, -c), c) equals sign(q) max(|q| - c, 0)
         # bit for bit, up to the sign of a zero

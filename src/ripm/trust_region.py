@@ -64,7 +64,7 @@ import numpy as np
 from .errors import BudgetExhausted
 from .oracles import QuadModelOracle
 from .qnops import SpectralDiag
-from .r2 import R2Options, first_order_step, r2_solve
+from .r2 import first_order_step, r2_solve
 # intersect_boxes is bound here only for perfbench/tracer.py, which wraps it
 from .regprox import Box, intersect_boxes  # noqa: F401
 from .report import (BUDGET, CONVERGED, MAX_ITER, STALLED, SolverReport, evaluate_start,
@@ -83,11 +83,6 @@ ITER_CAP = 10_000
 SUBSOLVER_MAX_ITER = 200
 SUBSOLVER_REL_TOL = 0.1
 EPS_MACH = np.finfo(float).eps
-
-
-@dataclass
-class TrustRegionOptions:
-    rel_tol: float = 1e-4
 
 
 def update_radius(delta: float, rho: float) -> float:
@@ -180,7 +175,6 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
     - s_inf: ||s||_inf of the model step; cap_inf: its cap min(Delta, beta ||s1||_inf).
     """
     phi, gaps = cons.phi(x)
-    sub_opts = R2Options(max_iter=SUBSOLVER_MAX_ITER, abs_tol=0.0, rel_tol=SUBSOLVER_REL_TOL)
     n_prox = 0
     crit, compl, crit0 = np.inf, np.inf, np.inf
     status = "cap"
@@ -228,7 +222,8 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
             x_t, s, h_t, gs, _ = first_order_step(h, x, hx, g, d, cap_box)
             n_prox += 1
         else:
-            sub = r2_solve(QuadModelOracle(g, qn, theta, x), h, cap_box, u1, sub_opts)
+            sub = r2_solve(QuadModelOracle(g, qn, theta, x), h, cap_box, u1,
+                           max_iter=SUBSOLVER_MAX_ITER, abs_tol=0.0, rel_tol=SUBSOLVER_REL_TOL)
             x_t = sub.x
             n_prox += sub.n_prox
             s = x_t - x
@@ -268,10 +263,9 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
 _STATUS = {"tol": CONVERGED, "budget": BUDGET, "cap": MAX_ITER, "stalled": STALLED}
 
 
-def tr_solve(smooth, h, bounds: Box, qn, x0, opts: TrustRegionOptions | None = None,
-             solver_name: str = "TR-R2") -> SolverReport:
+def tr_solve(smooth, h, bounds: Box, qn, x0, *, rel_tol: float = 1e-4,
+             solver_name: str) -> SolverReport:
     """Quasi-Newton proximal trust region; the step follows ``qn`` (see `tr_iterate`)."""
-    opts = opts or TrustRegionOptions()
     t0 = time.perf_counter()
     x = bounds.clamp(np.asarray(x0, dtype=float))
     fx, hx, crit, n_prox = np.inf, 0.0, np.inf, 0
@@ -280,7 +274,7 @@ def tr_solve(smooth, h, bounds: Box, qn, x0, opts: TrustRegionOptions | None = N
     try:
         fx, hx, gx = evaluate_start(smooth, h, x, trace)
         res = tr_iterate(smooth, h, ShiftedBounds(bounds), qn, x, fx, hx, gx, DELTA_INIT,
-                         max_iter=ITER_CAP, abs_tol=ABS_TOL, rel_tol=opts.rel_tol,
+                         max_iter=ITER_CAP, abs_tol=ABS_TOL, rel_tol=rel_tol,
                          trace=trace, records=records)
         x, fx, hx, crit, n_prox = res.x, res.fx, res.hx, res.crit, res.n_prox
         status = _STATUS[res.status]
@@ -290,7 +284,7 @@ def tr_solve(smooth, h, bounds: Box, qn, x0, opts: TrustRegionOptions | None = N
                        {"iters": records})
 
 
-def trdh_solve(smooth, h, bounds: Box, x0, opts: TrustRegionOptions | None = None,
-               solver_name: str = "TRDH") -> SolverReport:
+def trdh_solve(smooth, h, bounds: Box, x0, *, rel_tol: float = 1e-4) -> SolverReport:
     """Diagonal-Hessian trust region: `tr_solve` with the spectral diagonal operator."""
-    return tr_solve(smooth, h, bounds, SpectralDiag(len(x0)), x0, opts, solver_name)
+    return tr_solve(smooth, h, bounds, SpectralDiag(len(x0)), x0, rel_tol=rel_tol,
+                    solver_name="TRDH")

@@ -1,4 +1,4 @@
-import dataclasses
+import inspect
 import json
 
 import numpy as np
@@ -288,7 +288,7 @@ def test_report_round_trip():
     ("R2", {"rel_tol": 1e-6}), ("TR-R2", {"rel_tol": 1e-6}), ("RIPM-R2", {"eps_r": 1e-6})])
 def test_override_replaces_harness_default(name, overrides):
     opts, _ = solver_options(name, "bpdn", overrides)
-    assert all(getattr(opts, k) == v for k, v in overrides.items())
+    assert all(opts[k] == v for k, v in overrides.items())
     cfg = _tiny_config(solvers=[{"name": name, "options": overrides}])
     _, (rep,) = run_config(cfg)
     assert rep.termination != ORACLE_FAILURE, rep.error
@@ -325,16 +325,16 @@ def test_config_error_comes_before_the_first_solve(monkeypatch):
 
 
 def test_every_listed_option_is_taken():
-    # each (solver, option) pair of the table, at its default value, runs
-    defaults = {}
-    for cls in (bench.R2Options, bench.TrustRegionOptions, bench.IpmOptions):
-        defaults.update((f.name, f.default) for f in dataclasses.fields(cls)
-                        if f.default is not dataclasses.MISSING)
+    # each (solver, option) pair of the table, at the default of the solve
+    # that run_solver calls, is a keyword of that solve, and runs
+    solves = {"R2": bench.r2_solve, "TRDH": bench.trdh_solve, "TR-R2": bench.tr_solve}
     inst = bench.problems.build("bpdn", 0, m=10, n=24, n_spikes=3)
     assert sum(len(names) for names in SOLVER_OPTIONS.values()) == 15
     for name, names in SOLVER_OPTIONS.items():
+        params = inspect.signature(solves.get(name, bench.outer_solve)).parameters
         for option in sorted(names):
-            rep = run_solver(name, inst, 3, {option: defaults[option]})
+            assert params[option].kind is inspect.Parameter.KEYWORD_ONLY, (name, option)
+            rep = run_solver(name, inst, 3, {option: params[option].default})
             assert rep.n_f <= 4, (name, option)
 
 
@@ -372,7 +372,8 @@ def _write_reports_with_old_keys(path):
 
 @pytest.mark.parametrize("case", ["table_missing", "table_old_keys", "budget", "budget_true",
                                   "budget_fraction", "budget_infinite", "output_dir_number",
-                                  "solver_entry", "options_list", "problem_string",
+                                  "solver_entry", "solvers_empty", "options_list",
+                                  "problem_string", "problem_empty",
                                   "output_dir_is_a_file", "output_dir_under_a_file",
                                   "reports_json_is_a_directory"])
 def test_cli_malformed_input_exits_1(tmp_path, capsys, monkeypatch, case):
@@ -409,8 +410,10 @@ def test_cli_malformed_input_exits_1(tmp_path, capsys, monkeypatch, case):
             "budget_infinite": _tiny_config(budget=float("inf")),  # json writes Infinity
             "output_dir_number": _tiny_config(output_dir=5),
             "solver_entry": _tiny_config(solvers=[5]),
+            "solvers_empty": _tiny_config(solvers=[]),
             "options_list": _tiny_config(solvers=[{"name": "R2", "options": [1]}]),
             "problem_string": _tiny_config(problem="bpdn"),
+            "problem_empty": _tiny_config(problem={"name": "qp", "params": {"n": 0}}),
         }[case]
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from ripm import interior
 from ripm.errors import BoundaryPoint
-from ripm.interior import (BarrierTerms, DualEstimate, IpmOptions, barrier_value, crossover,
-                           inner_solve, measure_mode, outer_solve)
+from ripm.interior import (BarrierTerms, DualEstimate, barrier_value, crossover, inner_solve,
+                           measure_mode, outer_solve)
 from ripm.qnops import LBFGS, SpectralDiag
 from ripm.r2 import first_order_step
 from ripm.regprox import Box, Regularizer
@@ -567,7 +567,7 @@ def test_inner_solve_radius_tolerance_and_measure(kind):
 def _outer(smooth, h, bounds, x0, step="diagonal"):
     # the step follows the operator: the spectral diagonal takes closed-form steps
     factory = SpectralDiag if step == "diagonal" else LBFGS
-    return outer_solve(smooth, h, bounds, factory, x0)
+    return outer_solve(smooth, h, bounds, factory, x0, solver_name="RIPM")
 
 
 @pytest.mark.parametrize("step", ["diagonal", "r2"])
@@ -618,7 +618,7 @@ def test_outer_stops_after_a_stage_that_stalls_at_entry(step):
     mu = 1e-20
     rep = outer_solve(_oracle_quad(2.0), Regularizer("l1"), POS,
                       SpectralDiag if step == "diagonal" else LBFGS, np.array([1.0]),
-                      IpmOptions(mu_init=mu))
+                      mu_init=mu, solver_name="RIPM")
     assert rep.termination == STALLED and rep.diagnostics["stages"] == 1
     assert rep.diagnostics["crossover"]["mu"] == mu
     assert rep.n_f == 1 and rep.n_prox == 0 and rep.diagnostics["inner"] == []
@@ -627,7 +627,8 @@ def test_outer_stops_after_a_stage_that_stalls_at_entry(step):
 def test_outer_budget_one():
     smooth = _oracle_quad(2.0)
     smooth.budget = 1
-    rep = outer_solve(smooth, Regularizer("l1"), POS, SpectralDiag, np.array([1.0]))
+    rep = outer_solve(smooth, Regularizer("l1"), POS, SpectralDiag, np.array([1.0]),
+                      solver_name="RIPM")
     assert rep.termination == BUDGET
     assert rep.n_f <= 2
 

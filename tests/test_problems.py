@@ -31,17 +31,20 @@ def test_paper_scale_presets():
 
 
 @pytest.mark.parametrize("name,params", [
-    ("qp", {"n": 30, "p": 0.2}),
-    ("nnmf", {"m": 6, "n": 5, "k": 2}),
-    ("fh", {"n_samples": 20}),
-    ("bpdn", {"m": 10, "n": 24, "n_spikes": 3}),
+    ("qp", {"n": 30, "p": 0.2, "lam": 0.3}),
+    ("nnmf", {"m": 6, "n": 5, "k": 2, "lam": 0.2}),
+    ("fh", {"n_samples": 20, "lam": 2.0, "noise_std": 0.05}),
+    ("bpdn", {"m": 10, "n": 24, "n_spikes": 3, "noise_std": 0.1}),
 ])
 def test_determinism_and_roundtrip(name, params):
+    # the saved config rebuilds the start, the bounds and h of the instance
     a = build(name, seed=7, **params)
     b = from_config(a.to_config())
     assert np.array_equal(a.x0, b.x0)
     assert np.array_equal(a.bounds.lo, b.bounds.lo)
     assert np.array_equal(a.bounds.hi, b.bounds.hi)
+    assert (a.h.kind, a.h.lam) == (b.h.kind, b.h.lam)
+    assert np.array_equal(a.h.lam_per_component(a.x0.size), b.h.lam_per_component(b.x0.size))
     x = a.x0
     assert a.smooth.value(x) == b.smooth.value(x)
     assert np.array_equal(a.smooth.grad(x), b.smooth.grad(x))
@@ -56,6 +59,13 @@ def test_determinism_and_roundtrip(name, params):
 def test_x0_strictly_interior(name, params):
     inst = build(name, seed=3, **params)
     assert _min_gap(inst, inst.x0) >= 1e-3
+
+
+@pytest.mark.parametrize("name,params,empty", [
+    ("qp", {"n": 0}, "n"), ("bpdn", {"m": 0}, "m"), ("nnmf", {"k": 0}, "k")])
+def test_an_empty_problem_is_refused(name, params, empty):
+    with pytest.raises(ValueError, match=rf"need {empty} >= 1"):
+        build(name, seed=0, **params)
 
 
 def test_qp_structure():

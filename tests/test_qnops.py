@@ -86,18 +86,28 @@ def test_lsr1_matches_dense_recursion(monkeypatch):
         assert np.allclose(op.apply(v), B @ v, rtol=1e-10, atol=1e-10)
 
 
-def test_memory_eviction_matches_dense_on_tail(monkeypatch):
+def _target(kind, rng, n):
+    """A symmetric matrix to sample pairs from: SPD for LBFGS, indefinite for LSR1."""
+    if kind == "lbfgs":
+        return _spd_matrix(rng, n)
+    M = rng.standard_normal((n, n))
+    return 0.5 * (M + M.T)
+
+
+@pytest.mark.parametrize("kind", ["lbfgs", "lsr1"])
+def test_memory_eviction_matches_dense_on_tail(monkeypatch, kind):
+    # after four evictions the operator is the dense recursion of the last three pairs
     rng = np.random.default_rng(2)
     n = 5
-    A = _spd_matrix(rng, n)
+    A = _target(kind, rng, n)
     all_pairs = [(s, A @ s) for s in rng.standard_normal((7, n))]
     monkeypatch.setattr(qnops, "MEMORY", 3)
-    op = LBFGS(n)
+    op = OPERATORS[kind](n)
     for s, y in all_pairs:
         op.update(s, y)
-    B = dense_bfgs(all_pairs[-3:], n)
-    v = rng.standard_normal(n)
-    assert np.allclose(op.apply(v), B @ v)
+    B = (dense_bfgs if kind == "lbfgs" else dense_sr1)(all_pairs[-3:], n)
+    for v in rng.standard_normal((3, n)):
+        assert np.allclose(op.apply(v), B @ v)
 
 
 @pytest.mark.parametrize("kind", ["lbfgs", "lsr1"])
@@ -210,13 +220,15 @@ def test_norm_estimate_is_exact(kind):
         _exact_norm_case(OPERATORS[kind](n), pairs, dense)
 
 
-def test_norm_estimate_exact_with_more_rows_than_dimensions():
+@pytest.mark.parametrize("kind, rows", [("lbfgs", 10), ("lsr1", 5)])
+def test_norm_estimate_exact_with_more_rows_than_dimensions(kind, rows):
     rng = np.random.default_rng(9)
     n = 3
-    A = _spd_matrix(rng, n)
-    op = LBFGS(n)
-    _exact_norm_case(op, [(s, A @ s) for s in rng.standard_normal((5, n))], dense_bfgs)
-    assert op._k == 10  # ten rows of W in three dimensions
+    A = _target(kind, rng, n)
+    op = OPERATORS[kind](n)
+    _exact_norm_case(op, [(s, A @ s) for s in rng.standard_normal((5, n))],
+                     dense_bfgs if kind == "lbfgs" else dense_sr1)
+    assert op._k == rows  # two rows of W per BFGS pair, one per SR1 pair, in three dimensions
 
 
 def test_norm_estimate_exact_with_rank_deficient_factors():

@@ -3,7 +3,7 @@ import pytest
 
 from ripm.oracles import QuadModelOracle
 from ripm.qnops import LBFGS, LSR1
-from ripm.r2 import R2Options, first_order_step, r2_solve
+from ripm.r2 import first_order_step, r2_solve
 from ripm.regprox import Box, Regularizer, iprox_shifted
 from ripm.report import BUDGET, CONVERGED, MAX_ITER
 
@@ -19,7 +19,7 @@ def _quad(center):
 
 def test_unconstrained_quadratic():
     rep = r2_solve(_quad([0.0]), Regularizer("l1"), FREE, np.array([4.0]),
-                   R2Options(abs_tol=1e-8, rel_tol=0.0))
+                   abs_tol=1e-8, rel_tol=0.0)
     assert rep.termination == CONVERGED
     assert abs(rep.x[0]) < 1e-6
     vals = [v for _, v in rep.trace]
@@ -29,7 +29,7 @@ def test_unconstrained_quadratic():
 def test_soft_threshold_fixed_point():
     # min 0.5 (x-2)^2 + |x| has its minimum at x = 1
     rep = r2_solve(_quad([2.0]), Regularizer("l1", 1.0), FREE, np.array([0.0]),
-                   R2Options(abs_tol=1e-10, rel_tol=0.0))
+                   abs_tol=1e-10, rel_tol=0.0)
     assert rep.x[0] == pytest.approx(1.0, abs=1e-6)
     xg, _ = grid_min_1d(lambda t: 0.5 * (t - 2.0) ** 2 + abs(t), -5, 5)
     assert rep.x[0] == pytest.approx(xg, abs=2e-3)
@@ -38,7 +38,7 @@ def test_soft_threshold_fixed_point():
 def test_active_bound():
     rep = r2_solve(_quad([-1.0]), Regularizer("l1"), Box(np.zeros(1), np.full(1, np.inf)),
                    np.array([1.0]),
-                   R2Options(abs_tol=1e-10, rel_tol=0.0))
+                   abs_tol=1e-10, rel_tol=0.0)
     assert rep.x[0] == pytest.approx(0.0, abs=1e-12)
     assert rep.termination == CONVERGED
 
@@ -50,7 +50,7 @@ def test_iterates_stay_in_box_and_descend():
     bounds = Box(np.full(n, -0.5), np.full(n, 0.5))
     oracle = _quad(c)
     rep = r2_solve(oracle, Regularizer("l1", 0.1), bounds, np.zeros(n),
-                   R2Options(abs_tol=1e-8, rel_tol=0.0))
+                   abs_tol=1e-8, rel_tol=0.0)
     assert np.all(bounds.lo <= rep.x) and np.all(rep.x <= bounds.hi)
     vals = [v for _, v in rep.trace]
     assert all(b < a + 1e-12 * max(1, abs(a)) for a, b in zip(vals, vals[1:]))
@@ -58,7 +58,7 @@ def test_iterates_stay_in_box_and_descend():
 
 def test_prox_count_matches_iterations():
     rep = r2_solve(_quad([3.0]), Regularizer("l1", 0.5), FREE, np.array([0.0]),
-                   R2Options(abs_tol=1e-8, rel_tol=0.0))
+                   abs_tol=1e-8, rel_tol=0.0)
     stepped = len(rep.diagnostics["iters"])
     if rep.termination == CONVERGED:
         assert rep.n_prox == stepped + 1  # final iteration only measures
@@ -72,7 +72,7 @@ def _quartic():
 
 def test_max_iter_is_soft():
     rep = r2_solve(_quartic(), Regularizer("l1"), FREE, np.array([3.0]),
-                   R2Options(max_iter=2, abs_tol=1e-12, rel_tol=0.0))
+                   max_iter=2, abs_tol=1e-12, rel_tol=0.0)
     assert rep.termination == MAX_ITER
     assert np.isfinite(rep.f)
 
@@ -90,7 +90,7 @@ def test_budget_enforced():
         return value(x)
     oracle.value = counted
     rep = r2_solve(oracle, Regularizer("l1"), FREE, np.array([3.0]),
-                   R2Options(abs_tol=1e-12, rel_tol=0.0))
+                   abs_tol=1e-12, rel_tol=0.0)
     assert rep.termination == BUDGET
     assert rep.n_f == len(asked) == 3
     assert rep.n_prox == len(rep.diagnostics["iters"]) + 1  # the final measure
@@ -99,7 +99,7 @@ def test_budget_enforced():
 def test_relative_tolerance_scaling():
     # rel_tol alone: stops once the measure dropped by the requested factor
     rep = r2_solve(_quad([2.0]), Regularizer("l1"), FREE, np.array([0.0]),
-                   R2Options(abs_tol=0.0, rel_tol=1e-3))
+                   abs_tol=0.0, rel_tol=1e-3)
     assert rep.termination == CONVERGED
     assert abs(rep.x[0] - 2.0) < 1e-2
 
@@ -197,7 +197,7 @@ def test_r2_on_a_model_follows_the_closed_form(monkeypatch):
     box = Box(origin - 0.7, origin + 0.7)
     h = Regularizer("l1", 0.3)
     rep = r2_solve(QuadModelOracle(g, qn, th, origin), h, box, origin.copy(),
-                   R2Options(max_iter=500, abs_tol=1e-10, rel_tol=0.0))
+                   max_iter=500, abs_tol=1e-10, rel_tol=0.0)
     assert rep.termination == CONVERGED
     assert len(calls) == 1  # the value and gradient at the start share one product
     assert rep.n_f == len(rep.diagnostics["iters"]) + 1
@@ -214,7 +214,7 @@ def test_r2_on_a_model_follows_the_closed_form(monkeypatch):
     dense = CallableOracle(lambda x: g @ (x - origin) + 0.5 * (x - origin) @ H @ (x - origin),
                            lambda x: g + H @ (x - origin))
     ref = r2_solve(dense, h, box, origin.copy(),
-                   R2Options(max_iter=500, abs_tol=1e-10, rel_tol=0.0))
+                   max_iter=500, abs_tol=1e-10, rel_tol=0.0)
     pairs = list(zip(rep.diagnostics["iters"], ref.diagnostics["iters"]))
     pairs = pairs[:next(i for i, (_, b) in enumerate(pairs) if b["xi"] < 1e-8)]
     assert len(pairs) > 20
@@ -237,7 +237,7 @@ def test_r2_shifts_no_box_and_leaves_the_callers_box(monkeypatch):
     lo, hi = bounds.lo.copy(), bounds.hi.copy()
     for _ in range(2):
         rep = r2_solve(oracle, Regularizer("l1", 0.1), bounds, np.zeros(n),
-                       R2Options(abs_tol=1e-8, rel_tol=0.0))
+                       abs_tol=1e-8, rel_tol=0.0)
         assert sum(r["accepted"] for r in rep.diagnostics["iters"]) > 3
         assert np.array_equal(bounds.lo, lo) and np.array_equal(bounds.hi, hi)
 

@@ -7,7 +7,7 @@ from ripm.interior import BarrierTerms, DualEstimate
 from ripm.qnops import LBFGS, LSR1, SpectralDiag
 from ripm.regprox import Box, Regularizer
 from ripm.report import CONVERGED, evaluate_start
-from ripm.trust_region import TrustRegionOptions, tr_solve, trdh_solve, update_radius
+from ripm.trust_region import tr_solve, trdh_solve, update_radius
 
 from helpers import CallableOracle, grid_min_1d
 from test_golden import BPDN_40x96
@@ -22,15 +22,15 @@ def _quad_shift(center):
 
 @pytest.fixture
 def tight(monkeypatch):
+    # with rel_tol=0.0 the solves stop on the absolute tolerance alone
     monkeypatch.setattr(tr, "ABS_TOL", 1e-8)
-    return TrustRegionOptions(rel_tol=0.0)
 
 
 def test_tr_interior_minimum(tight):
     n = 4
     bounds = Box(np.zeros(n), np.full(n, np.inf))
     rep = tr_solve(_quad_shift(np.ones(n)), Regularizer("l1"), bounds,
-                   LBFGS(n), 0.5 * np.ones(n), tight)
+                   LBFGS(n), 0.5 * np.ones(n), rel_tol=0.0, solver_name="TR")
     assert rep.termination == CONVERGED
     assert np.allclose(rep.x, 1.0, atol=1e-6)
 
@@ -39,13 +39,13 @@ def test_tr_active_bounds(tight):
     n = 3
     bounds = Box(np.zeros(n), np.full(n, np.inf))
     rep = tr_solve(_quad_shift(-np.ones(n)), Regularizer("l1"), bounds,
-                   LBFGS(n), np.ones(n), tight)
+                   LBFGS(n), np.ones(n), rel_tol=0.0, solver_name="TR")
     assert np.allclose(rep.x, 0.0, atol=1e-9)
 
 
 def test_tr_l1_unbounded_domain(tight):
     rep = tr_solve(_quad_shift([2.0]), Regularizer("l1", 1.0), FREE,
-                   LSR1(1), np.array([0.0]), tight)
+                   LSR1(1), np.array([0.0]), rel_tol=0.0, solver_name="TR")
     xg, _ = grid_min_1d(lambda t: 0.5 * (t - 2.0) ** 2 + abs(t), -4, 4)
     assert rep.x[0] == pytest.approx(1.0, abs=1e-6)
     assert rep.x[0] == pytest.approx(xg, abs=2e-3)
@@ -55,14 +55,14 @@ def test_trdh_interior_minimum(tight):
     n = 4
     bounds = Box(np.zeros(n), np.full(n, np.inf))
     rep = trdh_solve(_quad_shift(np.ones(n)), Regularizer("l1"), bounds,
-                     0.5 * np.ones(n), tight)
+                     0.5 * np.ones(n), rel_tol=0.0)
     assert rep.termination == CONVERGED
     assert np.allclose(rep.x, 1.0, atol=1e-6)
 
 
 def test_trdh_l1_matches_grid(tight):
     rep = trdh_solve(_quad_shift([2.0]), Regularizer("l1", 1.0), FREE,
-                     np.array([0.0]), tight)
+                     np.array([0.0]), rel_tol=0.0)
     assert rep.x[0] == pytest.approx(1.0, abs=1e-6)
 
 
@@ -73,14 +73,14 @@ def test_trdh_separable_quadratic_soft_threshold_step(tight):
     c = np.array([2.0, -1.5, 0.5])
     rep = trdh_solve(_quad_shift(c), Regularizer("l1", 0.3),
                      Box(np.full(n, -np.inf), np.full(n, np.inf)),
-                     np.zeros(n), tight)
+                     np.zeros(n), rel_tol=0.0)
     xg = np.sign(c) * np.maximum(np.abs(c) - 0.3, 0.0)
     assert np.allclose(rep.x, xg, atol=1e-6)
 
 
 def test_trdh_two_prox_per_iteration(tight):
     rep = trdh_solve(_quad_shift([3.0]), Regularizer("l1", 0.5), FREE,
-                     np.array([0.1]), tight)
+                     np.array([0.1]), rel_tol=0.0)
     stepped = len(rep.diagnostics["iters"])
     if rep.termination == CONVERGED:
         assert rep.n_prox == 2 * stepped + 1
@@ -90,11 +90,10 @@ def test_trdh_two_prox_per_iteration(tight):
 
 def test_radius_schedule_conformance(monkeypatch):
     monkeypatch.setattr(tr, "ABS_TOL", 1e-6)
-    o = TrustRegionOptions(rel_tol=0.0)
     oracle = CallableOracle(lambda x: float(np.sum(np.cosh(x))),
                             lambda x: np.sinh(x))
     rep = tr_solve(oracle, Regularizer("l1", 0.1), Box(np.full(1, -5.0), np.full(1, 5.0)),
-                   LBFGS(1), np.array([2.0]), o)
+                   LBFGS(1), np.array([2.0]), rel_tol=0.0, solver_name="TR")
     iters = rep.diagnostics["iters"]
     assert iters, "expected at least one stepped iteration"
     assert any(it["rho"] >= tr.ETA2 for it in iters)
@@ -116,9 +115,8 @@ def test_step_cap_and_criticality_lower_bound(monkeypatch):
     monkeypatch.setattr(tr, "ABS_TOL", 1e-6)
     oracle = CallableOracle(lambda x: float(np.sum(np.cosh(x))),
                             lambda x: np.sinh(x))
-    o = TrustRegionOptions(rel_tol=0.0)
     rep = tr_solve(oracle, Regularizer("l1", 0.1), Box(np.full(1, -5.0), np.full(1, 5.0)),
-                   LBFGS(1), np.array([2.0]), o)
+                   LBFGS(1), np.array([2.0]), rel_tol=0.0, solver_name="TR")
     for it in rep.diagnostics["iters"]:
         assert it["s_inf"] <= it["cap_inf"] + 1e-12
         assert it["cap_inf"] <= min(it["delta_before"], tr.BETA * it["s1_norm2"]) + 1e-12
@@ -131,7 +129,7 @@ def test_unsuccessful_iterations_do_not_move_x(monkeypatch):
     oracle = CallableOracle(lambda x: 0.5 * float(x @ x) + 2.0 * float(np.sum(np.sin(5 * x))),
                             lambda x: x + 10.0 * np.cos(5 * x))
     rep = trdh_solve(oracle, Regularizer("l1"), Box(np.full(1, -6.0), np.full(1, 6.0)),
-                     np.array([2.0]), TrustRegionOptions(rel_tol=0.0))
+                     np.array([2.0]), rel_tol=0.0)
     iters = rep.diagnostics["iters"]
     assert any(not it["accepted"] for it in iters)
     # gradients are evaluated only when x moves: one per accepted step plus x0
@@ -142,17 +140,17 @@ def test_unsuccessful_iterations_do_not_move_x(monkeypatch):
 def test_diagonal_operator_takes_the_trdh_step(monkeypatch):
     # the step follows the operator: with the spectral diagonal, TR never calls
     # the R2 subsolver and gives TRDH's golden counters; with LSR1 it calls it
-    def no_subsolve(*args):
+    def no_subsolve(*args, **kwargs):
         raise AssertionError("R2 subsolve")
 
     monkeypatch.setattr(tr, "r2_solve", no_subsolve)
     inst = problems.build("bpdn", 0, m=40, n=96, n_spikes=3)
     oracle = inst.smooth.fresh()
     oracle.budget = 1000
-    rep = tr_solve(oracle, inst.h, inst.bounds, SpectralDiag(96), inst.x0)
+    rep = tr_solve(oracle, inst.h, inst.bounds, SpectralDiag(96), inst.x0, solver_name="TR")
     assert (rep.n_f, rep.n_grad, rep.n_prox, rep.termination) == BPDN_40x96["TRDH"]
     with pytest.raises(AssertionError, match="R2 subsolve"):
-        tr_solve(inst.smooth.fresh(), inst.h, inst.bounds, LSR1(96), inst.x0)
+        tr_solve(inst.smooth.fresh(), inst.h, inst.bounds, LSR1(96), inst.x0, solver_name="TR")
 
 
 @pytest.mark.parametrize("solver", ["TR-R2", "RIPM-R2"])
