@@ -44,7 +44,7 @@ class SolverReport:
 
     @property
     def objective(self) -> float:
-        """f + h at the final point (h recovered from the h/lam column)."""
+        """f + h at the final point (h recovered from the h/lam column; f when lam = 0)."""
         return self.f + (self.h_over_lam * self.lam if self.lam else 0.0)
 
     def to_dict(self) -> dict:
@@ -71,10 +71,11 @@ def make_report(solver, smooth, h, x, fx, hx, crit, n_prox, t0, status, trace, d
 
     The criticality is reported as measured: inf when the solve stopped
     before measuring it, NaN when the measure itself was not a number.
+    h/lam is NaN when lam = 0, where the ratio is undefined.
     """
     lam = getattr(h, "lam", 0.0)
     return SolverReport(
-        solver=solver, x=x, f=fx, h_over_lam=(hx / lam) if lam else 0.0,
+        solver=solver, x=x, f=fx, h_over_lam=(hx / lam) if lam else np.nan,
         criticality=float(crit), n_f=smooth.n_f, n_grad=smooth.n_grad, n_prox=n_prox,
         wall_time_s=time.perf_counter() - t0, termination=status, trace=trace, z=z,
         diagnostics=diagnostics, lam=lam)

@@ -15,7 +15,11 @@ model over the cap box, started at u1, whose trials change the model by a
 closed form in the operator's factors (see `r2` and
 `oracles.QuadModelOracle`).  A ratio test accepts or rejects the trial
 point, the radius follows `update_radius`, and the quasi-Newton operator is
-updated on acceptance.  Once Delta falls below eps (1 + ||x||_inf), with eps
+updated on acceptance.  The loop asks for f only where the ratio test reads
+it: a trial whose model decrease is not positive gets rho = -inf, the
+unsuccessful step of TR, without a value, and a trial equal to the last point
+valued keeps the f it had, so the objective's n_f counts only values that a
+decision reads.  Once Delta falls below eps (1 + ||x||_inf), with eps
 the machine epsilon EPS_MACH, the box around x rounds to x in its largest
 components: neither a trial point nor the measure can resolve a step there,
 so the loop stops as stalled before it measures.  Once the objective's
@@ -156,6 +160,13 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
     the trial point, whose value the budget would refuse; crit and compl are
     then those of x.  Accepted points append (n_grad, f + h) to ``trace``.
 
+    f is asked at a trial point only if its model decrease is positive and
+    it differs from the last point valued (x at entry, where f(x) is given);
+    otherwise no value can change the decision.  A trial with decrease <= 0
+    is rejected with rho = -inf, and a repeated trial reuses its f, while
+    phi and rho are formed again, since a zero step may have moved the
+    barrier's curvature.  h is valued at every trial.
+
     Every iteration that tries a step appends one record to ``records``; an
     iteration that stops the loop on the tolerance appends one only if
     ``cons.records_exits``, and a stall or a budget exit appends none.
@@ -179,6 +190,7 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
     crit, compl, crit0 = np.inf, np.inf, np.inf
     status = "cap"
     terms = None  # cons.at(x, gx, gaps), asked again once x or the duals change
+    x_f, f_t = x, fx  # the last point valued and its f
     for j in range(max_iter + 1):
         if terms is None:
             terms = cons.at(x, gx, gaps)
@@ -237,9 +249,12 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
         bqs = qn.apply(s)  # B s, which the operator's update takes on acceptance
         bs = bqs if theta is None else bqs + theta * s
         decrease = hx - gs - 0.5 * float(s @ bs) - h_t
-        f_t = smooth.value(x_t)
-        phi_t, gaps_t = cons.phi(x_t)
-        rho = (obj - (f_t + phi_t + h_t)) / decrease if decrease > 0 else -np.inf
+        rho = -np.inf  # a step the model does not decrease fails whatever f says
+        if decrease > 0:
+            if not np.array_equal(x_t, x_f):
+                x_f, f_t = x_t, smooth.value(x_t)
+            phi_t, gaps_t = cons.phi(x_t)
+            rho = (obj - (f_t + phi_t + h_t)) / decrease
         new_delta = update_radius(delta, rho)
         rec.update(rho=float(rho), accepted=bool(rho >= ETA1), delta_after=new_delta,
                    s_inf=float(np.abs(s).max()), cap_inf=cap)

@@ -34,7 +34,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from ripm import bench, problems  # noqa: E402
 
 # the digest of the grid at the last change that moved a counter or a final value
-EXPECTED = "01dc4a8d123841a5410a2a8d35d1d4f4e3d3b2108bd1c4fb17ad747e293e4719"
+EXPECTED = "3472918ed78d55267447f6bf24d8e642889e0eeef0c97e067585390e11ebf5f8"
 ALL = bench.SOLVER_NAMES
 GRID = ([("bpdn", seed, {}, ALL, 1000) for seed in range(6)]
         + [("qp", 0, {}, ALL, 200), ("nnmf", 0, {}, ALL, 200),

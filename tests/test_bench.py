@@ -258,6 +258,25 @@ def test_cli_run_table_trace(tmp_path):
     assert main(["table", str(out)]) == 0
 
 
+def test_cli_reports_no_h_over_lam_at_lam_zero(tmp_path):
+    # b = 0 gives lam = ||A^T b||_inf / 10 = 0, where h(x)/lam is undefined: the
+    # table prints "-" and reports.json keeps NaN
+    cfg = _tiny_config(problem={"name": "bpdn", "params": {"m": 10, "n": 24, "n_spikes": 0,
+                                                           "noise_std": 0}},
+                       solvers=[{"name": "R2"}, {"name": "RIPMDH"}], budget=20,
+                       output_dir=str(tmp_path / "out"))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", str(cfg_path)]) == 0
+    header, *rows = (tmp_path / "out" / "table.txt").read_text().splitlines()
+    col = header.split().index("h(x)/λ")
+    assert len(rows) == 2 and all(row.split()[col] == "-" for row in rows)
+    payload = json.loads((tmp_path / "out" / "reports.json").read_text())
+    for d in payload["reports"]:
+        rep = SolverReport.from_dict(d)
+        assert rep.lam == 0.0 and np.isnan(rep.h_over_lam) and rep.objective == rep.f
+
+
 def test_cli_flag_overrides_config(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(_tiny_config(output_dir=str(tmp_path / "a"))))

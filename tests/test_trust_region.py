@@ -181,14 +181,22 @@ def test_the_loop_hands_its_product_to_the_update(monkeypatch, solver):
 
 def test_trdh_evaluates_h_once_at_each_point(monkeypatch):
     # h is evaluated at x0, at the Cauchy point of every iteration (the last one
-    # measures and stops) and once at every trial point, which is the prox output
-    value = Regularizer.value
-    calls = []
+    # measures and stops) and once at every trial point, which is the prox
+    # output.  f is asked at x0 and at each trial with a positive model
+    # decrease (rho > -inf), except one equal to the last point valued
+    value, step = Regularizer.value, tr.first_order_step
+    calls, steps = [], []
 
     def counted(self, x):
         calls.append(1)
         return value(self, x)
+
+    def logged_step(*args):
+        out = step(*args)
+        steps.append(out[0])
+        return out
     monkeypatch.setattr(Regularizer, "value", counted)
+    monkeypatch.setattr(tr, "first_order_step", logged_step)
     inst = problems.build("bpdn", 0, m=40, n=96, n_spikes=3)
     oracle = inst.smooth.fresh()
     oracle.budget = 1000
@@ -196,8 +204,55 @@ def test_trdh_evaluates_h_once_at_each_point(monkeypatch):
     assert rep.termination == CONVERGED
     iters = rep.diagnostics["iters"]
     trials = sum(not np.isnan(it["rho"]) for it in iters)
-    assert trials == len(iters) == rep.n_f - 1
+    assert trials == len(iters)
     assert len(calls) == 1 + (len(iters) + 1) + trials
+    # each iteration takes its Cauchy step, then its trial step
+    last, positive, repeated = inst.x0, 0, 0
+    for it, x_t in zip(iters, steps[1::2]):
+        if it["rho"] > -np.inf:
+            positive += 1
+            repeated += np.array_equal(x_t, last)
+            last = x_t
+    assert repeated > 0
+    assert rep.n_f - 1 == positive - repeated
+
+
+def test_trdh_asks_for_f_once_at_each_point(monkeypatch):
+    # a rejected trial that the next, smaller radius does not cut off comes
+    # back at the same point, and its f is the one already asked
+    inst = problems.build("qp", 0, n=400, p=0.01)
+    oracle = inst.smooth.fresh()
+    oracle.budget = 30
+    value, valued = oracle.value, []
+
+    def logged_value(x):
+        valued.append(x.copy())
+        return value(x)
+    oracle.value = logged_value
+    rep = trdh_solve(oracle, inst.h, inst.bounds, inst.x0)
+    assert len(valued) == rep.n_f and any(not it["accepted"] for it in rep.diagnostics["iters"])
+    assert not any(np.array_equal(a, b) for a, b in zip(valued, valued[1:]))
+
+
+def test_a_trial_without_model_decrease_asks_for_no_f():
+    # an operator whose product is 100 times its diagonal view: the first six
+    # trials, which the radius does not cap, overshoot their model, whose
+    # decrease is then negative, so each fails whatever f says and the loop
+    # asks for no f past x0
+    class Steep(SpectralDiag):
+        def apply(self, v):
+            return 100.0 * super().apply(v)
+
+    n = 3
+    smooth, h, x = _quad_shift(np.full(n, 2.0)), Regularizer("l1", 0.1), np.ones(n)
+    trace, records = [], []
+    fx, hx, gx = evaluate_start(smooth, h, x, trace)
+    res = tr.tr_iterate(smooth, h, tr.ShiftedBounds(Box(np.full(n, -5.0), np.full(n, 5.0))),
+                        Steep(n), x, fx, hx, gx, 1.0, max_iter=6, abs_tol=1e-8, rel_tol=0.0,
+                        trace=trace, records=records)
+    assert res.status == "cap" and len(records) == 6
+    assert all(r["rho"] == -np.inf and r["s_inf"] > 0 for r in records)
+    assert smooth.n_f == 1 and np.array_equal(res.x, x)
 
 
 def test_a_collapsed_radius_stops_the_loop_as_stalled():
