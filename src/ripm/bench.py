@@ -22,6 +22,21 @@ diagonal with closed-form steps, TR-R2, RIPM-R2 and RIPM-R2-p run LSR1 and
 solve the model with R2.  The measure of the RIPM solvers follows h: the
 primal one for l0, the Lagrangian one for a convex h.
 
+Each report also carries the certificate r̄ of its x, the "r̄" column of
+the table, which checks a solver's criticality apart from its own measure:
+the infinity norm of the least-norm element of
+
+    grad f(x) + ∂h(x) + N_[l,u](x),
+
+with ∂ the limiting subdifferential and N the normal cone of the bounds.
+Per component, with g = grad f(x) and c = lam w_i, the set is an interval
+[a, b]: {g} to start, plus [-c, c] for l1 at x_i = 0 and c sign(x_i)
+elsewhere, all of ℝ for l0 at x_i = 0 when c > 0, (-inf, 0] at x_i = l_i
+and [0, inf) at x_i = u_i.  Its residual is max(a, 0) + max(-b, 0), and r̄
+is the largest residual.  The gradient is taken on `instance.smooth.fresh()`
+and is not counted, since r̄ reports and decides nothing; r̄ is NaN where
+grad f(x) cannot be formed or is not finite.
+
 CLI: ``run <config.json> [--output-dir DIR]`` solves, writes reports.json,
 table.txt and one trace_<solver>.csv per solver to DIR (default: the
 config's output_dir) and prints the table; ``table <results-dir>`` prints
@@ -38,15 +53,18 @@ import argparse
 import json
 import sys
 import time
+import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import problems
+from .errors import OracleFailure
 from .interior import outer_solve
 from .qnops import LSR1, SpectralDiag
 from .r2 import r2_solve
+from .regprox import L1
 from .report import ORACLE_FAILURE, SolverReport
 from .trust_region import tr_solve, trdh_solve
 
@@ -154,7 +172,31 @@ def run_solver(name: str, instance, budget: int, overrides: dict | None = None) 
 
     if instance.x_star is not None:
         report.dist_to_xstar = float(np.linalg.norm(report.x - instance.x_star))
+    report.certificate = certificate(instance, report.x)
     return report
+
+
+def certificate(instance, x) -> float:
+    """The certificate r̄ of the module docstring at x, or NaN without a finite grad f(x)."""
+    try:
+        # _grad, not grad: the certificate's gradient is not one of the solve's
+        g = instance.smooth.fresh()._grad(x)
+    except OracleFailure:
+        return np.nan
+    if not np.isfinite(g).all():
+        return np.nan
+    h, bounds = instance.h, instance.bounds
+    c = h.lam_per_component(x.size)
+    at_zero = x == 0.0
+    # the interval of g + ∂h is [mid - half, mid + half]
+    if h.kind == L1:
+        mid, half = g + c * np.sign(x), np.where(at_zero, c, 0.0)
+    else:
+        mid, half = g, np.where(at_zero & (c > 0.0), np.inf, 0.0)
+    a, b = mid - half, mid + half
+    a[x <= bounds.lo] = -np.inf
+    b[x >= bounds.hi] = np.inf
+    return float((np.maximum(a, 0.0) + np.maximum(-b, 0.0)).max())
 
 
 def run_config(config: RunConfig | dict, out_dir=None):
@@ -203,12 +245,17 @@ def _fmt_stat(v: float) -> str:
     return f"{v:.1e}"
 
 
+def _width(cell: str) -> int:
+    """Printed width of a table cell: a combining mark, such as the bar of r̄, takes none."""
+    return sum(not unicodedata.combining(ch) for ch in cell)
+
+
 def emit_table(reports) -> str:
     """Fixed-width statistics table, one row per solver in config order."""
     if not reports:
         raise ValueError("no reports")
     with_dist = any(r.dist_to_xstar is not None for r in reports)
-    headers = ["solver", "f(x)", "h(x)/λ", "√(ξ/ν)"]
+    headers = ["solver", "f(x)", "h(x)/λ", "√(ξ/ν)", "r̄"]
     if with_dist:
         headers.append("‖x-x*‖")
     headers += ["#f", "#∇f", "#prox", "t(s)"]
@@ -217,15 +264,16 @@ def emit_table(reports) -> str:
         row = [r.solver,
                f"{r.f:.2e}" if np.isfinite(r.f) else "-",
                _fmt_stat(r.h_over_lam),
-               _fmt_stat(r.criticality)]
+               _fmt_stat(r.criticality),
+               f"{r.certificate:.1e}" if np.isfinite(r.certificate) else "-"]
         if with_dist:
             row.append(_fmt_stat(r.dist_to_xstar) if r.dist_to_xstar is not None else "-")
         row += [str(r.n_f), str(r.n_grad), str(r.n_prox), f"{r.wall_time_s:.1e}"]
         rows.append(row)
-    widths = [max(len(h), *(len(row[i]) for row in rows)) for i, h in enumerate(headers)]
-    lines = ["  ".join(h.rjust(w) for h, w in zip(headers, widths))]
+    widths = [max(_width(h), *(_width(row[i]) for row in rows)) for i, h in enumerate(headers)]
+    lines = ["  ".join(" " * (w - _width(h)) + h for h, w in zip(headers, widths))]
     for row in rows:
-        lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
+        lines.append("  ".join(" " * (w - _width(c)) + c for c, w in zip(row, widths)))
     return "\n".join(lines) + "\n"
 
 

@@ -284,8 +284,8 @@ def inner_solve(smooth, h, barrier: BarrierTerms, qn, x, fx: float, hx: float, g
     mu = barrier.mu
     eps_k = mu**EPS_EXPONENT
     return tr_iterate(smooth, h, barrier, qn, x, fx, hx, gx, min(DELTA0_FACTOR * mu, DELTA_MAX),
-                      max_iter=INNER_CAP, abs_tol=eps_k, rel_tol=eps_d_rel, eps_p=eps_k,
-                      trace=trace, records=records)
+                      max_iter=INNER_CAP, abs_tol=eps_k, rel_tol=eps_d_rel, trace=trace,
+                      records=records)
 
 
 def outer_solve(smooth, h, bounds: Box, qn_factory, x0, *, mu_init: float = 1.0,
@@ -331,7 +331,7 @@ def outer_solve(smooth, h, bounds: Box, qn_factory, x0, *, mu_init: float = 1.0,
 
     try:
         fx, hx, gx = evaluate_start(smooth, h, x, trace)
-        with smooth.held_back(1):
+        with smooth.held_back():
             for k in range(MAX_OUTER):
                 barrier.mu = mu
                 res = inner_solve(smooth, h, barrier, qn, x, fx, hx, gx, eps_ri, trace, records)

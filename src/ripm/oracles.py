@@ -16,10 +16,11 @@ form.  `curvature(t)` returns the curvature of t with the products it
 formed, and `grad_after` takes those products, not t: the model keeps no
 step of its own, and the caller holds the products of the step it accepts.
 
-A solver asks `evals_left` before it builds a point it would evaluate, so
-that it builds none the budget would refuse; the refusal itself,
-`BudgetExhausted`, stays as the safety net.  `held_back` keeps evaluations
-of the budget back while a block runs, for a point to be valued after it.
+An infinite budget, the default, means unlimited.  A solver asks
+`evals_left` before it builds a point it would evaluate, so that it builds
+none the budget would refuse; the refusal itself, `BudgetExhausted`, stays
+as the safety net.  `held_back` keeps one evaluation of the budget back
+while a block runs, for a point to be valued after it.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ class SmoothOracle:
 
     Subclasses implement ``_value`` and ``_grad``.  Evaluation counters live
     on the oracle; a solve owns exactly one oracle, so counters are per-run.
-    ``budget`` caps the number of objective evaluations (None = unlimited).
+    ``budget`` caps the number of objective evaluations (inf = unlimited).
     ``_value`` returns a float and ``_grad`` a float array of the size of x.
     A subclass whose value and gradient share work implements ``_work(x)``
     and reads it through ``_shared(x)`` (see the module docstring); the kept
@@ -47,11 +48,11 @@ class SmoothOracle:
     def __init__(self):
         self.n_f = 0
         self.n_grad = 0
-        self.budget: int | None = None
+        self.budget: float = math.inf
         self._cache = None  # (copy of the last point, its `_work`)
 
     def value(self, x: np.ndarray) -> float:
-        if self.budget is not None and self.n_f >= self.budget:
+        if self.n_f >= self.budget:
             raise BudgetExhausted(f"objective budget {self.budget} spent")
         self.n_f += 1
         return self._value(x)
@@ -62,26 +63,23 @@ class SmoothOracle:
 
     def evals_left(self) -> float:
         """Objective evaluations the budget still allows (inf without a budget)."""
-        return math.inf if self.budget is None else max(self.budget - self.n_f, 0)
+        return max(self.budget - self.n_f, 0)
 
     @contextlib.contextmanager
-    def held_back(self, k: int):
-        """Keep k evaluations of the budget back while the block runs."""
-        if self.budget is None:
-            yield
-            return
-        self.budget -= k
+    def held_back(self):
+        """Keep one evaluation of the budget back while the block runs."""
+        self.budget -= 1
         try:
             yield
         finally:
-            self.budget += k
+            self.budget += 1
 
     def fresh(self) -> "SmoothOracle":
         """Copy sharing problem data but with zeroed counters, no budget and no kept work."""
         other = copy.copy(self)
         other.n_f = 0
         other.n_grad = 0
-        other.budget = None
+        other.budget = math.inf
         other._cache = None
         return other
 
@@ -105,10 +103,10 @@ class QuadModelOracle(SmoothOracle):
     """Quadratic model m(x) = g.s + s.(B s + theta * s)/2 of the step s = x - origin.
 
     ``qn`` is an LBFGS or LSR1 operator, B = I + W^T diag(signs) W, and
-    ``theta`` an optional extra diagonal.  The model takes points, not
-    steps, so that the R2 subsolve works in the frame of the nonsmooth term;
-    counters on this oracle are model evaluations and are never merged into
-    the true objective counters.
+    ``theta`` the extra diagonal of a barrier, zero without one.  The model
+    takes points, not steps, so that the R2 subsolve works in the frame of the
+    nonsmooth term; counters on this oracle are model evaluations and are
+    never merged into the true objective counters.
 
     The work value and gradient share is the step s and the product
     B s + theta s.
@@ -128,14 +126,11 @@ class QuadModelOracle(SmoothOracle):
         self.theta = theta
         self.origin = origin
         self.W, self.signs = qn.factors()
-        self._diag = None if theta is None else 1.0 + theta
+        self._diag = 1.0 + theta
 
     def _work(self, x):
         s = x - self.origin
-        w = self.qn.apply(s)
-        if self.theta is not None:
-            w = w + self.theta * s
-        return s, w
+        return s, self.qn.apply(s) + self.theta * s
 
     def _value(self, x):
         s, w = self._shared(x)
@@ -149,7 +144,7 @@ class QuadModelOracle(SmoothOracle):
         self.n_f += 1
         wt = self.W @ t
         swt = wt * self.signs
-        dt = t if self.theta is None else self._diag * t
+        dt = self._diag * t
         return float(t @ dt) + float(swt @ wt), (swt, dt)
 
     def grad_after(self, gm, products) -> np.ndarray:

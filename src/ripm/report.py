@@ -37,10 +37,11 @@ class SolverReport:
     diagnostics: dict | None = None
     error: str | None = None
     lam: float = 0.0
+    certificate: float = np.nan  # r̄ at x (see `bench.certificate`), NaN if not formed
 
     # the fields `to_dict` saves to reports.json, under their own names
-    SAVED = ("solver", "f", "h_over_lam", "criticality", "dist_to_xstar", "n_f", "n_grad",
-             "n_prox", "wall_time_s", "termination", "lam", "trace", "error")
+    SAVED = ("solver", "f", "h_over_lam", "criticality", "certificate", "dist_to_xstar", "n_f",
+             "n_grad", "n_prox", "wall_time_s", "termination", "lam", "trace", "error")
 
     @property
     def objective(self) -> float:
@@ -52,8 +53,12 @@ class SolverReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SolverReport":
-        """Report of saved fields ``d``; x is empty, since it is not saved."""
-        return cls(x=np.empty(0), **{name: d[name] for name in cls.SAVED})
+        """Report of saved fields ``d``; x is empty, since it is not saved.
+
+        A file saved before the certificate was reported reads it as NaN.
+        """
+        saved = {name: d[name] for name in cls.SAVED if name != "certificate"}
+        return cls(x=np.empty(0), certificate=d.get("certificate", np.nan), **saved)
 
 
 def evaluate_start(smooth, h, x, trace: list):

@@ -43,10 +43,12 @@ themselves.  The barrier subproblems of RIPM pass `interior.BarrierTerms`,
 whose box is the fraction-to-boundary box, and which adds the barrier
 gradient and curvature and owns the duals.  Both have the methods of
 `ShiftedBounds`; `phi` returns the gaps of a point with its term, and the
-loop hands them back to `at`, `accept` and `zero_step`.  The loop holds the
-terms of its point: it asks `at` at entry, after an accepted step and after
-a zero step (which may move the duals), and keeps them, with the stall
-threshold and max Theta, through rejected steps.
+loop hands them back to `at`, `accept` and `zero_step`.  `at` always
+returns a curvature vector Theta, zero in `ShiftedBounds`, and a
+complementarity residual, 0 there, which the stop test holds to abs_tol.
+The loop holds the terms of its point: it asks `at` at entry, after an
+accepted step and after a zero step (which may move the duals), and keeps
+them, with the stall threshold and max Theta, through rejected steps.
 
 The loop constants are those of TR in Aravkin, Baraldi & Orban (2022) and of
 TRDH in Leconte & Orban (2023): DELTA_INIT is Delta_0 and DELTA_MAX caps the
@@ -109,16 +111,16 @@ class ShiftedBounds:
 
     def __init__(self, bounds: Box):
         self.bounds = bounds
+        self.theta = np.zeros(bounds.lo.size)  # no barrier curvature
 
     def phi(self, x):
         """The constraint term at x and the gaps of x (none here)."""
         return 0.0, None
 
     def at(self, x, gx, gaps):
-        """Model gradient, extra curvature, box of points, measure gradient and
-        complementarity residual at x (None: no extra curvature, measure
-        with the model gradient)."""
-        return gx, None, self.bounds, None, 0.0
+        """Model gradient, curvature Theta (zero here), box of points, measure
+        gradient (None: the model gradient) and complementarity residual at x."""
+        return gx, self.theta, self.bounds, None, 0.0
 
     def zero_step(self, x, gaps) -> bool:
         """Handle a zero model step; True skips the trial evaluation."""
@@ -144,14 +146,14 @@ class InnerResult:
 
 
 def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *,
-               max_iter: int, abs_tol: float, rel_tol: float, eps_p: float = 0.0,
-               trace: list, records: list) -> InnerResult:
+               max_iter: int, abs_tol: float, rel_tol: float, trace: list,
+               records: list) -> InnerResult:
     """Minimize f + phi + h from x, where f(x), h(x) and grad f(x) are given.
 
     ``cons`` supplies the constraint terms through the methods of
     `ShiftedBounds` and the attributes mu and records_exits.
     The loop stops with "tol" once the measure falls below abs_tol + rel_tol *
-    (measure at entry) and the complementarity residual below eps_p, with
+    (measure at entry) and the complementarity residual below abs_tol, with
     "cap" after ``max_iter`` steps, measuring once more at the final point,
     and with "stalled" once Delta < eps (1 + ||x||_inf), before measuring at
     that radius: crit is then the last measure taken (inf if none).  It
@@ -195,7 +197,7 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
         if terms is None:
             terms = cons.at(x, gx, gaps)
             stall = EPS_MACH * (1.0 + float(np.abs(x).max()))
-            theta_max = 0.0 if terms[1] is None else float(terms[1].max())
+            theta_max = float(terms[1].max())
         if delta < stall:
             status = "stalled"
             break
@@ -218,7 +220,7 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
                "xi_meas": xi_m, "s_meas_norm2": math.sqrt(s_m @ s_m), "crit": crit,
                "compl": compl, "obj_before": obj, "obj_after": np.nan, "rho": np.nan,
                "accepted": False, "exit": None, "s_inf": 0.0, "cap_inf": np.nan}
-        if crit <= abs_tol + rel_tol * crit0 and compl <= eps_p:
+        if crit <= abs_tol + rel_tol * crit0 and compl <= abs_tol:
             status = "tol"
             if cons.records_exits:
                 rec["exit"] = status
@@ -230,7 +232,7 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
         cap = min(delta, BETA * float(np.abs(s1).max()))
         cap_box = box.ball(x, cap)
         if hasattr(qn, "diagonal"):
-            d = qn.diagonal() if theta is None else qn.diagonal() + theta
+            d = qn.diagonal() + theta
             x_t, s, h_t, gs, _ = first_order_step(h, x, hx, g, d, cap_box)
             n_prox += 1
         else:
@@ -247,7 +249,7 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
             terms = None
             continue
         bqs = qn.apply(s)  # B s, which the operator's update takes on acceptance
-        bs = bqs if theta is None else bqs + theta * s
+        bs = bqs + theta * s
         decrease = hx - gs - 0.5 * float(s @ bs) - h_t
         rho = -np.inf  # a step the model does not decrease fails whatever f says
         if decrease > 0:

@@ -1,13 +1,18 @@
 import inspect
 import json
+import unicodedata
 
 import numpy as np
 import pytest
 
 import ripm.bench as bench
+from helpers import CallableOracle
 from ripm import interior, oracles, problems, r2, regprox, trust_region
-from ripm.bench import (SOLVER_OPTIONS, ConfigError, RunConfig, best_objective, emit_table,
-                        emit_trace_csv, main, run_config, run_solver, solver_options)
+from ripm.bench import (SOLVER_OPTIONS, ConfigError, RunConfig, best_objective, certificate,
+                        emit_table, emit_trace_csv, main, run_config, run_solver,
+                        solver_options)
+from ripm.errors import OracleFailure
+from ripm.regprox import Box, Regularizer
 from ripm.report import BUDGET, ORACLE_FAILURE, SolverReport
 
 
@@ -92,7 +97,7 @@ def _logged_solve(monkeypatch, name, inst, budget):
 
     def logged(self, x):
         out = value(self, x)  # a refused value raises and is not logged
-        if self.budget is not None:  # a model subsolve has no budget
+        if self.budget < np.inf:  # a model subsolve has no budget
             events.append(("f", np.array(x)))
         return out
     monkeypatch.setattr(regprox, "iprox_shifted", counted)
@@ -296,11 +301,92 @@ def test_report_round_trip():
                           criticality=np.nan, n_f=0, n_grad=0, n_prox=0, wall_time_s=0.0,
                           termination=ORACLE_FAILURE, trace=[(0, np.nan)],
                           error="RuntimeError: synthetic", lam=inst.h.lam)
+    assert np.isfinite(real.certificate) and np.isnan(failed.certificate)
     for rep in (real, failed):
         back = SolverReport.from_dict(json.loads(json.dumps(rep.to_dict())))
         for name in SolverReport.SAVED:
             np.testing.assert_equal(getattr(back, name), getattr(rep, name), err_msg=name)
         assert set(rep.to_dict()) == set(SolverReport.SAVED)
+
+
+def _one_component(kind, lam, x, g, lo=-np.inf, hi=np.inf, weight=None):
+    """certificate at x of a one-component instance with grad f(x) = g (or g(x), if callable)."""
+    grad = g if callable(g) else lambda v: [g]
+    inst = problems.ProblemInstance(
+        name="one", smooth=CallableOracle(lambda v: 0.0, grad),
+        h=Regularizer(kind, lam, None if weight is None else np.array([weight])),
+        bounds=Box(np.array([lo]), np.array([hi])), x0=np.array([x]), seed=0)
+    return certificate(inst, np.array([x], dtype=float))
+
+
+@pytest.mark.parametrize("case,expected", [
+    # l1 with lam w = 0.5 * 2: at 0 the interval is g + [-1, 1], elsewhere g + sign(x)
+    (dict(kind="l1", lam=0.5, weight=2.0, x=0.0, g=0.3), 0.0),
+    (dict(kind="l1", lam=0.5, weight=2.0, x=0.0, g=1.5), 0.5),
+    (dict(kind="l1", lam=0.5, weight=2.0, x=0.0, g=-1.25), 0.25),
+    (dict(kind="l1", lam=0.5, weight=2.0, x=2.0, g=-0.25), 0.75),
+    (dict(kind="l1", lam=0.5, weight=2.0, x=-2.0, g=-0.25), 1.25),
+    # l0: all of R at 0 when penalized, {0} elsewhere and at a zero weight
+    (dict(kind="l0", lam=1.0, x=0.0, g=5.0), 0.0),
+    (dict(kind="l0", lam=1.0, x=2.0, g=5.0), 5.0),
+    (dict(kind="l0", lam=1.0, weight=0.0, x=0.0, g=-5.0), 5.0),
+    # the normal cone: (-inf, 0] at the lower bound, [0, inf) at the upper one
+    (dict(kind="l1", lam=0.0, x=1.0, g=2.0, lo=1.0, hi=3.0), 0.0),
+    (dict(kind="l1", lam=0.0, x=1.0, g=-2.0, lo=1.0, hi=3.0), 2.0),
+    (dict(kind="l1", lam=0.0, x=3.0, g=-2.0, lo=1.0, hi=3.0), 0.0),
+    (dict(kind="l1", lam=0.0, x=3.0, g=2.0, lo=1.0, hi=3.0), 2.0),
+    (dict(kind="l1", lam=0.0, x=2.0, g=2.0, lo=1.0, hi=3.0), 2.0),
+])
+def test_certificate_of_one_component(case, expected):
+    assert _one_component(**case) == expected
+
+
+def test_certificate_takes_an_uncounted_gradient(monkeypatch):
+    # the certificate reports and decides nothing: its gradient does not go
+    # through the counted grad, and it is NaN where grad f cannot be formed
+    def refused(self, x):
+        raise AssertionError("the certificate called the counted gradient")
+
+    monkeypatch.setattr(oracles.SmoothOracle, "grad", refused)
+    inst = bench.problems.build("bpdn", 0, m=10, n=24, n_spikes=3)
+    assert np.isfinite(certificate(inst, inst.x0)) and inst.smooth.n_grad == 0
+
+    def blows_up(v):
+        raise OracleFailure("state blow-up during the forward pass")
+
+    assert np.isnan(_one_component("l1", 1.0, 0.0, blows_up))
+    assert np.isnan(_one_component("l1", 1.0, 0.0, np.nan))
+    # an infinite gradient is not read as 0 where the normal cone would absorb it
+    assert np.isnan(_one_component("l1", 0.0, 1.0, np.inf, lo=1.0))
+
+
+def test_cli_table_prints_the_certificate(tmp_path, capsys):
+    # the live reports, reports.json and `ripm-bench table` carry one r̄; a
+    # reports.json saved before r̄ was reported reads NaN and prints "-"
+    cfg = _tiny_config(output_dir=str(tmp_path / "out"))
+    _, live = run_config(cfg)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", str(cfg_path)]) == 0
+    capsys.readouterr()
+    payload = json.loads((tmp_path / "out" / "reports.json").read_text())
+    saved = [SolverReport.from_dict(d) for d in payload["reports"]]
+    assert [r.certificate for r in saved] == [r.certificate for r in live]
+    assert all(np.isfinite(r.certificate) for r in live)
+    assert main(["table", str(tmp_path / "out")]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    col = header.split().index("r̄")
+    assert [row.split()[col] for row in rows] == [f"{r.certificate:.1e}" for r in live]
+    # the bar of r̄ is a combining mark, which takes no column
+    assert len({sum(not unicodedata.combining(ch) for ch in line)
+                for line in (header, *rows)}) == 1
+    for d in payload["reports"]:
+        del d["certificate"]
+    (tmp_path / "old").mkdir()
+    (tmp_path / "old" / "reports.json").write_text(json.dumps(payload))
+    assert main(["table", str(tmp_path / "old")]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert all(row.split()[col] == "-" for row in rows)
 
 
 @pytest.mark.parametrize("name,overrides", [

@@ -476,7 +476,7 @@ def _stage(smooth, h, x0, z0, mu, qn, mode="cp", delta=100.0, tol=1e-9, records=
     fx, hx, gx = evaluate_start(smooth, h, x0, trace)
     barrier = BarrierTerms(POS, mu, z0, mode)
     res = tr_iterate(smooth, h, barrier, qn, x0, fx, hx, gx, delta,
-                     max_iter=interior.INNER_CAP, abs_tol=tol, rel_tol=0.0, eps_p=tol,
+                     max_iter=interior.INNER_CAP, abs_tol=tol, rel_tol=0.0,
                      trace=trace, records=[] if records is None else records)
     return res, barrier
 

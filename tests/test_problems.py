@@ -351,21 +351,23 @@ def test_fresh_oracle_counters():
 
 def test_evals_left_and_held_back_evaluations():
     # the oracle says how many values the budget allows; one held back is
-    # refused inside the block and given back after it, and a value past the
-    # budget still raises
+    # refused inside the block and given back after it, also when the block
+    # raises, and a value past the budget still raises.  A fresh oracle's
+    # budget is infinite, which is unlimited
     oracle = build("qp", 0, n=20, p=0.2).smooth.fresh()
     x = np.full(20, 0.5)
-    assert oracle.evals_left() == np.inf
-    with oracle.held_back(1):
+    assert oracle.budget == np.inf and oracle.evals_left() == np.inf
+    with oracle.held_back():
         assert oracle.evals_left() == np.inf
+    assert oracle.budget == np.inf
     oracle.budget = 3
     oracle.value(x)
     assert oracle.evals_left() == 2
-    with oracle.held_back(1):
-        assert oracle.evals_left() == 1
-        oracle.value(x)
-        assert oracle.evals_left() == 0
-        with pytest.raises(BudgetExhausted):
+    with pytest.raises(BudgetExhausted):
+        with oracle.held_back():
+            assert oracle.evals_left() == 1
+            oracle.value(x)
+            assert oracle.evals_left() == 0
             oracle.value(x)
     assert oracle.budget == 3 and oracle.evals_left() == 1
     oracle.value(x)

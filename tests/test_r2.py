@@ -108,7 +108,9 @@ THETA = np.array([0.5, 1.0, 2.0, 0.25, 3.0])
 
 
 def _model_data(kind="lsr1", theta=None, n=5):
-    """g, an operator with three stored pairs, its dense B, theta and an origin."""
+    """g, an operator with three stored pairs, its dense B, theta and an origin.
+
+    theta None stands for no barrier, whose curvature is a zero vector."""
     rng = np.random.default_rng(12)
     qn = {"lsr1": LSR1, "lbfgs": LBFGS}[kind](n)
     A = rng.standard_normal((n, n))
@@ -117,7 +119,8 @@ def _model_data(kind="lsr1", theta=None, n=5):
         s = rng.standard_normal(n)
         assert qn.update(s, A @ s + 0.1 * rng.standard_normal(n))
     dense = {"lsr1": dense_sr1, "lbfgs": dense_bfgs}[kind](list(qn.pairs), n)
-    return rng.standard_normal(n), qn, dense, theta, rng.standard_normal(n)
+    th = np.zeros(n) if theta is None else theta
+    return rng.standard_normal(n), qn, dense, th, rng.standard_normal(n)
 
 
 def _counted_applies(monkeypatch, qn):
@@ -144,7 +147,7 @@ def test_model_value_then_grad_makes_one_product(monkeypatch, theta):
     assert np.array_equal(grad, QuadModelOracle(g, qn, th, origin).grad(x))
     # the model is taken at the step x - origin, and the product includes theta * s
     s = x - origin
-    H = B if th is None else B + np.diag(th)
+    H = B + np.diag(th)
     assert val == pytest.approx(g @ s + 0.5 * s @ H @ s, rel=1e-12)
     assert np.allclose(grad, g + H @ s, rtol=1e-12, atol=1e-12)
 
@@ -152,26 +155,26 @@ def test_model_value_then_grad_makes_one_product(monkeypatch, theta):
 def test_model_grad_reuses_the_product_at_an_equal_point(monkeypatch):
     # the kept product is keyed on the point's contents: an equal array reuses
     # it, the valued array changed in place does not
-    g, qn, _, _, origin = _model_data()
+    g, qn, _, zero, origin = _model_data()
     calls = _counted_applies(monkeypatch, qn)
-    model = QuadModelOracle(g, qn, None, origin)
+    model = QuadModelOracle(g, qn, zero, origin)
     x = origin + 1.0
     model.value(x)
     grad = model.grad(x.copy())
     assert len(calls) == 1
-    assert np.array_equal(grad, QuadModelOracle(g, qn, None, origin).grad(x))
+    assert np.array_equal(grad, QuadModelOracle(g, qn, zero, origin).grad(x))
     x[0] += 1.0
     before = len(calls)
     grad = model.grad(x)
     assert len(calls) == before + 1
-    assert np.array_equal(grad, QuadModelOracle(g, qn, None, origin).grad(x))
+    assert np.array_equal(grad, QuadModelOracle(g, qn, zero, origin).grad(x))
 
 
 @pytest.mark.parametrize("kind", ["lsr1", "lbfgs"])
 @pytest.mark.parametrize("theta", [None, THETA])
 def test_model_step_in_closed_form_matches_the_dense_model(kind, theta):
     g, qn, B, th, origin = _model_data(kind, theta)
-    H = B if th is None else B + np.diag(th)
+    H = B + np.diag(th)
 
     def m(s):
         return g @ s + 0.5 * s @ H @ s

@@ -344,7 +344,7 @@ def test_the_loop_asks_for_the_barrier_terms_once_per_point(step):
     fx, hx, gx = evaluate_start(smooth, h, x, trace)
     res = tr.tr_iterate(smooth, h, cons, SpectralDiag(1) if step == "diagonal" else LBFGS(1),
                         x, fx, hx, gx, 100.0, max_iter=200, abs_tol=1e-10, rel_tol=0.0,
-                        eps_p=1e-10, trace=trace, records=records)
+                        trace=trace, records=records)
     accepted = sum(r["accepted"] for r in records)
     rejected = sum(not r["accepted"] and r["s_inf"] > 0 for r in records)
     zero = sum(r["exit"] is None and r["s_inf"] == 0 for r in records)
