@@ -39,9 +39,10 @@ grad f(x) cannot be formed or is not finite.
 
 CLI: ``run <config.json> [--output-dir DIR]`` solves, writes reports.json,
 table.txt and one trace_<solver>.csv per solver to DIR (default: the
-config's output_dir) and prints the table; ``table <results-dir>`` prints
-the table of saved results.  Exit codes: 0 ok, 1 config error or an output
-directory that cannot be written, 2 when any solver failed hard.
+config's output_dir; a run with neither is a config error) and prints the
+table; ``table <results-dir>`` prints the table of saved results.  Exit
+codes: 0 ok, 1 config error or an output directory that cannot be written,
+2 when any solver failed hard.
 
 Run with BLAS on one thread (``OPENBLAS_NUM_THREADS=1``): on qp at
 `problems.PAPER_SCALE`, a second OpenBLAS thread doubles the CPU time of
@@ -52,7 +53,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
@@ -168,7 +168,7 @@ def run_solver(name: str, instance, budget: int, overrides: dict | None = None) 
     elif name == "TR-R2":
         report = tr_solve(oracle, h, bounds, make_qn(x0.size), x0, **opts, solver_name=name)
     else:
-        report = outer_solve(oracle, h, bounds, make_qn, x0, **opts, solver_name=name)
+        report = outer_solve(oracle, h, bounds, make_qn(x0.size), x0, **opts, solver_name=name)
 
     if instance.x_star is not None:
         report.dist_to_xstar = float(np.linalg.norm(report.x - instance.x_star))
@@ -238,10 +238,11 @@ def best_objective(reports) -> float:
 
 
 def _fmt_stat(v: float) -> str:
+    """An exact integer below 100 (an l0 count of h/λ, a zero) as itself, else ``.1e``."""
     if v is None or not np.isfinite(v):
         return "-"
-    if abs(v - round(v)) < 1e-9 and abs(v) < 100:
-        return str(int(round(v)))
+    if float(v).is_integer() and abs(v) < 100:
+        return str(int(v))
     return f"{v:.1e}"
 
 
@@ -326,11 +327,10 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        raw = json.loads(Path(args.config).read_text())
-        config = RunConfig.from_dict(raw)
+        config = RunConfig.from_dict(json.loads(Path(args.config).read_text()))
         out_dir = args.output_dir or config.output_dir
         if out_dir is None:
-            out_dir = f"results/{raw.get('name', 'run')}-{int(time.time())}"
+            raise ConfigError("no output directory: give --output-dir or the config's output_dir")
         instance, reports = run_config(config, out_dir)
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

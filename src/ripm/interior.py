@@ -11,13 +11,13 @@ passes: trial points are restricted to the box of points
 and the quadratic model adds the barrier gradient and the capped barrier
 curvature Theta = min(z / gap, kappa_bar) summed over bounded sides to the
 quasi-Newton operator B.  `outer_solve` builds one `BarrierTerms` per
-solve, sets its mu for each stage and reads the duals from it; the loop
-carries none, and hands back the gaps of each point that `phi` formed.
-Dual estimates come from `BarrierTerms.accept`, a linearized complementarity
-update projected into a safeguard interval, so they stay strictly positive.
-The measure follows h: the primal one, based on the barrier gradient, for
-the nonconvex l0 penalty, and the Lagrangian one, based on grad f - zl + zu,
-for a convex h.
+solve, sets its mu for each stage and reads the duals, mu and measure back
+from it; the loop carries none, and hands back the gaps that `phi` formed.
+The duals start at 1 and `BarrierTerms.accept` updates them: a linearized
+complementarity update projected into a safeguard interval, so they stay
+strictly positive.  The measure follows h: the primal one, based on the
+barrier gradient, for the nonconvex l0 penalty, and the Lagrangian one,
+based on grad f - zl + zu, for a convex h.
 
 Each barrier quantity is one formula over the sides of the bounds.  A side
 is an index i of its finite components, its bound b[i], a sign, +1 on the
@@ -55,7 +55,7 @@ from .errors import BoundaryPoint, BudgetExhausted
 # calls r2_solve from trust_region.  No solver calls intersect_boxes or
 # regprox.Box.shifted, which stay bound for the tracer too
 from .r2 import r2_solve  # noqa: F401
-from .regprox import L0, Box, fraction_to_boundary_box, intersect_boxes  # noqa: F401
+from .regprox import L0, Box, intersect_boxes  # noqa: F401
 from .report import (BUDGET, CONVERGED, MAX_ITER, STALLED, SolverReport, evaluate_start,
                      make_report)
 from .trust_region import DELTA_MAX, InnerResult, tr_iterate
@@ -84,13 +84,6 @@ class DualEstimate:
 
     zl: np.ndarray
     zu: np.ndarray
-
-    @classmethod
-    def ones_for(cls, bounds: Box) -> "DualEstimate":
-        z = [np.zeros(bounds.lo.size), np.zeros(bounds.hi.size)]
-        for i, _, _, which in _sides(bounds):
-            z[which][i] = 1.0
-        return cls(*z)
 
 
 def _sides(bounds: Box):
@@ -183,6 +176,22 @@ def _dual_update(sides, gaps_old, gaps_new, z_old: DualEstimate, s, mu) -> DualE
     return DualEstimate(*(np.zeros(n) if z is None else z for z in z_new))
 
 
+def fraction_to_boundary_box(min_gaps, bounds: Box) -> Box:
+    """The box [lo + tau min gap_l, hi - tau min gap_u] of points, tau = DELTA_FRAC.
+
+    ``min_gaps`` holds the smallest gap of a point x on each side, min_j
+    (x_j - lo_j) and min_j (hi_j - x_j) over finite bounds, or +inf for a
+    side with none; an infinite bound stays as it is.  For lo = 0, hi = +inf
+    this is {u : min_i u_i >= tau min_i x_i}.
+    """
+    m_l, m_u = min_gaps
+    if not (m_l > 0.0 and m_u > 0.0):
+        raise BoundaryPoint("x is not strictly interior")
+    lo = bounds.lo + DELTA_FRAC * m_l if m_l < np.inf else bounds.lo
+    hi = bounds.hi - DELTA_FRAC * m_u if m_u < np.inf else bounds.hi
+    return Box(lo, hi)
+
+
 def crossover(x, z: DualEstimate, mu_final: float, bounds: Box):
     """Snap near-boundary primal components and near-zero multipliers.
 
@@ -214,16 +223,20 @@ class BarrierTerms:
     """Constraint object of the barrier subproblems for `trust_region.tr_iterate`.
 
     Holds the barrier parameter ``mu``, which `outer_solve` sets for each
-    stage, and the dual estimate ``z``, which it updates on every accepted
-    step and, from exact perturbed complementarity, on a zero model step.
-    The sides are built once, in the layouts of the module docstring.
+    stage, and the dual estimate ``z``: 1 on the finite components of each
+    side at the start and 0 elsewhere, updated on every accepted step and,
+    from exact perturbed complementarity, on a zero model step.  The sides
+    are built once, in the layouts of the module docstring.
     """
 
     records_exits = True
 
-    def __init__(self, bounds: Box, mu: float, z: DualEstimate, mode: str):
-        self.bounds, self.mu, self.z, self.mode = bounds, mu, z, mode
+    def __init__(self, bounds: Box, mu: float, mode: str):
+        self.bounds, self.mu, self.mode = bounds, mu, mode
         self._sides = _sides(bounds)
+        self.z = DualEstimate(np.zeros(bounds.lo.size), np.zeros(bounds.hi.size))
+        for i, _, _, which in self._sides:
+            (self.z.zl, self.z.zu)[which][i] = 1.0
 
     def phi(self, x):
         """The barrier value at x (+inf outside the bounds) and the gaps of x."""
@@ -247,7 +260,7 @@ class BarrierTerms:
             min_gaps[which] = float(gap.min())
         if g_phi is None:  # no finite bound
             g_phi = theta = np.zeros(n)
-        box = fraction_to_boundary_box(min_gaps, DELTA_FRAC, self.bounds)
+        box = fraction_to_boundary_box(min_gaps, self.bounds)
         g_meas = gx - self.z.zl + self.z.zu if self.mode == MODE_LAGRANGIAN else None
         return gx + g_phi, theta, box, g_meas, math.sqrt(compl)
 
@@ -288,7 +301,7 @@ def inner_solve(smooth, h, barrier: BarrierTerms, qn, x, fx: float, hx: float, g
                       records=records)
 
 
-def outer_solve(smooth, h, bounds: Box, qn_factory, x0, *, mu_init: float = 1.0,
+def outer_solve(smooth, h, bounds: Box, qn, x0, *, mu_init: float = 1.0,
                 eps_r: float = 1e-4, eps_ri: float = 0.1, solver_name: str) -> SolverReport:
     """Barrier outer loop: shrink mu, solve inner subproblems, cross over.
 
@@ -300,8 +313,7 @@ def outer_solve(smooth, h, bounds: Box, qn_factory, x0, *, mu_init: float = 1.0,
     EPS_A + eps_r * (measure at the very first inner iteration), so eps_r
     (epsilon_r) is the relative part of the global tolerance.  The
     measure is the primal one when h is the (nonconvex) l0 penalty and the
-    Lagrangian one otherwise; the step follows the operators of
-    ``qn_factory``.
+    Lagrangian one otherwise; the step follows the operator ``qn``.
 
     The stages run with one evaluation of the budget kept back for the
     crossover point, so a stage ends "budget" (see `trust_region.tr_iterate`)
@@ -313,19 +325,18 @@ def outer_solve(smooth, h, bounds: Box, qn_factory, x0, *, mu_init: float = 1.0,
 
     The status says which limit stopped the loop: BUDGET when a stage ran
     out of evaluations (or the start was refused), STALLED after a stage
-    that stalled at entry, whose mu the crossover then uses, and MAX_ITER
-    after MAX_OUTER stages.
+    that stalled at entry, and MAX_ITER after MAX_OUTER stages.  The
+    crossover uses the mu of the last stage run (mu_init if none ran).
     """
     t0 = time.perf_counter()
     x = np.array(x0, dtype=float)
     if not np.isfinite(barrier_value(mu_init, x, bounds)):
         raise BoundaryPoint("outer solve requires a strictly interior start")
 
-    qn = qn_factory(x.size)
     trace: list = []
     records: list = []
-    mu = mu_last = mu_init
-    barrier = BarrierTerms(bounds, mu, DualEstimate.ones_for(bounds), measure_mode(h))
+    mu = mu_init
+    barrier = BarrierTerms(bounds, mu, measure_mode(h))
     status, res, eps_glob, n_prox, stages = MAX_ITER, None, None, 0, 0
     fx, hx = np.inf, 0.0
 
@@ -337,7 +348,6 @@ def outer_solve(smooth, h, bounds: Box, qn_factory, x0, *, mu_init: float = 1.0,
                 res = inner_solve(smooth, h, barrier, qn, x, fx, hx, gx, eps_ri, trace, records)
                 x, fx, hx, gx = res.x, res.fx, res.hx, res.gx
                 n_prox += res.n_prox
-                mu_last = mu
                 stages = k + 1
                 if eps_glob is None:
                     eps_glob = EPS_A + eps_r * res.measure0
@@ -362,8 +372,8 @@ def outer_solve(smooth, h, bounds: Box, qn_factory, x0, *, mu_init: float = 1.0,
         status = BUDGET
 
     z = barrier.z
-    x_cross, z_cross = crossover(x, z, mu_last, bounds)
-    cross_info = {"mu": mu_last, "applied": False}
+    x_cross, z_cross = crossover(x, z, barrier.mu, bounds)
+    cross_info = {"mu": barrier.mu, "applied": False}
     try:
         f_cross, h_cross = fx, hx
         if not np.array_equal(x_cross, x):
@@ -377,4 +387,4 @@ def outer_solve(smooth, h, bounds: Box, qn_factory, x0, *, mu_init: float = 1.0,
 
     return make_report(solver_name, smooth, h, x, fx, hx, res.crit if res else np.inf, n_prox,
                        t0, status, trace, {"inner": records, "crossover": cross_info,
-                                           "mode": measure_mode(h), "stages": stages}, z=z)
+                                           "mode": barrier.mode, "stages": stages}, z=z)

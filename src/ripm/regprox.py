@@ -1,9 +1,10 @@
 """Separable regularizers, coordinate boxes, and scaled proximal maps.
 
 Every feasible set the solvers touch (l-inf trust regions around the
-current point, the bounds, fraction-to-boundary sets) is a coordinate box
-of points, so each proximal subproblem splits into independent
-one-dimensional problems
+current point, the bounds, the fraction-to-boundary sets that
+`interior.fraction_to_boundary_box` builds) is a coordinate box of points,
+so each proximal subproblem splits into independent one-dimensional
+problems
 
     min_{lo_i <= u_i <= hi_i}  d_i (u_i - q_i)^2 / 2 + h_i(u_i)
 
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryPoint, EmptyBox
+from .errors import EmptyBox
 
 L1 = "l1"
 L0 = "l0"
@@ -160,23 +161,3 @@ def iprox_shifted(h: Regularizer, d, q, box: Box) -> np.ndarray:
     cost_z = 0.5 * d * q ** 2
     return np.where(z_ok & (cost_z <= cost_c), 0.0, c)
 
-
-def fraction_to_boundary_box(min_gaps, delta: float, bounds: Box) -> Box:
-    """Box of points keeping a delta fraction of the smallest gap on each side.
-
-    ``min_gaps`` holds the smallest gap of a point x on the lower side,
-    min_j (x_j - lo_j) over finite lower bounds, and on the upper side,
-    min_j (hi_j - x_j); a side with no finite bound has +inf.  The box
-    starts at lo + delta * min gap_l and ends at hi - delta * min gap_u.
-    Components with an infinite bound are unconstrained on that side, so for
-    lo = 0, hi = +inf this is exactly {u : min_i u_i >= delta * min_i x_i}.
-    The barrier stages pass the gaps they already hold for x.
-    """
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    m_l, m_u = min_gaps
-    if not (m_l > 0.0 and m_u > 0.0):
-        raise BoundaryPoint("x is not strictly interior")
-    lo = bounds.lo + delta * m_l if m_l < np.inf else bounds.lo
-    hi = bounds.hi - delta * m_u if m_u < np.inf else bounds.hi
-    return Box(lo, hi)

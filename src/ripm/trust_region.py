@@ -108,10 +108,12 @@ class ShiftedBounds:
 
     mu = 0.0
     records_exits = False
+    # no barrier curvature: a 0-d zero, so that the diagonal step's sigma
+    # diag(B) + Theta stays a scalar
+    theta = np.float64(0.0)
 
     def __init__(self, bounds: Box):
         self.bounds = bounds
-        self.theta = np.zeros(bounds.lo.size)  # no barrier curvature
 
     def phi(self, x):
         """The constraint term at x and the gaps of x (none here)."""

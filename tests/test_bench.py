@@ -210,6 +210,15 @@ def test_emit_table_formatting():
     assert "‖x-x*‖" in text and "4.1e-01" in text
 
 
+@pytest.mark.parametrize("value, cell", [
+    (3e-10, "3.0e-10"), (8e-17, "8.0e-17"), (2.0000000001, "2.0e+00"),  # measured, not 0 or 2
+    (3.0, "3"), (0.0, "0"), (99.0, "99"), (100.0, "1.0e+02"),  # exact integers below 100
+    (np.nan, "-"), (np.inf, "-"), (None, "-"),
+])
+def test_fmt_stat_prints_an_integer_only_when_exact(value, cell):
+    assert bench._fmt_stat(value) == cell
+
+
 def test_emit_table_row_order_matches_config():
     cfg = _tiny_config()
     _, reports = run_config(cfg)
@@ -444,9 +453,10 @@ def test_every_listed_option_is_taken():
 
 
 def test_cli_config_error_exit_code(tmp_path, monkeypatch, capsys):
-    # without --output-dir a run would save under results/ in the working
-    # directory; a rejected config must not make it
+    # a rejected config makes no output directory, its own or one in the
+    # working directory
     monkeypatch.chdir(tmp_path)
+    out = str(tmp_path / "out")
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["run", str(bad)]) == 1
@@ -456,16 +466,18 @@ def test_cli_config_error_exit_code(tmp_path, monkeypatch, capsys):
     assert main(["run", str(good_shape)]) == 1
     bogus_mode = tmp_path / "bad3.json"
     bogus_mode.write_text(json.dumps(_tiny_config(
-        solvers=[{"name": "RIPM-R2", "options": {"mode": "bogus"}}])))
+        solvers=[{"name": "RIPM-R2", "options": {"mode": "bogus"}}], output_dir=out)))
+    capsys.readouterr()
     assert main(["run", str(bogus_mode)]) == 1
+    assert "reads no option 'mode'" in capsys.readouterr().err
     # json reads NaN, and a lam that is not finite is a config error
     nan_lam = tmp_path / "bad4.json"
     nan_lam.write_text('{"problem": {"name": "qp", "params": {"n": 20, "p": 0.2, "lam": NaN}}, '
-                       '"solvers": ["R2", "RIPM-R2"], "budget": 20}')
-    capsys.readouterr()
+                       '"solvers": ["R2", "RIPM-R2"], "budget": 20, "output_dir": "out"}')
     assert main(["run", str(nan_lam)]) == 1
     assert "lam must be finite" in capsys.readouterr().err
-    assert not (tmp_path / "results").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "bad2.json", "bad3.json",
+                                                          "bad4.json"]
 
 
 def _write_reports_with_old_keys(path):
@@ -478,11 +490,11 @@ def _write_reports_with_old_keys(path):
 @pytest.mark.parametrize("case", ["table_missing", "table_old_keys", "budget", "budget_true",
                                   "budget_fraction", "budget_infinite", "output_dir_number",
                                   "solver_entry", "solvers_empty", "options_list",
-                                  "problem_string", "problem_empty",
+                                  "problem_string", "problem_empty", "output_dir_missing",
                                   "output_dir_is_a_file", "output_dir_under_a_file",
                                   "reports_json_is_a_directory"])
 def test_cli_malformed_input_exits_1(tmp_path, capsys, monkeypatch, case):
-    monkeypatch.chdir(tmp_path)  # where a run without an output directory writes results/
+    monkeypatch.chdir(tmp_path)  # a run must write nothing in the working directory
     results = tmp_path / "results"
     solved = []
     real = bench.run_solver
@@ -518,7 +530,9 @@ def test_cli_malformed_input_exits_1(tmp_path, capsys, monkeypatch, case):
             "solvers_empty": _tiny_config(solvers=[]),
             "options_list": _tiny_config(solvers=[{"name": "R2", "options": [1]}]),
             "problem_string": _tiny_config(problem="bpdn"),
-            "problem_empty": _tiny_config(problem={"name": "qp", "params": {"n": 0}}),
+            "problem_empty": _tiny_config(problem={"name": "qp", "params": {"n": 0}},
+                                          output_dir=str(results)),
+            "output_dir_missing": _tiny_config(),
         }[case]
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
@@ -527,7 +541,7 @@ def test_cli_malformed_input_exits_1(tmp_path, capsys, monkeypatch, case):
     assert capsys.readouterr().err
     # a bad output directory is found before the first solve
     assert solved == (["R2"] if case == "reports_json_is_a_directory" else [])
-    if argv[0] == "run" and "--output-dir" not in argv:  # nor makes the default one
+    if argv[0] == "run" and "--output-dir" not in argv:  # nor makes its output directory
         assert not results.exists()
 
 

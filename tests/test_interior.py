@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from ripm import interior
 from ripm.errors import BoundaryPoint
-from ripm.interior import (BarrierTerms, DualEstimate, barrier_value, crossover, inner_solve,
-                           measure_mode, outer_solve)
-from ripm.qnops import LBFGS, SpectralDiag
+from ripm.interior import (DELTA_FRAC, BarrierTerms, DualEstimate, barrier_value, crossover,
+                           fraction_to_boundary_box, inner_solve, measure_mode, outer_solve)
+from ripm.qnops import LSR1, SpectralDiag
 from ripm.r2 import first_order_step
 from ripm.regprox import Box, Regularizer
 from ripm.report import BUDGET, CONVERGED, MAX_ITER, STALLED, evaluate_start
@@ -56,7 +56,7 @@ def test_barrier_value_two_sided():
 
 def _barrier_grad(mu, x, bounds):
     """The barrier gradient: the model gradient of `BarrierTerms.at` where grad f = 0."""
-    terms = BarrierTerms(bounds, mu, DualEstimate.ones_for(bounds), "cp")
+    terms = BarrierTerms(bounds, mu, "cp")
     return terms.at(x, np.zeros(x.size), terms.phi(x)[1])[0]
 
 
@@ -67,6 +67,50 @@ def test_barrier_grad_examples():
     assert np.allclose(g, [-6.0, -1.5])
     with pytest.raises(BoundaryPoint):
         _barrier_grad(1.0, np.array([0.0]), POS)
+
+
+def test_the_start_duals_are_one_on_each_finite_side():
+    # in every layout of the sides: all finite, a mask of finite components,
+    # and no finite component (the upper side of "lower only", both of "free")
+    rng = np.random.default_rng(5)
+    n = 30
+    cases = dict(_layouts(rng, n), free=Box(np.full(n, -np.inf), np.full(n, np.inf)))
+    for layout, bounds in cases.items():
+        z = BarrierTerms(bounds, 1.0, "cp").z
+        for got, bound in ((z.zl, bounds.lo), (z.zu, bounds.hi)):
+            assert np.array_equal(got, np.where(np.isfinite(bound), 1.0, 0.0)), layout
+
+
+def test_fraction_to_boundary_one_sided():
+    bounds = Box(np.zeros(2), np.full(2, np.inf))
+    b = fraction_to_boundary_box((1.0, np.inf), bounds)  # x = (1, 2)
+    assert np.allclose(b.lo, [DELTA_FRAC, DELTA_FRAC])
+    assert np.all(np.isinf(b.hi))
+
+
+def test_fraction_to_boundary_two_sided():
+    b = fraction_to_boundary_box((1.0, 1.0), _box1(0.0, 2.0))  # x = 1
+    assert b.lo[0] == pytest.approx(DELTA_FRAC)
+    assert b.hi[0] == pytest.approx(2.0 - DELTA_FRAC)
+
+
+def test_fraction_to_boundary_requires_interior():
+    with pytest.raises(BoundaryPoint):
+        fraction_to_boundary_box((0.0, 2.0), _box1(0.0, 2.0))  # x = 0
+
+
+@given(st.floats(-5, 5))
+@settings(max_examples=50, deadline=None)
+def test_fraction_to_boundary_membership(shift):
+    # any point in the returned box keeps min(u) >= tau * min(x) (one-sided)
+    x = np.array([1.0, 2.5, 0.7]) + 3.0 + shift / 10.0
+    bounds = Box(np.zeros(3), np.full(3, np.inf))
+    b = fraction_to_boundary_box((float(np.min(x)), np.inf), bounds)
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        t = rng.uniform(0, 1, size=3)
+        u = b.lo + t * (np.minimum(b.hi, b.lo + 10.0) - b.lo)
+        assert np.min(u) >= DELTA_FRAC * np.min(x) - 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -83,8 +127,9 @@ def _barrier_step(x, mu, nu, delta, smooth, h, bounds, z=None):
     Returns the step u - x and its model decrease.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    z_at = DualEstimate.ones_for(bounds) if z is None else z
-    terms = BarrierTerms(bounds, mu, z_at, "cp" if z is None else "lagrangian")
+    terms = BarrierTerms(bounds, mu, "cp" if z is None else "lagrangian")
+    if z is not None:
+        terms.z = z
     g, _, box, g_meas, _ = terms.at(x, smooth.grad(x), terms.phi(x)[1])
     _, s, _, _, xi = first_order_step(h, x, h.value(x), g if z is None else g_meas, 1.0 / nu,
                                       box.ball(x, delta))
@@ -144,7 +189,8 @@ def test_xi_l_zero_at_kkt_point():
 
 def _accepted_z(x_new, x_old, z_old, s, mu, bounds):
     """The dual estimate that `BarrierTerms.accept` makes on the step s from x_old to x_new."""
-    terms = BarrierTerms(bounds, mu, z_old, "lagrangian")
+    terms = BarrierTerms(bounds, mu, "lagrangian")
+    terms.z = z_old
     terms.accept(terms.phi(x_old)[1], terms.phi(x_new)[1], s)
     return terms.z
 
@@ -266,7 +312,7 @@ def test_dual_update_projection_equals_the_clip_form_bit_for_bit(mu):
     bounds = _mixed_bounds(rng, n)
     x_old = _interior_point(bounds)
     gl, gu = x_old - bounds.lo, bounds.hi - x_old
-    ones = DualEstimate.ones_for(bounds)
+    ones = BarrierTerms(bounds, mu, "cp").z
     clipped = 0
     for _ in range(5):
         # steps up to 0.9 of the gap on either side keep the new point interior
@@ -325,7 +371,7 @@ def _near_the_bounds(rng, bounds):
     upper = np.isfinite(hi) & (~np.isfinite(lo) | (rng.random(n) < 0.5))
     x = np.where(upper, hi - gap, lo + gap)
     x = np.where(np.isfinite(lo) | np.isfinite(hi), x, rng.standard_normal(n))
-    ones = DualEstimate.ones_for(bounds)
+    ones = BarrierTerms(bounds, 1.0, "cp").z
     return x, DualEstimate(ones.zl * 10.0 ** rng.uniform(-9, 1, n),
                            ones.zu * 10.0 ** rng.uniform(-9, 1, n))
 
@@ -337,7 +383,8 @@ def test_barrier_terms_and_crossover_equal_the_where_forms_bit_for_bit(mu):
     for layout, bounds in _layouts(rng, n).items():
         x, z = _near_the_bounds(rng, bounds)
         gx = rng.standard_normal(n)
-        terms = BarrierTerms(bounds, mu, z, "cp")
+        terms = BarrierTerms(bounds, mu, "cp")
+        terms.z = z
         g, theta, _, _, compl = terms.at(x, gx, terms.phi(x)[1])
         g_phi, theta_want, compl_want = _where_barrier_terms(x, z, mu, bounds)
         assert np.array_equal(_raw_bits(g), _raw_bits(gx + g_phi)), layout
@@ -370,7 +417,8 @@ def _assert_same_terms(got, want, layout):
 
 def _fresh_terms(bounds, mu, z, x, gx):
     """`BarrierTerms.at` of a fresh object, from the gaps its own `phi` forms."""
-    terms = BarrierTerms(bounds, mu, z, "lagrangian")
+    terms = BarrierTerms(bounds, mu, "lagrangian")
+    terms.z = z
     return terms.at(x, gx, terms.phi(x)[1])
 
 
@@ -396,10 +444,10 @@ def test_barrier_terms_reuse_gaps_bit_for_bit():
     for layout, bounds in _layouts(rng, n).items():
         x = _interior_point(bounds)
         gx = rng.standard_normal(n)
-        ones = DualEstimate.ones_for(bounds)
-        z0 = DualEstimate(ones.zl * rng.uniform(0.1, 2.0, n),
-                          ones.zu * rng.uniform(0.1, 2.0, n))
-        terms = BarrierTerms(bounds, mu, z0, "lagrangian")
+        terms = BarrierTerms(bounds, mu, "lagrangian")
+        ones = terms.z
+        terms.z = DualEstimate(ones.zl * rng.uniform(0.1, 2.0, n),
+                               ones.zu * rng.uniform(0.1, 2.0, n))
         phi, gaps = terms.phi(x)
         assert _raw_bits(phi) == _raw_bits(barrier_value(mu, x, bounds)), layout
         _assert_gaps_of(gaps, x, bounds, layout)
@@ -467,14 +515,17 @@ def test_crossover_two_sided_and_cleanup():
 # inner solve against analytic barrier stationary points
 
 
-def _stage(smooth, h, x0, z0, mu, qn, mode="cp", delta=100.0, tol=1e-9, records=None):
-    """One barrier stage through the solver's loop, to ``tol`` on both residuals.
+def _stage(smooth, h, x0, mu, qn, mode="cp", delta=100.0, tol=1e-9, records=None, z0=None):
+    """One barrier stage through the solver's loop, to ``tol`` on both residuals,
+    from the start duals or ``z0``.
 
     Returns the loop's result and the barrier, which holds the duals."""
     x0 = np.asarray(x0, dtype=float)
     trace = []
     fx, hx, gx = evaluate_start(smooth, h, x0, trace)
-    barrier = BarrierTerms(POS, mu, z0, mode)
+    barrier = BarrierTerms(POS, mu, mode)
+    if z0 is not None:
+        barrier.z = z0
     res = tr_iterate(smooth, h, barrier, qn, x0, fx, hx, gx, delta,
                      max_iter=interior.INNER_CAP, abs_tol=tol, rel_tol=0.0,
                      trace=trace, records=[] if records is None else records)
@@ -488,10 +539,9 @@ def test_a_collapsed_radius_stalls_the_stage(step):
     # where f' = -1; the stage stalls before measuring instead of refreshing
     # the duals on the zero step and exiting on the tolerance
     smooth = _oracle_quad(2.0)
-    qn = SpectralDiag(1) if step == "diagonal" else LBFGS(1)
+    qn = SpectralDiag(1) if step == "diagonal" else LSR1(1)
     records = []
-    res, _ = _stage(smooth, Regularizer("l1"), [1.0], DualEstimate.ones_for(POS), 1e-3, qn,
-                    delta=1e-30, records=records)
+    res, _ = _stage(smooth, Regularizer("l1"), [1.0], 1e-3, qn, delta=1e-30, records=records)
     assert res.status == "stalled" and res.crit == np.inf
     assert res.n_prox == 0 and records == [] and smooth.n_f == 1
 
@@ -501,9 +551,8 @@ def test_a_collapsed_radius_stalls_the_stage(step):
 def test_inner_solve_quadratic_barrier_path(step, mu):
     # stationarity of 0.5 (x-2)^2 - mu log x:  x - 2 - mu / x = 0
     root = bisect_root(lambda t: t - 2.0 - mu / t, 1e-9, 10.0)
-    qn = SpectralDiag(1) if step == "diagonal" else LBFGS(1)
-    res, barrier = _stage(_oracle_quad(2.0), Regularizer("l1"), [1.0],
-                          DualEstimate.ones_for(POS), mu, qn)
+    qn = SpectralDiag(1) if step == "diagonal" else LSR1(1)
+    res, barrier = _stage(_oracle_quad(2.0), Regularizer("l1"), [1.0], mu, qn)
     assert res.status == "tol"
     assert res.x[0] == pytest.approx(root, abs=1e-6)
     assert abs(res.x[0] * barrier.z.zl[0] - mu) <= 1e-9
@@ -513,8 +562,7 @@ def test_inner_solve_quadratic_barrier_path(step, mu):
 def test_inner_solve_l1_barrier_stationary_point(mode):
     # f = 0, h = lam |x|, x > 0: stationarity lam - mu / x = 0 -> x = mu / lam
     mu, lam = 0.5, 1.0
-    res, _ = _stage(_oracle_zero(), Regularizer("l1", lam), [2.0], DualEstimate.ones_for(POS),
-                    mu, SpectralDiag(1), mode)
+    res, _ = _stage(_oracle_zero(), Regularizer("l1", lam), [2.0], mu, SpectralDiag(1), mode)
     assert res.status == "tol"
     assert res.x[0] == pytest.approx(mu / lam, abs=1e-6)
 
@@ -525,8 +573,8 @@ def test_inner_solve_immediate_exit():
     x0 = np.array([root])
     z0 = DualEstimate(mu / x0, np.zeros(1))
     records = []
-    res, _ = _stage(_oracle_quad(2.0), Regularizer("l1"), x0, z0, mu, SpectralDiag(1),
-                    delta=10.0, tol=1e-6, records=records)
+    res, _ = _stage(_oracle_quad(2.0), Regularizer("l1"), x0, mu, SpectralDiag(1),
+                    delta=10.0, tol=1e-6, records=records, z0=z0)
     assert res.status == "tol"
     assert [(r["exit"], r["accepted"]) for r in records] == [("tol", False)]
     assert res.x[0] == x0[0]
@@ -536,7 +584,7 @@ def test_inner_solve_requires_interior_start():
     smooth, h, x = _oracle_quad(2.0), Regularizer("l1"), np.array([0.0])
     fx, hx, gx = evaluate_start(smooth, h, x, [])
     with pytest.raises(BoundaryPoint):
-        barrier = BarrierTerms(POS, 1.0, DualEstimate.ones_for(POS), measure_mode(h))
+        barrier = BarrierTerms(POS, 1.0, measure_mode(h))
         inner_solve(smooth, h, barrier, SpectralDiag(1), x, fx, hx, gx, 0.0, [], [])
 
 
@@ -548,7 +596,7 @@ def test_inner_solve_radius_tolerance_and_measure(kind):
     smooth, h, x = _oracle_quad(2.0), Regularizer(kind, 0.3), np.array([1.0, 0.5, 3.0])
     trace, records = [], []
     fx, hx, gx = evaluate_start(smooth, h, x, trace)
-    barrier = BarrierTerms(bounds, mu, DualEstimate.ones_for(bounds), measure_mode(h))
+    barrier = BarrierTerms(bounds, mu, measure_mode(h))
     res = inner_solve(smooth, h, barrier, SpectralDiag(3), x, fx, hx, gx, eps_rel, trace,
                       records)
     assert records[0]["delta_before"] == min(interior.DELTA0_FACTOR * mu, DELTA_MAX)
@@ -566,8 +614,8 @@ def test_inner_solve_radius_tolerance_and_measure(kind):
 
 def _outer(smooth, h, bounds, x0, step="diagonal"):
     # the step follows the operator: the spectral diagonal takes closed-form steps
-    factory = SpectralDiag if step == "diagonal" else LBFGS
-    return outer_solve(smooth, h, bounds, factory, x0, solver_name="RIPM")
+    qn = SpectralDiag(x0.size) if step == "diagonal" else LSR1(x0.size)
+    return outer_solve(smooth, h, bounds, qn, x0, solver_name="RIPM")
 
 
 @pytest.mark.parametrize("step", ["diagonal", "r2"])
@@ -610,6 +658,23 @@ def test_outer_mode_forced_to_cp_for_l0():
     assert rep.diagnostics["mode"] == "cp"
 
 
+@pytest.mark.parametrize("kind, stages", [("l0", None), ("l1", None), ("l1", 2)])
+def test_the_crossover_takes_mu_and_the_mode_of_the_last_stage(monkeypatch, kind, stages):
+    # a converged solve, and one that ends on the stage cap, after which mu
+    # is not shrunk again
+    if stages:
+        monkeypatch.setattr(interior, "MAX_OUTER", stages)
+    h = Regularizer(kind, 0.1)
+    rep = _outer(_oracle_quad(2.0), h, POS, np.array([1.0]))
+    records = rep.diagnostics["inner"]
+    assert rep.termination == (MAX_ITER if stages else CONVERGED)
+    assert rep.diagnostics["crossover"]["mu"] == records[-1]["mu"]
+    assert records[-1]["mu"] == pytest.approx(0.1 ** (rep.diagnostics["stages"] - 1), rel=1e-12)
+    # the cp measure is that of the model step, and the Lagrangian one is not
+    cp = all(r["xi_meas"] == r["xi"] for r in records)
+    assert rep.diagnostics["mode"] == ("cp" if cp else "lagrangian") == measure_mode(h)
+
+
 @pytest.mark.parametrize("step", ["diagonal", "r2"])
 def test_outer_stops_after_a_stage_that_stalls_at_entry(step):
     # Delta_0 = 1000 mu = 1e-17 is below eps (1 + ||x||_inf) at x = 1, so the
@@ -617,7 +682,7 @@ def test_outer_stops_after_a_stage_that_stalls_at_entry(step):
     # later stage would start at a smaller radius, so the solve stops there
     mu = 1e-20
     rep = outer_solve(_oracle_quad(2.0), Regularizer("l1"), POS,
-                      SpectralDiag if step == "diagonal" else LBFGS, np.array([1.0]),
+                      SpectralDiag(1) if step == "diagonal" else LSR1(1), np.array([1.0]),
                       mu_init=mu, solver_name="RIPM")
     assert rep.termination == STALLED and rep.diagnostics["stages"] == 1
     assert rep.diagnostics["crossover"]["mu"] == mu
@@ -627,7 +692,7 @@ def test_outer_stops_after_a_stage_that_stalls_at_entry(step):
 def test_outer_budget_one():
     smooth = _oracle_quad(2.0)
     smooth.budget = 1
-    rep = outer_solve(smooth, Regularizer("l1"), POS, SpectralDiag, np.array([1.0]),
+    rep = outer_solve(smooth, Regularizer("l1"), POS, SpectralDiag(1), np.array([1.0]),
                       solver_name="RIPM")
     assert rep.termination == BUDGET
     assert rep.n_f <= 2

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ripm.errors import BoundaryPoint, EmptyBox
-from ripm.regprox import Box, Regularizer, fraction_to_boundary_box, intersect_boxes, iprox_shifted
+from ripm.errors import EmptyBox
+from ripm.regprox import Box, Regularizer, intersect_boxes, iprox_shifted
 
 from helpers import comp_reg_value, grid_min_vec
 
@@ -92,44 +92,6 @@ def test_intersect_boxes_examples():
     assert b.lo[0] == -3.0 and b.hi[0] == 3.0
     with pytest.raises(EmptyBox):
         intersect_boxes(_box1(0, 1), _box1(2, 3))
-
-
-def test_fraction_to_boundary_one_sided():
-    bounds = Box(np.zeros(2), np.full(2, np.inf))
-    b = fraction_to_boundary_box((1.0, np.inf), 0.5, bounds)  # x = (1, 2)
-    assert np.allclose(b.lo, [0.5, 0.5])
-    assert np.all(np.isinf(b.hi))
-
-
-def test_fraction_to_boundary_small_delta_recovers_bound():
-    bounds = Box(np.zeros(1), np.full(1, np.inf))
-    b = fraction_to_boundary_box((1.0, np.inf), 1e-12, bounds)
-    assert b.lo[0] == pytest.approx(0.0, abs=1e-11)
-
-
-def test_fraction_to_boundary_two_sided():
-    b = fraction_to_boundary_box((1.0, 1.0), 0.5, _box1(0.0, 2.0))  # x = 1
-    assert b.lo[0] == pytest.approx(0.5)
-    assert b.hi[0] == pytest.approx(1.5)
-
-
-def test_fraction_to_boundary_requires_interior():
-    with pytest.raises(BoundaryPoint):
-        fraction_to_boundary_box((0.0, 2.0), 0.5, _box1(0.0, 2.0))  # x = 0
-
-
-@given(st.floats(-5, 5), st.floats(0.01, 0.99))
-@settings(max_examples=50, deadline=None)
-def test_fraction_to_boundary_membership(shift, delta):
-    # any point in the returned box keeps min(u) >= delta * min(x) (one-sided)
-    x = np.array([1.0, 2.5, 0.7]) + 3.0 + shift / 10.0
-    bounds = Box(np.zeros(3), np.full(3, np.inf))
-    b = fraction_to_boundary_box((float(np.min(x)), np.inf), delta, bounds)
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        t = rng.uniform(0, 1, size=3)
-        u = b.lo + t * (np.minimum(b.hi, b.lo + 10.0) - b.lo)
-        assert np.min(u) >= delta * np.min(x) - 1e-12
 
 
 def _prox_case_matches_grid(kind, lam, d, q, lo, hi, x=0.0):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from ripm import bench, problems
+from ripm import bench, problems, regprox
 from ripm import trust_region as tr
-from ripm.interior import BarrierTerms, DualEstimate
+from ripm.interior import BarrierTerms
 from ripm.qnops import LBFGS, LSR1, SpectralDiag
 from ripm.regprox import Box, Regularizer
 from ripm.report import CONVERGED, evaluate_start
@@ -30,7 +30,7 @@ def test_tr_interior_minimum(tight):
     n = 4
     bounds = Box(np.zeros(n), np.full(n, np.inf))
     rep = tr_solve(_quad_shift(np.ones(n)), Regularizer("l1"), bounds,
-                   LBFGS(n), 0.5 * np.ones(n), rel_tol=0.0, solver_name="TR")
+                   LSR1(n), 0.5 * np.ones(n), rel_tol=0.0, solver_name="TR")
     assert rep.termination == CONVERGED
     assert np.allclose(rep.x, 1.0, atol=1e-6)
 
@@ -39,7 +39,7 @@ def test_tr_active_bounds(tight):
     n = 3
     bounds = Box(np.zeros(n), np.full(n, np.inf))
     rep = tr_solve(_quad_shift(-np.ones(n)), Regularizer("l1"), bounds,
-                   LBFGS(n), np.ones(n), rel_tol=0.0, solver_name="TR")
+                   LSR1(n), np.ones(n), rel_tol=0.0, solver_name="TR")
     assert np.allclose(rep.x, 0.0, atol=1e-9)
 
 
@@ -78,6 +78,23 @@ def test_trdh_separable_quadratic_soft_threshold_step(tight):
     assert np.allclose(rep.x, xg, atol=1e-6)
 
 
+def test_trdh_steps_with_a_scalar_sigma(monkeypatch):
+    # without a barrier Theta is a 0-d zero, so sigma = diag(B) + Theta of
+    # the diagonal step is a scalar, as the spectral diagonal is
+    sigmas = []
+    kernel = regprox.iprox_shifted
+
+    def recording(h, d, q, box):
+        sigmas.append(np.ndim(d))
+        return kernel(h, d, q, box)
+
+    monkeypatch.setattr(regprox, "iprox_shifted", recording)
+    inst = problems.build("bpdn", 0, m=10, n=24, n_spikes=3)
+    rep = trdh_solve(inst.smooth.fresh(), inst.h, inst.bounds, inst.x0)
+    assert len(rep.diagnostics["iters"]) > 1 and len(sigmas) == rep.n_prox
+    assert sigmas == [0] * rep.n_prox
+
+
 def test_trdh_two_prox_per_iteration(tight):
     rep = trdh_solve(_quad_shift([3.0]), Regularizer("l1", 0.5), FREE,
                      np.array([0.1]), rel_tol=0.0)
@@ -93,7 +110,7 @@ def test_radius_schedule_conformance(monkeypatch):
     oracle = CallableOracle(lambda x: float(np.sum(np.cosh(x))),
                             lambda x: np.sinh(x))
     rep = tr_solve(oracle, Regularizer("l1", 0.1), Box(np.full(1, -5.0), np.full(1, 5.0)),
-                   LBFGS(1), np.array([2.0]), rel_tol=0.0, solver_name="TR")
+                   LSR1(1), np.array([2.0]), rel_tol=0.0, solver_name="TR")
     iters = rep.diagnostics["iters"]
     assert iters, "expected at least one stepped iteration"
     assert any(it["rho"] >= tr.ETA2 for it in iters)
@@ -116,7 +133,7 @@ def test_step_cap_and_criticality_lower_bound(monkeypatch):
     oracle = CallableOracle(lambda x: float(np.sum(np.cosh(x))),
                             lambda x: np.sinh(x))
     rep = tr_solve(oracle, Regularizer("l1", 0.1), Box(np.full(1, -5.0), np.full(1, 5.0)),
-                   LBFGS(1), np.array([2.0]), rel_tol=0.0, solver_name="TR")
+                   LSR1(1), np.array([2.0]), rel_tol=0.0, solver_name="TR")
     for it in rep.diagnostics["iters"]:
         assert it["s_inf"] <= it["cap_inf"] + 1e-12
         assert it["cap_inf"] <= min(it["delta_before"], tr.BETA * it["s1_norm2"]) + 1e-12
@@ -298,7 +315,7 @@ def test_boxes_built_per_iteration(monkeypatch, step, constraint, most):
     if constraint == "bounds":
         cons = tr.ShiftedBounds(bounds)
     else:
-        cons = BarrierTerms(bounds, 1e-2, DualEstimate.ones_for(bounds), "lagrangian")
+        cons = BarrierTerms(bounds, 1e-2, "lagrangian")
     marks = []
     # a coupled, badly scaled quadratic: no operator solves it in a few steps
     M = np.random.default_rng(3).standard_normal((n, n)) * np.logspace(0, 2, n)
@@ -309,8 +326,11 @@ def test_boxes_built_per_iteration(monkeypatch, step, constraint, most):
     trace, records = [], []
     fx, hx, gx = evaluate_start(smooth, h, x, trace)
     monkeypatch.setattr(Box, "__post_init__", counting)
+    # LBFGS in the barrier stage: LSR1 accepts all six of its steps there
+    # (its first rejection comes at the 15th), and the test needs a rejected one
+    qn = LSR1(n) if constraint == "bounds" else LBFGS(n)
     monkeypatch.setattr(Box, "ball", counting_ball)
-    res = tr.tr_iterate(smooth, h, cons, SpectralDiag(n) if step == "diagonal" else LBFGS(n),
+    res = tr.tr_iterate(smooth, h, cons, SpectralDiag(n) if step == "diagonal" else qn,
                         x, fx, hx, gx, 1.0, max_iter=6, abs_tol=0.0, rel_tol=0.0, trace=trace,
                         records=records)
     # every iteration that tries a step builds two balls, and the last one,
@@ -330,7 +350,7 @@ def test_the_loop_asks_for_the_barrier_terms_once_per_point(step):
     # loop asks for the terms at entry, after each accepted step and after
     # each zero step, and never twice at one x and z
     bounds = Box(np.zeros(1), np.full(1, np.inf))
-    cons = BarrierTerms(bounds, 1.0, DualEstimate.ones_for(bounds), "lagrangian")
+    cons = BarrierTerms(bounds, 1.0, "lagrangian")
     asked = []
     at = cons.at
 
@@ -342,7 +362,7 @@ def test_the_loop_asks_for_the_barrier_terms_once_per_point(step):
     smooth, h, x = _quad_shift([2.0]), Regularizer("l1", 0.5), np.array([3.0])
     trace, records = [], []
     fx, hx, gx = evaluate_start(smooth, h, x, trace)
-    res = tr.tr_iterate(smooth, h, cons, SpectralDiag(1) if step == "diagonal" else LBFGS(1),
+    res = tr.tr_iterate(smooth, h, cons, SpectralDiag(1) if step == "diagonal" else LSR1(1),
                         x, fx, hx, gx, 100.0, max_iter=200, abs_tol=1e-10, rel_tol=0.0,
                         trace=trace, records=records)
     accepted = sum(r["accepted"] for r in records)
