@@ -182,7 +182,10 @@ class FhOracle(SmoothOracle):
     same RK4 steps (Hager 2000), so it is the exact derivative of the
     discretized objective.  The work value and gradient share is the
     forward pass, so a gradient right after the value at the same x runs
-    only the backward sweep.
+    only the backward sweep.  The pass keeps the state after each step and
+    the adjoint rebuilds each step's stages from it (checkpointing, Griewank
+    & Walther 2000), with the forward pass's operations, so the gradient
+    has the bits of one that kept every stage.
     """
 
     def __init__(self, n_samples: int, v_data=None, w_data=None):
@@ -195,7 +198,7 @@ class FhOracle(SmoothOracle):
         self.w_data = w_data
 
     def _work(self, x):
-        """RK4 pass at x; four stage points per step, states sampled every stride.
+        """RK4 pass at x; the state after every step, sampled every stride steps.
 
         Raises _OdeBlowup once |V| or |W| reaches FH_BLOWUP; nothing is kept then.
         """
@@ -204,7 +207,7 @@ class FhOracle(SmoothOracle):
         h = 0.5 * dt
         d6 = dt / 6.0
         V, W = FH_STATE0
-        sv, sw = [], []
+        sv, sw = [V], [W]
         for _ in range(self.n_steps):
             k1v = (V - V * V * V / 3.0 - W + x1) / x2
             k1w = x2 * (x3 * V - x4 * W + x5)
@@ -220,16 +223,15 @@ class FhOracle(SmoothOracle):
             W4 = W + dt * k3w
             k4v = (V4 - V4 * V4 * V4 / 3.0 - W4 + x1) / x2
             k4w = x2 * (x3 * V4 - x4 * W4 + x5)
-            sv += (V, V2, V3, V4)
-            sw += (W, W2, W3, W4)
             V = V + d6 * (k1v + 2 * k2v + 2 * k3v + k4v)
             W = W + d6 * (k1w + 2 * k2w + 2 * k3w + k4w)
             if not (abs(V) < FH_BLOWUP and abs(W) < FH_BLOWUP):
                 raise _OdeBlowup
-        every = 4 * self.stride  # a sample is the first stage of every stride-th step
-        vs = np.array(sv[::every] + [V])
-        ws = np.array(sw[::every] + [W])
-        return _Trajectory(sv, sw, vs, ws)
+            sv.append(V)
+            sw.append(W)
+        v = np.array(sv)
+        w = np.array(sw)
+        return _Trajectory(v, w, v[::self.stride], w[::self.stride])
 
     def simulate(self, params):
         """States sampled at the n_samples + 1 data times."""
@@ -245,6 +247,15 @@ class FhOracle(SmoothOracle):
                       + float(np.sum((traj.ws - self.w_data) ** 2)))
 
     def _grad(self, x):
+        """Discrete adjoint of `_work`'s RK4 steps, from the states it kept.
+
+        The stage points are rebuilt from each step's start state with the
+        forward formulas, all steps at once, so they are the forward pass's
+        bits.  The scalar sweep runs the steps backwards and keeps only the
+        adjoint (lv, lw) that each step hands its stages; the stage weights
+        dJ/dk are then rebuilt from those with the sweep's formulas, all steps
+        at once.  Arrays over stage points hold step j's four in row j.
+        """
         try:
             traj = self._shared(x)
         except _OdeBlowup:
@@ -257,19 +268,31 @@ class FhOracle(SmoothOracle):
         r = 1.0 / x2
         c3 = x2 * x3
         c4 = x2 * x4
-        V = np.array(traj.stage_v)
-        W = np.array(traj.stage_w)
+        shape = (self.n_steps, 4)
+        V, W = np.empty(shape), np.empty(shape)
+        num, q = np.empty(shape), np.empty(shape)  # V' = num / x2, W' = x2 q
+        v0, w0 = traj.v[:-1], traj.w[:-1]  # the state each step starts from
+        Vi, Wi = v0, w0
+        for i, c in enumerate((h, h, dt, None)):
+            V[:, i], W[:, i] = Vi, Wi
+            num[:, i] = Vi - Vi * Vi * Vi / 3.0 - Wi + x1
+            q[:, i] = x3 * Vi - x4 * Wi + x5
+            if c is not None:
+                Vi = v0 + c * (num[:, i] / x2)
+                Wi = w0 + c * (x2 * q[:, i])
         # transposed stage Jacobian [[a, c3], [-r, -c4]] with a = dfV/dV
-        a = ((1.0 - V * V) * r)[::-1].tolist()
+        a = (1.0 - V * V) * r
         rv = (traj.vs - self.v_data).tolist()
         rw = (traj.ws - self.w_data).tolist()
-        quads = zip(*[iter(a)] * 4)  # (a4, a3, a2, a1) of each step, last step first
-        bv, bw = [], []  # stage weights dJ/dk, stored last stage first
+        steps = iter(a[::-1].tolist())  # (a1, a2, a3, a4) of each step, last step first
+        lvs, lws = [], []  # the adjoint each step hands its stages, last step first
         lv = lw = 0.0  # adjoint dJ/d(V, W) of the current state
         for isamp in range(self.n_samples, 0, -1):
             lv += rv[isamp]
             lw += rw[isamp]
-            for a4, a3, a2, a1 in islice(quads, self.stride):
+            for a1, a2, a3, a4 in islice(steps, self.stride):
+                lvs.append(lv)
+                lws.append(lw)
                 b4v = d6 * lv
                 b4w = d6 * lw
                 e3v = d3 * lv
@@ -288,13 +311,24 @@ class FhOracle(SmoothOracle):
                 b1w = b4w + h * y2w
                 lv += y4v + y3v + y2v + a1 * b1v + c3 * b1w
                 lw += y4w + y3w + y2w - r * b1v - c4 * b1w
-                bv += (b4v, b3v, b2v, b1v)
-                bw += (b4w, b3w, b2w, b1w)
-        bv = np.array(bv[::-1])
-        bw = np.array(bw[::-1])
-        # parameter Jacobian of the right-hand side at each stage point
-        fv = (V - V * V * V / 3.0 - W + x1) * r
-        q = x3 * V - x4 * W + x5
+        # the stage weights dJ/dk, as the sweep formed them
+        lv = np.array(lvs[::-1])
+        lw = np.array(lws[::-1])
+        _, a2, a3, a4 = a.T
+        b4v = d6 * lv
+        b4w = d6 * lw
+        e3v = d3 * lv
+        e3w = d3 * lw
+        b3v = e3v + dt * (a4 * b4v + c3 * b4w)
+        b3w = e3w + dt * (-r * b4v - c4 * b4w)
+        b2v = e3v + h * (a3 * b3v + c3 * b3w)
+        b2w = e3w + h * (-r * b3v - c4 * b3w)
+        b1v = b4v + h * (a2 * b2v + c3 * b2w)
+        b1w = b4w + h * (-r * b2v - c4 * b2w)
+        bv = np.column_stack((b1v, b2v, b3v, b4v)).ravel()
+        bw = np.column_stack((b1w, b2w, b3w, b4w)).ravel()
+        V, W, q = V.ravel(), W.ravel(), q.ravel()
+        fv = num.ravel() * r  # parameter Jacobian of the right-hand side at each stage point
         return np.array([float(bv.sum()) * r,
                          float(bw @ q) - float(bv @ fv) * r,
                          x2 * float(bw @ V),
@@ -303,9 +337,9 @@ class FhOracle(SmoothOracle):
 
 
 class _Trajectory(NamedTuple):
-    stage_v: list  # V at the four stage points of every step
-    stage_w: list
-    vs: np.ndarray  # states at the n_samples + 1 data times
+    v: np.ndarray  # the start state, then the state after each of the n_steps steps
+    w: np.ndarray
+    vs: np.ndarray  # views of v and w at the n_samples + 1 data times
     ws: np.ndarray
 
 

@@ -12,10 +12,9 @@ rank-one factors, so one product is two matrix products with W.  The
 factors are those of the direct update recursions replayed over the stored
 pairs from the identity, in a preallocated (2 MEMORY) x n row buffer.
 `_pair_rows(s, y, bs)` states an operator's recursion once: the rows a pair
-adds given bs = B s, or None under its skip rule.  A pair that evicts none
-appends its rows, since a replay of the pairs before it would rebuild the
-same rows; only an eviction, which changes where the recursion starts,
-replays every kept pair (`_rebuild`).
+adds given bs = B s, or None under its skip rule.  A taken pair is
+appended to the kept pairs, the oldest is evicted when they are full, and
+`_rebuild` replays every kept pair, one product each.
 
 B equals the identity on the orthogonal complement of range(W^T) and maps
 that range into itself, so `norm_estimate` is exact: Rayleigh-Ritz on an
@@ -96,32 +95,25 @@ class _FactoredOp:
         ``bs`` is B s before the update, or None (see the module docstring)."""
         if bs is None:
             bs = self.apply(s)
-        rows = self._pair_rows(s, y, bs)
-        if rows is None:
+        if self._pair_rows(s, y, bs) is None:
             return False
         self.pairs.append((s.copy(), y.copy()))
         if len(self.pairs) > self.memory:
             self.pairs.popleft()
-            self._rebuild()
-        else:
-            self._push(rows)
+        self._rebuild()
         self._norm_cache = None
         return True
 
     def _rebuild(self) -> None:
-        """Replay the update recursion over the kept pairs from the identity."""
+        """Replay the update recursion over the kept pairs from the identity.
+
+        Each factor v / scale of a pair's rows, with its sign, is the next row of W."""
         self._k = 0
         for s, y in self.pairs:
-            rows = self._pair_rows(s, y, self.apply(s))
-            if rows is not None:
-                self._push(rows)
-
-    def _push(self, rows) -> None:
-        """Append each factor v / scale of ``rows`` with its sign as the next row of W."""
-        for v, scale, sign in rows:
-            np.divide(v, scale, out=self._rows[self._k])
-            self._signs[self._k] = sign
-            self._k += 1
+            for v, scale, sign in self._pair_rows(s, y, self.apply(s)) or ():
+                np.divide(v, scale, out=self._rows[self._k])
+                self._signs[self._k] = sign
+                self._k += 1
 
     def _pair_rows(self, s, y, bs):  # pragma: no cover - abstract
         """The rows (v, scale, sign) the pair (s, y) adds, with bs = B s; None if skipped."""

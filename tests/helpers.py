@@ -146,3 +146,94 @@ def _rk4_aug(V, W, SV, SW, a, dt):
     SV = SV + dt / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
     SW = SW + dt / 6.0 * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
     return V, W, SV, SW
+
+
+def fh_reference(oracle, x):
+    """(f, grad f) of an fh misfit by one scalar RK4 pass and its discrete adjoint.
+
+    The pass keeps the four stage points of every step, and the sweep keeps
+    every stage weight dJ/dk, in Python lists; each operation is the
+    oracle's, in the same order, so the oracle must match it bit for bit.
+    A blow-up gives (inf, None).
+    """
+    from ripm.problems import FH_BLOWUP, FH_STATE0
+
+    x1, x2, x3, x4, x5 = (float(v) for v in x)
+    dt = oracle.dt
+    h = 0.5 * dt
+    d6 = dt / 6.0
+    V, W = FH_STATE0
+    sv, sw = [], []
+    for _ in range(oracle.n_steps):
+        k1v = (V - V * V * V / 3.0 - W + x1) / x2
+        k1w = x2 * (x3 * V - x4 * W + x5)
+        V2 = V + h * k1v
+        W2 = W + h * k1w
+        k2v = (V2 - V2 * V2 * V2 / 3.0 - W2 + x1) / x2
+        k2w = x2 * (x3 * V2 - x4 * W2 + x5)
+        V3 = V + h * k2v
+        W3 = W + h * k2w
+        k3v = (V3 - V3 * V3 * V3 / 3.0 - W3 + x1) / x2
+        k3w = x2 * (x3 * V3 - x4 * W3 + x5)
+        V4 = V + dt * k3v
+        W4 = W + dt * k3w
+        k4v = (V4 - V4 * V4 * V4 / 3.0 - W4 + x1) / x2
+        k4w = x2 * (x3 * V4 - x4 * W4 + x5)
+        sv += (V, V2, V3, V4)
+        sw += (W, W2, W3, W4)
+        V = V + d6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        W = W + d6 * (k1w + 2 * k2w + 2 * k3w + k4w)
+        if not (abs(V) < FH_BLOWUP and abs(W) < FH_BLOWUP):
+            return np.inf, None
+    every = 4 * oracle.stride  # a sample is the first stage of every stride-th step
+    vs = np.array(sv[::every] + [V])
+    ws = np.array(sw[::every] + [W])
+    f = 0.5 * (float(np.sum((vs - oracle.v_data) ** 2))
+               + float(np.sum((ws - oracle.w_data) ** 2)))
+    d3 = dt / 3.0
+    r = 1.0 / x2
+    c3 = x2 * x3
+    c4 = x2 * x4
+    V = np.array(sv)
+    W = np.array(sw)
+    a = ((1.0 - V * V) * r)[::-1].tolist()
+    rv = (vs - oracle.v_data).tolist()
+    rw = (ws - oracle.w_data).tolist()
+    quads = zip(*[iter(a)] * 4)  # (a4, a3, a2, a1) of each step, last step first
+    bv, bw = [], []  # stage weights, last stage first
+    lv = lw = 0.0
+    for isamp in range(oracle.n_samples, 0, -1):
+        lv += rv[isamp]
+        lw += rw[isamp]
+        for _ in range(oracle.stride):
+            a4, a3, a2, a1 = next(quads)
+            b4v = d6 * lv
+            b4w = d6 * lw
+            e3v = d3 * lv
+            e3w = d3 * lw
+            y4v = a4 * b4v + c3 * b4w
+            y4w = -r * b4v - c4 * b4w
+            b3v = e3v + dt * y4v
+            b3w = e3w + dt * y4w
+            y3v = a3 * b3v + c3 * b3w
+            y3w = -r * b3v - c4 * b3w
+            b2v = e3v + h * y3v
+            b2w = e3w + h * y3w
+            y2v = a2 * b2v + c3 * b2w
+            y2w = -r * b2v - c4 * b2w
+            b1v = b4v + h * y2v
+            b1w = b4w + h * y2w
+            lv += y4v + y3v + y2v + a1 * b1v + c3 * b1w
+            lw += y4w + y3w + y2w - r * b1v - c4 * b1w
+            bv += (b4v, b3v, b2v, b1v)
+            bw += (b4w, b3w, b2w, b1w)
+    bv = np.array(bv[::-1])
+    bw = np.array(bw[::-1])
+    fv = (V - V * V * V / 3.0 - W + x1) * r
+    q = x3 * V - x4 * W + x5
+    g = np.array([float(bv.sum()) * r,
+                  float(bw @ q) - float(bv @ fv) * r,
+                  x2 * float(bw @ V),
+                  -x2 * float(bw @ W),
+                  x2 * float(bw.sum())])
+    return f, g

@@ -8,7 +8,7 @@ from ripm.errors import BudgetExhausted, OracleFailure
 from ripm.problems import (FH_TRUE_PARAMS, PAPER_SCALE, build, from_config,
                            gen_bpdn, gen_fh, gen_nnmf, gen_qp)
 
-from helpers import central_diff_grad, fh_sensitivity_grad
+from helpers import central_diff_grad, fh_reference, fh_sensitivity_grad
 
 
 def _min_gap(inst, x):
@@ -198,6 +198,36 @@ def test_fh_adjoint_matches_sensitivities_at_200_steps(monkeypatch):
         g_ref = fh_sensitivity_grad(inst.smooth, x)
         g = inst.smooth.grad(x)
         assert np.max(np.abs(g - g_ref)) <= 1e-10 * np.max(np.abs(g_ref))
+
+
+def _fh_draws(rng, count):
+    """Points around the fh start, scaled out so that some blow up."""
+    for _ in range(count):
+        x = np.array([rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(-2.0, 0.5),
+                      rng.uniform(-2.0, 3.0), rng.uniform(-1.0, 2.0), rng.uniform(-1.0, 1.0)])
+        yield x * 10.0 ** rng.uniform(0.0, 1.5)
+
+
+@pytest.mark.parametrize("steps", [2000, 200])
+@pytest.mark.parametrize("n_samples", [100, 7])
+def test_fh_oracle_matches_the_scalar_reference_bit_for_bit(monkeypatch, steps, n_samples):
+    # the tolerance tests above would pass a reordered operation; this one would not
+    monkeypatch.setattr(problems, "FH_RK4_STEPS", steps)
+    oracle = gen_fh(n_samples=n_samples).smooth
+    blowups = 0
+    for i, x in enumerate(_fh_draws(np.random.default_rng(steps + n_samples), 30)):
+        f_ref, g_ref = fh_reference(oracle, x)
+        o = oracle.fresh()
+        if i % 2:
+            assert o.value(x) == f_ref  # the gradient then reads the kept trajectory
+        if g_ref is None:
+            blowups += 1
+            with pytest.raises(OracleFailure):
+                o.grad(x)
+        else:
+            assert np.array_equal(o.grad(x), g_ref)
+        assert o.value(x) == f_ref
+    assert 3 <= blowups <= 27
 
 
 @pytest.fixture(scope="module")
