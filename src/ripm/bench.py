@@ -319,11 +319,11 @@ def main(argv=None) -> int:
     if args.command == "table":
         try:
             payload = json.loads((args.results_dir / "reports.json").read_text())
-            reports = [SolverReport.from_dict(d) for d in payload["reports"]]
+            table = emit_table([SolverReport.from_dict(d) for d in payload["reports"]])
         except (OSError, KeyError, TypeError, ValueError) as exc:
             print(f"cannot read results: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 1
-        sys.stdout.write(emit_table(reports))
+        sys.stdout.write(table)
         return 0
 
     try:

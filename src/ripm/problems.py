@@ -185,17 +185,17 @@ class FhOracle(SmoothOracle):
     only the backward sweep.  The pass keeps the state after each step and
     the adjoint rebuilds each step's stages from it (checkpointing, Griewank
     & Walther 2000), with the forward pass's operations, so the gradient
-    has the bits of one that kept every stage.
+    has the bits of one that kept every stage.  `gen_fh` sets the sampled
+    data ``v_data`` and ``w_data`` after it simulates.
     """
 
-    def __init__(self, n_samples: int, v_data=None, w_data=None):
+    def __init__(self, n_samples: int):
         super().__init__()
         self.n_samples = int(n_samples)
         self.stride = max(1, int(round(FH_RK4_STEPS / self.n_samples)))
         self.n_steps = self.stride * self.n_samples
         self.dt = FH_T_FINAL / self.n_steps
-        self.v_data = v_data
-        self.w_data = w_data
+        self.v_data = self.w_data = None
 
     def _work(self, x):
         """RK4 pass at x; the state after every step, sampled every stride steps.

@@ -3,9 +3,9 @@
 Each operator keeps a symmetric approximation B of the Hessian with three
 capabilities: a matrix-vector product, an update from a (step, gradient
 difference) pair, and the operator 2-norm.  All operators start from the
-identity.  ``update(s, y, bs=None)`` takes bs = B s under the operator as it
-stands, before the update, from a caller that has formed it (the trust-region
-loop has, for its model decrease), and forms it otherwise.
+identity.  ``update(s, y, bs)`` takes bs = B s under the operator as it
+stands, before the update: the product the trust-region loop formed for its
+model decrease.
 
 LBFGS and LSR1 hold B = I + W^T diag(signs) W, where the k rows of W are
 rank-one factors, so one product is two matrix products with W.  The
@@ -89,12 +89,8 @@ class _FactoredOp:
                 self._norm_cache = max(float(norm), 1e-12)
         return self._norm_cache
 
-    def update(self, s: np.ndarray, y: np.ndarray, bs: np.ndarray | None = None) -> bool:
-        """Take the pair (s, y) unless the skip rule drops it; True if taken.
-
-        ``bs`` is B s before the update, or None (see the module docstring)."""
-        if bs is None:
-            bs = self.apply(s)
+    def update(self, s: np.ndarray, y: np.ndarray, bs: np.ndarray) -> bool:
+        """Take the pair (s, y) given bs = B s, unless the skip rule drops it; True if taken."""
         if self._pair_rows(s, y, bs) is None:
             return False
         self.pairs.append((s.copy(), y.copy()))
@@ -164,7 +160,7 @@ class SpectralDiag:
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.sigma * v
 
-    def update(self, s: np.ndarray, y: np.ndarray, bs: np.ndarray | None = None) -> bool:
+    def update(self, s: np.ndarray, y: np.ndarray, bs: np.ndarray) -> bool:
         """sigma = s.y / s.s, clamped; the update needs no B s, so ``bs`` is unused."""
         ss = float(s @ s)
         if ss == 0.0:

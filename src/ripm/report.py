@@ -78,7 +78,7 @@ def make_report(solver, smooth, h, x, fx, hx, crit, n_prox, t0, status, trace, d
     before measuring it, NaN when the measure itself was not a number.
     h/lam is NaN when lam = 0, where the ratio is undefined.
     """
-    lam = getattr(h, "lam", 0.0)
+    lam = h.lam
     return SolverReport(
         solver=solver, x=x, f=fx, h_over_lam=(hx / lam) if lam else np.nan,
         criticality=float(crit), n_f=smooth.n_f, n_grad=smooth.n_grad, n_prox=n_prox,

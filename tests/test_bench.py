@@ -487,12 +487,12 @@ def _write_reports_with_old_keys(path):
     (path / "reports.json").write_text(json.dumps({"reports": [old]}))
 
 
-@pytest.mark.parametrize("case", ["table_missing", "table_old_keys", "budget", "budget_true",
-                                  "budget_fraction", "budget_infinite", "output_dir_number",
-                                  "solver_entry", "solvers_empty", "options_list",
-                                  "problem_string", "problem_empty", "output_dir_missing",
-                                  "output_dir_is_a_file", "output_dir_under_a_file",
-                                  "reports_json_is_a_directory"])
+@pytest.mark.parametrize("case", ["table_missing", "table_old_keys", "table_empty", "budget",
+                                  "budget_true", "budget_fraction", "budget_infinite",
+                                  "output_dir_number", "solver_entry", "solvers_empty",
+                                  "options_list", "problem_string", "problem_empty",
+                                  "output_dir_missing", "output_dir_is_a_file",
+                                  "output_dir_under_a_file", "reports_json_is_a_directory"])
 def test_cli_malformed_input_exits_1(tmp_path, capsys, monkeypatch, case):
     monkeypatch.chdir(tmp_path)  # a run must write nothing in the working directory
     results = tmp_path / "results"
@@ -519,6 +519,10 @@ def test_cli_malformed_input_exits_1(tmp_path, capsys, monkeypatch, case):
     elif case == "table_old_keys":
         _write_reports_with_old_keys(results)
         argv = ["table", str(results)]
+    elif case == "table_empty":
+        results.mkdir()
+        (results / "reports.json").write_text(json.dumps({"reports": []}))
+        argv = ["table", str(results)]
     else:
         cfg = {
             "budget": _tiny_config(budget="abc"),
@@ -538,7 +542,10 @@ def test_cli_malformed_input_exits_1(tmp_path, capsys, monkeypatch, case):
         cfg_path.write_text(json.dumps(cfg))
         argv = ["run", str(cfg_path)]
     assert main(argv) == 1
-    assert capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err
+    if argv[0] == "table":
+        assert err.startswith("cannot read results: ")
     # a bad output directory is found before the first solve
     assert solved == (["R2"] if case == "reports_json_is_a_directory" else [])
     if argv[0] == "run" and "--output-dir" not in argv:  # nor makes its output directory

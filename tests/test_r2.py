@@ -117,7 +117,7 @@ def _model_data(kind="lsr1", theta=None, n=5):
     A = A @ A.T + np.eye(n)
     for _ in range(3):
         s = rng.standard_normal(n)
-        assert qn.update(s, A @ s + 0.1 * rng.standard_normal(n))
+        assert qn.update(s, A @ s + 0.1 * rng.standard_normal(n), qn.apply(s))
     dense = {"lsr1": dense_sr1, "lbfgs": dense_bfgs}[kind](list(qn.pairs), n)
     th = np.zeros(n) if theta is None else theta
     return rng.standard_normal(n), qn, dense, th, rng.standard_normal(n)

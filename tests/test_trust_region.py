@@ -178,7 +178,7 @@ def test_the_loop_hands_its_product_to_the_update(monkeypatch, solver):
     checked = []
 
     class Checked(LSR1):
-        def update(self, s, y, bs=None):
+        def update(self, s, y, bs):
             assert np.array_equal(bs, self.apply(s))
             apply, applies = self.apply, []
             self.apply = lambda v: applies.append(v) or apply(v)
