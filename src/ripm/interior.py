@@ -56,8 +56,8 @@ from .errors import BoundaryPoint, BudgetExhausted
 # regprox.Box.shifted, which stay bound for the tracer too
 from .r2 import r2_solve  # noqa: F401
 from .regprox import L0, Box, intersect_boxes  # noqa: F401
-from .report import (BUDGET, CONVERGED, MAX_ITER, STALLED, SolverReport, evaluate_start,
-                     make_report)
+from .report import (BUDGET, CONVERGED, MAX_ITER, STALLED, TR_RECORD, IterLog, SolverReport,
+                     evaluate_start, make_report)
 from .trust_region import DELTA_MAX, InnerResult, tr_iterate
 
 MODE_CP = "cp"
@@ -281,7 +281,7 @@ def measure_mode(h) -> str:
 
 
 def inner_solve(smooth, h, barrier: BarrierTerms, qn, x, fx: float, hx: float, gx,
-                eps_d_rel: float, trace: list, records: list) -> InnerResult:
+                eps_d_rel: float, trace: list, records: IterLog) -> InnerResult:
     """Approximately minimize f + phi_mu + h from a strictly interior x.
 
     f(x), h(x) and grad f(x) are given; ``barrier`` holds mu and the dual
@@ -292,7 +292,7 @@ def inner_solve(smooth, h, barrier: BarrierTerms, qn, x, fx: float, hx: float, g
     mu**EPS_EXPONENT, with "budget" once the budget allows no evaluation,
     with "cap" after INNER_CAP iterations, or with "stalled" once the radius
     collapses to the rounding of x.  Accepted points extend ``trace`` and
-    every iteration extends ``records`` (see `trust_region.tr_iterate`).
+    every iteration appends a row to ``records`` (see `trust_region.tr_iterate`).
     """
     mu = barrier.mu
     eps_k = mu**EPS_EXPONENT
@@ -334,7 +334,7 @@ def outer_solve(smooth, h, bounds: Box, qn, x0, *, mu_init: float = 1.0,
         raise BoundaryPoint("outer solve requires a strictly interior start")
 
     trace: list = []
-    records: list = []
+    records = IterLog(TR_RECORD)  # the inner iterations of every stage
     mu = mu_init
     barrier = BarrierTerms(bounds, mu, measure_mode(h))
     status, res, eps_glob, n_prox, stages = MAX_ITER, None, None, 0, 0

@@ -206,8 +206,10 @@ class FhOracle(SmoothOracle):
         dt = self.dt
         h = 0.5 * dt
         d6 = dt / 6.0
+        top = FH_BLOWUP
         V, W = FH_STATE0
         sv, sw = [V], [W]
+        add_v, add_w = sv.append, sw.append
         for _ in range(self.n_steps):
             k1v = (V - V * V * V / 3.0 - W + x1) / x2
             k1w = x2 * (x3 * V - x4 * W + x5)
@@ -223,12 +225,13 @@ class FhOracle(SmoothOracle):
             W4 = W + dt * k3w
             k4v = (V4 - V4 * V4 * V4 / 3.0 - W4 + x1) / x2
             k4w = x2 * (x3 * V4 - x4 * W4 + x5)
-            V = V + d6 * (k1v + 2 * k2v + 2 * k3v + k4v)
-            W = W + d6 * (k1w + 2 * k2w + 2 * k3w + k4w)
-            if not (abs(V) < FH_BLOWUP and abs(W) < FH_BLOWUP):
+            V = V + d6 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+            W = W + d6 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+            # false for NaN and +-inf, as abs(V) < top is
+            if not (-top < V < top and -top < W < top):
                 raise _OdeBlowup
-            sv.append(V)
-            sw.append(W)
+            add_v(V)
+            add_w(W)
         v = np.array(sv)
         w = np.array(sw)
         return _Trajectory(v, w, v[::self.stride], w[::self.stride])
@@ -266,6 +269,7 @@ class FhOracle(SmoothOracle):
         d6 = dt / 6.0
         d3 = dt / 3.0
         r = 1.0 / x2
+        nr = -r
         c3 = x2 * x3
         c4 = x2 * x4
         shape = (self.n_steps, 4)
@@ -286,27 +290,28 @@ class FhOracle(SmoothOracle):
         rw = (traj.ws - self.w_data).tolist()
         steps = iter(a[::-1].tolist())  # (a1, a2, a3, a4) of each step, last step first
         lvs, lws = [], []  # the adjoint each step hands its stages, last step first
+        add_lv, add_lw = lvs.append, lws.append
         lv = lw = 0.0  # adjoint dJ/d(V, W) of the current state
         for isamp in range(self.n_samples, 0, -1):
             lv += rv[isamp]
             lw += rw[isamp]
             for a1, a2, a3, a4 in islice(steps, self.stride):
-                lvs.append(lv)
-                lws.append(lw)
+                add_lv(lv)
+                add_lw(lw)
                 b4v = d6 * lv
                 b4w = d6 * lw
                 e3v = d3 * lv
                 e3w = d3 * lw
                 y4v = a4 * b4v + c3 * b4w
-                y4w = -r * b4v - c4 * b4w
+                y4w = nr * b4v - c4 * b4w
                 b3v = e3v + dt * y4v
                 b3w = e3w + dt * y4w
                 y3v = a3 * b3v + c3 * b3w
-                y3w = -r * b3v - c4 * b3w
+                y3w = nr * b3v - c4 * b3w
                 b2v = e3v + h * y3v
                 b2w = e3w + h * y3w
                 y2v = a2 * b2v + c3 * b2w
-                y2w = -r * b2v - c4 * b2w
+                y2w = nr * b2v - c4 * b2w
                 b1v = b4v + h * y2v
                 b1w = b4w + h * y2w
                 lv += y4v + y3v + y2v + a1 * b1v + c3 * b1w
@@ -320,11 +325,11 @@ class FhOracle(SmoothOracle):
         e3v = d3 * lv
         e3w = d3 * lw
         b3v = e3v + dt * (a4 * b4v + c3 * b4w)
-        b3w = e3w + dt * (-r * b4v - c4 * b4w)
+        b3w = e3w + dt * (nr * b4v - c4 * b4w)
         b2v = e3v + h * (a3 * b3v + c3 * b3w)
-        b2w = e3w + h * (-r * b3v - c4 * b3w)
+        b2w = e3w + h * (nr * b3v - c4 * b3w)
         b1v = b4v + h * (a2 * b2v + c3 * b2w)
-        b1w = b4w + h * (-r * b2v - c4 * b2w)
+        b1w = b4w + h * (nr * b2v - c4 * b2w)
         bv = np.column_stack((b1v, b2v, b3v, b4v)).ravel()
         bw = np.column_stack((b1w, b2w, b3w, b4w)).ravel()
         V, W, q = V.ravel(), W.ravel(), q.ravel()

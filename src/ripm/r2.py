@@ -42,7 +42,8 @@ import numpy as np
 from . import regprox
 from .errors import BudgetExhausted
 from .regprox import Box
-from .report import BUDGET, CONVERGED, MAX_ITER, SolverReport, evaluate_start, make_report
+from .report import (BUDGET, CONVERGED, MAX_ITER, R2_RECORD, IterLog, SolverReport,
+                     evaluate_start, make_report)
 
 SIGMA_INIT = 1.0
 SIGMA_MIN = 1e-8
@@ -90,7 +91,7 @@ def r2_solve(smooth, reg, box: Box, x0, *, max_iter: int = 10_000, abs_tol: floa
     tol = None
     status = MAX_ITER
     trace: list = []
-    diag: list = []
+    records = IterLog(R2_RECORD)
     fx, hx = np.inf, 0.0
 
     try:
@@ -114,7 +115,7 @@ def r2_solve(smooth, reg, box: Box, x0, *, max_iter: int = 10_000, abs_tol: floa
             else:
                 f_trial = smooth.value(u)
                 rho = ((fx + hx) - (f_trial + h_trial)) / xi
-            diag.append({"sigma": sigma, "rho": rho, "xi": xi, "accepted": bool(rho >= ETA1)})
+            records.append(sigma, rho, xi, bool(rho >= ETA1))
             if rho >= ETA1:
                 gx = smooth.grad_after(gx, products) if model else smooth.grad(u)
                 x, fx, hx = u, f_trial, h_trial
@@ -127,4 +128,4 @@ def r2_solve(smooth, reg, box: Box, x0, *, max_iter: int = 10_000, abs_tol: floa
         status = BUDGET
 
     return make_report("R2", smooth, reg, x, fx, hx, crit, n_prox, t0, status, trace,
-                       {"iters": diag})
+                       {"iters": records})

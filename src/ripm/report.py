@@ -1,13 +1,20 @@
-"""Solve reports shared by every solver.
+"""Solve reports shared by every solver, and their per-iteration records.
 
 A report's termination says which limit stopped the run: CONVERGED (the
 tolerance), BUDGET (the objective-evaluation budget), MAX_ITER (the
 iteration cap, or the stage cap of the barrier loop), STALLED (the trust
 radius collapsed to the rounding of x) or ORACLE_FAILURE.
+
+A solve keeps one record per iteration in an `IterLog`, a column store of
+one schema: `TR_RECORD` for the trust-region loop, alone or in the barrier
+stages, and `R2_RECORD` for R2.  A barrier solve makes thousands of inner
+iterations: a dict per record would take about 800 bytes, and a row of
+`TR_RECORD` takes about 140 in its columns.
 """
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +24,80 @@ BUDGET = "budget"
 MAX_ITER = "iter_cap"
 STALLED = "stalled"
 ORACLE_FAILURE = "oracle_failure"
+
+# A schema pairs each key of a record with its type: float, int, bool, or a
+# tuple of the values a flag takes.  The fields an iteration knows before it
+# tries a step come first, then those of its outcome.
+TR_RECORD = (
+    ("j", int),  # iteration index
+    ("mu", float),  # barrier parameter, 0 without barrier
+    # step length of the measure, 1 / sigma with sigma = ||B|| + max Theta + 1/(alpha Delta)
+    ("nu", float),
+    ("delta_before", float),  # radius at the start of the iteration
+    ("xi", float),  # model decrease of the Cauchy step s1 = u1 - x
+    ("s1_norm2", float),  # Euclidean norm of s1
+    # the same for the step that defines the measure: s1 itself, or the
+    # step along the Lagrangian gradient grad f - zl + zu
+    ("xi_meas", float),
+    ("s_meas_norm2", float),
+    ("crit", float),  # the measure sqrt(sigma * xi_meas)
+    ("compl", float),  # complementarity residual, 0 without barrier
+    ("obj_before", float),  # f + phi + h at x
+    ("rho", float),  # actual over model decrease; NaN if no trial, 0 on a zero step
+    ("accepted", bool),
+    ("exit", (None, "tol")),  # "tol" on the iteration that stops at the tolerance
+    ("delta_after", float),  # radius after the iteration
+    ("obj_after", float),  # f + phi + h at an accepted trial, else NaN
+    ("s_inf", float),  # ||s||_inf of the model step, 0 if none was tried
+    ("cap_inf", float),  # the step cap min(Delta, beta ||s1||_inf), NaN if none
+)
+# R2's record: sigma, the ratio, the model decrease xi of the trial and whether it was taken
+R2_RECORD = (("sigma", float), ("rho", float), ("xi", float), ("accepted", bool))
+
+_TYPECODE = {float: "d", int: "q", bool: "b"}
+
+
+class IterLog:
+    """Per-iteration records of one schema, kept by column.
+
+    Floats are kept in ``array("d")``, ints and bools in integer arrays, and
+    a flag as the index of its value in the schema.  `append` takes a row's
+    values in schema order.  A row read by index, negative too, or by
+    iteration is a dict of the schema's keys and Python values, with the
+    bits that were appended.
+    """
+
+    def __init__(self, schema):
+        self.keys = tuple(key for key, _ in schema)
+        self._cols = []
+        self._adds = []  # per column, what stores a value
+        self._reads = []  # per column, what turns a stored value back into the field
+        for _, kind in schema:
+            col = array(_TYPECODE.get(kind, "b"))
+            self._cols.append(col)
+            if isinstance(kind, tuple):
+                self._adds.append(lambda v, add=col.append, index=kind.index: add(index(v)))
+                self._reads.append(kind.__getitem__)
+            else:
+                self._adds.append(col.append)
+                self._reads.append(kind)
+
+    def append(self, *row) -> None:
+        if len(row) != len(self._adds):
+            raise ValueError(f"a row has {len(self._adds)} values, not {len(row)}")
+        for add, value in zip(self._adds, row):
+            add(value)
+
+    def __len__(self) -> int:
+        return len(self._cols[0])
+
+    def __getitem__(self, i: int) -> dict:
+        return {key: read(col[i]) for key, read, col in zip(self.keys, self._reads, self._cols)}
+
+    def __iter__(self):
+        keys, reads = self.keys, self._reads
+        for row in zip(*self._cols):
+            yield {key: read(v) for key, read, v in zip(keys, reads, row)}
 
 
 @dataclass

@@ -73,8 +73,8 @@ from .qnops import SpectralDiag
 from .r2 import first_order_step, r2_solve
 # intersect_boxes is bound here only for perfbench/tracer.py, which wraps it
 from .regprox import Box, intersect_boxes  # noqa: F401
-from .report import (BUDGET, CONVERGED, MAX_ITER, STALLED, SolverReport, evaluate_start,
-                     make_report)
+from .report import (BUDGET, CONVERGED, MAX_ITER, STALLED, TR_RECORD, IterLog, SolverReport,
+                     evaluate_start, make_report)
 
 DELTA_INIT = 1.0
 DELTA_MAX = 1e12
@@ -149,7 +149,7 @@ class InnerResult:
 
 def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *,
                max_iter: int, abs_tol: float, rel_tol: float, trace: list,
-               records: list) -> InnerResult:
+               records: IterLog) -> InnerResult:
     """Minimize f + phi + h from x, where f(x), h(x) and grad f(x) are given.
 
     ``cons`` supplies the constraint terms through the methods of
@@ -171,23 +171,10 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
     phi and rho are formed again, since a zero step may have moved the
     barrier's curvature.  h is valued at every trial.
 
-    Every iteration that tries a step appends one record to ``records``; an
-    iteration that stops the loop on the tolerance appends one only if
+    Every iteration that tries a step appends one row of `report.TR_RECORD`,
+    whose keys are documented there, to the store ``records``; an iteration
+    that stops the loop on the tolerance appends one only if
     ``cons.records_exits``, and a stall or a budget exit appends none.
-    Its keys:
-
-    - j: iteration index; mu: barrier parameter (0 without barrier);
-    - nu: step length of the measure, 1 / sigma with
-      sigma = ||B|| + max theta + 1/(alpha Delta);
-    - delta_before, delta_after: the radius before and after the iteration;
-    - xi, s1_norm2: decrease and Euclidean norm of the Cauchy step s1 = u1 - x;
-    - xi_meas, s_meas_norm2: the same for the step that defines the measure
-      (s1 itself, or the Lagrangian step grad f - zl + zu);
-    - crit: sqrt(sigma * xi_meas); compl: complementarity residual (0 without barrier);
-    - obj_before, obj_after: f + phi + h at x and at an accepted trial (else NaN);
-    - rho: ratio of actual to model decrease (NaN if no trial, 0 on a zero step);
-    - accepted; exit: "tol" or None;
-    - s_inf: ||s||_inf of the model step; cap_inf: its cap min(Delta, beta ||s1||_inf).
     """
     phi, gaps = cons.phi(x)
     n_prox = 0
@@ -217,16 +204,13 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
         if j == max_iter:
             break
         obj = fx + phi + hx
-        rec = {"j": j, "mu": cons.mu, "nu": 1.0 / sigma, "delta_before": delta,
-               "delta_after": delta, "xi": xi, "s1_norm2": math.sqrt(s1 @ s1),
-               "xi_meas": xi_m, "s_meas_norm2": math.sqrt(s_m @ s_m), "crit": crit,
-               "compl": compl, "obj_before": obj, "obj_after": np.nan, "rho": np.nan,
-               "accepted": False, "exit": None, "s_inf": 0.0, "cap_inf": np.nan}
+        # the fields of this iteration's record that come before its outcome
+        head = (j, cons.mu, 1.0 / sigma, delta, xi, math.sqrt(s1 @ s1), xi_m,
+                math.sqrt(s_m @ s_m), crit, compl, obj)
         if crit <= abs_tol + rel_tol * crit0 and compl <= abs_tol:
             status = "tol"
             if cons.records_exits:
-                rec["exit"] = status
-                records.append(rec)
+                records.append(*head, np.nan, False, status, delta, np.nan, 0.0, np.nan)
             break
         if smooth.evals_left() == 0:
             status = "budget"
@@ -246,8 +230,7 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
             h_t = h.value(x_t)
             gs = float(g @ s)
         if not s.any() and cons.zero_step(x, gaps):
-            rec["rho"] = 0.0
-            records.append(rec)
+            records.append(*head, 0.0, False, None, delta, np.nan, 0.0, np.nan)
             terms = None
             continue
         bqs = qn.apply(s)  # B s, which the operator's update takes on acceptance
@@ -260,18 +243,19 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
             phi_t, gaps_t = cons.phi(x_t)
             rho = (obj - (f_t + phi_t + h_t)) / decrease
         new_delta = update_radius(delta, rho)
-        rec.update(rho=float(rho), accepted=bool(rho >= ETA1), delta_after=new_delta,
-                   s_inf=float(np.abs(s).max()), cap_inf=cap)
-        if rec["accepted"]:
+        accepted = bool(rho >= ETA1)
+        obj_after = np.nan
+        if accepted:
             cons.accept(gaps, gaps_t, s)
             x, fx, hx, phi, gaps = x_t, f_t, h_t, phi_t, gaps_t
             g_new = smooth.grad(x)
             qn.update(s, g_new - gx, bs=bqs)
             gx = g_new
             trace.append((smooth.n_grad, fx + hx))
-            rec["obj_after"] = fx + phi + hx
+            obj_after = fx + phi + hx
             terms = None
-        records.append(rec)
+        records.append(*head, float(rho), accepted, None, new_delta, obj_after,
+                       float(np.abs(s).max()), cap)
         delta = new_delta
 
     return InnerResult(x=x, fx=fx, hx=hx, gx=gx, crit=crit, compl=compl,
@@ -289,7 +273,7 @@ def tr_solve(smooth, h, bounds: Box, qn, x0, *, rel_tol: float = 1e-4,
     x = bounds.clamp(np.asarray(x0, dtype=float))
     fx, hx, crit, n_prox = np.inf, 0.0, np.inf, 0
     trace: list = []
-    records: list = []
+    records = IterLog(TR_RECORD)
     try:
         fx, hx, gx = evaluate_start(smooth, h, x, trace)
         res = tr_iterate(smooth, h, ShiftedBounds(bounds), qn, x, fx, hx, gx, DELTA_INIT,

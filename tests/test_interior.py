@@ -12,7 +12,8 @@ from ripm.interior import (DELTA_FRAC, BarrierTerms, DualEstimate, barrier_value
 from ripm.qnops import LSR1, SpectralDiag
 from ripm.r2 import first_order_step
 from ripm.regprox import Box, Regularizer
-from ripm.report import BUDGET, CONVERGED, MAX_ITER, STALLED, evaluate_start
+from ripm.report import (BUDGET, CONVERGED, MAX_ITER, STALLED, TR_RECORD, IterLog,
+                         evaluate_start)
 from ripm.trust_region import DELTA_MAX, tr_iterate
 
 from helpers import CallableOracle, bisect_root, grid_min_1d
@@ -528,7 +529,7 @@ def _stage(smooth, h, x0, mu, qn, mode="cp", delta=100.0, tol=1e-9, records=None
         barrier.z = z0
     res = tr_iterate(smooth, h, barrier, qn, x0, fx, hx, gx, delta,
                      max_iter=interior.INNER_CAP, abs_tol=tol, rel_tol=0.0,
-                     trace=trace, records=[] if records is None else records)
+                     trace=trace, records=IterLog(TR_RECORD) if records is None else records)
     return res, barrier
 
 
@@ -540,10 +541,10 @@ def test_a_collapsed_radius_stalls_the_stage(step):
     # the duals on the zero step and exiting on the tolerance
     smooth = _oracle_quad(2.0)
     qn = SpectralDiag(1) if step == "diagonal" else LSR1(1)
-    records = []
+    records = IterLog(TR_RECORD)
     res, _ = _stage(smooth, Regularizer("l1"), [1.0], 1e-3, qn, delta=1e-30, records=records)
     assert res.status == "stalled" and res.crit == np.inf
-    assert res.n_prox == 0 and records == [] and smooth.n_f == 1
+    assert res.n_prox == 0 and len(records) == 0 and smooth.n_f == 1
 
 
 @pytest.mark.parametrize("step", ["diagonal", "r2"])
@@ -572,7 +573,7 @@ def test_inner_solve_immediate_exit():
     root = bisect_root(lambda t: t - 2.0 - mu / t, 1e-9, 10.0)
     x0 = np.array([root])
     z0 = DualEstimate(mu / x0, np.zeros(1))
-    records = []
+    records = IterLog(TR_RECORD)
     res, _ = _stage(_oracle_quad(2.0), Regularizer("l1"), x0, mu, SpectralDiag(1),
                     delta=10.0, tol=1e-6, records=records, z0=z0)
     assert res.status == "tol"
@@ -594,7 +595,7 @@ def test_inner_solve_radius_tolerance_and_measure(kind):
     mu, eps_rel = 0.1, 0.1
     bounds = Box(np.zeros(3), np.full(3, np.inf))
     smooth, h, x = _oracle_quad(2.0), Regularizer(kind, 0.3), np.array([1.0, 0.5, 3.0])
-    trace, records = [], []
+    trace, records = [], IterLog(TR_RECORD)
     fx, hx, gx = evaluate_start(smooth, h, x, trace)
     barrier = BarrierTerms(bounds, mu, measure_mode(h))
     res = inner_solve(smooth, h, barrier, SpectralDiag(3), x, fx, hx, gx, eps_rel, trace,
@@ -686,7 +687,7 @@ def test_outer_stops_after_a_stage_that_stalls_at_entry(step):
                       mu_init=mu, solver_name="RIPM")
     assert rep.termination == STALLED and rep.diagnostics["stages"] == 1
     assert rep.diagnostics["crossover"]["mu"] == mu
-    assert rep.n_f == 1 and rep.n_prox == 0 and rep.diagnostics["inner"] == []
+    assert rep.n_f == 1 and rep.n_prox == 0 and len(rep.diagnostics["inner"]) == 0
 
 
 def test_outer_budget_one():

@@ -6,7 +6,7 @@ from ripm import trust_region as tr
 from ripm.interior import BarrierTerms
 from ripm.qnops import LBFGS, LSR1, SpectralDiag
 from ripm.regprox import Box, Regularizer
-from ripm.report import CONVERGED, evaluate_start
+from ripm.report import CONVERGED, TR_RECORD, IterLog, evaluate_start
 from ripm.trust_region import tr_solve, trdh_solve, update_radius
 
 from helpers import CallableOracle, grid_min_1d
@@ -262,7 +262,7 @@ def test_a_trial_without_model_decrease_asks_for_no_f():
 
     n = 3
     smooth, h, x = _quad_shift(np.full(n, 2.0)), Regularizer("l1", 0.1), np.ones(n)
-    trace, records = [], []
+    trace, records = [], IterLog(TR_RECORD)
     fx, hx, gx = evaluate_start(smooth, h, x, trace)
     res = tr.tr_iterate(smooth, h, tr.ShiftedBounds(Box(np.full(n, -5.0), np.full(n, 5.0))),
                         Steep(n), x, fx, hx, gx, 1.0, max_iter=6, abs_tol=1e-8, rel_tol=0.0,
@@ -284,7 +284,7 @@ def test_a_collapsed_radius_stops_the_loop_as_stalled():
     fx, hx, gx = evaluate_start(smooth, h, x, trace)
     res = tr.tr_iterate(smooth, h, tr.ShiftedBounds(Box(np.full(n, -5.0), np.full(n, 5.0))),
                         SpectralDiag(n), x, fx, hx, gx, 1e-30, max_iter=10, abs_tol=1e-8,
-                        rel_tol=0.0, trace=trace, records=[])
+                        rel_tol=0.0, trace=trace, records=IterLog(TR_RECORD))
     assert res.status == "stalled" and res.crit == np.inf and res.n_prox == 0
     assert np.array_equal(res.x, x) and smooth.n_f == 1
 
@@ -323,7 +323,7 @@ def test_boxes_built_per_iteration(monkeypatch, step, constraint, most):
     smooth = CallableOracle(lambda v: 0.5 * float((v - c) @ A @ (v - c)), lambda v: A @ (v - c))
     h = Regularizer("l1", 0.1)
     x = np.ones(n)
-    trace, records = [], []
+    trace, records = [], IterLog(TR_RECORD)
     fx, hx, gx = evaluate_start(smooth, h, x, trace)
     monkeypatch.setattr(Box, "__post_init__", counting)
     # LBFGS in the barrier stage: LSR1 accepts all six of its steps there
@@ -360,7 +360,7 @@ def test_the_loop_asks_for_the_barrier_terms_once_per_point(step):
 
     cons.at = counted_at
     smooth, h, x = _quad_shift([2.0]), Regularizer("l1", 0.5), np.array([3.0])
-    trace, records = [], []
+    trace, records = [], IterLog(TR_RECORD)
     fx, hx, gx = evaluate_start(smooth, h, x, trace)
     res = tr.tr_iterate(smooth, h, cons, SpectralDiag(1) if step == "diagonal" else LSR1(1),
                         x, fx, hx, gx, 100.0, max_iter=200, abs_tol=1e-10, rel_tol=0.0,
