@@ -9,6 +9,9 @@ Config is a single JSON file:
       "output_dir": "results/bpdn0"
     }
 
+These are all the keys (CONFIG_KEYS, PROBLEM_KEYS, SOLVER_KEYS; a solver
+entry may be just a name); any other, a misspelled one say, is a config error.
+
 A solver's "options" replace the harness defaults of `solver_options`.
 SOLVER_OPTIONS lists the 15 option names the solvers read, keyword
 arguments of their solve functions that the harness itself sets to a second
@@ -81,10 +84,21 @@ SOLVER_OPTIONS = {
     "RIPMDH-p": _IPM,
 }
 SOLVER_NAMES = tuple(SOLVER_OPTIONS)
+# the keys of a config: at its top level, in "problem" and in a solver entry
+CONFIG_KEYS = ("problem", "solvers", "budget", "output_dir")
+PROBLEM_KEYS = ("name", "seed", "params")
+SOLVER_KEYS = ("name", "options")
 
 
 class ConfigError(ValueError):
     pass
+
+
+def _reject_unknown(names, accepted, owner: str, kind: str) -> None:
+    unknown = sorted(map(repr, set(names) - set(accepted)))
+    if unknown:
+        raise ConfigError(f"{owner} reads no {kind} {', '.join(unknown)}; "
+                          f"it reads {', '.join(accepted)}")
 
 
 @dataclass
@@ -103,6 +117,10 @@ class RunConfig:
                     for e in solvers]
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed config: {type(exc).__name__}: {exc}") from exc
+        _reject_unknown(d, CONFIG_KEYS, "a config", "key")
+        _reject_unknown(problem, PROBLEM_KEYS, "problem", "key")
+        for entry in solvers:
+            _reject_unknown(entry, SOLVER_KEYS, "a solver entry", "key")
         budget = d.get("budget", 10_000)
         # json reads true as a bool, which is an int, and Infinity and NaN as floats
         whole = isinstance(budget, int) or isinstance(budget, float) and budget.is_integer()
@@ -131,10 +149,7 @@ def solver_options(name: str, problem: str, overrides: dict):
     override is a finite int or float, above 0 for mu_init and at least 0
     for the tolerances.
     """
-    unknown = sorted(k for k in overrides if k not in SOLVER_OPTIONS[name])
-    if unknown:
-        raise ConfigError(f"{name} reads no option {', '.join(map(repr, unknown))}; "
-                          f"it reads {', '.join(sorted(SOLVER_OPTIONS[name]))}")
+    _reject_unknown(overrides, sorted(SOLVER_OPTIONS[name]), name, "option")
     for key, value in overrides.items():
         number = isinstance(value, (int, float)) and not isinstance(value, bool)
         if not (number and abs(value) <= sys.float_info.max  # False for inf and NaN

@@ -11,10 +11,8 @@ not.  A value refused by the budget computes nothing and leaves the kept
 point as it was, and `fresh` keeps nothing.  The work is the same function
 of x whether or not it was kept, so every result is the same bit for bit.
 
-A quadratic model (`QuadModelOracle`) also moves along a step t in closed
-form.  `curvature(t)` returns the curvature of t with the products it
-formed, and `grad_after` takes those products, not t: the model keeps no
-step of its own, and the caller holds the products of the step it accepts.
+A quadratic model (`QuadModelOracle`) is never valued at a point: it moves
+a gradient that its caller holds along steps, in closed form.
 
 An infinite budget, the default, means unlimited.  A solver asks
 `evals_left` before it builds a point it would evaluate, so that it builds
@@ -100,16 +98,13 @@ class SmoothOracle:
 
 
 class QuadModelOracle(SmoothOracle):
-    """Quadratic model m(x) = g.s + s.(B s + theta * s)/2 of the step s = x - origin.
+    """Steps of the quadratic model with Hessian B + diag(theta), in closed form.
 
     ``qn`` is an LBFGS or LSR1 operator, B = I + W^T diag(signs) W, and
     ``theta`` the extra diagonal of a barrier, zero without one.  The model
-    takes points, not steps, so that the R2 subsolve works in the frame of the
-    nonsmooth term; counters on this oracle are model evaluations and are
-    never merged into the true objective counters.
-
-    The work value and gradient share is the step s and the product
-    B s + theta s.
+    is never valued at a point: the caller of the R2 subsolve hands it the
+    model gradient at the start (`r2.r2_solve`'s ``start``).  Its counters,
+    never merged into the true objective's, count trials and accepted steps.
 
     Along a step t the model changes by grad m . t + c / 2, where `curvature`
     returns c = t.(B + theta) t together with the products it took,
@@ -119,25 +114,10 @@ class QuadModelOracle(SmoothOracle):
     the model is in use.
     """
 
-    def __init__(self, g, qn, theta, origin):
+    def __init__(self, qn, theta):
         super().__init__()
-        self.g = g
-        self.qn = qn
-        self.theta = theta
-        self.origin = origin
         self.W, self.signs = qn.factors()
         self._diag = 1.0 + theta
-
-    def _work(self, x):
-        s = x - self.origin
-        return s, self.qn.apply(s) + self.theta * s
-
-    def _value(self, x):
-        s, w = self._shared(x)
-        return float(self.g @ s + 0.5 * (s @ w))
-
-    def _grad(self, x):
-        return self.g + self._shared(x)[1]
 
     def curvature(self, t):
         """t.(B + theta) t and its products (signs * (W t), (1 + theta) t); one model value."""

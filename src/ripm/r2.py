@@ -71,7 +71,7 @@ def first_order_step(h, x, hx: float, g, sigma, box: Box):
 
 
 def r2_solve(smooth, reg, box: Box, x0, *, max_iter: int = 10_000, abs_tol: float = 1e-4,
-             rel_tol: float = 1e-4) -> SolverReport:
+             rel_tol: float = 1e-4, start=None) -> SolverReport:
     """Minimize smooth(x) + reg(x) subject to x in box, starting from x0.
 
     ``reg`` is a `regprox.Regularizer`.  ``smooth`` is a `SmoothOracle`; one
@@ -80,7 +80,9 @@ def r2_solve(smooth, reg, box: Box, x0, *, max_iter: int = 10_000, abs_tol: floa
     tolerance abs_tol + rel_tol * (measure at x0), BUDGET once the budget
     allows no value at the next trial (or refused the start), and MAX_ITER
     after ``max_iter`` iterations; a model has no budget, so a subsolve ends
-    on one of the others.
+    on one of the others.  ``start`` is f, h and grad f at x0, for a caller
+    that holds them; a model is measured from its start, with f = 0.0, and
+    its trace starts at the first accepted trial.
     """
     t0 = time.perf_counter()
     x = box.clamp(np.asarray(x0, dtype=float))
@@ -95,7 +97,7 @@ def r2_solve(smooth, reg, box: Box, x0, *, max_iter: int = 10_000, abs_tol: floa
     fx, hx = np.inf, 0.0
 
     try:
-        fx, hx, gx = evaluate_start(smooth, reg, x, trace)
+        fx, hx, gx = start if start is not None else evaluate_start(smooth, reg, x, trace)
         for _ in range(max_iter):
             u, t, h_trial, gt, xi = first_order_step(reg, x, hx, gx, sigma, box)
             n_prox += 1

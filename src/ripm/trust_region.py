@@ -13,7 +13,8 @@ stage: `first_order_step` again, so one function forms every
 prox-gradient trial.  Any other operator gets the R2 solve of the quadratic
 model over the cap box, started at u1, whose trials change the model by a
 closed form in the operator's factors (see `r2` and
-`oracles.QuadModelOracle`).  A ratio test accepts or rejects the trial
+`oracles.QuadModelOracle`), and whose start is h(u1) from the Cauchy step
+and the model gradient g + (B + Theta) s1.  A ratio test accepts or rejects the trial
 point, the radius follows `update_radius`, and the quasi-Newton operator is
 updated on acceptance.  The loop asks for f only where the ratio test reads
 it: a trial whose model decrease is not positive gets rho = -inf, the
@@ -193,7 +194,7 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
         g, theta, box, g_meas, compl = terms
         sigma = qn.norm_estimate() + theta_max + 1.0 / (ALPHA * delta)
         tr_box = box.ball(x, delta)
-        u1, s1, _, _, xi = first_order_step(h, x, hx, g, sigma, tr_box)
+        u1, s1, h1, _, xi = first_order_step(h, x, hx, g, sigma, tr_box)
         s_m, xi_m = s1, xi
         if g_meas is not None:
             _, s_m, _, _, xi_m = first_order_step(h, x, hx, g_meas, sigma, tr_box)
@@ -222,7 +223,8 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
             x_t, s, h_t, gs, _ = first_order_step(h, x, hx, g, d, cap_box)
             n_prox += 1
         else:
-            sub = r2_solve(QuadModelOracle(g, qn, theta, x), h, cap_box, u1,
+            start = (0.0, h1, g + (qn.apply(s1) + theta * s1))  # the model at u1
+            sub = r2_solve(QuadModelOracle(qn, theta), h, cap_box, u1, start=start,
                            max_iter=SUBSOLVER_MAX_ITER, abs_tol=0.0, rel_tol=SUBSOLVER_REL_TOL)
             x_t = sub.x
             n_prox += sub.n_prox

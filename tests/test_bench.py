@@ -259,6 +259,13 @@ def test_config_validation():
         run_config(_tiny_config(problem={"name": "bpdn", "params": {"bogus": 1}}))
     with pytest.raises(ConfigError):
         run_config(_tiny_config(solvers=[{"name": "R2", "options": {"bogus": 1}}]))
+    # a misspelled key is an error that names it, not a default
+    for typo, key in [(_tiny_config(solvers=[{"name": "R2", "option": {"rel_tol": 1e-9}}]),
+                       "option"),
+                      (_tiny_config(budjet=5), "budjet"),
+                      (_tiny_config(problem={"name": "bpdn", "parms": {"m": 10}}), "parms")]:
+        with pytest.raises(ConfigError, match=f"reads no key '{key}'"):
+            RunConfig.from_dict(typo)
 
 
 def test_cli_run_table_trace(tmp_path):

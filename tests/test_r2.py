@@ -134,42 +134,6 @@ def _counted_applies(monkeypatch, qn):
     return calls
 
 
-@pytest.mark.parametrize("theta", [None, THETA])
-def test_model_value_then_grad_makes_one_product(monkeypatch, theta):
-    g, qn, B, th, origin = _model_data(theta=theta)
-    x = origin + np.random.default_rng(3).standard_normal(g.size)
-    calls = _counted_applies(monkeypatch, qn)
-    model = QuadModelOracle(g, qn, th, origin)
-    val = model.value(x)
-    grad = model.grad(x)
-    assert len(calls) == 1
-    assert val == QuadModelOracle(g, qn, th, origin).value(x)
-    assert np.array_equal(grad, QuadModelOracle(g, qn, th, origin).grad(x))
-    # the model is taken at the step x - origin, and the product includes theta * s
-    s = x - origin
-    H = B + np.diag(th)
-    assert val == pytest.approx(g @ s + 0.5 * s @ H @ s, rel=1e-12)
-    assert np.allclose(grad, g + H @ s, rtol=1e-12, atol=1e-12)
-
-
-def test_model_grad_reuses_the_product_at_an_equal_point(monkeypatch):
-    # the kept product is keyed on the point's contents: an equal array reuses
-    # it, the valued array changed in place does not
-    g, qn, _, zero, origin = _model_data()
-    calls = _counted_applies(monkeypatch, qn)
-    model = QuadModelOracle(g, qn, zero, origin)
-    x = origin + 1.0
-    model.value(x)
-    grad = model.grad(x.copy())
-    assert len(calls) == 1
-    assert np.array_equal(grad, QuadModelOracle(g, qn, zero, origin).grad(x))
-    x[0] += 1.0
-    before = len(calls)
-    grad = model.grad(x)
-    assert len(calls) == before + 1
-    assert np.array_equal(grad, QuadModelOracle(g, qn, zero, origin).grad(x))
-
-
 @pytest.mark.parametrize("kind", ["lsr1", "lbfgs"])
 @pytest.mark.parametrize("theta", [None, THETA])
 def test_model_step_in_closed_form_matches_the_dense_model(kind, theta):
@@ -179,7 +143,7 @@ def test_model_step_in_closed_form_matches_the_dense_model(kind, theta):
     def m(s):
         return g @ s + 0.5 * s @ H @ s
     rng = np.random.default_rng(4)
-    model = QuadModelOracle(g, qn, th, origin)
+    model = QuadModelOracle(qn, th)
     for _ in range(5):
         s, t = rng.standard_normal(g.size), rng.standard_normal(g.size)
         gm = g + H @ s
@@ -193,19 +157,25 @@ def test_model_step_in_closed_form_matches_the_dense_model(kind, theta):
 
 
 def test_r2_on_a_model_follows_the_closed_form(monkeypatch):
-    # the subsolve's trials take no operator product; a dense check of its answer
+    # started from the model's f = 0, h and gradient at the origin, the
+    # subsolve's trials take no operator product; a dense check of its answer
     g, qn, B, th, origin = _model_data("lsr1", THETA)
     H = B + np.diag(th)
+
+    def m(x):
+        return g @ (x - origin) + 0.5 * (x - origin) @ H @ (x - origin)
     calls = _counted_applies(monkeypatch, qn)
     box = Box(origin - 0.7, origin + 0.7)
     h = Regularizer("l1", 0.3)
-    rep = r2_solve(QuadModelOracle(g, qn, th, origin), h, box, origin.copy(),
-                   max_iter=500, abs_tol=1e-10, rel_tol=0.0)
+    rep = r2_solve(QuadModelOracle(qn, th), h, box, origin.copy(),
+                   start=(0.0, h.value(origin), g), max_iter=500, abs_tol=1e-10, rel_tol=0.0)
     assert rep.termination == CONVERGED
-    assert len(calls) == 1  # the value and gradient at the start share one product
-    assert rep.n_f == len(rep.diagnostics["iters"]) + 1
+    assert len(calls) == 0
+    assert rep.n_f == len(rep.diagnostics["iters"])
+    # the trace starts at the first accepted trial, not at the start
+    assert len(rep.trace) == sum(r["accepted"] for r in rep.diagnostics["iters"])
     s = rep.x - origin
-    assert rep.f == pytest.approx(g @ s + 0.5 * s @ H @ s, rel=1e-10)
+    assert rep.f == pytest.approx(m(rep.x) - m(origin), rel=1e-10)
     assert np.all(box.lo <= rep.x) and np.all(rep.x <= box.hi)
     # first-order optimality of the step: s is a fixed point of the projected prox step
     step = 1.0 / (np.abs(H).sum(axis=1).max())
@@ -214,8 +184,7 @@ def test_r2_on_a_model_follows_the_closed_form(monkeypatch):
     assert np.allclose(fixed, rep.x, atol=1e-6)
     # the same solve with the dense model as a plain oracle, whose trials evaluate m; its
     # ratio loses digits to cancellation once xi nears the rounding of m, so compare above that
-    dense = CallableOracle(lambda x: g @ (x - origin) + 0.5 * (x - origin) @ H @ (x - origin),
-                           lambda x: g + H @ (x - origin))
+    dense = CallableOracle(m, lambda x: g + H @ (x - origin))
     ref = r2_solve(dense, h, box, origin.copy(),
                    max_iter=500, abs_tol=1e-10, rel_tol=0.0)
     pairs = list(zip(rep.diagnostics["iters"], ref.diagnostics["iters"]))

@@ -9,7 +9,7 @@ from ripm.regprox import Box, Regularizer
 from ripm.report import CONVERGED, TR_RECORD, IterLog, evaluate_start
 from ripm.trust_region import tr_solve, trdh_solve, update_radius
 
-from helpers import CallableOracle, grid_min_1d
+from helpers import CallableOracle, dense_sr1, grid_min_1d
 from test_golden import BPDN_40x96
 
 FREE = Box(np.full(1, -np.inf), np.full(1, np.inf))  # every point of the line
@@ -371,3 +371,75 @@ def test_the_loop_asks_for_the_barrier_terms_once_per_point(step):
     assert res.status == "tol" and rejected > 10 and zero >= 1
     assert len(asked) == 1 + accepted + zero
     assert all(a[0] is not b[0] or a[1] is not b[1] for a, b in zip(asked, asked[1:]))
+
+
+@pytest.mark.parametrize("constraint", ["bounds", "barrier"])
+def test_the_subsolve_starts_from_the_cauchy_step(monkeypatch, constraint):
+    # the loop hands R2 the model at u1 that it already holds: h(u1) from the
+    # Cauchy step, bit for bit, and the gradient g + (B + Theta) s1, formed with
+    # one operator product and no value of h
+    n = 6
+    rng = np.random.default_rng(7)
+    qn = LSR1(n)
+    M = rng.standard_normal((n, n))
+    A = M @ M.T + np.eye(n)
+    for _ in range(3):
+        v = rng.standard_normal(n)
+        assert qn.update(v, A @ v + 0.1 * rng.standard_normal(n), qn.apply(v))
+    B = dense_sr1(list(qn.pairs), n)
+    bounds = Box(np.zeros(n), np.full(n, 4.0))
+    if constraint == "bounds":
+        cons = tr.ShiftedBounds(bounds)
+    else:
+        cons = BarrierTerms(bounds, 1e-1, "lagrangian")
+    c = rng.standard_normal(n) + 2.0
+    smooth = CallableOracle(lambda v: 0.5 * float((v - c) @ A @ (v - c)), lambda v: A @ (v - c))
+    h = Regularizer("l1", 0.1)
+    x = np.ones(n)
+    fx, hx, gx = evaluate_start(smooth, h, x, [])
+
+    applies, h_values, terms, steps, starts = [], [], [], [], []
+    apply, value, at = qn.apply, Regularizer.value, cons.at
+    step, solve = tr.first_order_step, tr.r2_solve
+
+    def counted_apply(v):
+        applies.append(1)
+        return apply(v)
+
+    def counted_value(self, v):
+        h_values.append(1)
+        return value(self, v)
+
+    def kept_at(*args):
+        terms.append(at(*args))
+        return terms[-1]
+
+    def kept_step(*args):
+        steps.append((step(*args), len(applies), len(h_values)))
+        return steps[-1][0]
+
+    def kept_solve(model, reg, box, x0, **kw):
+        # what forming the start cost since the last first-order step (the
+        # measure's, in the barrier stage)
+        _, applies_then, h_values_then = steps[-1]
+        cost = (len(applies) - applies_then, len(h_values) - h_values_then)
+        starts.append((x0, kw["start"], cost))
+        return solve(model, reg, box, x0, **kw)
+
+    monkeypatch.setattr(qn, "apply", counted_apply)
+    monkeypatch.setattr(Regularizer, "value", counted_value)
+    monkeypatch.setattr(cons, "at", kept_at)
+    monkeypatch.setattr(tr, "first_order_step", kept_step)
+    monkeypatch.setattr(tr, "r2_solve", kept_solve)
+    tr.tr_iterate(smooth, h, cons, qn, x, fx, hx, gx, 1.0, max_iter=1, abs_tol=0.0,
+                  rel_tol=0.0, trace=[], records=IterLog(TR_RECORD))
+    assert len(starts) == 1
+    x0, (f0, h0, g0), cost = starts[0]
+    u1, s1, h1, _, _ = steps[0][0]
+    g, theta = terms[0][:2]
+    assert constraint == "bounds" or np.all(theta > 0)
+    assert x0 is u1 and f0 == 0.0
+    assert h0 == h1 == value(h, u1)
+    want = g + B @ s1 + theta * s1
+    assert np.abs(g0 - want).max() <= 1e-12 * np.abs(want).max()
+    assert cost == (1, 0)  # one qn.apply, no value of h
