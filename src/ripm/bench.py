@@ -25,6 +25,11 @@ diagonal with closed-form steps, TR-R2, RIPM-R2 and RIPM-R2-p run LSR1 and
 solve the model with R2.  The measure of the RIPM solvers follows h: the
 primal one for l0, the Lagrangian one for a convex h.
 
+`run_solver` is the one frame of a solve: it values the start with
+`report.evaluate_start`, calls the solver from it, and builds the run's
+only `SolverReport` from the solver's `report.SolveResult`, the oracle's
+counters and the instance.
+
 Each report also carries the certificate r̄ of its x, the "r̄" column of
 the table, which checks a solver's criticality apart from its own measure:
 the infinity norm of the least-norm element of
@@ -56,6 +61,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
@@ -63,12 +69,12 @@ from pathlib import Path
 import numpy as np
 
 from . import problems
-from .errors import OracleFailure
+from .errors import BudgetExhausted, OracleFailure
 from .interior import outer_solve
 from .qnops import LSR1, SpectralDiag
 from .r2 import r2_solve
 from .regprox import L1
-from .report import ORACLE_FAILURE, SolverReport
+from .report import BUDGET, ORACLE_FAILURE, SolveResult, SolverReport, evaluate_start
 from .trust_region import tr_solve, trdh_solve
 
 # tighter relative tolerance so the factorization runs resolve the tail
@@ -167,28 +173,43 @@ def solver_options(name: str, problem: str, overrides: dict):
 
 
 def run_solver(name: str, instance, budget: int, overrides: dict | None = None) -> SolverReport:
-    """Run one named solver on a fresh counter view of the instance.
+    """Report of one named solver run on a fresh counter view of the instance.
 
-    ``overrides`` replace the harness defaults (see `solver_options`).
+    x0 is clamped into the bounds and valued once the clock starts; a start
+    that the budget refuses calls no solver, and reports BUDGET with f = inf,
+    h/lam = NaN, criticality inf and an empty trace.  The criticality is the
+    solver's last measure (inf if it took none), and h/lam is NaN when lam is
+    0.  ``overrides`` replace the harness defaults (see `solver_options`).
     """
     opts, make_qn = solver_options(name, instance.name, overrides or {})
     oracle = instance.smooth.fresh()
     oracle.budget = budget
-    x0, h, bounds = instance.x0, instance.h, instance.bounds
-
-    if name == "R2":
-        report = r2_solve(oracle, h, bounds, x0, **opts)
-    elif name == "TRDH":
-        report = trdh_solve(oracle, h, bounds, x0, **opts)
-    elif name == "TR-R2":
-        report = tr_solve(oracle, h, bounds, make_qn(x0.size), x0, **opts, solver_name=name)
+    h, bounds = instance.h, instance.bounds
+    x = bounds.clamp(np.asarray(instance.x0, dtype=float))
+    trace: list = []
+    t0 = time.perf_counter()
+    try:
+        start = (x, *evaluate_start(oracle, h, x, trace))
+    except BudgetExhausted:
+        res = SolveResult(x, np.inf, np.nan, np.inf, 0, BUDGET, None)
     else:
-        report = outer_solve(oracle, h, bounds, make_qn(x0.size), x0, **opts, solver_name=name)
+        if name == "R2":
+            res = r2_solve(oracle, h, bounds, *start, trace=trace, **opts)
+        elif name == "TRDH":
+            res = trdh_solve(oracle, h, bounds, *start, trace=trace, **opts)
+        elif name == "TR-R2":
+            res = tr_solve(oracle, h, bounds, make_qn(x.size), *start, trace=trace, **opts)
+        else:
+            res = outer_solve(oracle, h, bounds, make_qn(x.size), *start, trace=trace, **opts)
+    wall = time.perf_counter() - t0
 
-    if instance.x_star is not None:
-        report.dist_to_xstar = float(np.linalg.norm(report.x - instance.x_star))
-    report.certificate = certificate(instance, report.x)
-    return report
+    return SolverReport(
+        solver=name, x=res.x, f=res.f, h_over_lam=res.h / h.lam if h.lam else np.nan,
+        criticality=float(res.crit), n_f=oracle.n_f, n_grad=oracle.n_grad, n_prox=res.n_prox,
+        wall_time_s=wall, termination=res.termination, trace=trace,
+        dist_to_xstar=(None if instance.x_star is None
+                       else float(np.linalg.norm(res.x - instance.x_star))),
+        z=res.z, diagnostics=res.diagnostics, lam=h.lam, certificate=certificate(instance, res.x))
 
 
 def certificate(instance, x) -> float:

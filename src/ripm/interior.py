@@ -44,7 +44,6 @@ tolerance of `outer_solve`.  The trust-region constants are those of
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,8 +55,7 @@ from .errors import BoundaryPoint, BudgetExhausted
 # regprox.Box.shifted, which stay bound for the tracer too
 from .r2 import r2_solve  # noqa: F401
 from .regprox import L0, Box, intersect_boxes  # noqa: F401
-from .report import (BUDGET, CONVERGED, MAX_ITER, STALLED, TR_RECORD, IterLog, SolverReport,
-                     evaluate_start, make_report)
+from .report import BUDGET, CONVERGED, MAX_ITER, STALLED, TR_RECORD, IterLog, SolveResult
 from .trust_region import DELTA_MAX, InnerResult, tr_iterate
 
 MODE_CP = "cp"
@@ -301,9 +299,10 @@ def inner_solve(smooth, h, barrier: BarrierTerms, qn, x, fx: float, hx: float, g
                       records=records)
 
 
-def outer_solve(smooth, h, bounds: Box, qn, x0, *, mu_init: float = 1.0,
-                eps_r: float = 1e-4, eps_ri: float = 0.1, solver_name: str) -> SolverReport:
-    """Barrier outer loop: shrink mu, solve inner subproblems, cross over.
+def outer_solve(smooth, h, bounds: Box, qn, x, fx: float, hx: float, gx, *, trace: list,
+                mu_init: float = 1.0, eps_r: float = 1e-4, eps_ri: float = 0.1) -> SolveResult:
+    """Barrier outer loop from a strictly interior x, with f(x), h(x) and grad
+    f(x) given: shrink mu, solve inner subproblems, cross over.
 
     The first stage runs at mu = mu_init (mu_0), and every stage stops its
     measure at eps_k + eps_ri * (measure at the stage's entry): eps_ri is
@@ -324,52 +323,42 @@ def outer_solve(smooth, h, bounds: Box, qn, x0, *, mu_init: float = 1.0,
     budget refuses the crossover point.
 
     The status says which limit stopped the loop: BUDGET when a stage ran
-    out of evaluations (or the start was refused), STALLED after a stage
-    that stalled at entry, and MAX_ITER after MAX_OUTER stages.  The
-    crossover uses the mu of the last stage run (mu_init if none ran).
+    out of evaluations, STALLED after a stage that stalled at entry, and
+    MAX_ITER after MAX_OUTER stages.  The crossover uses the mu of the last
+    stage run.
     """
-    t0 = time.perf_counter()
-    x = np.array(x0, dtype=float)
     if not np.isfinite(barrier_value(mu_init, x, bounds)):
         raise BoundaryPoint("outer solve requires a strictly interior start")
 
-    trace: list = []
     records = IterLog(TR_RECORD)  # the inner iterations of every stage
     mu = mu_init
     barrier = BarrierTerms(bounds, mu, measure_mode(h))
-    status, res, eps_glob, n_prox, stages = MAX_ITER, None, None, 0, 0
-    fx, hx = np.inf, 0.0
-
-    try:
-        fx, hx, gx = evaluate_start(smooth, h, x, trace)
-        with smooth.held_back():
-            for k in range(MAX_OUTER):
-                barrier.mu = mu
-                res = inner_solve(smooth, h, barrier, qn, x, fx, hx, gx, eps_ri, trace, records)
-                x, fx, hx, gx = res.x, res.fx, res.hx, res.gx
-                n_prox += res.n_prox
-                stages = k + 1
-                if eps_glob is None:
-                    eps_glob = EPS_A + eps_r * res.measure0
-                if res.status == "budget":
-                    status = BUDGET
-                    break
-                # a stage that stalls at entry (no prox: it never measured) leaves
-                # x and z as they were, and every later stage starts at a smaller
-                # radius, so it would stall as well
-                if res.status == "stalled" and res.n_prox == 0:
-                    status = STALLED
-                    break
-                # declare convergence only off a genuine tolerance exit: a cap exit
-                # may report a measure that cancellation drove to 0, and a stalled
-                # stage measured nothing at its collapsed radius
-                if (res.status == "tol" and mu < eps_glob
-                        and res.compl < eps_glob and res.crit < eps_glob):
-                    status = CONVERGED
-                    break
-                mu *= MU_FACTOR
-    except BudgetExhausted:  # the start point itself was refused
-        status = BUDGET
+    status, eps_glob, n_prox = MAX_ITER, None, 0
+    with smooth.held_back():
+        for stages in range(1, MAX_OUTER + 1):
+            barrier.mu = mu
+            res = inner_solve(smooth, h, barrier, qn, x, fx, hx, gx, eps_ri, trace, records)
+            x, fx, hx, gx = res.x, res.fx, res.hx, res.gx
+            n_prox += res.n_prox
+            if eps_glob is None:
+                eps_glob = EPS_A + eps_r * res.measure0
+            if res.status == "budget":
+                status = BUDGET
+                break
+            # a stage that stalls at entry (no prox: it never measured) leaves
+            # x and z as they were, and every later stage starts at a smaller
+            # radius, so it would stall as well
+            if res.status == "stalled" and res.n_prox == 0:
+                status = STALLED
+                break
+            # declare convergence only off a genuine tolerance exit: a cap exit
+            # may report a measure that cancellation drove to 0, and a stalled
+            # stage measured nothing at its collapsed radius
+            if (res.status == "tol" and mu < eps_glob
+                    and res.compl < eps_glob and res.crit < eps_glob):
+                status = CONVERGED
+                break
+            mu *= MU_FACTOR
 
     z = barrier.z
     x_cross, z_cross = crossover(x, z, barrier.mu, bounds)
@@ -385,6 +374,6 @@ def outer_solve(smooth, h, bounds: Box, qn, x0, *, mu_init: float = 1.0,
     except BudgetExhausted:
         pass  # keep the interior point, so that report and x stay consistent
 
-    return make_report(solver_name, smooth, h, x, fx, hx, res.crit if res else np.inf, n_prox,
-                       t0, status, trace, {"inner": records, "crossover": cross_info,
-                                           "mode": barrier.mode, "stages": stages}, z=z)
+    return SolveResult(x, fx, hx, res.crit, n_prox, status,
+                       {"inner": records, "crossover": cross_info, "mode": barrier.mode,
+                        "stages": stages}, z=z)

@@ -102,9 +102,10 @@ class QuadModelOracle(SmoothOracle):
 
     ``qn`` is an LBFGS or LSR1 operator, B = I + W^T diag(signs) W, and
     ``theta`` the extra diagonal of a barrier, zero without one.  The model
-    is never valued at a point: the caller of the R2 subsolve hands it the
-    model gradient at the start (`r2.r2_solve`'s ``start``).  Its counters,
-    never merged into the true objective's, count trials and accepted steps.
+    is never valued at a point: the caller of the R2 subsolve starts
+    `r2.r2_solve` at f = 0 with the model gradient that it holds there.  Its
+    counters, never merged into the true objective's, count trials and
+    accepted steps.
 
     Along a step t the model changes by grad m . t + c / 2, where `curvature`
     returns c = t.(B + theta) t together with the products it took,

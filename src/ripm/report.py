@@ -1,6 +1,11 @@
-"""Solve reports shared by every solver, and their per-iteration records.
+"""What a solve returns and what a run reports, and their per-iteration records.
 
-A report's termination says which limit stopped the run: CONVERGED (the
+A solver starts from x with f(x), h(x) and grad f(x), which `evaluate_start`
+forms, and returns a `SolveResult`.  `bench.run_solver` alone builds a
+`SolverReport`, from that result; the R2 subsolve of the trust-region loop
+is a solve that nobody reports.
+
+A termination says which limit stopped the run: CONVERGED (the
 tolerance), BUDGET (the objective-evaluation budget), MAX_ITER (the
 iteration cap, or the stage cap of the barrier loop), STALLED (the trust
 radius collapsed to the rounding of x) or ORACLE_FAILURE.
@@ -13,7 +18,6 @@ iterations: a dict per record would take about 800 bytes, and a row of
 """
 from __future__ import annotations
 
-import time
 from array import array
 from dataclasses import dataclass, field
 
@@ -101,6 +105,22 @@ class IterLog:
 
 
 @dataclass
+class SolveResult:
+    """What a solver returns: its final point x, f and h there, the last
+    criticality measure (inf when it stopped before measuring), its prox
+    count, its termination, its records, and the dual estimate z of RIPM."""
+
+    x: np.ndarray
+    f: float
+    h: float
+    crit: float
+    n_prox: int
+    termination: str
+    diagnostics: dict
+    z: object | None = None
+
+
+@dataclass
 class SolverReport:
     solver: str
     x: np.ndarray
@@ -149,19 +169,3 @@ def evaluate_start(smooth, h, x, trace: list):
     gx = smooth.grad(x)
     trace.append((smooth.n_grad, fx + hx))
     return fx, hx, gx
-
-
-def make_report(solver, smooth, h, x, fx, hx, crit, n_prox, t0, status, trace, diagnostics,
-                z=None) -> SolverReport:
-    """Report of a finished solve started at perf_counter() time ``t0``.
-
-    The criticality is reported as measured: inf when the solve stopped
-    before measuring it, NaN when the measure itself was not a number.
-    h/lam is NaN when lam = 0, where the ratio is undefined.
-    """
-    lam = h.lam
-    return SolverReport(
-        solver=solver, x=x, f=fx, h_over_lam=(hx / lam) if lam else np.nan,
-        criticality=float(crit), n_f=smooth.n_f, n_grad=smooth.n_grad, n_prox=n_prox,
-        wall_time_s=time.perf_counter() - t0, termination=status, trace=trace, z=z,
-        diagnostics=diagnostics, lam=lam)

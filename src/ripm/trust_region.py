@@ -13,20 +13,22 @@ stage: `first_order_step` again, so one function forms every
 prox-gradient trial.  Any other operator gets the R2 solve of the quadratic
 model over the cap box, started at u1, whose trials change the model by a
 closed form in the operator's factors (see `r2` and
-`oracles.QuadModelOracle`), and whose start is h(u1) from the Cauchy step
-and the model gradient g + (B + Theta) s1.  A ratio test accepts or rejects the trial
-point, the radius follows `update_radius`, and the quasi-Newton operator is
-updated on acceptance.  The loop asks for f only where the ratio test reads
-it: a trial whose model decrease is not positive gets rho = -inf, the
-unsuccessful step of TR, without a value, and a trial equal to the last point
-valued keeps the f it had, so the objective's n_f counts only values that a
-decision reads.  Once Delta falls below eps (1 + ||x||_inf), with eps
-the machine epsilon EPS_MACH, the box around x rounds to x in its largest
-components: neither a trial point nor the measure can resolve a step there,
-so the loop stops as stalled before it measures.  Once the objective's
-budget allows no evaluation, the loop measures at x and tests the
-tolerance, then stops before it builds a trial point whose value the
-budget would refuse: for a subsolve step that is a whole R2 solve.
+`oracles.QuadModelOracle`).  The loop hands it the start it holds: f = 0,
+h(u1) from the Cauchy step and the model gradient g + (B + Theta) s1, and
+takes the trial point and h there from its result.  A ratio test accepts
+or rejects the trial point, the radius follows `update_radius`, and the
+quasi-Newton operator is updated on acceptance.  The loop asks for f only
+where the ratio test reads it: a trial whose model decrease is not
+positive gets rho = -inf, the unsuccessful step of TR, without a value, and
+a trial equal to the last point valued keeps the f it had, so the
+objective's n_f counts only values that a decision reads.  Once Delta
+falls below eps (1 + ||x||_inf), with eps the machine epsilon EPS_MACH, the
+box around x rounds to x in its largest components: neither a trial point
+nor the measure can resolve a step there, so the loop stops as stalled
+before it measures.  Once the objective's budget allows no evaluation, the
+loop measures at x and tests the tolerance, then stops before it builds a
+trial point whose value the budget would refuse: for a subsolve step that
+is a whole R2 solve.
 
 The loop keeps the hot-path rule of `regprox`: no `np.clip`, no
 function-form `np.any`/`np.all` and no `np.linalg.norm` in code that runs
@@ -40,9 +42,11 @@ constraint box, `Box.ball`, built in one pass.
 The bounds enter through a constraint object, which supplies the box of
 points every trial stays in.  TR and TRDH fold the box indicator into the
 nonsmooth term and pass `ShiftedBounds`, whose box is the bounds
-themselves.  The barrier subproblems of RIPM pass `interior.BarrierTerms`,
-whose box is the fraction-to-boundary box, and which adds the barrier
-gradient and curvature and owns the duals.  Both have the methods of
+themselves: `tr_solve` and `trdh_solve` run the loop once, from the valued
+start that `bench.run_solver` forms, and return a `report.SolveResult`.
+The barrier subproblems of RIPM pass `interior.BarrierTerms`, whose box is
+the fraction-to-boundary box, and which adds the barrier gradient and
+curvature and owns the duals.  Both have the methods of
 `ShiftedBounds`; `phi` returns the gaps of a point with its term, and the
 loop hands them back to `at`, `accept` and `zero_step`.  `at` always
 returns a curvature vector Theta, zero in `ShiftedBounds`, and a
@@ -63,19 +67,16 @@ SUBSOLVER_REL_TOL stop the R2 subsolve.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExhausted
 from .oracles import QuadModelOracle
 from .qnops import SpectralDiag
 from .r2 import first_order_step, r2_solve
 # intersect_boxes is bound here only for perfbench/tracer.py, which wraps it
 from .regprox import Box, intersect_boxes  # noqa: F401
-from .report import (BUDGET, CONVERGED, MAX_ITER, STALLED, TR_RECORD, IterLog, SolverReport,
-                     evaluate_start, make_report)
+from .report import BUDGET, CONVERGED, MAX_ITER, STALLED, TR_RECORD, IterLog, SolveResult
 
 DELTA_INIT = 1.0
 DELTA_MAX = 1e12
@@ -223,13 +224,13 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
             x_t, s, h_t, gs, _ = first_order_step(h, x, hx, g, d, cap_box)
             n_prox += 1
         else:
-            start = (0.0, h1, g + (qn.apply(s1) + theta * s1))  # the model at u1
-            sub = r2_solve(QuadModelOracle(qn, theta), h, cap_box, u1, start=start,
+            # the model at u1: f = 0, h(u1) and its gradient g + (B + Theta) s1
+            sub = r2_solve(QuadModelOracle(qn, theta), h, cap_box, u1, 0.0, h1,
+                           g + (qn.apply(s1) + theta * s1), trace=[],
                            max_iter=SUBSOLVER_MAX_ITER, abs_tol=0.0, rel_tol=SUBSOLVER_REL_TOL)
-            x_t = sub.x
+            x_t, h_t = sub.x, sub.h
             n_prox += sub.n_prox
             s = x_t - x
-            h_t = h.value(x_t)
             gs = float(g @ s)
         if not s.any() and cons.zero_step(x, gaps):
             records.append(*head, 0.0, False, None, delta, np.nan, 0.0, np.nan)
@@ -268,28 +269,20 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
 _STATUS = {"tol": CONVERGED, "budget": BUDGET, "cap": MAX_ITER, "stalled": STALLED}
 
 
-def tr_solve(smooth, h, bounds: Box, qn, x0, *, rel_tol: float = 1e-4,
-             solver_name: str) -> SolverReport:
-    """Quasi-Newton proximal trust region; the step follows ``qn`` (see `tr_iterate`)."""
-    t0 = time.perf_counter()
-    x = bounds.clamp(np.asarray(x0, dtype=float))
-    fx, hx, crit, n_prox = np.inf, 0.0, np.inf, 0
-    trace: list = []
+def tr_solve(smooth, h, bounds: Box, qn, x, fx: float, hx: float, gx, *, trace: list,
+             rel_tol: float = 1e-4) -> SolveResult:
+    """Quasi-Newton proximal trust region from x in ``bounds``, with f(x), h(x)
+    and grad f(x) given; the step follows ``qn`` (see `tr_iterate`)."""
     records = IterLog(TR_RECORD)
-    try:
-        fx, hx, gx = evaluate_start(smooth, h, x, trace)
-        res = tr_iterate(smooth, h, ShiftedBounds(bounds), qn, x, fx, hx, gx, DELTA_INIT,
-                         max_iter=ITER_CAP, abs_tol=ABS_TOL, rel_tol=rel_tol,
-                         trace=trace, records=records)
-        x, fx, hx, crit, n_prox = res.x, res.fx, res.hx, res.crit, res.n_prox
-        status = _STATUS[res.status]
-    except BudgetExhausted:  # the start point itself was refused
-        status = BUDGET
-    return make_report(solver_name, smooth, h, x, fx, hx, crit, n_prox, t0, status, trace,
+    res = tr_iterate(smooth, h, ShiftedBounds(bounds), qn, x, fx, hx, gx, DELTA_INIT,
+                     max_iter=ITER_CAP, abs_tol=ABS_TOL, rel_tol=rel_tol, trace=trace,
+                     records=records)
+    return SolveResult(res.x, res.fx, res.hx, res.crit, res.n_prox, _STATUS[res.status],
                        {"iters": records})
 
 
-def trdh_solve(smooth, h, bounds: Box, x0, *, rel_tol: float = 1e-4) -> SolverReport:
+def trdh_solve(smooth, h, bounds: Box, x, fx: float, hx: float, gx, *, trace: list,
+               rel_tol: float = 1e-4) -> SolveResult:
     """Diagonal-Hessian trust region: `tr_solve` with the spectral diagonal operator."""
-    return tr_solve(smooth, h, bounds, SpectralDiag(len(x0)), x0, rel_tol=rel_tol,
-                    solver_name="TRDH")
+    return tr_solve(smooth, h, bounds, SpectralDiag(x.size), x, fx, hx, gx, trace=trace,
+                    rel_tol=rel_tol)

@@ -1,8 +1,10 @@
 """Shared test oracles: brute-force minimizers and dense recursions independent of the
-library code, and `CallableOracle`, a smooth oracle over plain callables."""
+library code, `CallableOracle`, a smooth oracle over plain callables, and
+`valued_solve`, a direct solver call from a valued start."""
 import numpy as np
 
 from ripm.oracles import SmoothOracle
+from ripm.report import evaluate_start
 
 
 class CallableOracle(SmoothOracle):
@@ -18,6 +20,20 @@ class CallableOracle(SmoothOracle):
 
     def _grad(self, x):
         return np.asarray(self._g(x), dtype=float)
+
+
+def valued_solve(solver, smooth, h, *args, **kw):
+    """Call ``solver`` from the valued start at x0, the last of ``args``, as `run_solver` does.
+
+    Calls ``solver(smooth, h, *args[:-1], x0, f(x0), h(x0), grad f(x0),
+    trace=trace, **kw)`` and returns its result and the trace, which starts
+    at x0.  x0 is not clamped: a test passes a point in the bounds.
+    """
+    *head, x = args
+    x = np.asarray(x, dtype=float)
+    trace = []
+    start = evaluate_start(smooth, h, x, trace)
+    return solver(smooth, h, *head, x, *start, trace=trace, **kw), trace
 
 
 def _grid(lo, hi, step):

@@ -159,13 +159,37 @@ def test_a_crossover_point_that_raises_f_is_not_returned(monkeypatch):
 
 def test_budget_zero_reports_criticality_unmeasured():
     # no evaluation is allowed, so no solver measures criticality; the report
-    # must not read as exactly critical
+    # must not read as exactly critical.  The refused start calls no solver,
+    # so it reads the same for every one: no f, no h (h(x0)/lam is 24 here),
+    # no measure and no trace, and the table prints "-" for each
     inst = bench.problems.build("bpdn", 0, m=12, n=24, n_spikes=3)
     for name in ALL_SOLVERS:
         rep = bench.run_solver(name, inst, 0)
         assert rep.termination == BUDGET and rep.n_f == 0
-        assert not np.isfinite(rep.criticality), (name, rep.criticality)
-        assert emit_table([rep]).splitlines()[1].split()[3] == "-"
+        assert rep.f == np.inf and rep.criticality == np.inf, (name, rep.criticality)
+        assert np.isnan(rep.h_over_lam) and rep.trace == [], name
+        assert emit_table([rep]).splitlines()[1].split()[1:4] == ["-", "-", "-"]
+
+
+@pytest.mark.parametrize("name", ["TR-R2", "RIPM-R2"])
+def test_a_run_builds_one_report_and_its_subsolves_none(monkeypatch, name):
+    # run_solver builds the run's only report; the R2 subsolves of the
+    # trust-region loop return results that nobody reports
+    built, subsolves = [], []
+    init, solve = SolverReport.__init__, trust_region.r2_solve
+
+    def counted_init(self, *args, **kw):
+        built.append(1)
+        init(self, *args, **kw)
+
+    def counted_solve(*args, **kw):
+        subsolves.append(1)
+        return solve(*args, **kw)
+    monkeypatch.setattr(SolverReport, "__init__", counted_init)
+    monkeypatch.setattr(trust_region, "r2_solve", counted_solve)
+    rep = run_solver(name, problems.build("bpdn", 0, m=40, n=96, n_spikes=3), 1000)
+    assert isinstance(rep, SolverReport) and len(built) == 1
+    assert len(subsolves) >= 1
 
 
 def test_budget_respected():

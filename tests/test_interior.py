@@ -16,7 +16,7 @@ from ripm.report import (BUDGET, CONVERGED, MAX_ITER, STALLED, TR_RECORD, IterLo
                          evaluate_start)
 from ripm.trust_region import DELTA_MAX, tr_iterate
 
-from helpers import CallableOracle, bisect_root, grid_min_1d
+from helpers import CallableOracle, bisect_root, grid_min_1d, valued_solve
 
 POS = Box(np.zeros(1), np.full(1, np.inf))
 
@@ -616,7 +616,7 @@ def test_inner_solve_radius_tolerance_and_measure(kind):
 def _outer(smooth, h, bounds, x0, step="diagonal"):
     # the step follows the operator: the spectral diagonal takes closed-form steps
     qn = SpectralDiag(x0.size) if step == "diagonal" else LSR1(x0.size)
-    return outer_solve(smooth, h, bounds, qn, x0, solver_name="RIPM")
+    return valued_solve(outer_solve, smooth, h, bounds, qn, x0)[0]
 
 
 @pytest.mark.parametrize("step", ["diagonal", "r2"])
@@ -682,21 +682,22 @@ def test_outer_stops_after_a_stage_that_stalls_at_entry(step):
     # first stage stalls before it measures; x and z do not move and every
     # later stage would start at a smaller radius, so the solve stops there
     mu = 1e-20
-    rep = outer_solve(_oracle_quad(2.0), Regularizer("l1"), POS,
-                      SpectralDiag(1) if step == "diagonal" else LSR1(1), np.array([1.0]),
-                      mu_init=mu, solver_name="RIPM")
+    smooth = _oracle_quad(2.0)
+    rep, _ = valued_solve(outer_solve, smooth, Regularizer("l1"), POS,
+                          SpectralDiag(1) if step == "diagonal" else LSR1(1), np.array([1.0]),
+                          mu_init=mu)
     assert rep.termination == STALLED and rep.diagnostics["stages"] == 1
     assert rep.diagnostics["crossover"]["mu"] == mu
-    assert rep.n_f == 1 and rep.n_prox == 0 and len(rep.diagnostics["inner"]) == 0
+    assert smooth.n_f == 1 and rep.n_prox == 0 and len(rep.diagnostics["inner"]) == 0
 
 
 def test_outer_budget_one():
     smooth = _oracle_quad(2.0)
     smooth.budget = 1
-    rep = outer_solve(smooth, Regularizer("l1"), POS, SpectralDiag(1), np.array([1.0]),
-                      solver_name="RIPM")
+    rep, _ = valued_solve(outer_solve, smooth, Regularizer("l1"), POS, SpectralDiag(1),
+                          np.array([1.0]))
     assert rep.termination == BUDGET
-    assert rep.n_f <= 2
+    assert smooth.n_f <= 2
 
 
 def test_outer_ends_on_the_stage_cap_as_iter_cap(monkeypatch):

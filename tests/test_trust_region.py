@@ -9,7 +9,7 @@ from ripm.regprox import Box, Regularizer
 from ripm.report import CONVERGED, TR_RECORD, IterLog, evaluate_start
 from ripm.trust_region import tr_solve, trdh_solve, update_radius
 
-from helpers import CallableOracle, dense_sr1, grid_min_1d
+from helpers import CallableOracle, dense_sr1, grid_min_1d, valued_solve
 from test_golden import BPDN_40x96
 
 FREE = Box(np.full(1, -np.inf), np.full(1, np.inf))  # every point of the line
@@ -29,8 +29,8 @@ def tight(monkeypatch):
 def test_tr_interior_minimum(tight):
     n = 4
     bounds = Box(np.zeros(n), np.full(n, np.inf))
-    rep = tr_solve(_quad_shift(np.ones(n)), Regularizer("l1"), bounds,
-                   LSR1(n), 0.5 * np.ones(n), rel_tol=0.0, solver_name="TR")
+    rep, _ = valued_solve(tr_solve, _quad_shift(np.ones(n)), Regularizer("l1"), bounds,
+                          LSR1(n), 0.5 * np.ones(n), rel_tol=0.0)
     assert rep.termination == CONVERGED
     assert np.allclose(rep.x, 1.0, atol=1e-6)
 
@@ -38,14 +38,14 @@ def test_tr_interior_minimum(tight):
 def test_tr_active_bounds(tight):
     n = 3
     bounds = Box(np.zeros(n), np.full(n, np.inf))
-    rep = tr_solve(_quad_shift(-np.ones(n)), Regularizer("l1"), bounds,
-                   LSR1(n), np.ones(n), rel_tol=0.0, solver_name="TR")
+    rep, _ = valued_solve(tr_solve, _quad_shift(-np.ones(n)), Regularizer("l1"), bounds,
+                          LSR1(n), np.ones(n), rel_tol=0.0)
     assert np.allclose(rep.x, 0.0, atol=1e-9)
 
 
 def test_tr_l1_unbounded_domain(tight):
-    rep = tr_solve(_quad_shift([2.0]), Regularizer("l1", 1.0), FREE,
-                   LSR1(1), np.array([0.0]), rel_tol=0.0, solver_name="TR")
+    rep, _ = valued_solve(tr_solve, _quad_shift([2.0]), Regularizer("l1", 1.0), FREE,
+                          LSR1(1), np.array([0.0]), rel_tol=0.0)
     xg, _ = grid_min_1d(lambda t: 0.5 * (t - 2.0) ** 2 + abs(t), -4, 4)
     assert rep.x[0] == pytest.approx(1.0, abs=1e-6)
     assert rep.x[0] == pytest.approx(xg, abs=2e-3)
@@ -54,15 +54,15 @@ def test_tr_l1_unbounded_domain(tight):
 def test_trdh_interior_minimum(tight):
     n = 4
     bounds = Box(np.zeros(n), np.full(n, np.inf))
-    rep = trdh_solve(_quad_shift(np.ones(n)), Regularizer("l1"), bounds,
-                     0.5 * np.ones(n), rel_tol=0.0)
+    rep, _ = valued_solve(trdh_solve, _quad_shift(np.ones(n)), Regularizer("l1"), bounds,
+                          0.5 * np.ones(n), rel_tol=0.0)
     assert rep.termination == CONVERGED
     assert np.allclose(rep.x, 1.0, atol=1e-6)
 
 
 def test_trdh_l1_matches_grid(tight):
-    rep = trdh_solve(_quad_shift([2.0]), Regularizer("l1", 1.0), FREE,
-                     np.array([0.0]), rel_tol=0.0)
+    rep, _ = valued_solve(trdh_solve, _quad_shift([2.0]), Regularizer("l1", 1.0), FREE,
+                          np.array([0.0]), rel_tol=0.0)
     assert rep.x[0] == pytest.approx(1.0, abs=1e-6)
 
 
@@ -71,9 +71,9 @@ def test_trdh_separable_quadratic_soft_threshold_step(tight):
     # soft threshold of the scaled gradient step, clamped into the step box
     n = 3
     c = np.array([2.0, -1.5, 0.5])
-    rep = trdh_solve(_quad_shift(c), Regularizer("l1", 0.3),
-                     Box(np.full(n, -np.inf), np.full(n, np.inf)),
-                     np.zeros(n), rel_tol=0.0)
+    rep, _ = valued_solve(trdh_solve, _quad_shift(c), Regularizer("l1", 0.3),
+                          Box(np.full(n, -np.inf), np.full(n, np.inf)),
+                          np.zeros(n), rel_tol=0.0)
     xg = np.sign(c) * np.maximum(np.abs(c) - 0.3, 0.0)
     assert np.allclose(rep.x, xg, atol=1e-6)
 
@@ -90,14 +90,14 @@ def test_trdh_steps_with_a_scalar_sigma(monkeypatch):
 
     monkeypatch.setattr(regprox, "iprox_shifted", recording)
     inst = problems.build("bpdn", 0, m=10, n=24, n_spikes=3)
-    rep = trdh_solve(inst.smooth.fresh(), inst.h, inst.bounds, inst.x0)
+    rep, _ = valued_solve(trdh_solve, inst.smooth.fresh(), inst.h, inst.bounds, inst.x0)
     assert len(rep.diagnostics["iters"]) > 1 and len(sigmas) == rep.n_prox
     assert sigmas == [0] * rep.n_prox
 
 
 def test_trdh_two_prox_per_iteration(tight):
-    rep = trdh_solve(_quad_shift([3.0]), Regularizer("l1", 0.5), FREE,
-                     np.array([0.1]), rel_tol=0.0)
+    rep, _ = valued_solve(trdh_solve, _quad_shift([3.0]), Regularizer("l1", 0.5), FREE,
+                          np.array([0.1]), rel_tol=0.0)
     stepped = len(rep.diagnostics["iters"])
     if rep.termination == CONVERGED:
         assert rep.n_prox == 2 * stepped + 1
@@ -109,8 +109,9 @@ def test_radius_schedule_conformance(monkeypatch):
     monkeypatch.setattr(tr, "ABS_TOL", 1e-6)
     oracle = CallableOracle(lambda x: float(np.sum(np.cosh(x))),
                             lambda x: np.sinh(x))
-    rep = tr_solve(oracle, Regularizer("l1", 0.1), Box(np.full(1, -5.0), np.full(1, 5.0)),
-                   LSR1(1), np.array([2.0]), rel_tol=0.0, solver_name="TR")
+    rep, _ = valued_solve(tr_solve, oracle, Regularizer("l1", 0.1),
+                          Box(np.full(1, -5.0), np.full(1, 5.0)), LSR1(1), np.array([2.0]),
+                          rel_tol=0.0)
     iters = rep.diagnostics["iters"]
     assert iters, "expected at least one stepped iteration"
     assert any(it["rho"] >= tr.ETA2 for it in iters)
@@ -132,8 +133,9 @@ def test_step_cap_and_criticality_lower_bound(monkeypatch):
     monkeypatch.setattr(tr, "ABS_TOL", 1e-6)
     oracle = CallableOracle(lambda x: float(np.sum(np.cosh(x))),
                             lambda x: np.sinh(x))
-    rep = tr_solve(oracle, Regularizer("l1", 0.1), Box(np.full(1, -5.0), np.full(1, 5.0)),
-                   LSR1(1), np.array([2.0]), rel_tol=0.0, solver_name="TR")
+    rep, _ = valued_solve(tr_solve, oracle, Regularizer("l1", 0.1),
+                          Box(np.full(1, -5.0), np.full(1, 5.0)), LSR1(1), np.array([2.0]),
+                          rel_tol=0.0)
     for it in rep.diagnostics["iters"]:
         assert it["s_inf"] <= it["cap_inf"] + 1e-12
         assert it["cap_inf"] <= min(it["delta_before"], tr.BETA * it["s1_norm2"]) + 1e-12
@@ -145,12 +147,13 @@ def test_unsuccessful_iterations_do_not_move_x(monkeypatch):
     # oscillatory objective: the quadratic model overshoots and gets rejected
     oracle = CallableOracle(lambda x: 0.5 * float(x @ x) + 2.0 * float(np.sum(np.sin(5 * x))),
                             lambda x: x + 10.0 * np.cos(5 * x))
-    rep = trdh_solve(oracle, Regularizer("l1"), Box(np.full(1, -6.0), np.full(1, 6.0)),
-                     np.array([2.0]), rel_tol=0.0)
+    rep, trace = valued_solve(trdh_solve, oracle, Regularizer("l1"),
+                              Box(np.full(1, -6.0), np.full(1, 6.0)), np.array([2.0]),
+                              rel_tol=0.0)
     iters = rep.diagnostics["iters"]
     assert any(not it["accepted"] for it in iters)
     # gradients are evaluated only when x moves: one per accepted step plus x0
-    assert len(rep.trace) == 1 + sum(1 for it in iters if it["accepted"])
+    assert len(trace) == 1 + sum(1 for it in iters if it["accepted"])
     assert rep.termination == CONVERGED
 
 
@@ -164,10 +167,10 @@ def test_diagonal_operator_takes_the_trdh_step(monkeypatch):
     inst = problems.build("bpdn", 0, m=40, n=96, n_spikes=3)
     oracle = inst.smooth.fresh()
     oracle.budget = 1000
-    rep = tr_solve(oracle, inst.h, inst.bounds, SpectralDiag(96), inst.x0, solver_name="TR")
-    assert (rep.n_f, rep.n_grad, rep.n_prox, rep.termination) == BPDN_40x96["TRDH"]
+    rep, _ = valued_solve(tr_solve, oracle, inst.h, inst.bounds, SpectralDiag(96), inst.x0)
+    assert (oracle.n_f, oracle.n_grad, rep.n_prox, rep.termination) == BPDN_40x96["TRDH"]
     with pytest.raises(AssertionError, match="R2 subsolve"):
-        tr_solve(inst.smooth.fresh(), inst.h, inst.bounds, LSR1(96), inst.x0, solver_name="TR")
+        valued_solve(tr_solve, inst.smooth.fresh(), inst.h, inst.bounds, LSR1(96), inst.x0)
 
 
 @pytest.mark.parametrize("solver", ["TR-R2", "RIPM-R2"])
@@ -217,7 +220,7 @@ def test_trdh_evaluates_h_once_at_each_point(monkeypatch):
     inst = problems.build("bpdn", 0, m=40, n=96, n_spikes=3)
     oracle = inst.smooth.fresh()
     oracle.budget = 1000
-    rep = trdh_solve(oracle, inst.h, inst.bounds, inst.x0)
+    rep, _ = valued_solve(trdh_solve, oracle, inst.h, inst.bounds, inst.x0)
     assert rep.termination == CONVERGED
     iters = rep.diagnostics["iters"]
     trials = sum(not np.isnan(it["rho"]) for it in iters)
@@ -231,7 +234,7 @@ def test_trdh_evaluates_h_once_at_each_point(monkeypatch):
             repeated += np.array_equal(x_t, last)
             last = x_t
     assert repeated > 0
-    assert rep.n_f - 1 == positive - repeated
+    assert oracle.n_f - 1 == positive - repeated
 
 
 def test_trdh_asks_for_f_once_at_each_point(monkeypatch):
@@ -246,8 +249,8 @@ def test_trdh_asks_for_f_once_at_each_point(monkeypatch):
         valued.append(x.copy())
         return value(x)
     oracle.value = logged_value
-    rep = trdh_solve(oracle, inst.h, inst.bounds, inst.x0)
-    assert len(valued) == rep.n_f and any(not it["accepted"] for it in rep.diagnostics["iters"])
+    rep, _ = valued_solve(trdh_solve, oracle, inst.h, inst.bounds, inst.x0)
+    assert len(valued) == oracle.n_f and any(not it["accepted"] for it in rep.diagnostics["iters"])
     assert not any(np.array_equal(a, b) for a, b in zip(valued, valued[1:]))
 
 
@@ -377,7 +380,9 @@ def test_the_loop_asks_for_the_barrier_terms_once_per_point(step):
 def test_the_subsolve_starts_from_the_cauchy_step(monkeypatch, constraint):
     # the loop hands R2 the model at u1 that it already holds: h(u1) from the
     # Cauchy step, bit for bit, and the gradient g + (B + Theta) s1, formed with
-    # one operator product and no value of h
+    # one operator product and no value of h.  It takes the trial point and h
+    # there from the result, so no value of h follows the subsolve before the
+    # next iteration's first-order step
     n = 6
     rng = np.random.default_rng(7)
     qn = LSR1(n)
@@ -398,7 +403,7 @@ def test_the_subsolve_starts_from_the_cauchy_step(monkeypatch, constraint):
     x = np.ones(n)
     fx, hx, gx = evaluate_start(smooth, h, x, [])
 
-    applies, h_values, terms, steps, starts = [], [], [], [], []
+    applies, h_values, terms, steps, starts, after = [], [], [], [], [], []
     apply, value, at = qn.apply, Regularizer.value, cons.at
     step, solve = tr.first_order_step, tr.r2_solve
 
@@ -415,16 +420,20 @@ def test_the_subsolve_starts_from_the_cauchy_step(monkeypatch, constraint):
         return terms[-1]
 
     def kept_step(*args):
+        if len(after) == 1:  # the first step since the subsolve returned
+            after.append(len(h_values))
         steps.append((step(*args), len(applies), len(h_values)))
         return steps[-1][0]
 
-    def kept_solve(model, reg, box, x0, **kw):
+    def kept_solve(model, reg, box, x0, f0, h0, g0, **kw):
         # what forming the start cost since the last first-order step (the
         # measure's, in the barrier stage)
         _, applies_then, h_values_then = steps[-1]
         cost = (len(applies) - applies_then, len(h_values) - h_values_then)
-        starts.append((x0, kw["start"], cost))
-        return solve(model, reg, box, x0, **kw)
+        starts.append((x0, (f0, h0, g0), cost))
+        result = solve(model, reg, box, x0, f0, h0, g0, **kw)
+        after.append(len(h_values))
+        return result
 
     monkeypatch.setattr(qn, "apply", counted_apply)
     monkeypatch.setattr(Regularizer, "value", counted_value)
@@ -443,3 +452,4 @@ def test_the_subsolve_starts_from_the_cauchy_step(monkeypatch, constraint):
     want = g + B @ s1 + theta * s1
     assert np.abs(g0 - want).max() <= 1e-12 * np.abs(want).max()
     assert cost == (1, 0)  # one qn.apply, no value of h
+    assert len(after) == 2 and after[0] == after[1]
