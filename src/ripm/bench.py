@@ -25,10 +25,12 @@ diagonal with closed-form steps, TR-R2, RIPM-R2 and RIPM-R2-p run LSR1 and
 solve the model with R2.  The measure of the RIPM solvers follows h: the
 primal one for l0, the Lagrangian one for a convex h.
 
-`run_solver` is the one frame of a solve: it values the start with
-`report.evaluate_start`, calls the solver from it, and builds the run's
-only `SolverReport` from the solver's `report.SolveResult`, the oracle's
-counters and the instance.
+`run_solver` is the one frame of a solve, and every run ends there: it
+values the start with `report.evaluate_start`, calls `r2_solve`,
+`outer_solve` or `tr_solve` (TR-R2 and TRDH, with their operators) from it,
+and builds the run's only `SolverReport` from the solver's
+`report.SolveResult`, or from the exception of a solve that raises, the
+oracle's counters and the instance.
 
 Each report also carries the certificate r̄ of its x, the "r̄" column of
 the table, which checks a solver's criticality apart from its own measure:
@@ -69,13 +71,17 @@ from pathlib import Path
 import numpy as np
 
 from . import problems
-from .errors import BudgetExhausted, OracleFailure
+from .errors import OracleFailure
 from .interior import outer_solve
 from .qnops import LSR1, SpectralDiag
 from .r2 import r2_solve
 from .regprox import L1
 from .report import BUDGET, ORACLE_FAILURE, SolveResult, SolverReport, evaluate_start
-from .trust_region import tr_solve, trdh_solve
+from .trust_region import tr_solve
+
+# trdh_solve is bound here only for perfbench/tracer.py, which wraps it;
+# run_solver runs TRDH as tr_solve, which the tracer wraps too
+trdh_solve = tr_solve
 
 # tighter relative tolerance so the factorization runs resolve the tail
 PROBLEM_EPS_R = {"nnmf": 1e-6}
@@ -177,9 +183,13 @@ def run_solver(name: str, instance, budget: int, overrides: dict | None = None) 
 
     x0 is clamped into the bounds and valued once the clock starts; a start
     that the budget refuses calls no solver, and reports BUDGET with f = inf,
-    h/lam = NaN, criticality inf and an empty trace.  The criticality is the
-    solver's last measure (inf if it took none), and h/lam is NaN when lam is
-    0.  ``overrides`` replace the harness defaults (see `solver_options`).
+    h/lam = NaN, criticality inf and an empty trace.  A solve that raises,
+    in valuing the start too, reports ORACLE_FAILURE with ``error``, the
+    oracle's n_f and n_grad, the time so far, the clamped x0, the trace so
+    far, n_prox 0 and NaN f, h/lam, criticality and certificate.  The
+    criticality is the solver's last measure (inf if it took none), and h/lam
+    is NaN when lam is 0.  ``overrides`` replace the harness defaults (see
+    `solver_options`).
     """
     opts, make_qn = solver_options(name, instance.name, overrides or {})
     oracle = instance.smooth.fresh()
@@ -187,20 +197,22 @@ def run_solver(name: str, instance, budget: int, overrides: dict | None = None) 
     h, bounds = instance.h, instance.bounds
     x = bounds.clamp(np.asarray(instance.x0, dtype=float))
     trace: list = []
+    error = None
     t0 = time.perf_counter()
     try:
-        start = (x, *evaluate_start(oracle, h, x, trace))
-    except BudgetExhausted:
-        res = SolveResult(x, np.inf, np.nan, np.inf, 0, BUDGET, None)
-    else:
-        if name == "R2":
-            res = r2_solve(oracle, h, bounds, *start, trace=trace, **opts)
-        elif name == "TRDH":
-            res = trdh_solve(oracle, h, bounds, *start, trace=trace, **opts)
-        elif name == "TR-R2":
-            res = tr_solve(oracle, h, bounds, make_qn(x.size), *start, trace=trace, **opts)
+        if oracle.evals_left() == 0:
+            res = SolveResult(x, np.inf, np.nan, np.inf, 0, BUDGET, None)
         else:
-            res = outer_solve(oracle, h, bounds, make_qn(x.size), *start, trace=trace, **opts)
+            start = (x, *evaluate_start(oracle, h, x, trace))
+            if name == "R2":
+                res = r2_solve(oracle, h, bounds, *start, trace=trace, **opts)
+            elif name.startswith("RIPM"):
+                res = outer_solve(oracle, h, bounds, make_qn(x.size), *start, trace=trace, **opts)
+            else:
+                res = tr_solve(oracle, h, bounds, make_qn(x.size), *start, trace=trace, **opts)
+    except Exception as exc:  # a hard failure: its report, and the next solver runs
+        res = SolveResult(x, np.nan, np.nan, np.nan, 0, ORACLE_FAILURE, None)
+        error = f"{type(exc).__name__}: {exc}"
     wall = time.perf_counter() - t0
 
     return SolverReport(
@@ -209,7 +221,8 @@ def run_solver(name: str, instance, budget: int, overrides: dict | None = None) 
         wall_time_s=wall, termination=res.termination, trace=trace,
         dist_to_xstar=(None if instance.x_star is None
                        else float(np.linalg.norm(res.x - instance.x_star))),
-        z=res.z, diagnostics=res.diagnostics, lam=h.lam, certificate=certificate(instance, res.x))
+        z=res.z, diagnostics=res.diagnostics, error=error, lam=h.lam,
+        certificate=np.nan if error else certificate(instance, res.x))
 
 
 def certificate(instance, x) -> float:
@@ -238,8 +251,10 @@ def certificate(instance, x) -> float:
 def run_config(config: RunConfig | dict, out_dir=None):
     """Build the instance once and run every configured solver on it.
 
-    ``out_dir``, if given, is made once the whole config, the solvers'
-    options and the problem, has been checked, and before the first solve.
+    A solver that fails hard has its ORACLE_FAILURE report, and the next
+    one runs.  ``out_dir``, if given, is made once the whole config, the
+    solvers' options and the problem, has been checked, and before the
+    first solve.
     """
     if isinstance(config, dict):
         config = RunConfig.from_dict(config)
@@ -251,20 +266,8 @@ def run_config(config: RunConfig | dict, out_dir=None):
         raise ConfigError(f"bad problem config: {exc}")
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
-    reports = []
-    for spec in config.solvers:
-        try:
-            rep = run_solver(spec["name"], instance, config.budget, spec["options"])
-        except ConfigError:
-            raise
-        except Exception as exc:  # per-solver hard failure: record, keep going
-            rep = SolverReport(
-                solver=spec["name"], x=np.asarray(instance.x0, dtype=float),
-                f=np.nan, h_over_lam=np.nan, criticality=np.nan,
-                n_f=0, n_grad=0, n_prox=0, wall_time_s=0.0,
-                termination=ORACLE_FAILURE, trace=[(0, np.nan)],
-                error=f"{type(exc).__name__}: {exc}", lam=instance.h.lam)
-        reports.append(rep)
+    reports = [run_solver(spec["name"], instance, config.budget, spec["options"])
+               for spec in config.solvers]
     return instance, reports
 
 

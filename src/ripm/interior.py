@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryPoint, BudgetExhausted
+from .errors import BoundaryPoint
 # r2_solve and intersect_boxes are bound here only for perfbench/tracer.py,
 # which wraps them in this module and in trust_region; the trust-region loop
 # calls r2_solve from trust_region.  No solver calls intersect_boxes or
@@ -320,7 +320,8 @@ def outer_solve(smooth, h, bounds: Box, qn, x, fx: float, hx: float, gx, *, trac
     its z, only if f + h there is not above f + h at the interior point;
     otherwise the interior point and its z are returned and
     ``diagnostics["crossover"]["applied"]`` is false, as it is when the
-    budget refuses the crossover point.
+    crossover point differs from x and ``smooth.evals_left()`` is 0: a point
+    the budget would refuse is not valued.
 
     The status says which limit stopped the loop: BUDGET when a stage ran
     out of evaluations, STALLED after a stage that stalled at entry, and
@@ -363,16 +364,14 @@ def outer_solve(smooth, h, bounds: Box, qn, x, fx: float, hx: float, gx, *, trac
     z = barrier.z
     x_cross, z_cross = crossover(x, z, barrier.mu, bounds)
     cross_info = {"mu": barrier.mu, "applied": False}
-    try:
-        f_cross, h_cross = fx, hx
-        if not np.array_equal(x_cross, x):
-            f_cross, h_cross = smooth.value(x_cross), h.value(x_cross)
+    moved = not np.array_equal(x_cross, x)
+    # the interior point is kept when the budget would refuse a moved one
+    if not moved or smooth.evals_left() > 0:
+        f_cross, h_cross = (smooth.value(x_cross), h.value(x_cross)) if moved else (fx, hx)
         if f_cross + h_cross <= fx + hx:
             x, z, fx, hx = x_cross, z_cross, f_cross, h_cross
             trace.append((smooth.n_grad, fx + hx))
             cross_info["applied"] = True
-    except BudgetExhausted:
-        pass  # keep the interior point, so that report and x stay consistent
 
     return SolveResult(x, fx, hx, res.crit, n_prox, status,
                        {"inner": records, "crossover": cross_info, "mode": barrier.mode,

@@ -1,4 +1,4 @@
-"""The proximal quasi-Newton trust-region iteration, and the TR and TRDH solvers.
+"""The proximal quasi-Newton trust-region iteration, and the TR solver.
 
 `tr_iterate` is the one trust-region loop of the package.  It works on
 points: every box it forms is a box of points around x, and every prox or
@@ -42,8 +42,9 @@ constraint box, `Box.ball`, built in one pass.
 The bounds enter through a constraint object, which supplies the box of
 points every trial stays in.  TR and TRDH fold the box indicator into the
 nonsmooth term and pass `ShiftedBounds`, whose box is the bounds
-themselves: `tr_solve` and `trdh_solve` run the loop once, from the valued
-start that `bench.run_solver` forms, and return a `report.SolveResult`.
+themselves: `tr_solve` runs the loop once, from the valued start that
+`bench.run_solver` forms, and returns a `report.SolveResult`; TRDH is
+`tr_solve` with the spectral diagonal `qnops.SpectralDiag`.
 The barrier subproblems of RIPM pass `interior.BarrierTerms`, whose box is
 the fraction-to-boundary box, and which adds the barrier gradient and
 curvature and owns the duals.  Both have the methods of
@@ -72,7 +73,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .oracles import QuadModelOracle
-from .qnops import SpectralDiag
 from .r2 import first_order_step, r2_solve
 # intersect_boxes is bound here only for perfbench/tracer.py, which wraps it
 from .regprox import Box, intersect_boxes  # noqa: F401
@@ -279,10 +279,3 @@ def tr_solve(smooth, h, bounds: Box, qn, x, fx: float, hx: float, gx, *, trace: 
                      records=records)
     return SolveResult(res.x, res.fx, res.hx, res.crit, res.n_prox, _STATUS[res.status],
                        {"iters": records})
-
-
-def trdh_solve(smooth, h, bounds: Box, x, fx: float, hx: float, gx, *, trace: list,
-               rel_tol: float = 1e-4) -> SolveResult:
-    """Diagonal-Hessian trust region: `tr_solve` with the spectral diagonal operator."""
-    return tr_solve(smooth, h, bounds, SpectralDiag(x.size), x, fx, hx, gx, trace=trace,
-                    rel_tol=rel_tol)

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import unicodedata
@@ -12,6 +13,7 @@ from ripm.bench import (SOLVER_OPTIONS, ConfigError, RunConfig, best_objective, 
                         emit_table, emit_trace_csv, main, run_config, run_solver,
                         solver_options)
 from ripm.errors import OracleFailure
+from ripm.qnops import SpectralDiag
 from ripm.regprox import Box, Regularizer
 from ripm.report import BUDGET, ORACLE_FAILURE, SolverReport
 
@@ -472,7 +474,7 @@ def test_config_error_comes_before_the_first_solve(monkeypatch):
 def test_every_listed_option_is_taken():
     # each (solver, option) pair of the table, at the default of the solve
     # that run_solver calls, is a keyword of that solve, and runs
-    solves = {"R2": bench.r2_solve, "TRDH": bench.trdh_solve, "TR-R2": bench.tr_solve}
+    solves = {"R2": bench.r2_solve, "TRDH": bench.tr_solve, "TR-R2": bench.tr_solve}
     inst = bench.problems.build("bpdn", 0, m=10, n=24, n_spikes=3)
     assert sum(len(names) for names in SOLVER_OPTIONS.values()) == 15
     for name, names in SOLVER_OPTIONS.items():
@@ -584,21 +586,74 @@ def test_cli_malformed_input_exits_1(tmp_path, capsys, monkeypatch, case):
 
 
 def test_solver_hard_failure_recorded(tmp_path, monkeypatch):
-    real = bench.run_solver
+    # the TRDH solve raises once it has run: its report carries the counts
+    # the oracle made, and the next solver runs
+    real = bench.tr_solve
+    made = []  # (n_f, n_grad) of each TRDH solve when it raised
 
-    def flaky(name, instance, budget, overrides=None, **kw):
-        if name == "TRDH":
+    def flaky(smooth, h, bounds, qn, *args, **kw):
+        res = real(smooth, h, bounds, qn, *args, **kw)
+        if isinstance(qn, SpectralDiag):
+            made.append((smooth.n_f, smooth.n_grad))
             raise RuntimeError("synthetic failure")
-        return real(name, instance, budget, overrides, **kw)
+        return res
 
-    monkeypatch.setattr(bench, "run_solver", flaky)
+    monkeypatch.setattr(bench, "tr_solve", flaky)
     cfg = _tiny_config()
     _, reports = run_config(cfg)
     assert [r.solver for r in reports] == ["R2", "TRDH", "RIPMDH-p"]
     failed = reports[1]
     assert failed.termination == "oracle_failure"
     assert "synthetic failure" in failed.error
+    assert (failed.n_f, failed.n_grad) == made[0] and failed.n_f > 1
+    assert failed.wall_time_s > 0.0 and len(failed.trace) > 1
+    assert reports[2].error is None and reports[2].n_f > 1
 
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(_tiny_config(output_dir=str(tmp_path / "out"))))
     assert main(["run", str(cfg_path)]) == 2
+
+
+@pytest.mark.parametrize("name", ["R2", "TRDH", "RIPM-R2"])
+def test_a_start_that_raises_is_reported_with_its_counts(name):
+    # from x3 = 50, x4 = -50 the ODE blows up: the start's f and grad f were
+    # asked for before the oracle failed, and the report says so
+    inst = dataclasses.replace(problems.build("fh", 0, n_samples=20),
+                               x0=np.array([0.5, 0.5, 50.0, -50.0, 0.5]))
+    rep = run_solver(name, inst, 10)
+    assert rep.termination == ORACLE_FAILURE
+    assert (rep.n_f, rep.n_grad, rep.n_prox) == (1, 1, 0)
+    assert rep.error.startswith("OracleFailure: ")
+    assert np.array_equal(rep.x, inst.bounds.clamp(inst.x0))
+    assert rep.trace == [] and np.isnan(rep.f) and np.isnan(rep.certificate)
+
+
+@pytest.mark.parametrize("name", ["RIPM-R2", "RIPMDH"])
+def test_a_crossover_the_budget_refuses_is_not_valued(monkeypatch, name):
+    # at budget 1 the start takes the one evaluation, and the crossover point
+    # differs from x: it is kept, not valued, and no value is refused
+    refused = []
+    value = oracles.SmoothOracle.value
+
+    def logged(self, x):
+        if self.n_f >= self.budget:
+            refused.append(np.array(x))
+        return value(self, x)
+    monkeypatch.setattr(oracles.SmoothOracle, "value", logged)
+    rep = run_solver(name, problems.build("nnmf", 0, m=12, n=8, k=2), 1)
+    assert refused == [] and rep.error is None
+    assert rep.termination == BUDGET and rep.n_f == 1
+    assert not rep.diagnostics["crossover"]["applied"]
+
+
+def test_trdh_runs_the_operator_of_solver_options(monkeypatch):
+    built = []
+
+    class Counted(SpectralDiag):
+        def __init__(self, n):
+            built.append(n)
+            super().__init__(n)
+    monkeypatch.setattr(bench, "SpectralDiag", Counted)
+    assert solver_options("TRDH", "bpdn", {})[1] is Counted
+    rep = run_solver("TRDH", problems.build("bpdn", 0, m=10, n=24, n_spikes=3), 300)
+    assert built == [24] and rep.error is None

@@ -7,7 +7,7 @@ from ripm.interior import BarrierTerms
 from ripm.qnops import LBFGS, LSR1, SpectralDiag
 from ripm.regprox import Box, Regularizer
 from ripm.report import CONVERGED, TR_RECORD, IterLog, evaluate_start
-from ripm.trust_region import tr_solve, trdh_solve, update_radius
+from ripm.trust_region import tr_solve, update_radius
 
 from helpers import CallableOracle, dense_sr1, grid_min_1d, valued_solve
 from test_golden import BPDN_40x96
@@ -54,15 +54,15 @@ def test_tr_l1_unbounded_domain(tight):
 def test_trdh_interior_minimum(tight):
     n = 4
     bounds = Box(np.zeros(n), np.full(n, np.inf))
-    rep, _ = valued_solve(trdh_solve, _quad_shift(np.ones(n)), Regularizer("l1"), bounds,
-                          0.5 * np.ones(n), rel_tol=0.0)
+    rep, _ = valued_solve(tr_solve, _quad_shift(np.ones(n)), Regularizer("l1"), bounds,
+                          SpectralDiag(n), 0.5 * np.ones(n), rel_tol=0.0)
     assert rep.termination == CONVERGED
     assert np.allclose(rep.x, 1.0, atol=1e-6)
 
 
 def test_trdh_l1_matches_grid(tight):
-    rep, _ = valued_solve(trdh_solve, _quad_shift([2.0]), Regularizer("l1", 1.0), FREE,
-                          np.array([0.0]), rel_tol=0.0)
+    rep, _ = valued_solve(tr_solve, _quad_shift([2.0]), Regularizer("l1", 1.0), FREE,
+                          SpectralDiag(1), np.array([0.0]), rel_tol=0.0)
     assert rep.x[0] == pytest.approx(1.0, abs=1e-6)
 
 
@@ -71,9 +71,9 @@ def test_trdh_separable_quadratic_soft_threshold_step(tight):
     # soft threshold of the scaled gradient step, clamped into the step box
     n = 3
     c = np.array([2.0, -1.5, 0.5])
-    rep, _ = valued_solve(trdh_solve, _quad_shift(c), Regularizer("l1", 0.3),
+    rep, _ = valued_solve(tr_solve, _quad_shift(c), Regularizer("l1", 0.3),
                           Box(np.full(n, -np.inf), np.full(n, np.inf)),
-                          np.zeros(n), rel_tol=0.0)
+                          SpectralDiag(n), np.zeros(n), rel_tol=0.0)
     xg = np.sign(c) * np.maximum(np.abs(c) - 0.3, 0.0)
     assert np.allclose(rep.x, xg, atol=1e-6)
 
@@ -90,14 +90,15 @@ def test_trdh_steps_with_a_scalar_sigma(monkeypatch):
 
     monkeypatch.setattr(regprox, "iprox_shifted", recording)
     inst = problems.build("bpdn", 0, m=10, n=24, n_spikes=3)
-    rep, _ = valued_solve(trdh_solve, inst.smooth.fresh(), inst.h, inst.bounds, inst.x0)
+    rep, _ = valued_solve(tr_solve, inst.smooth.fresh(), inst.h, inst.bounds,
+                          SpectralDiag(inst.x0.size), inst.x0)
     assert len(rep.diagnostics["iters"]) > 1 and len(sigmas) == rep.n_prox
     assert sigmas == [0] * rep.n_prox
 
 
 def test_trdh_two_prox_per_iteration(tight):
-    rep, _ = valued_solve(trdh_solve, _quad_shift([3.0]), Regularizer("l1", 0.5), FREE,
-                          np.array([0.1]), rel_tol=0.0)
+    rep, _ = valued_solve(tr_solve, _quad_shift([3.0]), Regularizer("l1", 0.5), FREE,
+                          SpectralDiag(1), np.array([0.1]), rel_tol=0.0)
     stepped = len(rep.diagnostics["iters"])
     if rep.termination == CONVERGED:
         assert rep.n_prox == 2 * stepped + 1
@@ -147,9 +148,9 @@ def test_unsuccessful_iterations_do_not_move_x(monkeypatch):
     # oscillatory objective: the quadratic model overshoots and gets rejected
     oracle = CallableOracle(lambda x: 0.5 * float(x @ x) + 2.0 * float(np.sum(np.sin(5 * x))),
                             lambda x: x + 10.0 * np.cos(5 * x))
-    rep, trace = valued_solve(trdh_solve, oracle, Regularizer("l1"),
-                              Box(np.full(1, -6.0), np.full(1, 6.0)), np.array([2.0]),
-                              rel_tol=0.0)
+    rep, trace = valued_solve(tr_solve, oracle, Regularizer("l1"),
+                              Box(np.full(1, -6.0), np.full(1, 6.0)), SpectralDiag(1),
+                              np.array([2.0]), rel_tol=0.0)
     iters = rep.diagnostics["iters"]
     assert any(not it["accepted"] for it in iters)
     # gradients are evaluated only when x moves: one per accepted step plus x0
@@ -220,7 +221,8 @@ def test_trdh_evaluates_h_once_at_each_point(monkeypatch):
     inst = problems.build("bpdn", 0, m=40, n=96, n_spikes=3)
     oracle = inst.smooth.fresh()
     oracle.budget = 1000
-    rep, _ = valued_solve(trdh_solve, oracle, inst.h, inst.bounds, inst.x0)
+    rep, _ = valued_solve(tr_solve, oracle, inst.h, inst.bounds, SpectralDiag(inst.x0.size),
+                          inst.x0)
     assert rep.termination == CONVERGED
     iters = rep.diagnostics["iters"]
     trials = sum(not np.isnan(it["rho"]) for it in iters)
@@ -249,7 +251,8 @@ def test_trdh_asks_for_f_once_at_each_point(monkeypatch):
         valued.append(x.copy())
         return value(x)
     oracle.value = logged_value
-    rep, _ = valued_solve(trdh_solve, oracle, inst.h, inst.bounds, inst.x0)
+    rep, _ = valued_solve(tr_solve, oracle, inst.h, inst.bounds, SpectralDiag(inst.x0.size),
+                          inst.x0)
     assert len(valued) == oracle.n_f and any(not it["accepted"] for it in rep.diagnostics["iters"])
     assert not any(np.array_equal(a, b) for a, b in zip(valued, valued[1:]))
 
