@@ -184,12 +184,10 @@ def run_solver(name: str, instance, budget: int, overrides: dict | None = None) 
     x0 is clamped into the bounds and valued once the clock starts; a start
     that the budget refuses calls no solver, and reports BUDGET with f = inf,
     h/lam = NaN, criticality inf and an empty trace.  A solve that raises,
-    in valuing the start too, reports ORACLE_FAILURE with ``error``, the
-    oracle's n_f and n_grad, the time so far, the clamped x0, the trace so
-    far, n_prox 0 and NaN f, h/lam, criticality and certificate.  The
-    criticality is the solver's last measure (inf if it took none), and h/lam
-    is NaN when lam is 0.  ``overrides`` replace the harness defaults (see
-    `solver_options`).
+    in valuing the start too, reports ORACLE_FAILURE with ``error`` and the
+    oracle's counts so far.  The criticality is the solver's last measure
+    (inf if it took none), and h/lam is NaN when lam is 0.  ``overrides``
+    replace the harness defaults (see `solver_options`).
     """
     opts, make_qn = solver_options(name, instance.name, overrides or {})
     oracle = instance.smooth.fresh()

@@ -16,9 +16,9 @@ a gradient that its caller holds along steps, in closed form.
 
 An infinite budget, the default, means unlimited.  A solver asks
 `evals_left` before it builds a point it would evaluate, so that it builds
-none the budget would refuse.  No code catches the refusal,
-`BudgetExhausted`, by name: a refused value fails the solve, which
-`bench.run_solver` reports as ORACLE_FAILURE with an error that names
+none the budget would refuse.  No solver or harness code in `ripm` catches
+the refusal, `BudgetExhausted`, by name: a refused value fails the solve,
+which `bench.run_solver` reports as ORACLE_FAILURE with an error that names
 it.  `held_back` keeps one evaluation of the budget back
 while a block runs, for a point to be valued after it.
 """

@@ -81,7 +81,7 @@ def test_every_prox_is_counted(monkeypatch, family, params, budget):
     for name in ALL_SOLVERS:
         calls.clear()
         rep = run_solver(name, inst, budget)
-        assert rep.n_prox > 0
+        assert rep.error is None and rep.n_prox > 0, name
         assert len(calls) == rep.n_prox, name
         assert all(calls), name
         assert np.array_equal(inst.bounds.lo, lo) and np.array_equal(inst.bounds.hi, hi)
@@ -105,6 +105,7 @@ def _logged_solve(monkeypatch, name, inst, budget):
     monkeypatch.setattr(regprox, "iprox_shifted", counted)
     monkeypatch.setattr(oracles.SmoothOracle, "value", logged)
     rep = run_solver(name, inst, budget)
+    assert rep.error is None
     values = [i for i, (kind, _) in enumerate(events) if kind == "f"]
     assert len(values) == rep.n_f
     return rep, events, values
@@ -190,7 +191,7 @@ def test_a_run_builds_one_report_and_its_subsolves_none(monkeypatch, name):
     monkeypatch.setattr(SolverReport, "__init__", counted_init)
     monkeypatch.setattr(trust_region, "r2_solve", counted_solve)
     rep = run_solver(name, problems.build("bpdn", 0, m=40, n=96, n_spikes=3), 1000)
-    assert isinstance(rep, SolverReport) and len(built) == 1
+    assert isinstance(rep, SolverReport) and rep.error is None and len(built) == 1
     assert len(subsolves) >= 1
 
 
@@ -482,7 +483,7 @@ def test_every_listed_option_is_taken():
         for option in sorted(names):
             assert params[option].kind is inspect.Parameter.KEYWORD_ONLY, (name, option)
             rep = run_solver(name, inst, 3, {option: params[option].default})
-            assert rep.n_f <= 4, (name, option)
+            assert rep.error is None and rep.n_f <= 4, (name, option)
 
 
 def test_cli_config_error_exit_code(tmp_path, monkeypatch, capsys):

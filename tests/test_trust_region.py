@@ -196,8 +196,8 @@ def test_the_loop_hands_its_product_to_the_update(monkeypatch, solver):
 
     monkeypatch.setattr(bench, "LSR1", Checked)
     inst = problems.build("bpdn", 0, m=40, n=96, n_spikes=3)
-    bench.run_solver(solver, inst, 1000)
-    assert sum(checked) > 5
+    rep = bench.run_solver(solver, inst, 1000)
+    assert rep.error is None and sum(checked) > 5
 
 
 def test_trdh_evaluates_h_once_at_each_point(monkeypatch):
