@@ -29,8 +29,8 @@ primal one for l0, the Lagrangian one for a convex h.
 values the start with `report.evaluate_start`, calls `r2_solve`,
 `outer_solve` or `tr_solve` (TR-R2 and TRDH, with their operators) from it,
 and builds the run's only `SolverReport` from the solver's
-`report.SolveResult`, or from the exception of a solve that raises, the
-oracle's counters and the instance.
+`report.SolveResult`, or the exception of a solve that raises, and the
+counts and trace of its views `instance.smooth.fresh()` and a copy of h.
 
 Each report also carries the certificate r̄ of its x, the "r̄" column of
 the table, which checks a solver's criticality apart from its own measure:
@@ -61,6 +61,7 @@ RIPM-R2 and does not shorten its wall time.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -179,35 +180,34 @@ def solver_options(name: str, problem: str, overrides: dict):
 
 
 def run_solver(name: str, instance, budget: int, overrides: dict | None = None) -> SolverReport:
-    """Report of one named solver run on a fresh counter view of the instance.
+    """Report of one named solver run on fresh views of the instance's oracle and h.
 
     x0 is clamped into the bounds and valued once the clock starts; a start
     that the budget refuses calls no solver, and reports BUDGET with f = inf,
     h/lam = NaN, criticality inf and an empty trace.  A solve that raises,
     in valuing the start too, reports ORACLE_FAILURE with ``error`` and the
-    oracle's counts so far.  The criticality is the solver's last measure
+    counts and trace so far.  The criticality is the solver's last measure
     (inf if it took none), and h/lam is NaN when lam is 0.  ``overrides``
     replace the harness defaults (see `solver_options`).
     """
     opts, make_qn = solver_options(name, instance.name, overrides or {})
     oracle = instance.smooth.fresh()
     oracle.budget = budget
-    h, bounds = instance.h, instance.bounds
+    h, bounds = dataclasses.replace(instance.h), instance.bounds
     x = bounds.clamp(np.asarray(instance.x0, dtype=float))
-    trace: list = []
     error = None
     t0 = time.perf_counter()
     try:
         if oracle.evals_left() == 0:
             res = SolveResult(x, np.inf, np.nan, np.inf, 0, BUDGET, None)
         else:
-            start = (x, *evaluate_start(oracle, h, x, trace))
+            start = (x, *evaluate_start(oracle, h, x))
             if name == "R2":
-                res = r2_solve(oracle, h, bounds, *start, trace=trace, **opts)
+                res = r2_solve(oracle, h, bounds, *start, **opts)
             elif name.startswith("RIPM"):
-                res = outer_solve(oracle, h, bounds, make_qn(x.size), *start, trace=trace, **opts)
+                res = outer_solve(oracle, h, bounds, make_qn(x.size), *start, **opts)
             else:
-                res = tr_solve(oracle, h, bounds, make_qn(x.size), *start, trace=trace, **opts)
+                res = tr_solve(oracle, h, bounds, make_qn(x.size), *start, **opts)
     except Exception as exc:  # a hard failure: its report, and the next solver runs
         res = SolveResult(x, np.nan, np.nan, np.nan, 0, ORACLE_FAILURE, None)
         error = f"{type(exc).__name__}: {exc}"
@@ -215,8 +215,8 @@ def run_solver(name: str, instance, budget: int, overrides: dict | None = None) 
 
     return SolverReport(
         solver=name, x=res.x, f=res.f, h_over_lam=res.h / h.lam if h.lam else np.nan,
-        criticality=float(res.crit), n_f=oracle.n_f, n_grad=oracle.n_grad, n_prox=res.n_prox,
-        wall_time_s=wall, termination=res.termination, trace=trace,
+        criticality=float(res.crit), n_f=oracle.n_f, n_grad=oracle.n_grad, n_prox=h.n_prox,
+        wall_time_s=wall, termination=res.termination, trace=oracle.trace,
         dist_to_xstar=(None if instance.x_star is None
                        else float(np.linalg.norm(res.x - instance.x_star))),
         z=res.z, diagnostics=res.diagnostics, error=error, lam=h.lam,

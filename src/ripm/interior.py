@@ -13,6 +13,7 @@ curvature Theta = min(z / gap, kappa_bar) summed over bounded sides to the
 quasi-Newton operator B.  `outer_solve` builds one `BarrierTerms` per
 solve, sets its mu for each stage and reads the duals, mu and measure back
 from it; the loop carries none, and hands back the gaps that `phi` formed.
+A stage that stalls at entry is one during which h's prox count did not move.
 The duals start at 1 and `BarrierTerms.accept` updates them: a linearized
 complementarity update projected into a safeguard interval, so they stay
 strictly positive.  The measure follows h: the primal one, based on the
@@ -279,7 +280,7 @@ def measure_mode(h) -> str:
 
 
 def inner_solve(smooth, h, barrier: BarrierTerms, qn, x, fx: float, hx: float, gx,
-                eps_d_rel: float, trace: list, records: IterLog) -> InnerResult:
+                eps_d_rel: float, records: IterLog) -> InnerResult:
     """Approximately minimize f + phi_mu + h from a strictly interior x.
 
     f(x), h(x) and grad f(x) are given; ``barrier`` holds mu and the dual
@@ -289,17 +290,15 @@ def inner_solve(smooth, h, barrier: BarrierTerms, qn, x, fx: float, hx: float, g
     (measure at entry) and the complementarity residual below eps_k =
     mu**EPS_EXPONENT, with "budget" once the budget allows no evaluation,
     with "cap" after INNER_CAP iterations, or with "stalled" once the radius
-    collapses to the rounding of x.  Accepted points extend ``trace`` and
-    every iteration appends a row to ``records`` (see `trust_region.tr_iterate`).
+    collapses to the rounding of x; each iteration is a row of ``records``.
     """
     mu = barrier.mu
     eps_k = mu**EPS_EXPONENT
     return tr_iterate(smooth, h, barrier, qn, x, fx, hx, gx, min(DELTA0_FACTOR * mu, DELTA_MAX),
-                      max_iter=INNER_CAP, abs_tol=eps_k, rel_tol=eps_d_rel, trace=trace,
-                      records=records)
+                      max_iter=INNER_CAP, abs_tol=eps_k, rel_tol=eps_d_rel, records=records)
 
 
-def outer_solve(smooth, h, bounds: Box, qn, x, fx: float, hx: float, gx, *, trace: list,
+def outer_solve(smooth, h, bounds: Box, qn, x, fx: float, hx: float, gx, *,
                 mu_init: float = 1.0, eps_r: float = 1e-4, eps_ri: float = 0.1) -> SolveResult:
     """Barrier outer loop from a strictly interior x, with f(x), h(x) and grad
     f(x) given: shrink mu, solve inner subproblems, cross over.
@@ -334,22 +333,22 @@ def outer_solve(smooth, h, bounds: Box, qn, x, fx: float, hx: float, gx, *, trac
     records = IterLog(TR_RECORD)  # the inner iterations of every stage
     mu = mu_init
     barrier = BarrierTerms(bounds, mu, measure_mode(h))
-    status, eps_glob, n_prox = MAX_ITER, None, 0
+    status, eps_glob, n_prox0 = MAX_ITER, None, h.n_prox
     with smooth.held_back():
         for stages in range(1, MAX_OUTER + 1):
             barrier.mu = mu
-            res = inner_solve(smooth, h, barrier, qn, x, fx, hx, gx, eps_ri, trace, records)
+            stage_prox0 = h.n_prox
+            res = inner_solve(smooth, h, barrier, qn, x, fx, hx, gx, eps_ri, records)
             x, fx, hx, gx = res.x, res.fx, res.hx, res.gx
-            n_prox += res.n_prox
             if eps_glob is None:
                 eps_glob = EPS_A + eps_r * res.measure0
             if res.status == "budget":
                 status = BUDGET
                 break
-            # a stage that stalls at entry (no prox: it never measured) leaves
-            # x and z as they were, and every later stage starts at a smaller
-            # radius, so it would stall as well
-            if res.status == "stalled" and res.n_prox == 0:
+            # a stage that stalls at entry (h counts no prox: it never
+            # measured) leaves x and z as they were, and every later stage
+            # starts at a smaller radius, so it would stall as well
+            if res.status == "stalled" and h.n_prox == stage_prox0:
                 status = STALLED
                 break
             # declare convergence only off a genuine tolerance exit: a cap exit
@@ -370,9 +369,9 @@ def outer_solve(smooth, h, bounds: Box, qn, x, fx: float, hx: float, gx, *, trac
         f_cross, h_cross = (smooth.value(x_cross), h.value(x_cross)) if moved else (fx, hx)
         if f_cross + h_cross <= fx + hx:
             x, z, fx, hx = x_cross, z_cross, f_cross, h_cross
-            trace.append((smooth.n_grad, fx + hx))
+            smooth.trace.append((smooth.n_grad, fx + hx))
             cross_info["applied"] = True
 
-    return SolveResult(x, fx, hx, res.crit, n_prox, status,
+    return SolveResult(x, fx, hx, res.crit, h.n_prox - n_prox0, status,
                        {"inner": records, "crossover": cross_info, "mode": barrier.mode,
                         "stages": stages}, z=z)

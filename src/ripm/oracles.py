@@ -10,6 +10,8 @@ another array reuses the work, and an array modified in place since does
 not.  A value refused by the budget computes nothing and leaves the kept
 point as it was, and `fresh` keeps nothing.  The work is the same function
 of x whether or not it was kept, so every result is the same bit for bit.
+`fresh` makes the view `bench.run_solver` hands a solve, which also holds
+the solve's ``trace`` (see `report`).
 
 A quadratic model (`QuadModelOracle`) is never valued at a point: it moves
 a gradient that its caller holds along steps, in closed form.
@@ -36,8 +38,8 @@ from .errors import BudgetExhausted
 class SmoothOracle:
     """Base class for smooth objectives.
 
-    Subclasses implement ``_value`` and ``_grad``.  Evaluation counters live
-    on the oracle; a solve owns exactly one oracle, so counters are per-run.
+    Subclasses implement ``_value`` and ``_grad``.  Evaluation counters and
+    the trace live on the oracle; a solve owns exactly one, so they are per-run.
     ``budget`` caps the number of objective evaluations (inf = unlimited).
     ``_value`` returns a float and ``_grad`` a float array of the size of x.
     A subclass whose value and gradient share work implements ``_work(x)``
@@ -49,6 +51,7 @@ class SmoothOracle:
         self.n_f = 0
         self.n_grad = 0
         self.budget: float = math.inf
+        self.trace: list = []
         self._cache = None  # (copy of the last point, its `_work`)
 
     def value(self, x: np.ndarray) -> float:
@@ -75,11 +78,12 @@ class SmoothOracle:
             self.budget += 1
 
     def fresh(self) -> "SmoothOracle":
-        """Copy sharing problem data but with zeroed counters, no budget and no kept work."""
+        """Copy sharing problem data, with zeroed counters and trace, no budget, no kept work."""
         other = copy.copy(self)
         other.n_f = 0
         other.n_grad = 0
         other.budget = math.inf
+        other.trace = []
         other._cache = None
         return other
 

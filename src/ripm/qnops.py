@@ -65,9 +65,9 @@ class _FactoredOp:
     def norm_estimate(self) -> float:
         """||B||_2, exact up to rounding (see the module docstring); cached until an update.
 
-        Q is the Householder QR basis of W^T, in Fortran order; with more
-        rows than dimensions (k > n), dorgqr forms its first n columns.  The
-        products B q run on Q's contiguous columns and are stacked as rows.
+        Q is the Householder QR basis of W^T, in Fortran order in the factors'
+        memory; with more rows than dimensions (k > n), dorgqr forms its first
+        n columns.  The products B q run on Q's contiguous columns, stacked as rows.
         H = Q^T (B Q) is formed from a C-ordered copy of Q, the layout
         `np.linalg.qr` returns: the matrix product rounds differently when
         its left factor is the Fortran-ordered Q, not when its right factor
@@ -79,7 +79,7 @@ class _FactoredOp:
                 self._norm_cache = 1.0
             else:
                 qr, tau = lapack.dgeqrf(self._rows[:self._k].T)[:2]
-                Q = lapack.dorgqr(qr[:, :tau.size], tau)[0]
+                Q = lapack.dorgqr(qr[:, :tau.size], tau, overwrite_a=1)[0]
                 BQt = np.array([self.apply(q) for q in Q.T])  # row j is B q_j
                 H = np.ascontiguousarray(Q).T @ BQt.T
                 eig = lapack.dsyevd(0.5 * (H + H.T), compute_v=0, lower=1)[0]

@@ -21,15 +21,16 @@ R2 iterates on points over one fixed box: it accepts u by a ratio test
 against xi and adapts sigma.  It starts from a point in the box whose f, h
 and gradient its caller has formed (`bench.run_solver` for the R2 baseline,
 the trust-region loop for a subsolve), and it returns a
-`report.SolveResult`, so a subsolve builds no report.  The trial follows
-the oracle.  A true objective is evaluated at u; once its budget allows no
-evaluation, R2 stops after it measures, with status BUDGET, instead of
-asking for a value the budget would refuse.  The quadratic model of a
-trust-region step (`oracles.QuadModelOracle`) changes by grad.t + c / 2
-with c = t.(B + Theta)t in closed form from the operator's factors, so
-rho = (xi - c / 2) / xi, and the model gradient is updated by
-(B + Theta) t, from the products that gave c, only when the trial is
-accepted.
+`report.SolveResult`, so a subsolve builds no report and takes no trace
+list: its points and prox calls count on its views (see `report`).  The
+trial follows the oracle.  A true objective is evaluated at u; once its
+budget allows no evaluation, R2 stops after it measures, with status
+BUDGET, instead of asking for a value the budget would refuse.  The
+quadratic model of a trust-region step (`oracles.QuadModelOracle`) changes
+by grad.t + c / 2 with c = t.(B + Theta)t in closed form from the
+operator's factors, so rho = (xi - c / 2) / xi, and the model gradient is
+updated by (B + Theta) t, from the products that gave c, only when the
+trial is accepted.
 
 The loop constants are those of R2 in Aravkin, Baraldi & Orban (2022):
 SIGMA_INIT is sigma_0 and SIGMA_MIN is sigma_min; a step is successful when
@@ -71,9 +72,8 @@ def first_order_step(h, x, hx: float, g, sigma, box: Box):
     return u, t, hu, gt, max(hx - gt - hu, 0.0)
 
 
-def r2_solve(smooth, reg, box: Box, x, fx: float, hx: float, gx, *, trace: list,
-             max_iter: int = 10_000, abs_tol: float = 1e-4,
-             rel_tol: float = 1e-4) -> SolveResult:
+def r2_solve(smooth, reg, box: Box, x, fx: float, hx: float, gx, *, max_iter: int = 10_000,
+             abs_tol: float = 1e-4, rel_tol: float = 1e-4) -> SolveResult:
     """Minimize smooth(x) + reg(x) subject to x in box, from x in box with
     f(x), h(x) and grad f(x) given.
 
@@ -84,18 +84,18 @@ def r2_solve(smooth, reg, box: Box, x, fx: float, hx: float, gx, *, trace: list,
     tolerance abs_tol + rel_tol * (measure at x), BUDGET once the budget
     allows no value at the next trial, and MAX_ITER after ``max_iter``
     iterations; a model has no budget, so a subsolve ends on one of the
-    others.  Accepted points append (n_grad, f + h) to ``trace``.
+    others.  Accepted points append (n_grad, f + h) to ``smooth.trace``, and
+    n_prox is how far ``reg.n_prox`` moved during the solve.
     """
     model = hasattr(smooth, "curvature")
     sigma = SIGMA_INIT
-    n_prox = 0
+    n_prox0 = reg.n_prox
     crit = np.inf
     tol = None
     status = MAX_ITER
     records = IterLog(R2_RECORD)
     for _ in range(max_iter):
         u, t, h_trial, gt, xi = first_order_step(reg, x, hx, gx, sigma, box)
-        n_prox += 1
         crit = math.sqrt(sigma * xi)
         if tol is None:
             tol = abs_tol + rel_tol * crit
@@ -116,9 +116,9 @@ def r2_solve(smooth, reg, box: Box, x, fx: float, hx: float, gx, *, trace: list,
         if rho >= ETA1:
             gx = smooth.grad_after(gx, products) if model else smooth.grad(u)
             x, fx, hx = u, f_trial, h_trial
-            trace.append((smooth.n_grad, fx + hx))
+            smooth.trace.append((smooth.n_grad, fx + hx))
             if rho >= ETA2:
                 sigma = max(SIGMA_MIN, GAMMA_DEC * sigma)
         else:
             sigma = GAMMA_INC * sigma
-    return SolveResult(x, fx, hx, crit, n_prox, status, {"iters": records})
+    return SolveResult(x, fx, hx, crit, reg.n_prox - n_prox0, status, {"iters": records})

@@ -13,7 +13,8 @@ is the trial point itself; a step is the difference of two points.
 
 A regularizer is of one of two kinds, l1 or l0, with a finite lam >= 0;
 lam = 0 means h = 0, for which the formulas of both kinds give the value 0
-and the clamp into the box as the prox.
+and the clamp into the box as the prox.  `iprox_shifted` counts its calls
+on h, ``h.n_prox``, a count per run on the copy a solve gets (see `report`).
 
 Hot-path rule: code that runs once per iteration or per prox calls ufuncs
 and ndarray methods directly.  It uses no `np.clip`, no function-form
@@ -96,7 +97,8 @@ class Regularizer:
     ``weights`` (optional, defaults to all ones) lets a single instance apply
     the penalty to a block of variables only, as needed by matrix
     factorization objectives that regularize one factor.  lam and the
-    weights are finite and nonnegative; lam = 0 means h = 0.
+    weights are finite and nonnegative; lam = 0 means h = 0.  ``n_prox``,
+    0 in a new copy, counts the `iprox_shifted` calls on it.
     """
 
     kind: str
@@ -113,6 +115,7 @@ class Regularizer:
             if not (np.isfinite(self.weights).all() and (self.weights >= 0).all()):
                 raise ValueError("weights must be finite and nonnegative")
         self._lam_full = ((None, None), None)  # ((n, lam), read-only np.full(n, lam))
+        self.n_prox = 0
 
     def lam_per_component(self, n: int) -> np.ndarray:
         """Per-component weights lam * w_i; without weights, a cached read-only array."""
@@ -144,6 +147,7 @@ def iprox_shifted(h: Regularizer, d, q, box: Box) -> np.ndarray:
     """
     if not ((d > 0).all() if isinstance(d, np.ndarray) else d > 0):
         raise ValueError("iprox_shifted requires strictly positive d")
+    h.n_prox += 1
     if h.kind == L1:
         # the threshold q - min(max(q, -c), c) equals sign(q) max(|q| - c, 0)
         # bit for bit, up to the sign of a zero

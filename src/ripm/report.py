@@ -2,8 +2,10 @@
 
 A solver starts from x with f(x), h(x) and grad f(x), which `evaluate_start`
 forms, and returns a `SolveResult`.  `bench.run_solver` alone builds a
-`SolverReport`, from that result; the R2 subsolve of the trust-region loop
-is a solve that nobody reports.
+`SolverReport`, from that result and the solve's two views: its oracle,
+which counts f and grad f and holds the ``trace`` the solve extends, and its
+copy of h, on which the prox kernel counts, so a solve that raises keeps
+its counts.  The R2 subsolve of the trust-region loop is never reported.
 
 A termination says which limit stopped the run: CONVERGED (the
 tolerance), BUDGET (the objective-evaluation budget), MAX_ITER (the
@@ -162,10 +164,10 @@ class SolverReport:
         return cls(x=np.empty(0), certificate=d.get("certificate", np.nan), **saved)
 
 
-def evaluate_start(smooth, h, x, trace: list):
-    """f(x), h(x) and grad f(x) at the start of a solve, logged as its first trace point."""
+def evaluate_start(smooth, h, x):
+    """f(x), h(x) and grad f(x) at the start of a solve, the first point of ``smooth.trace``."""
     fx = smooth.value(x)
     hx = h.value(x)
     gx = smooth.grad(x)
-    trace.append((smooth.n_grad, fx + hx))
+    smooth.trace.append((smooth.n_grad, fx + hx))
     return fx, hx, gx

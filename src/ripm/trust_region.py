@@ -15,7 +15,8 @@ model over the cap box, started at u1, whose trials change the model by a
 closed form in the operator's factors (see `r2` and
 `oracles.QuadModelOracle`).  The loop hands it the start it holds: f = 0,
 h(u1) from the Cauchy step and the model gradient g + (B + Theta) s1, and
-takes the trial point and h there from its result.  A ratio test accepts
+takes the trial point and h there from its result; both count on the
+solve's views (see `report`).  A ratio test accepts
 or rejects the trial point, the radius follows `update_radius`, and the
 quasi-Newton operator is updated on acceptance.  The loop asks for f only
 where the ratio test reads it: a trial whose model decrease is not
@@ -32,12 +33,9 @@ is a whole R2 solve.
 
 The loop keeps the hot-path rule of `regprox`: no `np.clip`, no
 function-form `np.any`/`np.all` and no `np.linalg.norm` in code that runs
-once per iteration.  One round of the six bpdn solves at n = 512 made 261k
-function-form `np.any`/`np.all`, 228k `np.clip` and 157k `np.linalg.norm`
-calls, whose Python wrappers cost more than their arithmetic at that size.
-Norms are ``math.sqrt(v @ v)``, which is what `np.linalg.norm` computes for
-a vector.  Each box of the loop is the ball of radius r around x within the
-constraint box, `Box.ball`, built in one pass.
+once per iteration.  Norms are ``math.sqrt(v @ v)``, what `np.linalg.norm`
+computes for a vector.  Each box of the loop is the ball of radius r around
+x within the constraint box, `Box.ball`, built in one pass.
 
 The bounds enter through a constraint object, which supplies the box of
 points every trial stays in.  TR and TRDH fold the box indicator into the
@@ -146,12 +144,10 @@ class InnerResult:
     compl: float
     measure0: float
     status: str
-    n_prox: int
 
 
 def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *,
-               max_iter: int, abs_tol: float, rel_tol: float, trace: list,
-               records: IterLog) -> InnerResult:
+               max_iter: int, abs_tol: float, rel_tol: float, records: IterLog) -> InnerResult:
     """Minimize f + phi + h from x, where f(x), h(x) and grad f(x) are given.
 
     ``cons`` supplies the constraint terms through the methods of
@@ -164,7 +160,7 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
     stops with "budget" when ``smooth.evals_left()`` is 0 after it has
     measured at x and tested the tolerance, before it builds the cap box and
     the trial point, whose value the budget would refuse; crit and compl are
-    then those of x.  Accepted points append (n_grad, f + h) to ``trace``.
+    then those of x.  Accepted points append (n_grad, f + h) to ``smooth.trace``.
 
     f is asked at a trial point only if its model decrease is positive and
     it differs from the last point valued (x at entry, where f(x) is given);
@@ -179,7 +175,6 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
     ``cons.records_exits``, and a stall or a budget exit appends none.
     """
     phi, gaps = cons.phi(x)
-    n_prox = 0
     crit, compl, crit0 = np.inf, np.inf, np.inf
     status = "cap"
     terms = None  # cons.at(x, gx, gaps), asked again once x or the duals change
@@ -199,7 +194,6 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
         s_m, xi_m = s1, xi
         if g_meas is not None:
             _, s_m, _, _, xi_m = first_order_step(h, x, hx, g_meas, sigma, tr_box)
-        n_prox += 1 if g_meas is None else 2
         crit = math.sqrt(sigma * xi_m)
         if j == 0:
             crit0 = crit
@@ -222,14 +216,12 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
         if hasattr(qn, "diagonal"):
             d = qn.diagonal() + theta
             x_t, s, h_t, gs, _ = first_order_step(h, x, hx, g, d, cap_box)
-            n_prox += 1
         else:
             # the model at u1: f = 0, h(u1) and its gradient g + (B + Theta) s1
             sub = r2_solve(QuadModelOracle(qn, theta), h, cap_box, u1, 0.0, h1,
-                           g + (qn.apply(s1) + theta * s1), trace=[],
+                           g + (qn.apply(s1) + theta * s1),
                            max_iter=SUBSOLVER_MAX_ITER, abs_tol=0.0, rel_tol=SUBSOLVER_REL_TOL)
             x_t, h_t = sub.x, sub.h
-            n_prox += sub.n_prox
             s = x_t - x
             gs = float(g @ s)
         if not s.any() and cons.zero_step(x, gaps):
@@ -254,7 +246,7 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
             g_new = smooth.grad(x)
             qn.update(s, g_new - gx, bs=bqs)
             gx = g_new
-            trace.append((smooth.n_grad, fx + hx))
+            smooth.trace.append((smooth.n_grad, fx + hx))
             obj_after = fx + phi + hx
             terms = None
         records.append(*head, float(rho), accepted, None, new_delta, obj_after,
@@ -262,20 +254,19 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
         delta = new_delta
 
     return InnerResult(x=x, fx=fx, hx=hx, gx=gx, crit=crit, compl=compl,
-                       measure0=crit0, status=status, n_prox=n_prox)
+                       measure0=crit0, status=status)
 
 
 # the report status of each `tr_iterate` exit
 _STATUS = {"tol": CONVERGED, "budget": BUDGET, "cap": MAX_ITER, "stalled": STALLED}
 
 
-def tr_solve(smooth, h, bounds: Box, qn, x, fx: float, hx: float, gx, *, trace: list,
+def tr_solve(smooth, h, bounds: Box, qn, x, fx: float, hx: float, gx, *,
              rel_tol: float = 1e-4) -> SolveResult:
     """Quasi-Newton proximal trust region from x in ``bounds``, with f(x), h(x)
     and grad f(x) given; the step follows ``qn`` (see `tr_iterate`)."""
-    records = IterLog(TR_RECORD)
+    records, n_prox0 = IterLog(TR_RECORD), h.n_prox
     res = tr_iterate(smooth, h, ShiftedBounds(bounds), qn, x, fx, hx, gx, DELTA_INIT,
-                     max_iter=ITER_CAP, abs_tol=ABS_TOL, rel_tol=rel_tol, trace=trace,
-                     records=records)
-    return SolveResult(res.x, res.fx, res.hx, res.crit, res.n_prox, _STATUS[res.status],
+                     max_iter=ITER_CAP, abs_tol=ABS_TOL, rel_tol=rel_tol, records=records)
+    return SolveResult(res.x, res.fx, res.hx, res.crit, h.n_prox - n_prox0, _STATUS[res.status],
                        {"iters": records})

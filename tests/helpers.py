@@ -26,14 +26,13 @@ def valued_solve(solver, smooth, h, *args, **kw):
     """Call ``solver`` from the valued start at x0, the last of ``args``, as `run_solver` does.
 
     Calls ``solver(smooth, h, *args[:-1], x0, f(x0), h(x0), grad f(x0),
-    trace=trace, **kw)`` and returns its result and the trace, which starts
-    at x0.  x0 is not clamped: a test passes a point in the bounds.
+    **kw)`` and returns its result and ``smooth.trace``, which starts at x0.
+    x0 is not clamped: a test passes a point in the bounds.
     """
     *head, x = args
     x = np.asarray(x, dtype=float)
-    trace = []
-    start = evaluate_start(smooth, h, x, trace)
-    return solver(smooth, h, *head, x, *start, trace=trace, **kw), trace
+    start = evaluate_start(smooth, h, x)
+    return solver(smooth, h, *head, x, *start, **kw), smooth.trace
 
 
 def _grid(lo, hi, step):

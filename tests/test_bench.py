@@ -87,6 +87,50 @@ def test_every_prox_is_counted(monkeypatch, family, params, budget):
         assert np.array_equal(inst.bounds.lo, lo) and np.array_equal(inst.bounds.hi, hi)
 
 
+@pytest.mark.parametrize("family, params, budget", [
+    ("bpdn", {"m": 40, "n": 96, "n_spikes": 3}, 1000),
+    ("fh", {}, 100),
+])
+@pytest.mark.parametrize("name", ["TR-R2", "RIPM-R2"])
+def test_subsolve_prox_counts_add_up_to_the_report(monkeypatch, name, family, params, budget):
+    # each R2 subsolve's n_prox is the kernel calls made inside it, and the
+    # subsolves' counts plus the loop's own calls are the report's n_prox
+    monkeypatch.setattr(problems, "FH_RK4_STEPS", 200)
+    kernel, solve = regprox.iprox_shifted, trust_region.r2_solve
+    calls = [0, 0]  # kernel calls made by the loop and inside subsolves
+    inside = [False]
+    subs = []  # per subsolve: its n_prox and the kernel calls made inside it
+
+    def counted(*args):
+        calls[inside[0]] += 1
+        return kernel(*args)
+
+    def sub(*args, **kw):
+        before, inside[0] = calls[1], True
+        res = solve(*args, **kw)
+        inside[0] = False
+        subs.append((res.n_prox, calls[1] - before))
+        return res
+    monkeypatch.setattr(regprox, "iprox_shifted", counted)
+    monkeypatch.setattr(trust_region, "r2_solve", sub)
+    rep = run_solver(name, problems.build(family, 0, **params), budget)
+    assert rep.error is None and subs and calls[0] > 0
+    assert all(n == made for n, made in subs)
+    assert sum(n for n, _ in subs) + calls[0] == rep.n_prox
+
+
+@pytest.mark.parametrize("name", ["R2", "TRDH", "TR-R2", "RIPM-R2"])
+def test_runs_count_on_their_own_views(name):
+    # run_solver hands each solve a fresh oracle and a copy of h, which hold
+    # its counts and trace: two runs on one instance leave it uncounted and
+    # report the same counts and trace
+    inst = problems.build("bpdn", 0, m=40, n=96, n_spikes=3)
+    a, b = (run_solver(name, inst, 1000) for _ in range(2))
+    assert inst.h.n_prox == 0 and inst.smooth.trace == []
+    assert (inst.smooth.n_f, inst.smooth.n_grad) == (0, 0)
+    assert a.error is None and a.n_prox == b.n_prox > 0 and a.trace == b.trace
+
+
 def _logged_solve(monkeypatch, name, inst, budget):
     """run_solver, logging each prox call ("p") and each counted value ("f", x) in order."""
     events = []
@@ -588,17 +632,24 @@ def test_cli_malformed_input_exits_1(tmp_path, capsys, monkeypatch, case):
 
 def test_solver_hard_failure_recorded(tmp_path, monkeypatch):
     # the TRDH solve raises once it has run: its report carries the counts
-    # the oracle made, and the next solver runs
-    real = bench.tr_solve
-    made = []  # (n_f, n_grad) of each TRDH solve when it raised
+    # the oracle and the prox kernel made, and the next solver runs
+    real, kernel = bench.tr_solve, regprox.iprox_shifted
+    made = []  # (n_f, n_grad, prox calls) of each TRDH solve when it raised
+    prox = []
+
+    def counted(*args):
+        prox.append(1)
+        return kernel(*args)
 
     def flaky(smooth, h, bounds, qn, *args, **kw):
+        prox.clear()
         res = real(smooth, h, bounds, qn, *args, **kw)
         if isinstance(qn, SpectralDiag):
-            made.append((smooth.n_f, smooth.n_grad))
+            made.append((smooth.n_f, smooth.n_grad, len(prox)))
             raise RuntimeError("synthetic failure")
         return res
 
+    monkeypatch.setattr(regprox, "iprox_shifted", counted)
     monkeypatch.setattr(bench, "tr_solve", flaky)
     cfg = _tiny_config()
     _, reports = run_config(cfg)
@@ -606,7 +657,8 @@ def test_solver_hard_failure_recorded(tmp_path, monkeypatch):
     failed = reports[1]
     assert failed.termination == "oracle_failure"
     assert "synthetic failure" in failed.error
-    assert (failed.n_f, failed.n_grad) == made[0] and failed.n_f > 1
+    assert (failed.n_f, failed.n_grad, failed.n_prox) == made[0]
+    assert failed.n_f > 1 and failed.n_prox > 0
     assert failed.wall_time_s > 0.0 and len(failed.trace) > 1
     assert reports[2].error is None and reports[2].n_f > 1
 

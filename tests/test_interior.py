@@ -522,14 +522,13 @@ def _stage(smooth, h, x0, mu, qn, mode="cp", delta=100.0, tol=1e-9, records=None
 
     Returns the loop's result and the barrier, which holds the duals."""
     x0 = np.asarray(x0, dtype=float)
-    trace = []
-    fx, hx, gx = evaluate_start(smooth, h, x0, trace)
+    fx, hx, gx = evaluate_start(smooth, h, x0)
     barrier = BarrierTerms(POS, mu, mode)
     if z0 is not None:
         barrier.z = z0
     res = tr_iterate(smooth, h, barrier, qn, x0, fx, hx, gx, delta,
                      max_iter=interior.INNER_CAP, abs_tol=tol, rel_tol=0.0,
-                     trace=trace, records=IterLog(TR_RECORD) if records is None else records)
+                     records=IterLog(TR_RECORD) if records is None else records)
     return res, barrier
 
 
@@ -542,9 +541,10 @@ def test_a_collapsed_radius_stalls_the_stage(step):
     smooth = _oracle_quad(2.0)
     qn = SpectralDiag(1) if step == "diagonal" else LSR1(1)
     records = IterLog(TR_RECORD)
-    res, _ = _stage(smooth, Regularizer("l1"), [1.0], 1e-3, qn, delta=1e-30, records=records)
+    h = Regularizer("l1")
+    res, _ = _stage(smooth, h, [1.0], 1e-3, qn, delta=1e-30, records=records)
     assert res.status == "stalled" and res.crit == np.inf
-    assert res.n_prox == 0 and len(records) == 0 and smooth.n_f == 1
+    assert h.n_prox == 0 and len(records) == 0 and smooth.n_f == 1
 
 
 @pytest.mark.parametrize("step", ["diagonal", "r2"])
@@ -583,10 +583,10 @@ def test_inner_solve_immediate_exit():
 
 def test_inner_solve_requires_interior_start():
     smooth, h, x = _oracle_quad(2.0), Regularizer("l1"), np.array([0.0])
-    fx, hx, gx = evaluate_start(smooth, h, x, [])
+    fx, hx, gx = evaluate_start(smooth, h, x)
     with pytest.raises(BoundaryPoint):
         barrier = BarrierTerms(POS, 1.0, measure_mode(h))
-        inner_solve(smooth, h, barrier, SpectralDiag(1), x, fx, hx, gx, 0.0, [], [])
+        inner_solve(smooth, h, barrier, SpectralDiag(1), x, fx, hx, gx, 0.0, [])
 
 
 @pytest.mark.parametrize("kind", ["l0", "l1"])
@@ -595,11 +595,10 @@ def test_inner_solve_radius_tolerance_and_measure(kind):
     mu, eps_rel = 0.1, 0.1
     bounds = Box(np.zeros(3), np.full(3, np.inf))
     smooth, h, x = _oracle_quad(2.0), Regularizer(kind, 0.3), np.array([1.0, 0.5, 3.0])
-    trace, records = [], IterLog(TR_RECORD)
-    fx, hx, gx = evaluate_start(smooth, h, x, trace)
+    records = IterLog(TR_RECORD)
+    fx, hx, gx = evaluate_start(smooth, h, x)
     barrier = BarrierTerms(bounds, mu, measure_mode(h))
-    res = inner_solve(smooth, h, barrier, SpectralDiag(3), x, fx, hx, gx, eps_rel, trace,
-                      records)
+    res = inner_solve(smooth, h, barrier, SpectralDiag(3), x, fx, hx, gx, eps_rel, records)
     assert records[0]["delta_before"] == min(interior.DELTA0_FACTOR * mu, DELTA_MAX)
     assert res.status == "tol" and records[-1]["exit"] == "tol"
     eps_k = mu**interior.EPS_EXPONENT

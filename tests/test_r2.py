@@ -167,14 +167,14 @@ def test_r2_on_a_model_follows_the_closed_form(monkeypatch):
     calls = _counted_applies(monkeypatch, qn)
     box = Box(origin - 0.7, origin + 0.7)
     h = Regularizer("l1", 0.3)
-    model, trace = QuadModelOracle(qn, th), []
-    rep = r2_solve(model, h, box, origin.copy(), 0.0, h.value(origin), g, trace=trace,
+    model = QuadModelOracle(qn, th)
+    rep = r2_solve(model, h, box, origin.copy(), 0.0, h.value(origin), g,
                    max_iter=500, abs_tol=1e-10, rel_tol=0.0)
     assert rep.termination == CONVERGED
     assert len(calls) == 0
     assert model.n_f == len(rep.diagnostics["iters"])
     # the trace starts at the first accepted trial, not at the start
-    assert len(trace) == sum(r["accepted"] for r in rep.diagnostics["iters"])
+    assert len(model.trace) == sum(r["accepted"] for r in rep.diagnostics["iters"])
     s = rep.x - origin
     assert rep.f == pytest.approx(m(rep.x) - m(origin), rel=1e-10)
     assert np.all(box.lo <= rep.x) and np.all(rep.x <= box.hi)

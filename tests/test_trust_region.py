@@ -268,11 +268,11 @@ def test_a_trial_without_model_decrease_asks_for_no_f():
 
     n = 3
     smooth, h, x = _quad_shift(np.full(n, 2.0)), Regularizer("l1", 0.1), np.ones(n)
-    trace, records = [], IterLog(TR_RECORD)
-    fx, hx, gx = evaluate_start(smooth, h, x, trace)
+    records = IterLog(TR_RECORD)
+    fx, hx, gx = evaluate_start(smooth, h, x)
     res = tr.tr_iterate(smooth, h, tr.ShiftedBounds(Box(np.full(n, -5.0), np.full(n, 5.0))),
                         Steep(n), x, fx, hx, gx, 1.0, max_iter=6, abs_tol=1e-8, rel_tol=0.0,
-                        trace=trace, records=records)
+                        records=records)
     assert res.status == "cap" and len(records) == 6
     assert all(r["rho"] == -np.inf and r["s_inf"] > 0 for r in records)
     assert smooth.n_f == 1 and np.array_equal(res.x, x)
@@ -286,12 +286,11 @@ def test_a_collapsed_radius_stops_the_loop_as_stalled():
     smooth = _quad_shift(np.full(n, 2.0))
     h = Regularizer("l0", 10.0)
     x = np.ones(n)
-    trace = []
-    fx, hx, gx = evaluate_start(smooth, h, x, trace)
+    fx, hx, gx = evaluate_start(smooth, h, x)
     res = tr.tr_iterate(smooth, h, tr.ShiftedBounds(Box(np.full(n, -5.0), np.full(n, 5.0))),
                         SpectralDiag(n), x, fx, hx, gx, 1e-30, max_iter=10, abs_tol=1e-8,
-                        rel_tol=0.0, trace=trace, records=IterLog(TR_RECORD))
-    assert res.status == "stalled" and res.crit == np.inf and res.n_prox == 0
+                        rel_tol=0.0, records=IterLog(TR_RECORD))
+    assert res.status == "stalled" and res.crit == np.inf and h.n_prox == 0
     assert np.array_equal(res.x, x) and smooth.n_f == 1
 
 
@@ -329,15 +328,15 @@ def test_boxes_built_per_iteration(monkeypatch, step, constraint, most):
     smooth = CallableOracle(lambda v: 0.5 * float((v - c) @ A @ (v - c)), lambda v: A @ (v - c))
     h = Regularizer("l1", 0.1)
     x = np.ones(n)
-    trace, records = [], IterLog(TR_RECORD)
-    fx, hx, gx = evaluate_start(smooth, h, x, trace)
+    records = IterLog(TR_RECORD)
+    fx, hx, gx = evaluate_start(smooth, h, x)
     monkeypatch.setattr(Box, "__post_init__", counting)
     # LBFGS in the barrier stage: LSR1 accepts all six of its steps there
     # (its first rejection comes at the 15th), and the test needs a rejected one
     qn = LSR1(n) if constraint == "bounds" else LBFGS(n)
     monkeypatch.setattr(Box, "ball", counting_ball)
     res = tr.tr_iterate(smooth, h, cons, SpectralDiag(n) if step == "diagonal" else qn,
-                        x, fx, hx, gx, 1.0, max_iter=6, abs_tol=0.0, rel_tol=0.0, trace=trace,
+                        x, fx, hx, gx, 1.0, max_iter=6, abs_tol=0.0, rel_tol=0.0,
                         records=records)
     # every iteration that tries a step builds two balls, and the last one,
     # which measures and stops, builds its step box
@@ -366,11 +365,11 @@ def test_the_loop_asks_for_the_barrier_terms_once_per_point(step):
 
     cons.at = counted_at
     smooth, h, x = _quad_shift([2.0]), Regularizer("l1", 0.5), np.array([3.0])
-    trace, records = [], IterLog(TR_RECORD)
-    fx, hx, gx = evaluate_start(smooth, h, x, trace)
+    records = IterLog(TR_RECORD)
+    fx, hx, gx = evaluate_start(smooth, h, x)
     res = tr.tr_iterate(smooth, h, cons, SpectralDiag(1) if step == "diagonal" else LSR1(1),
                         x, fx, hx, gx, 100.0, max_iter=200, abs_tol=1e-10, rel_tol=0.0,
-                        trace=trace, records=records)
+                        records=records)
     accepted = sum(r["accepted"] for r in records)
     rejected = sum(not r["accepted"] and r["s_inf"] > 0 for r in records)
     zero = sum(r["exit"] is None and r["s_inf"] == 0 for r in records)
@@ -404,7 +403,7 @@ def test_the_subsolve_starts_from_the_cauchy_step(monkeypatch, constraint):
     smooth = CallableOracle(lambda v: 0.5 * float((v - c) @ A @ (v - c)), lambda v: A @ (v - c))
     h = Regularizer("l1", 0.1)
     x = np.ones(n)
-    fx, hx, gx = evaluate_start(smooth, h, x, [])
+    fx, hx, gx = evaluate_start(smooth, h, x)
 
     applies, h_values, terms, steps, starts, after = [], [], [], [], [], []
     apply, value, at = qn.apply, Regularizer.value, cons.at
@@ -444,7 +443,7 @@ def test_the_subsolve_starts_from_the_cauchy_step(monkeypatch, constraint):
     monkeypatch.setattr(tr, "first_order_step", kept_step)
     monkeypatch.setattr(tr, "r2_solve", kept_solve)
     tr.tr_iterate(smooth, h, cons, qn, x, fx, hx, gx, 1.0, max_iter=1, abs_tol=0.0,
-                  rel_tol=0.0, trace=[], records=IterLog(TR_RECORD))
+                  rel_tol=0.0, records=IterLog(TR_RECORD))
     assert len(starts) == 1
     x0, (f0, h0, g0), cost = starts[0]
     u1, s1, h1, _, _ = steps[0][0]
