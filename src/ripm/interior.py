@@ -13,7 +13,7 @@ curvature Theta = min(z / gap, kappa_bar) summed over bounded sides to the
 quasi-Newton operator B.  `outer_solve` builds one `BarrierTerms` per
 solve, sets its mu for each stage and reads the duals, mu and measure back
 from it; the loop carries none, and hands back the gaps that `phi` formed.
-A stage that stalls at entry is one during which h's prox count did not move.
+A stage that stalls at entry ends "stalled" with crit inf: it never measured.
 The duals start at 1 and `BarrierTerms.accept` updates them: a linearized
 complementarity update projected into a safeguard interval, so they stay
 strictly positive.  The measure follows h: the primal one, based on the
@@ -337,7 +337,6 @@ def outer_solve(smooth, h, bounds: Box, qn, x, fx: float, hx: float, gx, *,
     with smooth.held_back():
         for stages in range(1, MAX_OUTER + 1):
             barrier.mu = mu
-            stage_prox0 = h.n_prox
             res = inner_solve(smooth, h, barrier, qn, x, fx, hx, gx, eps_ri, records)
             x, fx, hx, gx = res.x, res.fx, res.hx, res.gx
             if eps_glob is None:
@@ -345,10 +344,10 @@ def outer_solve(smooth, h, bounds: Box, qn, x, fx: float, hx: float, gx, *,
             if res.status == "budget":
                 status = BUDGET
                 break
-            # a stage that stalls at entry (h counts no prox: it never
-            # measured) leaves x and z as they were, and every later stage
-            # starts at a smaller radius, so it would stall as well
-            if res.status == "stalled" and h.n_prox == stage_prox0:
+            # a stage that stalls at entry (crit is inf: it never measured)
+            # leaves x and z as they were, and every later stage starts at a
+            # smaller radius, so it would stall as well
+            if res.status == "stalled" and res.crit == np.inf:
                 status = STALLED
                 break
             # declare convergence only off a genuine tolerance exit: a cap exit

@@ -80,11 +80,7 @@ class SmoothOracle:
     def fresh(self) -> "SmoothOracle":
         """Copy sharing problem data, with zeroed counters and trace, no budget, no kept work."""
         other = copy.copy(self)
-        other.n_f = 0
-        other.n_grad = 0
-        other.budget = math.inf
-        other.trace = []
-        other._cache = None
+        SmoothOracle.__init__(other)  # the per-run state; a subclass's own stays shared
         return other
 
     def _shared(self, x):

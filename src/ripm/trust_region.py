@@ -156,7 +156,9 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
     (measure at entry) and the complementarity residual below abs_tol, with
     "cap" after ``max_iter`` steps, measuring once more at the final point,
     and with "stalled" once Delta < eps (1 + ||x||_inf), before measuring at
-    that radius: crit is then the last measure taken (inf if none).  It
+    that radius: crit is then the last measure taken, inf exactly when none
+    was, since a measure is finite wherever grad f is; `interior.outer_solve`
+    relies on that to tell a stage that stalled at entry.  It
     stops with "budget" when ``smooth.evals_left()`` is 0 after it has
     measured at x and tested the tolerance, before it builds the cap box and
     the trial point, whose value the budget would refuse; crit and compl are

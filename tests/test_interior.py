@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ripm import interior
+from ripm import interior, trust_region
 from ripm.errors import BoundaryPoint
 from ripm.interior import (DELTA_FRAC, BarrierTerms, DualEstimate, barrier_value, crossover,
                            fraction_to_boundary_box, inner_solve, measure_mode, outer_solve)
 from ripm.qnops import LSR1, SpectralDiag
-from ripm.r2 import first_order_step
 from ripm.regprox import Box, Regularizer
 from ripm.report import (BUDGET, CONVERGED, MAX_ITER, STALLED, TR_RECORD, IterLog,
                          evaluate_start)
@@ -118,51 +117,67 @@ def test_fraction_to_boundary_membership(shift):
 # first-order steps and measures
 
 
-def _barrier_step(x, mu, nu, delta, smooth, h, bounds, z=None):
-    """First-order step of the barrier model as the inner loop takes it.
+def _loop_steps(monkeypatch, x, mu, delta, smooth, h, bounds, z=None):
+    """The first-order steps of one measuring iteration of `tr_iterate` on `BarrierTerms`.
 
-    The gradients and the fraction-to-boundary box of points (at DELTA_FRAC)
-    come from `BarrierTerms.at`.  Without ``z`` this is the Cauchy step s1
-    of the primal measure, with gradient grad f + grad phi; with ``z`` it is
-    the step of the Lagrangian measure, with gradient grad f - zl + zu.
-    Returns the step u - x and its model decrease.
+    Runs the loop with ``max_iter=0`` from x at radius delta and reads each
+    `first_order_step` call from a spy: the Cauchy step, whose gradient is
+    grad f + grad phi, and, with ``z`` (the Lagrangian mode), the measure
+    step, whose gradient is grad f - zl + zu.  Returns (sigma, box, step
+    u - x, model decrease) per call, in the loop's order.
     """
+    calls = []
+    step = trust_region.first_order_step
+
+    def spy(h, x, hx, g, sigma, box):
+        out = step(h, x, hx, g, sigma, box)
+        calls.append((sigma, box, out[1], out[4]))
+        return out
+
+    monkeypatch.setattr(trust_region, "first_order_step", spy)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     terms = BarrierTerms(bounds, mu, "cp" if z is None else "lagrangian")
     if z is not None:
         terms.z = z
-    g, _, box, g_meas, _ = terms.at(x, smooth.grad(x), terms.phi(x)[1])
-    _, s, _, _, xi = first_order_step(h, x, h.value(x), g if z is None else g_meas, 1.0 / nu,
-                                      box.ball(x, delta))
-    return s, xi
+    res = tr_iterate(smooth, h, terms, SpectralDiag(x.size), x, *evaluate_start(smooth, h, x),
+                     delta, max_iter=0, abs_tol=0.0, rel_tol=0.0, records=IterLog(TR_RECORD))
+    # the measure is that of the last step
+    sigma, _, _, xi = calls[-1]
+    assert len(calls) == (1 if z is None else 2) and res.crit == math.sqrt(sigma * xi)
+    return calls
 
 
-def test_cauchy_step_zero_at_barrier_stationary_point():
+def test_cauchy_step_zero_at_barrier_stationary_point(monkeypatch):
     # f = x^2/2: barrier stationarity x - mu/x = 0 holds at x = 1 for mu = 1
-    s1, xi = _barrier_step([1.0], 1.0, 0.1, 10.0, _oracle_quad(0.0), Regularizer("l1"), POS)
+    (_, _, s1, xi), = _loop_steps(monkeypatch, [1.0], 1.0, 10.0, _oracle_quad(0.0),
+                                  Regularizer("l1"), POS)
     assert s1[0] == pytest.approx(0.0, abs=1e-15)
     assert xi == pytest.approx(0.0, abs=1e-15)
 
 
-def test_cauchy_step_moves_away_from_bound():
-    nu = 1e-3
-    s1, xi = _barrier_step([1.0], 1.0, nu, 10.0, _oracle_zero(), Regularizer("l1"), POS)
+def test_cauchy_step_moves_away_from_bound(monkeypatch):
+    (sigma, _, s1, xi), = _loop_steps(monkeypatch, [1.0], 1.0, 10.0, _oracle_zero(),
+                                      Regularizer("l1"), POS)
+    nu = 1.0 / sigma
     assert s1[0] == pytest.approx(nu, rel=1e-12)  # step nu * mu / x > 0
     assert xi == pytest.approx(nu, rel=1e-12)
 
 
-def test_cauchy_step_grid_oracle():
+def test_cauchy_step_grid_oracle(monkeypatch):
     # model: g_eff s + s^2/(2 nu) over the step box, g_eff = (x-2) - mu/x
-    x, mu, nu, delta = 0.8, 0.7, 0.2, 0.5
-    s1, xi = _barrier_step([x], mu, nu, delta, _oracle_quad(2.0), Regularizer("l1"), POS)
+    x, mu, delta = 0.8, 0.7, 0.5
+    (sigma, box, s1, xi), = _loop_steps(monkeypatch, [x], mu, delta, _oracle_quad(2.0),
+                                        Regularizer("l1"), POS)
+    nu = 1.0 / sigma
     g_eff = (x - 2.0) - mu / x
     lo = max(-delta, interior.DELTA_FRAC * x - x)
+    assert (box.lo[0], box.hi[0]) == pytest.approx((x + lo, x + delta), rel=1e-15)
     sg, _ = grid_min_1d(lambda t: g_eff * t + t * t / (2 * nu), lo, delta, 1e-5)
     assert s1[0] == pytest.approx(sg, abs=1e-4)
     assert xi >= 0.5 / nu * s1[0] ** 2 - 1e-12
 
 
-def test_xi_l_coincides_when_z_matches_barrier():
+def test_xi_l_coincides_when_z_matches_barrier(monkeypatch):
     rng = np.random.default_rng(0)
     x = rng.uniform(0.5, 2.0, size=4)
     mu = 0.3
@@ -170,16 +185,17 @@ def test_xi_l_coincides_when_z_matches_barrier():
     z = DualEstimate(mu / x, np.zeros(4))
     smooth = _oracle_quad(1.5)
     h = Regularizer("l1", 0.2)
-    s_cp, xi_cp = _barrier_step(x, mu, 0.1, 1.0, smooth, h, bounds)
-    s_l, xi_l_val = _barrier_step(x, mu, 0.1, 1.0, smooth, h, bounds, z)
+    (_, _, s_cp, xi_cp), (_, _, s_l, xi_l_val) = _loop_steps(monkeypatch, x, mu, 1.0, smooth,
+                                                             h, bounds, z)
     assert np.allclose(s_cp, s_l, atol=1e-12)
     assert xi_cp == pytest.approx(xi_l_val, abs=1e-12)
 
 
-def test_xi_l_zero_at_kkt_point():
+def test_xi_l_zero_at_kkt_point(monkeypatch):
     # f = x, z = 1: Lagrangian gradient vanishes, so sL = 0 and xi = 0
     z = DualEstimate(np.array([1.0]), np.array([0.0]))
-    sL, xi = _barrier_step([1.0], 0.5, 1.0, 10.0, _oracle_linear(), Regularizer("l1"), POS, z)
+    _, (_, _, sL, xi) = _loop_steps(monkeypatch, [1.0], 0.5, 10.0, _oracle_linear(),
+                                    Regularizer("l1"), POS, z)
     assert sL[0] == pytest.approx(0.0, abs=1e-15)
     assert xi == pytest.approx(0.0, abs=1e-15)
 
@@ -689,6 +705,32 @@ def test_outer_stops_after_a_stage_that_stalls_at_entry(step):
     assert rep.diagnostics["crossover"]["mu"] == mu
     assert smooth.n_f == 1 and rep.n_prox == 0 and len(rep.diagnostics["inner"]) == 0
 
+
+@pytest.mark.parametrize("step", ["diagonal", "r2"])
+def test_outer_goes_on_after_a_stage_that_measures_and_then_stalls(monkeypatch, step):
+    # f = (x - 2)^2 / 2 at x = 1 and f + 1 everywhere else: every trial is
+    # rejected, so each stage measures at x = 1 and then shrinks its radius
+    # until it stalls.  A stage that measured does not end the solve; the
+    # stages go on until the budget is spent
+    smooth = CallableOracle(lambda x: 0.5 * float((x[0] - 2.0) ** 2) + float(x[0] != 1.0),
+                            lambda x: x - 2.0)
+    smooth.budget = 200
+    stages = []
+    inner = interior.inner_solve
+
+    def spy(*args):
+        res = inner(*args)
+        stages.append(res)
+        return res
+
+    monkeypatch.setattr(interior, "inner_solve", spy)
+    rep, _ = valued_solve(outer_solve, smooth, Regularizer("l1", 0.0), POS,
+                          SpectralDiag(1) if step == "diagonal" else LSR1(1), np.array([1.0]),
+                          mu_init=1e-6, eps_ri=0.0)
+    assert rep.termination == BUDGET and rep.diagnostics["stages"] == len(stages) == 6
+    assert [res.status for res in stages] == ["stalled"] * 5 + ["budget"]
+    assert all(1.0 < res.crit < 2.0 for res in stages)
+    assert np.array_equal(rep.x, [1.0])
 
 def test_outer_budget_one():
     smooth = _oracle_quad(2.0)

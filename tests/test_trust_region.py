@@ -4,7 +4,7 @@ import pytest
 from ripm import bench, problems, regprox
 from ripm import trust_region as tr
 from ripm.interior import BarrierTerms
-from ripm.qnops import LBFGS, LSR1, SpectralDiag
+from ripm.qnops import LSR1, SpectralDiag
 from ripm.regprox import Box, Regularizer
 from ripm.report import CONVERGED, TR_RECORD, IterLog, evaluate_start
 from ripm.trust_region import tr_solve, update_radius
@@ -331,12 +331,11 @@ def test_boxes_built_per_iteration(monkeypatch, step, constraint, most):
     records = IterLog(TR_RECORD)
     fx, hx, gx = evaluate_start(smooth, h, x)
     monkeypatch.setattr(Box, "__post_init__", counting)
-    # LBFGS in the barrier stage: LSR1 accepts all six of its steps there
-    # (its first rejection comes at the 15th), and the test needs a rejected one
-    qn = LSR1(n) if constraint == "bounds" else LBFGS(n)
+    # sixteen steps: in the barrier stage LSR1's first rejection comes at the
+    # 15th, and the test needs a rejected one
     monkeypatch.setattr(Box, "ball", counting_ball)
-    res = tr.tr_iterate(smooth, h, cons, SpectralDiag(n) if step == "diagonal" else qn,
-                        x, fx, hx, gx, 1.0, max_iter=6, abs_tol=0.0, rel_tol=0.0,
+    res = tr.tr_iterate(smooth, h, cons, SpectralDiag(n) if step == "diagonal" else LSR1(n),
+                        x, fx, hx, gx, 1.0, max_iter=16, abs_tol=0.0, rel_tol=0.0,
                         records=records)
     # every iteration that tries a step builds two balls, and the last one,
     # which measures and stops, builds its step box
