@@ -184,11 +184,12 @@ def run_solver(name: str, instance, budget: int, overrides: dict | None = None) 
 
     x0 is clamped into the bounds and valued once the clock starts; a start
     that the budget refuses calls no solver, and reports BUDGET with f = inf,
-    h/lam = NaN, criticality inf and an empty trace.  A solve that raises,
-    in valuing the start too, reports ORACLE_FAILURE with ``error`` and the
-    counts and trace so far.  The criticality is the solver's last measure
-    (inf if it took none), and h/lam is NaN when lam is 0.  ``overrides``
-    replace the harness defaults (see `solver_options`).
+    h/lam = NaN, criticality inf and an empty trace.  A start whose f, h or
+    grad f is not finite calls no solver either.  It reports ORACLE_FAILURE,
+    as does a solve that raises, in valuing the start too, with ``error``
+    and the counts and trace so far.  The criticality is the solver's last
+    measure (inf if it took none), and h/lam is NaN when lam is 0.
+    ``overrides`` replace the harness defaults (see `solver_options`).
     """
     opts, make_qn = solver_options(name, instance.name, overrides or {})
     oracle = instance.smooth.fresh()
@@ -202,6 +203,8 @@ def run_solver(name: str, instance, budget: int, overrides: dict | None = None) 
             res = SolveResult(x, np.inf, np.nan, np.inf, 0, BUDGET, None)
         else:
             start = (x, *evaluate_start(oracle, h, x))
+            if not all(np.isfinite(v).all() for v in start[1:]):
+                raise OracleFailure("the start is not finite: f, h or grad f at x0")
             if name == "R2":
                 res = r2_solve(oracle, h, bounds, *start, **opts)
             elif name.startswith("RIPM"):

@@ -12,11 +12,11 @@ tolerance), BUDGET (the objective-evaluation budget), MAX_ITER (the
 iteration cap, or the stage cap of the barrier loop), STALLED (the trust
 radius collapsed to the rounding of x) or ORACLE_FAILURE.
 
-A solve keeps one record per iteration in an `IterLog`, a column store of
+A solve keeps one record per iteration in an `IterLog`, a flat store of
 one schema: `TR_RECORD` for the trust-region loop, alone or in the barrier
 stages, and `R2_RECORD` for R2.  A barrier solve makes thousands of inner
 iterations: a dict per record would take about 800 bytes, and a row of
-`TR_RECORD` takes about 140 in its columns.
+`TR_RECORD` takes 144, eight per field.
 """
 from __future__ import annotations
 
@@ -60,50 +60,48 @@ TR_RECORD = (
 # R2's record: sigma, the ratio, the model decrease xi of the trial and whether it was taken
 R2_RECORD = (("sigma", float), ("rho", float), ("xi", float), ("accepted", bool))
 
-_TYPECODE = {float: "d", int: "q", bool: "b"}
-
 
 class IterLog:
-    """Per-iteration records of one schema, kept by column.
+    """Per-iteration records of one schema, in one flat ``array("d")``.
 
-    Floats are kept in ``array("d")``, ints and bools in integer arrays, and
-    a flag as the index of its value in the schema.  `append` takes a row's
-    values in schema order.  A row read by index, negative too, or by
-    iteration is a dict of the schema's keys and Python values, with the
-    bits that were appended.
+    A row's fields are kept in schema order, each as a float: a float field
+    as itself, an int as itself (exact below 2**53), a bool as 0 or 1 and a
+    flag as the index of its value in the schema.  `append` takes a row's
+    values in schema order and stores the row whole or not at all: a row of
+    the wrong length, with a flag value not in the schema or with a value
+    that is not a number raises and leaves the store as it was.  A row read
+    by index, negative too, or by iteration is a dict of the schema's keys
+    and Python values, with the bits that were appended.
     """
 
     def __init__(self, schema):
-        self.keys = tuple(key for key, _ in schema)
-        self._cols = []
-        self._adds = []  # per column, what stores a value
-        self._reads = []  # per column, what turns a stored value back into the field
-        for _, kind in schema:
-            col = array(_TYPECODE.get(kind, "b"))
-            self._cols.append(col)
-            if isinstance(kind, tuple):
-                self._adds.append(lambda v, add=col.append, index=kind.index: add(index(v)))
-                self._reads.append(kind.__getitem__)
-            else:
-                self._adds.append(col.append)
-                self._reads.append(kind)
+        self.keys, kinds = zip(*schema)
+        self._data = array("d")
+        self._flags = [(i, kind.index) for i, kind in enumerate(kinds) if type(kind) is tuple]
+        # per field, what turns a stored float back into the field
+        self._reads = [(lambda v, values=kind: values[int(v)]) if type(kind) is tuple else kind
+                       for kind in kinds]
 
     def append(self, *row) -> None:
-        if len(row) != len(self._adds):
-            raise ValueError(f"a row has {len(self._adds)} values, not {len(row)}")
-        for add, value in zip(self._adds, row):
-            add(value)
+        if len(row) != len(self.keys):
+            raise ValueError(f"a row has {len(self.keys)} values, not {len(row)}")
+        row = list(row)
+        for i, index in self._flags:
+            row[i] = index(row[i])
+        self._data += array("d", row)  # raises before it stores: a row is stored whole or not
 
     def __len__(self) -> int:
-        return len(self._cols[0])
+        return len(self._data) // len(self.keys)
+
+    def _row(self, values) -> dict:
+        return {key: read(v) for key, read, v in zip(self.keys, self._reads, values)}
 
     def __getitem__(self, i: int) -> dict:
-        return {key: read(col[i]) for key, read, col in zip(self.keys, self._reads, self._cols)}
+        i, width = range(len(self))[i], len(self.keys)  # IndexError past either end
+        return self._row(self._data[i * width:(i + 1) * width])
 
     def __iter__(self):
-        keys, reads = self.keys, self._reads
-        for row in zip(*self._cols):
-            yield {key: read(v) for key, read, v in zip(keys, reads, row)}
+        return map(self._row, zip(*[iter(self._data)] * len(self.keys)))  # a row per chunk
 
 
 @dataclass

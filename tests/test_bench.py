@@ -681,6 +681,19 @@ def test_a_start_that_raises_is_reported_with_its_counts(name):
     assert rep.trace == [] and np.isnan(rep.f) and np.isnan(rep.certificate)
 
 
+@pytest.mark.parametrize("name", ALL_SOLVERS)
+def test_a_start_that_is_not_finite_calls_no_solver(name):
+    # f(x0) is NaN: no solver is called, where R2 would spend its budget and
+    # TRDH and TR-R2 would run to their iteration caps, all to report f = NaN
+    inst = problems.build("bpdn", 0, m=40, n=96, n_spikes=3)
+    x0 = inst.x0.copy()
+    x0[3] = np.nan
+    rep = run_solver(name, dataclasses.replace(inst, x0=x0), 1000)
+    assert rep.termination == ORACLE_FAILURE
+    assert rep.error == "OracleFailure: the start is not finite: f, h or grad f at x0"
+    assert rep.n_prox == 0 and rep.n_f <= 1
+
+
 @pytest.mark.parametrize("name", ["RIPM-R2", "RIPMDH"])
 def test_a_crossover_the_budget_refuses_is_not_valued(monkeypatch, name):
     # at budget 1 the start takes the one evaluation, and the crossover point

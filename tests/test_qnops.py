@@ -208,6 +208,7 @@ def test_norm_estimate_example_values():
     op.update(s, np.full(3, 7.0), op.apply(s))
     assert op.norm_estimate() == pytest.approx(7.0)
     assert LBFGS(3).norm_estimate() == pytest.approx(1.0)
+    assert LSR1(3).norm_estimate() == 1.0
 
 
 def _exact_norm_case(op, pairs, dense):
@@ -248,6 +249,14 @@ def test_norm_estimate_exact_with_rank_deficient_factors():
     # the repeated pair adds rows B s = y and y again, so W has dependent rows
     _exact_norm_case(op, [(s, A @ s), (t, A @ t), (s, A @ s)], dense_bfgs)
     assert np.linalg.matrix_rank(op._rows[:op._k]) < op._k
+    # SR1: the second pair's r = y - B s is 0.7 times the first's, so both
+    # pairs are taken and W has two rows of rank one
+    y = A @ s
+    op = LSR1(n)
+    B = _exact_norm_case(op, [(s, y), (t, dense_sr1([(s, y)], n) @ t + 0.7 * (y - s))],
+                         dense_sr1)
+    assert len(op.pairs) == op._k == 2 and np.linalg.matrix_rank(op._rows[:op._k]) == 1
+    assert op.norm_estimate() == pytest.approx(np.linalg.norm(B, 2), rel=1e-15)
 
 
 def test_norm_estimate_exact_when_the_largest_eigenvalue_is_negative(monkeypatch):

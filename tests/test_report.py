@@ -64,3 +64,15 @@ def test_a_tr_row_costs_at_most_200_bytes():
         tracemalloc.stop()
     assert len(log) == rows
     assert held / rows <= 200
+
+
+def test_a_failed_append_changes_nothing():
+    log = IterLog(TR_RECORD)
+    good = _tr_row(0, exit="tol")
+    log.append(*good.values())
+    with pytest.raises(ValueError):  # a flag value that is not in the schema
+        log.append(*_tr_row(1, exit="bad").values())
+    assert len(log) == len(list(log)) == 1 and log[-1] == good
+    with pytest.raises(TypeError):  # a str in a float field
+        log.append(*_tr_row(2, rho="0.5").values())
+    assert len(log) == len(list(log)) == 1 and log[-1] == good
