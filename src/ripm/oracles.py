@@ -102,7 +102,7 @@ class SmoothOracle:
 class QuadModelOracle(SmoothOracle):
     """Steps of the quadratic model with Hessian B + diag(theta), in closed form.
 
-    ``qn`` is an LBFGS or LSR1 operator, B = I + W^T diag(signs) W, and
+    ``qn`` is an LSR1 operator, B = I + W^T diag(signs) W, and
     ``theta`` the extra diagonal of a barrier, zero without one.  The model
     is never valued at a point: the caller of the R2 subsolve starts
     `r2.r2_solve` at f = 0 with the model gradient that it holds there.  Its

@@ -7,14 +7,14 @@ identity.  ``update(s, y, bs)`` takes bs = B s under the operator as it
 stands, before the update: the product the trust-region loop formed for its
 model decrease.
 
-LBFGS and LSR1 hold B = I + W^T diag(signs) W, where the k rows of W are
-rank-one factors, so one product is two matrix products with W.  The
-factors are those of the direct update recursions replayed over the stored
-pairs from the identity, in a preallocated (2 MEMORY) x n row buffer.
-`_pair_rows(s, y, bs)` states an operator's recursion once: the rows a pair
-adds given bs = B s, or None under its skip rule.  A taken pair is
-appended to the kept pairs, the oldest is evicted when they are full, and
-`_rebuild` replays every kept pair, one product each.
+LSR1 holds B = I + W^T diag(signs) W, where the k rows of W are rank-one
+factors, so one product is two matrix products with W.  The factors are
+those of the SR1 recursion replayed over the stored pairs from the
+identity, in a preallocated MEMORY x n row buffer.  `_row(s, y, bs)` states
+the recursion once: the row a pair adds given bs = B s, or None under its
+skip rule.  A taken pair is appended to the kept pairs, the oldest is
+evicted when they are full, and `_rebuild` replays every kept pair, one
+product each.
 
 B equals the identity on the orthogonal complement of range(W^T) and maps
 that range into itself, so `norm_estimate` is exact: Rayleigh-Ritz on an
@@ -23,7 +23,7 @@ of the small matrix Q^T B Q, and B has the eigenvalue 1 besides whenever Q
 spans less than the whole space.  That takes one product per column of Q.
 Q comes from LAPACK's dgeqrf and dorgqr, the routines behind `np.linalg.qr`,
 called without its wrapper, which costs more than the factorization itself
-on k <= 10 columns; Q^T B Q is formed from a C-ordered copy of Q, whose
+on k <= 5 columns; Q^T B Q is formed from a C-ordered copy of Q, whose
 layout keeps the bits of the `np.linalg.qr` form (see `norm_estimate`).
 `factors` hands out W and the signs, from which a quadratic model takes
 t.B t = t.t + sum signs (W t)^2 with one k-row product.
@@ -42,15 +42,21 @@ SIGMA_MAX = 1e12
 MEMORY = 5  # pairs an operator keeps; read when it is built
 
 
-class _FactoredOp:
-    """Shared machinery: B v = v + W^T (signs * (W v)) with W the first k buffer rows."""
+class LSR1:
+    """Limited-memory SR1: B <- B + r r^T / (r.s) with r = y - B s.
+
+    Updates whose denominator is too small relative to ||r|| ||s|| are
+    skipped to keep the product well defined; the operator may be indefinite.
+    Each pair adds one row to W: B v = v + W^T (signs * (W v)) with W the
+    first k buffer rows.
+    """
 
     def __init__(self, n: int):
         self.n = int(n)
         self.memory = MEMORY
         self.pairs: deque = deque()
-        self._rows = np.empty((2 * self.memory, self.n))
-        self._signs = np.empty(2 * self.memory)
+        self._rows = np.empty((self.memory, self.n))
+        self._signs = np.empty(self.memory)
         self._k = 0
         self._norm_cache: float | None = None
 
@@ -91,7 +97,7 @@ class _FactoredOp:
 
     def update(self, s: np.ndarray, y: np.ndarray, bs: np.ndarray) -> bool:
         """Take the pair (s, y) given bs = B s, unless the skip rule drops it; True if taken."""
-        if self._pair_rows(s, y, bs) is None:
+        if self._row(s, y, bs) is None:
             return False
         self.pairs.append((s.copy(), y.copy()))
         if len(self.pairs) > self.memory:
@@ -101,53 +107,32 @@ class _FactoredOp:
         return True
 
     def _rebuild(self) -> None:
-        """Replay the update recursion over the kept pairs from the identity.
+        """Replay the SR1 recursion over the kept pairs from the identity.
 
-        Each factor v / scale of a pair's rows, with its sign, is the next row of W."""
+        The factor r / sqrt|r.s| of each pair taken, with its sign, is the next row of W."""
         self._k = 0
         for s, y in self.pairs:
-            for v, scale, sign in self._pair_rows(s, y, self.apply(s)) or ():
-                np.divide(v, scale, out=self._rows[self._k])
+            row = self._row(s, y, self.apply(s))
+            if row is not None:
+                r, scale, sign = row
+                np.divide(r, scale, out=self._rows[self._k])
                 self._signs[self._k] = sign
                 self._k += 1
 
-    def _pair_rows(self, s, y, bs):  # pragma: no cover - abstract
-        """The rows (v, scale, sign) the pair (s, y) adds, with bs = B s; None if skipped."""
-        raise NotImplementedError
-
-
-class LBFGS(_FactoredOp):
-    """Direct (Hessian-side) BFGS with limited memory.
-
-    Update: B <- B - (B s)(B s)^T / (s.B s) + y y^T / (y.s), taken only
-    when y.s exceeds the curvature threshold, which keeps B positive
-    definite, and s.B s is positive.  Each pair adds two rows to W.
-    """
-
-    def _pair_rows(self, s, y, bs):
-        sy = float(s @ y)
-        if not sy > CURVATURE_SKIP * math.sqrt(s @ s) * math.sqrt(y @ y):
-            return None
-        sbs = float(s @ bs)
-        if sbs <= 0.0:
-            return None
-        return (bs, math.sqrt(sbs), -1.0), (y, math.sqrt(sy), 1.0)
-
-
-class LSR1(_FactoredOp):
-    """Limited-memory SR1: B <- B + r r^T / (r.s) with r = y - B s.
-
-    Updates whose denominator is too small relative to ||r|| ||s|| are
-    skipped to keep the product well defined; the operator may be indefinite.
-    Each pair adds one row to W.
-    """
-
-    def _pair_rows(self, s, y, bs):
+    def _row(self, s, y, bs):
+        """(r, sqrt|r.s|, sign of r.s) for the pair (s, y), with bs = B s; None if skipped."""
         r = y - bs
         rs = float(r @ s)
         if not abs(rs) > CURVATURE_SKIP * math.sqrt(r @ r) * math.sqrt(s @ s):
             return None
-        return ((r, math.sqrt(abs(rs)), 1.0 if rs > 0 else -1.0),)
+        return r, math.sqrt(abs(rs)), 1.0 if rs > 0 else -1.0
+
+
+# LBFGS is bound here only for perfbench/tracer.py, which wraps the methods
+# it inherits from LSR1; it builds no operator
+class LBFGS(LSR1):
+    def __init__(self, n: int):
+        raise TypeError("qnops.LBFGS was removed; use qnops.LSR1")
 
 
 class SpectralDiag:

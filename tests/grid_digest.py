@@ -19,7 +19,7 @@ behave the same, bit for bit, on the grid:
 - qp at `problems.PAPER_SCALE`, every solver, budget 30.
 
 BLAS runs on one thread, so that no sum depends on the thread count.  The
-whole grid takes a few minutes.
+whole grid takes about 20 s on one core of a 2-core Xeon host.
 """
 import argparse
 import hashlib

@@ -85,18 +85,6 @@ def central_diff_grad(f, x, eps=1e-6):
     return g
 
 
-def dense_bfgs(pairs, n):
-    """Dense direct BFGS recursion from the identity; oracle for LBFGS products."""
-    B = np.eye(n)
-    for s, y in pairs:
-        sy = float(s @ y)
-        if sy <= 1e-8 * np.linalg.norm(s) * np.linalg.norm(y):
-            continue
-        Bs = B @ s
-        B = B - np.outer(Bs, Bs) / float(s @ Bs) + np.outer(y, y) / sy
-    return B
-
-
 def dense_sr1(pairs, n):
     """Dense SR1 recursion from the identity, with the same skip rule as LSR1."""
     B = np.eye(n)

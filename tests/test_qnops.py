@@ -4,25 +4,14 @@ import pytest
 from ripm import qnops
 from ripm.qnops import LBFGS, LSR1, SIGMA_MAX, SIGMA_MIN, SpectralDiag
 
-from helpers import dense_bfgs, dense_sr1
+from helpers import dense_sr1
 
-OPERATORS = {"lbfgs": LBFGS, "lsr1": LSR1}
+OPERATORS = {"lsr1": LSR1}
 
 
 def _spd_matrix(rng, n):
     M = rng.standard_normal((n, n))
     return M @ M.T + n * np.eye(n)
-
-
-def _conjugate_dirs(A, rng):
-    n = A.shape[0]
-    dirs = []
-    for v in rng.standard_normal((n, n)):
-        w = v.copy()
-        for d in dirs:
-            w -= float(d @ (A @ w)) / float(d @ (A @ d)) * d
-        dirs.append(w)
-    return dirs
 
 
 def test_spectral_update_examples():
@@ -46,33 +35,10 @@ def test_spectral_clamp_range():
 
 
 def test_fresh_operators_are_identity():
-    for op in (LBFGS(4), LSR1(4), SpectralDiag(4)):
+    for op in (LSR1(4), SpectralDiag(4)):
         v = np.array([1.0, -2.0, 0.5, 3.0])
         assert np.allclose(op.apply(v), v)
         assert op.norm_estimate() == pytest.approx(1.0)
-
-
-def test_one_pair_bfgs_identity(monkeypatch):
-    monkeypatch.setattr(qnops, "MEMORY", 1)
-    op = LBFGS(1)
-    s = np.array([1.0])
-    assert op.update(s, np.array([1.0]), op.apply(s))
-    for v in (1.0, -3.0, 0.25):
-        assert op.apply(np.array([v]))[0] == pytest.approx(v)
-
-
-def test_lbfgs_matches_dense_recursion(monkeypatch):
-    rng = np.random.default_rng(0)
-    n = 6
-    A = _spd_matrix(rng, n)
-    pairs = [(s, A @ s) for s in rng.standard_normal((4, n))]
-    monkeypatch.setattr(qnops, "MEMORY", 10)
-    op = LBFGS(n)
-    for s, y in pairs:
-        op.update(s, y, op.apply(s))
-    B = dense_bfgs(pairs, n)
-    for v in rng.standard_normal((5, n)):
-        assert np.allclose(op.apply(v), B @ v, rtol=1e-10, atol=1e-10)
 
 
 def test_lsr1_matches_dense_recursion(monkeypatch):
@@ -90,31 +56,29 @@ def test_lsr1_matches_dense_recursion(monkeypatch):
         assert np.allclose(op.apply(v), B @ v, rtol=1e-10, atol=1e-10)
 
 
-def _target(kind, rng, n):
-    """A symmetric matrix to sample pairs from: SPD for LBFGS, indefinite for LSR1."""
-    if kind == "lbfgs":
-        return _spd_matrix(rng, n)
+def _target(rng, n):
+    """An indefinite symmetric matrix to sample pairs from."""
     M = rng.standard_normal((n, n))
     return 0.5 * (M + M.T)
 
 
-@pytest.mark.parametrize("kind", ["lbfgs", "lsr1"])
+@pytest.mark.parametrize("kind", ["lsr1"])
 def test_memory_eviction_matches_dense_on_tail(monkeypatch, kind):
     # after four evictions the operator is the dense recursion of the last three pairs
     rng = np.random.default_rng(2)
     n = 5
-    A = _target(kind, rng, n)
+    A = _target(rng, n)
     all_pairs = [(s, A @ s) for s in rng.standard_normal((7, n))]
     monkeypatch.setattr(qnops, "MEMORY", 3)
     op = OPERATORS[kind](n)
     for s, y in all_pairs:
         op.update(s, y, op.apply(s))
-    B = (dense_bfgs if kind == "lbfgs" else dense_sr1)(all_pairs[-3:], n)
+    B = dense_sr1(all_pairs[-3:], n)
     for v in rng.standard_normal((3, n)):
         assert np.allclose(op.apply(v), B @ v)
 
 
-@pytest.mark.parametrize("kind", ["lbfgs", "lsr1"])
+@pytest.mark.parametrize("kind", ["lsr1"])
 def test_symmetry(kind):
     rng = np.random.default_rng(3)
     n = 8
@@ -130,40 +94,13 @@ def test_symmetry(kind):
         assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(v) * np.linalg.norm(w)
 
 
-def test_lbfgs_positive_definite_after_updates():
-    rng = np.random.default_rng(4)
-    n = 7
-    op = LBFGS(n)
-    for _ in range(10):
-        s = rng.standard_normal(n)
-        op.update(s, rng.standard_normal(n), op.apply(s))
-    for _ in range(100):
-        v = rng.standard_normal(n)
-        assert float(v @ op.apply(v)) > 0.0
-
-
 def test_curvature_skip():
-    op = LBFGS(2)
+    # r = y - B s = (0, 3) is orthogonal to s, so the SR1 denominator r.s is 0
+    op = LSR1(2)
     s = np.array([1.0, 0.0])
-    assert not op.update(s, np.array([-1.0, 0.0]), op.apply(s))
+    assert not op.update(s, np.array([1.0, 3.0]), op.apply(s))
     v = np.array([2.0, -1.0])
     assert np.allclose(op.apply(v), v)  # still the identity
-
-
-def test_bfgs_quadratic_exactness_on_conjugate_pairs(monkeypatch):
-    # hereditary secant equations hold along conjugate directions, so a full
-    # memory run reproduces the quadratic's Hessian action on every stored pair
-    rng = np.random.default_rng(5)
-    n = 5
-    A = _spd_matrix(rng, n)
-    dirs = _conjugate_dirs(A, rng)
-    monkeypatch.setattr(qnops, "MEMORY", n)
-    op = LBFGS(n)
-    for s in dirs:
-        assert op.update(s, A @ s, op.apply(s))
-    for s in dirs:
-        err = np.linalg.norm(op.apply(s) - A @ s) / np.linalg.norm(A @ s)
-        assert err <= 1e-6
 
 
 def test_sr1_quadratic_exactness_on_arbitrary_pairs(monkeypatch):
@@ -179,7 +116,7 @@ def test_sr1_quadratic_exactness_on_arbitrary_pairs(monkeypatch):
         assert np.linalg.norm(op.apply(s) - A @ s) <= 1e-6 * np.linalg.norm(A @ s)
 
 
-@pytest.mark.parametrize("kind", ["lbfgs", "lsr1"])
+@pytest.mark.parametrize("kind", ["lsr1"])
 def test_norm_estimate_within_factor_two(kind):
     rng = np.random.default_rng(7)
     n = 6
@@ -191,11 +128,7 @@ def test_norm_estimate_within_factor_two(kind):
             y = rng.standard_normal(n) * 3.0
             op.update(s, y, op.apply(s))
         # rebuild the dense operator from the accepted pairs
-        B = np.eye(n)
-        if kind == "lbfgs":
-            B = dense_bfgs(list(op.pairs), n)
-        else:
-            B = dense_sr1(list(op.pairs), n)
+        B = dense_sr1(list(op.pairs), n)
         true_norm = np.linalg.norm(B, 2)
         est = op.norm_estimate()
         assert est >= true_norm / 2.0
@@ -207,7 +140,6 @@ def test_norm_estimate_example_values():
     s = np.ones(3)
     op.update(s, np.full(3, 7.0), op.apply(s))
     assert op.norm_estimate() == pytest.approx(7.0)
-    assert LBFGS(3).norm_estimate() == pytest.approx(1.0)
     assert LSR1(3).norm_estimate() == 1.0
 
 
@@ -219,25 +151,23 @@ def _exact_norm_case(op, pairs, dense):
     return B
 
 
-@pytest.mark.parametrize("kind", ["lbfgs", "lsr1"])
+@pytest.mark.parametrize("kind", ["lsr1"])
 def test_norm_estimate_is_exact(kind):
     rng = np.random.default_rng(8)
     n = 6
-    dense = dense_bfgs if kind == "lbfgs" else dense_sr1
     for _ in range(5):
         pairs = [(rng.standard_normal(n), 3.0 * rng.standard_normal(n)) for _ in range(4)]
-        _exact_norm_case(OPERATORS[kind](n), pairs, dense)
+        _exact_norm_case(OPERATORS[kind](n), pairs, dense_sr1)
 
 
-@pytest.mark.parametrize("kind, rows", [("lbfgs", 10), ("lsr1", 5)])
+@pytest.mark.parametrize("kind, rows", [("lsr1", 5)])
 def test_norm_estimate_exact_with_more_rows_than_dimensions(kind, rows):
     rng = np.random.default_rng(9)
     n = 3
-    A = _target(kind, rng, n)
+    A = _target(rng, n)
     op = OPERATORS[kind](n)
-    _exact_norm_case(op, [(s, A @ s) for s in rng.standard_normal((5, n))],
-                     dense_bfgs if kind == "lbfgs" else dense_sr1)
-    assert op._k == rows  # two rows of W per BFGS pair, one per SR1 pair, in three dimensions
+    _exact_norm_case(op, [(s, A @ s) for s in rng.standard_normal((5, n))], dense_sr1)
+    assert op._k == rows  # one row of W per SR1 pair, in three dimensions
 
 
 def test_norm_estimate_exact_with_rank_deficient_factors():
@@ -245,12 +175,8 @@ def test_norm_estimate_exact_with_rank_deficient_factors():
     n = 6
     A = _spd_matrix(rng, n)
     s, t = rng.standard_normal((2, n))
-    op = LBFGS(n)
-    # the repeated pair adds rows B s = y and y again, so W has dependent rows
-    _exact_norm_case(op, [(s, A @ s), (t, A @ t), (s, A @ s)], dense_bfgs)
-    assert np.linalg.matrix_rank(op._rows[:op._k]) < op._k
-    # SR1: the second pair's r = y - B s is 0.7 times the first's, so both
-    # pairs are taken and W has two rows of rank one
+    # the second pair's r = y - B s is 0.7 times the first's, so both pairs
+    # are taken and W has two rows of rank one
     y = A @ s
     op = LSR1(n)
     B = _exact_norm_case(op, [(s, y), (t, dense_sr1([(s, y)], n) @ t + 0.7 * (y - s))],
@@ -299,28 +225,25 @@ def _replayed(op):
     return fresh
 
 
-def _pairs(kind, op, rng, count):
+def _pairs(op, rng, count):
     """Random pairs for op, made as op goes; its skip rule drops every fourth."""
     n = op.n
-    A = _spd_matrix(rng, n)
     for j in range(count):
         s = rng.standard_normal(n)
         if j % 4 < 3:
-            y = A @ s if kind == "lbfgs" else 3.0 * rng.standard_normal(n)
-        elif kind == "lbfgs":
-            y = -s  # negative curvature
+            y = 3.0 * rng.standard_normal(n)
         else:  # r = y - B s orthogonal to s
             t = rng.standard_normal(n)
             y = op.apply(s) + (t - (t @ s) / (s @ s) * s)
         yield s, y
 
 
-@pytest.mark.parametrize("kind", ["lbfgs", "lsr1"])
+@pytest.mark.parametrize("kind", ["lsr1"])
 def test_rows_equal_a_fresh_rebuild_after_every_update(kind):
     rng = np.random.default_rng(13)
     op = OPERATORS[kind](7)
     taken = dropped = evictions = 0
-    for s, y in _pairs(kind, op, rng, 16):
+    for s, y in _pairs(op, rng, 16):
         full = len(op.pairs) == op.memory
         ok = op.update(s, y, op.apply(s))
         taken += ok
@@ -344,16 +267,20 @@ def _qr_rayleigh_ritz_norm(op):
 
 @pytest.mark.parametrize("n", [1, 3, 8, 512])
 def test_norm_estimate_equals_the_numpy_qr_form_bit_for_bit(n):
-    # L-SR1 takes k = 1..5 rows (k > n where n < 5, with rank-deficient W),
-    # L-BFGS up to ten; the repeated pair makes dependent rows at every n
+    # L-SR1 takes k = 1..5 rows (k > n where n < 5, with rank-deficient W);
+    # the repeated pair makes dependent rows at every n
     rng = np.random.default_rng(15)
     ks = set()
-    for kind in ("lsr1", "lbfgs"):
-        op = OPERATORS[kind](n)
-        pairs = [(rng.standard_normal(n), 3.0 * rng.standard_normal(n)) for _ in range(6)]
-        pairs.insert(3, pairs[0])
-        for s, y in pairs:
-            if op.update(s, y, op.apply(s)):
-                ks.add(op._k)
-                assert op.norm_estimate() == _qr_rayleigh_ritz_norm(op), (kind, op._k)
+    op = LSR1(n)
+    pairs = [(rng.standard_normal(n), 3.0 * rng.standard_normal(n)) for _ in range(6)]
+    pairs.insert(3, pairs[0])
+    for s, y in pairs:
+        if op.update(s, y, op.apply(s)):
+            ks.add(op._k)
+            assert op.norm_estimate() == _qr_rayleigh_ritz_norm(op), op._k
     assert {1, 2, 3, 4, 5} <= ks if n >= 5 else max(ks) > n
+
+
+def test_the_lbfgs_name_builds_no_operator():
+    with pytest.raises(TypeError):
+        LBFGS(3)

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from ripm.oracles import QuadModelOracle
-from ripm.qnops import LBFGS, LSR1
+from ripm.qnops import LSR1
 from ripm.r2 import first_order_step, r2_solve
 from ripm.regprox import Box, Regularizer, iprox_shifted
 from ripm.report import BUDGET, CONVERGED, MAX_ITER
 
-from helpers import CallableOracle, dense_bfgs, dense_sr1, grid_min_1d, valued_solve
+from helpers import CallableOracle, dense_sr1, grid_min_1d, valued_solve
 
 FREE = Box(np.full(1, -np.inf), np.full(1, np.inf))  # every point of the line
 
@@ -107,18 +107,19 @@ def test_relative_tolerance_scaling():
 THETA = np.array([0.5, 1.0, 2.0, 0.25, 3.0])
 
 
-def _model_data(kind="lsr1", theta=None, n=5):
+def _model_data(shift=1.0, theta=None, n=5):
     """g, an operator with three stored pairs, its dense B, theta and an origin.
 
-    theta None stands for no barrier, whose curvature is a zero vector."""
+    The pairs sample A A^T + shift I; theta None stands for no barrier,
+    whose curvature is a zero vector."""
     rng = np.random.default_rng(12)
-    qn = {"lsr1": LSR1, "lbfgs": LBFGS}[kind](n)
+    qn = LSR1(n)
     A = rng.standard_normal((n, n))
-    A = A @ A.T + np.eye(n)
+    A = A @ A.T + shift * np.eye(n)
     for _ in range(3):
         s = rng.standard_normal(n)
         assert qn.update(s, A @ s + 0.1 * rng.standard_normal(n), qn.apply(s))
-    dense = {"lsr1": dense_sr1, "lbfgs": dense_bfgs}[kind](list(qn.pairs), n)
+    dense = dense_sr1(list(qn.pairs), n)
     th = np.zeros(n) if theta is None else theta
     return rng.standard_normal(n), qn, dense, th, rng.standard_normal(n)
 
@@ -134,10 +135,12 @@ def _counted_applies(monkeypatch, qn):
     return calls
 
 
-@pytest.mark.parametrize("kind", ["lsr1", "lbfgs"])
+# shift -3 gives W rows of both signs, for the `signs` path of the model
+@pytest.mark.parametrize("shift", [1.0, -3.0], ids=["lsr1", "lsr1-negative"])
 @pytest.mark.parametrize("theta", [None, THETA])
-def test_model_step_in_closed_form_matches_the_dense_model(kind, theta):
-    g, qn, B, th, origin = _model_data(kind, theta)
+def test_model_step_in_closed_form_matches_the_dense_model(shift, theta):
+    g, qn, B, th, origin = _model_data(shift, theta)
+    assert list(qn.factors()[1]) == ([1.0, 1.0, 1.0] if shift > 0 else [-1.0, -1.0, 1.0])
     H = B + np.diag(th)
 
     def m(s):
@@ -159,7 +162,7 @@ def test_model_step_in_closed_form_matches_the_dense_model(kind, theta):
 def test_r2_on_a_model_follows_the_closed_form(monkeypatch):
     # started from the model's f = 0, h and gradient at the origin, the
     # subsolve's trials take no operator product; a dense check of its answer
-    g, qn, B, th, origin = _model_data("lsr1", THETA)
+    g, qn, B, th, origin = _model_data(theta=THETA)
     H = B + np.diag(th)
 
     def m(x):
