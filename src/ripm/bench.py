@@ -12,23 +12,17 @@ Config is a single JSON file:
 These are all the keys (CONFIG_KEYS, PROBLEM_KEYS, SOLVER_KEYS; a solver
 entry may be just a name); any other, a misspelled one say, is a config error.
 
-A solver's "options" replace the harness defaults of `solver_options`.
-SOLVER_OPTIONS lists the 15 option names the solvers read, keyword
-arguments of their solve functions that the harness itself sets to a second
-value; any other name is a config error:
-
-- R2, TRDH, TR-R2: rel_tol;
-- RIPM-R2, RIPM-R2-p, RIPMDH, RIPMDH-p: mu_init, eps_r, eps_ri.
-
-The step follows the operator: TRDH, RIPMDH and RIPMDH-p run the spectral
-diagonal with closed-form steps, TR-R2, RIPM-R2 and RIPM-R2-p run LSR1 and
-solve the model with R2.  The measure of the RIPM solvers follows h: the
+SOLVERS states each solver: the solve it runs, `r2_solve`, `tr_solve` or
+`outer_solve`, its operator, the spectral diagonal with closed-form steps or
+LSR1 with the model solved by R2, and its harness defaults.  A solver's
+"options" replace those; SOLVE_OPTIONS lists the names each solve reads,
+keyword arguments that the harness itself sets to a second value, and any
+other name is a config error.  The measure of `outer_solve` follows h: the
 primal one for l0, the Lagrangian one for a convex h.
 
 `run_solver` is the one frame of a solve, and every run ends there: it
-values the start with `report.evaluate_start`, calls `r2_solve`,
-`outer_solve` or `tr_solve` (TR-R2 and TRDH, with their operators) from it,
-and builds the run's only `SolverReport` from the solver's
+values the start with `report.evaluate_start`, calls the solve of its row of
+SOLVERS from it, and builds the run's only `SolverReport` from the solver's
 `report.SolveResult`, or the exception of a solve that raises, and the
 counts and trace of its views `instance.smooth.fresh()` and a copy of h.
 
@@ -68,35 +62,47 @@ import time
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import problems
 from .errors import OracleFailure
-from .interior import outer_solve
+from .interior import outer_solve  # noqa: F401
 from .qnops import LSR1, SpectralDiag
-from .r2 import r2_solve
+from .r2 import r2_solve  # noqa: F401
 from .regprox import L1
 from .report import BUDGET, ORACLE_FAILURE, SolveResult, SolverReport, evaluate_start
 from .trust_region import tr_solve
 
-# trdh_solve is bound here only for perfbench/tracer.py, which wraps it;
-# run_solver runs TRDH as tr_solve, which the tracer wraps too
+# bound only for perfbench/tracer.py, which wraps it; no row of SOLVERS names it
 trdh_solve = tr_solve
 
 # tighter relative tolerance so the factorization runs resolve the tail
 PROBLEM_EPS_R = {"nnmf": 1e-6}
-_IPM = ("mu_init", "eps_r", "eps_ri")
-SOLVER_OPTIONS = {
-    "R2": ("rel_tol",),
-    "TRDH": ("rel_tol",),
-    "TR-R2": ("rel_tol",),
-    "RIPM-R2": _IPM,
-    "RIPMDH": _IPM,
-    "RIPM-R2-p": _IPM,
-    "RIPMDH-p": _IPM,
+# per solve, the keyword options that the harness sets to a second value;
+# the first is the relative tolerance, which PROBLEM_EPS_R sets
+SOLVE_OPTIONS = {"r2_solve": ("rel_tol",), "tr_solve": ("rel_tol",),
+                 "outer_solve": ("eps_r", "mu_init", "eps_ri")}
+
+
+class Solver(NamedTuple):  # a row of SOLVERS
+    solve: str  # the name of the module-level solve that run_solver calls
+    qn: type | None  # the operator class, called with n; None for a solve that takes none
+    defaults: dict  # harness defaults, which replace the solve's own
+
+
+SOLVERS = {
+    "R2": Solver("r2_solve", None, {}),
+    "TRDH": Solver("tr_solve", SpectralDiag, {}),
+    "TR-R2": Solver("tr_solve", LSR1, {}),
+    "RIPM-R2": Solver("outer_solve", LSR1, {}),
+    "RIPMDH": Solver("outer_solve", SpectralDiag, {}),
+    "RIPM-R2-p": Solver("outer_solve", LSR1, {"mu_init": 1e-3, "eps_ri": 1.0}),
+    "RIPMDH-p": Solver("outer_solve", SpectralDiag, {"mu_init": 1e-3, "eps_ri": 1.0}),
 }
-SOLVER_NAMES = tuple(SOLVER_OPTIONS)
+SOLVER_NAMES = tuple(SOLVERS)
+SOLVER_OPTIONS = {name: SOLVE_OPTIONS[row.solve] for name, row in SOLVERS.items()}
 # the keys of a config: at its top level, in "problem" and in a solver entry
 CONFIG_KEYS = ("problem", "solvers", "budget", "output_dir")
 PROBLEM_KEYS = ("name", "seed", "params")
@@ -153,30 +159,27 @@ class RunConfig:
 
 
 def solver_options(name: str, problem: str, overrides: dict):
-    """Keyword settings and operator factory n -> B of solver `name` on a `problem` family.
+    """Keyword settings and operator class of solver `name` on a `problem` family.
 
     The settings are the harness defaults, the relative tolerance of
-    PROBLEM_EPS_R and mu_init and eps_ri of the -p variants, with
+    PROBLEM_EPS_R and the defaults of the solver's row of SOLVERS, with
     ``overrides`` in their place; `run_solver` passes them to the solve as
     keyword arguments, and the solve's own defaults hold for the rest.  Each
     override is a finite int or float, above 0 for mu_init and at least 0
-    for the tolerances.
+    for the tolerances.  The operator class, or None, is the row's.
     """
-    _reject_unknown(overrides, sorted(SOLVER_OPTIONS[name]), name, "option")
+    accepted = SOLVER_OPTIONS[name]
+    _reject_unknown(overrides, sorted(accepted), name, "option")
     for key, value in overrides.items():
         number = isinstance(value, (int, float)) and not isinstance(value, bool)
         if not (number and abs(value) <= sys.float_info.max  # False for inf and NaN
                 and (value > 0 if key == "mu_init" else value >= 0)):
             raise ConfigError(f"{name} option {key!r} must be a finite number "
                               f"{'> 0' if key == 'mu_init' else '>= 0'}, not {value!r}")
-    barrier = name.startswith("RIPM")
-    o = {}
-    if problem in PROBLEM_EPS_R:
-        o["eps_r" if barrier else "rel_tol"] = PROBLEM_EPS_R[problem]
-    if name.endswith("-p"):
-        o.update(mu_init=1e-3, eps_ri=1.0)
+    o = {accepted[0]: PROBLEM_EPS_R[problem]} if problem in PROBLEM_EPS_R else {}
+    o.update(SOLVERS[name].defaults)
     o.update(overrides)
-    return o, SpectralDiag if "DH" in name else LSR1
+    return o, SOLVERS[name].qn
 
 
 def run_solver(name: str, instance, budget: int, overrides: dict | None = None) -> SolverReport:
@@ -191,7 +194,9 @@ def run_solver(name: str, instance, budget: int, overrides: dict | None = None) 
     measure (inf if it took none), and h/lam is NaN when lam is 0.
     ``overrides`` replace the harness defaults (see `solver_options`).
     """
-    opts, make_qn = solver_options(name, instance.name, overrides or {})
+    opts, qn = solver_options(name, instance.name, overrides or {})
+    # looked up at each run, so that a wrapper bound to the solve's name runs
+    solve = globals()[SOLVERS[name].solve]
     oracle = instance.smooth.fresh()
     oracle.budget = budget
     h, bounds = dataclasses.replace(instance.h), instance.bounds
@@ -205,12 +210,8 @@ def run_solver(name: str, instance, budget: int, overrides: dict | None = None) 
             start = (x, *evaluate_start(oracle, h, x))
             if not all(np.isfinite(v).all() for v in start[1:]):
                 raise OracleFailure("the start is not finite: f, h or grad f at x0")
-            if name == "R2":
-                res = r2_solve(oracle, h, bounds, *start, **opts)
-            elif name.startswith("RIPM"):
-                res = outer_solve(oracle, h, bounds, make_qn(x.size), *start, **opts)
-            else:
-                res = tr_solve(oracle, h, bounds, make_qn(x.size), *start, **opts)
+            operator = () if qn is None else (qn(x.size),)
+            res = solve(oracle, h, bounds, *operator, *start, **opts)
     except Exception as exc:  # a hard failure: its report, and the next solver runs
         res = SolveResult(x, np.nan, np.nan, np.nan, 0, ORACLE_FAILURE, None)
         error = f"{type(exc).__name__}: {exc}"

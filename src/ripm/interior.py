@@ -45,7 +45,7 @@ tolerance of `outer_solve`.  The trust-region constants are those of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,8 +77,7 @@ MAX_OUTER = 30
 EPS_A = 1e-4
 
 
-@dataclass
-class DualEstimate:
+class DualEstimate(NamedTuple):
     """Bound multipliers, one vector per side; zero where the bound is infinite."""
 
     zl: np.ndarray
@@ -159,7 +158,7 @@ def _dual_update(sides, gaps_old, gaps_new, z_old: DualEstimate, s, mu) -> DualE
     # vector terms formed in place, with the bits of the formula above
     hi_scalar = max(KAPPA_ZUU, KAPPA_ZUU / mu)
     for (i, _, sign, which), g_old, g_new in zip(sides, gaps_old[0], gaps_new[0]):
-        zm = (z_old.zl, z_old.zu)[which][i]
+        zm = z_old[which][i]
         zhat = np.divide(zm, g_old)
         zhat *= sign * s[i]
         np.subtract(mu / g_old, zhat, out=zhat)
@@ -235,7 +234,7 @@ class BarrierTerms:
         self._sides = _sides(bounds)
         self.z = DualEstimate(np.zeros(bounds.lo.size), np.zeros(bounds.hi.size))
         for i, _, _, which in self._sides:
-            (self.z.zl, self.z.zu)[which][i] = 1.0
+            self.z[which][i] = 1.0
 
     def phi(self, x):
         """The barrier value at x (+inf outside the bounds) and the gaps of x."""
@@ -252,7 +251,7 @@ class BarrierTerms:
         compl = 0.0
         min_gaps = [np.inf, np.inf]
         for (i, _, sign, which), gap in zip(self._sides, gaps[0]):
-            zm = (self.z.zl, self.z.zu)[which][i]
+            zm = self.z[which][i]
             g_phi = _full((-sign * mu) / gap, i, n, g_phi)
             theta = _full(np.minimum(zm / gap, KAPPA_BAR), i, n, theta)
             compl += float(((gap * zm - mu) ** 2).sum())

@@ -29,7 +29,7 @@ def _tiny_config(**kw):
     return cfg
 
 
-ALL_SOLVERS = ["R2", "TRDH", "TR-R2", "RIPM-R2", "RIPMDH", "RIPM-R2-p", "RIPMDH-p"]
+ALL_SOLVERS = list(bench.SOLVER_NAMES)
 
 
 def test_budget_one_all_solvers():
@@ -519,11 +519,10 @@ def test_config_error_comes_before_the_first_solve(monkeypatch):
 def test_every_listed_option_is_taken():
     # each (solver, option) pair of the table, at the default of the solve
     # that run_solver calls, is a keyword of that solve, and runs
-    solves = {"R2": bench.r2_solve, "TRDH": bench.tr_solve, "TR-R2": bench.tr_solve}
     inst = bench.problems.build("bpdn", 0, m=10, n=24, n_spikes=3)
     assert sum(len(names) for names in SOLVER_OPTIONS.values()) == 15
     for name, names in SOLVER_OPTIONS.items():
-        params = inspect.signature(solves.get(name, bench.outer_solve)).parameters
+        params = inspect.signature(getattr(bench, bench.SOLVERS[name].solve)).parameters
         for option in sorted(names):
             assert params[option].kind is inspect.Parameter.KEYWORD_ONLY, (name, option)
             rep = run_solver(name, inst, 3, {option: params[option].default})
@@ -719,7 +718,7 @@ def test_trdh_runs_the_operator_of_solver_options(monkeypatch):
         def __init__(self, n):
             built.append(n)
             super().__init__(n)
-    monkeypatch.setattr(bench, "SpectralDiag", Counted)
+    monkeypatch.setitem(bench.SOLVERS, "TRDH", bench.SOLVERS["TRDH"]._replace(qn=Counted))
     assert solver_options("TRDH", "bpdn", {})[1] is Counted
     rep = run_solver("TRDH", problems.build("bpdn", 0, m=10, n=24, n_spikes=3), 300)
     assert built == [24] and rep.error is None

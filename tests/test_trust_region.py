@@ -194,7 +194,7 @@ def test_the_loop_hands_its_product_to_the_update(monkeypatch, solver):
             checked.append(ok)
             return ok
 
-    monkeypatch.setattr(bench, "LSR1", Checked)
+    monkeypatch.setitem(bench.SOLVERS, solver, bench.SOLVERS[solver]._replace(qn=Checked))
     inst = problems.build("bpdn", 0, m=40, n=96, n_spikes=3)
     rep = bench.run_solver(solver, inst, 1000)
     assert rep.error is None and sum(checked) > 5
