@@ -10,15 +10,17 @@ passes: trial points are restricted to the box of points
 
 and the quadratic model adds the barrier gradient and the capped barrier
 curvature Theta = min(z / gap, kappa_bar) summed over bounded sides to the
-quasi-Newton operator B.  `outer_solve` builds one `BarrierTerms` per
-solve, sets its mu for each stage and reads the duals, mu and measure back
-from it; the loop carries none, and hands back the gaps that `phi` formed.
-A stage that stalls at entry ends "stalled" with crit inf: it never measured.
-The duals start at 1 and `BarrierTerms.accept` updates them: a linearized
-complementarity update projected into a safeguard interval, so they stay
-strictly positive.  The measure follows h: the primal one, based on the
-barrier gradient, for the nonconvex l0 penalty, and the Lagrangian one,
-based on grad f - zl + zu, for a convex h.
+quasi-Newton operator B.  `BarrierTerms` forms every barrier quantity of
+a point itself: `phi` the gaps and phi_mu, which `barrier_value` shares,
+`at` the model terms and `accept` the dual update.  `outer_solve` builds one
+`BarrierTerms` per solve, sets its mu for each stage and reads the duals, mu
+and measure back from it; the loop carries none, and hands back the gaps
+that `phi` formed.  A stage that stalls at entry ends "stalled" with crit
+inf: it never measured.  The duals start at 1 and `accept` updates them: a
+linearized complementarity update projected into a safeguard interval, so
+they stay strictly positive.  The measure follows h: the primal one, based
+on the barrier gradient, for the nonconvex l0 penalty, and the Lagrangian
+one, based on grad f - zl + zu, for a convex h.
 
 Each barrier quantity is one formula over the sides of the bounds.  A side
 is an index i of its finite components, its bound b[i], a sign, +1 on the
@@ -120,58 +122,21 @@ def _full(values, i, n: int, total=None):
     return total
 
 
-def _gaps(x, sides):
-    """The gaps of x on each side, and whether every gap is positive (x strictly interior)."""
+def _phi(mu: float, x, sides):
+    """The barrier value at x (+inf outside the bounds) and the gaps of x: a
+    tuple of each side's gaps, and whether every gap is positive."""
     gaps = tuple(_gap(x, side) for side in sides)
-    return gaps, not any((g <= 0.0).any() for g in gaps)
-
-
-def _barrier(mu: float, gaps) -> float:
-    """The barrier formula of `barrier_value`, from the gaps of `_gaps`."""
-    gaps, interior = gaps
-    if not interior:
-        return np.inf
+    if any((g <= 0.0).any() for g in gaps):
+        return np.inf, (gaps, False)
     val = 0.0
     for g in gaps:
         val -= mu * float(np.log(g).sum())
-    return val
+    return val, (gaps, True)
 
 
 def barrier_value(mu: float, x, bounds: Box) -> float:
     """-mu * sum log(gaps) over finite bounds; +inf encodes infeasibility."""
-    return _barrier(mu, _gaps(x, _sides(bounds)))
-
-
-def _dual_update(sides, gaps_old, gaps_new, z_old: DualEstimate, s, mu) -> DualEstimate:
-    """Linearized complementarity update projected into the safeguard interval.
-
-    From the gaps of `_gaps` at the old and the new point: per side, z_hat =
-    mu/gap - (z/gap) sign s is clipped to [KAPPA_ZUL * min(1, z, mu/gap_new),
-    max(KAPPA_ZUU, z, KAPPA_ZUU/mu, KAPPA_ZUU * mu/gap_new)] on the finite
-    components; the others get z = 0.
-    """
-    if not (gaps_old[1] and gaps_new[1]):
-        raise BoundaryPoint("dual update needs strictly interior points")
-    n = s.size
-    z_new = [None, None]
-    # min and max are exact, so the scalar bounds are merged first and the
-    # vector terms formed in place, with the bits of the formula above
-    hi_scalar = max(KAPPA_ZUU, KAPPA_ZUU / mu)
-    for (i, _, sign, which), g_old, g_new in zip(sides, gaps_old[0], gaps_new[0]):
-        zm = z_old[which][i]
-        zhat = np.divide(zm, g_old)
-        zhat *= sign * s[i]
-        np.subtract(mu / g_old, zhat, out=zhat)
-        lo = np.divide(mu, g_new)
-        np.minimum(lo, zm, out=lo)
-        np.minimum(lo, 1.0, out=lo)
-        lo *= KAPPA_ZUL
-        hi = np.divide(KAPPA_ZUU * mu, g_new)
-        np.maximum(hi, zm, out=hi)
-        np.maximum(hi, hi_scalar, out=hi)
-        np.maximum(zhat, lo, out=zhat)
-        z_new[which] = _full(np.minimum(zhat, hi, out=zhat), i, n)
-    return DualEstimate(*(np.zeros(n) if z is None else z for z in z_new))
+    return _phi(mu, x, _sides(bounds))[0]
 
 
 def fraction_to_boundary_box(min_gaps, bounds: Box) -> Box:
@@ -238,8 +203,7 @@ class BarrierTerms:
 
     def phi(self, x):
         """The barrier value at x (+inf outside the bounds) and the gaps of x."""
-        gaps = _gaps(x, self._sides)
-        return _barrier(self.mu, gaps), gaps
+        return _phi(self.mu, x, self._sides)
 
     def at(self, x, gx, gaps):
         if not gaps[1]:
@@ -269,8 +233,35 @@ class BarrierTerms:
         return True
 
     def accept(self, gaps, gaps_t, s) -> None:
-        """Update z on the step s from the point of ``gaps`` to that of ``gaps_t``."""
-        self.z = _dual_update(self._sides, gaps, gaps_t, self.z, s, self.mu)
+        """Update z on the step s from the point of ``gaps`` to that of ``gaps_t``.
+
+        The linearized complementarity update projected into the safeguard
+        interval: per side, z_hat = mu/gap - (z/gap) sign s is clipped to
+        [KAPPA_ZUL * min(1, z, mu/gap_t), max(KAPPA_ZUU, z, KAPPA_ZUU/mu,
+        KAPPA_ZUU * mu/gap_t)] on the finite components; the others get z = 0.
+        """
+        if not (gaps[1] and gaps_t[1]):
+            raise BoundaryPoint("dual update needs strictly interior points")
+        n, mu = s.size, self.mu
+        z_new = [None, None]
+        # min and max are exact, so the scalar bounds are merged first and the
+        # vector terms formed in place, with the bits of the formula above
+        hi_scalar = max(KAPPA_ZUU, KAPPA_ZUU / mu)
+        for (i, _, sign, which), g_old, g_new in zip(self._sides, gaps[0], gaps_t[0]):
+            zm = self.z[which][i]
+            zhat = np.divide(zm, g_old)
+            zhat *= sign * s[i]
+            np.subtract(mu / g_old, zhat, out=zhat)
+            lo = np.divide(mu, g_new)
+            np.minimum(lo, zm, out=lo)
+            np.minimum(lo, 1.0, out=lo)
+            lo *= KAPPA_ZUL
+            hi = np.divide(KAPPA_ZUU * mu, g_new)
+            np.maximum(hi, zm, out=hi)
+            np.maximum(hi, hi_scalar, out=hi)
+            np.maximum(zhat, lo, out=zhat)
+            z_new[which] = _full(np.minimum(zhat, hi, out=zhat), i, n)
+        self.z = DualEstimate(*(np.zeros(n) if z is None else z for z in z_new))
 
 
 def measure_mode(h) -> str:

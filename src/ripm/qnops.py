@@ -54,7 +54,7 @@ class LSR1:
     def __init__(self, n: int):
         self.n = int(n)
         self.memory = MEMORY
-        self.pairs: deque = deque()
+        self.pairs: deque = deque(maxlen=self.memory)  # the oldest pair is evicted
         self._rows = np.empty((self.memory, self.n))
         self._signs = np.empty(self.memory)
         self._k = 0
@@ -100,8 +100,6 @@ class LSR1:
         if self._row(s, y, bs) is None:
             return False
         self.pairs.append((s.copy(), y.copy()))
-        if len(self.pairs) > self.memory:
-            self.pairs.popleft()
         self._rebuild()
         self._norm_cache = None
         return True

@@ -154,12 +154,9 @@ class SolverReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SolverReport":
-        """Report of saved fields ``d``; x is empty, since it is not saved.
-
-        A file saved before the certificate was reported reads it as NaN.
-        """
-        saved = {name: d[name] for name in cls.SAVED if name != "certificate"}
-        return cls(x=np.empty(0), certificate=d.get("certificate", np.nan), **saved)
+        """Report of saved fields ``d``, which holds every key of SAVED; x is
+        empty, since it is not saved."""
+        return cls(x=np.empty(0), **{name: d[name] for name in cls.SAVED})
 
 
 def evaluate_start(smooth, h, x):

@@ -23,13 +23,13 @@ where the ratio test reads it: a trial whose model decrease is not
 positive gets rho = -inf, the unsuccessful step of TR, without a value, and
 a trial equal to the last point valued keeps the f it had, so the
 objective's n_f counts only values that a decision reads.  Once Delta
-falls below eps (1 + ||x||_inf), with eps the machine epsilon EPS_MACH, the
-box around x rounds to x in its largest components: neither a trial point
-nor the measure can resolve a step there, so the loop stops as stalled
-before it measures.  Once the objective's budget allows no evaluation, the
-loop measures at x and tests the tolerance, then stops before it builds a
-trial point whose value the budget would refuse: for a subsolve step that
-is a whole R2 solve.
+falls below `stall_radius`, eps (1 + ||x||_inf) with eps the machine
+epsilon EPS_MACH, the box around x rounds to x in its largest components:
+neither a trial point nor the measure can resolve a step there, so the
+loop stops as stalled before it measures.  Once the objective's budget
+allows no evaluation, the loop measures at x and tests the tolerance, then
+stops before it builds a trial point whose value the budget would refuse:
+for a subsolve step that is a whole R2 solve.
 
 The loop keeps the hot-path rule of `regprox`: no `np.clip`, no
 function-form `np.any`/`np.all` and no `np.linalg.norm` in code that runs
@@ -101,6 +101,11 @@ def update_radius(delta: float, rho: float) -> float:
     if rho >= ETA1:
         return min(delta, DELTA_MAX)
     return max(GAMMA2 * delta, 1e-30)
+
+
+def stall_radius(x) -> float:
+    """eps (1 + ||x||_inf): below this radius the box around x rounds to x."""
+    return EPS_MACH * (1.0 + float(np.abs(x).max()))
 
 
 class ShiftedBounds:
@@ -184,7 +189,7 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
     for j in range(max_iter + 1):
         if terms is None:
             terms = cons.at(x, gx, gaps)
-            stall = EPS_MACH * (1.0 + float(np.abs(x).max()))
+            stall = stall_radius(x)
             theta_max = float(terms[1].max())
         if delta < stall:
             status = "stalled"

@@ -10,28 +10,25 @@ n_grad, n_prox, f, h/lambda, termination, criticality, sum of x); the last
 line is the sha256 of all of them, followed by whether it matches EXPECTED;
 on a mismatch the script exits 1.  With --against and the saved output of
 an earlier run, it also prints each row that moved, as old → new, before the
-digest.  Two checkouts that print the same digest
-behave the same, bit for bit, on the grid:
+digest.  Two checkouts that print the same digest behave the same, bit for
+bit, on the grid:
 
 - bpdn, seeds 0-5, every solver, budget 1000;
 - qp and nnmf at their default sizes, every solver, budget 200;
 - fh at its default size, R2, TRDH, TR-R2, RIPM-R2 and RIPMDH, budget 300;
 - qp at `problems.PAPER_SCALE`, every solver, budget 30.
 
-BLAS runs on one thread, so that no sum depends on the thread count.  The
-whole grid takes about 20 s on one core of a 2-core Xeon host.
+Each row runs as a `ripm-bench` config through `bench.run_config`, with BLAS
+on one thread (see `gridrun`).  The whole grid takes about 20 s on one core
+of a 2-core Xeon host.
 """
 import argparse
 import hashlib
-import os
 import sys
 from pathlib import Path
 
-for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[var] = "1"
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
-from ripm import bench, problems  # noqa: E402
+import gridrun  # first: it pins BLAS to one thread before numpy loads
+from ripm import bench, problems
 
 # the digest of the grid at the last change that moved a counter or a final value
 EXPECTED = "3472918ed78d55267447f6bf24d8e642889e0eeef0c97e067585390e11ebf5f8"
@@ -42,9 +39,9 @@ GRID = ([("bpdn", seed, {}, ALL, 1000) for seed in range(6)]
            ("qp", 0, problems.PAPER_SCALE["qp"], ALL, 30)])
 
 
-def _key(line: str) -> str:
-    """The (family, seed, solver, budget) prefix that names a row."""
-    return ", ".join(line.split(", ", 4)[:4])
+def _key(line: str):
+    """The (family, seed, solver, budget) prefix that names a row, or None for another line."""
+    return ", ".join(line.split(", ", 4)[:4]) if line.startswith("(") else None
 
 
 def main(argv=None) -> int:
@@ -52,28 +49,18 @@ def main(argv=None) -> int:
     parser.add_argument("--against", type=Path, default=None,
                         help="saved output of an earlier run, to list the rows that moved")
     args = parser.parse_args(argv)
-    old = None
-    if args.against is not None:
-        old = {_key(line): line for line in args.against.read_text().splitlines()
-               if line.startswith("(")}
+    saved = None if args.against is None else gridrun.saved_rows(args.against, _key)
     lines = []
-    digest = hashlib.sha256()
-    for family, seed, params, solvers, budget in GRID:
-        instance = problems.build(family, seed, **params)
-        for name in solvers:
-            rep = bench.run_solver(name, instance, budget)
-            line = repr((family, seed, name, budget, rep.n_f, rep.n_grad, rep.n_prox, rep.f,
+    for row in GRID:
+        family, seed, _, _, budget = row
+        for rep in bench.run_config(gridrun.row_config(*row))[1]:
+            line = repr((family, seed, rep.solver, budget, rep.n_f, rep.n_grad, rep.n_prox, rep.f,
                          rep.h_over_lam, rep.termination, rep.criticality, float(rep.x.sum())))
             print(line, flush=True)
             lines.append(line)
-            digest.update(line.encode() + b"\n")
-    if old is not None:
-        moved = [(old.get(_key(line), "(no saved row)"), line) for line in lines
-                 if old.get(_key(line)) != line]
-        print(f"{len(moved)} of {len(lines)} rows moved against {args.against}")
-        for before, after in moved:
-            print(f"{before}\n  → {after}")
-    got = digest.hexdigest()
+    if saved is not None:
+        gridrun.print_moved(lines, saved, _key, args.against)
+    got = hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
     print(got)
     if got != EXPECTED:
         print(f"digest mismatch: got {got}, expected {EXPECTED}")

@@ -23,7 +23,7 @@ status contract:
 - `converged`: r̄ ≤ τ r̄(x0), counted at τ = 1e-3 and 1e-2; a row above
   1e-3 breaks the contract;
 - `stalled`: the radius after the last record, ``delta_after``, is below
-  ε_mach (1 + ‖x‖∞) at the returned x;
+  ε_mach (1 + ‖x‖∞) at the returned x, `trust_region.stall_radius`;
 - `budget`: n_f is within one of the budget;
 - the row of `bench.emit_table` prints no NaN or inf as a number.
 
@@ -32,29 +32,24 @@ rebuilds its solve (``ripm-bench run config.json --output-dir DIR``).  The
 summary counts the statuses and the `converged` rows above each τ, by solver
 and by the solve the solver runs.  With --against and the saved output of an
 earlier run, it also lists the rows whose status or F moved.  The script
-exits 0 once every solve has run, whatever it found.
-
-BLAS runs on one thread, so that no sum depends on the thread count.  The
-whole sweep takes about 4.5 minutes on one core of a 2-core Xeon host.
+exits 0 once every solve has run, whatever it found.  Each seed of a family
+runs as a `ripm-bench` config through `bench.run_config`, with BLAS on one
+thread (see `gridrun`); the sweep takes about 4.5 minutes on one core of a
+2-core Xeon host.
 """
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from collections import Counter
 from pathlib import Path
 
-for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[var] = "1"
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
-import numpy as np  # noqa: E402
-
-from ripm import bench, problems  # noqa: E402
-from ripm.report import BUDGET, CONVERGED, MAX_ITER, ORACLE_FAILURE, STALLED  # noqa: E402
-from ripm.trust_region import EPS_MACH  # noqa: E402
+import gridrun  # first: it pins BLAS to one thread before numpy loads
+import numpy as np
+from ripm import bench
+from ripm.report import BUDGET, CONVERGED, MAX_ITER, ORACLE_FAILURE, STALLED
+from ripm.trust_region import stall_radius
 
 SWEEP_BUDGET = 2000
 FAMILIES = (("qp", {"n": 40, "p": 0.1}), ("bpdn", {"m": 20, "n": 48, "n_spikes": 3}),
@@ -92,7 +87,7 @@ def broken_clauses(rep, ratio: float, budget: int) -> list:
         diag = rep.diagnostics or {}
         records = diag.get("inner") or diag.get("iters") or ()
         radius = records[-1].get("delta_after", math.nan) if records else math.nan
-        limit = EPS_MACH * (1.0 + float(np.abs(rep.x).max()))
+        limit = stall_radius(rep.x)
         if not radius < limit:
             broken.append(f"stalled with last radius {_num(radius)}, not below {limit:.3e}")
     if rep.termination == BUDGET and abs(rep.n_f - budget) > 1:
@@ -109,9 +104,7 @@ def broken_clauses(rep, ratio: float, budget: int) -> list:
 def _key(line: str):
     """The (family, seed, solver) of a printed row, or None for another line."""
     tokens = line.split()
-    if len(tokens) == 7 and tokens[0] in dict(FAMILIES):
-        return tuple(tokens[:3])
-    return None
+    return tuple(tokens[:3]) if len(tokens) == 7 and tokens[0] in dict(FAMILIES) else None
 
 
 def _summary(rows) -> None:
@@ -141,47 +134,35 @@ def main(argv=None) -> int:
     parser.add_argument("--against", type=Path, default=None,
                         help="saved output of an earlier run, to list the rows that moved")
     args = parser.parse_args(argv)
-    old = None
-    if args.against is not None:
-        old = {_key(line): line.split() for line in args.against.read_text().splitlines()
-               if _key(line)}
+    saved = None if args.against is None else gridrun.saved_rows(args.against, _key)
     t0 = time.perf_counter()
     rows, lines, breaches = [], [], []
     for family, params in FAMILIES:
         for seed in args.seeds:
-            instance = problems.build(family, seed, **params)
+            config = gridrun.row_config(family, seed, params, bench.SOLVER_NAMES, SWEEP_BUDGET)
+            instance, reports = bench.run_config(config)
             r0 = bench.certificate(instance, instance.bounds.clamp(np.asarray(instance.x0, float)))
-            for name in bench.SOLVER_NAMES:
-                rep = bench.run_solver(name, instance, SWEEP_BUDGET)
+            for rep in reports:
                 ratio = rep.certificate / r0 if r0 > 0.0 else math.nan
-                line = (f"{family} {seed} {name} {rep.termination} {rep.n_f} "
+                line = (f"{family} {seed} {rep.solver} {rep.termination} {rep.n_f} "
                         f"{_num(rep.objective)} {_num(ratio)}")
                 print(line, flush=True)
-                rows.append((name, rep.termination, ratio))
+                rows.append((rep.solver, rep.termination, ratio))
                 lines.append(line)
-                config = {"problem": {"name": family, "seed": seed, "params": params},
-                          "solvers": [name], "budget": SWEEP_BUDGET}
-                breaches += [(line, clause, config)
+                breaches += [(line, clause, dict(config, solvers=[rep.solver]))
                              for clause in broken_clauses(rep, ratio, SWEEP_BUDGET)]
-    seconds = time.perf_counter() - t0
     print()
     _summary(rows)
     print(f"\n{len(breaches)} breaches of the status contract")
     for line, clause, config in breaches:
         print(f"{line}\n  {clause}\n  config: {json.dumps(config)}")
-    if old is not None:
-        moved = []
-        for line in lines:
-            before = old.get(_key(line))
-            now = line.split()
-            # the status (token 3) or F (token 5)
-            if before is None or (before[3], before[5]) != (now[3], now[5]):
-                moved.append((" ".join(before) if before else "(no saved row)", line))
-        print(f"\n{len(moved)} of {len(lines)} rows moved in status or F against {args.against}")
-        for before, after in moved:
-            print(f"{before}\n  → {after}")
+    if saved is not None:
+        print()
+        # a row moved when its status (token 3) or F (token 5) did
+        gridrun.print_moved(lines, saved, _key, args.against,
+                            compared=lambda line: line.split()[3:6:2], what=" in status or F")
     print(f"\n{len(lines)} solves, seeds {args.seeds.start}:{args.seeds.stop}, "
-          f"budget {SWEEP_BUDGET}, {seconds:.0f} s")
+          f"budget {SWEEP_BUDGET}, {time.perf_counter() - t0:.0f} s")
     return 0
 
 
