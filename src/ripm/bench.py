@@ -1,4 +1,4 @@
-"""Benchmark harness: run solver grids, persist reports, emit tables and traces.
+"""Benchmark harness: run solver grids, persist reports, emit tables.
 
 Config is a single JSON file:
 
@@ -41,12 +41,14 @@ is the largest residual.  The gradient is taken on `instance.smooth.fresh()`
 and is not counted, since r̄ reports and decides nothing; r̄ is NaN where
 grad f(x) cannot be formed or is not finite.
 
-CLI: ``run <config.json> [--output-dir DIR]`` solves, writes reports.json,
-table.txt and one trace_<solver>.csv per solver to DIR (default: the
-config's output_dir; a run with neither is a config error) and prints the
-table; ``table <results-dir>`` prints the table of saved results.  Exit
-codes: 0 ok, 1 config error or an output directory that cannot be written,
-2 when any solver failed hard.
+CLI: ``run <config.json> [--output-dir DIR]`` solves, writes reports.json
+to DIR (default: the config's output_dir; a run with neither is a config
+error) and prints the table; ``table <results-dir>`` prints the same table
+from the saved results.  reports.json is a run's only file: it holds the
+problem, the budget and one report per solver entry, with the options the
+solve ran with and its trace of (n_grad, f + h) pairs.  Exit codes: 0 ok,
+1 config error, an output directory that cannot be written or saved results
+that ``table`` cannot read, 2 when any solver failed hard.
 
 Run with BLAS on one thread (``OPENBLAS_NUM_THREADS=1``): on qp at
 `problems.PAPER_SCALE`, a second OpenBLAS thread doubles the CPU time of
@@ -140,7 +142,7 @@ class RunConfig:
         _reject_unknown(problem, PROBLEM_KEYS, "problem", "key")
         for entry in solvers:
             _reject_unknown(entry, SOLVER_KEYS, "a solver entry", "key")
-        budget = d.get("budget", 10_000)
+        budget = d.get("budget", cls.budget)  # the field's default
         # json reads true as a bool, which is an int, and Infinity and NaN as floats
         whole = isinstance(budget, int) or isinstance(budget, float) and budget.is_integer()
         if isinstance(budget, bool) or not whole or budget < 1:
@@ -223,7 +225,7 @@ def run_solver(name: str, instance, budget: int, overrides: dict | None = None) 
         wall_time_s=wall, termination=res.termination, trace=oracle.trace,
         dist_to_xstar=(None if instance.x_star is None
                        else float(np.linalg.norm(res.x - instance.x_star))),
-        z=res.z, diagnostics=res.diagnostics, error=error, lam=h.lam,
+        z=res.z, diagnostics=res.diagnostics, error=error, lam=h.lam, options=opts,
         certificate=np.nan if error else certificate(instance, res.x))
 
 
@@ -273,11 +275,6 @@ def run_config(config: RunConfig | dict, out_dir=None):
     return instance, reports
 
 
-def best_objective(reports) -> float:
-    vals = [r.objective for r in reports if np.isfinite(r.objective)]
-    return min(vals) if vals else np.nan
-
-
 def _fmt_stat(v: float) -> str:
     """An exact integer below 100 (an l0 count of h/λ, a zero) as itself, else ``.1e``."""
     if v is None or not np.isfinite(v):
@@ -319,30 +316,16 @@ def emit_table(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_trace_csv(report: SolverReport, best: float, path) -> Path:
-    """Two-column CSV (n_grad, objective_minus_best), LF endings, full precision."""
-    path = Path(path)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("n_grad,objective_gap\n")
-        for g, val in report.trace:
-            fh.write(f"{int(g)},{repr(float(val - best))}\n")
-    return path
-
-
 def save_results(config: RunConfig, instance, reports, out_dir) -> Path:
+    """Write the run's only file, out_dir/reports.json, and return out_dir."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    best = best_objective(reports)
     payload = {
         "problem": instance.to_config(),
         "budget": config.budget,
-        "best_objective": best,
         "reports": [r.to_dict() for r in reports],
     }
     (out / "reports.json").write_text(json.dumps(payload, indent=2))
-    (out / "table.txt").write_text(emit_table(reports))
-    for rep in reports:
-        emit_trace_csv(rep, best, out / f"trace_{rep.solver}.csv")
     return out
 
 

@@ -139,10 +139,13 @@ class SolverReport:
     error: str | None = None
     lam: float = 0.0
     certificate: float = np.nan  # r̄ at x (see `bench.certificate`), NaN if not formed
+    # the keyword settings the solve ran with, as `bench.solver_options` gave them
+    options: dict = field(default_factory=dict)
 
     # the fields `to_dict` saves to reports.json, under their own names
-    SAVED = ("solver", "f", "h_over_lam", "criticality", "certificate", "dist_to_xstar", "n_f",
-             "n_grad", "n_prox", "wall_time_s", "termination", "lam", "trace", "error")
+    SAVED = ("solver", "options", "f", "h_over_lam", "criticality", "certificate",
+             "dist_to_xstar", "n_f", "n_grad", "n_prox", "wall_time_s", "termination", "lam",
+             "trace", "error")
 
     @property
     def objective(self) -> float:

@@ -9,9 +9,8 @@ import pytest
 import ripm.bench as bench
 from helpers import CallableOracle
 from ripm import interior, oracles, problems, r2, regprox, trust_region
-from ripm.bench import (SOLVER_OPTIONS, ConfigError, RunConfig, best_objective, certificate,
-                        emit_table, emit_trace_csv, main, run_config, run_solver,
-                        solver_options)
+from ripm.bench import (SOLVER_OPTIONS, ConfigError, RunConfig, certificate, emit_table, main,
+                        run_config, run_solver, solver_options)
 from ripm.errors import OracleFailure
 from ripm.qnops import SpectralDiag
 from ripm.regprox import Box, Regularizer
@@ -298,27 +297,6 @@ def test_emit_table_row_order_matches_config():
     assert names == ["R2", "TRDH", "RIPMDH-p"]
 
 
-def test_emit_trace_csv(tmp_path):
-    rep = SolverReport(solver="X", x=np.zeros(1), f=1.0, h_over_lam=0.0,
-                       criticality=0.0, n_f=3, n_grad=3, n_prox=3,
-                       wall_time_s=0.0, termination="converged",
-                       trace=[(1, 3.0), (2, 2.5), (3, 1.0)], lam=0.0)
-    path = emit_trace_csv(rep, best=1.0, path=tmp_path / "t.csv")
-    raw = path.read_bytes().decode()
-    assert "\r" not in raw
-    lines = raw.strip().split("\n")
-    assert lines[0] == "n_grad,objective_gap"
-    assert len(lines) == 4
-    assert lines[-1] == "3,0.0"  # winner ends exactly at gap zero
-
-
-def test_best_objective():
-    cfg = _tiny_config()
-    _, reports = run_config(cfg)
-    best = best_objective(reports)
-    assert best <= min(r.objective for r in reports) + 1e-15
-
-
 def test_config_validation():
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"problem": {"name": "bpdn"}, "solvers": [{"name": "nope"}]})
@@ -339,18 +317,48 @@ def test_config_validation():
             RunConfig.from_dict(typo)
 
 
-def test_cli_run_table_trace(tmp_path):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(_tiny_config(output_dir=str(tmp_path / "out"))))
+def test_cli_run_table_trace(tmp_path, capsys):
+    # a run saves reports.json alone, and `table` prints from it what `run`
+    # printed: on bpdn, with the distance to x*, and on qp, without it
+    qp = {"name": "qp", "seed": 0, "params": {"n": 20, "p": 0.2}}
+    for problem, dist in [(_tiny_config()["problem"], True), (qp, False)]:
+        out = tmp_path / problem["name"]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_tiny_config(problem=problem, output_dir=str(out))))
+        capsys.readouterr()
+        assert main(["run", str(cfg_path)]) == 0
+        printed = capsys.readouterr().out
+        assert ("‖x-x*‖" in printed) == dist
+        assert [p.name for p in out.iterdir()] == ["reports.json"]
+        assert main(["table", str(out)]) == 0
+        assert capsys.readouterr().out == printed
+    # a rerun into the same directory leaves its own report and nothing of the first run
+    cfg_path.write_text(json.dumps(_tiny_config(problem=qp, solvers=["R2"], output_dir=str(out))))
     assert main(["run", str(cfg_path)]) == 0
-    out = tmp_path / "out"
-    assert (out / "reports.json").exists()
-    assert (out / "table.txt").exists()
-    assert (out / "trace_R2.csv").exists()
-    assert main(["table", str(out)]) == 0
+    assert [p.name for p in out.iterdir()] == ["reports.json"]
+    saved = json.loads((out / "reports.json").read_text())["reports"]
+    assert [d["solver"] for d in saved] == ["R2"]
 
 
-def test_cli_reports_no_h_over_lam_at_lam_zero(tmp_path):
+def test_a_saved_run_states_the_options_it_ran_with(tmp_path):
+    # two entries of one solver differ only in their options; the saved file
+    # alone rebuilds a config that repeats each row
+    cfg = _tiny_config(solvers=["R2", {"name": "R2", "options": {"rel_tol": 1e-8}}], budget=200)
+    config, out = RunConfig.from_dict(cfg), tmp_path / "out"
+    instance, reports = run_config(config)
+    bench.save_results(config, instance, reports, out)
+    payload = json.loads((out / "reports.json").read_text())
+    saved = [SolverReport.from_dict(d) for d in payload["reports"]]
+    assert saved[0].options != saved[1].options
+    assert saved[1].options["rel_tol"] == 1e-8
+    rebuilt = {"problem": payload["problem"], "budget": payload["budget"],
+               "solvers": [{"name": r.solver, "options": r.options} for r in saved]}
+    _, again = run_config(rebuilt)
+    assert [(r.n_f, r.n_grad, r.n_prox, r.termination) for r in again] == \
+        [(r.n_f, r.n_grad, r.n_prox, r.termination) for r in saved]
+
+
+def test_cli_reports_no_h_over_lam_at_lam_zero(tmp_path, capsys):
     # b = 0 gives lam = ||A^T b||_inf / 10 = 0, where h(x)/lam is undefined: the
     # table prints "-" and reports.json keeps NaN
     cfg = _tiny_config(problem={"name": "bpdn", "params": {"m": 10, "n": 24, "n_spikes": 0,
@@ -359,8 +367,9 @@ def test_cli_reports_no_h_over_lam_at_lam_zero(tmp_path):
                        output_dir=str(tmp_path / "out"))
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
+    capsys.readouterr()
     assert main(["run", str(cfg_path)]) == 0
-    header, *rows = (tmp_path / "out" / "table.txt").read_text().splitlines()
+    header, *rows = capsys.readouterr().out.splitlines()
     col = header.split().index("h(x)/λ")
     assert len(rows) == 2 and all(row.split()[col] == "-" for row in rows)
     payload = json.loads((tmp_path / "out" / "reports.json").read_text())
@@ -476,6 +485,7 @@ def test_override_replaces_harness_default(name, overrides):
     cfg = _tiny_config(solvers=[{"name": name, "options": overrides}])
     _, (rep,) = run_config(cfg)
     assert rep.termination != ORACLE_FAILURE, rep.error
+    assert rep.options == opts
 
 
 @pytest.mark.parametrize("name,overrides", [
@@ -556,18 +566,18 @@ def _write_reports_with_old_keys(path):
     (path / "reports.json").write_text(json.dumps({"reports": [old]}))
 
 
-def _write_reports_without_certificate(path):
-    """reports.json as it was saved before the certificate r̄ was reported."""
+def _write_reports_without(path, key):
+    """reports.json as it was saved before ``key`` was reported."""
     path.mkdir()
     rep = SolverReport(solver="R2", x=np.zeros(1), f=1.0, h_over_lam=0.0, criticality=0.0,
                        n_f=1, n_grad=1, n_prox=1, wall_time_s=0.0, termination="converged")
     saved = rep.to_dict()
-    del saved["certificate"]
+    del saved[key]
     (path / "reports.json").write_text(json.dumps({"reports": [saved]}))
 
 
 @pytest.mark.parametrize("case", ["table_missing", "table_old_keys", "table_no_certificate",
-                                  "table_empty", "budget", "budget_true", "budget_fraction",
+                                  "table_no_options", "table_empty", "budget", "budget_true", "budget_fraction",
                                   "budget_infinite", "output_dir_number", "solver_entry",
                                   "solvers_empty", "options_list", "problem_string",
                                   "problem_empty", "output_dir_missing", "output_dir_is_a_file",
@@ -598,8 +608,8 @@ def test_cli_malformed_input_exits_1(tmp_path, capsys, monkeypatch, case):
     elif case == "table_old_keys":
         _write_reports_with_old_keys(results)
         argv = ["table", str(results)]
-    elif case == "table_no_certificate":
-        _write_reports_without_certificate(results)
+    elif case in ("table_no_certificate", "table_no_options"):
+        _write_reports_without(results, case.removeprefix("table_no_"))
         argv = ["table", str(results)]
     elif case == "table_empty":
         results.mkdir()
