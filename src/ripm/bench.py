@@ -44,11 +44,13 @@ grad f(x) cannot be formed or is not finite.
 CLI: ``run <config.json> [--output-dir DIR]`` solves, writes reports.json
 to DIR (default: the config's output_dir; a run with neither is a config
 error) and prints the table; ``table <results-dir>`` prints the same table
-from the saved results.  reports.json is a run's only file: it holds the
-problem, the budget and one report per solver entry, with the options the
-solve ran with and its trace of (n_grad, f + h) pairs.  Exit codes: 0 ok,
-1 config error, an output directory that cannot be written or saved results
-that ``table`` cannot read, 2 when any solver failed hard.
+from the saved results.  A row is labelled by its solver, followed by the
+options that differ from the solver's harness defaults on the problem's
+family, as in ``R2[rel_tol=1e-08]``.  reports.json is a run's only file: it
+holds the problem, the budget and one report per solver entry, with the
+options the solve ran with and its trace of (n_grad, f + h) pairs.  Exit
+codes: 0 ok, 1 config error, an output directory that cannot be written or
+saved results that ``table`` cannot read, 2 when any solver failed hard.
 
 Run with BLAS on one thread (``OPENBLAS_NUM_THREADS=1``): on qp at
 `problems.PAPER_SCALE`, a second OpenBLAS thread doubles the CPU time of
@@ -289,8 +291,18 @@ def _width(cell: str) -> int:
     return sum(not unicodedata.combining(ch) for ch in cell)
 
 
-def emit_table(reports) -> str:
-    """Fixed-width statistics table, one row per solver in config order."""
+def _label(report, family: str) -> str:
+    """The solver's name, and the options that differ from its harness defaults
+    on the problem ``family`` (see `solver_options`), as ``R2[rel_tol=1e-08]``."""
+    defaults = solver_options(report.solver, family, {})[0]
+    moved = [f"{key}={value!r}" for key, value in report.options.items()
+             if defaults.get(key) != value]
+    return f"{report.solver}[{','.join(moved)}]" if moved else report.solver
+
+
+def emit_table(reports, family: str) -> str:
+    """Fixed-width statistics table of runs on a problem ``family``, one row per
+    report in config order, each labelled as `_label` names it."""
     if not reports:
         raise ValueError("no reports")
     with_dist = any(r.dist_to_xstar is not None for r in reports)
@@ -300,7 +312,7 @@ def emit_table(reports) -> str:
     headers += ["#f", "#∇f", "#prox", "t(s)"]
     rows = []
     for r in reports:
-        row = [r.solver,
+        row = [_label(r, family),
                f"{r.f:.2e}" if np.isfinite(r.f) else "-",
                _fmt_stat(r.h_over_lam),
                _fmt_stat(r.criticality),
@@ -343,7 +355,8 @@ def main(argv=None) -> int:
     if args.command == "table":
         try:
             payload = json.loads((args.results_dir / "reports.json").read_text())
-            table = emit_table([SolverReport.from_dict(d) for d in payload["reports"]])
+            table = emit_table([SolverReport.from_dict(d) for d in payload["reports"]],
+                               payload["problem"]["name"])
         except (OSError, KeyError, TypeError, ValueError) as exc:
             print(f"cannot read results: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 1
@@ -364,7 +377,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cannot save results: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    sys.stdout.write(emit_table(reports))
+    sys.stdout.write(emit_table(reports, instance.name))
     return 2 if any(r.termination == ORACLE_FAILURE for r in reports) else 0
 
 

@@ -15,8 +15,9 @@ a point itself: `phi` the gaps and phi_mu, which `barrier_value` shares,
 `at` the model terms and `accept` the dual update.  `outer_solve` builds one
 `BarrierTerms` per solve, sets its mu for each stage and reads the duals, mu
 and measure back from it; the loop carries none, and hands back the gaps
-that `phi` formed.  A stage that stalls at entry ends "stalled" with crit
-inf: it never measured.  The duals start at 1 and `accept` updates them: a
+that `phi` formed.  `outer_solve` also hands each stage its start radius,
+and ends the solve before a stage that would start below the radius x can
+resolve.  The duals start at 1 and `accept` updates them: a
 linearized complementarity update projected into a safeguard interval, so
 they stay strictly positive.  The measure follows h: the primal one, based
 on the barrier gradient, for the nonconvex l0 penalty, and the Lagrangian
@@ -59,7 +60,7 @@ from .errors import BoundaryPoint
 from .r2 import r2_solve  # noqa: F401
 from .regprox import L0, Box, intersect_boxes  # noqa: F401
 from .report import BUDGET, CONVERGED, MAX_ITER, STALLED, TR_RECORD, IterLog, SolveResult
-from .trust_region import DELTA_MAX, InnerResult, tr_iterate
+from .trust_region import DELTA_MAX, InnerResult, stall_radius, tr_iterate
 
 MODE_CP = "cp"
 MODE_LAGRANGIAN = "lagrangian"
@@ -270,22 +271,19 @@ def measure_mode(h) -> str:
 
 
 def inner_solve(smooth, h, barrier: BarrierTerms, qn, x, fx: float, hx: float, gx,
-                eps_d_rel: float, records: IterLog) -> InnerResult:
-    """Approximately minimize f + phi_mu + h from a strictly interior x.
+                delta0: float, eps_d_rel: float, records: IterLog) -> InnerResult:
+    """Approximately minimize f + phi_mu + h from a strictly interior x, at radius delta0.
 
-    f(x), h(x) and grad f(x) are given; ``barrier`` holds mu and the dual
-    estimate at x, which it updates in place.  The stage starts at radius
-    min(DELTA0_FACTOR * mu, DELTA_MAX) and ends with "tol" once the measure
+    f(x), h(x) and grad f(x) are given; ``barrier`` holds mu and the dual estimate
+    at x, which it updates in place.  The stage ends with "tol" once the measure
     of the barrier's mode (`measure_mode`) falls below eps_k + eps_d_rel *
     (measure at entry) and the complementarity residual below eps_k =
-    mu**EPS_EXPONENT, with "budget" once the budget allows no evaluation,
-    with "cap" after INNER_CAP iterations, or with "stalled" once the radius
+    mu**EPS_EXPONENT, with "budget" once the budget allows no evaluation, with
+    "cap" after INNER_CAP iterations, or with "stalled" once the radius
     collapses to the rounding of x; each iteration is a row of ``records``.
     """
-    mu = barrier.mu
-    eps_k = mu**EPS_EXPONENT
-    return tr_iterate(smooth, h, barrier, qn, x, fx, hx, gx, min(DELTA0_FACTOR * mu, DELTA_MAX),
-                      max_iter=INNER_CAP, abs_tol=eps_k, rel_tol=eps_d_rel, records=records)
+    return tr_iterate(smooth, h, barrier, qn, x, fx, hx, gx, delta0, max_iter=INNER_CAP,
+                      abs_tol=barrier.mu**EPS_EXPONENT, rel_tol=eps_d_rel, records=records)
 
 
 def outer_solve(smooth, h, bounds: Box, qn, x, fx: float, hx: float, gx, *,
@@ -313,9 +311,11 @@ def outer_solve(smooth, h, bounds: Box, qn, x, fx: float, hx: float, gx, *,
     the budget would refuse is not valued.
 
     The status says which limit stopped the loop: BUDGET when a stage ran
-    out of evaluations, STALLED after a stage that stalled at entry, and
-    MAX_ITER after MAX_OUTER stages.  The crossover uses the mu of the last
-    stage run.
+    out of evaluations, STALLED when the next stage's start radius
+    min(DELTA0_FACTOR mu, DELTA_MAX) is below `trust_region.stall_radius(x)`
+    (it counts in "stages", and every later one would start smaller still),
+    and MAX_ITER after MAX_OUTER stages.  The crossover uses the mu of the
+    last stage counted; crit is the last measure taken, inf if none ran.
     """
     if not np.isfinite(barrier_value(mu_init, x, bounds)):
         raise BoundaryPoint("outer solve requires a strictly interior start")
@@ -323,28 +323,24 @@ def outer_solve(smooth, h, bounds: Box, qn, x, fx: float, hx: float, gx, *,
     records = IterLog(TR_RECORD)  # the inner iterations of every stage
     mu = mu_init
     barrier = BarrierTerms(bounds, mu, measure_mode(h))
-    status, eps_glob, n_prox0 = MAX_ITER, None, h.n_prox
+    status, crit, eps_glob, n_prox0 = MAX_ITER, np.inf, None, h.n_prox
     with smooth.held_back():
         for stages in range(1, MAX_OUTER + 1):
-            barrier.mu = mu
-            res = inner_solve(smooth, h, barrier, qn, x, fx, hx, gx, eps_ri, records)
-            x, fx, hx, gx = res.x, res.fx, res.hx, res.gx
+            barrier.mu, delta0 = mu, min(DELTA0_FACTOR * mu, DELTA_MAX)
+            if delta0 < stall_radius(x):
+                status = STALLED
+                break
+            res = inner_solve(smooth, h, barrier, qn, x, fx, hx, gx, delta0, eps_ri, records)
+            x, fx, hx, gx, crit = res.x, res.fx, res.hx, res.gx, res.crit
             if eps_glob is None:
                 eps_glob = EPS_A + eps_r * res.measure0
             if res.status == "budget":
                 status = BUDGET
                 break
-            # a stage that stalls at entry (crit is inf: it never measured)
-            # leaves x and z as they were, and every later stage starts at a
-            # smaller radius, so it would stall as well
-            if res.status == "stalled" and res.crit == np.inf:
-                status = STALLED
-                break
-            # declare convergence only off a genuine tolerance exit: a cap exit
-            # may report a measure that cancellation drove to 0, and a stalled
-            # stage measured nothing at its collapsed radius
+            # convergence only off a tolerance exit: a cap exit may report a measure that
+            # cancellation drove to 0, and a stall exit one taken before the radius collapsed
             if (res.status == "tol" and mu < eps_glob
-                    and res.compl < eps_glob and res.crit < eps_glob):
+                    and res.compl < eps_glob and crit < eps_glob):
                 status = CONVERGED
                 break
             mu *= MU_FACTOR
@@ -358,9 +354,9 @@ def outer_solve(smooth, h, bounds: Box, qn, x, fx: float, hx: float, gx, *,
         f_cross, h_cross = (smooth.value(x_cross), h.value(x_cross)) if moved else (fx, hx)
         if f_cross + h_cross <= fx + hx:
             x, z, fx, hx = x_cross, z_cross, f_cross, h_cross
-            smooth.trace.append((smooth.n_grad, fx + hx))
+            smooth.mark(fx + hx)
             cross_info["applied"] = True
 
-    return SolveResult(x, fx, hx, res.crit, h.n_prox - n_prox0, status,
+    return SolveResult(x, fx, hx, crit, h.n_prox - n_prox0, status,
                        {"inner": records, "crossover": cross_info, "mode": barrier.mode,
                         "stages": stages}, z=z)

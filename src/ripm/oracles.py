@@ -11,7 +11,7 @@ not.  A value refused by the budget computes nothing and leaves the kept
 point as it was, and `fresh` keeps nothing.  The work is the same function
 of x whether or not it was kept, so every result is the same bit for bit.
 `fresh` makes the view `bench.run_solver` hands a solve, which also holds
-the solve's ``trace`` (see `report`).
+the solve's ``trace``; `SmoothOracle.mark` writes its every row.
 
 A quadratic model (`QuadModelOracle`) is never valued at a point: it moves
 a gradient that its caller holds along steps, in closed form.
@@ -63,6 +63,10 @@ class SmoothOracle:
     def grad(self, x: np.ndarray) -> np.ndarray:
         self.n_grad += 1
         return self._grad(x)
+
+    def mark(self, F: float) -> None:
+        """Append the trace row (n_grad so far, F), F = f + h at the solve's point."""
+        self.trace.append((self.n_grad, F))
 
     def evals_left(self) -> float:
         """Objective evaluations the budget still allows (inf without a budget)."""

@@ -84,7 +84,7 @@ def r2_solve(smooth, reg, box: Box, x, fx: float, hx: float, gx, *, max_iter: in
     tolerance abs_tol + rel_tol * (measure at x), BUDGET once the budget
     allows no value at the next trial, and MAX_ITER after ``max_iter``
     iterations; a model has no budget, so a subsolve ends on one of the
-    others.  Accepted points append (n_grad, f + h) to ``smooth.trace``, and
+    others.  Each accepted point is a trace row (``smooth.mark``), and
     n_prox is how far ``reg.n_prox`` moved during the solve.
     """
     model = hasattr(smooth, "curvature")
@@ -116,7 +116,7 @@ def r2_solve(smooth, reg, box: Box, x, fx: float, hx: float, gx, *, max_iter: in
         if rho >= ETA1:
             gx = smooth.grad_after(gx, products) if model else smooth.grad(u)
             x, fx, hx = u, f_trial, h_trial
-            smooth.trace.append((smooth.n_grad, fx + hx))
+            smooth.mark(fx + hx)
             if rho >= ETA2:
                 sigma = max(SIGMA_MIN, GAMMA_DEC * sigma)
         else:

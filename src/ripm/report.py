@@ -3,14 +3,16 @@
 A solver starts from x with f(x), h(x) and grad f(x), which `evaluate_start`
 forms, and returns a `SolveResult`.  `bench.run_solver` alone builds a
 `SolverReport`, from that result and the solve's two views: its oracle,
-which counts f and grad f and holds the ``trace`` the solve extends, and its
-copy of h, on which the prox kernel counts, so a solve that raises keeps
-its counts.  The R2 subsolve of the trust-region loop is never reported.
+which counts f and grad f and holds the ``trace``, whose every row
+`oracles.SmoothOracle.mark` writes, and its copy of h, on which the prox
+kernel counts, so a solve that raises keeps its counts.  The R2 subsolve of
+the trust-region loop is never reported.
 
-A termination says which limit stopped the run: CONVERGED (the
-tolerance), BUDGET (the objective-evaluation budget), MAX_ITER (the
-iteration cap, or the stage cap of the barrier loop), STALLED (the trust
-radius collapsed to the rounding of x) or ORACLE_FAILURE.
+A termination says which limit stopped the run: CONVERGED (the tolerance),
+BUDGET (the objective-evaluation budget), MAX_ITER (the iteration cap, or the
+stage cap of the barrier loop), STALLED or ORACLE_FAILURE.  STALLED means that
+the trust radius collapsed to the rounding of x (TR and TRDH), or that the
+next barrier stage would start below the radius x can resolve (RIPM).
 
 A solve keeps one record per iteration in an `IterLog`, a flat store of
 one schema: `TR_RECORD` for the trust-region loop, alone or in the barrier
@@ -167,5 +169,5 @@ def evaluate_start(smooth, h, x):
     fx = smooth.value(x)
     hx = h.value(x)
     gx = smooth.grad(x)
-    smooth.trace.append((smooth.n_grad, fx + hx))
+    smooth.mark(fx + hx)
     return fx, hx, gx

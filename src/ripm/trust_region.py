@@ -161,13 +161,11 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
     (measure at entry) and the complementarity residual below abs_tol, with
     "cap" after ``max_iter`` steps, measuring once more at the final point,
     and with "stalled" once Delta < eps (1 + ||x||_inf), before measuring at
-    that radius: crit is then the last measure taken, inf exactly when none
-    was, since a measure is finite wherever grad f is; `interior.outer_solve`
-    relies on that to tell a stage that stalled at entry.  It
+    that radius: crit is then the last measure taken, inf when none was.  It
     stops with "budget" when ``smooth.evals_left()`` is 0 after it has
     measured at x and tested the tolerance, before it builds the cap box and
     the trial point, whose value the budget would refuse; crit and compl are
-    then those of x.  Accepted points append (n_grad, f + h) to ``smooth.trace``.
+    then those of x.  Each accepted point is a trace row (``smooth.mark``).
 
     f is asked at a trial point only if its model decrease is positive and
     it differs from the last point valued (x at entry, where f(x) is given);
@@ -253,7 +251,7 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
             g_new = smooth.grad(x)
             qn.update(s, g_new - gx, bs=bqs)
             gx = g_new
-            smooth.trace.append((smooth.n_grad, fx + hx))
+            smooth.mark(fx + hx)
             obj_after = fx + phi + hx
             terms = None
         records.append(*head, float(rho), accepted, None, new_delta, obj_after,

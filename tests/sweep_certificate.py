@@ -22,9 +22,13 @@ status contract:
 
 - `converged`: r̄ ≤ τ r̄(x0), counted at τ = 1e-3 and 1e-2; a row above
   1e-3 breaks the contract;
-- `stalled`: the radius after the last record, ``delta_after``, is below
-  ε_mach (1 + ‖x‖∞) at the returned x, `trust_region.stall_radius`;
+- `stalled`: the solve could resolve no step at the returned x, whose
+  radius ε_mach (1 + ‖x‖∞) is `trust_region.stall_radius`.  For TR-R2 and
+  TRDH the radius after the last record, ``delta_after``, is below it; for
+  the RIPM solvers the schedule ran out: the next stage's start radius
+  `interior.DELTA0_FACTOR` μ, with the μ of the crossover, is below it;
 - `budget`: n_f is within one of the budget;
+- a RIPM solve whose stages measured reports a finite criticality;
 - the row of `bench.emit_table` prints no NaN or inf as a number.
 
 Each row that breaks the contract is printed again with the config that
@@ -48,6 +52,7 @@ from pathlib import Path
 import gridrun  # first: it pins BLAS to one thread before numpy loads
 import numpy as np
 from ripm import bench
+from ripm.interior import DELTA0_FACTOR
 from ripm.report import BUDGET, CONVERGED, MAX_ITER, ORACLE_FAILURE, STALLED
 from ripm.trust_region import stall_radius
 
@@ -78,21 +83,25 @@ def _num(value) -> str:
     return repr(float(value)) if _finite(value) else "-"
 
 
-def broken_clauses(rep, ratio: float, budget: int) -> list:
-    """The clauses of the status contract that report ``rep`` breaks."""
-    broken = []
+def broken_clauses(rep, family: str, ratio: float, budget: int) -> list:
+    """The clauses of the status contract that report ``rep`` on ``family`` breaks."""
+    broken, diag = [], rep.diagnostics or {}
     if rep.termination == CONVERGED and not ratio <= TAUS[0]:
         broken.append(f"converged with r̄/r̄(x0) {_num(ratio)} above {TAUS[0]:g}")
+    if diag.get("inner") and not _finite(rep.criticality):
+        broken.append(f"criticality {rep.criticality} after a stage measured")
     if rep.termination == STALLED:
-        diag = rep.diagnostics or {}
-        records = diag.get("inner") or diag.get("iters") or ()
-        radius = records[-1].get("delta_after", math.nan) if records else math.nan
         limit = stall_radius(rep.x)
+        if bench.SOLVERS[rep.solver].solve == "outer_solve":
+            radius, what = DELTA0_FACTOR * diag["crossover"]["mu"], "next stage's start radius"
+        else:
+            records = diag["iters"]
+            radius, what = records[-1]["delta_after"] if records else math.nan, "last radius"
         if not radius < limit:
-            broken.append(f"stalled with last radius {_num(radius)}, not below {limit:.3e}")
+            broken.append(f"stalled with {what} {_num(radius)}, not below {limit:.3e}")
     if rep.termination == BUDGET and abs(rep.n_f - budget) > 1:
         broken.append(f"budget with n_f {rep.n_f} of {budget}")
-    header, cells = (line.split() for line in bench.emit_table([rep]).splitlines())
+    header, cells = (line.split() for line in bench.emit_table([rep], family).splitlines())
     for column, field in TABLE_VALUES.items():
         if column in header and not _finite(getattr(rep, field)):
             cell = cells[header.index(column)]
@@ -150,7 +159,7 @@ def main(argv=None) -> int:
                 rows.append((rep.solver, rep.termination, ratio))
                 lines.append(line)
                 breaches += [(line, clause, dict(config, solvers=[rep.solver]))
-                             for clause in broken_clauses(rep, ratio, SWEEP_BUDGET)]
+                             for clause in broken_clauses(rep, family, ratio, SWEEP_BUDGET)]
     print()
     _summary(rows)
     print(f"\n{len(breaches)} breaches of the status contract")

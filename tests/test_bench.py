@@ -214,7 +214,7 @@ def test_budget_zero_reports_criticality_unmeasured():
         assert rep.termination == BUDGET and rep.n_f == 0
         assert rep.f == np.inf and rep.criticality == np.inf, (name, rep.criticality)
         assert np.isnan(rep.h_over_lam) and rep.trace == [], name
-        assert emit_table([rep]).splitlines()[1].split()[1:4] == ["-", "-", "-"]
+        assert emit_table([rep], "bpdn").splitlines()[1].split()[1:4] == ["-", "-", "-"]
 
 
 @pytest.mark.parametrize("name", ["TR-R2", "RIPM-R2"])
@@ -271,12 +271,12 @@ def test_emit_table_formatting():
                        criticality=1.8e-4, n_f=11, n_grad=11, n_prox=11,
                        wall_time_s=0.004, termination="converged",
                        trace=[(1, 1.0)], lam=0.05)
-    text = emit_table([rep])
+    text = emit_table([rep], "bpdn")
     assert "3.91e-02" in text
     assert "8.7e+00" in text
     assert "‖x-x*‖" not in text  # no distance column without x_star
     rep.dist_to_xstar = 0.41
-    text = emit_table([rep])
+    text = emit_table([rep], "bpdn")
     assert "‖x-x*‖" in text and "4.1e-01" in text
 
 
@@ -289,10 +289,53 @@ def test_fmt_stat_prints_an_integer_only_when_exact(value, cell):
     assert bench._fmt_stat(value) == cell
 
 
+def test_a_row_names_the_options_that_differ_from_its_defaults(tmp_path, capsys):
+    # two entries of one solver print two rows that tell them apart, and run
+    # and table print the same bytes; an entry at its defaults prints its name
+    out, cfg_path = tmp_path / "out", tmp_path / "cfg.json"
+    cfg = _tiny_config(solvers=["R2", {"name": "R2", "options": {"rel_tol": 1e-8}}, "RIPMDH-p"],
+                       budget=200, output_dir=str(out))
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", str(cfg_path)]) == 0
+    printed = capsys.readouterr().out
+    labels = [line.split()[0] for line in printed.splitlines()[1:]]
+    assert labels == ["R2", "R2[rel_tol=1e-08]", "RIPMDH-p"]
+    assert main(["table", str(out)]) == 0
+    assert capsys.readouterr().out == printed
+    # the defaults are those of the family: nnmf's relative tolerance is its own
+    rep = SolverReport(solver="RIPM-R2", x=np.zeros(1), f=0.0, h_over_lam=0.0, criticality=0.0,
+                       n_f=1, n_grad=1, n_prox=1, wall_time_s=0.0, termination="converged",
+                       options={"eps_r": 1e-6, "mu_init": 0.5})
+    assert [emit_table([rep], family).splitlines()[1].split()[0] for family in ("nnmf", "qp")] \
+        == ["RIPM-R2[mu_init=0.5]", "RIPM-R2[eps_r=1e-06,mu_init=0.5]"]
+
+
+def test_every_trace_row_is_written_by_mark_with_the_oracle_count(monkeypatch):
+    # one writer: each row holds the oracle's n_grad when the row was written,
+    # and the RIPM crossover row, which takes no gradient, repeats the one before
+    written = []
+    mark = oracles.SmoothOracle.mark
+
+    def spy(self, F):
+        written.append((self.trace, (self.n_grad, F)))
+        mark(self, F)
+
+    monkeypatch.setattr(oracles.SmoothOracle, "mark", spy)
+    inst, crossed = problems.build("bpdn", 0, m=10, n=24, n_spikes=3), 0
+    for name in ALL_SOLVERS:
+        rep = run_solver(name, inst, 300)
+        assert len(rep.trace) > 1 and rep.trace == [row for trace, row in written
+                                                   if trace is rep.trace], name
+        if bench.SOLVERS[name].solve == "outer_solve" and rep.diagnostics["crossover"]["applied"]:
+            assert rep.trace[-1][0] == rep.trace[-2][0], name
+            crossed += 1
+    assert crossed
+
+
 def test_emit_table_row_order_matches_config():
     cfg = _tiny_config()
     _, reports = run_config(cfg)
-    lines = emit_table(reports).splitlines()
+    lines = emit_table(reports, "bpdn").splitlines()
     names = [ln.split()[0] for ln in lines[1:]]
     assert names == ["R2", "TRDH", "RIPMDH-p"]
 

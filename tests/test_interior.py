@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ripm import interior, trust_region
+from ripm import bench, interior, problems, trust_region
 from ripm.errors import BoundaryPoint
 from ripm.interior import (DELTA_FRAC, BarrierTerms, DualEstimate, barrier_value, crossover,
                            fraction_to_boundary_box, inner_solve, measure_mode, outer_solve)
@@ -13,7 +13,7 @@ from ripm.qnops import LSR1, SpectralDiag
 from ripm.regprox import Box, Regularizer
 from ripm.report import (BUDGET, CONVERGED, MAX_ITER, STALLED, TR_RECORD, IterLog,
                          evaluate_start)
-from ripm.trust_region import DELTA_MAX, tr_iterate
+from ripm.trust_region import DELTA_MAX, stall_radius, tr_iterate
 
 from helpers import CallableOracle, bisect_root, grid_min_1d, valued_solve
 
@@ -602,20 +602,21 @@ def test_inner_solve_requires_interior_start():
     fx, hx, gx = evaluate_start(smooth, h, x)
     with pytest.raises(BoundaryPoint):
         barrier = BarrierTerms(POS, 1.0, measure_mode(h))
-        inner_solve(smooth, h, barrier, SpectralDiag(1), x, fx, hx, gx, 0.0, [])
+        inner_solve(smooth, h, barrier, SpectralDiag(1), x, fx, hx, gx, 1.0, 0.0, [])
 
 
 @pytest.mark.parametrize("kind", ["l0", "l1"])
 def test_inner_solve_radius_tolerance_and_measure(kind):
     # the stage's first radius, its tolerance exit, and the measure that h selects
-    mu, eps_rel = 0.1, 0.1
+    mu, eps_rel, delta0 = 0.1, 0.1, 100.0
     bounds = Box(np.zeros(3), np.full(3, np.inf))
     smooth, h, x = _oracle_quad(2.0), Regularizer(kind, 0.3), np.array([1.0, 0.5, 3.0])
     records = IterLog(TR_RECORD)
     fx, hx, gx = evaluate_start(smooth, h, x)
     barrier = BarrierTerms(bounds, mu, measure_mode(h))
-    res = inner_solve(smooth, h, barrier, SpectralDiag(3), x, fx, hx, gx, eps_rel, records)
-    assert records[0]["delta_before"] == min(interior.DELTA0_FACTOR * mu, DELTA_MAX)
+    res = inner_solve(smooth, h, barrier, SpectralDiag(3), x, fx, hx, gx, delta0, eps_rel,
+                      records)
+    assert records[0]["delta_before"] == delta0
     assert res.status == "tol" and records[-1]["exit"] == "tol"
     eps_k = mu**interior.EPS_EXPONENT
     assert records[-1]["crit"] <= eps_k + eps_rel * res.measure0
@@ -704,6 +705,34 @@ def test_outer_stops_after_a_stage_that_stalls_at_entry(step):
     assert rep.termination == STALLED and rep.diagnostics["stages"] == 1
     assert rep.diagnostics["crossover"]["mu"] == mu
     assert smooth.n_f == 1 and rep.n_prox == 0 and len(rep.diagnostics["inner"]) == 0
+
+
+@pytest.mark.parametrize("name", ["RIPM-R2-p", "RIPMDH-p"])
+def test_a_schedule_that_runs_out_reports_the_last_measure(monkeypatch, name):
+    # on the sweep's fh, stage 16 ends "tol"; stage 17 would start at radius
+    # 1000 mu = 1e-16, below stall_radius(x), so it counts as a stage, runs no
+    # inner solve, and the report's criticality is stage 16's last measure
+    stages = []
+    inner = interior.inner_solve
+
+    def spy(*args):
+        res = inner(*args)
+        stages.append((args[2].mu, args[8], stall_radius(args[4]), res.x))
+        return res
+
+    monkeypatch.setattr(interior, "inner_solve", spy)
+    rep = bench.run_solver(name, problems.build("fh", 0, n_samples=30), 2000)
+    records = rep.diagnostics["inner"]
+    assert rep.termination == STALLED and rep.diagnostics["stages"] == 17 and len(stages) == 16
+    assert np.isfinite(rep.criticality) and rep.criticality == records[-1]["crit"]
+    assert records[-1]["exit"] == "tol"
+    # each stage ran from min(1000 mu, DELTA_MAX), a radius its x resolves;
+    # the next one's, at the crossover's mu, is below what the last x resolves
+    assert all(delta0 == min(interior.DELTA0_FACTOR * mu, DELTA_MAX) and delta0 >= stall
+               for mu, delta0, stall, _ in stages)
+    mu_next = rep.diagnostics["crossover"]["mu"]
+    assert mu_next == stages[-1][0] * interior.MU_FACTOR
+    assert interior.DELTA0_FACTOR * mu_next < stall_radius(stages[-1][3])
 
 
 @pytest.mark.parametrize("step", ["diagonal", "r2"])
