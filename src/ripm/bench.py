@@ -27,8 +27,9 @@ SOLVERS from it, and builds the run's only `SolverReport` from the solver's
 counts and trace of its views `instance.smooth.fresh()` and a copy of h.
 
 Each report also carries the certificate r̄ of its x, the "r̄" column of
-the table, which checks a solver's criticality apart from its own measure:
-the infinity norm of the least-norm element of
+the table, which checks a solver's criticality apart from its own measure,
+and ``certificate0``, r̄ at its clamped start x0.  r̄ is the infinity norm
+of the least-norm element of
 
     grad f(x) + ∂h(x) + N_[l,u](x),
 
@@ -37,9 +38,10 @@ Per component, with g = grad f(x) and c = lam w_i, the set is an interval
 [a, b]: {g} to start, plus [-c, c] for l1 at x_i = 0 and c sign(x_i)
 elsewhere, all of ℝ for l0 at x_i = 0 when c > 0, (-inf, 0] at x_i = l_i
 and [0, inf) at x_i = u_i.  Its residual is max(a, 0) + max(-b, 0), and r̄
-is the largest residual.  The gradient is taken on `instance.smooth.fresh()`
-and is not counted, since r̄ reports and decides nothing; r̄ is NaN where
-grad f(x) cannot be formed or is not finite.
+is the largest residual.  At x the gradient is taken on
+`instance.smooth.fresh()` and is not counted, since r̄ reports and decides
+nothing; at x0 it is the one `report.evaluate_start` took, so r̄(x0) costs
+nothing.  r̄ is NaN where grad f cannot be formed or is not finite.
 
 CLI: ``run <config.json> [--output-dir DIR]`` solves, writes reports.json
 to DIR (default: the config's output_dir; a run with neither is a config
@@ -195,8 +197,9 @@ def run_solver(name: str, instance, budget: int, overrides: dict | None = None) 
     grad f is not finite calls no solver either.  It reports ORACLE_FAILURE,
     as does a solve that raises, in valuing the start too, with ``error``
     and the counts and trace so far.  The criticality is the solver's last
-    measure (inf if it took none), and h/lam is NaN when lam is 0.
-    ``overrides`` replace the harness defaults (see `solver_options`).
+    measure (inf if it took none), h/lam is NaN when lam is 0, and r̄(x0) is
+    NaN without a start gradient.  ``overrides`` replace the harness
+    defaults (see `solver_options`).
     """
     opts, qn = solver_options(name, instance.name, overrides or {})
     # looked up at each run, so that a wrapper bound to the solve's name runs
@@ -205,13 +208,14 @@ def run_solver(name: str, instance, budget: int, overrides: dict | None = None) 
     oracle.budget = budget
     h, bounds = dataclasses.replace(instance.h), instance.bounds
     x = bounds.clamp(np.asarray(instance.x0, dtype=float))
-    error = None
+    error, certificate0 = None, np.nan
     t0 = time.perf_counter()
     try:
         if oracle.evals_left() == 0:
             res = SolveResult(x, np.inf, np.nan, np.inf, 0, BUDGET, None)
         else:
             start = (x, *evaluate_start(oracle, h, x))
+            certificate0 = certificate(instance, x, start[3])
             if not all(np.isfinite(v).all() for v in start[1:]):
                 raise OracleFailure("the start is not finite: f, h or grad f at x0")
             operator = () if qn is None else (qn(x.size),)
@@ -228,14 +232,16 @@ def run_solver(name: str, instance, budget: int, overrides: dict | None = None) 
         dist_to_xstar=(None if instance.x_star is None
                        else float(np.linalg.norm(res.x - instance.x_star))),
         z=res.z, diagnostics=res.diagnostics, error=error, lam=h.lam, options=opts,
-        certificate=np.nan if error else certificate(instance, res.x))
+        certificate=np.nan if error else certificate(instance, res.x),
+        certificate0=certificate0)
 
 
-def certificate(instance, x) -> float:
-    """The certificate r̄ of the module docstring at x, or NaN without a finite grad f(x)."""
+def certificate(instance, x, g=None) -> float:
+    """The certificate r̄ of the module docstring at x, from g = grad f(x) if
+    given, or NaN without a finite grad f(x)."""
     try:
         # _grad, not grad: the certificate's gradient is not one of the solve's
-        g = instance.smooth.fresh()._grad(x)
+        g = instance.smooth.fresh()._grad(x) if g is None else g
     except OracleFailure:
         return np.nan
     if not np.isfinite(g).all():
@@ -277,13 +283,16 @@ def run_config(config: RunConfig | dict, out_dir=None):
     return instance, reports
 
 
+def _cell(v, spec: str) -> str:
+    """v as ``spec``, or "-" for None, NaN or inf: the table's one rule for such a cell."""
+    return "-" if v is None or not np.isfinite(v) else format(v, spec)
+
+
 def _fmt_stat(v: float) -> str:
     """An exact integer below 100 (an l0 count of h/λ, a zero) as itself, else ``.1e``."""
-    if v is None or not np.isfinite(v):
-        return "-"
-    if float(v).is_integer() and abs(v) < 100:
+    if v is not None and float(v).is_integer() and abs(v) < 100:
         return str(int(v))
-    return f"{v:.1e}"
+    return _cell(v, ".1e")
 
 
 def _width(cell: str) -> int:
@@ -302,7 +311,8 @@ def _label(report, family: str) -> str:
 
 def emit_table(reports, family: str) -> str:
     """Fixed-width statistics table of runs on a problem ``family``, one row per
-    report in config order, each labelled as `_label` names it."""
+    report in config order, each labelled as `_label` names it; a value that
+    is missing or not finite prints as "-" (`_cell`)."""
     if not reports:
         raise ValueError("no reports")
     with_dist = any(r.dist_to_xstar is not None for r in reports)
@@ -312,14 +322,11 @@ def emit_table(reports, family: str) -> str:
     headers += ["#f", "#∇f", "#prox", "t(s)"]
     rows = []
     for r in reports:
-        row = [_label(r, family),
-               f"{r.f:.2e}" if np.isfinite(r.f) else "-",
-               _fmt_stat(r.h_over_lam),
-               _fmt_stat(r.criticality),
-               f"{r.certificate:.1e}" if np.isfinite(r.certificate) else "-"]
+        row = [_label(r, family), _cell(r.f, ".2e"), _fmt_stat(r.h_over_lam),
+               _fmt_stat(r.criticality), _cell(r.certificate, ".1e")]
         if with_dist:
-            row.append(_fmt_stat(r.dist_to_xstar) if r.dist_to_xstar is not None else "-")
-        row += [str(r.n_f), str(r.n_grad), str(r.n_prox), f"{r.wall_time_s:.1e}"]
+            row.append(_fmt_stat(r.dist_to_xstar))
+        row += [str(r.n_f), str(r.n_grad), str(r.n_prox), _cell(r.wall_time_s, ".1e")]
         rows.append(row)
     widths = [max(_width(h), *(_width(row[i]) for row in rows)) for i, h in enumerate(headers)]
     lines = ["  ".join(" " * (w - _width(h)) + h for h, w in zip(headers, widths))]

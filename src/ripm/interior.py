@@ -10,18 +10,18 @@ passes: trial points are restricted to the box of points
 
 and the quadratic model adds the barrier gradient and the capped barrier
 curvature Theta = min(z / gap, kappa_bar) summed over bounded sides to the
-quasi-Newton operator B.  `BarrierTerms` forms every barrier quantity of
-a point itself: `phi` the gaps and phi_mu, which `barrier_value` shares,
-`at` the model terms and `accept` the dual update.  `outer_solve` builds one
-`BarrierTerms` per solve, sets its mu for each stage and reads the duals, mu
-and measure back from it; the loop carries none, and hands back the gaps
-that `phi` formed.  `outer_solve` also hands each stage its start radius,
-and ends the solve before a stage that would start below the radius x can
-resolve.  The duals start at 1 and `accept` updates them: a
-linearized complementarity update projected into a safeguard interval, so
-they stay strictly positive.  The measure follows h: the primal one, based
-on the barrier gradient, for the nonconvex l0 penalty, and the Lagrangian
-one, based on grad f - zl + zu, for a convex h.
+quasi-Newton operator B.  `BarrierTerms` forms every barrier quantity of a
+point itself: `phi` the gaps and phi_mu, which `barrier_value` shares, `at`
+the model terms and `accept` the dual update.  `outer_solve` builds one
+`BarrierTerms` per solve, sets its mu > 0 for each stage and reads the
+duals, mu and measure back from it; the loop carries none, and hands back
+the gaps that `phi` formed.  `outer_solve` also hands each stage its start
+radius, and ends the solve before a stage that would start below the radius
+x can resolve.  The duals start at 1 and `accept` updates them: a linearized
+complementarity update projected into a safeguard interval, so they stay
+strictly positive.  The measure follows h: the primal one, based on the
+barrier gradient, for the nonconvex l0 penalty, and the Lagrangian one,
+based on grad f - zl + zu, for a convex h.
 
 Each barrier quantity is one formula over the sides of the bounds.  A side
 is an index i of its finite components, its bound b[i], a sign, +1 on the
@@ -186,14 +186,11 @@ def crossover(x, z: DualEstimate, mu_final: float, bounds: Box):
 class BarrierTerms:
     """Constraint object of the barrier subproblems for `trust_region.tr_iterate`.
 
-    Holds the barrier parameter ``mu``, which `outer_solve` sets for each
+    Holds the barrier parameter ``mu`` > 0, which `outer_solve` sets for each
     stage, and the dual estimate ``z``: 1 on the finite components of each
-    side at the start and 0 elsewhere, updated on every accepted step and,
-    from exact perturbed complementarity, on a zero model step.  The sides
-    are built once, in the layouts of the module docstring.
+    side at the start and 0 elsewhere, updated by `accept` on every accepted
+    step and, at s = 0, on a zero model step.  The sides are built once.
     """
-
-    records_exits = True
 
     def __init__(self, bounds: Box, mu: float, mode: str):
         self.bounds, self.mu, self.mode = bounds, mu, mode
@@ -226,12 +223,6 @@ class BarrierTerms:
         box = fraction_to_boundary_box(min_gaps, self.bounds)
         g_meas = gx - self.z.zl + self.z.zu if self.mode == MODE_LAGRANGIAN else None
         return gx + g_phi, theta, box, g_meas, math.sqrt(compl)
-
-    def zero_step(self, x, gaps) -> bool:
-        # the model is stationary at x: refresh the duals (the update at s = 0)
-        # so that the dual tolerance can still be met; x and Delta stay put
-        self.accept(gaps, gaps, np.zeros(x.size))
-        return True
 
     def accept(self, gaps, gaps_t, s) -> None:
         """Update z on the step s from the point of ``gaps`` to that of ``gaps_t``.
@@ -291,7 +282,7 @@ def outer_solve(smooth, h, bounds: Box, qn, x, fx: float, hx: float, gx, *,
     """Barrier outer loop from a strictly interior x, with f(x), h(x) and grad
     f(x) given: shrink mu, solve inner subproblems, cross over.
 
-    The first stage runs at mu = mu_init (mu_0), and every stage stops its
+    The first stage runs at mu = mu_init (mu_0) > 0, and every stage stops its
     measure at eps_k + eps_ri * (measure at the stage's entry): eps_ri is
     the relative factor in the inner dual tolerance (see `inner_solve`).
     Convergence is declared when mu, the complementarity residual, and the
@@ -317,6 +308,8 @@ def outer_solve(smooth, h, bounds: Box, qn, x, fx: float, hx: float, gx, *,
     and MAX_ITER after MAX_OUTER stages.  The crossover uses the mu of the
     last stage counted; crit is the last measure taken, inf if none ran.
     """
+    if not mu_init > 0:
+        raise ValueError(f"mu_init must be positive, not {mu_init!r}")
     if not np.isfinite(barrier_value(mu_init, x, bounds)):
         raise BoundaryPoint("outer solve requires a strictly interior start")
 

@@ -5,8 +5,9 @@ forms, and returns a `SolveResult`.  `bench.run_solver` alone builds a
 `SolverReport`, from that result and the solve's two views: its oracle,
 which counts f and grad f and holds the ``trace``, whose every row
 `oracles.SmoothOracle.mark` writes, and its copy of h, on which the prox
-kernel counts, so a solve that raises keeps its counts.  The R2 subsolve of
-the trust-region loop is never reported.
+kernel counts, so a solve that raises keeps its counts; r̄ at x0
+(``certificate0``) is formed from the start gradient of `evaluate_start`.
+The R2 subsolve of the trust-region loop is never reported.
 
 A termination says which limit stopped the run: CONVERGED (the tolerance),
 BUDGET (the objective-evaluation budget), MAX_ITER (the iteration cap, or the
@@ -141,13 +142,14 @@ class SolverReport:
     error: str | None = None
     lam: float = 0.0
     certificate: float = np.nan  # r̄ at x (see `bench.certificate`), NaN if not formed
+    certificate0: float = np.nan  # r̄ at the clamped x0, from the start gradient
     # the keyword settings the solve ran with, as `bench.solver_options` gave them
     options: dict = field(default_factory=dict)
 
     # the fields `to_dict` saves to reports.json, under their own names
     SAVED = ("solver", "options", "f", "h_over_lam", "criticality", "certificate",
-             "dist_to_xstar", "n_f", "n_grad", "n_prox", "wall_time_s", "termination", "lam",
-             "trace", "error")
+             "certificate0", "dist_to_xstar", "n_f", "n_grad", "n_prox", "wall_time_s",
+             "termination", "lam", "trace", "error")
 
     @property
     def objective(self) -> float:

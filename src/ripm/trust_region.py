@@ -42,17 +42,19 @@ points every trial stays in.  TR and TRDH fold the box indicator into the
 nonsmooth term and pass `ShiftedBounds`, whose box is the bounds
 themselves: `tr_solve` runs the loop once, from the valued start that
 `bench.run_solver` forms, and returns a `report.SolveResult`; TRDH is
-`tr_solve` with the spectral diagonal `qnops.SpectralDiag`.
-The barrier subproblems of RIPM pass `interior.BarrierTerms`, whose box is
-the fraction-to-boundary box, and which adds the barrier gradient and
-curvature and owns the duals.  Both have the methods of
-`ShiftedBounds`; `phi` returns the gaps of a point with its term, and the
-loop hands them back to `at`, `accept` and `zero_step`.  `at` always
-returns a curvature vector Theta, zero in `ShiftedBounds`, and a
-complementarity residual, 0 there, which the stop test holds to abs_tol.
-The loop holds the terms of its point: it asks `at` at entry, after an
-accepted step and after a zero step (which may move the duals), and keeps
-them, with the stall threshold and max Theta, through rejected steps.
+`tr_solve` with the spectral diagonal `qnops.SpectralDiag`.  The barrier
+subproblems of RIPM pass `interior.BarrierTerms`, whose box is the
+fraction-to-boundary box, and which adds the barrier gradient and curvature
+and owns the duals.  Both have the barrier parameter mu, 0 in
+`ShiftedBounds`, and the methods `phi`, `at` and `accept`; a run with mu > 0
+is a barrier stage.  `phi` returns the gaps of a point with its term, and
+the loop hands them back to `at` and `accept`.  `at` always returns a
+curvature vector Theta, zero in `ShiftedBounds`, and a complementarity
+residual, 0 there, which the stop test holds to abs_tol.  A zero model step
+of a barrier stage tries no trial: x and Delta stay put, and `accept` at s
+= 0 refreshes the duals, so that the dual tolerance can still be met.  The
+loop asks `at` at entry, after an accepted step and after such a zero
+step, and keeps its terms, with the stall threshold and max Theta.
 
 The loop constants are those of TR in Aravkin, Baraldi & Orban (2022) and of
 TRDH in Leconte & Orban (2023): DELTA_INIT is Delta_0 and DELTA_MAX caps the
@@ -112,7 +114,6 @@ class ShiftedBounds:
     """Constraint object of TR and TRDH: no barrier, trial points stay in the bounds."""
 
     mu = 0.0
-    records_exits = False
     # no barrier curvature: a 0-d zero, so that the diagonal step's sigma
     # diag(B) + Theta stays a scalar
     theta = np.float64(0.0)
@@ -128,10 +129,6 @@ class ShiftedBounds:
         """Model gradient, curvature Theta (zero here), box of points, measure
         gradient (None: the model gradient) and complementarity residual at x."""
         return gx, self.theta, self.bounds, None, 0.0
-
-    def zero_step(self, x, gaps) -> bool:
-        """Handle a zero model step; True skips the trial evaluation."""
-        return False
 
     def accept(self, gaps, gaps_t, s) -> None:
         pass
@@ -155,13 +152,13 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
                max_iter: int, abs_tol: float, rel_tol: float, records: IterLog) -> InnerResult:
     """Minimize f + phi + h from x, where f(x), h(x) and grad f(x) are given.
 
-    ``cons`` supplies the constraint terms through the methods of
-    `ShiftedBounds` and the attributes mu and records_exits.
-    The loop stops with "tol" once the measure falls below abs_tol + rel_tol *
-    (measure at entry) and the complementarity residual below abs_tol, with
-    "cap" after ``max_iter`` steps, measuring once more at the final point,
-    and with "stalled" once Delta < eps (1 + ||x||_inf), before measuring at
-    that radius: crit is then the last measure taken, inf when none was.  It
+    ``cons`` supplies the constraint terms through mu and the methods of
+    `ShiftedBounds`; mu > 0 makes the run a barrier stage.  The loop stops
+    with "tol" once the measure falls below abs_tol + rel_tol * (measure at
+    entry) and the complementarity residual below abs_tol, with "cap" after
+    ``max_iter`` steps, measuring once more at the final point, and with
+    "stalled" once Delta < eps (1 + ||x||_inf), before measuring at that
+    radius: crit is then the last measure taken, inf when none was.  It
     stops with "budget" when ``smooth.evals_left()`` is 0 after it has
     measured at x and tested the tolerance, before it builds the cap box and
     the trial point, whose value the budget would refuse; crit and compl are
@@ -176,8 +173,8 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
 
     Every iteration that tries a step appends one row of `report.TR_RECORD`,
     whose keys are documented there, to the store ``records``; an iteration
-    that stops the loop on the tolerance appends one only if
-    ``cons.records_exits``, and a stall or a budget exit appends none.
+    that stops the loop on the tolerance appends one only in a barrier
+    stage, and a stall or a budget exit appends none.
     """
     phi, gaps = cons.phi(x)
     crit, compl, crit0 = np.inf, np.inf, np.inf
@@ -210,7 +207,7 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
                 math.sqrt(s_m @ s_m), crit, compl, obj)
         if crit <= abs_tol + rel_tol * crit0 and compl <= abs_tol:
             status = "tol"
-            if cons.records_exits:
+            if cons.mu > 0:
                 records.append(*head, np.nan, False, status, delta, np.nan, 0.0, np.nan)
             break
         if smooth.evals_left() == 0:
@@ -229,7 +226,8 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
             x_t, h_t = sub.x, sub.h
             s = x_t - x
             gs = float(g @ s)
-        if not s.any() and cons.zero_step(x, gaps):
+        if not s.any() and cons.mu > 0:
+            cons.accept(gaps, gaps, s)  # s is all +-0: the dual update at s = 0
             records.append(*head, 0.0, False, None, delta, np.nan, 0.0, np.nan)
             terms = None
             continue

@@ -23,9 +23,12 @@ def saved_rows(path: Path, key) -> dict:
 
 def print_moved(lines, saved: dict, key, against: Path, compared=str, what="") -> None:
     """Print how many rows of ``lines`` moved against ``saved``, then each as old → new:
-    a row moved when no saved row has its key or ``compared`` of the two differs."""
+    a row moved when no saved row has its key or ``compared`` of the two differs.
+    The first line also counts the saved rows that have no row in ``lines``."""
     moved = [(saved.get(key(line), "(no saved row)"), line) for line in lines
              if key(line) not in saved or compared(saved[key(line)]) != compared(line)]
-    print(f"{len(moved)} of {len(lines)} rows moved{what} against {against}")
+    lost = len(saved.keys() - {key(line) for line in lines})
+    tail = f", and {lost} saved rows have no row in this run" if lost else ""
+    print(f"{len(moved)} of {len(lines)} rows moved{what} against {against}{tail}")
     for before, after in moved:
         print(f"{before}\n  → {after}")

@@ -15,8 +15,8 @@ Every solver of `bench.SOLVERS` runs with budget 2000 on instance seeds 0-11
 - fh, 30 samples.
 
 Each solve prints one row: family, seed, solver, status, n_f, F = f + h at
-the returned x (its repr) and r̄/r̄(x0), the certificate of
-`bench.certificate` at the returned x over its value at the clamped x0.  A
+the returned x (its repr) and r̄/r̄(x0), the report's certificate at the
+returned x over its ``certificate0`` at the start (see `bench`).  A
 value that is not finite prints as "-".  Each row is checked against the
 status contract:
 
@@ -28,8 +28,10 @@ status contract:
   the RIPM solvers the schedule ran out: the next stage's start radius
   `interior.DELTA0_FACTOR` μ, with the μ of the crossover, is below it;
 - `budget`: n_f is within one of the budget;
-- a RIPM solve whose stages measured reports a finite criticality;
-- the row of `bench.emit_table` prints no NaN or inf as a number.
+- a RIPM solve whose stages measured reports a finite criticality.
+
+That the table prints no NaN or inf as a number is a tier-1 test of
+`bench.emit_table`, not a clause here.
 
 Each row that breaks the contract is printed again with the config that
 rebuilds its solve (``ripm-bench run config.json --output-dir DIR``).  The
@@ -50,7 +52,6 @@ from collections import Counter
 from pathlib import Path
 
 import gridrun  # first: it pins BLAS to one thread before numpy loads
-import numpy as np
 from ripm import bench
 from ripm.interior import DELTA0_FACTOR
 from ripm.report import BUDGET, CONVERGED, MAX_ITER, ORACLE_FAILURE, STALLED
@@ -61,9 +62,6 @@ FAMILIES = (("qp", {"n": 40, "p": 0.1}), ("bpdn", {"m": 20, "n": 48, "n_spikes":
             ("nnmf", {"m": 12, "n": 8, "k": 2}), ("fh", {"n_samples": 30}))
 TAUS = (1e-3, 1e-2)
 STATUSES = (CONVERGED, STALLED, BUDGET, MAX_ITER, ORACLE_FAILURE)
-# the columns of bench.emit_table that print a value which may be NaN or inf
-TABLE_VALUES = {"f(x)": "f", "h(x)/λ": "h_over_lam", "√(ξ/ν)": "criticality",
-                "r̄": "certificate", "‖x-x*‖": "dist_to_xstar"}
 
 
 def _seed_range(text: str) -> range:
@@ -83,8 +81,8 @@ def _num(value) -> str:
     return repr(float(value)) if _finite(value) else "-"
 
 
-def broken_clauses(rep, family: str, ratio: float, budget: int) -> list:
-    """The clauses of the status contract that report ``rep`` on ``family`` breaks."""
+def broken_clauses(rep, ratio: float, budget: int) -> list:
+    """The clauses of the status contract that report ``rep`` breaks."""
     broken, diag = [], rep.diagnostics or {}
     if rep.termination == CONVERGED and not ratio <= TAUS[0]:
         broken.append(f"converged with r̄/r̄(x0) {_num(ratio)} above {TAUS[0]:g}")
@@ -101,12 +99,6 @@ def broken_clauses(rep, family: str, ratio: float, budget: int) -> list:
             broken.append(f"stalled with {what} {_num(radius)}, not below {limit:.3e}")
     if rep.termination == BUDGET and abs(rep.n_f - budget) > 1:
         broken.append(f"budget with n_f {rep.n_f} of {budget}")
-    header, cells = (line.split() for line in bench.emit_table([rep], family).splitlines())
-    for column, field in TABLE_VALUES.items():
-        if column in header and not _finite(getattr(rep, field)):
-            cell = cells[header.index(column)]
-            if cell != "-":
-                broken.append(f"{field} {getattr(rep, field)} printed as {cell}")
     return broken
 
 
@@ -149,9 +141,8 @@ def main(argv=None) -> int:
     for family, params in FAMILIES:
         for seed in args.seeds:
             config = gridrun.row_config(family, seed, params, bench.SOLVER_NAMES, SWEEP_BUDGET)
-            instance, reports = bench.run_config(config)
-            r0 = bench.certificate(instance, instance.bounds.clamp(np.asarray(instance.x0, float)))
-            for rep in reports:
+            for rep in bench.run_config(config)[1]:
+                r0 = rep.certificate0
                 ratio = rep.certificate / r0 if r0 > 0.0 else math.nan
                 line = (f"{family} {seed} {rep.solver} {rep.termination} {rep.n_f} "
                         f"{_num(rep.objective)} {_num(ratio)}")
@@ -159,7 +150,7 @@ def main(argv=None) -> int:
                 rows.append((rep.solver, rep.termination, ratio))
                 lines.append(line)
                 breaches += [(line, clause, dict(config, solvers=[rep.solver]))
-                             for clause in broken_clauses(rep, family, ratio, SWEEP_BUDGET)]
+                             for clause in broken_clauses(rep, ratio, SWEEP_BUDGET)]
     print()
     _summary(rows)
     print(f"\n{len(breaches)} breaches of the status contract")

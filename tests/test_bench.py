@@ -280,6 +280,20 @@ def test_emit_table_formatting():
     assert "‖x-x*‖" in text and "4.1e-01" in text
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_the_table_prints_every_value_that_is_not_finite_as_a_dash(value):
+    # the table alone decides how such a cell prints: each value column,
+    # the distance to x* and the wall time too, reads "-"
+    rep = SolverReport(solver="R2", x=np.zeros(1), f=value, h_over_lam=value,
+                       criticality=value, n_f=3, n_grad=2, n_prox=1, wall_time_s=value,
+                       termination="converged", dist_to_xstar=value, lam=0.05,
+                       certificate=value, certificate0=value)
+    header, row = (line.split() for line in emit_table([rep], "bpdn").splitlines())
+    assert header == ["solver", "f(x)", "h(x)/λ", "√(ξ/ν)", "r̄", "‖x-x*‖", "#f", "#∇f", "#prox",
+                      "t(s)"]
+    assert row == ["R2", "-", "-", "-", "-", "-", "3", "2", "1", "-"]
+
+
 @pytest.mark.parametrize("value, cell", [
     (3e-10, "3.0e-10"), (8e-17, "8.0e-17"), (2.0000000001, "2.0e+00"),  # measured, not 0 or 2
     (3.0, "3"), (0.0, "0"), (99.0, "99"), (100.0, "1.0e+02"),  # exact integers below 100
@@ -345,6 +359,8 @@ def test_config_validation():
         RunConfig.from_dict({"problem": {"name": "bpdn"}, "solvers": [{"name": "nope"}]})
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"solvers": [{"name": "R2"}]})
+    with pytest.raises(ConfigError, match="^problem needs a 'name'$"):
+        RunConfig.from_dict({"problem": {"seed": 0}, "solvers": ["R2"]})
     with pytest.raises(ConfigError):
         RunConfig.from_dict(_tiny_config(budget=0))
     with pytest.raises(ConfigError):
@@ -499,6 +515,20 @@ def test_certificate_takes_an_uncounted_gradient(monkeypatch):
     assert np.isnan(_one_component("l1", 0.0, 1.0, np.inf, lo=1.0))
 
 
+@pytest.mark.parametrize("family, params", [
+    ("bpdn", {"m": 10, "n": 24, "n_spikes": 3}), ("fh", {"n_samples": 30})], ids=["bpdn", "fh"])
+def test_the_report_states_the_certificate_at_the_start(family, params):
+    # r̄(x0) comes from the start gradient the solve already took, with the
+    # bits of a fresh certificate at the clamped x0; a refused start has none
+    inst = problems.build(family, 0, **params)
+    r0 = certificate(inst, inst.bounds.clamp(np.asarray(inst.x0, dtype=float)))
+    assert np.isfinite(r0) and r0 > 0.0
+    for name in ALL_SOLVERS:
+        rep = run_solver(name, inst, 20)
+        assert rep.error is None and rep.certificate0 == r0, name
+        assert np.isnan(run_solver(name, inst, 0).certificate0), name
+
+
 def test_cli_table_prints_the_certificate(tmp_path, capsys):
     # the live reports, reports.json and `ripm-bench table` carry one r̄
     cfg = _tiny_config(output_dir=str(tmp_path / "out"))
@@ -620,7 +650,8 @@ def _write_reports_without(path, key):
 
 
 @pytest.mark.parametrize("case", ["table_missing", "table_old_keys", "table_no_certificate",
-                                  "table_no_options", "table_empty", "budget", "budget_true", "budget_fraction",
+                                  "table_no_certificate0", "table_no_options", "table_empty",
+                                  "budget", "budget_true", "budget_fraction",
                                   "budget_infinite", "output_dir_number", "solver_entry",
                                   "solvers_empty", "options_list", "problem_string",
                                   "problem_empty", "output_dir_missing", "output_dir_is_a_file",
@@ -651,12 +682,13 @@ def test_cli_malformed_input_exits_1(tmp_path, capsys, monkeypatch, case):
     elif case == "table_old_keys":
         _write_reports_with_old_keys(results)
         argv = ["table", str(results)]
-    elif case in ("table_no_certificate", "table_no_options"):
+    elif case in ("table_no_certificate", "table_no_certificate0", "table_no_options"):
         _write_reports_without(results, case.removeprefix("table_no_"))
         argv = ["table", str(results)]
     elif case == "table_empty":
         results.mkdir()
-        (results / "reports.json").write_text(json.dumps({"reports": []}))
+        (results / "reports.json").write_text(json.dumps({"problem": {"name": "bpdn"},
+                                                          "reports": []}))
         argv = ["table", str(results)]
     else:
         cfg = {
@@ -681,6 +713,10 @@ def test_cli_malformed_input_exits_1(tmp_path, capsys, monkeypatch, case):
     assert err
     if argv[0] == "table":
         assert err.startswith("cannot read results: ")
+        if case.startswith("table_no_"):  # the missing key is named
+            assert f"KeyError: '{case.removeprefix('table_no_')}'" in err
+        if case == "table_empty":
+            assert err == "cannot read results: ValueError: no reports\n"
     # a bad output directory is found before the first solve
     assert solved == (["R2"] if case == "reports_json_is_a_directory" else [])
     if argv[0] == "run" and "--output-dir" not in argv:  # nor makes its output directory
@@ -736,6 +772,20 @@ def test_a_start_that_raises_is_reported_with_its_counts(name):
     assert rep.error.startswith("OracleFailure: ")
     assert np.array_equal(rep.x, inst.bounds.clamp(inst.x0))
     assert rep.trace == [] and np.isnan(rep.f) and np.isnan(rep.certificate)
+
+
+@pytest.mark.parametrize("name", ["RIPM-R2", "RIPMDH", "RIPM-R2-p", "RIPMDH-p"])
+def test_a_start_on_a_bound_fails_the_barrier_solve(name):
+    # x0 = 0 in one component of bpdn, on its lower bound: the start is valued,
+    # and the barrier solve refuses it before its first stage
+    inst = problems.build("bpdn", 0, m=10, n=24, n_spikes=3)
+    x0 = inst.x0.copy()
+    x0[5] = 0.0
+    rep = run_solver(name, dataclasses.replace(inst, x0=x0), 100)
+    assert rep.termination == ORACLE_FAILURE
+    assert rep.error == "BoundaryPoint: outer solve requires a strictly interior start"
+    assert (rep.n_f, rep.n_grad, rep.n_prox) == (1, 1, 0)
+    assert np.isnan(rep.certificate) and np.isfinite(rep.certificate0)
 
 
 @pytest.mark.parametrize("name", ALL_SOLVERS)

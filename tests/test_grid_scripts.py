@@ -1,6 +1,5 @@
 """The two grid scripts, `grid_digest` and `sweep_certificate`, on a one-row grid:
 their rows, the rows that moved against a saved run, and their exit codes."""
-import numpy as np
 import pytest
 
 from ripm import bench, problems
@@ -61,14 +60,13 @@ def test_sweep_rows_moved_rows_and_exit_code(scripts, monkeypatch, tmp_path, cap
     out = capsys.readouterr().out.splitlines()
     rows = out[:len(bench.SOLVER_NAMES)]
     instance = problems.build("bpdn", 0, **BPDN)
-    r0 = bench.certificate(instance, instance.bounds.clamp(np.asarray(instance.x0, float)))
     for row, name in zip(rows, bench.SOLVER_NAMES):
         family, seed, solver, status, n_f, objective, ratio = row.split()
         rep = bench.run_solver(name, instance, sweep.SWEEP_BUDGET)
         assert (family, seed, solver, status, int(n_f)) == ("bpdn", "0", name, rep.termination,
                                                             rep.n_f)
         assert objective == sweep._num(rep.objective)
-        assert ratio == sweep._num(rep.certificate / r0)
+        assert ratio == sweep._num(rep.certificate / rep.certificate0)
     assert out[-1].startswith(f"{len(rows)} solves, seeds 0:1, budget {sweep.SWEEP_BUDGET}, ")
 
     # a saved run with another n_f on the first row and another F on the
@@ -82,3 +80,16 @@ def test_sweep_rows_moved_rows_and_exit_code(scripts, monkeypatch, tmp_path, cap
     out = capsys.readouterr().out.splitlines()
     moved = out.index(f"1 of {len(rows)} rows moved in status or F against {saved}")
     assert out[moved + 1:moved + 3] == [altered, f"  → {rows[1]}"]
+
+
+def test_a_saved_row_with_no_row_in_this_run_is_counted(scripts, monkeypatch, tmp_path, capsys):
+    # a run that lost a row of the saved one does not read "0 of N rows moved" alone
+    grid_digest, _ = scripts
+    monkeypatch.setattr(grid_digest, "GRID", [("bpdn", 0, BPDN, ("R2",), 50)])
+    assert grid_digest.main([]) == 1
+    row, digest, verdict = capsys.readouterr().out.splitlines()
+    extra = row.replace("'R2'", "'TRDH'")
+    saved = _save(tmp_path, [row, extra, digest, verdict])
+    assert grid_digest.main(["--against", str(saved)]) == 1
+    assert capsys.readouterr().out.splitlines()[1] == (
+        f"0 of 1 rows moved against {saved}, and 1 saved rows have no row in this run")

@@ -453,9 +453,10 @@ def _assert_gaps_of(gaps, x, bounds, layout):
 def test_barrier_terms_reuse_gaps_bit_for_bit():
     # the calls a barrier stage makes over accepted, rejected, infeasible and
     # zero steps: phi forms the gaps of each point once, the loop hands them
-    # back to at, accept and zero_step, and all must give what a fresh
-    # BarrierTerms, barrier_value and a fresh BarrierTerms.accept give from
-    # scratch, while the gaps held for x stay those of x
+    # back to at and accept, and all must give what a fresh BarrierTerms,
+    # barrier_value and a fresh BarrierTerms.accept give from scratch, while
+    # the gaps held for x stay those of x.  A zero step is accept at a step
+    # of +0 and -0 components, with the bits of the update at np.zeros
     rng = np.random.default_rng(13)
     n, mu = 60, 1e-2
     for layout, bounds in _layouts(rng, n).items():
@@ -479,7 +480,7 @@ def test_barrier_terms_reuse_gaps_bit_for_bit():
             _assert_same_terms(got, _fresh_terms(bounds, mu, terms.z, x, gx), layout)
             if move == "zero":
                 z_want = _accepted_z(x, x, terms.z, np.zeros(n), mu, bounds)
-                assert terms.zero_step(x, gaps)
+                terms.accept(gaps, gaps, np.where(rng.random(n) < 0.5, 0.0, -0.0))
             else:
                 x_t = got[2].clamp(x + 0.5 * rng.standard_normal(n))
                 if move == "outside":
@@ -760,6 +761,67 @@ def test_outer_goes_on_after_a_stage_that_measures_and_then_stalls(monkeypatch, 
     assert [res.status for res in stages] == ["stalled"] * 5 + ["budget"]
     assert all(1.0 < res.crit < 2.0 for res in stages)
     assert np.array_equal(rep.x, [1.0])
+
+def test_ripm_on_a_box_with_no_finite_bound(monkeypatch):
+    # f = ||x - c||^2 / 2 and h = |x|_1 / 2 with no finite bound: no side has
+    # a barrier term, so each stage is the trust-region loop on f + h.  The
+    # solve ends at the soft-threshold minimizer, its duals stay 0, no record
+    # has a complementarity residual, and the crossover moves nothing
+    n, lam = 6, 0.5
+    c = np.array([2.0, -1.5, 0.3, -0.2, 1.0, 0.0])
+    x_star = np.sign(c) * np.maximum(np.abs(c) - lam, 0.0)
+    free = Box(np.full(n, -np.inf), np.full(n, np.inf))
+    crossed = []  # (x, crossover point) of each solve
+    cross = interior.crossover
+
+    def spy(x, *args):
+        x_cross, z = cross(x, *args)
+        crossed.append((x, x_cross))
+        return x_cross, z
+
+    monkeypatch.setattr(interior, "crossover", spy)
+    for qn in (SpectralDiag(n), LSR1(n)):
+        crossed.clear()
+        smooth = CallableOracle(lambda x: 0.5 * float((x - c) @ (x - c)), lambda x: x - c)
+        rep, _ = valued_solve(outer_solve, smooth, Regularizer("l1", lam), free, qn,
+                              np.array([0.5, 0.5, -1.0, 1.0, 3.0, -2.0]))
+        name = type(qn).__name__
+        assert rep.termination == CONVERGED and rep.diagnostics["stages"] == 5, name
+        assert np.abs(rep.x - x_star).max() <= 1.5e-4, name
+        assert not rep.z.zl.any() and not rep.z.zu.any(), name
+        assert all(r["compl"] == 0.0 for r in rep.diagnostics["inner"]), name
+        assert len(crossed) == 1 and np.array_equal(*crossed[0]), name
+        assert rep.diagnostics["crossover"]["applied"], name
+
+
+def _outer_from(x0, mu_init=1.0):
+    return valued_solve(outer_solve, _oracle_quad(2.0), Regularizer("l1"), POS, SpectralDiag(1),
+                        np.array([x0]), mu_init=mu_init)
+
+
+def _accept_outside():
+    terms = BarrierTerms(POS, 0.1, "lagrangian")
+    x, x_t = np.array([1.0]), np.array([-0.5])
+    terms.accept(terms.phi(x)[1], terms.phi(x_t)[1], x_t - x)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: _outer_from(1.0, 0.0), ValueError, "mu_init must be positive, not 0.0"),
+    (lambda: _outer_from(1.0, -1e-3), ValueError, "mu_init must be positive, not -0.001"),
+    (lambda: _outer_from(0.0), BoundaryPoint, "outer solve requires a strictly interior start"),
+    (lambda: crossover(np.ones(1), DualEstimate(np.ones(1), np.zeros(1)), 0.0, POS),
+     ValueError, "mu_final must be positive"),
+    (lambda: crossover(np.ones(1), DualEstimate(np.ones(1), np.zeros(1)), -1e-3, POS),
+     ValueError, "mu_final must be positive"),
+    (_accept_outside, BoundaryPoint, "dual update needs strictly interior points"),
+], ids=["mu_init_zero", "mu_init_negative", "start_on_bound", "crossover_mu_zero",
+        "crossover_mu_negative", "accept_outside"])
+def test_a_barrier_input_off_its_domain_is_refused(call, error, message):
+    # mu_init > 0 is what makes each stage a barrier stage (mu > 0) for the loop
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
 
 def test_outer_budget_one():
     smooth = _oracle_quad(2.0)

@@ -68,6 +68,21 @@ def test_an_empty_problem_is_refused(name, params, empty):
         build(name, seed=0, **params)
 
 
+@pytest.mark.parametrize("name, params, message", [
+    ("lp", {}, "unknown problem 'lp'; choose from ['bpdn', 'fh', 'nnmf', 'qp']"),
+    ("nnmf", {"m": 6, "n": 5, "k": 5}, "need k < min(m, n)"),
+    ("nnmf", {"m": 4, "n": 6, "k": 4}, "need k < min(m, n)"),
+    ("fh", {"n_samples": 1}, "need at least two samples"),
+    ("bpdn", {"m": 24, "n": 24}, "need m < n"),
+    ("bpdn", {"m": 30, "n": 24}, "need m < n"),
+], ids=["unknown_name", "nnmf_k_is_n", "nnmf_k_is_m", "fh_one_sample", "bpdn_square",
+        "bpdn_tall"])
+def test_a_malformed_problem_is_refused(name, params, message):
+    with pytest.raises(ValueError) as info:
+        build(name, seed=0, **params)
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
 def test_qp_structure():
     inst = gen_qp(n=25, p=0.5, seed=1)
     H = inst.smooth.H.toarray()

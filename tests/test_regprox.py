@@ -48,6 +48,13 @@ def test_regularizer_takes_finite_nonnegative_weights_only(lam, weights):
             Regularizer(kind, lam, weights)
 
 
+def test_regularizer_of_an_unknown_kind_is_refused():
+    with pytest.raises(ValueError) as info:
+        Regularizer("l2", 1.0)
+    assert type(info.value) is ValueError
+    assert str(info.value) == "unknown regularizer kind 'l2'"
+
+
 def test_prox_separable_examples():
     h1 = Regularizer("l1", 1.0)
     assert iprox_shifted(h1, 1.0, np.array([2.0]), _box1(-10, 10))[0] == pytest.approx(1.0)
