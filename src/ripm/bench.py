@@ -193,13 +193,13 @@ def run_solver(name: str, instance, budget: int, overrides: dict | None = None) 
 
     x0 is clamped into the bounds and valued once the clock starts; a start
     that the budget refuses calls no solver, and reports BUDGET with f = inf,
-    h/lam = NaN, criticality inf and an empty trace.  A start whose f, h or
-    grad f is not finite calls no solver either.  It reports ORACLE_FAILURE,
-    as does a solve that raises, in valuing the start too, with ``error``
-    and the counts and trace so far.  The criticality is the solver's last
-    measure (inf if it took none), h/lam is NaN when lam is 0, and r̄(x0) is
-    NaN without a start gradient.  ``overrides`` replace the harness
-    defaults (see `solver_options`).
+    h/lam = NaN, criticality inf, an empty trace and diagnostics {}.  A start
+    whose f, h or grad f is not finite calls no solver either.  It reports
+    ORACLE_FAILURE, as does a solve that raises, in valuing the start too,
+    with ``error``, diagnostics {} and the counts and trace so far.  The
+    criticality is the solver's last measure (inf if it took none), h/lam is
+    NaN when lam is 0, and r̄(x0) is NaN without a start gradient.
+    ``overrides`` replace the harness defaults (see `solver_options`).
     """
     opts, qn = solver_options(name, instance.name, overrides or {})
     # looked up at each run, so that a wrapper bound to the solve's name runs
@@ -212,7 +212,7 @@ def run_solver(name: str, instance, budget: int, overrides: dict | None = None) 
     t0 = time.perf_counter()
     try:
         if oracle.evals_left() == 0:
-            res = SolveResult(x, np.inf, np.nan, np.inf, 0, BUDGET, None)
+            res = SolveResult(x, np.inf, np.nan, np.inf, 0, BUDGET, {})
         else:
             start = (x, *evaluate_start(oracle, h, x))
             certificate0 = certificate(instance, x, start[3])
@@ -221,7 +221,7 @@ def run_solver(name: str, instance, budget: int, overrides: dict | None = None) 
             operator = () if qn is None else (qn(x.size),)
             res = solve(oracle, h, bounds, *operator, *start, **opts)
     except Exception as exc:  # a hard failure: its report, and the next solver runs
-        res = SolveResult(x, np.nan, np.nan, np.nan, 0, ORACLE_FAILURE, None)
+        res = SolveResult(x, np.nan, np.nan, np.nan, 0, ORACLE_FAILURE, {})
         error = f"{type(exc).__name__}: {exc}"
     wall = time.perf_counter() - t0
 
@@ -300,6 +300,13 @@ def _width(cell: str) -> int:
     return sum(not unicodedata.combining(ch) for ch in cell)
 
 
+def _columns(rows) -> str:
+    """Rows of cells as lines, each column right-justified by printed width, two spaces apart."""
+    widths = [max(map(_width, column)) for column in zip(*rows)]
+    return "".join("  ".join(" " * (w - _width(c)) + c for c, w in zip(row, widths)) + "\n"
+                   for row in rows)
+
+
 def _label(report, family: str) -> str:
     """The solver's name, and the options that differ from its harness defaults
     on the problem ``family`` (see `solver_options`), as ``R2[rel_tol=1e-08]``."""
@@ -328,11 +335,7 @@ def emit_table(reports, family: str) -> str:
             row.append(_fmt_stat(r.dist_to_xstar))
         row += [str(r.n_f), str(r.n_grad), str(r.n_prox), _cell(r.wall_time_s, ".1e")]
         rows.append(row)
-    widths = [max(_width(h), *(_width(row[i]) for row in rows)) for i, h in enumerate(headers)]
-    lines = ["  ".join(" " * (w - _width(h)) + h for h, w in zip(headers, widths))]
-    for row in rows:
-        lines.append("  ".join(" " * (w - _width(c)) + c for c, w in zip(row, widths)))
-    return "\n".join(lines) + "\n"
+    return _columns([headers, *rows])
 
 
 def save_results(config: RunConfig, instance, reports, out_dir) -> Path:

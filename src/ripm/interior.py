@@ -11,13 +11,14 @@ passes: trial points are restricted to the box of points
 and the quadratic model adds the barrier gradient and the capped barrier
 curvature Theta = min(z / gap, kappa_bar) summed over bounded sides to the
 quasi-Newton operator B.  `BarrierTerms` forms every barrier quantity of a
-point itself: `phi` the gaps and phi_mu, which `barrier_value` shares, `at`
-the model terms and `accept` the dual update.  `outer_solve` builds one
-`BarrierTerms` per solve, sets its mu > 0 for each stage and reads the
-duals, mu and measure back from it; the loop carries none, and hands back
-the gaps that `phi` formed.  `outer_solve` also hands each stage its start
-radius, and ends the solve before a stage that would start below the radius
-x can resolve.  The duals start at 1 and `accept` updates them: a linearized
+point itself: `phi` the gaps and phi_mu, which `barrier_value` shares, or
+(+inf, None) outside the bounds, `at` the model terms and `accept` the dual
+update, which refuse gaps of None.  `outer_solve` builds one `BarrierTerms`
+per solve, sets its mu > 0 for each stage and reads the duals, mu and
+measure back from it; the loop carries none, and hands back the gaps that
+`phi` formed.  `outer_solve` also hands each stage its start radius, and
+ends the solve before a stage that would start below the radius x can
+resolve.  The duals start at 1 and `accept` updates them: a linearized
 complementarity update projected into a safeguard interval, so they stay
 strictly positive.  The measure follows h: the primal one, based on the
 barrier gradient, for the nonconvex l0 penalty, and the Lagrangian one,
@@ -124,15 +125,15 @@ def _full(values, i, n: int, total=None):
 
 
 def _phi(mu: float, x, sides):
-    """The barrier value at x (+inf outside the bounds) and the gaps of x: a
-    tuple of each side's gaps, and whether every gap is positive."""
+    """The barrier value at x and the gaps of x, a tuple of each side's gaps;
+    (+inf, None) outside the bounds, where a gap is not positive."""
     gaps = tuple(_gap(x, side) for side in sides)
     if any((g <= 0.0).any() for g in gaps):
-        return np.inf, (gaps, False)
+        return np.inf, None
     val = 0.0
     for g in gaps:
         val -= mu * float(np.log(g).sum())
-    return val, (gaps, True)
+    return val, gaps
 
 
 def barrier_value(mu: float, x, bounds: Box) -> float:
@@ -200,27 +201,27 @@ class BarrierTerms:
             self.z[which][i] = 1.0
 
     def phi(self, x):
-        """The barrier value at x (+inf outside the bounds) and the gaps of x."""
+        """The barrier value at x and the gaps of x; (+inf, None) outside the bounds."""
         return _phi(self.mu, x, self._sides)
 
     def at(self, x, gx, gaps):
-        if not gaps[1]:
+        if gaps is None:
             raise BoundaryPoint("barrier gradient needs a strictly interior point")
         # per side: the barrier gradient -sign mu/gap, the capped curvature
         # min(z/gap, KAPPA_BAR) and the complementarity residual gap*z - mu
         n, mu = x.size, self.mu
         g_phi = theta = None
         compl = 0.0
-        min_gaps = [np.inf, np.inf]
-        for (i, _, sign, which), gap in zip(self._sides, gaps[0]):
+        smallest = [np.inf, np.inf]  # the least gap of each side
+        for (i, _, sign, which), gap in zip(self._sides, gaps):
             zm = self.z[which][i]
             g_phi = _full((-sign * mu) / gap, i, n, g_phi)
             theta = _full(np.minimum(zm / gap, KAPPA_BAR), i, n, theta)
             compl += float(((gap * zm - mu) ** 2).sum())
-            min_gaps[which] = float(gap.min())
+            smallest[which] = float(gap.min())
         if g_phi is None:  # no finite bound
             g_phi = theta = np.zeros(n)
-        box = fraction_to_boundary_box(min_gaps, self.bounds)
+        box = fraction_to_boundary_box(smallest, self.bounds)
         g_meas = gx - self.z.zl + self.z.zu if self.mode == MODE_LAGRANGIAN else None
         return gx + g_phi, theta, box, g_meas, math.sqrt(compl)
 
@@ -232,14 +233,14 @@ class BarrierTerms:
         [KAPPA_ZUL * min(1, z, mu/gap_t), max(KAPPA_ZUU, z, KAPPA_ZUU/mu,
         KAPPA_ZUU * mu/gap_t)] on the finite components; the others get z = 0.
         """
-        if not (gaps[1] and gaps_t[1]):
+        if gaps is None or gaps_t is None:
             raise BoundaryPoint("dual update needs strictly interior points")
         n, mu = s.size, self.mu
         z_new = [None, None]
         # min and max are exact, so the scalar bounds are merged first and the
         # vector terms formed in place, with the bits of the formula above
         hi_scalar = max(KAPPA_ZUU, KAPPA_ZUU / mu)
-        for (i, _, sign, which), g_old, g_new in zip(self._sides, gaps[0], gaps_t[0]):
+        for (i, _, sign, which), g_old, g_new in zip(self._sides, gaps, gaps_t):
             zm = self.z[which][i]
             zhat = np.divide(zm, g_old)
             zhat *= sign * s[i]

@@ -19,7 +19,9 @@ A solve keeps one record per iteration in an `IterLog`, a flat store of
 one schema: `TR_RECORD` for the trust-region loop, alone or in the barrier
 stages, and `R2_RECORD` for R2.  A barrier solve makes thousands of inner
 iterations: a dict per record would take about 800 bytes, and a row of
-`TR_RECORD` takes 144, eight per field.
+`TR_RECORD` takes 144, eight per field.  A report without records, of a
+start the budget refuses, of a solve that raises or loaded from
+reports.json, has ``diagnostics`` {}.
 """
 from __future__ import annotations
 
@@ -138,7 +140,7 @@ class SolverReport:
     trace: list = field(default_factory=list)  # (n_grad_so_far, f + h) pairs
     dist_to_xstar: float | None = None
     z: object | None = None
-    diagnostics: dict | None = None
+    diagnostics: dict = field(default_factory=dict)
     error: str | None = None
     lam: float = 0.0
     certificate: float = np.nan  # r̄ at x (see `bench.certificate`), NaN if not formed

@@ -47,8 +47,9 @@ subproblems of RIPM pass `interior.BarrierTerms`, whose box is the
 fraction-to-boundary box, and which adds the barrier gradient and curvature
 and owns the duals.  Both have the barrier parameter mu, 0 in
 `ShiftedBounds`, and the methods `phi`, `at` and `accept`; a run with mu > 0
-is a barrier stage.  `phi` returns the gaps of a point with its term, and
-the loop hands them back to `at` and `accept`.  `at` always returns a
+is a barrier stage.  `phi` returns a point's term and its gaps, a tuple per
+side, () in `ShiftedBounds`, or (+inf, None) outside a barrier's bounds,
+and the loop hands the gaps back to `at` and `accept`.  `at` always returns a
 curvature vector Theta, zero in `ShiftedBounds`, and a complementarity
 residual, 0 there, which the stop test holds to abs_tol.  A zero model step
 of a barrier stage tries no trial: x and Delta stay put, and `accept` at s
@@ -122,8 +123,8 @@ class ShiftedBounds:
         self.bounds = bounds
 
     def phi(self, x):
-        """The constraint term at x and the gaps of x (none here)."""
-        return 0.0, None
+        """The constraint term at x and the gaps of x: those of a constraint with no side."""
+        return 0.0, ()
 
     def at(self, x, gx, gaps):
         """Model gradient, curvature Theta (zero here), box of points, measure

@@ -5,13 +5,14 @@ Run from the root of a source checkout:
     python3 tests/grid_digest.py
     python3 tests/grid_digest.py --against saved.txt
 
-Each solve prints one line, the repr of (family, seed, solver, budget, n_f,
-n_grad, n_prox, f, h/lambda, termination, criticality, sum of x); the last
-line is the sha256 of all of them, followed by whether it matches EXPECTED;
-on a mismatch the script exits 1.  With --against and the saved output of
-an earlier run, it also prints each row that moved, as old → new, before the
-digest.  Two checkouts that print the same digest behave the same, bit for
-bit, on the grid:
+Each solve prints one line, the repr of (family, seed, label, budget, n_f,
+n_grad, n_prox, f, h/lambda, termination, criticality, sum of x), with the
+solver entry labelled as the ``ripm-bench`` table labels it (`bench._label`);
+the last line is the sha256 of all of them, followed by whether it matches
+EXPECTED; on a mismatch the script exits 1.  With --against and the saved
+output of an earlier run, it also prints each row that moved, as old → new,
+before the digest.  Two checkouts that print the same digest behave the
+same, bit for bit, on the grid:
 
 - bpdn, seeds 0-5, every solver, budget 1000;
 - qp and nnmf at their default sizes, every solver, budget 200;
@@ -19,7 +20,7 @@ bit, on the grid:
 - qp at `problems.PAPER_SCALE`, every solver, budget 30.
 
 Each row runs as a `ripm-bench` config through `bench.run_config`, with BLAS
-on one thread (see `gridrun`).  The whole grid takes about 20 s on one core
+on one thread (see `gridrun`).  The whole grid takes 15-25 s on one core
 of a 2-core Xeon host.
 """
 import argparse
@@ -40,7 +41,7 @@ GRID = ([("bpdn", seed, {}, ALL, 1000) for seed in range(6)]
 
 
 def _key(line: str):
-    """The (family, seed, solver, budget) prefix that names a row, or None for another line."""
+    """The (family, seed, label, budget) prefix that names a row, or None for another line."""
     return ", ".join(line.split(", ", 4)[:4]) if line.startswith("(") else None
 
 
@@ -54,8 +55,9 @@ def main(argv=None) -> int:
     for row in GRID:
         family, seed, _, _, budget = row
         for rep in bench.run_config(gridrun.row_config(*row))[1]:
-            line = repr((family, seed, rep.solver, budget, rep.n_f, rep.n_grad, rep.n_prox, rep.f,
-                         rep.h_over_lam, rep.termination, rep.criticality, float(rep.x.sum())))
+            line = repr((family, seed, bench._label(rep, family), budget, rep.n_f, rep.n_grad,
+                         rep.n_prox, rep.f, rep.h_over_lam, rep.termination, rep.criticality,
+                         float(rep.x.sum())))
             print(line, flush=True)
             lines.append(line)
     if saved is not None:

@@ -6,7 +6,7 @@ Run from the root of a source checkout:
     python3 tests/sweep_certificate.py --seeds 0:1
     python3 tests/sweep_certificate.py --against saved.txt
 
-Every solver of `bench.SOLVERS` runs with budget 2000 on instance seeds 0-11
+Each solver entry of ENTRIES runs with budget 2000 on instance seeds 0-11
 (or the half-open range a:b of --seeds) of four families at small sizes:
 
 - qp, n 40, p 0.1;
@@ -14,10 +14,11 @@ Every solver of `bench.SOLVERS` runs with budget 2000 on instance seeds 0-11
 - nnmf, 12×8, k 2;
 - fh, 30 samples.
 
-Each solve prints one row: family, seed, solver, status, n_f, F = f + h at
-the returned x (its repr) and r̄/r̄(x0), the report's certificate at the
-returned x over its ``certificate0`` at the start (see `bench`).  A
-value that is not finite prints as "-".  Each row is checked against the
+Each solve prints one row: family, seed, the label of its entry, status,
+n_f, F = f + h at the returned x and r̄/r̄(x0), the report's certificate at
+the returned x over its ``certificate0`` at the start (see `bench`).  Each
+prints as in the ``ripm-bench`` table (`bench._label`, and `bench._cell`:
+"-" for a value that is not finite).  Each row is checked against the
 status contract:
 
 - `converged`: r̄ ≤ τ r̄(x0), counted at τ = 1e-3 and 1e-2; a row above
@@ -34,14 +35,14 @@ That the table prints no NaN or inf as a number is a tier-1 test of
 `bench.emit_table`, not a clause here.
 
 Each row that breaks the contract is printed again with the config that
-rebuilds its solve (``ripm-bench run config.json --output-dir DIR``).  The
-summary counts the statuses and the `converged` rows above each τ, by solver
-and by the solve the solver runs.  With --against and the saved output of an
-earlier run, it also lists the rows whose status or F moved.  The script
-exits 0 once every solve has run, whatever it found.  Each seed of a family
-runs as a `ripm-bench` config through `bench.run_config`, with BLAS on one
-thread (see `gridrun`); the sweep takes about 4.5 minutes on one core of a
-2-core Xeon host.
+rebuilds its solve, with the row's entry as ENTRIES gives it (``ripm-bench
+run config.json --output-dir DIR``).  The summary counts the statuses and
+the `converged` rows above each τ, by label and by the solve each runs.
+With --against and the saved output of an earlier run, it also lists the
+rows whose status or F moved.  The script exits 0 once every solve has
+run, whatever it found.  Each seed of a family runs as a `ripm-bench`
+config through `bench.run_config`, with BLAS on one thread (see `gridrun`);
+the sweep takes 3-5 minutes on one core of a 2-core Xeon host.
 """
 import argparse
 import json
@@ -60,6 +61,7 @@ from ripm.trust_region import stall_radius
 SWEEP_BUDGET = 2000
 FAMILIES = (("qp", {"n": 40, "p": 0.1}), ("bpdn", {"m": 20, "n": 48, "n_spikes": 3}),
             ("nnmf", {"m": 12, "n": 8, "k": 2}), ("fh", {"n_samples": 30}))
+ENTRIES = bench.SOLVER_NAMES  # each config's solver entries, as "solvers" lists them
 TAUS = (1e-3, 1e-2)
 STATUSES = (CONVERGED, STALLED, BUDGET, MAX_ITER, ORACLE_FAILURE)
 
@@ -72,21 +74,12 @@ def _seed_range(text: str) -> range:
     return seeds
 
 
-def _finite(value) -> bool:
-    return value is not None and math.isfinite(value)
-
-
-def _num(value) -> str:
-    """A float as its repr, or "-" when it is not finite."""
-    return repr(float(value)) if _finite(value) else "-"
-
-
 def broken_clauses(rep, ratio: float, budget: int) -> list:
     """The clauses of the status contract that report ``rep`` breaks."""
-    broken, diag = [], rep.diagnostics or {}
+    broken, diag = [], rep.diagnostics
     if rep.termination == CONVERGED and not ratio <= TAUS[0]:
-        broken.append(f"converged with r̄/r̄(x0) {_num(ratio)} above {TAUS[0]:g}")
-    if diag.get("inner") and not _finite(rep.criticality):
+        broken.append(f"converged with r̄/r̄(x0) {bench._cell(ratio, '')} above {TAUS[0]:g}")
+    if diag.get("inner") and not math.isfinite(rep.criticality):
         broken.append(f"criticality {rep.criticality} after a stage measured")
     if rep.termination == STALLED:
         limit = stall_radius(rep.x)
@@ -96,36 +89,32 @@ def broken_clauses(rep, ratio: float, budget: int) -> list:
             records = diag["iters"]
             radius, what = records[-1]["delta_after"] if records else math.nan, "last radius"
         if not radius < limit:
-            broken.append(f"stalled with {what} {_num(radius)}, not below {limit:.3e}")
+            broken.append(f"stalled with {what} {bench._cell(radius, '')}, not below {limit:.3e}")
     if rep.termination == BUDGET and abs(rep.n_f - budget) > 1:
         broken.append(f"budget with n_f {rep.n_f} of {budget}")
     return broken
 
 
 def _key(line: str):
-    """The (family, seed, solver) of a printed row, or None for another line."""
+    """The (family, seed, label) of a printed row, or None for another line."""
     tokens = line.split()
     return tuple(tokens[:3]) if len(tokens) == 7 and tokens[0] in dict(FAMILIES) else None
 
 
 def _summary(rows) -> None:
-    """The status counts and the converged rows above each tau, by solver and by solve."""
-    solves = [row.solve for row in bench.SOLVERS.values()]
-    groups = {group: Counter() for group in [*bench.SOLVER_NAMES, *dict.fromkeys(solves), "all"]}
-    for name, termination, ratio in rows:
-        for group in (name, bench.SOLVERS[name].solve, "all"):
-            counts = groups[group]
-            counts["rows"] += 1
-            counts[termination] += 1
-            for tau in TAUS:
-                counts[tau] += termination == CONVERGED and not ratio <= tau
+    """The status counts and the converged rows above each tau of ``rows``, each
+    (label, solve, status, ratio), by label and by solve in the order met."""
+    groups = {group: Counter() for group in [*dict.fromkeys(row[0] for row in rows),
+                                             *dict.fromkeys(row[1] for row in rows), "all"]}
+    for label, solve, termination, ratio in rows:
+        above = [tau for tau in TAUS if termination == CONVERGED and not ratio <= tau]
+        for group in (label, solve, "all"):
+            groups[group].update(["rows", termination, *above])
     columns = ("rows",) + STATUSES + TAUS
     heads = ["group"] + [c if isinstance(c, str) else f"above {c:g}" for c in columns]
     table = [heads] + [[group] + [str(counts[c]) for c in columns]
                        for group, counts in groups.items()]
-    widths = [max(len(row[i]) for row in table) for i in range(len(heads))]
-    for row in table:
-        print("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
+    print(bench._columns(table), end="")
 
 
 def main(argv=None) -> int:
@@ -140,16 +129,16 @@ def main(argv=None) -> int:
     rows, lines, breaches = [], [], []
     for family, params in FAMILIES:
         for seed in args.seeds:
-            config = gridrun.row_config(family, seed, params, bench.SOLVER_NAMES, SWEEP_BUDGET)
-            for rep in bench.run_config(config)[1]:
-                r0 = rep.certificate0
+            config = gridrun.row_config(family, seed, params, ENTRIES, SWEEP_BUDGET)
+            for entry, rep in zip(ENTRIES, bench.run_config(config)[1]):
+                r0, label = rep.certificate0, bench._label(rep, family)
                 ratio = rep.certificate / r0 if r0 > 0.0 else math.nan
-                line = (f"{family} {seed} {rep.solver} {rep.termination} {rep.n_f} "
-                        f"{_num(rep.objective)} {_num(ratio)}")
+                line = (f"{family} {seed} {label} {rep.termination} {rep.n_f} "
+                        f"{bench._cell(rep.objective, '')} {bench._cell(ratio, '')}")
                 print(line, flush=True)
-                rows.append((rep.solver, rep.termination, ratio))
+                rows.append((label, bench.SOLVERS[rep.solver].solve, rep.termination, ratio))
                 lines.append(line)
-                breaches += [(line, clause, dict(config, solvers=[rep.solver]))
+                breaches += [(line, clause, dict(config, solvers=[entry]))
                              for clause in broken_clauses(rep, ratio, SWEEP_BUDGET)]
     print()
     _summary(rows)

@@ -207,13 +207,13 @@ def test_budget_zero_reports_criticality_unmeasured():
     # no evaluation is allowed, so no solver measures criticality; the report
     # must not read as exactly critical.  The refused start calls no solver,
     # so it reads the same for every one: no f, no h (h(x0)/lam is 24 here),
-    # no measure and no trace, and the table prints "-" for each
+    # no measure, no trace and no records, and the table prints "-" for each
     inst = bench.problems.build("bpdn", 0, m=12, n=24, n_spikes=3)
     for name in ALL_SOLVERS:
         rep = bench.run_solver(name, inst, 0)
         assert rep.termination == BUDGET and rep.n_f == 0
         assert rep.f == np.inf and rep.criticality == np.inf, (name, rep.criticality)
-        assert np.isnan(rep.h_over_lam) and rep.trace == [], name
+        assert np.isnan(rep.h_over_lam) and rep.trace == [] and rep.diagnostics == {}, name
         assert emit_table([rep], "bpdn").splitlines()[1].split()[1:4] == ["-", "-", "-"]
 
 
@@ -462,6 +462,8 @@ def test_report_round_trip():
         for name in SolverReport.SAVED:
             np.testing.assert_equal(getattr(back, name), getattr(rep, name), err_msg=name)
         assert set(rep.to_dict()) == set(SolverReport.SAVED)
+        # neither has records, and a loaded report has none either
+        assert rep.diagnostics == back.diagnostics == {}
 
 
 def _one_component(kind, lam, x, g, lo=-np.inf, hi=np.inf, weight=None):
@@ -749,7 +751,7 @@ def test_solver_hard_failure_recorded(tmp_path, monkeypatch):
     assert [r.solver for r in reports] == ["R2", "TRDH", "RIPMDH-p"]
     failed = reports[1]
     assert failed.termination == "oracle_failure"
-    assert "synthetic failure" in failed.error
+    assert "synthetic failure" in failed.error and failed.diagnostics == {}
     assert (failed.n_f, failed.n_grad, failed.n_prox) == made[0]
     assert failed.n_f > 1 and failed.n_prox > 0
     assert failed.wall_time_s > 0.0 and len(failed.trace) > 1
@@ -772,6 +774,7 @@ def test_a_start_that_raises_is_reported_with_its_counts(name):
     assert rep.error.startswith("OracleFailure: ")
     assert np.array_equal(rep.x, inst.bounds.clamp(inst.x0))
     assert rep.trace == [] and np.isnan(rep.f) and np.isnan(rep.certificate)
+    assert rep.diagnostics == {}
 
 
 @pytest.mark.parametrize("name", ["RIPM-R2", "RIPMDH", "RIPM-R2-p", "RIPMDH-p"])
@@ -784,6 +787,7 @@ def test_a_start_on_a_bound_fails_the_barrier_solve(name):
     rep = run_solver(name, dataclasses.replace(inst, x0=x0), 100)
     assert rep.termination == ORACLE_FAILURE
     assert rep.error == "BoundaryPoint: outer solve requires a strictly interior start"
+    assert rep.diagnostics == {}
     assert (rep.n_f, rep.n_grad, rep.n_prox) == (1, 1, 0)
     assert np.isnan(rep.certificate) and np.isfinite(rep.certificate0)
 

@@ -1,5 +1,7 @@
 """The two grid scripts, `grid_digest` and `sweep_certificate`, on a one-row grid:
 their rows, the rows that moved against a saved run, and their exit codes."""
+import json
+
 import pytest
 
 from ripm import bench, problems
@@ -65,8 +67,8 @@ def test_sweep_rows_moved_rows_and_exit_code(scripts, monkeypatch, tmp_path, cap
         rep = bench.run_solver(name, instance, sweep.SWEEP_BUDGET)
         assert (family, seed, solver, status, int(n_f)) == ("bpdn", "0", name, rep.termination,
                                                             rep.n_f)
-        assert objective == sweep._num(rep.objective)
-        assert ratio == sweep._num(rep.certificate / rep.certificate0)
+        assert objective == bench._cell(rep.objective, "")
+        assert ratio == bench._cell(rep.certificate / rep.certificate0, "")
     assert out[-1].startswith(f"{len(rows)} solves, seeds 0:1, budget {sweep.SWEEP_BUDGET}, ")
 
     # a saved run with another n_f on the first row and another F on the
@@ -93,3 +95,53 @@ def test_a_saved_row_with_no_row_in_this_run_is_counted(scripts, monkeypatch, tm
     assert grid_digest.main(["--against", str(saved)]) == 1
     assert capsys.readouterr().out.splitlines()[1] == (
         f"0 of 1 rows moved against {saved}, and 1 saved rows have no row in this run")
+
+
+# two entries of one solver, which differ only in their options
+TWO_R2 = ("R2", {"name": "R2", "options": {"rel_tol": 1e-8}})
+TWO_LABELS = ("R2", "R2[rel_tol=1e-08]")
+
+
+def test_two_entries_of_one_solver_are_two_digest_rows(scripts, monkeypatch, tmp_path, capsys):
+    grid_digest, _ = scripts
+    monkeypatch.setattr(grid_digest, "GRID", [("bpdn", 0, BPDN, TWO_R2, 200)])
+    assert grid_digest.main([]) == 1
+    out = capsys.readouterr().out.splitlines()
+    rows = out[:2]
+    assert [row.split(", ")[2] for row in rows] == [repr(label) for label in TWO_LABELS]
+    assert rows[0] != rows[1]  # rel_tol 1e-8 runs on past the default tolerance
+    saved = _save(tmp_path, out)
+    assert grid_digest.main(["--against", str(saved)]) == 1
+    assert capsys.readouterr().out.splitlines()[2] == f"0 of 2 rows moved against {saved}"
+
+
+def test_two_entries_of_one_solver_are_two_sweep_rows(scripts, monkeypatch, tmp_path, capsys):
+    _, sweep = scripts
+    monkeypatch.setattr(sweep, "FAMILIES", (("bpdn", BPDN),))
+    monkeypatch.setattr(sweep, "ENTRIES", TWO_R2)
+    # every row breaks a clause, so that each prints the config that rebuilds it
+    monkeypatch.setattr(sweep, "broken_clauses", lambda rep, ratio, budget: ["clause"])
+    assert sweep.main(["--seeds", "0:1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    rows = out[:2]
+    assert [row.split()[2] for row in rows] == list(TWO_LABELS)
+    # the summary: its header, a group per label, the one solve they run, and all
+    summary = [line.split() for line in out[3:8]]
+    assert summary[0][:2] == ["group", "rows"]
+    assert [(line[0], line[1]) for line in summary[1:]] == [
+        (TWO_LABELS[0], "1"), (TWO_LABELS[1], "1"), ("r2_solve", "2"), ("all", "2")]
+    assert out[9] == "2 breaches of the status contract"
+    instance = problems.build("bpdn", 0, **BPDN)
+    for i, (row, entry) in enumerate(zip(rows, TWO_R2)):
+        assert out[10 + 3 * i:12 + 3 * i] == [row, "  clause"]
+        config = json.loads(out[12 + 3 * i].removeprefix("  config: "))
+        assert config["solvers"] == [entry]
+        (again,) = bench.run_config(config)[1]
+        options = entry["options"] if isinstance(entry, dict) else {}
+        rep = bench.run_solver("R2", instance, sweep.SWEEP_BUDGET, options)
+        assert (again.n_f, again.objective, bench._label(again, "bpdn")) == \
+            (rep.n_f, rep.objective, TWO_LABELS[i])
+    saved = _save(tmp_path, out)
+    assert sweep.main(["--seeds", "0:1", "--against", str(saved)]) == 0
+    assert f"0 of 2 rows moved in status or F against {saved}" in \
+        capsys.readouterr().out.splitlines()

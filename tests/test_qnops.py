@@ -25,6 +25,11 @@ def test_spectral_update_examples():
     assert op1.sigma == SIGMA_MIN  # negative curvature clamps to the floor
     assert np.allclose(op.apply(np.array([1.0, -2.0])), [2.0, -4.0])
     assert op.norm_estimate() == pytest.approx(2.0)
+    # a zero step, and one whose s.s underflows to 0, take no update
+    for s in (np.zeros(2), np.array([1e-170, 0.0])):
+        assert float(s @ s) == 0.0
+        assert op.update(s, np.array([1.0, 1.0]), op.apply(s)) is False
+        assert op.sigma == 2.0
 
 
 def test_spectral_clamp_range():
