@@ -128,11 +128,11 @@ def _phi(mu: float, x, sides):
     """The barrier value at x and the gaps of x, a tuple of each side's gaps;
     (+inf, None) outside the bounds, where a gap is not positive."""
     gaps = tuple(_gap(x, side) for side in sides)
-    if any((g <= 0.0).any() for g in gaps):
+    if any(np.count_nonzero(g <= 0.0) for g in gaps):
         return np.inf, None
     val = 0.0
     for g in gaps:
-        val -= mu * float(np.log(g).sum())
+        val -= mu * float(np.add.reduce(np.log(g)))
     return val, gaps
 
 
@@ -147,14 +147,16 @@ def fraction_to_boundary_box(min_gaps, bounds: Box) -> Box:
     ``min_gaps`` holds the smallest gap of a point x on each side, min_j
     (x_j - lo_j) and min_j (hi_j - x_j) over finite bounds, or +inf for a
     side with none; an infinite bound stays as it is.  For lo = 0, hi = +inf
-    this is {u : min_i u_i >= tau min_i x_i}.
+    this is {u : min_i u_i >= tau min_i x_i}.  With tau = 1/2, the gaps of x
+    give a box that holds x, rounding included, so it is built unchecked
+    (see `regprox`).
     """
     m_l, m_u = min_gaps
     if not (m_l > 0.0 and m_u > 0.0):
         raise BoundaryPoint("x is not strictly interior")
     lo = bounds.lo + DELTA_FRAC * m_l if m_l < np.inf else bounds.lo
     hi = bounds.hi - DELTA_FRAC * m_u if m_u < np.inf else bounds.hi
-    return Box(lo, hi)
+    return Box._unchecked(lo, hi)
 
 
 def crossover(x, z: DualEstimate, mu_final: float, bounds: Box):
@@ -217,8 +219,8 @@ class BarrierTerms:
             zm = self.z[which][i]
             g_phi = _full((-sign * mu) / gap, i, n, g_phi)
             theta = _full(np.minimum(zm / gap, KAPPA_BAR), i, n, theta)
-            compl += float(((gap * zm - mu) ** 2).sum())
-            smallest[which] = float(gap.min())
+            compl += float(np.add.reduce((gap * zm - mu) ** 2))
+            smallest[which] = float(np.minimum.reduce(gap))
         if g_phi is None:  # no finite bound
             g_phi = theta = np.zeros(n)
         box = fraction_to_boundary_box(smallest, self.bounds)

@@ -4,11 +4,12 @@ A solver takes the gradient at the point it has just valued, so an oracle
 whose value and gradient share work (a product with the data, a residual,
 an ODE trajectory) forms that work once per point.  The contract, in
 `SmoothOracle._shared`: the work of the last point is kept with a copy of
-that point, and a value or a gradient at an equal point (`np.array_equal`)
-reuses it.  The key is the contents of x, not the array: an equal point in
-another array reuses the work, and an array modified in place since does
-not.  A value refused by the budget computes nothing and leaves the kept
-point as it was, and `fresh` keeps nothing.  The work is the same function
+that point, and a value or a gradient at an equal point reuses it: one of
+the same shape with ``(a == b).all()``, what `np.array_equal` tests.  The
+key is the contents of x, not the array: an equal point in another array
+reuses the work, and an array modified in place since does not.  A value
+refused by the budget computes nothing and leaves the kept point as it
+was, and `fresh` keeps nothing.  The work is the same function
 of x whether or not it was kept, so every result is the same bit for bit.
 `fresh` makes the view `bench.run_solver` hands a solve, which also holds
 the solve's ``trace``; `SmoothOracle.mark` writes its every row.
@@ -90,7 +91,7 @@ class SmoothOracle:
     def _shared(self, x):
         """``_work(x)``, kept for the last point and reused at an equal one."""
         cache = self._cache
-        if cache is not None and np.array_equal(cache[0], x):
+        if cache is not None and cache[0].shape == x.shape and (cache[0] == x).all():
             return cache[1]
         work = self._work(x)
         self._cache = (np.array(x, dtype=float), work)
@@ -129,16 +130,16 @@ class QuadModelOracle(SmoothOracle):
     def curvature(self, t):
         """t.(B + theta) t and its products (signs * (W t), (1 + theta) t); one model value."""
         self.n_f += 1
-        wt = self.W @ t
+        wt = self.W.dot(t)
         swt = wt * self.signs
         dt = self._diag * t
-        return float(t @ dt) + float(swt @ wt), (swt, dt)
+        return float(t.dot(dt)) + float(swt.dot(wt)), (swt, dt)
 
     def grad_after(self, gm, products) -> np.ndarray:
         """grad m(x + t) from gm = grad m(x) and the `curvature` products of t."""
         self.n_grad += 1
         swt, dt = products
-        out = swt @ self.W
+        out = swt.dot(self.W)
         out += dt
         out += gm
         return out

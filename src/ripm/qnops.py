@@ -62,7 +62,7 @@ class LSR1:
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         W = self._rows[:self._k]
-        return v + ((W @ v) * self._signs[:self._k]) @ W
+        return v + (W.dot(v) * self._signs[:self._k]).dot(W)
 
     def factors(self):
         """W and signs of B = I + W^T diag(signs) W; views that the next update rewrites."""
@@ -120,8 +120,8 @@ class LSR1:
     def _row(self, s, y, bs):
         """(r, sqrt|r.s|, sign of r.s) for the pair (s, y), with bs = B s; None if skipped."""
         r = y - bs
-        rs = float(r @ s)
-        if not abs(rs) > CURVATURE_SKIP * math.sqrt(r @ r) * math.sqrt(s @ s):
+        rs = float(r.dot(s))
+        if not abs(rs) > CURVATURE_SKIP * math.sqrt(r.dot(r)) * math.sqrt(s.dot(s)):
             return None
         return r, math.sqrt(abs(rs)), 1.0 if rs > 0 else -1.0
 
@@ -145,10 +145,10 @@ class SpectralDiag:
 
     def update(self, s: np.ndarray, y: np.ndarray, bs: np.ndarray) -> bool:
         """sigma = s.y / s.s, clamped; the update needs no B s, so ``bs`` is unused."""
-        ss = float(s @ s)
+        ss = float(s.dot(s))
         if ss == 0.0:
             return False
-        self.sigma = min(max(float(s @ y) / ss, SIGMA_MIN), SIGMA_MAX)
+        self.sigma = min(max(float(s.dot(y)) / ss, SIGMA_MIN), SIGMA_MAX)
         return True
 
     def norm_estimate(self) -> float:

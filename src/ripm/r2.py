@@ -67,7 +67,7 @@ def first_order_step(h, x, hx: float, g, sigma, box: Box):
     q += x
     u = regprox.iprox_shifted(h, sigma, q, box)
     t = u - x
-    gt = float(g @ t)
+    gt = float(g.dot(t))
     hu = h.value(u)
     return u, t, hu, gt, max(hx - gt - hu, 0.0)
 

@@ -31,11 +31,13 @@ allows no evaluation, the loop measures at x and tests the tolerance, then
 stops before it builds a trial point whose value the budget would refuse:
 for a subsolve step that is a whole R2 solve.
 
-The loop keeps the hot-path rule of `regprox`: no `np.clip`, no
-function-form `np.any`/`np.all` and no `np.linalg.norm` in code that runs
-once per iteration.  Norms are ``math.sqrt(v @ v)``, what `np.linalg.norm`
+The loop keeps the hot-path rule of `regprox`: products by ``.dot``, max
+and min by the ufunc's reduce, no `np.clip`, no function-form
+`np.any`/`np.all` and no `np.linalg.norm` in code that runs once per
+iteration.  Norms are ``math.sqrt(v.dot(v))``, what `np.linalg.norm`
 computes for a vector.  Each box of the loop is the ball of radius r around
-x within the constraint box, `Box.ball`, built in one pass.
+x within the constraint box, `Box.ball`, built in one pass and not checked
+again: x lies in the constraint box and r >= 0, so the ball holds x.
 
 The bounds enter through a constraint object, which supplies the box of
 points every trial stays in.  TR and TRDH fold the box indicator into the
@@ -108,7 +110,7 @@ def update_radius(delta: float, rho: float) -> float:
 
 def stall_radius(x) -> float:
     """eps (1 + ||x||_inf): below this radius the box around x rounds to x."""
-    return EPS_MACH * (1.0 + float(np.abs(x).max()))
+    return EPS_MACH * (1.0 + float(np.maximum.reduce(np.abs(x))))
 
 
 class ShiftedBounds:
@@ -186,7 +188,7 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
         if terms is None:
             terms = cons.at(x, gx, gaps)
             stall = stall_radius(x)
-            theta_max = float(terms[1].max())
+            theta_max = float(np.maximum.reduce(terms[1], axis=None))
         if delta < stall:
             status = "stalled"
             break
@@ -204,8 +206,8 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
             break
         obj = fx + phi + hx
         # the fields of this iteration's record that come before its outcome
-        head = (j, cons.mu, 1.0 / sigma, delta, xi, math.sqrt(s1 @ s1), xi_m,
-                math.sqrt(s_m @ s_m), crit, compl, obj)
+        head = (j, cons.mu, 1.0 / sigma, delta, xi, math.sqrt(s1.dot(s1)), xi_m,
+                math.sqrt(s_m.dot(s_m)), crit, compl, obj)
         if crit <= abs_tol + rel_tol * crit0 and compl <= abs_tol:
             status = "tol"
             if cons.mu > 0:
@@ -214,7 +216,7 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
         if smooth.evals_left() == 0:
             status = "budget"
             break
-        cap = min(delta, BETA * float(np.abs(s1).max()))
+        cap = min(delta, BETA * float(np.maximum.reduce(np.abs(s1))))
         cap_box = box.ball(x, cap)
         if hasattr(qn, "diagonal"):
             d = qn.diagonal() + theta
@@ -226,18 +228,18 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
                            max_iter=SUBSOLVER_MAX_ITER, abs_tol=0.0, rel_tol=SUBSOLVER_REL_TOL)
             x_t, h_t = sub.x, sub.h
             s = x_t - x
-            gs = float(g @ s)
-        if not s.any() and cons.mu > 0:
+            gs = float(g.dot(s))
+        if cons.mu > 0 and not np.count_nonzero(s):
             cons.accept(gaps, gaps, s)  # s is all +-0: the dual update at s = 0
             records.append(*head, 0.0, False, None, delta, np.nan, 0.0, np.nan)
             terms = None
             continue
         bqs = qn.apply(s)  # B s, which the operator's update takes on acceptance
         bs = bqs + theta * s
-        decrease = hx - gs - 0.5 * float(s @ bs) - h_t
+        decrease = hx - gs - 0.5 * float(s.dot(bs)) - h_t
         rho = -np.inf  # a step the model does not decrease fails whatever f says
         if decrease > 0:
-            if not np.array_equal(x_t, x_f):
+            if x_t.shape != x_f.shape or not (x_t == x_f).all():
                 x_f, f_t = x_t, smooth.value(x_t)
             phi_t, gaps_t = cons.phi(x_t)
             rho = (obj - (f_t + phi_t + h_t)) / decrease
@@ -254,7 +256,7 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
             obj_after = fx + phi + hx
             terms = None
         records.append(*head, float(rho), accepted, None, new_delta, obj_after,
-                       float(np.abs(s).max()), cap)
+                       float(np.maximum.reduce(np.abs(s))), cap)
         delta = new_delta
 
     return InnerResult(x=x, fx=fx, hx=hx, gx=gx, crit=crit, compl=compl,

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ripm import bench, interior, problems, trust_region
-from ripm.errors import BoundaryPoint
+from ripm.errors import BoundaryPoint, EmptyBox
 from ripm.interior import (DELTA_FRAC, BarrierTerms, DualEstimate, barrier_value, crossover,
                            fraction_to_boundary_box, inner_solve, measure_mode, outer_solve)
 from ripm.qnops import LSR1, SpectralDiag
@@ -97,6 +97,48 @@ def test_fraction_to_boundary_two_sided():
 def test_fraction_to_boundary_requires_interior():
     with pytest.raises(BoundaryPoint):
         fraction_to_boundary_box((0.0, 2.0), _box1(0.0, 2.0))  # x = 0
+
+
+def test_loop_boxes_equal_checked_boxes():
+    # `Box.ball` and `fraction_to_boundary_box` skip the checks of `Box(...)`:
+    # their boxes hold x, so they are nonempty, and each equals bit for bit
+    # the checked box of the same lo and hi
+    def same(a, b):
+        return all(u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
+                   for u, v in ((a.lo, b.lo), (a.hi, b.hi)))
+
+    rng = np.random.default_rng(7)
+    n = 40
+    mid = rng.uniform(-2.0, 2.0, n)
+    lo = np.where(rng.random(n) < 0.7, mid - rng.uniform(1e-3, 2.0, n), -np.inf)
+    hi = np.where(rng.random(n) < 0.7, mid + rng.uniform(1e-3, 2.0, n), np.inf)
+    # sides finite somewhere, finite everywhere and nowhere (see `interior._sides`)
+    for bounds in (Box(lo, hi), Box(mid - 1.0, mid + 1.0), Box(lo, np.full(n, np.inf)),
+                   Box(np.full(n, -np.inf), hi)):
+        barrier = BarrierTerms(bounds, 0.1, "lagrangian")
+        for _ in range(25):
+            x = np.clip(rng.normal(0.0, 2.0, n), bounds.lo, bounds.hi)
+            for r in (0.0, *rng.exponential(1.0, 3)):
+                ball = bounds.ball(x, r)
+                assert same(ball, Box(np.maximum(x - r, bounds.lo), np.minimum(x + r, bounds.hi)))
+                assert (ball.lo <= x).all() and (x <= ball.hi).all()
+            # a strictly interior x
+            x = np.where(np.isfinite(bounds.lo), bounds.lo, mid - 2.0)
+            x = x + rng.uniform(1e-6, 0.999, n) * (np.minimum(bounds.hi, mid + 2.0) - x)
+            _, gaps = barrier.phi(x)
+            box = barrier.at(x, np.zeros(n), gaps)[2]
+            m_l = (x - bounds.lo)[np.isfinite(bounds.lo)].min(initial=np.inf)
+            m_u = (bounds.hi - x)[np.isfinite(bounds.hi)].min(initial=np.inf)
+            direct = fraction_to_boundary_box((m_l, m_u), bounds)
+            checked = Box(bounds.lo + DELTA_FRAC * m_l if m_l < np.inf else bounds.lo,
+                          bounds.hi - DELTA_FRAC * m_u if m_u < np.inf else bounds.hi)
+            assert same(box, checked) and same(direct, checked)
+            assert (box.lo <= x).all() and (x <= box.hi).all()
+    # a box from outside is still checked
+    with pytest.raises(EmptyBox):
+        Box(np.array([0.0, 2.0]), np.array([1.0, 1.0]))
+    with pytest.raises(ValueError):
+        Box(np.zeros(2), np.ones(3))
 
 
 @given(st.floats(-5, 5))

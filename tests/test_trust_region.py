@@ -300,12 +300,17 @@ def test_boxes_built_per_iteration(monkeypatch, step, constraint, most):
     # each iteration builds its step box and its cap box in one pass each, as
     # balls within the constraint box, and a barrier stage adds the
     # fraction-to-boundary box, except after a rejected step, which keeps it.
+    # Each is built unchecked, and none through the checks of `Box(...)`.
     # An iteration starts with its step box, the first ball it builds
-    built, balls = [], []
-    post_init, ball = Box.__post_init__, Box.ball
+    built, balls, checked = [], [], []
+    unchecked, post_init, ball = Box._unchecked.__func__, Box.__post_init__, Box.ball
 
-    def counting(self):
+    def counting(cls, lo, hi):
         built.append(1)
+        return unchecked(cls, lo, hi)
+
+    def counting_checked(self):
+        checked.append(1)
         post_init(self)
 
     def counting_ball(self, x, r):
@@ -330,7 +335,8 @@ def test_boxes_built_per_iteration(monkeypatch, step, constraint, most):
     x = np.ones(n)
     records = IterLog(TR_RECORD)
     fx, hx, gx = evaluate_start(smooth, h, x)
-    monkeypatch.setattr(Box, "__post_init__", counting)
+    monkeypatch.setattr(Box, "_unchecked", classmethod(counting))
+    monkeypatch.setattr(Box, "__post_init__", counting_checked)
     # sixteen steps: in the barrier stage LSR1's first rejection comes at the
     # 15th, and the test needs a rejected one
     monkeypatch.setattr(Box, "ball", counting_ball)
@@ -339,7 +345,7 @@ def test_boxes_built_per_iteration(monkeypatch, step, constraint, most):
                         records=records)
     # every iteration that tries a step builds two balls, and the last one,
     # which measures and stops, builds its step box
-    assert res.status == "cap" and len(balls) == 2 * len(records) + 1
+    assert res.status == "cap" and len(balls) == 2 * len(records) + 1 and not checked
     per_iteration = np.diff(marks)
     assert len(per_iteration) >= 3 and per_iteration.max() <= most
     if constraint == "barrier":
