@@ -50,7 +50,7 @@ from the saved results.  A row is labelled by its solver, followed by the
 options that differ from the solver's harness defaults on the problem's
 family, as in ``R2[rel_tol=1e-08]``.  reports.json is a run's only file: it
 holds the problem, the budget and one report per solver entry, with the
-options the solve ran with and its trace of (n_grad, f + h) pairs.  Exit
+options its solve ran with, f, h and a trace of (n_grad, f + h) pairs.  Exit
 codes: 0 ok, 1 config error, an output directory that cannot be written or
 saved results that ``table`` cannot read, 2 when any solver failed hard.
 
@@ -193,12 +193,12 @@ def run_solver(name: str, instance, budget: int, overrides: dict | None = None) 
 
     x0 is clamped into the bounds and valued once the clock starts; a start
     that the budget refuses calls no solver, and reports BUDGET with f = inf,
-    h/lam = NaN, criticality inf, an empty trace and diagnostics {}.  A start
+    h = NaN, criticality inf, an empty trace and diagnostics {}.  A start
     whose f, h or grad f is not finite calls no solver either.  It reports
     ORACLE_FAILURE, as does a solve that raises, in valuing the start too,
     with ``error``, diagnostics {} and the counts and trace so far.  The
-    criticality is the solver's last measure (inf if it took none), h/lam is
-    NaN when lam is 0, and r̄(x0) is NaN without a start gradient.
+    criticality is the solver's last measure (inf if it took none), h is the
+    solve's own, and r̄(x0) is NaN without a start gradient.
     ``overrides`` replace the harness defaults (see `solver_options`).
     """
     opts, qn = solver_options(name, instance.name, overrides or {})
@@ -226,7 +226,7 @@ def run_solver(name: str, instance, budget: int, overrides: dict | None = None) 
     wall = time.perf_counter() - t0
 
     return SolverReport(
-        solver=name, x=res.x, f=res.f, h_over_lam=res.h / h.lam if h.lam else np.nan,
+        solver=name, x=res.x, f=res.f, h=res.h,
         criticality=float(res.crit), n_f=oracle.n_f, n_grad=oracle.n_grad, n_prox=h.n_prox,
         wall_time_s=wall, termination=res.termination, trace=oracle.trace,
         dist_to_xstar=(None if instance.x_star is None

@@ -12,17 +12,17 @@ and the quadratic model adds the barrier gradient and the capped barrier
 curvature Theta = min(z / gap, kappa_bar) summed over bounded sides to the
 quasi-Newton operator B.  `BarrierTerms` forms every barrier quantity of a
 point itself: `phi` the gaps and phi_mu, which `barrier_value` shares, or
-(+inf, None) outside the bounds, `at` the model terms and `accept` the dual
-update, which refuse gaps of None.  `outer_solve` builds one `BarrierTerms`
-per solve, sets its mu > 0 for each stage and reads the duals, mu and
-measure back from it; the loop carries none, and hands back the gaps that
-`phi` formed.  `outer_solve` also hands each stage its start radius, and
-ends the solve before a stage that would start below the radius x can
-resolve.  The duals start at 1 and `accept` updates them: a linearized
-complementarity update projected into a safeguard interval, so they stay
-strictly positive.  The measure follows h: the primal one, based on the
-barrier gradient, for the nonconvex l0 penalty, and the Lagrangian one,
-based on grad f - zl + zu, for a convex h.
+(+inf, None) outside the bounds, and `at`, in one pass per side, the dual
+update on the step that reached the point and the point's model terms; it
+refuses gaps of None.  `outer_solve` builds one `BarrierTerms` per solve,
+sets its mu > 0 for each stage and reads the duals, mu and measure back from
+it; the loop carries none, and hands back the gaps that `phi` formed.
+`outer_solve` also hands each stage its start radius, and ends the solve
+before a stage that would start below the radius x can resolve.  The duals
+start at 1; the update is a linearized complementarity update projected
+into a safeguard interval, so they stay strictly positive.  The measure
+follows h: the primal one, based on the barrier gradient, for the nonconvex
+l0 penalty, and the Lagrangian one, based on grad f - zl + zu, for a convex h.
 
 Each barrier quantity is one formula over the sides of the bounds.  A side
 is an index i of its finite components, its bound b[i], a sign, +1 on the
@@ -191,8 +191,8 @@ class BarrierTerms:
 
     Holds the barrier parameter ``mu`` > 0, which `outer_solve` sets for each
     stage, and the dual estimate ``z``: 1 on the finite components of each
-    side at the start and 0 elsewhere, updated by `accept` on every accepted
-    step and, at s = 0, on a zero model step.  The sides are built once.
+    side at the start and 0 elsewhere, which `at` updates on the step that
+    reached its point, accepted or zero.  The sides are built once.
     """
 
     def __init__(self, bounds: Box, mu: float, mode: str):
@@ -206,57 +206,44 @@ class BarrierTerms:
         """The barrier value at x and the gaps of x; (+inf, None) outside the bounds."""
         return _phi(self.mu, x, self._sides)
 
-    def at(self, x, gx, gaps):
-        if gaps is None:
-            raise BoundaryPoint("barrier gradient needs a strictly interior point")
-        # per side: the barrier gradient -sign mu/gap, the capped curvature
-        # min(z/gap, KAPPA_BAR) and the complementarity residual gap*z - mu
-        n, mu = x.size, self.mu
+    def at(self, gx, gaps, step=None):
+        """The terms at the point of ``gaps``, after the dual update on ``step``.
+
+        ``step``, (gaps of the point left, s), is the step that reached the
+        point; None keeps z.  Per side, z_hat = mu/gap - (z/gap) sign s, on
+        the gaps left, is clipped to [KAPPA_ZUL * min(1, z, mu/gap_t),
+        max(KAPPA_ZUU, z, KAPPA_ZUU/mu, KAPPA_ZUU * mu/gap_t)], on the gaps
+        gap_t of the point, in the pass that forms the point's model terms.
+        """
+        left, s = step or (gaps, None)
+        if gaps is None or left is None:
+            raise BoundaryPoint("barrier terms need strictly interior points")
+        n, mu = gx.size, self.mu
+        hi_scalar = max(KAPPA_ZUU, KAPPA_ZUU / mu)  # merged first: max is exact
+        z = list(self.z)
         g_phi = theta = None
-        compl = 0.0
-        smallest = [np.inf, np.inf]  # the least gap of each side
-        for (i, _, sign, which), gap in zip(self._sides, gaps):
-            zm = self.z[which][i]
+        compl, smallest = 0.0, [np.inf, np.inf]  # smallest: the least gap of each side
+        for (i, _, sign, which), gap, g_old in zip(self._sides, gaps, left):
+            zm = z[which][i]
+            if s is not None:
+                zhat = mu / g_old - zm / g_old * (sign * s[i])
+                lo = KAPPA_ZUL * np.minimum(np.minimum(mu / gap, zm), 1.0)
+                hi = np.maximum(np.maximum(KAPPA_ZUU * mu / gap, zm), hi_scalar)
+                zm = np.minimum(np.maximum(zhat, lo), hi)
+                z[which] = _full(zm, i, n)
+            # the barrier gradient -sign mu/gap, the capped curvature
+            # min(z/gap, KAPPA_BAR) and the complementarity residual gap*z - mu
             g_phi = _full((-sign * mu) / gap, i, n, g_phi)
             theta = _full(np.minimum(zm / gap, KAPPA_BAR), i, n, theta)
             compl += float(np.add.reduce((gap * zm - mu) ** 2))
             smallest[which] = float(np.minimum.reduce(gap))
+        if s is not None:
+            self.z = DualEstimate(*z)
         if g_phi is None:  # no finite bound
             g_phi = theta = np.zeros(n)
         box = fraction_to_boundary_box(smallest, self.bounds)
         g_meas = gx - self.z.zl + self.z.zu if self.mode == MODE_LAGRANGIAN else None
         return gx + g_phi, theta, box, g_meas, math.sqrt(compl)
-
-    def accept(self, gaps, gaps_t, s) -> None:
-        """Update z on the step s from the point of ``gaps`` to that of ``gaps_t``.
-
-        The linearized complementarity update projected into the safeguard
-        interval: per side, z_hat = mu/gap - (z/gap) sign s is clipped to
-        [KAPPA_ZUL * min(1, z, mu/gap_t), max(KAPPA_ZUU, z, KAPPA_ZUU/mu,
-        KAPPA_ZUU * mu/gap_t)] on the finite components; the others get z = 0.
-        """
-        if gaps is None or gaps_t is None:
-            raise BoundaryPoint("dual update needs strictly interior points")
-        n, mu = s.size, self.mu
-        z_new = [None, None]
-        # min and max are exact, so the scalar bounds are merged first and the
-        # vector terms formed in place, with the bits of the formula above
-        hi_scalar = max(KAPPA_ZUU, KAPPA_ZUU / mu)
-        for (i, _, sign, which), g_old, g_new in zip(self._sides, gaps, gaps_t):
-            zm = self.z[which][i]
-            zhat = np.divide(zm, g_old)
-            zhat *= sign * s[i]
-            np.subtract(mu / g_old, zhat, out=zhat)
-            lo = np.divide(mu, g_new)
-            np.minimum(lo, zm, out=lo)
-            np.minimum(lo, 1.0, out=lo)
-            lo *= KAPPA_ZUL
-            hi = np.divide(KAPPA_ZUU * mu, g_new)
-            np.maximum(hi, zm, out=hi)
-            np.maximum(hi, hi_scalar, out=hi)
-            np.maximum(zhat, lo, out=zhat)
-            z_new[which] = _full(np.minimum(zhat, hi, out=zhat), i, n)
-        self.z = DualEstimate(*(np.zeros(n) if z is None else z for z in z_new))
 
 
 def measure_mode(h) -> str:

@@ -7,7 +7,8 @@ which counts f and grad f and holds the ``trace``, whose every row
 `oracles.SmoothOracle.mark` writes, and its copy of h, on which the prox
 kernel counts, so a solve that raises keeps its counts; r̄ at x0
 (``certificate0``) is formed from the start gradient of `evaluate_start`.
-The R2 subsolve of the trust-region loop is never reported.
+A report keeps h as the solve returned it, so f + h is the F of its last
+trace row, and derives h/lam.  The loop's R2 subsolve is never reported.
 
 A termination says which limit stopped the run: CONVERGED (the tolerance),
 BUDGET (the objective-evaluation budget), MAX_ITER (the iteration cap, or the
@@ -125,12 +126,24 @@ class SolveResult:
     z: object | None = None
 
 
+class _HOverLam:
+    """h / lam of a `SolverReport`, NaN at lam = 0; as a keyword of the report, a
+    value that h does not already give sets h to value * lam (see `dataclasses.replace`)."""
+
+    def __get__(self, report, owner=None):
+        return None if report is None else report.h / report.lam if report.lam else np.nan
+
+    def __set__(self, report, value):
+        if value is not None and report.lam and value != report.h / report.lam:
+            report.h = value * report.lam
+
+
 @dataclass
 class SolverReport:
     solver: str
     x: np.ndarray
     f: float
-    h_over_lam: float
+    h: float  # h at the final point, as the solve returned it
     criticality: float
     n_f: int
     n_grad: int
@@ -147,16 +160,17 @@ class SolverReport:
     certificate0: float = np.nan  # r̄ at the clamped x0, from the start gradient
     # the keyword settings the solve ran with, as `bench.solver_options` gave them
     options: dict = field(default_factory=dict)
+    h_over_lam: float = _HOverLam()  # derived from h; its default, None, leaves h as given
 
     # the fields `to_dict` saves to reports.json, under their own names
-    SAVED = ("solver", "options", "f", "h_over_lam", "criticality", "certificate",
+    SAVED = ("solver", "options", "f", "h", "criticality", "certificate",
              "certificate0", "dist_to_xstar", "n_f", "n_grad", "n_prox", "wall_time_s",
              "termination", "lam", "trace", "error")
 
     @property
     def objective(self) -> float:
-        """f + h at the final point (h recovered from the h/lam column; f when lam = 0)."""
-        return self.f + (self.h_over_lam * self.lam if self.lam else 0.0)
+        """f + h at the final point: of a solve that ran, the F of its last trace row."""
+        return self.f + self.h
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in self.SAVED}

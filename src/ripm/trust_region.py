@@ -48,16 +48,18 @@ themselves: `tr_solve` runs the loop once, from the valued start that
 subproblems of RIPM pass `interior.BarrierTerms`, whose box is the
 fraction-to-boundary box, and which adds the barrier gradient and curvature
 and owns the duals.  Both have the barrier parameter mu, 0 in
-`ShiftedBounds`, and the methods `phi`, `at` and `accept`; a run with mu > 0
-is a barrier stage.  `phi` returns a point's term and its gaps, a tuple per
-side, () in `ShiftedBounds`, or (+inf, None) outside a barrier's bounds,
-and the loop hands the gaps back to `at` and `accept`.  `at` always returns a
-curvature vector Theta, zero in `ShiftedBounds`, and a complementarity
-residual, 0 there, which the stop test holds to abs_tol.  A zero model step
-of a barrier stage tries no trial: x and Delta stay put, and `accept` at s
-= 0 refreshes the duals, so that the dual tolerance can still be met.  The
-loop asks `at` at entry, after an accepted step and after such a zero
-step, and keeps its terms, with the stall threshold and max Theta.
+`ShiftedBounds`, and the methods `phi` and `at`; a run with mu > 0 is a
+barrier stage.  `phi` returns a point's term and its gaps, a tuple per
+side, () in `ShiftedBounds`, or (+inf, None) outside a barrier's bounds.
+The loop hands them back to `at` with the step that reached the point,
+(gaps of the point left, s), None at entry; `at` updates the duals on it
+and always returns a curvature vector Theta, zero in `ShiftedBounds`, and
+a complementarity residual, 0 there, which the stop test holds to abs_tol.
+A zero model step of a barrier stage tries no trial: x and Delta stay
+put, and the next `at` refreshes the duals on s = 0, so that the dual
+tolerance can still be met.  The loop asks `at` at entry, after an
+accepted step and after such a zero step, and keeps its terms, with the
+stall threshold and max Theta.
 
 The loop constants are those of TR in Aravkin, Baraldi & Orban (2022) and of
 TRDH in Leconte & Orban (2023): DELTA_INIT is Delta_0 and DELTA_MAX caps the
@@ -128,13 +130,10 @@ class ShiftedBounds:
         """The constraint term at x and the gaps of x: those of a constraint with no side."""
         return 0.0, ()
 
-    def at(self, x, gx, gaps):
-        """Model gradient, curvature Theta (zero here), box of points, measure
-        gradient (None: the model gradient) and complementarity residual at x."""
+    def at(self, gx, gaps, step=None):
+        """Model gradient, curvature Theta (zero here), box of points, measure gradient
+        (None: the model gradient) and complementarity residual, whatever the step."""
         return gx, self.theta, self.bounds, None, 0.0
-
-    def accept(self, gaps, gaps_t, s) -> None:
-        pass
 
 
 @dataclass
@@ -182,11 +181,12 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
     phi, gaps = cons.phi(x)
     crit, compl, crit0 = np.inf, np.inf, np.inf
     status = "cap"
-    terms = None  # cons.at(x, gx, gaps), asked again once x or the duals change
+    terms = None  # cons.at(gx, gaps, step) at x, asked at entry and after each step
+    step = None  # the step that reached x, (gaps of the point left, s), not yet handed to at
     x_f, f_t = x, fx  # the last point valued and its f
     for j in range(max_iter + 1):
-        if terms is None:
-            terms = cons.at(x, gx, gaps)
+        if terms is None or step is not None:
+            terms, step = cons.at(gx, gaps, step), None
             stall = stall_radius(x)
             theta_max = float(np.maximum.reduce(terms[1], axis=None))
         if delta < stall:
@@ -230,9 +230,8 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
             s = x_t - x
             gs = float(g.dot(s))
         if cons.mu > 0 and not np.count_nonzero(s):
-            cons.accept(gaps, gaps, s)  # s is all +-0: the dual update at s = 0
+            step = (gaps, s)  # s is all +-0: the next at makes the dual update at s = 0
             records.append(*head, 0.0, False, None, delta, np.nan, 0.0, np.nan)
-            terms = None
             continue
         bqs = qn.apply(s)  # B s, which the operator's update takes on acceptance
         bs = bqs + theta * s
@@ -247,14 +246,13 @@ def tr_iterate(smooth, h, cons, qn, x, fx: float, hx: float, gx, delta: float, *
         accepted = bool(rho >= ETA1)
         obj_after = np.nan
         if accepted:
-            cons.accept(gaps, gaps_t, s)
+            step = (gaps, s)
             x, fx, hx, phi, gaps = x_t, f_t, h_t, phi_t, gaps_t
             g_new = smooth.grad(x)
             qn.update(s, g_new - gx, bs=bqs)
             gx = g_new
             smooth.mark(fx + hx)
             obj_after = fx + phi + hx
-            terms = None
         records.append(*head, float(rho), accepted, None, new_delta, obj_after,
                        float(np.maximum.reduce(np.abs(s))), cap)
         delta = new_delta

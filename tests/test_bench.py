@@ -266,8 +266,22 @@ def test_trace_table_consistency():
         assert gs == sorted(gs)
 
 
+def test_the_objective_is_the_last_trace_value_bit_for_bit():
+    # the report keeps h as the solve returned it: rebuilding h from h/lam
+    # rounded F on TRDH and RIPM-R2 here.  h/lam is derived from h, and a
+    # copy keeps h's bits unless it is given another h/lam
+    inst = problems.build("bpdn", 0, m=20, n=48, n_spikes=3)
+    for name in ALL_SOLVERS:
+        rep = run_solver(name, inst, 2000)
+        assert rep.error is None and rep.objective == rep.trace[-1][1], name
+        assert rep.h_over_lam == rep.h / rep.lam, name
+        assert dataclasses.replace(rep, f=0.0).h == rep.h, name
+        moved = dataclasses.replace(rep, h_over_lam=2.0 * rep.h_over_lam)
+        assert moved.h == 2.0 * rep.h_over_lam * rep.lam, name
+
+
 def test_emit_table_formatting():
-    rep = SolverReport(solver="R2", x=np.zeros(1), f=0.0391, h_over_lam=8.7,
+    rep = SolverReport(solver="R2", x=np.zeros(1), f=0.0391, h=8.7 * 0.05,
                        criticality=1.8e-4, n_f=11, n_grad=11, n_prox=11,
                        wall_time_s=0.004, termination="converged",
                        trace=[(1, 1.0)], lam=0.05)
@@ -284,7 +298,7 @@ def test_emit_table_formatting():
 def test_the_table_prints_every_value_that_is_not_finite_as_a_dash(value):
     # the table alone decides how such a cell prints: each value column,
     # the distance to x* and the wall time too, reads "-"
-    rep = SolverReport(solver="R2", x=np.zeros(1), f=value, h_over_lam=value,
+    rep = SolverReport(solver="R2", x=np.zeros(1), f=value, h=value,
                        criticality=value, n_f=3, n_grad=2, n_prox=1, wall_time_s=value,
                        termination="converged", dist_to_xstar=value, lam=0.05,
                        certificate=value, certificate0=value)
@@ -317,7 +331,7 @@ def test_a_row_names_the_options_that_differ_from_its_defaults(tmp_path, capsys)
     assert main(["table", str(out)]) == 0
     assert capsys.readouterr().out == printed
     # the defaults are those of the family: nnmf's relative tolerance is its own
-    rep = SolverReport(solver="RIPM-R2", x=np.zeros(1), f=0.0, h_over_lam=0.0, criticality=0.0,
+    rep = SolverReport(solver="RIPM-R2", x=np.zeros(1), f=0.0, h=0.0, criticality=0.0,
                        n_f=1, n_grad=1, n_prox=1, wall_time_s=0.0, termination="converged",
                        options={"eps_r": 1e-6, "mu_init": 0.5})
     assert [emit_table([rep], family).splitlines()[1].split()[0] for family in ("nnmf", "qp")] \
@@ -452,7 +466,7 @@ def test_report_round_trip():
     inst = bench.problems.build("bpdn", 0, m=10, n=24, n_spikes=3)
     real = run_solver("TRDH", inst, 0)
     assert real.criticality == np.inf
-    failed = SolverReport(solver="R2", x=inst.x0, f=np.nan, h_over_lam=np.nan,
+    failed = SolverReport(solver="R2", x=inst.x0, f=np.nan, h=np.nan,
                           criticality=np.nan, n_f=0, n_grad=0, n_prox=0, wall_time_s=0.0,
                           termination=ORACLE_FAILURE, trace=[(0, np.nan)],
                           error="RuntimeError: synthetic", lam=inst.h.lam)
@@ -644,15 +658,18 @@ def _write_reports_with_old_keys(path):
 def _write_reports_without(path, key):
     """reports.json as it was saved before ``key`` was reported."""
     path.mkdir()
-    rep = SolverReport(solver="R2", x=np.zeros(1), f=1.0, h_over_lam=0.0, criticality=0.0,
+    rep = SolverReport(solver="R2", x=np.zeros(1), f=1.0, h=0.0, criticality=0.0,
                        n_f=1, n_grad=1, n_prox=1, wall_time_s=0.0, termination="converged")
     saved = rep.to_dict()
     del saved[key]
+    if key == "h":  # saved with h/lam in its place
+        saved["h_over_lam"] = 0.0
     (path / "reports.json").write_text(json.dumps({"reports": [saved]}))
 
 
 @pytest.mark.parametrize("case", ["table_missing", "table_old_keys", "table_no_certificate",
-                                  "table_no_certificate0", "table_no_options", "table_empty",
+                                  "table_no_certificate0", "table_no_options", "table_no_h",
+                                  "table_empty",
                                   "budget", "budget_true", "budget_fraction",
                                   "budget_infinite", "output_dir_number", "solver_entry",
                                   "solvers_empty", "options_list", "problem_string",
@@ -684,7 +701,8 @@ def test_cli_malformed_input_exits_1(tmp_path, capsys, monkeypatch, case):
     elif case == "table_old_keys":
         _write_reports_with_old_keys(results)
         argv = ["table", str(results)]
-    elif case in ("table_no_certificate", "table_no_certificate0", "table_no_options"):
+    elif case in ("table_no_certificate", "table_no_certificate0", "table_no_options",
+                  "table_no_h"):
         _write_reports_without(results, case.removeprefix("table_no_"))
         argv = ["table", str(results)]
     elif case == "table_empty":

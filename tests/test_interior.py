@@ -57,7 +57,7 @@ def test_barrier_value_two_sided():
 def _barrier_grad(mu, x, bounds):
     """The barrier gradient: the model gradient of `BarrierTerms.at` where grad f = 0."""
     terms = BarrierTerms(bounds, mu, "cp")
-    return terms.at(x, np.zeros(x.size), terms.phi(x)[1])[0]
+    return terms.at(np.zeros(x.size), terms.phi(x)[1])[0]
 
 
 def test_barrier_grad_examples():
@@ -126,7 +126,7 @@ def test_loop_boxes_equal_checked_boxes():
             x = np.where(np.isfinite(bounds.lo), bounds.lo, mid - 2.0)
             x = x + rng.uniform(1e-6, 0.999, n) * (np.minimum(bounds.hi, mid + 2.0) - x)
             _, gaps = barrier.phi(x)
-            box = barrier.at(x, np.zeros(n), gaps)[2]
+            box = barrier.at(np.zeros(n), gaps)[2]
             m_l = (x - bounds.lo)[np.isfinite(bounds.lo)].min(initial=np.inf)
             m_u = (bounds.hi - x)[np.isfinite(bounds.hi)].min(initial=np.inf)
             direct = fraction_to_boundary_box((m_l, m_u), bounds)
@@ -247,10 +247,10 @@ def test_xi_l_zero_at_kkt_point(monkeypatch):
 
 
 def _accepted_z(x_new, x_old, z_old, s, mu, bounds):
-    """The dual estimate that `BarrierTerms.accept` makes on the step s from x_old to x_new."""
+    """The dual estimate that `BarrierTerms.at` makes at x_new on the step s from x_old."""
     terms = BarrierTerms(bounds, mu, "lagrangian")
     terms.z = z_old
-    terms.accept(terms.phi(x_old)[1], terms.phi(x_new)[1], s)
+    terms.at(np.zeros(s.size), terms.phi(x_new)[1], (terms.phi(x_old)[1], s))
     return terms.z
 
 
@@ -444,7 +444,7 @@ def test_barrier_terms_and_crossover_equal_the_where_forms_bit_for_bit(mu):
         gx = rng.standard_normal(n)
         terms = BarrierTerms(bounds, mu, "cp")
         terms.z = z
-        g, theta, _, _, compl = terms.at(x, gx, terms.phi(x)[1])
+        g, theta, _, _, compl = terms.at(gx, terms.phi(x)[1])
         g_phi, theta_want, compl_want = _where_barrier_terms(x, z, mu, bounds)
         assert np.array_equal(_raw_bits(g), _raw_bits(gx + g_phi)), layout
         assert np.array_equal(_raw_bits(theta), _raw_bits(theta_want)), layout
@@ -475,10 +475,11 @@ def _assert_same_terms(got, want, layout):
 
 
 def _fresh_terms(bounds, mu, z, x, gx):
-    """`BarrierTerms.at` of a fresh object, from the gaps its own `phi` forms."""
+    """`BarrierTerms.at` of a fresh object with duals z, from the gaps its own
+    `phi` forms and with no step, which keeps z."""
     terms = BarrierTerms(bounds, mu, "lagrangian")
     terms.z = z
-    return terms.at(x, gx, terms.phi(x)[1])
+    return terms.at(gx, terms.phi(x)[1])
 
 
 def _assert_gaps_of(gaps, x, bounds, layout):
@@ -497,10 +498,11 @@ def _assert_gaps_of(gaps, x, bounds, layout):
 def test_barrier_terms_reuse_gaps_bit_for_bit():
     # the calls a barrier stage makes over accepted, rejected, infeasible and
     # zero steps: phi forms the gaps of each point once, the loop hands them
-    # back to at and accept, and all must give what a fresh BarrierTerms,
-    # barrier_value and a fresh BarrierTerms.accept give from scratch, while
-    # the gaps held for x stay those of x.  A zero step is accept at a step
-    # of +0 and -0 components, with the bits of the update at np.zeros
+    # back to at with the step that reached the point, and all must give what
+    # a fresh BarrierTerms, barrier_value and the dual update of a fresh
+    # BarrierTerms give from scratch, while the gaps held for x stay those
+    # of x.  A zero step is a step of +0 and -0 components, whose update has
+    # the bits of the update at np.zeros
     rng = np.random.default_rng(13)
     n, mu = 60, 1e-2
     for layout, bounds in _layouts(rng, n).items():
@@ -515,34 +517,35 @@ def test_barrier_terms_reuse_gaps_bit_for_bit():
         _assert_gaps_of(gaps, x, bounds, layout)
         # a new gradient array at the same x and z gives its own model gradient
         gx2 = rng.standard_normal(n)
-        terms.at(x, gx, gaps)
-        _assert_same_terms(terms.at(x, gx2, gaps), _fresh_terms(bounds, mu, terms.z, x, gx2),
+        terms.at(gx, gaps)
+        _assert_same_terms(terms.at(gx2, gaps), _fresh_terms(bounds, mu, terms.z, x, gx2),
                            layout)
+        step, z_want = None, terms.z
         for move in ["reject", "accept", "reject", "outside", "zero", "accept", "accept",
                      "reject", "reject"]:
-            got = terms.at(x, gx, gaps)
-            _assert_same_terms(got, _fresh_terms(bounds, mu, terms.z, x, gx), layout)
-            if move == "zero":
-                z_want = _accepted_z(x, x, terms.z, np.zeros(n), mu, bounds)
-                terms.accept(gaps, gaps, np.where(rng.random(n) < 0.5, 0.0, -0.0))
-            else:
-                x_t = got[2].clamp(x + 0.5 * rng.standard_normal(n))
-                if move == "outside":
-                    i = int(np.argmax(np.isfinite(bounds.lo)))
-                    x_t[i] = bounds.lo[i] - 1.0
-                phi_t, gaps_t = terms.phi(x_t)
-                assert _raw_bits(phi_t) == _raw_bits(barrier_value(mu, x_t, bounds)), layout
-                _assert_gaps_of(gaps_t, x_t, bounds, layout)
-                assert (gaps_t is None) == (move == "outside"), layout
-                if move != "accept":
-                    continue
-                s = x_t - x
-                z_want = _accepted_z(x_t, x, terms.z, s, mu, bounds)
-                terms.accept(gaps, gaps_t, s)
-                x, gaps = x_t, gaps_t
+            got = terms.at(gx, gaps, step)
             _assert_gaps_of(gaps, x, bounds, layout)
             assert np.array_equal(_raw_bits(terms.z.zl), _raw_bits(z_want.zl)), layout
             assert np.array_equal(_raw_bits(terms.z.zu), _raw_bits(z_want.zu)), layout
+            _assert_same_terms(got, _fresh_terms(bounds, mu, terms.z, x, gx), layout)
+            step, z_want = None, terms.z
+            if move == "zero":
+                z_want = _accepted_z(x, x, terms.z, np.zeros(n), mu, bounds)
+                step = (gaps, np.where(rng.random(n) < 0.5, 0.0, -0.0))
+                continue
+            x_t = got[2].clamp(x + 0.5 * rng.standard_normal(n))
+            if move == "outside":
+                i = int(np.argmax(np.isfinite(bounds.lo)))
+                x_t[i] = bounds.lo[i] - 1.0
+            phi_t, gaps_t = terms.phi(x_t)
+            assert _raw_bits(phi_t) == _raw_bits(barrier_value(mu, x_t, bounds)), layout
+            _assert_gaps_of(gaps_t, x_t, bounds, layout)
+            assert (gaps_t is None) == (move == "outside"), layout
+            if move == "accept":
+                s = x_t - x
+                z_want = _accepted_z(x_t, x, terms.z, s, mu, bounds)
+                step, x, gaps = (gaps, s), x_t, gaps_t
+        assert step is None  # the last move is a rejection: no update is pending
 
 
 def test_crossover_rules():
@@ -843,10 +846,11 @@ def _outer_from(x0, mu_init=1.0):
                         np.array([x0]), mu_init=mu_init)
 
 
-def _accept_outside():
+def _step_from_outside():
+    # the point is interior, the point the step left is not
     terms = BarrierTerms(POS, 0.1, "lagrangian")
-    x, x_t = np.array([1.0]), np.array([-0.5])
-    terms.accept(terms.phi(x)[1], terms.phi(x_t)[1], x_t - x)
+    x, x_left = np.array([1.0]), np.array([-0.5])
+    terms.at(np.zeros(1), terms.phi(x)[1], (terms.phi(x_left)[1], x - x_left))
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -857,9 +861,9 @@ def _accept_outside():
      ValueError, "mu_final must be positive"),
     (lambda: crossover(np.ones(1), DualEstimate(np.ones(1), np.zeros(1)), -1e-3, POS),
      ValueError, "mu_final must be positive"),
-    (_accept_outside, BoundaryPoint, "dual update needs strictly interior points"),
+    (_step_from_outside, BoundaryPoint, "barrier terms need strictly interior points"),
 ], ids=["mu_init_zero", "mu_init_negative", "start_on_bound", "crossover_mu_zero",
-        "crossover_mu_negative", "accept_outside"])
+        "crossover_mu_negative", "step_from_outside"])
 def test_a_barrier_input_off_its_domain_is_refused(call, error, message):
     # mu_init > 0 is what makes each stage a barrier stage (mu > 0) for the loop
     with pytest.raises(error) as info:

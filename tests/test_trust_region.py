@@ -357,16 +357,20 @@ def test_boxes_built_per_iteration(monkeypatch, step, constraint, most):
 def test_the_loop_asks_for_the_barrier_terms_once_per_point(step):
     # f = (x - 2)^2 / 2 and h = |x| / 2 on x > 0, solved to 1e-10: the stage
     # rejects steps near its end, and a zero step refreshes the duals.  The
-    # loop asks for the terms at entry, after each accepted step and after
-    # each zero step, and never twice at one x and z
+    # loop asks for the terms at entry with no step, and after each accepted
+    # step and each zero step with that step, (gaps of the point left, s),
+    # and never twice at one x and z.  No constraint object has another
+    # method for the dual update
     bounds = Box(np.zeros(1), np.full(1, np.inf))
     cons = BarrierTerms(bounds, 1.0, "lagrangian")
+    assert not hasattr(cons, "accept") and not hasattr(tr.ShiftedBounds(bounds), "accept")
     asked = []
     at = cons.at
 
-    def counted_at(x, gx, gaps):
-        asked.append((x, cons.z))
-        return at(x, gx, gaps)
+    def counted_at(gx, gaps, step=None):
+        terms = at(gx, gaps, step)
+        asked.append((gaps, step, cons.z))
+        return terms
 
     cons.at = counted_at
     smooth, h, x = _quad_shift([2.0]), Regularizer("l1", 0.5), np.array([3.0])
@@ -380,7 +384,16 @@ def test_the_loop_asks_for_the_barrier_terms_once_per_point(step):
     zero = sum(r["exit"] is None and r["s_inf"] == 0 for r in records)
     assert res.status == "tol" and rejected > 10 and zero >= 1
     assert len(asked) == 1 + accepted + zero
-    assert all(a[0] is not b[0] or a[1] is not b[1] for a, b in zip(asked, asked[1:]))
+    assert all(a[0] is not b[0] or a[2] is not b[2] for a, b in zip(asked, asked[1:]))
+    # the steps, in the order the records take them; on x > 0 the gaps are (x,)
+    moves = [r for r in records if r["accepted"] or (r["exit"] is None and r["s_inf"] == 0)]
+    assert asked[0][1] is None
+    for (left, _, _), (gaps, (gaps_left, s), _), r in zip(asked, asked[1:], moves):
+        assert gaps_left is left and float(np.abs(s).max()) == r["s_inf"]
+        if r["accepted"]:
+            assert s[0] == gaps[0][0] - left[0][0]
+        else:
+            assert gaps is left and not np.count_nonzero(s)
 
 
 @pytest.mark.parametrize("constraint", ["bounds", "barrier"])
